@@ -1,22 +1,23 @@
-"""Local-compute benchmark: fused kernel lowering vs the reference path.
+"""Local-compute benchmark: the fused-kernel runtime vs the reference oracle.
 
 Three phases, mirroring the acceptance criteria of the fused local-compute
-lowering work:
+kernel work:
 
-1. **cpu time per layer class** — for every zoo model, the online-phase
-   local-compute time (``per_op_cpu_ns``, wire waits excluded) of the
-   scheduled reference execution vs the lowered (fused-kernel) execution,
+1. **cpu time per layer class** — for every zoo model, the per-op
+   local-compute time of the sequential oracle
+   (:func:`repro.crypto.events.run_reference`: reference numpy chains, no
+   kernel context) vs the runtime (``per_op_cpu_ns``, wire waits excluded),
    aggregated into the *linear* class (CONV + LINEAR ops, where im2col
-   workspaces and stacked-share kernels apply) and the *nonlinear* class
-   (comparisons, activations, pooling).  Best-of-N per class;
-2. **zoo-wide bit-identity in all four execution modes** — for every zoo
-   model (ReLU and polynomial variants) the lowered path must reproduce the
-   sequential compiled path bit for bit when run (a) sequentially,
-   (b) scheduled+lowered in process, (c) lowered over a loopback transport
-   with two party threads, and (d) lowered over two OS processes and a real
-   TCP socket.  Exits non-zero on any divergence;
-3. **fused-kernel accounting** — the lowered runs must actually take the
-   fused path (``fused_kernel_calls > 0``) and the reference runs must not.
+   workspaces and stacked-share kernels apply; these ops never communicate,
+   so both sides time pure compute) and the *nonlinear* class (comparisons,
+   activations, pooling).  Best-of-N per class;
+2. **zoo-wide bit-identity on every deployment surface** — for every zoo
+   model (ReLU and polynomial variants) the runtime must reproduce the
+   oracle bit for bit (a) in process, (b) over a loopback transport with
+   two party threads, and (c) over two OS processes and a real TCP socket.
+   Exits non-zero on any divergence;
+3. **fused-kernel accounting** — the runtime must actually take the fused
+   path (``fused_kernel_calls > 0``).
 
 Run with:  PYTHONPATH=src python benchmarks/bench_local_compute.py
 Optionally ``--json out.json`` writes the measurements (schema
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.crypto import PartyChannel, TwoPartyContext, make_context, optimize_plan
 from repro.crypto.dealer import TrustedDealer
+from repro.crypto.events import run_reference
 from repro.crypto.plan import compile_plan
 from repro.crypto.ring import DEFAULT_RING
 from repro.crypto.secure_model import SecureInferenceEngine
@@ -98,28 +100,32 @@ def measure_cpu_time(
     x = np.random.default_rng(100).normal(
         size=(batch, spec.in_channels, input_size, input_size)
     )
-    entry: Dict[str, object] = {}
+    plan = SecureInferenceEngine().compile(spec, batch_size=batch)
+    classes = _layer_class_of(plan)
+    # the oracle never installs a kernel context: zero fused calls by construction
+    entry: Dict[str, object] = {"reference_fused_kernel_calls": 0}
     per_mode: Dict[str, Dict[str, int]] = {}
-    for mode, lower in (("reference", False), ("fused", True)):
+    for mode in ("reference", "fused"):
         best: Optional[Dict[str, int]] = None
-        fused_calls = 0
         for _ in range(repeats):
-            engine = SecureInferenceEngine(make_context(seed=seed))
-            plan = engine.compile(spec, batch_size=batch, optimize=True, lower=lower)
-            result = engine.execute(
-                plan, servable.weights, x, pool=engine.preprocess(plan)
-            )
-            classes = _layer_class_of(plan)
-            totals = _classed_cpu_ns(result.per_op_cpu_ns, classes)
+            ctx = make_context(seed=seed)
+            pool = ctx.dealer.preprocess(plan)
+            if mode == "reference":
+                _, _, per_op_cpu_ns = run_reference(ctx, plan, servable.weights, x, pool)
+            else:
+                result = SecureInferenceEngine(ctx).execute(
+                    plan, servable.weights, x, pool=pool
+                )
+                per_op_cpu_ns = result.per_op_cpu_ns
+                entry["fused_fused_kernel_calls"] = result.fused_kernel_calls
+            totals = _classed_cpu_ns(per_op_cpu_ns, classes)
             totals["total"] = totals["linear"] + totals["nonlinear"]
             if best is None:
                 best = totals
             else:
                 # element-wise best-of: each class at its least-noisy sample
                 best = {cls: min(best[cls], totals[cls]) for cls in totals}
-            fused_calls = result.fused_kernel_calls
         per_mode[mode] = best
-        entry[f"{mode}_fused_kernel_calls"] = fused_calls
     for cls in ("linear", "nonlinear", "total"):
         ref = per_mode["reference"][cls]
         fused = per_mode["fused"][cls]
@@ -131,18 +137,16 @@ def measure_cpu_time(
     return entry
 
 
-def _loopback_lowered_logits(
+def _loopback_logits(
     servable: ServableModel, inputs: np.ndarray, seed: int
 ) -> Tuple[np.ndarray, int]:
-    """Lowered plan over a loopback transport, two party threads."""
+    """The plan over a loopback transport, two party threads."""
     ring = DEFAULT_RING
     spec = servable.spec
     batch = int(inputs.shape[0])
     client_rng = np.random.default_rng(seed + 1)
     shared = share(np.asarray(inputs, dtype=np.float64), ring, client_rng)
-    plan = optimize_plan(
-        compile_plan(spec, batch_size=batch, ring=ring), lower=True
-    )
+    plan = optimize_plan(compile_plan(spec, batch_size=batch, ring=ring))
     transports = LoopbackTransport.pair(timeout=60.0)
     executions: Dict[int, object] = {}
     errors: Dict[int, BaseException] = {}
@@ -180,7 +184,7 @@ def _loopback_lowered_logits(
 def verify_zoo_bit_identity(
     input_size: int, batch: int, seed: int, include_tcp: bool = True
 ) -> List[Dict[str, object]]:
-    """Lowered execution == sequential compiled path in all four modes."""
+    """Runtime == sequential oracle on every deployment surface."""
     checked: List[Dict[str, object]] = []
     for name in ZOO_MODELS:
         for polynomial in (False, True):
@@ -190,34 +194,28 @@ def verify_zoo_bit_identity(
                 size=(batch, spec.in_channels, input_size, input_size)
             )
 
-            # mode 1 — sequential compiled path: the reference semantics
-            sequential = SecureInferenceEngine(make_context(seed=seed))
-            plan = sequential.compile(spec, batch_size=batch)
-            reference = sequential.execute(
-                plan, servable.weights, x, pool=sequential.preprocess(plan)
+            # the runtime, in process
+            engine = SecureInferenceEngine(make_context(seed=seed))
+            plan = engine.compile(spec, batch_size=batch)
+            in_process = engine.execute(
+                plan, servable.weights, x, pool=engine.preprocess(plan)
             )
 
-            # mode 2 — scheduled + lowered, in process
-            lowered = SecureInferenceEngine(make_context(seed=seed))
-            lplan = lowered.compile(spec, batch_size=batch, lower=True)
-            in_process = lowered.execute(
-                lplan, servable.weights, x, pool=lowered.preprocess(lplan)
+            # the sequential oracle: the reference semantics
+            reference_logits, _, _ = run_reference(
+                make_context(seed=seed), plan, servable.weights, x
             )
 
-            # mode 3 — lowered over a loopback transport (two party threads)
-            loopback_logits, loopback_fused = _loopback_lowered_logits(
-                servable, x, seed
-            )
+            # over a loopback transport (two party threads)
+            loopback_logits, loopback_fused = _loopback_logits(servable, x, seed)
 
-            # mode 4 — lowered over two OS processes and a TCP socket
+            # over two OS processes and a TCP socket
             if include_tcp:
-                tcp = run_two_process_inference(
-                    spec, servable.weights, x, seed=seed, optimize=True, lower=True
-                )
+                tcp = run_two_process_inference(spec, servable.weights, x, seed=seed)
                 tcp_logits = tcp.logits
                 tcp_fused = tcp.fused_kernel_calls
             else:
-                tcp_logits, tcp_fused = reference.logits, None
+                tcp_logits, tcp_fused = reference_logits, None
 
             modes = {
                 "scheduled_lowered": in_process.logits,
@@ -225,7 +223,7 @@ def verify_zoo_bit_identity(
                 "tcp_lowered": tcp_logits,
             }
             identical = {
-                mode: bool(np.array_equal(logits, reference.logits))
+                mode: bool(np.array_equal(logits, reference_logits))
                 for mode, logits in modes.items()
             }
             checked.append(
@@ -241,13 +239,13 @@ def verify_zoo_bit_identity(
             if not all(identical.values()):
                 diverged = [m for m, ok in identical.items() if not ok]
                 raise SystemExit(
-                    f"lowered execution of {spec.name} diverged from the "
-                    f"sequential compiled path in mode(s): {diverged}"
+                    f"execution of {spec.name} diverged from the "
+                    f"sequential oracle in mode(s): {diverged}"
                 )
             if in_process.fused_kernel_calls <= 0:
                 raise SystemExit(
-                    f"lowered execution of {spec.name} never took a fused "
-                    "kernel path — the lowering is not engaged"
+                    f"execution of {spec.name} never took a fused "
+                    "kernel path — the kernel context is not engaged"
                 )
     return checked
 
@@ -315,7 +313,7 @@ def print_report(report: dict) -> None:
         identical = sum(1 for c in report["zoo_bit_identity"] if c["bit_identical"])
         print(
             f"zoo bit-identity: {identical}/{len(report['zoo_bit_identity'])} "
-            "lowered executions identical to the sequential path in every mode"
+            "executions identical to the sequential oracle on every surface"
         )
 
 

@@ -22,9 +22,9 @@ factory work:
    generation.  Acceptance: the online qps dip stays under 10% and the
    producer actually spools bundles;
 4. **zoo-wide bit-identity with factory-provisioned pools** — for every
-   zoo model/variant the logits must be bit-identical to the sequential
-   compiled reference when the correlated randomness is (a) generated
-   locally, (b) fetched from the factory for a scheduled in-process run,
+   zoo model/variant the logits must be bit-identical to the in-process
+   engine's when the correlated randomness is (a) generated
+   locally, (b) fetched from the factory for an in-process run,
    (c) fetched party-restricted by two loopback party threads, and
    (d) streamed to a two-process TCP serving pool configured with
    ``factory_address``.  Exits non-zero on any divergence.
@@ -323,7 +323,7 @@ def verify_zoo_bit_identity(
     seed: int,
     include_tcp: bool = True,
 ) -> List[Dict[str, object]]:
-    """Factory-provisioned executions == the sequential compiled path."""
+    """Factory-provisioned executions == the locally provisioned engine."""
     checked: List[Dict[str, object]] = []
     with tempfile.TemporaryDirectory() as root:
         factory = RandomnessFactory(InventoryStore(root))
@@ -338,18 +338,18 @@ def verify_zoo_bit_identity(
                         size=(batch, spec.in_channels, input_size, input_size)
                     )
 
-                    # mode 1 — sequential compiled path, local dealer: the
-                    # reference semantics every other mode must reproduce
-                    sequential = SecureInferenceEngine(make_context(seed=seed))
-                    plan = sequential.compile(spec, batch_size=batch)
-                    reference = sequential.execute(
-                        plan, servable.weights, x, pool=sequential.preprocess(plan)
+                    # mode 1 — in-process engine, local dealer: the logits
+                    # every factory-provisioned mode must reproduce
+                    local = SecureInferenceEngine(make_context(seed=seed))
+                    plan = local.compile(spec, batch_size=batch)
+                    reference = local.execute(
+                        plan, servable.weights, x, pool=local.preprocess(plan)
                     )
 
-                    # mode 2 — scheduled in-process, pool streamed from the
-                    # factory at the engine's dealer seed
+                    # mode 2 — in-process, pool streamed from the factory at
+                    # the engine's dealer seed
                     engine = SecureInferenceEngine(make_context(seed=seed))
-                    splan = engine.compile(spec, batch_size=batch, optimize=True)
+                    splan = engine.compile(spec, batch_size=batch)
                     factory_pool = client.fetch_pool(splan.manifest, seed)
                     scheduled = engine.execute(
                         splan, servable.weights, x, pool=factory_pool
@@ -409,7 +409,7 @@ def verify_zoo_bit_identity(
                         diverged = [m for m, ok in modes.items() if not ok]
                         raise SystemExit(
                             f"factory-provisioned execution of {label} diverged "
-                            f"from the sequential path in mode(s): {diverged}"
+                            f"from the locally provisioned engine in mode(s): {diverged}"
                         )
             client.close()
     return checked

@@ -17,6 +17,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.crypto import make_context, share
+from repro.crypto.events import run_reference
 from repro.crypto.protocols import (
     drelu,
     multiply,
@@ -139,6 +140,10 @@ def test_plan_offline_online_split():
         ),
     )
     assert result.communication_bytes == plan.online_bytes
-    # sequential execution logs the legacy (uncoalesced) round count
-    assert result.communication_rounds == plan.legacy_online_rounds
+    assert result.communication_rounds == plan.online_rounds
+    # the sequential oracle: same bits, the legacy (uncoalesced) round count
+    oracle = make_context(seed=3)
+    reference_logits, _, _ = run_reference(oracle, plan, weights, x)
+    np.testing.assert_array_equal(result.logits, reference_logits)
+    assert oracle.communication_rounds == plan.legacy_online_rounds
     assert result.offline_material_bytes > 0

@@ -1,4 +1,4 @@
-"""Round-coalescing benchmark: scheduled vs sequential plan execution.
+"""Round-coalescing benchmark: the scheduled plan vs the sequential oracle.
 
 Three phases, mirroring the acceptance criteria of the graph-plan IR work:
 
@@ -6,13 +6,13 @@ Three phases, mirroring the acceptance criteria of the graph-plan IR work:
    round count vs the scheduled (coalesced) count of the optimized plan,
    plus the reduction;
 2. **zoo-wide bit-identity** — the scheduled in-process execution must match
-   the unoptimized compiled path bit for bit for every zoo model (exits
-   non-zero on divergence);
+   the sequential oracle (:func:`repro.crypto.events.run_reference`) bit for
+   bit for every zoo model (exits non-zero on divergence);
 3. **qps under link latency** — the serving pool (persistent party-server
-   pairs) at N shards, with round coalescing off (the PR-3 baseline
-   behavior) vs on, under several simulated one-way link latencies.  The
-   online phase is round-trip bound, so halving the frame count shows up
-   directly in the WAN-regime throughput.
+   pairs) at N shards under several simulated one-way link latencies.  The
+   online phase is round-trip bound; what coalescing buys in wall-clock is
+   guarded end to end by the ``pasnetc_lan5ms`` workload of
+   ``benchmarks/e2e`` (there is no uncoalesced runtime left to time here).
 
 Run with:  PYTHONPATH=src python benchmarks/bench_round_coalescing.py
 Optionally ``--json out.json`` writes the measurements (schema
@@ -32,6 +32,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.crypto import make_context, optimize_plan
+from repro.crypto.events import run_reference
 from repro.crypto.plan import compile_plan
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models import build_model, export_layer_weights, get_backbone
@@ -82,7 +83,7 @@ def static_rounds_report(input_size: int) -> Dict[str, Dict[str, object]]:
 
 
 def verify_zoo_bit_identity(input_size: int, seed: int) -> List[Dict[str, object]]:
-    """Scheduled execution == sequential compiled path, bit for bit, zoo-wide."""
+    """Scheduled execution == sequential oracle, bit for bit, zoo-wide."""
     checked: List[Dict[str, object]] = []
     for name in ZOO_MODELS:
         for polynomial in (False, True):
@@ -91,31 +92,28 @@ def verify_zoo_bit_identity(input_size: int, seed: int) -> List[Dict[str, object
             x = np.random.default_rng(100).normal(
                 size=(2, spec.in_channels, input_size, input_size)
             )
-            sequential = SecureInferenceEngine(make_context(seed=seed))
-            plan = sequential.compile(spec, batch_size=2)
-            reference = sequential.execute(
-                plan, servable.weights, x, pool=sequential.preprocess(plan)
-            )
             scheduled = SecureInferenceEngine(make_context(seed=seed))
-            splan = scheduled.compile(spec, batch_size=2, optimize=True)
+            splan = scheduled.compile(spec, batch_size=2)
             result = scheduled.execute(
                 splan, servable.weights, x, pool=scheduled.preprocess(splan)
             )
-            identical = bool(np.array_equal(result.logits, reference.logits))
+            oracle = make_context(seed=seed)
+            reference_logits, _, _ = run_reference(oracle, splan, servable.weights, x)
+            identical = bool(np.array_equal(result.logits, reference_logits))
             checked.append(
                 {
                     "model": spec.name,
                     "bit_identical": identical,
-                    "legacy_rounds": reference.communication_rounds,
+                    "legacy_rounds": oracle.communication_rounds,
                     "scheduled_rounds": result.communication_rounds,
                 }
             )
             if not identical:
                 raise SystemExit(
                     f"scheduled execution of {spec.name} diverged from the "
-                    "sequential compiled path"
+                    "sequential oracle"
                 )
-            if result.communication_bytes != reference.communication_bytes:
+            if result.communication_bytes != oracle.communication_bytes:
                 raise SystemExit(
                     f"scheduled execution of {spec.name} changed the byte "
                     "volume — coalescing must only change round structure"
@@ -130,10 +128,9 @@ def measure_pool_qps(
     batch: int,
     shards: int,
     link_latency_ms: float,
-    coalesce_rounds: bool,
     seed: int,
 ) -> Dict[str, object]:
-    """qps of the serving pool for one (latency, mode) configuration."""
+    """qps of the serving pool at one link latency."""
     models = {model: servable}
     num_queries = queries.shape[0]
     job_latencies: List[float] = []
@@ -145,7 +142,6 @@ def measure_pool_qps(
         warm_batch_sizes=(batch,),
         link_latency=link_latency_ms / 1e3,
         seed=seed,
-        coalesce_rounds=coalesce_rounds,
     ) as pool:
         start = time.perf_counter()
         payload_bytes = 0
@@ -167,7 +163,6 @@ def measure_pool_qps(
         "payload_bytes_on_wire": payload_bytes,
         "num_shards": shards,
         "link_latency_ms": link_latency_ms,
-        "coalesce_rounds": coalesce_rounds,
     }
 
 
@@ -191,25 +186,18 @@ def run_benchmark(
         size=(num_queries, spec.in_channels, input_size, input_size)
     )
 
-    paths: Dict[str, Dict[str, object]] = {}
-    qps_improvement: Dict[str, float] = {}
-    for latency in latencies_ms:
-        for coalesce in (False, True):
-            mode = "coalesced" if coalesce else "sequential"
-            key = f"latency-{latency:g}ms-{mode}"
-            paths[key] = measure_pool_qps(
-                servable,
-                model,
-                queries,
-                batch=batch,
-                shards=shards,
-                link_latency_ms=latency,
-                coalesce_rounds=coalesce,
-                seed=seed,
-            )
-        baseline = paths[f"latency-{latency:g}ms-sequential"]["queries_per_second"]
-        coalesced = paths[f"latency-{latency:g}ms-coalesced"]["queries_per_second"]
-        qps_improvement[f"{latency:g}ms"] = coalesced / baseline if baseline else 0.0
+    paths = {
+        f"latency-{latency:g}ms-coalesced": measure_pool_qps(
+            servable,
+            model,
+            queries,
+            batch=batch,
+            shards=shards,
+            link_latency_ms=latency,
+            seed=seed,
+        )
+        for latency in latencies_ms
+    }
 
     best_reduction = max(entry["round_reduction"] for entry in rounds.values())
     return {
@@ -229,7 +217,6 @@ def run_benchmark(
         "best_round_reduction": best_reduction,
         "zoo_bit_identity": zoo_check,
         "paths": paths,
-        "qps_improvement": qps_improvement,
         "workers": [],
     }
 
@@ -247,7 +234,7 @@ def print_report(report: dict) -> None:
         identical = sum(1 for c in report["zoo_bit_identity"] if c["bit_identical"])
         print(
             f"\nzoo bit-identity: {identical}/{len(report['zoo_bit_identity'])} "
-            "scheduled executions identical to the sequential path"
+            "scheduled executions identical to the sequential oracle"
         )
     print(f"\n== pool qps ({report['config']['shards']} shards, "
           f"model {report['model']}) ==")
@@ -258,8 +245,6 @@ def print_report(report: dict) -> None:
             f"{path['p50_latency_ms']:>9.1f} {path['p95_latency_ms']:>9.1f} "
             f"{path['total_seconds']:>9.2f}"
         )
-    for latency, ratio in report["qps_improvement"].items():
-        print(f"qps improvement at {latency}: {ratio:.2f}x")
 
 
 def main() -> None:

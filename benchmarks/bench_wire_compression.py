@@ -7,7 +7,7 @@ Measures and *verifies* the two halves of the nonlinear-protocol rework:
    bytes, the frame-format-v1 (unpacked) equivalent, and the compression
    ratio of the comparison-based (nonlinear) layers alone;
 2. **verification** — zoo-wide, the scheduled execution must be
-   bit-identical to the sequential compiled path AND both must log exactly
+   bit-identical to the sequential oracle AND both must log exactly
    the manifest's packed byte prediction (exits non-zero on divergence);
    the acceptance gates — nonlinear-layer payload >= 4x smaller than
    unpacked and vgg-tiny scheduled rounds <= a third of the pre-tree
@@ -33,11 +33,10 @@ from typing import Dict, List
 import numpy as np
 
 from repro.crypto import make_context, optimize_plan
+from repro.crypto.events import run_reference
 from repro.crypto.plan import compile_plan
 from repro.crypto.protocols.comparison import drelu_trace
-from repro.crypto.protocols.registry import get_handler
 from repro.crypto.secure_model import SecureInferenceEngine
-from repro.crypto.sharing import share
 from repro.models import build_model, export_layer_weights, get_backbone
 from repro.models.specs import LayerKind
 from repro.nn.tensor import Tensor
@@ -65,31 +64,22 @@ def _trained_weights(spec):
 
 
 def _per_layer_packed_and_unpacked(spec, weights, seed: int):
-    """Sequential per-op execution reading both byte counters per layer."""
+    """The oracle's per-op byte log, packed and at frame format v1.
+
+    Every protocol tags its messages ``<layer name>/...``, so the unpacked
+    equivalent per layer falls out of the oracle's communication log.
+    """
     ctx = make_context(seed=seed)
     plan = compile_plan(spec, batch_size=1, ring=ctx.ring)
-    pool = ctx.dealer.preprocess(plan)
-    dealer = ctx.dealer
-    ctx.dealer = pool
-    packed: Dict[str, int] = {}
-    unpacked: Dict[str, int] = {}
-    try:
-        ctx.reset_communication()
-        x = np.random.default_rng(7).normal(
-            size=(1, spec.in_channels, spec.input_size, spec.input_size)
+    x = np.random.default_rng(7).normal(
+        size=(1, spec.in_channels, spec.input_size, spec.input_size)
+    )
+    _, packed, _ = run_reference(ctx, plan, weights, x)
+    unpacked = dict.fromkeys(packed, 0)
+    for message in ctx.channel.log.messages:
+        unpacked[message.tag.split("/")[0]] += max(
+            message.num_bytes, message.unpacked_bytes
         )
-        shared = share(x, ctx.ring, ctx.rng)
-        cache = {}
-        for op in plan.ops:
-            bytes_before = ctx.channel.log.total_bytes
-            raw_before = ctx.channel.log.total_unpacked_bytes
-            handler = get_handler(op.kind)
-            shared = handler.execute(ctx, op.layer, weights.get(op.name, {}), shared, cache)
-            cache[op.name] = shared
-            packed[op.name] = ctx.channel.log.total_bytes - bytes_before
-            unpacked[op.name] = ctx.channel.log.total_unpacked_bytes - raw_before
-    finally:
-        ctx.dealer = dealer
     return plan, packed, unpacked
 
 
@@ -146,20 +136,18 @@ def verify_zoo(input_size: int, seed: int) -> List[Dict[str, object]]:
             x = np.random.default_rng(100).normal(
                 size=(2, spec.in_channels, input_size, input_size)
             )
-            sequential = SecureInferenceEngine(make_context(seed=seed))
-            plan = sequential.compile(spec, batch_size=2)
-            reference = sequential.execute(
-                plan, weights, x, pool=sequential.preprocess(plan)
-            )
             scheduled = SecureInferenceEngine(make_context(seed=seed))
-            splan = scheduled.compile(spec, batch_size=2, optimize=True)
+            splan = scheduled.compile(spec, batch_size=2)
             result = scheduled.execute(
                 splan, weights, x, pool=scheduled.preprocess(splan)
             )
-            identical = bool(np.array_equal(result.logits, reference.logits))
+            oracle = make_context(seed=seed)
+            reference_logits, _, _ = run_reference(oracle, splan, weights, x)
+            identical = bool(np.array_equal(result.logits, reference_logits))
             exact = (
-                reference.communication_bytes == plan.online_bytes
-                and result.communication_bytes == splan.online_bytes
+                oracle.communication_bytes
+                == result.communication_bytes
+                == splan.online_bytes
             )
             checked.append(
                 {
@@ -172,7 +160,7 @@ def verify_zoo(input_size: int, seed: int) -> List[Dict[str, object]]:
             if not identical:
                 raise SystemExit(
                     f"scheduled execution of {spec.name} diverged from the "
-                    "sequential compiled path"
+                    "sequential oracle"
                 )
             if not exact:
                 raise SystemExit(

@@ -47,21 +47,17 @@ from repro.crypto.kernels import (
     KERNELS,
     KernelContext,
     WorkspaceArena,
-    active_kernels,
     arena_for,
     clear_arenas,
     clear_executors,
     register_kernel,
 )
 from repro.crypto.passes import (
-    KernelBinding,
-    LoweredPlan,
     PlanSchedule,
     ScheduledPlan,
     ScheduledRound,
     dead_op_elimination,
     levelize,
-    lower_plan,
     optimize_plan,
     schedule_rounds,
 )
@@ -109,19 +105,15 @@ __all__ = [
     "PlanSchedule",
     "ScheduledPlan",
     "ScheduledRound",
-    "KernelBinding",
-    "LoweredPlan",
     "KERNELS",
     "KernelContext",
     "WorkspaceArena",
-    "active_kernels",
     "arena_for",
     "clear_arenas",
     "clear_executors",
     "register_kernel",
     "dead_op_elimination",
     "levelize",
-    "lower_plan",
     "optimize_plan",
     "schedule_rounds",
     "run_scheduled_plan",

@@ -25,7 +25,7 @@ local variables — that is what makes the identical SPMD protocol program
 correct in both the simulated and the networked setting.  Since the
 phase-generator refactor the protocols do not call the channel directly:
 they yield :class:`~repro.crypto.events.CommEvent` round groups, and the
-driver either performs each event individually (sequential reference mode)
+driver either performs each event individually (the sequential oracle)
 or hands a whole coalesced round to :meth:`Channel.run_round` — one framed
 message per direction per round.
 """

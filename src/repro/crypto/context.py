@@ -27,8 +27,8 @@ class TwoPartyContext:
     dealer: TrustedDealer = field(default=None)  # type: ignore[assignment]
     rng: np.random.Generator = field(default=None)  # type: ignore[assignment]
     #: fused-kernel state (a :class:`repro.crypto.kernels.KernelContext`)
-    #: installed by the scheduler while executing a lowered plan; None keeps
-    #: every protocol on its reference numpy path
+    #: installed by the plan executor for the duration of a run; None (the
+    #: oracle, standalone protocol calls) keeps the reference numpy chains
     kernels: Optional[object] = None
 
     def __post_init__(self) -> None:

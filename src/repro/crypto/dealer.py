@@ -10,7 +10,7 @@ random correlated values.
 
 Two consumption modes exist:
 
-- *lazy* (interpretive runtime): protocols call :meth:`TrustedDealer.triple`
+- *lazy* (standalone protocol calls): protocols call :meth:`TrustedDealer.triple`
   and friends while the online phase runs;
 - *pooled* (plan runtime): :meth:`TrustedDealer.preprocess` generates every
   request of a compiled plan's manifest up front into a

@@ -6,13 +6,15 @@ The online protocols are written as *phase generators* (see
 are mutually independent and may therefore share one network round.  The
 driver that consumes a generator decides how the events hit the wire:
 
+- the round-coalescing executor (:mod:`repro.crypto.scheduler`) — the one
+  runtime path — hands whole groups, possibly merged across independent ops
+  of one plan level, to :meth:`repro.crypto.channel.Channel.run_round`,
+  which puts at most one framed message per direction on the wire per round;
 - :func:`run_phases` (this module) performs every event of a group
   individually against ``ctx.channel`` — the *sequential* reference
-  semantics, byte- and round-identical to the pre-refactor handlers;
-- the round-coalescing executor (:mod:`repro.crypto.scheduler`) hands whole
-  groups — possibly merged across independent ops of one plan level — to
-  :meth:`repro.crypto.channel.Channel.run_round`, which puts at most one
-  framed message per direction on the wire per round.
+  semantics.  The standalone protocol functions (``secure_relu(ctx, x)``)
+  use it, and :func:`run_reference` drives a whole plan through it: the
+  **oracle** that tests and benchmark gates compare the runtime against.
 
 Protocol code never calls ``channel.open_ring``/``open_bits``/``transfer``
 directly anymore; it *describes* the communication as events and lets the
@@ -23,8 +25,9 @@ returned, so the local math is oblivious to the driving mode.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -218,3 +221,41 @@ def run_phases(ctx, gen):
         except StopIteration as stop:
             return stop.value
         results = tuple(perform_event(ctx.channel, event) for event in as_group(group))
+
+
+def run_reference(ctx, plan, weights, inputs, pool=None):
+    """The oracle: execute ``plan`` sequentially, one event at a time.
+
+    Walks the ops in plan order and drives each handler's phase generator
+    through :func:`run_phases` — no round coalescing, no pool partitioning
+    and never a kernel context, so every protocol takes its reference numpy
+    chain.  It shares inputs and draws randomness exactly like
+    :meth:`~repro.crypto.secure_model.SecureInferenceEngine.execute`, which
+    must reproduce these logits bit for bit; ``ctx`` afterwards logs
+    ``plan.online_bytes`` and ``plan.legacy_online_rounds``.  Nothing under
+    ``repro.runtime`` or ``repro.serve`` may import it.
+
+    Returns ``(logits, per_op_bytes, per_op_cpu_ns)``.
+    """
+    from repro.crypto.protocols.registry import get_handler
+    from repro.crypto.sharing import reconstruct, share
+
+    dealer = ctx.dealer
+    ctx.dealer = pool if pool is not None else dealer.preprocess(plan)
+    per_op_bytes: Dict[str, int] = {}
+    per_op_cpu_ns: Dict[str, int] = {}
+    try:
+        ctx.reset_communication()
+        shared = share(np.asarray(inputs, dtype=np.float64), ctx.ring, ctx.rng)
+        cache: Dict[str, object] = {}
+        for op in plan.ops:
+            before, started = ctx.communication_bytes, time.perf_counter_ns()
+            phases = get_handler(op.kind).phases
+            shared = cache[op.name] = run_phases(
+                ctx, phases(ctx, op.layer, weights.get(op.name, {}), shared, cache)
+            )
+            per_op_cpu_ns[op.name] = time.perf_counter_ns() - started
+            per_op_bytes[op.name] = ctx.communication_bytes - before
+    finally:
+        ctx.dealer = dealer
+    return reconstruct(shared), per_op_bytes, per_op_cpu_ns

@@ -1,9 +1,10 @@
-"""Fused local-compute kernels for lowered plan execution.
+"""Fused local-compute kernels of the plan executor.
 
-The optimizer passes in :mod:`repro.crypto.passes` drive communication; the
-lowering stage (:func:`repro.crypto.passes.lower_plan`) attacks the other
-half of the online cost — the per-op numpy call chains of the protocol
-handlers.  This module is the kernel layer that stage binds to:
+The optimizer passes in :mod:`repro.crypto.passes` drive communication;
+this module attacks the other half of the online cost — the per-op numpy
+call chains of the protocol handlers.  The executor
+(:func:`repro.crypto.scheduler.run_scheduled_plan`) installs a
+:class:`KernelContext` for every run, and the handlers then dispatch to:
 
 - **fused composite kernels** (registered in :data:`KERNELS`) replace the
   per-op ``ring.add``/``ring.sub``/``ring.truncate_local`` chains with
@@ -26,13 +27,14 @@ operations as the reference protocol code, only without the intermediate
 copies (``ring.wrap`` re-``astype``\\ s every operand; ``truncate_local``
 round-trips through three dtype conversions).  Fused execution is therefore
 **bit-identical** to the reference path — asserted per protocol in
-``tests/crypto/test_kernels.py`` and zoo-wide, in all four execution modes,
-by ``benchmarks/bench_local_compute.py``.
+``tests/crypto/test_kernels.py`` and zoo-wide, against the sequential oracle
+(:func:`repro.crypto.events.run_reference`), by ``tests/crypto/test_zoo.py``
+and ``benchmarks/bench_local_compute.py``.
 
 Kernels require the 64-bit ring (dtype-view tricks assume no masking); the
-protocol entry points fall back to the reference chains for narrower rings
-or when no :class:`KernelContext` is active on the
-:class:`~repro.crypto.context.TwoPartyContext`.
+protocol entry points keep their reference chains for narrower rings and
+for callers outside the executor — the standalone protocol functions and
+the oracle run with ``ctx.kernels is None``.
 """
 
 from __future__ import annotations
@@ -63,23 +65,6 @@ def register_kernel(name: str) -> Callable:
         return fn
 
     return decorator
-
-
-#: fused kernels each plan-op kind may invoke (consumed by ``lower_plan``
-#: to build the :class:`~repro.crypto.passes.KernelBinding` table; keys are
-#: :class:`~repro.models.specs.LayerKind` member names)
-KERNELS_BY_LAYER_KIND: Dict[str, Tuple[str, ...]] = {
-    "CONV": ("stacked-conv2d", "truncate-pair", "add-encoded"),
-    "LINEAR": ("stacked-matmul", "truncate-pair", "add-encoded"),
-    "X2ACT": ("square-recombine", "truncate-pair", "scale-encoded", "add-encoded"),
-    "RELU": ("and-finish", "b2a-finish", "beaver-recombine"),
-    "MAXPOOL": ("and-finish", "b2a-finish", "beaver-recombine"),
-}
-
-
-def kernels_for_kind(kind_name: str) -> Tuple[str, ...]:
-    """The fused-kernel names an op of ``kind_name`` may invoke (may be empty)."""
-    return KERNELS_BY_LAYER_KIND.get(kind_name, ())
 
 
 # --------------------------------------------------------------------------- #
@@ -191,29 +176,18 @@ def clear_arenas() -> None:
 class KernelContext:
     """Per-execution kernel state the scheduler attaches to the 2PC context.
 
-    ``enabled=False`` keeps the context inert — every protocol entry point
-    then takes its reference path, which is how the lowering pass is
-    switched off without recompiling.  ``thread_workers`` is the opt-in
-    fan-out width for the large stacked matmuls (0 = single-threaded).
-    ``fused_calls`` counts fused-kernel invocations for the profile
-    counters surfaced in engine results and serving stats.
+    ``thread_workers`` is the opt-in fan-out width for the large stacked
+    matmuls (0 = single-threaded).  ``fused_calls`` counts fused-kernel
+    invocations for the profile counters surfaced in engine results and
+    serving stats.
     """
 
     arena: WorkspaceArena = field(default_factory=WorkspaceArena)
-    enabled: bool = True
     thread_workers: int = 0
     fused_calls: int = 0
 
     def count(self, n: int = 1) -> None:
         self.fused_calls += n
-
-
-def active_kernels(ctx) -> Optional[KernelContext]:
-    """The context's kernel state, or None when fused execution is off."""
-    kc = getattr(ctx, "kernels", None)
-    if kc is None or not kc.enabled:
-        return None
-    return kc
 
 
 def default_thread_workers() -> int:

@@ -2,8 +2,8 @@
 
 The compiler (:func:`repro.crypto.plan.compile_plan`) emits a dependency DAG
 of :class:`~repro.crypto.plan.PlanOp`; this module runs an ordered pass
-pipeline over it and produces a :class:`ScheduledPlan` — the artifact the
-runtime layers execute:
+pipeline over it and produces a :class:`ScheduledPlan` — the one artifact
+the runtime layers execute:
 
 1. **dead-op elimination** (:func:`dead_op_elimination`) — drop every op
    whose output is unreachable from the plan output (shrinking the manifest
@@ -24,10 +24,10 @@ the round structure changes — and
 :attr:`ScheduledPlan.manifest` recomputes the exact per-round byte trace for
 the optimized schedule.  Executing a scheduled plan
 (:func:`repro.crypto.scheduler.run_scheduled_plan`) is bit-identical to the
-sequential execution of the unoptimized plan for chain-structured models
-(every model in the zoo): the dealer stream is partitioned per op in
-manifest order, so each op consumes exactly the randomness it would have
-drawn sequentially.
+sequential oracle (:func:`repro.crypto.events.run_reference`) for
+chain-structured models (every model in the zoo): the dealer stream is
+partitioned per op in manifest order, so each op consumes exactly the
+randomness it would have drawn sequentially.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.crypto.kernels import kernels_for_kind
 from repro.crypto.plan import (
     InferencePlan,
     PlanOp,
@@ -48,9 +47,6 @@ from repro.crypto.protocols.registry import group_direction_totals, trace_rounds
 
 #: serialization format tag of :meth:`ScheduledPlan.to_dict`
 SCHEDULED_PLAN_FORMAT = "scheduled-plan/v1"
-
-#: serialization format tag of :meth:`LoweredPlan.to_dict`
-LOWERED_PLAN_FORMAT = "lowered-plan/v1"
 
 
 # --------------------------------------------------------------------------- #
@@ -208,9 +204,9 @@ class ScheduledPlan:
 
     Exposes the :class:`InferencePlan` surface the runtime layers consume
     (``ops``, shapes, byte predictions, ``manifest``) with the round
-    predictions recomputed for the coalesced schedule, so
-    :func:`repro.runtime.party.verify_against_plan` checks scheduled
-    executions as exactly as it checks sequential ones.
+    predictions recomputed for the coalesced schedule, which is what
+    :func:`repro.runtime.party.verify_against_plan` checks every execution
+    against.
     """
 
     plan: InferencePlan
@@ -269,7 +265,7 @@ class ScheduledPlan:
 
     @property
     def legacy_online_rounds(self) -> int:
-        """The sequential count of the unoptimized plan, for comparison."""
+        """The sequential count of the unoptimized plan — what the oracle logs."""
         return self.plan.legacy_online_rounds
 
     @property
@@ -333,104 +329,22 @@ class ScheduledPlan:
         )
 
 
-# --------------------------------------------------------------------------- #
-# Lowering: binding the schedule to fused local-compute kernels
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class KernelBinding:
-    """The fused kernels one plan op's local compute may dispatch to."""
-
-    op_index: int
-    kernels: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class LoweredPlan(ScheduledPlan):
-    """A scheduled plan whose local compute is bound to fused kernels.
-
-    Lowering changes nothing about the wire protocol — the op graph, the
-    round schedule and the manifest are the parent's verbatim, so every
-    round/byte prediction and :func:`~repro.runtime.party.verify_against_plan`
-    check carries over.  What it adds is the :attr:`bindings` table: per op,
-    the fused kernels from :mod:`repro.crypto.kernels` the executor may
-    invoke in place of the reference numpy call chains.  The scheduler
-    recognizes the type and activates a
-    :class:`~repro.crypto.kernels.KernelContext` (workspace arena + fused
-    dispatch) for the execution; results are bit-identical either way.
-    """
-
-    bindings: Tuple[KernelBinding, ...] = ()
-
-    @property
-    def fused_op_count(self) -> int:
-        """Ops with at least one fused kernel bound."""
-        return sum(1 for binding in self.bindings if binding.kernels)
-
-    def to_dict(self) -> Dict:
-        data = ScheduledPlan.to_dict(self)
-        data["format"] = LOWERED_PLAN_FORMAT
-        data["bindings"] = [
-            {"op_index": b.op_index, "kernels": list(b.kernels)}
-            for b in self.bindings
-        ]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "LoweredPlan":
-        if data.get("format") != LOWERED_PLAN_FORMAT:
-            raise ValueError(
-                f"unsupported lowered-plan format {data.get('format')!r}; "
-                f"expected {LOWERED_PLAN_FORMAT!r}"
-            )
-        base = ScheduledPlan.from_dict({**data, "format": SCHEDULED_PLAN_FORMAT})
-        return cls(
-            plan=base.plan,
-            schedule=base.schedule,
-            applied_passes=base.applied_passes,
-            bindings=tuple(
-                KernelBinding(
-                    op_index=int(entry["op_index"]),
-                    kernels=tuple(entry.get("kernels", ())),
-                )
-                for entry in data.get("bindings", ())
-            ),
-        )
-
-
-def lower_plan(splan: ScheduledPlan) -> LoweredPlan:
-    """Bind a scheduled plan's ops to their fused local-compute kernels.
-
-    Runs after round-coalescing (it consumes the finished schedule) and is
-    pure metadata: each op's :class:`~repro.crypto.plan.LayerKind` selects
-    the fused kernels (see
-    :data:`~repro.crypto.kernels.KERNELS_BY_LAYER_KIND`) its protocol
-    handler may dispatch to; ops with no fusible compute get an empty
-    binding and execute their reference path unchanged.
-    """
-    bindings = tuple(
-        KernelBinding(op_index=op.index, kernels=kernels_for_kind(op.kind.name))
-        for op in splan.ops
-    )
-    return LoweredPlan(
-        plan=splan.plan,
-        schedule=splan.schedule,
-        applied_passes=splan.applied_passes + ("lower-kernels",),
-        bindings=bindings,
-    )
+def lower_plan(splan: ScheduledPlan) -> ScheduledPlan:
+    """Identity.  Kernels are bound by the executor, not by a plan type; the
+    name survives only because ``benchmarks/e2e/traced.py`` imports it (that
+    tree is frozen for this change) — a later benchmark PR drops the import
+    and this function with it."""
+    return splan
 
 
 def optimize_plan(
-    plan: InferencePlan,
-    passes: Optional[Tuple[str, ...]] = None,
-    lower: bool = False,
+    plan: InferencePlan, passes: Optional[Tuple[str, ...]] = None
 ) -> ScheduledPlan:
     """Run the pass pipeline and return the scheduled plan.
 
     ``passes`` names the plan-rewriting passes (see :data:`PLAN_PASSES`) in
     application order; levelization and round scheduling always run last —
-    they are what turns the op graph into an executable schedule.  With
-    ``lower=True`` the schedule is additionally bound to fused local-compute
-    kernels (:func:`lower_plan`), returning a :class:`LoweredPlan`.
+    they are what turns the op graph into an executable schedule.
     """
     names = DEFAULT_PASSES if passes is None else tuple(passes)
     for name in names:
@@ -443,9 +357,8 @@ def optimize_plan(
         plan = plan_pass(plan)
     levels = levelize(plan)
     schedule = schedule_rounds(plan, levels)
-    splan = ScheduledPlan(
+    return ScheduledPlan(
         plan=plan,
         schedule=schedule,
         applied_passes=names + ("levelize", "schedule-rounds"),
     )
-    return lower_plan(splan) if lower else splan

@@ -28,8 +28,9 @@ Round accounting has two flavours, both exact:
   execution of the plan logs (independent openings of one round group share
   one framed message per direction);
 - ``legacy_online_rounds`` — the trace-derived sequential count (every
-  opening its own exchange), kept for comparison in reports and for
-  verifying sequential executions.
+  opening its own exchange): what the sequential oracle
+  (:func:`repro.crypto.events.run_reference`) logs, kept for comparison in
+  reports.
 
 The same manifest is the single source of truth consumed by the hardware
 layer (:func:`repro.hardware.comm.communication_report` with ``plan=`` and

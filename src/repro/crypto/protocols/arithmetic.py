@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import open_ring_event, run_phases
-from repro.crypto.kernels import KERNELS, active_kernels
+from repro.crypto.kernels import KERNELS
 from repro.crypto.protocols.registry import OpTrace, element_bytes, open_trace_event
 from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair
@@ -83,7 +83,7 @@ def multiply_phases(
         open_ring_event(f0, f1, tag=f"{tag}/open-f"),
     )
 
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and product is None and ring.ring_bits == 64:
         # Elementwise case: one fused in-place recombination kernel replaces
         # the eight ring-call intermediates of the reference chain below.
@@ -145,7 +145,7 @@ def square_phases(
     e0 = ring.sub(x.share0, pair.a.share0)
     e1 = ring.sub(x.share1, pair.a.share1)
     (e,) = yield (open_ring_event(e0, e1, tag=f"{tag}/open-e"),)
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         r0, r1 = KERNELS["square-recombine"](
             e, pair.a.share0, pair.a.share1, pair.z.share0, pair.z.share1
@@ -188,7 +188,7 @@ def multiply_public(
 ) -> SharePair:
     """Multiply a shared tensor by a public real-valued tensor (no interaction)."""
     ring = ctx.ring
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         encoded = _cached_encode(ring, kc, public)
         s0, s1 = KERNELS["scale-encoded"](ring, x.share0, x.share1, encoded)
@@ -204,7 +204,7 @@ def multiply_public(
 def add_public(ctx: TwoPartyContext, x: SharePair, public: np.ndarray) -> SharePair:
     """Add a public real-valued tensor to a shared tensor (S0 adds by convention)."""
     ring = ctx.ring
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         encoded = _cached_encode(ring, kc, public)
         with np.errstate(over="ignore"):

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import open_bits_event, run_phases, transfer_event
-from repro.crypto.kernels import KERNELS, active_kernels
+from repro.crypto.kernels import KERNELS
 from repro.crypto.protocols.arithmetic import multiply_phases, multiply_trace
 from repro.crypto.protocols.registry import (
     OpTrace,
@@ -84,7 +84,7 @@ def _and_prepare(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: st
     def finish(opened: np.ndarray) -> XorSharedBit:
         d = opened[0]
         e = opened[1]
-        kc = active_kernels(ctx)
+        kc = ctx.kernels
         if kc is not None:
             z0, z1 = KERNELS["and-finish"](
                 d, e, triple.a0, triple.a1, triple.b0, triple.b1, triple.c0, triple.c1
@@ -314,7 +314,7 @@ def bit_to_arithmetic_phases(ctx: TwoPartyContext, bit: XorSharedBit, tag: str =
         open_bits_event(b0 ^ dab.r0, b1 ^ dab.r1, tag=f"{tag}/open-c"),
     )
     c_ring = c.astype(np.uint64)
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         ones, fresh = kc.arena.get(("b2a-ones", c.shape), c.shape)
         if fresh:

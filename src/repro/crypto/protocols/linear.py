@@ -15,7 +15,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
-from repro.crypto.kernels import KERNELS, active_kernels
+from repro.crypto.kernels import KERNELS
 from repro.crypto.protocols.arithmetic import add_public, multiply
 from repro.crypto.protocols.registry import no_trace, register_protocol
 from repro.crypto.ring import FixedPointRing
@@ -125,7 +125,7 @@ def secure_conv2d_public_weight(
     array identity.
     """
     ring = ctx.ring
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         arena = kc.arena
         w_enc = arena.cached(
@@ -195,7 +195,7 @@ def secure_linear_public_weight(
     :func:`secure_conv2d_public_weight`).
     """
     ring = ctx.ring
-    kc = active_kernels(ctx)
+    kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         arena = kc.arena
         w_enc = arena.cached(
@@ -272,7 +272,7 @@ def _run_conv(
     bias = params.get("bias")
     if "bn_scale" in params:
         bn_scale, bn_shift = params["bn_scale"], params["bn_shift"]
-        kc = active_kernels(ctx)
+        kc = ctx.kernels
         if kc is not None:
             # Cache the fold per layer: the fused arrays then keep a stable
             # identity across jobs, so the encoded-weight cache downstream

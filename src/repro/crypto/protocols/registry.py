@@ -8,11 +8,9 @@ bundles the facets the compiler and runtime need:
 - ``phases`` — the online protocol as a *phase generator*: local computation
   punctuated by ``yield``\\ ed round groups of
   :class:`~repro.crypto.events.CommEvent`.  The driver (not the handler)
-  decides how each group hits the wire: sequentially (reference semantics)
-  or coalesced into shared rounds by the plan scheduler;
-- ``execute`` — the sequential entry point derived from ``phases`` via
-  :func:`repro.crypto.events.run_phases` (or the plain function itself for
-  communication-free ops), byte-identical to the pre-generator handlers;
+  decides how each group hits the wire: coalesced into shared rounds by the
+  plan scheduler (the runtime), or event by event by the sequential oracle
+  (:func:`repro.crypto.events.run_reference`);
 - ``infer_shape`` — static shape inference used by the plan compiler;
 - ``trace`` — the *exact* offline/online cost of one invocation: the ordered
   correlated-randomness requests and the **grouped** wire messages.  Trace
@@ -23,8 +21,7 @@ Because ``trace`` is declared next to ``phases`` in the same module, the
 preprocessing manifest and the byte accounting of a compiled plan are exact
 by construction: the trace lists requests/messages in the same order the
 protocol performs them, so an offline phase that generates randomness in
-trace order produces the identical dealer stream the lazy (interpretive)
-path would have drawn.
+trace order produces the identical dealer stream lazy draws would have.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from repro.crypto.events import packed_num_bytes, run_phases
+from repro.crypto.events import packed_num_bytes
 from repro.crypto.ring import FixedPointRing
 from repro.models.specs import LayerKind, LayerSpec
 
@@ -219,8 +216,6 @@ def trace_rounds(messages) -> int:
     return 1 + sum(1 for a, b in zip(senders, senders[1:]) if a != b)
 
 
-#: execute(ctx, layer, params, x, cache) -> SharePair
-ExecuteFn = Callable[..., object]
 #: phases(ctx, layer, params, x, cache) -> Generator[RoundGroup, results, SharePair]
 PhasesFn = Callable[..., object]
 #: infer_shape(layer, input_shape) -> output_shape
@@ -231,10 +226,9 @@ TraceFn = Callable[[LayerSpec, Tuple[int, ...], FixedPointRing], OpTrace]
 
 @dataclass(frozen=True)
 class ProtocolHandler:
-    """The registered (execute, phases, infer_shape, trace) facets of a kind."""
+    """The registered (phases, infer_shape, trace) facets of a kind."""
 
     kind: LayerKind
-    execute: ExecuteFn
     phases: PhasesFn
     infer_shape: InferShapeFn
     trace: TraceFn
@@ -257,27 +251,14 @@ def _as_phases(fn: Callable) -> PhasesFn:
     return phases
 
 
-def _sequential_execute(fn: Callable) -> ExecuteFn:
-    """Sequential entry point: drive the generator event by event."""
-    if not inspect.isgeneratorfunction(fn):
-        return fn
-
-    def execute(ctx, layer, params, x, cache):
-        return run_phases(ctx, fn(ctx, layer, params, x, cache))
-
-    execute.__name__ = getattr(fn, "__name__", "execute")
-    execute.__doc__ = fn.__doc__
-    return execute
-
-
 def register_protocol(
     kind: LayerKind, *, infer_shape: InferShapeFn, trace: TraceFn
 ) -> Callable[[Callable], Callable]:
     """Decorator registering ``fn`` as the online protocol for ``kind``.
 
     ``fn`` is either a phase generator (interactive protocols) or a plain
-    function (communication-free ops); the sequential ``execute`` facet is
-    derived automatically in the former case.
+    function (communication-free ops), which is wrapped as a yield-less
+    generator so every driver sees one interface.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -285,7 +266,6 @@ def register_protocol(
             raise ValueError(f"protocol handler for {kind} already registered")
         _HANDLERS[kind] = ProtocolHandler(
             kind=kind,
-            execute=_sequential_execute(fn),
             phases=_as_phases(fn),
             infer_shape=infer_shape,
             trace=trace,

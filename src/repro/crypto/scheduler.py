@@ -1,6 +1,6 @@
-"""Round-coalescing execution of scheduled plans.
+"""The plan executor: round-coalescing, kernel-bound, and the only one.
 
-:func:`run_scheduled_plan` is the online-phase executor shared by the
+:func:`run_scheduled_plan` is the single online-phase executor, shared by the
 in-process engine (:meth:`repro.crypto.secure_model.SecureInferenceEngine.execute`)
 and the networked party runtime (:func:`repro.runtime.party.execute_plan_as_party`).
 It walks the :class:`~repro.crypto.passes.PlanSchedule` level by level,
@@ -12,8 +12,8 @@ their wire element width (``element_bits``), so the per-op byte attribution
 below and the round frames themselves both account sub-byte payloads at
 packed widths — identical to the manifest's round trace.
 
-Bit-identity with the sequential path
--------------------------------------
+Bit-identity with the sequential oracle
+---------------------------------------
 
 Each op must consume exactly the correlated randomness it would have drawn
 in a sequential execution (local truncation makes the reconstructed logits
@@ -23,8 +23,8 @@ per op **in manifest order** (:meth:`RandomnessPool.partition`), so an op's
 draws are independent of how the scheduler interleaves the level's
 generators.  For chain-structured plans (every zoo model) the context RNG
 stream is also consumed in sequential order — levels hold one op — making
-scheduled execution bit-identical to the unoptimized compiled path, which
-the round-coalescing benchmark asserts zoo-wide.
+scheduled execution bit-identical to :func:`repro.crypto.events.run_reference`,
+which ``tests/crypto/test_zoo.py`` asserts zoo-wide.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.events import as_group, group_direction_bytes
 from repro.crypto.kernels import KernelContext, arena_for, default_thread_workers
-from repro.crypto.passes import LoweredPlan, ScheduledPlan
+from repro.crypto.passes import ScheduledPlan
 from repro.crypto.plan import PLAN_INPUT
 from repro.crypto.protocols.registry import get_handler
 from repro.crypto.sharing import SharePair
@@ -55,7 +55,6 @@ def run_scheduled_plan(
     splan: ScheduledPlan,
     weights: Dict[str, Dict],
     shared: SharePair,
-    cache: Optional[Dict[str, SharePair]] = None,
     profile: Optional[Dict[str, object]] = None,
 ) -> Tuple[SharePair, Dict[str, int]]:
     """Execute the online phase of a scheduled plan.
@@ -67,8 +66,6 @@ def run_scheduled_plan(
         splan: the optimized plan (see :func:`repro.crypto.passes.optimize_plan`).
         weights: mapping layer-name -> parameter dict.
         shared: the share pair of the client query batch.
-        cache: optional op-output cache (populated as ops complete; ADD ops
-            read their residual input from it).
         profile: optional dict the executor fills with local-compute
             counters — ``per_op_cpu_ns`` (generator time per op, wire waits
             excluded), ``cpu_time_ns`` (their sum) and
@@ -79,42 +76,18 @@ def run_scheduled_plan(
         exact per-op online byte attribution (independent of how rounds were
         merged across ops).
 
-    For a :class:`~repro.crypto.passes.LoweredPlan` the executor installs a
-    :class:`~repro.crypto.kernels.KernelContext` on ``ctx`` for the duration
-    of the run (unless the caller already installed one): the protocol
-    handlers then dispatch their local compute to the plan's fused kernels,
-    sharing one per-``(plan, batch)`` workspace arena across jobs.
+    The executor installs a :class:`~repro.crypto.kernels.KernelContext` on
+    ``ctx`` for the duration of the run: the protocol handlers then dispatch
+    their local compute to the fused kernels, sharing one
+    per-``(plan, batch)`` workspace arena across jobs.
     """
     plan = splan.plan
     per_op_cpu: Dict[str, int] = {op.name: 0 for op in plan.ops}
-    kernel_ctx = getattr(ctx, "kernels", None)
-    installed_kernels = False
-    if kernel_ctx is None and isinstance(splan, LoweredPlan):
-        kernel_ctx = KernelContext(
-            arena=arena_for(arena_key(splan)),
-            thread_workers=default_thread_workers(),
-        )
-        ctx.kernels = kernel_ctx
-        installed_kernels = True
-    fused_calls_before = kernel_ctx.fused_calls if kernel_ctx is not None else 0
-
-    def fill_profile() -> None:
-        if profile is None:
-            return
-        profile["per_op_cpu_ns"] = per_op_cpu
-        profile["cpu_time_ns"] = sum(per_op_cpu.values())
-        profile["fused_kernel_calls"] = (
-            kernel_ctx.fused_calls - fused_calls_before
-            if kernel_ctx is not None
-            else 0
-        )
-
-    if not plan.ops:
-        if installed_kernels:
-            ctx.kernels = None
-        fill_profile()
-        return shared, {}
-    cache = {} if cache is None else cache
+    kernel_ctx = KernelContext(
+        arena=arena_for(arena_key(splan)),
+        thread_workers=default_thread_workers(),
+    )
+    #: op outputs by name (ADD ops read their residual input from it)
     values: Dict[str, SharePair] = {PLAN_INPUT: shared}
     per_op_bytes: Dict[str, int] = {op.name: 0 for op in plan.ops}
 
@@ -128,6 +101,7 @@ def run_scheduled_plan(
 
     clock = time.perf_counter_ns
     rounds_executed = 0
+    ctx.kernels = kernel_ctx
     try:
         for level in splan.schedule.levels:
             live: Dict[int, Tuple[object, Optional[tuple]]] = {}
@@ -135,7 +109,7 @@ def run_scheduled_plan(
                 op = plan.ops[op_index]
                 handler = get_handler(op.kind)
                 gen = handler.phases(
-                    ctx, op.layer, weights.get(op.name, {}), values[op.uses[0]], cache
+                    ctx, op.layer, weights.get(op.name, {}), values[op.uses[0]], values
                 )
                 live[op_index] = (gen, None)
             while live:
@@ -150,7 +124,6 @@ def run_scheduled_plan(
                         op = plan.ops[op_index]
                         per_op_cpu[op.name] += clock() - started
                         values[op.name] = stop.value
-                        cache[op.name] = stop.value
                         del live[op_index]
                         continue
                     per_op_cpu[plan.ops[op_index].name] += clock() - started
@@ -173,9 +146,11 @@ def run_scheduled_plan(
                         per_op_bytes[plan.ops[op_index].name] += from_0 + from_1
     finally:
         ctx.dealer = outer_dealer
-        if installed_kernels:
-            ctx.kernels = None
-        fill_profile()
+        ctx.kernels = None
+        if profile is not None:
+            profile["per_op_cpu_ns"] = per_op_cpu
+            profile["cpu_time_ns"] = sum(per_op_cpu.values())
+            profile["fused_kernel_calls"] = kernel_ctx.fused_calls
 
     if rounds_executed != splan.schedule.num_rounds:
         raise RuntimeError(
@@ -184,4 +159,4 @@ def run_scheduled_plan(
             f"{splan.schedule.num_rounds} — a protocol handler's phase "
             "generator has drifted from its trace"
         )
-    return values[plan.ops[-1].name], per_op_bytes
+    return values[plan.ops[-1].name if plan.ops else PLAN_INPUT], per_op_bytes

@@ -1,24 +1,26 @@
 """End-to-end 2PC private inference over a derived PASNet architecture.
 
-The :class:`SecureInferenceEngine` executes a model specification under
-simulated 2PC in one of two modes, both dispatching every layer through the
-protocol registry (:mod:`repro.crypto.protocols.registry`):
+The :class:`SecureInferenceEngine` is the in-process face of the one runtime
+path, dispatching every layer through the protocol registry
+(:mod:`repro.crypto.protocols.registry`):
 
-- **interpretive** (:meth:`SecureInferenceEngine.run`): walk the spec layer
-  by layer, pulling correlated randomness lazily from the live
-  :class:`~repro.crypto.dealer.TrustedDealer` — the simple single-query
-  path, kept as the reference semantics;
-- **compiled** (:meth:`compile` → :meth:`preprocess` → :meth:`execute`):
-  lower the spec into an :class:`~repro.crypto.plan.InferencePlan` once,
-  pre-generate *all* correlated randomness from the plan's preprocessing
-  manifest in an offline phase, then run the low-latency online phase —
-  batched over N client queries — against the resulting randomness pool
-  with **zero** dealer generation calls.  This is the executable
-  counterpart of the paper's offline/online deployment split (Fig. 3) and
-  amortizes both compilation and preprocessing across batched traffic.
+- :meth:`~SecureInferenceEngine.compile` lowers the spec into a graph plan
+  and runs the optimizer pass pipeline once, returning the
+  :class:`~repro.crypto.passes.ScheduledPlan` every runtime layer executes;
+- :meth:`~SecureInferenceEngine.preprocess` pre-generates *all* correlated
+  randomness from the plan's manifest in an offline phase;
+- :meth:`~SecureInferenceEngine.execute` runs the low-latency online phase —
+  batched over N client queries, rounds coalesced, local compute on the
+  fused kernels — against the resulting randomness pool with **zero** dealer
+  generation calls.  This is the executable counterpart of the paper's
+  offline/online deployment split (Fig. 3) and amortizes both compilation
+  and preprocessing across batched traffic;
+- :meth:`~SecureInferenceEngine.run` is the one-shot convenience:
+  ``execute(compile(spec, len(inputs)), weights, inputs)``.
 
-Because the manifest preserves randomness-consumption order, the two modes
-are bit-identical: same logits, same communication log.
+The sequential, kernel-free reference semantics live in one place —
+:func:`repro.crypto.events.run_reference`, the oracle the tests compare this
+engine against bit for bit.
 
 The client secret-shares its query between the two servers; the model
 weights live with the model vendor (server 0) and are therefore evaluated
@@ -29,7 +31,6 @@ transfers are not part of the online communication.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -39,10 +40,9 @@ from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import InferencePlan, compile_plan
-from repro.crypto.protocols.registry import get_handler
+from repro.crypto.plan import compile_plan
 from repro.crypto.scheduler import run_scheduled_plan
-from repro.crypto.sharing import SharePair, reconstruct, share
+from repro.crypto.sharing import reconstruct, share
 from repro.models.specs import ModelSpec
 
 
@@ -51,8 +51,8 @@ class SecureInferenceResult:
     """Outputs of a private-inference run.
 
     ``communication_bytes`` / ``communication_rounds`` cover the **online**
-    phase only; for compiled runs the offline cost is reported separately as
-    the randomness material volume and the per-kind element counts.
+    phase only; the offline cost is reported separately as the randomness
+    material volume and the per-kind element counts.
     """
 
     logits: np.ndarray
@@ -74,7 +74,7 @@ class SecureInferenceResult:
     cpu_time_ns: int = 0
     #: per-op local-compute attribution of ``cpu_time_ns``
     per_op_cpu_ns: Dict[str, int] = field(default_factory=dict)
-    #: fused-kernel invocations (0 on the reference, un-lowered path)
+    #: fused-kernel invocations of the online phase
     fused_kernel_calls: int = 0
 
     @property
@@ -98,39 +98,27 @@ class SecureInferenceEngine:
     # ------------------------------------------------------------------ #
     # Offline phase
     # ------------------------------------------------------------------ #
-    def compile(
-        self,
-        spec: ModelSpec,
-        batch_size: int = 1,
-        optimize: bool = False,
-        lower: bool = False,
-    ):
-        """Lower ``spec`` into a plan for this engine's ring and batch size.
+    def compile(self, spec: ModelSpec, batch_size: int = 1) -> ScheduledPlan:
+        """Lower ``spec`` into the scheduled plan for this engine's ring.
 
-        With ``optimize=True`` the optimizer pass pipeline
-        (:func:`repro.crypto.passes.optimize_plan`) runs on the compiled
-        graph and a :class:`~repro.crypto.passes.ScheduledPlan` is returned;
-        executing it coalesces independent openings into shared rounds.
-        ``lower=True`` (implies ``optimize``) additionally binds the schedule
-        to the fused local-compute kernels, returning a
-        :class:`~repro.crypto.passes.LoweredPlan` — same wire behavior,
-        bit-identical logits, fewer numpy passes per op.
+        Compiles the spec into a graph plan and runs the optimizer pass
+        pipeline (:func:`repro.crypto.passes.optimize_plan`); executing the
+        result coalesces independent openings into shared rounds.
         """
-        plan = compile_plan(spec, batch_size=batch_size, ring=self.ctx.ring)
-        if optimize or lower:
-            return optimize_plan(plan, lower=lower)
-        return plan
+        return optimize_plan(
+            compile_plan(spec, batch_size=batch_size, ring=self.ctx.ring)
+        )
 
-    def preprocess(self, plan) -> RandomnessPool:
+    def preprocess(self, plan: ScheduledPlan) -> RandomnessPool:
         """Generate the plan's correlated randomness from the live dealer."""
         return self.ctx.dealer.preprocess(plan)
 
     # ------------------------------------------------------------------ #
-    # Online phase (compiled)
+    # Online phase
     # ------------------------------------------------------------------ #
     def execute(
         self,
-        plan,
+        plan: ScheduledPlan,
         weights: Dict[str, Dict[str, np.ndarray]],
         inputs: np.ndarray,
         pool: Optional[RandomnessPool] = None,
@@ -138,12 +126,7 @@ class SecureInferenceEngine:
         """Execute the online phase of a compiled plan on a query batch.
 
         Args:
-            plan: a compiled :class:`InferencePlan` (sequential reference
-                execution) or an optimized
-                :class:`~repro.crypto.passes.ScheduledPlan` (round-coalescing
-                execution; see :meth:`compile` with ``optimize=True``).  The
-                two are bit-identical in logits; the scheduled path logs
-                fewer communication rounds.
+            plan: the scheduled plan (see :meth:`compile`).
             weights: mapping layer-name -> parameter dict as produced by
                 :func:`repro.models.builder.export_layer_weights`.
             inputs: plaintext client queries, NCHW float array whose batch
@@ -176,30 +159,9 @@ class SecureInferenceEngine:
         try:
             ctx.reset_communication()
             shared = share(inputs, ctx.ring, ctx.rng)
-            cache: Dict[str, SharePair] = {}
-            if isinstance(plan, ScheduledPlan):
-                shared, per_layer = run_scheduled_plan(
-                    ctx, plan, weights, shared, cache, profile=profile
-                )
-            else:
-                per_layer = {}
-                per_op_cpu: Dict[str, int] = {}
-                clock = time.perf_counter_ns
-                for op in plan.ops:
-                    before = ctx.communication_bytes
-                    handler = get_handler(op.kind)
-                    started = clock()
-                    shared = handler.execute(
-                        ctx, op.layer, weights.get(op.name, {}), shared, cache
-                    )
-                    per_op_cpu[op.name] = clock() - started
-                    cache[op.name] = shared
-                    per_layer[op.name] = ctx.communication_bytes - before
-                profile = {
-                    "per_op_cpu_ns": per_op_cpu,
-                    "cpu_time_ns": sum(per_op_cpu.values()),
-                    "fused_kernel_calls": 0,
-                }
+            shared, per_layer = run_scheduled_plan(
+                ctx, plan, weights, shared, profile=profile
+            )
             logits = reconstruct(shared)
         finally:
             ctx.dealer = dealer
@@ -217,55 +179,21 @@ class SecureInferenceEngine:
             offline_bit_triple_elements=manifest.bit_triple_elements,
             offline_dabit_elements=manifest.dabit_elements,
             communication_unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-            cpu_time_ns=int(profile.get("cpu_time_ns", 0)),
-            per_op_cpu_ns=dict(profile.get("per_op_cpu_ns", {})),
-            fused_kernel_calls=int(profile.get("fused_kernel_calls", 0)),
+            cpu_time_ns=profile["cpu_time_ns"],
+            per_op_cpu_ns=profile["per_op_cpu_ns"],
+            fused_kernel_calls=profile["fused_kernel_calls"],
         )
 
-    # ------------------------------------------------------------------ #
-    # Interpretive mode (lazy dealer, reference semantics)
-    # ------------------------------------------------------------------ #
     def run(
         self,
         spec: ModelSpec,
         weights: Dict[str, Dict[str, np.ndarray]],
         inputs: np.ndarray,
     ) -> SecureInferenceResult:
-        """Execute private inference layer by layer with a lazy dealer.
+        """One-shot private inference: compile for this batch, then execute.
 
-        Args:
-            spec: the model layer specification (a *derived* architecture —
-                every activation is concretely ReLU or X^2act).
-            weights: mapping layer-name -> parameter dict as produced by
-                :func:`repro.models.builder.export_layer_weights`.
-            inputs: plaintext client query, NCHW float array.
-
-        Returns:
-            A :class:`SecureInferenceResult` with plaintext logits and the
-            measured communication.
+        ``spec`` is a *derived* architecture (every activation concretely
+        ReLU or X^2act); ``weights`` and ``inputs`` are as in :meth:`execute`.
+        Nothing is amortized — serving code compiles and preprocesses once.
         """
-        ctx = self.ctx
-        ctx.reset_communication()
-        inputs = np.asarray(inputs, dtype=np.float64)
-        shared = share(inputs, ctx.ring, ctx.rng)
-        per_layer: Dict[str, int] = {}
-        cache: Dict[str, SharePair] = {}
-
-        for layer in spec.layers:
-            before = ctx.communication_bytes
-            handler = get_handler(layer.kind)
-            shared = handler.execute(
-                ctx, layer, weights.get(layer.name, {}), shared, cache
-            )
-            cache[layer.name] = shared
-            per_layer[layer.name] = ctx.communication_bytes - before
-
-        logits = reconstruct(shared)
-        return SecureInferenceResult(
-            logits=logits,
-            communication_bytes=ctx.communication_bytes,
-            communication_rounds=ctx.communication_rounds,
-            per_layer_bytes=per_layer,
-            batch_size=int(inputs.shape[0]),
-            communication_unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-        )
+        return self.execute(self.compile(spec, len(inputs)), weights, inputs)

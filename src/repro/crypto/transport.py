@@ -147,7 +147,31 @@ _CODE_BY_DTYPE = {dt: code for code, dt in _DTYPE_CODES.items()}
 _RING_PACK_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 _LEN_PREFIX = struct.Struct("<I")
+#: largest frame a peer may announce, on every framed surface (party link,
+#: factory sessions, serving daemon and its client): a corrupt or hostile
+#: length prefix must not make the receiver allocate gigabytes
+MAX_FRAME_BYTES = 256 * 1024 * 1024
 _HEADER_HEAD = struct.Struct("<BBB")  # dtype code, element width, ndim
+
+
+class FrameTooLarge(ConnectionError):
+    """A peer-supplied length prefix exceeds :data:`MAX_FRAME_BYTES`.
+
+    The stream cannot be re-aligned after a bad prefix, so this is a
+    connection loss — and subclasses :class:`ConnectionError` so shard
+    eviction, job retry and factory fallback already handle it.
+    """
+
+
+def frame_length(prefix: bytes) -> int:
+    """Decode a frame's u32 length prefix, rejecting it before any
+    allocation if it announces more than :data:`MAX_FRAME_BYTES`."""
+    (length,) = _LEN_PREFIX.unpack(prefix)
+    if length > MAX_FRAME_BYTES:
+        raise FrameTooLarge(
+            f"peer announced a {length}-byte frame; the limit is {MAX_FRAME_BYTES}"
+        )
+    return length
 
 
 def ring_element_width(ring: FixedPointRing) -> int:
@@ -388,9 +412,10 @@ class Transport:
         """
         try:
             return self._recv_frame()
-        except FaultInjected:
-            # a scripted drop this endpoint injected itself: already carries
-            # its round index and direction, no extra context to add
+        except (FaultInjected, FrameTooLarge):
+            # a scripted drop this endpoint injected itself already carries
+            # its round index and direction; an oversized prefix keeps its
+            # type so callers can tell a hostile peer from a lost one
             raise
         except ConnectionError as exc:
             raise ConnectionError(
@@ -713,8 +738,7 @@ class TcpTransport(Transport):
         return b"".join(chunks)
 
     def _recv_frame(self) -> bytes:
-        (length,) = _LEN_PREFIX.unpack(self._recv_exact(_LEN_PREFIX.size))
-        return self._recv_exact(length)
+        return self._recv_exact(frame_length(self._recv_exact(_LEN_PREFIX.size)))
 
     def close(self) -> None:
         try:

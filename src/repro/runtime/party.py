@@ -3,8 +3,8 @@
 The paper deploys a searched network on *two physically separate* computing
 parties.  This module is the per-party half of that deployment: a worker
 that holds exactly one share-world (its input share, its half of the
-correlated randomness) and jointly executes a compiled
-:class:`~repro.crypto.plan.InferencePlan` with the peer over a
+correlated randomness) and jointly executes a
+:class:`~repro.crypto.passes.ScheduledPlan` with the peer over a
 :class:`~repro.crypto.transport.Transport`.
 
 How one program serves both parties
@@ -25,7 +25,7 @@ program as the single-process simulation, with:
   (:meth:`~repro.crypto.dealer.RandomnessPool.restrict_to_party`).
 
 Because the randomness streams and openings are identical to the
-single-process compiled path, the reconstructed logits are bit-identical to
+single-process engine's, the reconstructed logits are bit-identical to
 it — and the measured on-wire payload bytes equal the manifest prediction,
 which :func:`verify_against_plan` asserts after every run.
 
@@ -59,8 +59,7 @@ from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import InferencePlan, compile_plan
-from repro.crypto.protocols.registry import get_handler
+from repro.crypto.plan import compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import SharePair
@@ -70,12 +69,7 @@ from repro.models.specs import ModelSpec
 
 @dataclass
 class PartyJob:
-    """Everything one party needs to join a two-process inference session.
-
-    ``optimize=True`` (the default) runs the optimizer pass pipeline after
-    compilation and executes the round-coalescing schedule; both parties
-    must agree on the flag (it is part of the job, so they do).
-    """
+    """Everything one party needs to join a two-process inference session."""
 
     spec: ModelSpec
     weights: Dict[str, Dict[str, np.ndarray]]
@@ -83,10 +77,6 @@ class PartyJob:
     seed: int
     input_share: np.ndarray
     ring: FixedPointRing = DEFAULT_RING
-    optimize: bool = True
-    #: bind the optimized schedule to fused local-compute kernels
-    #: (:func:`repro.crypto.passes.lower_plan`); logits stay bit-identical
-    lower: bool = True
 
 
 @dataclass
@@ -105,7 +95,7 @@ class PartyExecution:
     cpu_time_ns: int = 0
     #: per-op attribution of ``cpu_time_ns``
     per_op_cpu_ns: Dict[str, int] = field(default_factory=dict)
-    #: fused-kernel invocations (0 on the un-lowered path)
+    #: fused-kernel invocations of the online phase
     fused_kernel_calls: int = 0
 
 
@@ -130,7 +120,7 @@ class PartyReport:
     unpacked_payload_bytes: int = 0
     #: local-compute time of the online phase (wire waits excluded)
     cpu_time_ns: int = 0
-    #: fused-kernel invocations of the session (0 on the un-lowered path)
+    #: fused-kernel invocations of the session
     fused_kernel_calls: int = 0
 
     @property
@@ -139,7 +129,7 @@ class PartyReport:
         return _bytes_saved_pct(self.communication_bytes, self.unpacked_payload_bytes)
 
 
-def predicted_direction_bytes(plan, sender: int) -> int:
+def predicted_direction_bytes(plan: ScheduledPlan, sender: int) -> int:
     """Manifest-predicted online payload bytes flowing out of ``sender``."""
     return sum(
         num_bytes
@@ -149,35 +139,20 @@ def predicted_direction_bytes(plan, sender: int) -> int:
     )
 
 
-def predicted_rounds(plan) -> int:
-    """The round count executing ``plan`` must log.
-
-    A :class:`~repro.crypto.passes.ScheduledPlan` executes coalesced, so its
-    scheduled count applies; a bare :class:`InferencePlan` executes
-    sequentially and must match the legacy trace-derived count.
-    """
-    if isinstance(plan, ScheduledPlan):
-        return plan.online_rounds
-    return plan.legacy_online_rounds
-
-
 def verify_against_plan(
-    plan, execution: PartyExecution, stats: WireStats
+    plan: ScheduledPlan, execution: PartyExecution, stats: WireStats
 ) -> None:
     """Assert the measured traffic equals the plan's static prediction.
 
-    ``plan`` is the executed artifact — an :class:`InferencePlan` for the
-    sequential path or a :class:`~repro.crypto.passes.ScheduledPlan` for the
-    round-coalescing path; byte predictions are identical, round predictions
-    are mode-specific (see :func:`predicted_rounds`).  Checks three layers
-    of accounting against the manifest: the party's communication log (both
-    directions), the payload bytes its transport actually serialized onto
-    the wire, and the payload bytes it received.
+    Checks three layers of accounting against the manifest: the party's
+    communication log (both directions, bytes and scheduled rounds), the
+    payload bytes its transport actually serialized onto the wire, and the
+    payload bytes it received.
     """
     party = execution.party
     checks = [
         ("logged online bytes", execution.communication_bytes, plan.online_bytes),
-        ("logged online rounds", execution.communication_rounds, predicted_rounds(plan)),
+        ("logged online rounds", execution.communication_rounds, plan.online_rounds),
         (
             "on-wire payload bytes sent",
             stats.payload_bytes_sent,
@@ -201,20 +176,18 @@ def verify_against_plan(
 def execute_plan_as_party(
     ctx: TwoPartyContext,
     party: int,
-    plan,
+    plan: ScheduledPlan,
     weights: Dict[str, Dict[str, np.ndarray]],
     input_share: np.ndarray,
     pool: Optional[RandomnessPool] = None,
 ) -> PartyExecution:
     """Run the online phase of ``plan`` holding only ``party``'s share-world.
 
-    ``plan`` is either a bare :class:`InferencePlan` (sequential reference
-    execution) or a :class:`~repro.crypto.passes.ScheduledPlan`
-    (round-coalescing execution over multi-tensor round frames) — the
-    reconstructed logits are bit-identical either way.
-
-    ``ctx.channel`` must be a :class:`PartyChannel` for the same party (or a
-    simulated channel in tests).  ``input_share`` is this party's additive
+    The same executor as the in-process engine
+    (:func:`repro.crypto.scheduler.run_scheduled_plan`), here exchanging
+    multi-tensor round frames with the peer.  ``ctx.channel`` must be a
+    :class:`PartyChannel` for the same party (or a simulated channel in
+    tests).  ``input_share`` is this party's additive
     share of the encoded query batch; the peer holds the complementary one.
     One RNG draw of the input shape is burned first to keep ``ctx.rng``
     aligned with the reference stream of the single-process path (which
@@ -242,30 +215,9 @@ def execute_plan_as_party(
     profile: Dict[str, object] = {}
     try:
         ctx.reset_communication()
-        cache: Dict[str, SharePair] = {}
-        if isinstance(plan, ScheduledPlan):
-            shared, per_layer = run_scheduled_plan(
-                ctx, plan, weights, shared, cache, profile=profile
-            )
-        else:
-            per_layer = {}
-            per_op_cpu: Dict[str, int] = {}
-            clock = time.perf_counter_ns
-            for op in plan.ops:
-                before = ctx.communication_bytes
-                handler = get_handler(op.kind)
-                started = clock()
-                shared = handler.execute(
-                    ctx, op.layer, weights.get(op.name, {}), shared, cache
-                )
-                per_op_cpu[op.name] = clock() - started
-                cache[op.name] = shared
-                per_layer[op.name] = ctx.communication_bytes - before
-            profile = {
-                "per_op_cpu_ns": per_op_cpu,
-                "cpu_time_ns": sum(per_op_cpu.values()),
-                "fused_kernel_calls": 0,
-            }
+        shared, per_layer = run_scheduled_plan(
+            ctx, plan, weights, shared, profile=profile
+        )
         logit_share = shared.share0 if party == 0 else shared.share1
     finally:
         ctx.dealer = dealer
@@ -277,9 +229,9 @@ def execute_plan_as_party(
         communication_rounds=ctx.communication_rounds,
         per_layer_bytes=per_layer,
         unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-        cpu_time_ns=int(profile.get("cpu_time_ns", 0)),
-        per_op_cpu_ns=dict(profile.get("per_op_cpu_ns", {})),
-        fused_kernel_calls=int(profile.get("fused_kernel_calls", 0)),
+        cpu_time_ns=profile["cpu_time_ns"],
+        per_op_cpu_ns=profile["per_op_cpu_ns"],
+        fused_kernel_calls=profile["fused_kernel_calls"],
     )
 
 
@@ -300,9 +252,9 @@ def run_party_session(
         ctx = TwoPartyContext(ring=job.ring, seed=job.seed, channel=channel)
 
         offline_start = time.perf_counter()
-        plan = compile_plan(job.spec, batch_size=job.batch_size, ring=job.ring)
-        if job.optimize:
-            plan = optimize_plan(plan, lower=getattr(job, "lower", True))
+        plan = optimize_plan(
+            compile_plan(job.spec, batch_size=job.batch_size, ring=job.ring)
+        )
         dealer = TrustedDealer(ring=job.ring, seed=job.seed)
         pool = dealer.preprocess(plan).restrict_to_party(party)
         offline_seconds = time.perf_counter() - offline_start

@@ -48,8 +48,8 @@ import numpy as np
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.passes import optimize_plan
-from repro.crypto.plan import compile_plan
+from repro.crypto.passes import ScheduledPlan, optimize_plan
+from repro.crypto.plan import PreprocessingManifest, compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import (
     FaultPlan,
@@ -86,12 +86,7 @@ def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -
 
 @dataclass
 class ServerConfig:
-    """Everything a party server needs to boot, sent once over the pipe.
-
-    ``coalesce_rounds`` selects the round-coalescing schedule (default) or
-    the sequential reference execution for every plan the server compiles;
-    both parties receive the same config, so they always agree.
-    """
+    """Everything a party server needs to boot, sent once over the pipe."""
 
     base_seed: int
     models: Dict[str, ModelSpec]
@@ -102,11 +97,6 @@ class ServerConfig:
     high_water: int = DEFAULT_HIGH_WATER
     ring: FixedPointRing = DEFAULT_RING
     verify: bool = True
-    coalesce_rounds: bool = True
-    #: bind coalesced plans to fused local-compute kernels (same wire
-    #: behavior, bit-identical logits, fewer numpy passes per op); only
-    #: meaningful with ``coalesce_rounds``
-    lower_local_compute: bool = True
     #: per-party link shaping / scripted fault schedules: the party's
     #: transport is wrapped in a :class:`FaultyTransport` right after the
     #: connection opens.  ``None`` (or a missing party key) means a clean
@@ -185,7 +175,7 @@ class JobReport:
     unpacked_payload_bytes: int = 0
     #: local-compute time of the job's online phase (wire waits excluded)
     cpu_time_ns: int = 0
-    #: fused-kernel invocations of the job (0 without kernel lowering)
+    #: fused-kernel invocations of the job
     fused_kernel_calls: int = 0
 
 
@@ -280,15 +270,13 @@ class ServerStats:
 
 @dataclass
 class _PlanEntry:
-    #: the executed artifact: a ScheduledPlan (coalesce_rounds) or a bare
-    #: InferencePlan (sequential reference mode)
-    plan: object
+    plan: ScheduledPlan
+    #: the plan's preprocessing manifest (cached — factory fetches and
+    #: announcements reuse its content hash and grouped requests)
+    manifest: PreprocessingManifest
     #: FIFO of (counter, party-restricted pool); counters strictly increase
     pools: Deque[Tuple[int, RandomnessPool]] = field(default_factory=deque)
     next_counter: int = 0
-    #: the plan's preprocessing manifest (cached — factory fetches and
-    #: announcements reuse its content hash and grouped requests)
-    manifest: object = None
 
 
 class PartyServer:
@@ -340,14 +328,11 @@ class PartyServer:
                 f"party {self.party}: unknown model {model!r}; "
                 f"registered: {sorted(self.config.models)}"
             )
-        plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
-        if self.config.coalesce_rounds:
-            plan = optimize_plan(
-                plan, lower=getattr(self.config, "lower_local_compute", True)
-            )
-        manifest = getattr(plan, "manifest", None)
+        plan = optimize_plan(compile_plan(spec, batch_size=batch_size, ring=self.ring))
         with self._lock:
-            entry = self._entries.setdefault(key, _PlanEntry(plan=plan, manifest=manifest))
+            entry = self._entries.setdefault(
+                key, _PlanEntry(plan=plan, manifest=plan.manifest)
+            )
             if entry.plan is plan:
                 self.stats.plans_compiled += 1
         return entry
@@ -360,7 +345,7 @@ class PartyServer:
         local cold generation — correctness is unaffected because both
         paths generate from the identical per-seed substreams.
         """
-        address = getattr(self.config, "factory_address", None)
+        address = self.config.factory_address
         if address is None or self._factory_unavailable:
             return None
         if self._factory is None:
@@ -393,7 +378,7 @@ class PartyServer:
         changes latency only, never logits.
         """
         client = self._factory_client()
-        if client is not None and entry.manifest is not None:
+        if client is not None:
             try:
                 pool = client.fetch_pool(entry.manifest, seed, party=self.party)
                 with self._lock:
@@ -410,9 +395,9 @@ class PartyServer:
 
     def _announce_ahead(self, entry: _PlanEntry, model: str, batch_size: int) -> None:
         """Advertise the next job seeds so the factory can run ahead."""
-        ahead = getattr(self.config, "factory_announce_ahead", 0)
+        ahead = self.config.factory_announce_ahead
         client = self._factory_client()
-        if ahead <= 0 or client is None or entry.manifest is None or self.party != 0:
+        if ahead <= 0 or client is None or self.party != 0:
             # one announcing party suffices — both servers derive the same
             # seeds, and the factory spools one shared bundle per seed
             return
@@ -435,7 +420,7 @@ class PartyServer:
         with self._lock:
             entry = self._entries.get(key)
         if entry is None or entry.plan is not plan:
-            entry = _PlanEntry(plan=plan, manifest=getattr(plan, "manifest", None))
+            entry = _PlanEntry(plan=plan, manifest=plan.manifest)
         return self._pool_at_seed(entry, seed)
 
     def provision(self, model: str, batch_size: int, count: int) -> int:
@@ -769,7 +754,7 @@ def run_party_server(
             listener=listener,
         )
         transport = endpoint.open()
-        plan = (getattr(config, "fault_plans", None) or {}).get(party)
+        plan = (config.fault_plans or {}).get(party)
         if plan is not None:
             # chaos/shaping harness: the wrapper owns the WireStats the
             # server accounts against, so payload==manifest stays exact
@@ -778,9 +763,10 @@ def run_party_server(
         server.warm_up()
         server.start_provisioner()
         sender.send("ready")
-        interval = getattr(config, "heartbeat_interval", 0.0) or 0.0
-        if interval > 0:
-            heartbeat_stop = _start_heartbeat_thread(sender, server, interval)
+        if config.heartbeat_interval > 0:
+            heartbeat_stop = _start_heartbeat_thread(
+                sender, server, config.heartbeat_interval
+            )
         while True:
             message = conn.recv()
             if isinstance(message, ShutdownRequest):

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import optimize_plan
+from repro.crypto.passes import ScheduledPlan, optimize_plan
 from repro.crypto.plan import compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.sharing import share
@@ -31,13 +31,11 @@ from repro.runtime.party import PartyJob, PartyReport, run_party_worker
 class TwoProcessResult:
     """Reconstructed output and verified accounting of one socket session.
 
-    ``plan`` is the artifact the parties executed: a
-    :class:`~repro.crypto.passes.ScheduledPlan` by default, or the bare
-    :class:`~repro.crypto.plan.InferencePlan` when ``optimize=False``.
+    ``plan`` is the artifact the parties executed.
     """
 
     logits: np.ndarray
-    plan: object
+    plan: ScheduledPlan
     reports: Dict[int, PartyReport]
     wall_seconds: float
 
@@ -128,15 +126,13 @@ def run_two_process_inference(
     host: str = "127.0.0.1",
     port: Optional[int] = None,
     timeout: float = 300.0,
-    optimize: bool = True,
-    lower: bool = True,
 ) -> TwoProcessResult:
     """Run one private inference with the two parties in separate OS processes.
 
     The client-side flow: encode and secret-share ``inputs`` (with the same
     RNG stream the single-process engine would use, so the session is
     bit-identical to ``SecureInferenceEngine.execute`` at the same seed),
-    hand each party its share-world, let them execute the compiled plan over
+    hand each party its share-world, let them execute the scheduled plan over
     a localhost socket, then reconstruct the logits from the returned result
     shares.  Raises if either party's measured traffic deviates from the
     plan manifest.
@@ -144,10 +140,7 @@ def run_two_process_inference(
     Ports: with ``port=None`` (the default) party 0 binds an ephemeral port
     and announces the kernel-assigned number over its control pipe before
     party 1 is spawned — end-to-end race-free, so parallel CI jobs cannot
-    collide.  ``optimize`` selects the round-coalescing schedule (default)
-    or the sequential reference execution; ``lower`` additionally binds the
-    schedule to the fused local-compute kernels (bit-identical logits, less
-    CPU per op) and only applies when ``optimize`` is on.
+    collide.
     """
     ring = ring or DEFAULT_RING
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -182,8 +175,6 @@ def run_two_process_inference(
                     seed=seed,
                     input_share=input_share,
                     ring=ring,
-                    optimize=optimize,
-                    lower=lower,
                 )
             )
             pipes.append(parent_conn)
@@ -228,9 +219,7 @@ def run_two_process_inference(
                 process.join(timeout=10.0)
     wall_seconds = time.perf_counter() - start
 
-    plan = compile_plan(spec, batch_size=batch_size, ring=ring)
-    if optimize:
-        plan = optimize_plan(plan, lower=lower)
+    plan = optimize_plan(compile_plan(spec, batch_size=batch_size, ring=ring))
     _check_cross_party_consistency(plan, reports[0], reports[1])
 
     # Client: reconstruct the logits from the two result shares.

@@ -19,7 +19,7 @@ from typing import Deque, Dict, Optional, Tuple
 import numpy as np
 
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.passes import optimize_plan
+from repro.crypto.passes import ScheduledPlan, optimize_plan
 from repro.crypto.plan import compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.models.specs import ModelSpec
@@ -58,40 +58,24 @@ class PlanPoolCache:
     may call into the cache concurrently.
     """
 
-    def __init__(
-        self,
-        ring: Optional[FixedPointRing] = None,
-        seed: int = 0,
-        optimize: bool = True,
-        lower: bool = True,
-    ) -> None:
+    def __init__(self, ring: Optional[FixedPointRing] = None, seed: int = 0) -> None:
         self.ring = ring or DEFAULT_RING
-        self.optimize = optimize
-        self.lower = lower
         self.dealer = TrustedDealer(ring=self.ring, seed=seed)
         self.stats = CacheStats()
-        self._plans: Dict[Tuple[str, int], object] = {}
+        self._plans: Dict[Tuple[str, int], ScheduledPlan] = {}
         self._pools: Dict[Tuple[str, int], Deque[RandomnessPool]] = {}
         self._lock = threading.Lock()
 
-    def plan(self, spec: ModelSpec, batch_size: int):
-        """The compiled plan for ``(spec.name, batch_size)``; compiles once.
-
-        With ``optimize`` (the default) the optimizer pass pipeline runs
-        once at compile time and a round-coalescing
-        :class:`~repro.crypto.passes.ScheduledPlan` is cached; with
-        ``lower`` on top (also the default) the schedule is bound to the
-        fused local-compute kernels and a
-        :class:`~repro.crypto.passes.LoweredPlan` is cached instead.
-        """
+    def plan(self, spec: ModelSpec, batch_size: int) -> ScheduledPlan:
+        """The scheduled plan for ``(spec.name, batch_size)``; compiles and
+        runs the optimizer pass pipeline once."""
         key = (spec.name, batch_size)
         with self._lock:
             plan = self._plans.get(key)
             if plan is None:
-                plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
-                if self.optimize:
-                    plan = optimize_plan(plan, lower=self.lower)
-                self._plans[key] = plan
+                plan = self._plans[key] = optimize_plan(
+                    compile_plan(spec, batch_size=batch_size, ring=self.ring)
+                )
                 self.stats.plans_compiled += 1
             return plan
 

@@ -42,7 +42,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.transport import _LEN_PREFIX, decode_array, encode_array
+from repro.crypto.transport import (
+    _LEN_PREFIX,
+    MAX_FRAME_BYTES,
+    decode_array,
+    encode_array,
+    frame_length,
+)
 from repro.serve.admission import AdmissionController, BackpressureError
 from repro.serve.cache import ServableModel
 from repro.serve.pool import ShardedServingPool
@@ -51,10 +57,6 @@ from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
 _KIND_JSON = b"J"
 _KIND_ARRAY = b"A"
 _KIND_HEARTBEAT = b"H"
-
-#: largest frame a peer may send (queries are small; logits smaller) — a
-#: corrupt length prefix must not make the daemon allocate gigabytes
-MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
 @dataclass
@@ -560,8 +562,7 @@ class DaemonClient:
         return b"".join(chunks)
 
     def _recv_frame(self) -> Tuple[bytes, bytes]:
-        (length,) = _LEN_PREFIX.unpack(self._recv_exact(4))
-        body = self._recv_exact(length)
+        body = self._recv_exact(frame_length(self._recv_exact(4)))
         return body[:1], body[1:]
 
     def _recv_json(self) -> Dict[str, object]:

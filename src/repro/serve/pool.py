@@ -149,7 +149,7 @@ class PoolBatchResult:
     #: local-compute time of the job's online phase (max over the two
     #: parties, mirroring ``online_seconds`` — they run concurrently)
     cpu_time_ns: int = 0
-    #: fused-kernel invocations on the lowered plan (0 when lowering is off)
+    #: fused-kernel invocations of the job
     fused_kernel_calls: int = 0
 
     @property
@@ -236,8 +236,6 @@ class WorkerShard:
         low_water: int = 1,
         high_water: int = 3,
         verify: bool = True,
-        coalesce_rounds: bool = True,
-        lower_local_compute: bool = True,
         fault_plans: Optional[Dict[int, FaultPlan]] = None,
         initial_counters: Optional[Dict[Tuple[str, int], int]] = None,
         initial_job_id: int = 0,
@@ -291,8 +289,6 @@ class WorkerShard:
             high_water=high_water,
             ring=ring,
             verify=verify,
-            coalesce_rounds=coalesce_rounds,
-            lower_local_compute=lower_local_compute,
             fault_plans=dict(fault_plans) if fault_plans else None,
             factory_address=factory_address,
             factory_announce_ahead=factory_announce_ahead,
@@ -789,8 +785,6 @@ class ShardedServingPool:
         host: str = "127.0.0.1",
         job_timeout: float = 300.0,
         verify: bool = True,
-        coalesce_rounds: bool = True,
-        lower_local_compute: bool = True,
         max_job_retries: int = 2,
         retry_backoff: float = 0.05,
         fault_plans: Optional[Dict[int, Dict[int, FaultPlan]]] = None,
@@ -822,8 +816,6 @@ class ShardedServingPool:
         self.job_timeout = job_timeout
         self.link_latency = link_latency
         self.verify = verify
-        self.coalesce_rounds = coalesce_rounds
-        self.lower_local_compute = lower_local_compute
         self.low_water = low_water
         self.high_water = high_water
         self.provision_pools = provision_pools
@@ -924,8 +916,6 @@ class ShardedServingPool:
             low_water=self.low_water,
             high_water=self.high_water,
             verify=self.verify,
-            coalesce_rounds=self.coalesce_rounds,
-            lower_local_compute=self.lower_local_compute,
             fault_plans=self._shard_fault_plans(index, inject),
             initial_counters=initial_counters,
             initial_job_id=initial_job_id,

@@ -4,39 +4,28 @@ Key invariants:
 
 - every fused kernel is bit-identical to the reference protocol chain it
   replaces (same uint64 values mod 2^64, per share lane);
-- the protocol entry points take the fused path exactly when a live
-  :class:`~repro.crypto.kernels.KernelContext` is installed, and fall back
-  to the reference path (bit-identically) when it is absent or disabled;
+- the protocol entry points take the fused path exactly when a
+  :class:`~repro.crypto.kernels.KernelContext` is installed, and keep the
+  reference path (bit-identically) when it is absent;
 - the workspace arena reuses scratch buffers and encoded-constant caches
-  across jobs with different seeds without leaking values between them;
-- a :class:`~repro.crypto.passes.LoweredPlan` round-trips through
-  to-dict/from-dict and rejects foreign formats.
+  across jobs with different seeds without leaking values between them.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.crypto import make_context
+from repro.crypto.events import run_reference
 from repro.crypto.kernels import (
     KERNELS,
     KernelContext,
     WorkspaceArena,
-    active_kernels,
     arena_for,
     clear_arenas,
-    kernels_for_kind,
     register_kernel,
 )
-from repro.crypto.passes import (
-    LoweredPlan,
-    ScheduledPlan,
-    optimize_plan,
-)
-from repro.crypto.plan import compile_plan
 from repro.crypto.protocols.activation import secure_relu
 from repro.crypto.protocols.arithmetic import (
     add_public,
@@ -71,28 +60,9 @@ def _paired_contexts(seed: int = 17):
 
 
 class TestRegistry:
-    def test_layer_kind_bindings_name_registered_kernels(self):
-        assert kernels_for_kind("CONV")
-        assert kernels_for_kind("RELU")
-        for kind in ("CONV", "LINEAR", "X2ACT", "RELU", "MAXPOOL"):
-            for name in kernels_for_kind(kind):
-                assert name in KERNELS, f"{kind} binds unknown kernel {name!r}"
-
-    def test_kinds_without_fusible_compute_bind_nothing(self):
-        assert kernels_for_kind("FLATTEN") == ()
-        assert kernels_for_kind("ADD") == ()
-
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ValueError, match="registered twice"):
             register_kernel("truncate-pair")(lambda: None)
-
-    def test_active_kernels_respects_enabled_flag(self):
-        ctx = make_context()
-        assert active_kernels(ctx) is None
-        ctx.kernels = KernelContext(enabled=False)
-        assert active_kernels(ctx) is None
-        ctx.kernels = KernelContext()
-        assert active_kernels(ctx) is ctx.kernels
 
 
 class TestWorkspaceArena:
@@ -303,26 +273,20 @@ class TestFusedKernelsBitIdentical:
 class TestArenaReuseAcrossJobs:
     def test_warm_arena_serves_repeat_jobs_with_different_seeds(self):
         """Job 2 reuses job 1's scratch buffers and encoded-weight cache,
-        and both jobs stay bit-identical to their sequential references."""
+        and both jobs stay bit-identical to the oracle."""
         clear_arenas()
         spec = vgg_tiny(input_size=8)
         weights = _trained_weights(spec)
         x = np.random.default_rng(10).normal(size=(2, 3, 8, 8))
-        lplan = optimize_plan(compile_plan(spec, batch_size=2), lower=True)
-        arena = arena_for(arena_key(lplan))
+        plan = SecureInferenceEngine().compile(spec, batch_size=2)
+        arena = arena_for(arena_key(plan))
 
         warm_misses = None
         for seed in (5, 6):
             engine = SecureInferenceEngine(make_context(seed=seed))
-            result = engine.execute(
-                lplan, weights, x, pool=engine.preprocess(lplan)
-            )
-            sequential = SecureInferenceEngine(make_context(seed=seed))
-            plan = sequential.compile(spec, batch_size=2)
-            reference = sequential.execute(
-                plan, weights, x, pool=sequential.preprocess(plan)
-            )
-            np.testing.assert_array_equal(result.logits, reference.logits)
+            result = engine.execute(plan, weights, x, pool=engine.preprocess(plan))
+            reference, _, _ = run_reference(make_context(seed=seed), plan, weights, x)
+            np.testing.assert_array_equal(result.logits, reference)
             assert result.fused_kernel_calls > 0
             if warm_misses is None:
                 warm_misses = arena.misses
@@ -331,75 +295,3 @@ class TestArenaReuseAcrossJobs:
         assert arena.misses == warm_misses
         assert arena.hits > 0
         clear_arenas()
-
-
-class TestLoweredPlanSerialization:
-    def test_round_trips_through_dict(self):
-        lplan = optimize_plan(compile_plan(vgg_tiny(input_size=8), batch_size=2), lower=True)
-        assert isinstance(lplan, LoweredPlan)
-        assert lplan.fused_op_count > 0
-        data = json.loads(json.dumps(lplan.to_dict()))
-        restored = LoweredPlan.from_dict(data)
-        assert restored.plan == lplan.plan
-        assert restored.schedule == lplan.schedule
-        assert restored.applied_passes == lplan.applied_passes
-        assert restored.bindings == lplan.bindings
-
-    def test_rejects_foreign_formats(self):
-        lplan = optimize_plan(compile_plan(vgg_tiny(input_size=8)), lower=True)
-        with pytest.raises(ValueError, match="format"):
-            LoweredPlan.from_dict({"format": "bogus"})
-        with pytest.raises(ValueError, match="format"):
-            # a lowered dict is not a valid *scheduled* dict and vice versa
-            ScheduledPlan.from_dict(lplan.to_dict())
-        scheduled = optimize_plan(compile_plan(vgg_tiny(input_size=8)))
-        with pytest.raises(ValueError, match="format"):
-            LoweredPlan.from_dict(scheduled.to_dict())
-
-    def test_deserialized_lowered_plan_executes_bit_identically(self):
-        spec = vgg_tiny(input_size=8)
-        weights = _trained_weights(spec)
-        x = np.random.default_rng(11).normal(size=(2, 3, 8, 8))
-        lplan = optimize_plan(compile_plan(spec, batch_size=2), lower=True)
-
-        original_engine = SecureInferenceEngine(make_context(seed=29))
-        original = original_engine.execute(
-            lplan, weights, x, pool=original_engine.preprocess(lplan)
-        )
-        restored = LoweredPlan.from_dict(json.loads(json.dumps(lplan.to_dict())))
-        restored_engine = SecureInferenceEngine(make_context(seed=29))
-        result = restored_engine.execute(
-            restored, weights, x, pool=restored_engine.preprocess(restored)
-        )
-        np.testing.assert_array_equal(result.logits, original.logits)
-        assert result.fused_kernel_calls == original.fused_kernel_calls > 0
-
-
-class TestDisabledFallback:
-    def test_optimize_plan_without_lower_returns_scheduled(self):
-        splan = optimize_plan(compile_plan(vgg_tiny(input_size=8)))
-        assert isinstance(splan, ScheduledPlan)
-        assert not isinstance(splan, LoweredPlan)
-        assert "lower-kernels" not in splan.applied_passes
-
-    def test_disabled_kernel_context_runs_reference_path(self):
-        """A disabled context must leave the lowered plan on the reference
-        path: zero fused calls, logits still bit-identical."""
-        spec = vgg_tiny(input_size=8)
-        weights = _trained_weights(spec)
-        x = np.random.default_rng(12).normal(size=(2, 3, 8, 8))
-        lplan = optimize_plan(compile_plan(spec, batch_size=2), lower=True)
-
-        disabled_engine = SecureInferenceEngine(make_context(seed=31))
-        disabled_engine.ctx.kernels = KernelContext(enabled=False)
-        disabled = disabled_engine.execute(
-            lplan, weights, x, pool=disabled_engine.preprocess(lplan)
-        )
-        assert disabled.fused_kernel_calls == 0
-
-        fused_engine = SecureInferenceEngine(make_context(seed=31))
-        fused = fused_engine.execute(
-            lplan, weights, x, pool=fused_engine.preprocess(lplan)
-        )
-        assert fused.fused_kernel_calls > 0
-        np.testing.assert_array_equal(disabled.logits, fused.logits)

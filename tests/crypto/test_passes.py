@@ -7,13 +7,10 @@ Key invariants:
   indices, topological levelization;
 - dead-op elimination drops unreachable ops *and* their manifest demand;
 - the round schedule's predictions (rounds, per-round bytes) match the
-  coalesced execution's log exactly, and scheduled execution is
-  bit-identical to the sequential reference across the zoo;
+  coalesced execution's log exactly (bit-identity with the sequential
+  oracle, zoo-wide, lives in ``test_zoo.py``);
 - a compiled+optimized plan round-trips through to-dict/from-dict with
-  bit-identical execution (plan serialization satellite);
-- the kernel-lowering stage is a pure annotation: it preserves the plan,
-  schedule and manifest, and the lowered execution is bit-identical to the
-  sequential reference across the zoo while taking the fused path.
+  bit-identical execution (plan serialization satellite).
 """
 
 from __future__ import annotations
@@ -27,11 +24,9 @@ import pytest
 from repro.crypto import make_context
 from repro.crypto.dealer import TrustedDealer
 from repro.crypto.passes import (
-    LoweredPlan,
     ScheduledPlan,
     dead_op_elimination,
     levelize,
-    lower_plan,
     optimize_plan,
     schedule_rounds,
 )
@@ -41,19 +36,9 @@ from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.crypto.sharing import reconstruct, share
 from repro.models.builder import build_model, export_layer_weights
-from repro.models.mobilenet import mobilenetv2_tiny
 from repro.models.resnet import resnet_tiny
 from repro.models.specs import LayerKind, LayerSpec, ModelSpec
 from repro.models.vgg import vgg_tiny
-
-
-def _zoo_variants():
-    variants = []
-    for build in (vgg_tiny, resnet_tiny, mobilenetv2_tiny):
-        spec = build(input_size=8)
-        variants.append(spec)
-        variants.append(spec.with_all_polynomial())
-    return variants
 
 
 def _trained_weights(spec: ModelSpec):
@@ -272,83 +257,13 @@ class TestRoundScheduling:
         assert ctx.channel.rounds == splan.online_rounds
 
 
-class TestZooScheduledEquivalence:
-    @pytest.mark.parametrize("spec", _zoo_variants(), ids=lambda s: s.name)
-    def test_scheduled_execution_is_bit_identical_to_sequential(self, spec):
-        """Acceptance: zoo-wide bit-identity of the coalesced path."""
-        weights = _trained_weights(spec)
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, spec.in_channels, spec.input_size, spec.input_size))
-
-        sequential = SecureInferenceEngine(make_context(seed=11))
-        plan = sequential.compile(spec, batch_size=2)
-        reference = sequential.execute(plan, weights, x, pool=sequential.preprocess(plan))
-
-        scheduled = SecureInferenceEngine(make_context(seed=11))
-        splan = scheduled.compile(spec, batch_size=2, optimize=True)
-        result = scheduled.execute(splan, weights, x, pool=scheduled.preprocess(splan))
-
-        np.testing.assert_array_equal(result.logits, reference.logits)
-        assert result.communication_bytes == reference.communication_bytes
-        assert result.per_layer_bytes == reference.per_layer_bytes
-        assert result.communication_rounds == splan.online_rounds
-        assert reference.communication_rounds == plan.legacy_online_rounds
-        assert result.communication_rounds <= reference.communication_rounds
-
-
-class TestKernelLowering:
-    def test_lowering_runs_last_and_preserves_the_schedule(self):
-        """Lowering is a pure annotation stage after round scheduling: the
-        plan, schedule and manifest are untouched, only bindings appear."""
-        plan = compile_plan(vgg_tiny(input_size=8), batch_size=2)
-        splan = optimize_plan(plan)
-        lplan = optimize_plan(plan, lower=True)
-        assert isinstance(lplan, LoweredPlan)
-        assert lplan.applied_passes[-3:] == (
-            "levelize",
-            "schedule-rounds",
-            "lower-kernels",
-        )
-        assert lplan.plan == splan.plan
-        assert lplan.schedule == splan.schedule
-        assert lplan.manifest == splan.manifest
-        # one binding per op; the fused count covers the non-empty ones
-        assert len(lplan.bindings) == len(lplan.plan.ops)
-        assert lplan.fused_op_count == sum(
-            1 for binding in lplan.bindings if binding.kernels
-        )
-        assert 0 < lplan.fused_op_count <= len(lplan.bindings)
-
-    def test_lower_plan_annotates_an_existing_scheduled_plan(self):
-        splan = optimize_plan(compile_plan(resnet_tiny(input_size=8)))
-        lplan = lower_plan(splan)
-        assert isinstance(lplan, LoweredPlan)
-        assert lplan.applied_passes == splan.applied_passes + ("lower-kernels",)
-        # bindings line up with the op table by index
-        assert tuple(b.op_index for b in lplan.bindings) == tuple(
-            op.index for op in splan.ops
-        )
-        assert any(binding.kernels for binding in lplan.bindings)
-
-    @pytest.mark.parametrize("spec", _zoo_variants(), ids=lambda s: s.name)
-    def test_lowered_execution_is_bit_identical_to_sequential(self, spec):
-        """Acceptance: zoo-wide bit-identity of the fused-kernel path."""
-        weights = _trained_weights(spec)
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, spec.in_channels, spec.input_size, spec.input_size))
-
-        sequential = SecureInferenceEngine(make_context(seed=11))
-        plan = sequential.compile(spec, batch_size=2)
-        reference = sequential.execute(plan, weights, x, pool=sequential.preprocess(plan))
-
-        lowered = SecureInferenceEngine(make_context(seed=11))
-        lplan = lowered.compile(spec, batch_size=2, optimize=True, lower=True)
-        result = lowered.execute(lplan, weights, x, pool=lowered.preprocess(lplan))
-
-        np.testing.assert_array_equal(result.logits, reference.logits)
-        assert result.communication_bytes == reference.communication_bytes
-        assert result.fused_kernel_calls > 0
-        assert result.cpu_time_ns > 0
+    def test_empty_plan_passes_the_input_through(self):
+        ctx = make_context(seed=3)
+        empty = optimize_plan(dc_replace(_branching_plan(ctx.ring), ops=()))
+        shared = share(np.zeros(empty.input_shape), ctx.ring, ctx.rng)
+        out, per_op = run_scheduled_plan(ctx, empty, {}, shared)
+        assert out is shared and per_op == {}
+        assert ctx.kernels is None
 
 
 class TestPlanSerialization:
@@ -381,7 +296,7 @@ class TestPlanSerialization:
         x = np.random.default_rng(9).normal(size=(2, 3, 8, 8))
 
         original_engine = SecureInferenceEngine(make_context(seed=23))
-        splan = original_engine.compile(spec, batch_size=2, optimize=True)
+        splan = original_engine.compile(spec, batch_size=2)
         original = original_engine.execute(
             splan, weights, x, pool=original_engine.preprocess(splan)
         )

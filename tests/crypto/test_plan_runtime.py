@@ -3,14 +3,12 @@ exactness, registry dispatch and batched execution.
 
 The key invariants:
 
-- the compiled executor is **bit-identical** to the interpretive (lazy
-  dealer) path — same logits, same communication log — for every executable
-  model in the zoo, because preprocessing generates correlated randomness in
-  consumption order;
 - the online phase performs **zero** dealer generation calls once
-  preprocessing ran;
-- the manifest's predicted bytes/rounds match the executed
-  :class:`CommunicationLog` exactly.
+  preprocessing ran, and the manifest provisions exactly what it consumes;
+- the one-shot ``engine.run`` is ``execute(compile(...))``, nothing else.
+
+Bit-identity with the sequential oracle and the exactness of the manifest's
+byte/round predictions are asserted zoo-wide in ``test_zoo.py``.
 """
 
 from __future__ import annotations
@@ -26,20 +24,9 @@ from repro.crypto import (
 from repro.crypto.protocols.registry import get_handler, registered_kinds
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
-from repro.models.mobilenet import mobilenetv2_tiny
 from repro.models.resnet import resnet_tiny
 from repro.models.specs import LayerKind, ModelSpec
 from repro.models.vgg import vgg_tiny
-
-
-def _zoo_variants():
-    """Every executable tiny backbone, in ReLU and all-polynomial form."""
-    variants = []
-    for build in (vgg_tiny, resnet_tiny, mobilenetv2_tiny):
-        spec = build(input_size=8)
-        variants.append(spec)
-        variants.append(spec.with_all_polynomial())
-    return variants
 
 
 def _trained_weights(spec: ModelSpec):
@@ -129,64 +116,21 @@ class TestCompile:
 
 
 class TestCompiledExecutionEquivalence:
-    @pytest.mark.parametrize(
-        "spec", _zoo_variants(), ids=lambda s: s.name
-    )
-    def test_compiled_matches_interpretive_bit_for_bit(self, spec):
-        """Bit-identical logits and identical comm logs across the whole zoo."""
+    def test_one_shot_run_is_compile_then_execute(self):
+        spec = vgg_tiny(input_size=8).with_all_polynomial()
         net, weights = _trained_weights(spec)
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(2, spec.in_channels, spec.input_size, spec.input_size))
+        x = np.random.default_rng(7).normal(size=(2, 3, 8, 8))
 
-        interpretive = SecureInferenceEngine(make_context(seed=11))
-        legacy = interpretive.run(spec, weights, x)
+        one_shot = SecureInferenceEngine(make_context(seed=11)).run(spec, weights, x)
 
-        compiled = SecureInferenceEngine(make_context(seed=11))
-        plan = compiled.compile(spec, batch_size=2)
-        pool = compiled.preprocess(plan)
-        result = compiled.execute(plan, weights, x, pool=pool)
-
-        np.testing.assert_array_equal(result.logits, legacy.logits)
-        assert result.communication_bytes == legacy.communication_bytes
-        assert result.communication_rounds == legacy.communication_rounds
-        assert result.per_layer_bytes == legacy.per_layer_bytes
-
-    @pytest.mark.parametrize(
-        "build", [vgg_tiny, resnet_tiny], ids=["vgg-tiny", "resnet-tiny"]
-    )
-    def test_manifest_prediction_matches_observed_bytes_exactly(self, build):
-        """Acceptance: predicted online bytes == CommunicationLog, per op.
-
-        A sequential execution logs the legacy (uncoalesced) round count;
-        ``plan.online_rounds`` reports the scheduled count, so the legacy
-        metric lives in ``legacy_online_rounds``.
-        """
-        spec = build(input_size=8)
-        net, weights = _trained_weights(spec)
-        engine = SecureInferenceEngine(make_context(seed=5))
+        engine = SecureInferenceEngine(make_context(seed=11))
         plan = engine.compile(spec, batch_size=2)
-        x = np.random.default_rng(3).normal(size=(2, 3, 8, 8))
-        result = engine.execute(plan, weights, x)
-        assert result.communication_bytes == plan.online_bytes
-        assert result.communication_rounds == plan.legacy_online_rounds
-        assert result.per_layer_bytes == plan.per_op_bytes()
+        result = engine.execute(plan, weights, x, pool=engine.preprocess(plan))
 
-    @pytest.mark.parametrize(
-        "build", [vgg_tiny, resnet_tiny], ids=["vgg-tiny", "resnet-tiny"]
-    )
-    def test_scheduled_prediction_matches_observed_rounds_exactly(self, build):
-        """The round-coalescing path logs exactly the scheduled prediction."""
-        spec = build(input_size=8)
-        net, weights = _trained_weights(spec)
-        engine = SecureInferenceEngine(make_context(seed=5))
-        splan = engine.compile(spec, batch_size=2, optimize=True)
-        x = np.random.default_rng(3).normal(size=(2, 3, 8, 8))
-        result = engine.execute(splan, weights, x)
-        assert result.communication_bytes == splan.online_bytes
-        assert result.communication_rounds == splan.online_rounds
-        assert result.communication_rounds == splan.manifest.online_rounds
-        assert result.per_layer_bytes == splan.per_op_bytes()
-        assert splan.online_rounds < splan.legacy_online_rounds
+        np.testing.assert_array_equal(one_shot.logits, result.logits)
+        assert one_shot.communication_bytes == result.communication_bytes
+        assert one_shot.communication_rounds == result.communication_rounds
+        assert one_shot.per_layer_bytes == result.per_layer_bytes
 
     def test_online_phase_makes_zero_dealer_generation_calls(self):
         spec = vgg_tiny(input_size=8)  # ReLU + MaxPool: heavy randomness use

@@ -738,6 +738,30 @@ class TestRecvErrorContext:
             thread.join(timeout=10)
 
 
+    def test_oversized_length_prefix_is_rejected_before_allocating(self):
+        """The party link (and the factory sessions riding it) must not
+        trust a peer-supplied length: typed error, no hang, no allocation."""
+        import struct
+        import tracemalloc
+
+        from repro.crypto.transport import FrameTooLarge
+
+        port = free_port()
+        thread = self._serve_truncated(port, struct.pack("<I", 0xFFFFFFFF))
+        client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameTooLarge, match="4294967295"):
+                client.recv_control()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            client.close()
+            thread.join(timeout=10)
+        assert issubclass(FrameTooLarge, ConnectionError)
+        assert peak < 1 << 20
+
+
 class TestInterleavedShutdown:
     """Satellite: shutdown handshake arriving while a job is in flight."""
 

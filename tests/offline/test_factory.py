@@ -160,6 +160,22 @@ class TestFactoryOverTcp:
                 raw.close()
 
 
+    def test_oversized_length_prefix_ends_the_session_not_the_server(self, tmp_path):
+        """The factory's sessions ride ``TcpTransport``: a hostile 4 GiB
+        prefix must close that one session promptly (no blocked reader
+        waiting for bytes that never come) and leave the server serving."""
+        import socket
+        import struct
+
+        factory = RandomnessFactory(InventoryStore(str(tmp_path)))
+        with FactoryServer(factory, "127.0.0.1", 0, produce=False) as server:
+            with socket.create_connection(server.address, timeout=5.0) as hostile:
+                hostile.sendall(struct.pack("<I", 0xFFFFFFFF))
+                assert hostile.recv(16) == b""  # server hung up on us
+            with FactoryClient(server.address) as client:
+                assert client.stats()["schema"] == "offline-factory/v1"
+
+
 class TestServingIntegration:
     """Factory-provisioned serving matches local provisioning bit for bit."""
 

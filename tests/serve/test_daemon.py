@@ -140,6 +140,40 @@ class TestServingDaemon:
                 assert client.ping()
 
 
+class TestHostileLengthPrefix:
+    def test_client_rejects_an_oversized_prefix_before_allocating(self):
+        """A daemon (or whatever answers on its port) announcing a 4 GiB
+        reply gets a typed connection error, not a 4 GiB ``recv``."""
+        import socket
+        import struct
+        import tracemalloc
+
+        from repro.crypto.transport import FrameTooLarge
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+
+            def hostile_daemon():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)  # the ping frame
+                    conn.sendall(struct.pack("<I", 0xFFFFFFFF))
+
+            thread = threading.Thread(target=hostile_daemon)
+            thread.start()
+            with DaemonClient("127.0.0.1", port, timeout=5.0) as client:
+                tracemalloc.start()
+                try:
+                    with pytest.raises(FrameTooLarge):
+                        client.ping()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert peak < 1 << 20
+
+
 class TestPoolShutdownError:
     def test_close_fails_pending_futures_with_diagnosable_error(self, servable):
         """Futures pending when the backend wedges during a drain fail
