@@ -282,10 +282,13 @@ class PartyChannel(Channel):
 
     Accounting: both parties log every message of the conversation (their own
     sends *and* the peer's, sized from the actually transmitted arrays) in
-    the canonical order, so ``log.total_bytes`` / ``log.rounds`` match the
-    simulated channel and the plan manifest exactly.  Exchanges are ordered
-    deterministically — party 0 sends first, party 1 receives first — which
-    makes the transport deadlock-free without concurrent send/receive.
+    the canonical order (S0's message first), so ``log.total_bytes`` /
+    ``log.rounds`` match the simulated channel and the plan manifest
+    exactly.  That order is accounting only.  On the wire a round in which
+    this party both sends and expects data is one full-duplex
+    :meth:`Transport.exchange_arrays <repro.crypto.transport.Transport.exchange_arrays>`
+    — the two frames cross on the link, so the round costs one link
+    traversal — and a one-directional round is a plain send or receive.
     """
 
     def __init__(
@@ -314,13 +317,8 @@ class PartyChannel(Channel):
         )
 
     def _swap(self, mine: np.ndarray, element_bits: int = 8) -> np.ndarray:
-        """Ship my array, receive the peer's (party 0 sends first)."""
-        if self.party == 0:
-            self.transport.send_array(mine, self.ring, element_bits)
-            theirs, _ = self.transport.recv_array()
-        else:
-            theirs, _ = self.transport.recv_array()
-            self.transport.send_array(mine, self.ring, element_bits)
+        """Ship my array while receiving the peer's (one full-duplex exchange)."""
+        theirs, _ = self.transport.exchange_array(mine, self.ring, element_bits)
         return theirs
 
     # -- protocol-facing semantics ------------------------------------------ #
@@ -404,12 +402,13 @@ class PartyChannel(Channel):
 
     def run_round(self, events: List[CommEvent]) -> List[object]:
         """One coalesced round over the transport: one multi-tensor frame
-        per direction (party 0's first — the canonical, deadlock-free
-        exchange order), instead of one frame per event.
+        per direction instead of one frame per event, the two directions
+        exchanged full duplex.
 
         A direction with nothing to ship sends no frame at all; both parties
         derive that from the same (SPMD-identical) event list, so the frame
-        sequence stays deterministic.  Logging matches the simulated
+        sequence stays deterministic and a round is two-way for one party
+        exactly when it is for the other.  Logging matches the simulated
         channel's: one entry per direction with the round's summed payload
         bytes.
         """
@@ -432,17 +431,14 @@ class PartyChannel(Channel):
             else:
                 raise ValueError(f"unknown comm event kind {event.kind!r}")
 
-        received: List[np.ndarray] = []
-        if self.party == 0:
-            if outgoing:
-                self.transport.send_arrays(outgoing, self.ring)
-            if expected:
-                received = [array for array, _ in self.transport.recv_arrays()]
-        else:
-            if expected:
-                received = [array for array, _ in self.transport.recv_arrays()]
-            if outgoing:
-                self.transport.send_arrays(outgoing, self.ring)
+        incoming: "List[Tuple[np.ndarray, int]]" = []
+        if outgoing and expected:
+            incoming = self.transport.exchange_arrays(outgoing, self.ring)
+        elif outgoing:
+            self.transport.send_arrays(outgoing, self.ring)
+        elif expected:
+            incoming = self.transport.recv_arrays()
+        received = [array for array, _ in incoming]
         if len(received) != expected:
             raise ValueError(
                 f"party {self.party}: round frame carried {len(received)} "

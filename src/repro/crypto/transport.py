@@ -74,11 +74,12 @@ counters, so payload == manifest accounting stays exact on a shaped link.
 from __future__ import annotations
 
 import queue
+import select
 import socket
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -390,6 +391,10 @@ class Transport:
         #: (``None`` until the first one) — the liveness signal a
         #: supervising layer reads alongside ``heartbeat_frames_received``
         self.last_heartbeat_body: Optional[bytes] = None
+        #: ``None`` outside :meth:`exchange_array`/:meth:`exchange_arrays`;
+        #: inside, where the send half parks its frame for the receive half
+        #: to swap against the peer's
+        self._parked: Optional[List[bytes]] = None
 
     # -- frame layer (implemented by subclasses) ---------------------------- #
     def _send_frame(self, frame: bytes) -> None:
@@ -398,8 +403,33 @@ class Transport:
     def _recv_frame(self) -> bytes:
         raise NotImplementedError
 
+    def _exchange_frame(self, frame: bytes) -> bytes:
+        """Ship ``frame`` while receiving the peer's next frame (bytes-like).
+
+        The full-duplex primitive of a round in which both parties send:
+        both frames are in flight at once, so the round costs one link
+        traversal instead of two, and neither side's send may wait for the
+        other side's receive.
+        """
+        raise NotImplementedError
+
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
+
+    def _put_frame(self, frame: bytes) -> None:
+        """Hand one outgoing frame to the frame layer: shipped now, or —
+        inside an exchange — parked until the receive half takes it (the
+        sent counters advance on hand-over either way)."""
+        if self._parked is None:
+            self._send_frame(frame)
+        else:
+            self._parked.append(frame)
+
+    def _take_frame(self) -> bytes:
+        """The next incoming frame; swaps a parked outgoing frame for it."""
+        if self._parked:
+            return self._exchange_frame(self._parked.pop())
+        return self._recv_frame()
 
     def _recv_frame_expecting(self, expected: str) -> bytes:
         """Receive one frame, annotating connection loss with session context.
@@ -411,7 +441,7 @@ class Transport:
         received — enough to locate the failure in the fault schedule.
         """
         try:
-            return self._recv_frame()
+            return self._take_frame()
         except (FaultInjected, FrameTooLarge):
             # a scripted drop this endpoint injected itself already carries
             # its round index and direction; an oversized prefix keeps its
@@ -436,7 +466,7 @@ class Transport:
         """Ship one ndarray; returns the payload byte count put on the wire."""
         frame = encode_array(array, ring, element_bits)
         payload_bytes = _payload_length(frame)
-        self._send_frame(frame)
+        self._put_frame(frame)
         self.stats.frames_sent += 1
         self.stats.payload_bytes_sent += payload_bytes
         self.stats.overhead_bytes_sent += len(frame) - payload_bytes + _LEN_PREFIX.size
@@ -452,6 +482,21 @@ class Transport:
             len(frame) - payload_bytes + _LEN_PREFIX.size
         )
         return array, payload_bytes
+
+    def exchange_array(
+        self,
+        array: np.ndarray,
+        ring: FixedPointRing = DEFAULT_RING,
+        element_bits: int = 8,
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`send_array` and :meth:`recv_array` as one full-duplex
+        exchange (see :meth:`exchange_arrays`)."""
+        self._parked = []
+        try:
+            self.send_array(array, ring, element_bits)
+            return self.recv_array()
+        finally:
+            self._parked = None
 
     # -- round layer (multi-tensor coalesced frames) ------------------------- #
     def send_arrays(self, arrays, ring: FixedPointRing = DEFAULT_RING) -> int:
@@ -478,8 +523,10 @@ class Transport:
         # element width, dims) determines its own payload length, so the
         # receiver walks the concatenation — that is what makes a coalesced
         # round cheaper in overhead than N single-array frames.
-        frame = bytes([_ROUND_CODE]) + _LEN_PREFIX.pack(len(records)) + b"".join(records)
-        self._send_frame(frame)
+        # (one join: the records are copied into the frame exactly once)
+        head = bytes([_ROUND_CODE]) + _LEN_PREFIX.pack(len(records))
+        frame = b"".join([head, *records])
+        self._put_frame(frame)
         self.stats.frames_sent += 1
         self.stats.round_frames_sent += 1
         self.stats.round_arrays_sent += len(records)
@@ -522,6 +569,29 @@ class Transport:
         )
         return out
 
+    def exchange_arrays(
+        self, arrays, ring: FixedPointRing = DEFAULT_RING
+    ) -> "list[Tuple[np.ndarray, int]]":
+        """One full-duplex round: ship my round frame while receiving the
+        peer's; returns what :meth:`recv_arrays` returns.
+
+        Framing and accounting are exactly :meth:`send_arrays` followed by
+        :meth:`recv_arrays` — only the frame layer differs: the outgoing
+        frame is parked instead of sent and the receive swaps it against
+        the peer's through :meth:`_exchange_frame`, so the two frames cross
+        on the link and the round costs one link traversal, not two.  Both
+        parties must call this for the same round (they do: a round is
+        two-way for one party exactly when it is for the other).
+        """
+        # (plain try/finally here and in exchange_array: a generator-based
+        # context manager costs ~4 us per round on the small-frame hot path)
+        self._parked = []
+        try:
+            self.send_arrays(arrays, ring)
+            return self.recv_arrays()
+        finally:
+            self._parked = None
+
     # -- session layer (multi-message framing) ------------------------------ #
     def send_control(self, payload: bytes) -> None:
         """Ship one opaque control message (job header, sync, shutdown).
@@ -530,7 +600,7 @@ class Transport:
         manifest verification stays exact on a connection carrying many jobs.
         """
         frame = bytes([_CONTROL_CODE]) + payload
-        self._send_frame(frame)
+        self._put_frame(frame)
         self.stats.control_frames_sent += 1
         self.stats.control_bytes_sent += len(frame) + _LEN_PREFIX.size
 
@@ -642,6 +712,11 @@ class LoopbackTransport(Transport):
             raise ConnectionError("peer closed the connection mid-frame")
         return item
 
+    def _exchange_frame(self, frame: bytes) -> bytes:
+        # the queues are unbounded: a put never waits for the peer's get
+        self._send_frame(frame)
+        return self._recv_frame()
+
     def close(self) -> None:
         """Mirror a TCP close: the peer's next recv fails instead of hanging."""
         self._outbox.put(None)
@@ -658,7 +733,9 @@ class TcpTransport(Transport):
     frame, emulating a LAN/WAN link on localhost.  Deployed 2PC serving is
     dominated by round-trip time, so capacity planning (and the pool-scaling
     benchmark) exercises the runtime in that regime rather than the
-    unrealistically fast loopback one.
+    unrealistically fast loopback one.  The link is full duplex: an exchange
+    (:meth:`_exchange_frame`) delays both parties' frames concurrently, so
+    it costs one ``link_latency``, like a one-way frame.
     """
 
     def __init__(
@@ -669,8 +746,11 @@ class TcpTransport(Transport):
     ) -> None:
         super().__init__()
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(timeout)
+        sock.setblocking(False)  # all I/O runs in the select loop of _transfer
         self._sock = sock
+        #: seconds a send or receive may make no progress before it raises
+        #: :class:`TimeoutError` (``None``: wait forever)
+        self.timeout: Optional[float] = timeout
         self.link_latency = link_latency
 
     # -- connection establishment ------------------------------------------- #
@@ -718,27 +798,90 @@ class TcpTransport(Transport):
 
     # -- frame layer --------------------------------------------------------- #
     def _send_frame(self, frame: bytes) -> None:
-        if self.link_latency > 0.0:
-            time.sleep(self.link_latency)
-        self._sock.sendall(_LEN_PREFIX.pack(len(frame)) + frame)
+        self._transfer(frame, receive=False)
 
-    def _recv_exact(self, num_bytes: int) -> bytes:
-        chunks = []
-        remaining = num_bytes
-        while remaining:
-            chunk = self._sock.recv(min(remaining, 1 << 20))
-            if not chunk:
-                raise ConnectionError(
-                    f"peer closed the connection mid-frame "
-                    f"({num_bytes - remaining}/{num_bytes} bytes of the "
-                    f"current read arrived)"
+    def _recv_frame(self) -> bytearray:
+        return self._transfer(None, receive=True)
+
+    def _exchange_frame(self, frame: bytes) -> bytearray:
+        return self._transfer(frame, receive=True)
+
+    def _transfer(
+        self, frame: Optional[bytes], receive: bool
+    ) -> Optional[bytearray]:
+        """Ship ``frame`` (if any) and, with ``receive``, collect and return
+        the peer's next frame — both at once when both are asked for.
+
+        The one I/O loop of the socket, single-threaded and non-blocking:
+        each pass moves whatever either direction can move and sleeps in
+        ``select`` only when neither can, so two peers each pushing a frame
+        larger than the socket buffers drain each other instead of
+        deadlocking in ``sendall``.  The prefix and the frame go out as a
+        buffer list (no ``prefix + frame`` copy).  A wait that makes no
+        progress for ``timeout`` seconds raises :class:`TimeoutError`.
+        """
+        outgoing: List[memoryview] = []
+        if frame is not None:
+            if len(frame) > MAX_FRAME_BYTES:
+                # the peer would kill the session on the prefix; fail here,
+                # before a byte leaves (>= 4 GiB cannot even be packed)
+                raise FrameTooLarge(
+                    f"refusing to send a {len(frame)}-byte frame; "
+                    f"the limit is {MAX_FRAME_BYTES}"
                 )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
-    def _recv_frame(self) -> bytes:
-        return self._recv_exact(frame_length(self._recv_exact(_LEN_PREFIX.size)))
+            if self.link_latency > 0.0:
+                time.sleep(self.link_latency)
+            outgoing = [memoryview(_LEN_PREFIX.pack(len(frame))), memoryview(frame)]
+        sock = self._sock
+        # the receive side reads the 4-byte prefix first, then the body
+        incoming = memoryview(bytearray(_LEN_PREFIX.size))
+        reply: Optional[bytearray] = None
+        filled = 0
+        while outgoing or receive:
+            progressed = False
+            if outgoing:
+                try:
+                    sent = sock.sendmsg(outgoing)
+                except BlockingIOError:
+                    sent = 0
+                progressed = sent > 0
+                _drop_sent(outgoing, sent)
+            if receive:
+                try:
+                    count = sock.recv_into(incoming[filled:])
+                except BlockingIOError:
+                    count = None
+                if count == 0:
+                    raise ConnectionError(
+                        f"peer closed the connection mid-frame "
+                        f"({filled}/{len(incoming)} bytes of the current "
+                        f"read arrived)"
+                    )
+                if count:
+                    progressed = True
+                    filled += count
+                    if filled == len(incoming) and reply is None:
+                        # frame_length rejects a hostile prefix before
+                        # anything is allocated for it
+                        reply = bytearray(frame_length(incoming))
+                        incoming, filled = memoryview(reply), 0
+                    if reply is not None and filled == len(reply):
+                        receive = False
+            if not progressed:
+                ready = select.select(
+                    [sock] if receive else [],
+                    [sock] if outgoing else [],
+                    [],
+                    self.timeout,
+                )
+                if not ready[0] and not ready[1]:
+                    raise TimeoutError(
+                        f"party link made no progress for {self.timeout}s "
+                        f"({filled}/{len(incoming)} bytes of the current "
+                        f"read arrived, {sum(map(len, outgoing))} bytes "
+                        f"still to send)"
+                    )
+        return reply
 
     def close(self) -> None:
         try:
@@ -746,6 +889,17 @@ class TcpTransport(Transport):
         except OSError:
             pass
         self._sock.close()
+
+
+def _drop_sent(buffers: List[memoryview], sent: int) -> None:
+    """Remove the first ``sent`` bytes from a buffer list, in place."""
+    while sent:
+        head = buffers[0]
+        if sent < len(head):
+            buffers[0] = head[sent:]
+            return
+        sent -= len(head)
+        del buffers[0]
 
 
 class TcpListener:
@@ -912,14 +1066,23 @@ class ShapedTransport(Transport):
             delay += frame_bytes / plan.bandwidth_bytes_per_s
         return delay
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _shape(self, frame: bytes) -> None:
         delay = self._shaping_delay_s(len(frame))
         if delay > 0.0:
             time.sleep(delay)
+
+    def _send_frame(self, frame: bytes) -> None:
+        self._shape(frame)
         self.inner._send_frame(frame)
 
     def _recv_frame(self) -> bytes:
         return self.inner._recv_frame()
+
+    def _exchange_frame(self, frame: bytes) -> bytes:
+        # full duplex: the peer shapes its frame concurrently, so the
+        # exchange pays the one-way delay once
+        self._shape(frame)
+        return self.inner._exchange_frame(frame)
 
     def close(self) -> None:
         self.inner.close()
@@ -938,7 +1101,11 @@ class FaultyTransport(ShapedTransport):
     it); recv-side faults fire after the bytes arrive but before they are
     delivered (the frame is lost in flight).  Both close the underlying
     connection first, so the peer observes a genuine connection loss and
-    both parties abort the job rather than deadlocking.
+    both parties abort the job rather than deadlocking.  The hooks sit on
+    :meth:`Transport._put_frame` / :meth:`Transport._take_frame`, so in a
+    full-duplex exchange the send-side fault fires before the exchange and
+    the recv-side fault after it, at the same per-direction indices as on
+    one-way frames.
     """
 
     def __init__(self, inner: Transport, plan: FaultPlan) -> None:
@@ -978,13 +1145,13 @@ class FaultyTransport(ShapedTransport):
                 f"{plan.max_drops} of the plan)"
             )
 
-    def _send_frame(self, frame: bytes) -> None:
+    def _put_frame(self, frame: bytes) -> None:
         if frame and frame[0] == _ROUND_CODE:
             self._run_scripted_faults("send")
-        super()._send_frame(frame)
+        super()._put_frame(frame)
 
-    def _recv_frame(self) -> bytes:
-        frame = super()._recv_frame()
+    def _take_frame(self) -> bytes:
+        frame = super()._take_frame()
         if frame and frame[0] == _ROUND_CODE:
             self._run_scripted_faults("recv")
         return frame

@@ -233,7 +233,7 @@ class FactoryServer:
                 continue
             # The short timeout above only bounds accept() so the loop can
             # notice close(); sessions themselves block indefinitely.
-            transport._sock.settimeout(None)
+            transport.timeout = None
             thread = threading.Thread(
                 target=self._serve_session,
                 args=(transport,),

@@ -36,10 +36,14 @@ Invariants (relied on by the persistent server and the serving pool):
    SPMD program carry zero-filled garbage that is never consumed and never
    put on the wire (``RandomnessPool.restrict_to_party`` enforces this for
    the dealer material);
-2. **canonical-order exchange** — party 0 sends first, party 1 receives
-   first, and both parties log the full conversation in that order, so the
-   two logs are identical to each other and to the simulated channel's,
-   and the transport needs no concurrent send/receive to be deadlock-free;
+2. **canonical log, full-duplex wire** — both parties log the full
+   conversation in one canonical order (party 0's message of a round
+   first), so the two logs are identical to each other and to the
+   simulated channel's; on the wire a round in which both parties send is
+   a single full-duplex exchange (``Transport.exchange_arrays``: the two
+   frames cross on the link, one link traversal per round), and a
+   one-directional round is a plain send on one side and a receive on the
+   other;
 3. **payload == manifest** — after every execution, logged bytes, logged
    rounds and per-direction on-wire payload bytes must equal the compiled
    plan's static prediction exactly; a deviation is an error, not a

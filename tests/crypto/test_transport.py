@@ -9,10 +9,16 @@ communication log as the single-process simulated channel.
 
 from __future__ import annotations
 
+import socket
+import struct
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import repro.crypto.transport as transport_module
 
 from repro.crypto.channel import Channel, PartyChannel
 from repro.crypto.context import TwoPartyContext, make_context
@@ -23,8 +29,10 @@ from repro.crypto.transport import (
     FaultInjected,
     FaultPlan,
     FaultyTransport,
+    FrameTooLarge,
     LoopbackTransport,
     ShapedTransport,
+    TcpListener,
     TcpTransport,
     decode_array,
     encode_array,
@@ -835,3 +843,325 @@ class TestHeartbeatFrames:
         delta = a.stats.since(base)
         assert delta.heartbeat_frames_sent == 1
         assert delta.heartbeat_frames_received == 0
+
+
+def _tcp_pair(timeout: float = 10.0, link_latency: float = 0.0):
+    """Two connected TcpTransports in this process (party 0, party 1)."""
+    with TcpListener() as listener:
+        client = TcpTransport.connect(
+            "127.0.0.1", listener.port, timeout=timeout, link_latency=link_latency
+        )
+        server = listener.accept(timeout=timeout, link_latency=link_latency)
+    return server, client
+
+
+def _in_threads(*calls, timeout: float = 60.0):
+    """Run the calls concurrently; returns their results, re-raising errors."""
+    results, errors = {}, {}
+
+    def run(index, call):
+        try:
+            results[index] = call()
+        except BaseException as exc:  # surfaced via the assertion below
+            errors[index] = exc
+
+    threads = [
+        threading.Thread(target=run, args=(index, call), daemon=True)
+        for index, call in enumerate(calls)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=timeout)
+    assert not any(thread.is_alive() for thread in threads), "exchange hung"
+    assert not errors, errors
+    return [results[index] for index in range(len(calls))]
+
+
+def _round_frame_bytes(arrays) -> bytes:
+    """The on-wire bytes (length prefix included) of one round frame."""
+    a, b = LoopbackTransport.pair()
+    a.send_arrays(arrays, DEFAULT_RING)
+    frame = b._inbox.get()
+    return struct.pack("<I", len(frame)) + frame
+
+
+class _RawPeer:
+    """A raw socket peer: ships scripted bytes, then half-closes and drains
+    whatever the transport under test sends until that side closes."""
+
+    def __init__(self, payload: bytes, hold_open: bool = False) -> None:
+        self._listener = socket.socket()
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind(("127.0.0.1", 0))
+        self._listener.listen(1)
+        self.port = self._listener.getsockname()[1]
+        self._payload = payload
+        self._hold_open = hold_open
+        self._release = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
+        conn, _ = self._listener.accept()
+        self._listener.close()
+        with conn:
+            conn.sendall(self._payload)
+            if self._hold_open:  # a silent peer: neither reads nor closes
+                self._release.wait(timeout=30)
+                return
+            conn.shutdown(socket.SHUT_WR)
+            while conn.recv(1 << 16):
+                pass
+
+    def finish(self) -> None:
+        self._release.set()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+class TestFullDuplexExchange:
+    """``exchange_array(s)`` / ``_exchange_frame``: both frames in flight."""
+
+    ARRAYS_A = [np.arange(6, dtype=np.uint64), (np.array([1, 0, 1], dtype=np.uint8), 1)]
+    ARRAYS_B = [np.arange(4, dtype=np.uint64) + 7]
+
+    def test_exchange_accounting_equals_send_then_recv(self):
+        """Same frames, same WireStats: only the frame layer differs."""
+        a, b = LoopbackTransport.pair()
+        b.send_arrays(self.ARRAYS_B, DEFAULT_RING)  # already queued for a
+        received = a.exchange_arrays(self.ARRAYS_A, DEFAULT_RING)
+        np.testing.assert_array_equal(received[0][0], self.ARRAYS_B[0])
+        assert [len(r) for r in b.recv_arrays()] == [2, 2]
+
+        ref_a, ref_b = LoopbackTransport.pair()
+        ref_a.send_arrays(self.ARRAYS_A, DEFAULT_RING)
+        ref_b.send_arrays(self.ARRAYS_B, DEFAULT_RING)
+        ref_a.recv_arrays()
+        ref_b.recv_arrays()
+        assert a.stats == ref_a.stats
+        assert b.stats == ref_b.stats
+
+    def test_exchange_array_swaps_single_array_frames(self):
+        a, b = LoopbackTransport.pair()
+        b.send_array(np.arange(3, dtype=np.uint64), DEFAULT_RING)
+        theirs, payload_bytes = a.exchange_array(np.arange(5, dtype=np.uint64), DEFAULT_RING)
+        np.testing.assert_array_equal(theirs, np.arange(3, dtype=np.uint64))
+        assert payload_bytes == 24
+        np.testing.assert_array_equal(b.recv_array()[0], np.arange(5, dtype=np.uint64))
+        assert a.stats.round_frames_sent == 0 and a.stats.frames_sent == 1
+
+    def test_send_arrays_overrides_still_see_exchanged_rounds(self):
+        """A subclass that observes ``send_arrays`` (the e2e benchmark's
+        frame recorder does) sees two-way rounds too."""
+        seen = []
+
+        class Recording(ShapedTransport):
+            def send_arrays(self, arrays, ring=DEFAULT_RING):
+                arrays = list(arrays)
+                seen.append(len(arrays))
+                return super().send_arrays(arrays, ring)
+
+        a, b = LoopbackTransport.pair()
+        recording = Recording(a, FaultPlan())
+        b.send_arrays(self.ARRAYS_B, DEFAULT_RING)
+        recording.exchange_arrays(self.ARRAYS_A, DEFAULT_RING)
+        assert seen == [2]
+        assert recording.stats.round_frames_sent == 1
+
+    def test_tcp_exchange_round_trips_arrays(self):
+        server, client = _tcp_pair()
+        try:
+            got_server, got_client = _in_threads(
+                lambda: server.exchange_arrays(self.ARRAYS_A, DEFAULT_RING),
+                lambda: client.exchange_arrays(self.ARRAYS_B, DEFAULT_RING),
+            )
+        finally:
+            server.close()
+            client.close()
+        np.testing.assert_array_equal(got_server[0][0], self.ARRAYS_B[0])
+        np.testing.assert_array_equal(got_client[0][0], self.ARRAYS_A[0])
+        np.testing.assert_array_equal(got_client[1][0], self.ARRAYS_A[1][0])
+        assert server.stats.payload_bytes_sent == client.stats.payload_bytes_received
+        assert client.stats.payload_bytes_sent == server.stats.payload_bytes_received
+
+    def test_simultaneous_32mib_frames_complete(self):
+        """Both peers push a frame far beyond the socket buffers at once:
+        send-then-receive on both sides would deadlock in ``sendall``; the
+        duplex loop drains the peer while it sends."""
+        server, client = _tcp_pair(timeout=30.0)
+        size = 32 * 1024 * 1024
+        buffers = sum(
+            server._sock.getsockopt(socket.SOL_SOCKET, option)
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF)
+        )
+        assert size > 2 * buffers
+        frame_a = bytes([1]) * size
+        frame_b = bytes([2]) * size
+        try:
+            got_server, got_client = _in_threads(
+                lambda: server._exchange_frame(frame_a),
+                lambda: client._exchange_frame(frame_b),
+            )
+        finally:
+            server.close()
+            client.close()
+        assert got_server == frame_b
+        assert got_client == frame_a
+
+    def test_peer_closing_mid_exchange_names_the_round_index(self):
+        arrays = [np.arange(4, dtype=np.uint64)]
+        whole = _round_frame_bytes(arrays)
+        truncated = struct.pack("<I", 100) + b"\xfe" + b"x" * 9
+        peer = _RawPeer(whole + truncated)
+        client = TcpTransport.connect("127.0.0.1", peer.port, timeout=10.0)
+        try:
+            client.exchange_arrays(arrays, DEFAULT_RING)  # round 0 completes
+            with pytest.raises(ConnectionError) as excinfo:
+                client.exchange_arrays(arrays, DEFAULT_RING)
+        finally:
+            client.close()
+            peer.finish()
+        message = str(excinfo.value)
+        assert "round frame 1" in message
+        assert "round index 1" in message
+        assert "mid-frame" in message
+        assert "10/100" in message
+
+    def test_hostile_prefix_inside_an_exchange_is_rejected_before_allocating(self):
+        peer = _RawPeer(struct.pack("<I", 0xFFFFFFFF))
+        client = TcpTransport.connect("127.0.0.1", peer.port, timeout=10.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameTooLarge, match="4294967295"):
+                client.exchange_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            client.close()
+            peer.finish()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "frame_bytes", [64, 16 * 1024 * 1024], ids=["awaiting-reply", "send-blocked"]
+    )
+    def test_silent_peer_times_out_within_the_transport_timeout(self, frame_bytes):
+        """Neither a peer that never answers nor one that never reads may
+        hang the exchange past ``timeout``."""
+        peer = _RawPeer(b"", hold_open=True)
+        client = TcpTransport.connect("127.0.0.1", peer.port, timeout=0.3)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TimeoutError):
+                client._exchange_frame(bytes(frame_bytes))
+            elapsed = time.perf_counter() - start
+        finally:
+            client.close()
+            peer.finish()
+        assert 0.25 <= elapsed < 3.0
+
+    def test_link_latency_is_paid_once_per_exchange(self):
+        server, client = _tcp_pair(link_latency=0.05)
+        arrays = [np.arange(4, dtype=np.uint64)]
+        start = time.perf_counter()
+        try:
+            _in_threads(
+                lambda: server.exchange_arrays(arrays, DEFAULT_RING),
+                lambda: client.exchange_arrays(arrays, DEFAULT_RING),
+            )
+            elapsed = time.perf_counter() - start
+        finally:
+            server.close()
+            client.close()
+        assert 0.05 <= elapsed < 0.09  # one traversal, not two
+
+    def test_shaped_exchange_sleeps_its_delay_once(self):
+        ends = LoopbackTransport.pair()
+        shaped = [ShapedTransport(end, FaultPlan(latency_ms=50.0)) for end in ends]
+        arrays = [np.arange(4, dtype=np.uint64)]
+        start = time.perf_counter()
+        _in_threads(
+            lambda: shaped[0].exchange_arrays(arrays, DEFAULT_RING),
+            lambda: shaped[1].exchange_arrays(arrays, DEFAULT_RING),
+        )
+        elapsed = time.perf_counter() - start
+        assert 0.05 <= elapsed < 0.09
+
+
+class TestSenderSideFrameLimit:
+    """An oversized frame is refused before a byte leaves, not shipped for
+    the peer to kill the session on."""
+
+    @pytest.mark.parametrize("duplex", [False, True], ids=["one-way", "exchange"])
+    def test_oversized_frame_raises_on_the_sending_side(self, monkeypatch, duplex):
+        monkeypatch.setattr(transport_module, "MAX_FRAME_BYTES", 64)
+        server, client = _tcp_pair(timeout=5.0)
+        big = [np.arange(100, dtype=np.uint64)]
+        try:
+            with pytest.raises(FrameTooLarge, match="refusing to send"):
+                if duplex:
+                    client.exchange_arrays(big, DEFAULT_RING)
+                else:
+                    client.send_arrays(big, DEFAULT_RING)
+            # nothing leaked onto the stream: the next frame the peer sees
+            # is the control message sent afterwards
+            client.send_control(b"still-aligned")
+            assert server.recv_control() == b"still-aligned"
+        finally:
+            server.close()
+            client.close()
+
+
+class TestFaultsOnExchangedRounds:
+    """Scripted faults index exchanged rounds by the same per-direction
+    counters as one-way frames: send-side before the exchange, recv-side
+    after it."""
+
+    ARRAYS = [np.arange(4, dtype=np.uint64)]
+
+    def _one_way_to(self, sender, receiver):
+        sender.send_arrays(self.ARRAYS, DEFAULT_RING)
+        return receiver.recv_arrays()
+
+    def test_send_side_drop_fires_before_the_exchange(self):
+        a, b = LoopbackTransport.pair()
+        faulty = FaultyTransport(a, FaultPlan(drop_at_round=1))
+        self._one_way_to(b, faulty)  # a receive does not advance the send index
+        b.send_arrays(self.ARRAYS, DEFAULT_RING)
+        faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)  # send round 0
+        b.recv_arrays()
+        b.send_arrays(self.ARRAYS, DEFAULT_RING)
+        with pytest.raises(FaultInjected, match=r"round 1 \(send direction"):
+            faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)
+        assert faulty.stats.faults_injected == 1
+        assert faulty.stats.round_frames_sent == 1  # the frame never left
+        with pytest.raises(ConnectionError, match="round frame 1"):
+            b.recv_arrays()
+
+    def test_recv_side_drop_fires_after_the_exchange(self):
+        a, b = LoopbackTransport.pair()
+        faulty = FaultyTransport(
+            a, FaultPlan(drop_at_round=1, drop_direction="recv")
+        )
+        self._one_way_to(faulty, b)  # a send does not advance the recv index
+        self._one_way_to(b, faulty)  # recv round 0
+        b.send_arrays(self.ARRAYS, DEFAULT_RING)
+        with pytest.raises(FaultInjected, match=r"round 1 \(recv direction"):
+            faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)
+        assert faulty.stats.faults_injected == 1
+        assert faulty.stats.round_frames_sent == 2  # my half of the round left
+        assert len(b.recv_arrays()) == 1
+        with pytest.raises(ConnectionError):
+            b.recv_arrays()
+
+    def test_stall_on_an_exchanged_round_fires_once_per_configured_direction(self):
+        a, b = LoopbackTransport.pair()
+        faulty = FaultyTransport(
+            a,
+            FaultPlan(stall_at_round=0, stall_ms=20.0, stall_direction="both"),
+        )
+        for _ in range(2):
+            b.send_arrays(self.ARRAYS, DEFAULT_RING)
+            faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)
+        assert faulty.stats.stalls_injected == 2  # send index 0 + recv index 0
+        assert faulty.stats.faults_injected == 0
