@@ -1,13 +1,11 @@
 """Throughput scaling of the sharded serving pool vs. shard count.
 
-Three serving tiers are measured on the same query stream:
+Two serving tiers are measured on the same query stream:
 
 1. **sequential** — the PR-2 baseline: one batch-1 in-process plan
    execution per query (pools pre-provisioned);
-2. **batched-1worker** — the PR-2 batched frontend: one in-process worker
-   consuming coalesced batches;
-3. **pool-N** — the sharded pool: N persistent two-process worker pairs
-   behind the same coalescing frontend, jobs routed to idle shards.
+2. **pool-N** — the sharded pool: N persistent two-process worker pairs
+   behind the coalescing frontend, jobs routed to idle shards.
 
 The pool runs with a simulated inter-party ``--link-latency-ms`` (default
 5 ms one-way, a same-region LAN/WAN figure) because deployed 2PC serving is
@@ -52,7 +50,6 @@ from repro.models import build_model, export_layer_weights, get_backbone
 from repro.nn.tensor import Tensor
 from repro.serve import (
     BackpressureError,
-    BatchingFrontend,
     DaemonClient,
     ServableModel,
     ServingDaemon,
@@ -196,7 +193,7 @@ def run_benchmark(
     if not skip_zoo_check:
         zoo_check = verify_zoo_bit_identity(input_size, seed)
 
-    # -- PR-2 baseline 1: sequential batch-1 in-process executions ----------- #
+    # -- PR-2 baseline: sequential batch-1 in-process executions ----------- #
     engine = SecureInferenceEngine(make_context(seed=seed))
     plan1 = engine.compile(spec, batch_size=1)
     pools = [engine.preprocess(plan1) for _ in range(num_queries)]  # offline
@@ -214,28 +211,6 @@ def run_benchmark(
             "p95_latency_ms": 1e3 * float(np.percentile(latencies, 95)),
             "total_seconds": seq_seconds,
         }
-    }
-
-    # -- PR-2 baseline 2: single in-process worker behind the frontend ------- #
-    with BatchingFrontend(
-        models,
-        max_batch=max_batch,
-        max_wait=max_wait,
-        provision_pools=max(num_queries // max_batch + 1, 1),
-        seed=seed,
-    ) as frontend:
-        t0 = time.perf_counter()
-        futures = frontend.submit_many(model, queries)
-        for future in futures:
-            future.result(timeout=600)
-        total = time.perf_counter() - t0
-        stats = frontend.stats.snapshot()
-    paths["batched-1worker"] = {
-        "queries_per_second": num_queries / total,
-        "p50_latency_ms": stats["p50_latency_ms"],
-        "p95_latency_ms": stats["p95_latency_ms"],
-        "total_seconds": total,
-        "mean_batch_size": stats["mean_batch_size"],
     }
 
     # -- the sharded pool at each shard count --------------------------------- #

@@ -79,14 +79,11 @@ def main() -> None:
         report = result.reports[party]
         predicted = predicted_direction_bytes(plan, party)
         print(f"  party {party}: sent {report.payload_bytes_sent} payload bytes "
-              f"(predicted {predicted}), {report.frames_sent} frames, "
+              f"(predicted {predicted}), "
               f"online {1e3 * report.online_seconds:.1f} ms, "
-              f"offline {1e3 * report.offline_seconds:.1f} ms, "
               f"local compute {report.cpu_time_ns / 1e6:.1f} ms cpu")
     print(f"fused local compute: {result.fused_kernel_calls} kernel calls, "
           f"{result.cpu_time_ns / 1e6:.1f} ms cpu (max over parties)")
-    print(f"framing overhead: {result.framing_overhead_bytes} bytes "
-          f"({100 * result.framing_overhead_bytes / max(result.wire_bytes_on_wire, 1):.2f}% of wire traffic)")
     print(f"rounds: {result.online_rounds} (predicted {plan.online_rounds}, "
           f"sequential would be {plan.legacy_online_rounds})")
     rounds_per_drelu = drelu_trace((1,), engine.ctx.ring).scheduled_rounds
@@ -98,9 +95,8 @@ def main() -> None:
         raise SystemExit("two-process execution diverged from the reference")
 
     if args.json_path:
-        # ``serving-bench/v1``: the schema shared with bench_pool_scaling /
-        # bench_serving_throughput so dashboards can ingest either benchmark
-        # uniformly (documented in docs/serving.md).
+        # ``serving-bench/v1``: the schema shared with bench_pool_scaling so
+        # dashboards can ingest either uniformly (documented in docs/serving.md).
         payload = {
             "schema": "serving-bench/v1",
             "kind": "two_process_inference",
@@ -117,8 +113,6 @@ def main() -> None:
             "payload_bytes_on_wire": result.payload_bytes_on_wire,
             "unpacked_payload_bytes": result.unpacked_payload_bytes,
             "bytes_saved_pct": result.bytes_saved_pct,
-            "wire_bytes_on_wire": result.wire_bytes_on_wire,
-            "framing_overhead_bytes": result.framing_overhead_bytes,
             "online_rounds": result.online_rounds,
             "rounds_per_drelu": rounds_per_drelu,
             "cpu_time_ns": result.cpu_time_ns,
@@ -133,14 +127,12 @@ def main() -> None:
             },
             "workers": [
                 {
-                    "shard": None,  # one-shot runtime: no shard pool
+                    "shard": 0,  # the one shard booted for this session
                     "party": party,
                     "role": "party-worker",
                     "jobs_executed": 1,
                     "online_seconds": result.reports[party].online_seconds,
-                    "offline_seconds": result.reports[party].offline_seconds,
                     "payload_bytes_sent": result.reports[party].payload_bytes_sent,
-                    "frames_sent": result.reports[party].frames_sent,
                     "cpu_time_ns": result.reports[party].cpu_time_ns,
                 }
                 for party in (0, 1)
@@ -149,9 +141,7 @@ def main() -> None:
             "per_party": {
                 str(party): {
                     "payload_bytes_sent": result.reports[party].payload_bytes_sent,
-                    "frames_sent": result.reports[party].frames_sent,
                     "online_seconds": result.reports[party].online_seconds,
-                    "offline_seconds": result.reports[party].offline_seconds,
                     "cpu_time_ns": result.reports[party].cpu_time_ns,
                     "fused_kernel_calls": result.reports[party].fused_kernel_calls,
                 }

@@ -110,29 +110,6 @@ CODEC_STATS = {"fast_path_encodes": 0, "copied_encodes": 0}
 #: than by a dropped connection.
 SHUTDOWN_PAYLOAD = b"\x00__2pc_session_shutdown__"
 
-#: control-payload prefix of the **heartbeat** frame kind: a liveness-only
-#: session message carrying an optional opaque body (typically a small JSON
-#: blob with a timestamp).  Heartbeats are *transparent* to the session
-#: layer — :meth:`Transport.recv_control` skips and counts them, so a
-#: supervised endpoint can interleave liveness frames with job headers
-#: without desynchronizing the peer.  The serving daemon reuses the same
-#: frame kind on its client connections (same codec, same magic).
-HEARTBEAT_MAGIC = b"\x00__2pc_heartbeat__"
-
-
-def heartbeat_payload(body: bytes = b"") -> bytes:
-    """The control payload of one heartbeat frame (magic + opaque body)."""
-    return HEARTBEAT_MAGIC + body
-
-
-def is_heartbeat_payload(payload: bytes) -> bool:
-    """True when a control payload is a liveness frame, not session data."""
-    return payload.startswith(HEARTBEAT_MAGIC)
-
-
-def heartbeat_body(payload: bytes) -> bytes:
-    """The opaque body a heartbeat payload carries (may be empty)."""
-    return payload[len(HEARTBEAT_MAGIC):]
 _DTYPE_CODES = {
     1: np.dtype("uint8"),
     2: np.dtype("<u4"),
@@ -346,11 +323,6 @@ class WireStats:
     #: manifest stays exact even on a faulted link.
     faults_injected: int = 0
     stalls_injected: int = 0
-    #: liveness (heartbeat) control frames — counted inside the control
-    #: frame/byte totals too, so the wire-byte sum stays exact; these
-    #: counters exist so supervision traffic is separable from session data
-    heartbeat_frames_sent: int = 0
-    heartbeat_frames_received: int = 0
 
     @property
     def wire_bytes_sent(self) -> int:
@@ -387,10 +359,6 @@ class Transport:
 
     def __init__(self) -> None:
         self.stats = WireStats()
-        #: body of the most recent heartbeat frame this endpoint received
-        #: (``None`` until the first one) — the liveness signal a
-        #: supervising layer reads alongside ``heartbeat_frames_received``
-        self.last_heartbeat_body: Optional[bytes] = None
         #: ``None`` outside :meth:`exchange_array`/:meth:`exchange_arrays`;
         #: inside, where the send half parks its frame for the receive half
         #: to swap against the peer's
@@ -607,36 +575,21 @@ class Transport:
     def recv_control(self) -> Optional[bytes]:
         """Receive one control message; ``None`` means graceful shutdown.
 
-        Heartbeat frames (see :data:`HEARTBEAT_MAGIC`) are transparent:
-        they are counted, their body is stashed in
-        :attr:`last_heartbeat_body`, and the receive loop keeps waiting for
-        the next *session* control message — so a supervised peer can
-        interleave liveness frames freely.  Raises if an array frame
-        arrives instead — the session layers of the two endpoints must
-        agree on the frame sequence.
+        Raises if an array frame arrives instead — the session layers of
+        the two endpoints must agree on the frame sequence.
         """
-        while True:
-            frame = self._recv_frame_expecting("a control frame")
-            if not frame or frame[0] != _CONTROL_CODE:
-                raise ValueError(
-                    "received an array frame where a control frame was expected — "
-                    "the session layers of the two endpoints are out of sync"
-                )
-            self.stats.control_frames_received += 1
-            self.stats.control_bytes_received += len(frame) + _LEN_PREFIX.size
-            payload = frame[1:]
-            if is_heartbeat_payload(payload):
-                self.stats.heartbeat_frames_received += 1
-                self.last_heartbeat_body = heartbeat_body(payload)
-                continue
-            if payload == SHUTDOWN_PAYLOAD:
-                return None
-            return payload
-
-    def send_heartbeat(self, body: bytes = b"") -> None:
-        """Ship one liveness frame; the peer's ``recv_control`` skips it."""
-        self.send_control(heartbeat_payload(body))
-        self.stats.heartbeat_frames_sent += 1
+        frame = self._recv_frame_expecting("a control frame")
+        if not frame or frame[0] != _CONTROL_CODE:
+            raise ValueError(
+                "received an array frame where a control frame was expected — "
+                "the session layers of the two endpoints are out of sync"
+            )
+        self.stats.control_frames_received += 1
+        self.stats.control_bytes_received += len(frame) + _LEN_PREFIX.size
+        payload = frame[1:]
+        if payload == SHUTDOWN_PAYLOAD:
+            return None
+        return payload
 
     def send_shutdown(self) -> None:
         """Announce a graceful end of session to the peer."""

@@ -1,34 +1,35 @@
 """Networked two-party runtime: process-separated execution of compiled plans.
 
 :mod:`repro.runtime.party` runs one computing party (one share-world) against
-a transport; :mod:`repro.runtime.twoprocess` orchestrates a full two-OS-process
-private inference over localhost TCP and verifies the measured on-wire bytes
-against the plan's preprocessing manifest; :mod:`repro.runtime.server` keeps a
-party alive across requests — one long-lived process per party executing a
-stream of jobs over one persistent connection against pre-provisioned
-randomness pools.
+a transport; :mod:`repro.runtime.server` keeps a party alive across requests —
+one long-lived process per party executing a stream of jobs over one
+persistent connection against pre-provisioned randomness pools;
+:mod:`repro.runtime.messages` is the control-pipe vocabulary between such a
+server and its driver; :mod:`repro.runtime.shard` is that driver — the one
+place two party processes are spawned — and
+:mod:`repro.runtime.twoprocess` uses it for a single verified inference.
 """
 
-from repro.runtime.party import (
-    PartyExecution,
-    PartyJob,
-    PartyReport,
-    execute_plan_as_party,
-    run_party_worker,
-)
-from repro.runtime.server import (
+from repro.runtime.messages import (
     JobFailed,
     JobReport,
     JobRequest,
     JobValidationError,
-    PartyServer,
-    ProvisionReport,
-    ProvisionRequest,
+    RefillReport,
+    RefillRequest,
     ServerConfig,
     ServerStats,
     ShutdownRequest,
-    derive_job_seed,
-    run_party_server,
+)
+from repro.runtime.party import PartyExecution, execute_plan_as_party
+from repro.runtime.server import PartyServer, derive_job_seed, run_party_server
+from repro.runtime.shard import (
+    HeartbeatMiss,
+    JobTicket,
+    PoolBatchResult,
+    ShardFailure,
+    ShardStats,
+    WorkerShard,
 )
 from repro.runtime.twoprocess import (
     TwoProcessResult,
@@ -36,23 +37,26 @@ from repro.runtime.twoprocess import (
 )
 
 __all__ = [
+    "HeartbeatMiss",
     "JobFailed",
     "JobReport",
     "JobRequest",
+    "JobTicket",
     "JobValidationError",
     "PartyExecution",
-    "PartyJob",
-    "PartyReport",
     "PartyServer",
-    "ProvisionReport",
-    "ProvisionRequest",
+    "PoolBatchResult",
+    "RefillReport",
+    "RefillRequest",
     "ServerConfig",
     "ServerStats",
+    "ShardFailure",
+    "ShardStats",
     "ShutdownRequest",
+    "WorkerShard",
     "derive_job_seed",
     "execute_plan_as_party",
     "run_party_server",
-    "run_party_worker",
     "TwoProcessResult",
     "run_two_process_inference",
 ]

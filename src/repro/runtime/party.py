@@ -52,35 +52,17 @@ Invariants (relied on by the persistent server and the serving pool):
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
-from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import compile_plan
-from repro.crypto.ring import DEFAULT_RING, FixedPointRing
+from repro.crypto.dealer import RandomnessPool
+from repro.crypto.passes import ScheduledPlan
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import SharePair
-from repro.crypto.transport import TcpListener, TransportEndpoint, WireStats
-from repro.models.specs import ModelSpec
-
-
-@dataclass
-class PartyJob:
-    """Everything one party needs to join a two-process inference session."""
-
-    spec: ModelSpec
-    weights: Dict[str, Dict[str, np.ndarray]]
-    batch_size: int
-    seed: int
-    input_share: np.ndarray
-    ring: FixedPointRing = DEFAULT_RING
+from repro.crypto.transport import WireStats
 
 
 @dataclass
@@ -101,36 +83,6 @@ class PartyExecution:
     per_op_cpu_ns: Dict[str, int] = field(default_factory=dict)
     #: fused-kernel invocations of the online phase
     fused_kernel_calls: int = 0
-
-
-@dataclass
-class PartyReport:
-    """What a party worker sends back to the driver after a session."""
-
-    party: int
-    logit_share: np.ndarray
-    communication_bytes: int
-    communication_rounds: int
-    per_layer_bytes: Dict[str, int]
-    payload_bytes_sent: int
-    payload_bytes_received: int
-    wire_bytes_sent: int
-    wire_bytes_received: int
-    frames_sent: int
-    offline_seconds: float
-    online_seconds: float
-    pool_served: int
-    #: unpacked (frame format v1) equivalent of ``communication_bytes``
-    unpacked_payload_bytes: int = 0
-    #: local-compute time of the online phase (wire waits excluded)
-    cpu_time_ns: int = 0
-    #: fused-kernel invocations of the session
-    fused_kernel_calls: int = 0
-
-    @property
-    def bytes_saved_pct(self) -> float:
-        """Percent of payload the packed wire format saved this session."""
-        return _bytes_saved_pct(self.communication_bytes, self.unpacked_payload_bytes)
 
 
 def predicted_direction_bytes(plan: ScheduledPlan, sender: int) -> int:
@@ -237,92 +189,3 @@ def execute_plan_as_party(
         per_op_cpu_ns=profile["per_op_cpu_ns"],
         fused_kernel_calls=profile["fused_kernel_calls"],
     )
-
-
-def run_party_session(
-    job: PartyJob, endpoint: TransportEndpoint, verify: bool = True
-) -> PartyReport:
-    """Execute one inference session as the party given by ``endpoint``.
-
-    Establishes the inter-party connection, deterministically regenerates
-    the offline randomness from the shared session seed, restricts it to
-    this party's share-world, runs the online phase and (by default)
-    verifies the measured traffic against the plan manifest.
-    """
-    party = endpoint.party
-    transport = endpoint.open()
-    try:
-        channel = PartyChannel(transport, party, ring=job.ring)
-        ctx = TwoPartyContext(ring=job.ring, seed=job.seed, channel=channel)
-
-        offline_start = time.perf_counter()
-        plan = optimize_plan(
-            compile_plan(job.spec, batch_size=job.batch_size, ring=job.ring)
-        )
-        dealer = TrustedDealer(ring=job.ring, seed=job.seed)
-        pool = dealer.preprocess(plan).restrict_to_party(party)
-        offline_seconds = time.perf_counter() - offline_start
-
-        online_start = time.perf_counter()
-        execution = execute_plan_as_party(
-            ctx, party, plan, job.weights, job.input_share, pool=pool
-        )
-        online_seconds = time.perf_counter() - online_start
-
-        if verify:
-            verify_against_plan(plan, execution, transport.stats)
-        return PartyReport(
-            party=party,
-            logit_share=execution.logit_share,
-            communication_bytes=execution.communication_bytes,
-            communication_rounds=execution.communication_rounds,
-            per_layer_bytes=execution.per_layer_bytes,
-            payload_bytes_sent=transport.stats.payload_bytes_sent,
-            payload_bytes_received=transport.stats.payload_bytes_received,
-            wire_bytes_sent=transport.stats.wire_bytes_sent,
-            wire_bytes_received=transport.stats.wire_bytes_received,
-            frames_sent=transport.stats.frames_sent,
-            offline_seconds=offline_seconds,
-            online_seconds=online_seconds,
-            pool_served=pool.served,
-            unpacked_payload_bytes=execution.unpacked_bytes,
-            cpu_time_ns=execution.cpu_time_ns,
-            fused_kernel_calls=execution.fused_kernel_calls,
-        )
-    finally:
-        transport.close()
-
-
-def run_party_worker(conn, party: int, host: str, port: int, timeout: float = 120.0) -> None:
-    """Entry point for one party OS process (``multiprocessing.Process``).
-
-    Receives a :class:`PartyJob` over the driver's control pipe (the stand-in
-    for the client/dealer provisioning path — *not* part of the measured
-    inter-server traffic), runs the session over TCP, and sends back either a
-    :class:`PartyReport` or the exception that ended the session.
-
-    With ``port <= 0`` party 0 binds an ephemeral port itself and announces
-    the kernel-assigned port over the pipe (``("bound-port", port)``) before
-    accepting — the driver forwards it to party 1, so no free-then-bind race
-    exists end to end.
-    """
-    try:
-        job: PartyJob = conn.recv()
-        listener = None
-        if party == 0 and port <= 0:
-            listener = TcpListener(host=host, port=0)
-            conn.send(("bound-port", listener.port))
-            port = listener.port
-        endpoint = TransportEndpoint(
-            party=party, host=host, port=port, timeout=timeout, listener=listener
-        )
-        report = run_party_session(job, endpoint)
-        conn.send(report)
-    except Exception as exc:  # surface the failure to the driver, then re-raise
-        try:
-            conn.send(exc)
-        except Exception:
-            pass
-        raise
-    finally:
-        conn.close()

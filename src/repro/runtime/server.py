@@ -1,21 +1,21 @@
 """Persistent party server: one long-lived process per party, many jobs.
 
-The PR-2 runtime (:mod:`repro.runtime.twoprocess`) spawns two fresh OS
-processes and a fresh TCP connection *per inference* — correct, but every
-request pays process start-up, plan compilation, connection establishment
-and the whole offline phase.  This module keeps a party alive across
-requests:
+A party process stays alive across requests, so process start-up, plan
+compilation, connection establishment and the offline phase are paid once
+per shard rather than once per inference:
 
 - :func:`run_party_server` is the process entry point.  It opens the
   inter-party :class:`~repro.crypto.transport.Transport` **once**, then
   executes a stream of :class:`JobRequest` messages (received over the
-  driver's control pipe) against the persistent connection, answering each
-  with a :class:`JobReport`.
+  driver's control pipe, see :mod:`repro.runtime.messages`) against the
+  persistent connection, answering each with a :class:`JobReport`.
 - Correlated randomness is **pre-provisioned**: a background provisioner
   thread keeps a buffer of party-restricted
   :class:`~repro.crypto.dealer.RandomnessPool`\\ s per ``(model, batch)``
   key, refilled whenever it drops below a low-water mark, so the online
   path of a warm server performs zero dealer generation calls.
+  :class:`_PlanEntry` is the single per-``(model, batch)`` plan + pool
+  store of the whole stack.
 - Job seeds are **deterministic**: :func:`derive_job_seed` maps
   ``(base_seed, model, batch, counter)`` to the session seed, so the
   dispatcher (which secret-shares the query), both party servers (which
@@ -29,7 +29,7 @@ counter)`` and refuse to proceed on a mismatch, so a desynchronized
 dispatcher fails loudly instead of mixing share-worlds.  Control bytes are
 accounted separately from protocol payload, which keeps the per-job
 payload deltas equal to the plan manifest's prediction — verified after
-every job, exactly as in the one-shot runtime.
+every job.
 """
 
 from __future__ import annotations
@@ -50,23 +50,24 @@ from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
 from repro.crypto.passes import ScheduledPlan, optimize_plan
 from repro.crypto.plan import PreprocessingManifest, compile_plan
-from repro.crypto.ring import DEFAULT_RING, FixedPointRing
-from repro.crypto.transport import (
-    FaultPlan,
-    FaultyTransport,
-    TcpListener,
-    TransportEndpoint,
+from repro.crypto.transport import FaultyTransport, TcpListener, TransportEndpoint
+from repro.runtime.messages import (
+    Heartbeat,
+    JobFailed,
+    JobReport,
+    JobRequest,
+    JobValidationError,
+    RefillReport,
+    RefillRequest,
+    ServerConfig,
+    ServerStats,
+    ShutdownRequest,
 )
-from repro.models.specs import ModelSpec
-from repro.runtime.party import (
-    execute_plan_as_party,
-    verify_against_plan,
-)
+from repro.runtime.party import execute_plan_as_party, verify_against_plan
 
-#: buffered pools per (model, batch) key below which the provisioner refills
-DEFAULT_LOW_WATER = 1
-#: target buffer depth the provisioner refills up to
-DEFAULT_HIGH_WATER = 3
+#: job seeds party 0 announces ahead to the randomness factory on each
+#: refill, so the producer pre-generates bundles before the servers ask
+FACTORY_ANNOUNCE_AHEAD = 4
 
 
 def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -> int:
@@ -77,195 +78,6 @@ def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -
     """
     digest = zlib.crc32(f"{model}:{batch_size}:{counter}".encode("utf-8"))
     return (int(base_seed) * 1_000_003 + digest) % (2**31 - 1)
-
-
-# --------------------------------------------------------------------------- #
-# Control-pipe messages (driver <-> party server process)
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class ServerConfig:
-    """Everything a party server needs to boot, sent once over the pipe."""
-
-    base_seed: int
-    models: Dict[str, ModelSpec]
-    weights: Dict[str, Dict[str, Dict[str, np.ndarray]]]
-    warm_batch_sizes: Tuple[int, ...] = ()
-    provision_pools: int = 0
-    low_water: int = DEFAULT_LOW_WATER
-    high_water: int = DEFAULT_HIGH_WATER
-    ring: FixedPointRing = DEFAULT_RING
-    verify: bool = True
-    #: per-party link shaping / scripted fault schedules: the party's
-    #: transport is wrapped in a :class:`FaultyTransport` right after the
-    #: connection opens.  ``None`` (or a missing party key) means a clean
-    #: link.  Chaos tests and shaped-link benchmarks ride through here.
-    fault_plans: Optional[Dict[int, FaultPlan]] = None
-    #: (host, port) of a randomness-factory server.  When set, pool
-    #: provisioning *fetches* party-restricted buffers from the factory's
-    #: inventory instead of generating locally; any factory failure falls
-    #: back to local cold generation at the identical seed, so logits stay
-    #: bit-for-bit unchanged either way.
-    factory_address: Optional[Tuple[str, int]] = None
-    #: job seeds to announce ahead to the factory on each refill, so the
-    #: producer pre-generates bundles before the servers ask (0 = reactive)
-    factory_announce_ahead: int = 4
-    #: seconds between liveness frames the server emits over the driver's
-    #: control pipe (a background thread, so heartbeats keep flowing while a
-    #: job computes or waits on the wire).  ``0`` disables emission — the
-    #: driver then falls back to its hard pipe/timeout detection only.
-    heartbeat_interval: float = 1.0
-
-
-@dataclass
-class JobRequest:
-    """One inference job: executed by both parties in lock-step."""
-
-    job_id: int
-    model: str
-    batch_size: int
-    counter: int
-    input_share: np.ndarray
-    #: explicit session seed for deterministic replay.  ``None`` (the
-    #: normal path) derives the seed from the server's own base seed via
-    #: :func:`derive_job_seed`; a retry of a job that first ran on a dead
-    #: shard pins the original seed so the recovered logits stay
-    #: bit-identical to the fault-free run.
-    seed: Optional[int] = None
-
-
-class JobValidationError(ValueError):
-    """A job rejected *before* any frame crossed the wire.
-
-    Validation runs on deterministic inputs (both parties hold identically
-    shaped shares and the same model registry), so both parties reject the
-    same jobs — the session stays in sync and the server keeps serving.
-    """
-
-
-@dataclass
-class JobFailed:
-    """Job-scoped failure reply: the job was rejected, the server lives on."""
-
-    job_id: int
-    error: str
-
-
-@dataclass
-class JobReport:
-    """A party's answer to one :class:`JobRequest`."""
-
-    job_id: int
-    party: int
-    logit_share: np.ndarray
-    communication_bytes: int
-    communication_rounds: int
-    payload_bytes_sent: int
-    payload_bytes_received: int
-    online_seconds: float
-    pool_hit: bool
-    pool_buffered: int
-    seed: int
-    #: OS pid of the serving process — every job of a shard must report the
-    #: same two pids, the falsifiable form of "zero per-request spawns"
-    pid: int = 0
-    #: frame-format-v1 equivalent of ``communication_bytes`` — lets the
-    #: serving dashboards compute the packed wire format's bytes_saved_pct
-    unpacked_payload_bytes: int = 0
-    #: local-compute time of the job's online phase (wire waits excluded)
-    cpu_time_ns: int = 0
-    #: fused-kernel invocations of the job
-    fused_kernel_calls: int = 0
-
-
-@dataclass
-class ProvisionRequest:
-    """Warm-up command: buffer ``count`` pools for ``(model, batch_size)``."""
-
-    model: str
-    batch_size: int
-    count: int
-
-
-@dataclass
-class ProvisionReport:
-    """Answer to a :class:`ProvisionRequest`: buffer depth after refill."""
-
-    model: str
-    batch_size: int
-    buffered: int
-    provision_seconds: float
-    #: lifetime pools this party fetched from the factory inventory
-    pools_from_factory: int = 0
-    #: lifetime factory fetches that failed over to local cold generation
-    factory_fallbacks: int = 0
-    #: factory inventory depth as of the last successful fetch (-1 = never)
-    factory_inventory_depth: int = -1
-
-
-@dataclass
-class Heartbeat:
-    """One liveness frame a party server emits over the control pipe.
-
-    Emitted by a background thread at ``ServerConfig.heartbeat_interval``,
-    *including* while a job is executing or blocked on the inter-party
-    wire — so the driver can distinguish "slow but alive" from "wedged".
-    The snapshot it carries is what a heartbeat-miss diagnostic needs:
-    when the party was last seen, which job it was inside, and how far
-    through the round schedule it had come.
-    """
-
-    party: int
-    pid: int
-    #: wall-clock ``time.time()`` at emission (the last-seen timestamp a
-    #: heartbeat-miss error reports)
-    timestamp: float
-    jobs_executed: int
-    #: job id currently executing on this party (``None`` between jobs)
-    job_id: Optional[int] = None
-    #: round frames this party has sent over the inter-party transport so
-    #: far — a monotone progress cursor through the job's round schedule
-    round_index: int = 0
-
-
-@dataclass
-class ShutdownRequest:
-    """Ask the server to run the graceful wire shutdown and exit."""
-
-
-@dataclass
-class ServerStats:
-    """Lifetime counters a server sends back right before exiting."""
-
-    party: int
-    jobs_executed: int
-    pool_hits: int
-    pool_misses: int
-    pools_provisioned: int
-    plans_compiled: int
-    control_bytes_sent: int
-    control_bytes_received: int
-    payload_bytes_sent: int
-    payload_bytes_received: int
-    #: summed online-phase seconds across all jobs (this party's view)
-    online_seconds: float = 0.0
-    #: summed local-compute nanoseconds across all jobs (this party's view)
-    cpu_time_ns: int = 0
-    #: summed fused-kernel invocations across all jobs
-    fused_kernel_calls: int = 0
-    #: pools fetched from the randomness factory's inventory
-    pools_from_factory: int = 0
-    #: factory fetches that failed over to local cold generation
-    factory_fallbacks: int = 0
-    #: factory inventory depth for this server's hottest manifest, as of
-    #: the last successful fetch (-1 = never fetched)
-    factory_inventory_depth: int = -1
-
-
-# --------------------------------------------------------------------------- #
-# Server internals
-# --------------------------------------------------------------------------- #
 
 
 @dataclass
@@ -292,18 +104,7 @@ class PartyServer:
         self.config = config
         self.ring = config.ring
         self.channel = PartyChannel(transport, party, ring=config.ring)
-        self.stats = ServerStats(
-            party=party,
-            jobs_executed=0,
-            pool_hits=0,
-            pool_misses=0,
-            pools_provisioned=0,
-            plans_compiled=0,
-            control_bytes_sent=0,
-            control_bytes_received=0,
-            payload_bytes_sent=0,
-            payload_bytes_received=0,
-        )
+        self.stats = ServerStats(party=party)
         self._entries: Dict[Tuple[str, int], _PlanEntry] = {}
         #: job id currently executing (``None`` between jobs) — read by the
         #: heartbeat thread without the lock (GIL-atomic attribute load)
@@ -395,9 +196,8 @@ class PartyServer:
 
     def _announce_ahead(self, entry: _PlanEntry, model: str, batch_size: int) -> None:
         """Advertise the next job seeds so the factory can run ahead."""
-        ahead = self.config.factory_announce_ahead
         client = self._factory_client()
-        if ahead <= 0 or client is None or self.party != 0:
+        if client is None or self.party != 0:
             # one announcing party suffices — both servers derive the same
             # seeds, and the factory spools one shared bundle per seed
             return
@@ -405,7 +205,7 @@ class PartyServer:
             start = entry.next_counter
         seeds = [
             derive_job_seed(self.config.base_seed, model, batch_size, start + offset)
-            for offset in range(ahead)
+            for offset in range(FACTORY_ANNOUNCE_AHEAD)
         ]
         try:
             client.announce(entry.manifest, seeds)
@@ -413,15 +213,6 @@ class PartyServer:
             with self._lock:
                 self.stats.factory_fallbacks += 1
             self._drop_factory()
-
-    def _generate_pool(self, model: str, batch_size: int, counter: int, plan) -> RandomnessPool:
-        seed = derive_job_seed(self.config.base_seed, model, batch_size, counter)
-        key = (model, batch_size)
-        with self._lock:
-            entry = self._entries.get(key)
-        if entry is None or entry.plan is not plan:
-            entry = _PlanEntry(plan=plan, manifest=plan.manifest)
-        return self._pool_at_seed(entry, seed)
 
     def provision(self, model: str, batch_size: int, count: int) -> int:
         """Buffer ``count`` additional pools for a key; returns buffer depth."""
@@ -464,7 +255,8 @@ class PartyServer:
                 self.stats.pool_hits += 1
             entry.next_counter = max(entry.next_counter, counter + 1)
         if pool is None:
-            pool = self._generate_pool(model, batch_size, counter, entry.plan)
+            seed = derive_job_seed(self.config.base_seed, model, batch_size, counter)
+            pool = self._pool_at_seed(entry, seed)
             with self._lock:
                 self.stats.pool_misses += 1
         return pool, hit
@@ -591,15 +383,13 @@ class PartyServer:
         delta = self.transport.stats.since(before)
         online_seconds = time.perf_counter() - start
 
-        if self.config.verify:
-            # the one-shot runtime's verifier, fed with this job's wire
-            # delta — the control frames of the session layer are excluded
-            # from the payload counters, so the check stays exact even on a
-            # connection multiplexing many jobs
-            try:
-                verify_against_plan(entry.plan, execution, delta)
-            except RuntimeError as exc:
-                raise RuntimeError(f"job {request.job_id}: {exc}") from exc
+        # fed with this job's wire delta: the control frames of the session
+        # layer are excluded from the payload counters, so the check stays
+        # exact even on a connection multiplexing many jobs
+        try:
+            verify_against_plan(entry.plan, execution, delta)
+        except RuntimeError as exc:
+            raise RuntimeError(f"job {request.job_id}: {exc}") from exc
 
         with self._lock:
             self.stats.jobs_executed += 1
@@ -724,7 +514,7 @@ def run_party_server(
     """Entry point for one persistent party process.
 
     Protocol over the control pipe: first a :class:`ServerConfig`, then any
-    stream of :class:`JobRequest` / :class:`ProvisionRequest` messages, each
+    stream of :class:`JobRequest` / :class:`RefillRequest` messages, each
     answered in order; finally a :class:`ShutdownRequest`, answered with the
     lifetime :class:`ServerStats`.  The inter-party transport is opened once
     and reused for every job — a warm server spawns no processes and opens
@@ -772,13 +562,13 @@ def run_party_server(
             if isinstance(message, ShutdownRequest):
                 sender.send(server.shutdown())
                 break
-            if isinstance(message, ProvisionRequest):
+            if isinstance(message, RefillRequest):
                 start = time.perf_counter()
                 buffered = server.provision(
                     message.model, message.batch_size, message.count
                 )
                 sender.send(
-                    ProvisionReport(
+                    RefillReport(
                         model=message.model,
                         batch_size=message.batch_size,
                         buffered=buffered,

@@ -5,18 +5,15 @@ traffic.  The plan runtime already amortizes compilation and preprocessing
 across batched queries; this package adds the missing piece between clients
 and the runtime:
 
-- :class:`~repro.serve.cache.PlanPoolCache` — compiled plans and
-  pre-provisioned randomness pools cached per ``(model, batch_size)``, so
-  the serving hot path never compiles and (when provisioned ahead) never
-  runs the dealer;
 - :class:`~repro.serve.frontend.BatchingFrontend` — a request queue that
-  coalesces incoming queries up to ``(max_batch, max_wait)`` and dispatches
-  each coalesced batch through a single plan execution, resolving one future
-  per query and recording queue/serve latency percentiles;
-- :class:`~repro.serve.pool.ShardedServingPool` — N persistent two-process
-  worker pairs behind the same coalescing frontend: batches route to idle
-  shards, party servers keep randomness buffers filled in the background,
-  and a dead worker pair is evicted while the rest keep serving;
+  coalesces incoming queries up to ``(max_batch, max_wait)`` and hands each
+  coalesced batch to its backend as a single plan execution, resolving one
+  future per query and recording queue/serve latency percentiles;
+- :class:`~repro.serve.pool.ShardedServingPool` — that backend: N persistent
+  two-process worker pairs (:class:`~repro.runtime.shard.WorkerShard`);
+  batches route to idle shards, the party servers hold the compiled plans
+  and keep randomness buffers filled in the background, and a dead worker
+  pair is evicted while the rest keep serving;
 - :class:`~repro.serve.admission.AdmissionController` — bounded per-(model,
   batch) queues with explicit backpressure (shed-with-retry-after, never
   unbounded buffering) and the EWMA load signals autoscaling steers by;
@@ -36,24 +33,24 @@ from repro.serve.admission import (
     AdmissionDecision,
     BackpressureError,
 )
-from repro.serve.cache import CacheStats, PlanPoolCache, ServableModel
+from repro.runtime.shard import (
+    HeartbeatMiss,
+    JobTicket,
+    PoolBatchResult,
+    ShardFailure,
+    ShardStats,
+    WorkerShard,
+)
 from repro.serve.daemon import DaemonClient, DaemonResult, ServingDaemon
 from repro.serve.frontend import (
     BatchingFrontend,
     BatchOutcome,
     PoolShutdown,
+    ServableModel,
     ServedResult,
     ServingStats,
 )
-from repro.serve.pool import (
-    HeartbeatMiss,
-    JobTicket,
-    PoolBatchResult,
-    ShardedServingPool,
-    ShardFailure,
-    ShardStats,
-    WorkerShard,
-)
+from repro.serve.pool import ShardedServingPool
 from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
 
 __all__ = [
@@ -63,12 +60,10 @@ __all__ = [
     "BackpressureError",
     "BatchingFrontend",
     "BatchOutcome",
-    "CacheStats",
     "DaemonClient",
     "DaemonResult",
     "HeartbeatMiss",
     "JobTicket",
-    "PlanPoolCache",
     "PoolBatchResult",
     "PoolShutdown",
     "ServableModel",

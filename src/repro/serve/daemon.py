@@ -50,7 +50,7 @@ from repro.crypto.transport import (
     frame_length,
 )
 from repro.serve.admission import AdmissionController, BackpressureError
-from repro.serve.cache import ServableModel
+from repro.serve.frontend import ServableModel
 from repro.serve.pool import ShardedServingPool
 from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
 

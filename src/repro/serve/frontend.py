@@ -1,22 +1,19 @@
-"""Batching request frontend for the secure-inference runtime.
+"""Batching request frontend: a coalescing queue in front of a backend.
 
 Clients submit single queries; a dispatcher thread coalesces queued queries
 for the same model up to ``max_batch`` (or until the oldest waiting query
-has waited ``max_wait`` seconds), stacks them into one batch, and runs a
-single plan execution against a cached plan + pre-provisioned randomness
-pool.  Each query resolves to its own :class:`ServedResult` future.
+has waited ``max_wait`` seconds), stacks them into one batch and hands it to
+the backend it was given — a ``run_batch`` callable executing one batch, and
+the executor that call runs on, so coalescing continues while batches
+execute.  Each query resolves to its own :class:`ServedResult` future.
 
 Batching is the amortization lever of the plan runtime (one communication
 round trip per protocol op regardless of batch size), so throughput scales
 with the coalesced batch size while per-query latency only pays the small
-coalescing wait — :mod:`benchmarks.bench_serving_throughput` measures both.
-
-Execution is pluggable: coalescing, future bookkeeping and statistics live
-here, while the two overridable hooks :meth:`BatchingFrontend._dispatch_batch`
-(where a coalesced batch runs: inline by default, handed to a shard pool by
-:mod:`repro.serve.pool`) and :meth:`BatchingFrontend._run_batch` (how it
-runs: the in-process engine by default, a persistent worker pair in the
-pool) let backends swap in without touching the queueing logic.
+coalescing wait.  The frontend holds no plans, pools or engine: the one
+plan + pool store lives in the party servers
+(:class:`repro.runtime.server.PartyServer`), behind the
+:class:`~repro.serve.pool.ShardedServingPool` backend.
 
 Invariants:
 
@@ -27,7 +24,7 @@ Invariants:
   :meth:`BatchingFrontend.close` races with it (the closed check and the
   enqueue are atomic w.r.t. the shutdown drain);
 - statistics are updated under one lock and are safe against concurrent
-  batch completions from asynchronous backends.
+  batch completions.
 """
 
 from __future__ import annotations
@@ -35,17 +32,22 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, InvalidStateError
+from concurrent.futures import Executor, Future, InvalidStateError
 from dataclasses import dataclass, field
 from queue import Empty, Queue
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.crypto.context import make_context
-from repro.crypto.ring import FixedPointRing
-from repro.crypto.secure_model import SecureInferenceEngine
-from repro.serve.cache import PlanPoolCache, ServableModel
+from repro.models.specs import ModelSpec
+
+
+@dataclass
+class ServableModel:
+    """A deployable model: its layer spec and exported layer weights."""
+
+    spec: ModelSpec
+    weights: Dict[str, Dict[str, np.ndarray]]
 
 
 @dataclass
@@ -58,11 +60,10 @@ class ServedResult:
     batch_size: int
     latency_seconds: float
     online_bytes_per_query: float
-    #: which worker shard executed the batch (None on the in-process backend)
+    #: which worker shard executed the batch (None if the backend has none)
     shard: Optional[int] = None
     #: session seed of the executing job — replaying the in-process engine at
-    #: this seed reproduces the logits bit for bit (None on the in-process
-    #: backend, whose engine seed is fixed at construction)
+    #: this seed reproduces the logits bit for bit
     job_seed: Optional[int] = None
 
 
@@ -162,27 +163,25 @@ class _PendingQuery:
 
 
 class BatchingFrontend:
-    """Coalescing request queue in front of the compiled-plan engine.
+    """Coalescing request queue in front of a batch-executing backend.
 
     Args:
         models: the deployable model zoo, keyed by the name clients use.
+        run_batch: the backend — ``run_batch(model, servable, inputs)``
+            executes one stacked batch and returns a :class:`BatchOutcome`.
+        executor: where ``run_batch`` runs; the caller owns its lifetime.
         max_batch: hard cap on queries coalesced into one plan execution.
         max_wait: seconds the oldest queued query may wait before its batch
             is dispatched even if not full — the latency/throughput knob.
-        provision_pools: pools to pre-generate per model at ``max_batch``
-            (and at batch size 1) during startup, off the serving path.
-        seed: session seed for the serving context and dealer.
-        ring: fixed-point ring of the deployment.
     """
 
     def __init__(
         self,
         models: Dict[str, ServableModel],
+        run_batch: Callable[[str, ServableModel, np.ndarray], BatchOutcome],
+        executor: Executor,
         max_batch: int = 8,
         max_wait: float = 0.01,
-        provision_pools: int = 0,
-        seed: int = 0,
-        ring: Optional[FixedPointRing] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -191,13 +190,8 @@ class BatchingFrontend:
         self.models = dict(models)
         self.max_batch = max_batch
         self.max_wait = max_wait
-        # Engine and cache are built on first use: a subclass that overrides
-        # _run_batch with a remote backend (the shard pool) never constructs
-        # the in-process engine/dealer at all.
-        self._ring = ring
-        self._seed = seed
-        self._engine: Optional[SecureInferenceEngine] = None
-        self._cache: Optional[PlanPoolCache] = None
+        self._run_batch = run_batch
+        self._executor = executor
         self.stats = ServingStats()
         self._queue: "Queue[Optional[_PendingQuery]]" = Queue()
         self._stats_lock = threading.Lock()
@@ -208,34 +202,14 @@ class BatchingFrontend:
         self._inflight: Dict[int, _PendingQuery] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
-        if provision_pools:
-            for servable in self.models.values():
-                self.cache.provision(servable.spec, self.max_batch, provision_pools)
-                self.cache.provision(servable.spec, 1, provision_pools)
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="serve-dispatcher", daemon=True
         )
         self._dispatcher.start()
 
-    @property
-    def engine(self) -> SecureInferenceEngine:
-        """The in-process execution engine (built on first use)."""
-        if self._engine is None:
-            self._engine = SecureInferenceEngine(
-                make_context(ring=self._ring, seed=self._seed)
-            )
-        return self._engine
-
-    @property
-    def cache(self) -> PlanPoolCache:
-        """The plan/pool cache of the in-process backend (built on first use)."""
-        if self._cache is None:
-            self._cache = PlanPoolCache(ring=self.engine.ctx.ring, seed=self._seed + 1)
-        return self._cache
-
     def stats_snapshot(self) -> Dict[str, object]:
         """A consistent copy of the serving stats (safe against concurrent
-        batch completions from asynchronous backends)."""
+        batch completions)."""
         with self._stats_lock:
             return self.stats.snapshot()
 
@@ -296,8 +270,8 @@ class BatchingFrontend:
             self._queue.put(None)  # shutdown sentinel, after the last query
         deadline = time.monotonic() + timeout
         self._dispatcher.join(timeout=timeout)
-        # Batches handed off to an asynchronous backend may still be
-        # executing legitimately; give the drain the rest of the budget,
+        # Batches handed off to the executor may still be executing
+        # legitimately; give the drain the rest of the budget,
         # then fail whatever is left promptly.
         while time.monotonic() < deadline:
             with self._inflight_lock:
@@ -351,14 +325,10 @@ class BatchingFrontend:
                     item = None
                 if item is None and not self._queue.empty():
                     continue
-            if item is None and running and self._closed:
-                running = False
-            elif item is None and running:
-                pass
-            elif item is None:
-                running = False
-            else:
+            if item is not None:
                 pending.setdefault(item.model, []).append(item)
+            elif self._closed:
+                running = False
             if not running:
                 # Shutdown: drain whatever is still queued, then flush all.
                 while True:
@@ -395,34 +365,19 @@ class BatchingFrontend:
                 self._dispatch_batch(model, batch)
 
     # ------------------------------------------------------------------ #
-    # Backend hooks
+    # Backend hand-off
     # ------------------------------------------------------------------ #
     def _dispatch_batch(self, model: str, batch: List[_PendingQuery]) -> None:
-        """Where a coalesced batch runs.
-
-        The default executes inline on the dispatcher thread; an
-        asynchronous backend (the shard pool) overrides this to hand the
-        batch off so coalescing continues while shards work.
-        """
-        self._execute_batch(model, batch)
-
-    def _run_batch(
-        self, model: str, servable: ServableModel, inputs: np.ndarray
-    ) -> BatchOutcome:
-        """How a coalesced batch runs: one plan execution on the backend.
-
-        The default is the in-process compiled engine against the plan/pool
-        cache; :class:`repro.serve.pool.ShardedServingPool` overrides this
-        to route the batch to a persistent two-process worker pair.
-        """
-        batch_size = int(inputs.shape[0])
-        plan = self.cache.plan(servable.spec, batch_size)
-        pool = self.cache.acquire_pool(servable.spec, batch_size)
-        result = self.engine.execute(plan, servable.weights, inputs, pool=pool)
-        return BatchOutcome(
-            logits=result.logits,
-            online_bytes_per_query=result.online_bytes_per_query,
-        )
+        # Hand off to the backend's executor so the coalescing loop keeps
+        # draining the queue while batches execute concurrently.
+        try:
+            self._executor.submit(self._execute_batch, model, batch)
+        except RuntimeError:
+            # Executor already shut down (its owner's close() raced a slow
+            # drain): run inline so every accepted query still resolves
+            # exactly once — _execute_batch converts any backend failure
+            # into failed futures rather than letting them hang.
+            self._execute_batch(model, batch)
 
     def _execute_batch(self, model: str, batch: List[_PendingQuery]) -> None:
         servable = self.models[model]

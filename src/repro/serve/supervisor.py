@@ -5,7 +5,7 @@ evicted by the dispatcher that hit the failure and its job replays
 elsewhere.  The :class:`ShardSupervisor` adds the *proactive* half:
 
 - a background sweep drains every shard's heartbeat frames
-  (:meth:`~repro.serve.pool.WorkerShard.poll_heartbeats`), so idle shards'
+  (:meth:`~repro.runtime.shard.WorkerShard.poll_heartbeats`), so idle shards'
   liveness stays fresh and their pipes never fill up;
 - a shard whose party went silent past the heartbeat deadline, or whose
   party *process* died while idle, is evicted and respawned **before** the
@@ -28,8 +28,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.runtime.shard import WorkerShard
 from repro.serve.admission import AdmissionController
-from repro.serve.pool import ShardedServingPool, WorkerShard
+from repro.serve.pool import ShardedServingPool
 
 
 @dataclass(frozen=True)

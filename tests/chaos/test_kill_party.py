@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+import pytest
 
 from tests.chaos.conftest import make_chaos_pool
 
@@ -72,3 +73,34 @@ def test_kill_party_with_survivor_shard_routes_and_replays(
     np.testing.assert_array_equal(reference[0], result.logits)
     assert result.shard == 1
     assert snapshot["jobs_recovered"] >= 1
+
+
+def test_failed_replacement_boot_is_recorded_and_the_job_fails_typed(
+    tiny_zoo, query_batch, record_fault_schedule, monkeypatch
+):
+    """A replacement pair that cannot boot must leave evidence in the stats
+    (counter + error text), and the orphaned job must end in a typed error
+    once no shard is left — not hang until ``job_timeout``."""
+    name = "vgg-tiny"
+    servable = tiny_zoo[name]
+    batch = query_batch(servable)
+
+    record_fault_schedule({}, model=name, kill="shard0 both parties; respawn boot raises")
+    with make_chaos_pool(name, servable, max_job_retries=2) as pool:
+        for process in pool._shards[0].processes:
+            process.terminate()
+        for process in pool._shards[0].processes:
+            process.join(timeout=10)
+
+        def _boot_fails(*args, **kwargs):
+            raise OSError("cannot spawn the replacement pair")
+
+        monkeypatch.setattr(pool, "_boot_shard", _boot_fails)
+        with pytest.raises(RuntimeError, match="no live shards remain"):
+            pool.run_batch(name, batch)
+        snapshot = pool.stats_snapshot()
+
+    assert snapshot["respawn_failures"] == 1
+    assert "cannot spawn the replacement pair" in snapshot["last_respawn_error"]
+    assert snapshot["shards_respawned"] == 0
+    assert snapshot["live_shards"] == 0

@@ -804,47 +804,6 @@ class TestInterleavedShutdown:
             server._sync_job_header(request)
 
 
-class TestHeartbeatFrames:
-    """The control-frame heartbeat kind: transparent liveness interleaving."""
-
-    def test_recv_control_skips_heartbeats_and_returns_the_next_message(self):
-        a, b = LoopbackTransport.pair()
-        a.send_heartbeat(b"alive-1")
-        a.send_heartbeat(b"alive-2")
-        a.send_control(b"job-header")
-        assert b.recv_control() == b"job-header"
-        assert b.stats.heartbeat_frames_received == 2
-        assert b.last_heartbeat_body == b"alive-2"
-        assert a.stats.heartbeat_frames_sent == 2
-
-    def test_heartbeats_are_transparent_to_the_shutdown_handshake(self):
-        a, b = LoopbackTransport.pair()
-        a.send_heartbeat()
-        a.send_shutdown()
-        assert b.recv_control() is None  # graceful shutdown, heartbeat skipped
-
-    def test_heartbeat_bytes_count_as_control_not_payload(self):
-        """Liveness chatter must never perturb the payload==manifest check."""
-        a, b = LoopbackTransport.pair()
-        a.send_heartbeat(b"x" * 100)
-        a.send_control(b"sync")
-        b.recv_control()
-        assert a.stats.payload_bytes_sent == 0
-        assert b.stats.payload_bytes_received == 0
-        assert a.stats.control_bytes_sent > 100
-        assert b.stats.control_frames_received == 2  # heartbeat + sync
-
-    def test_heartbeat_counters_survive_stats_snapshots(self):
-        """WireStats.snapshot()/since() propagate the new counters (they use
-        __dict__, so this guards against a future field-list regression)."""
-        a, _ = LoopbackTransport.pair()
-        base = a.stats.snapshot()
-        a.send_heartbeat()
-        delta = a.stats.since(base)
-        assert delta.heartbeat_frames_sent == 1
-        assert delta.heartbeat_frames_received == 0
-
-
 def _tcp_pair(timeout: float = 10.0, link_latency: float = 0.0):
     """Two connected TcpTransports in this process (party 0, party 1)."""
     with TcpListener() as listener:

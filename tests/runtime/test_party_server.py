@@ -137,6 +137,27 @@ class TestPersistentPartyServer:
         # both workers exited on their own after the wire handshake
         assert all(not p.is_alive() for p in shard.processes)
 
+    def test_plans_compile_once_per_key(self, servable):
+        """The party server is the only plan store: N jobs on one (model,
+        batch) key compile one plan per party, a second batch size one more."""
+
+        def plans_compiled(batch_sizes):
+            pool = ShardedServingPool(
+                {"vgg": servable},
+                num_shards=1,
+                provision_pools=0,
+                warm_batch_sizes=(),
+                seed=9,
+            )
+            for batch in batch_sizes:
+                pool.run_batch("vgg", np.zeros((batch, 3, 8, 8)))
+            pool.close()
+            stats = pool._shards[0].final_server_stats
+            return [stats[party].plans_compiled for party in (0, 1)]
+
+        assert plans_compiled([1, 1, 1]) == [1, 1]
+        assert plans_compiled([1, 1, 2]) == [2, 2]
+
     def test_background_provisioner_refills_after_jobs(self, servable):
         pool = ShardedServingPool(
             {"vgg": servable},

@@ -7,7 +7,9 @@ or serving module starts importing the test-only sequential oracle.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import pytest
 
 import repro.crypto
 import repro.crypto.secure_model
+import repro.crypto.transport
 import repro.offline
 import repro.runtime
 import repro.runtime.party
@@ -25,10 +28,13 @@ from repro.crypto.plan import compile_plan
 from repro.crypto.protocols.registry import ProtocolHandler
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
-from repro.runtime import run_two_process_inference
-from repro.runtime.party import PartyJob
-from repro.runtime.server import ServerConfig
-from repro.serve import PlanPoolCache, ShardedServingPool, WorkerShard
+from repro.runtime import ServerConfig, WorkerShard, run_two_process_inference
+from repro.serve import BatchingFrontend, ShardedServingPool
+
+SRC = Path(repro.crypto.__file__).parents[1]
+RUNTIME_AND_SERVE = sorted(
+    path for package in ("runtime", "serve") for path in (SRC / package).glob("*.py")
+)
 
 MODE_PARAMETERS = {
     "optimize",
@@ -44,12 +50,11 @@ MODE_PARAMETERS = {
     [
         SecureInferenceEngine.compile,
         optimize_plan,
-        PartyJob,
         run_two_process_inference,
         ServerConfig,
         WorkerShard,
         ShardedServingPool,
-        PlanPoolCache,
+        BatchingFrontend,
         KernelContext,
     ],
     ids=lambda obj: obj.__qualname__,
@@ -57,6 +62,87 @@ MODE_PARAMETERS = {
 def test_no_mode_parameter_on_any_signature(signature_of):
     parameters = set(inspect.signature(signature_of).parameters)
     assert not parameters & MODE_PARAMETERS
+
+
+def test_constant_knobs_are_not_parameters_or_fields_anywhere():
+    """``verify`` is always on and the two tuning values are module
+    constants: no signature or dataclass in runtime/serve may re-grow them."""
+    banned = {"verify", "factory_announce_ahead", "retry_backoff"}
+    for path in RUNTIME_AND_SERVE:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = set()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                arguments = node.args
+                names = {
+                    a.arg
+                    for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+                }
+            elif isinstance(node, ast.ClassDef):
+                names = {
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+            assert not names & banned, (path.name, node.name, names & banned)
+
+
+def test_each_constructor_keeps_its_reduced_option_count():
+    def count(target):
+        return len(inspect.signature(target).parameters)
+
+    assert count(WorkerShard) <= 9 and "config" in inspect.signature(WorkerShard).parameters
+    assert count(ShardedServingPool) <= 20
+    assert count(BatchingFrontend) <= 5
+    assert len(dataclasses.fields(ServerConfig)) <= 11
+
+
+def test_one_provision_request_and_one_process_spawner():
+    definitions = [
+        path
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "ProvisionRequest"
+    ]
+    assert [path.name for path in definitions] == ["provisioning.py"]
+    spawners = [
+        path.name
+        for path in RUNTIME_AND_SERVE
+        if "mp.Process(" in path.read_text(encoding="utf-8")
+    ]
+    assert spawners == ["shard.py"]
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("repro.runtime", "PartyJob"),
+        ("repro.runtime", "PartyReport"),
+        ("repro.runtime", "run_party_worker"),
+        ("repro.runtime", "ProvisionRequest"),
+        ("repro.runtime.party", "run_party_session"),
+        ("repro.runtime.twoprocess", "_check_cross_party_consistency"),
+        ("repro.serve", "PlanPoolCache"),
+        ("repro.serve", "CacheStats"),
+        ("repro.serve.pool", "_PoolFrontend"),
+        ("repro.crypto.transport", "HEARTBEAT_MAGIC"),
+        ("repro.crypto.transport", "heartbeat_payload"),
+    ],
+)
+def test_deleted_names_stay_deleted(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_deleted_module_and_method_stay_deleted():
+    assert importlib.util.find_spec("repro.serve.cache") is None
+    assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
+
+
+def test_no_runtime_or_serve_module_exceeds_700_lines():
+    sizes = {
+        path.name: len(path.read_text(encoding="utf-8").splitlines())
+        for path in RUNTIME_AND_SERVE
+    }
+    assert {name: n for name, n in sizes.items() if n > 700} == {}
 
 
 def test_protocol_handlers_expose_phases_only():

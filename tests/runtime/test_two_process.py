@@ -17,7 +17,7 @@ from repro.crypto.plan import compile_plan
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.runtime import run_two_process_inference
+from repro.runtime import ShardFailure, run_two_process_inference
 from repro.runtime.party import predicted_direction_bytes
 
 
@@ -71,23 +71,6 @@ class TestTwoProcessExecution:
                 result.plan, 1 - party
             )
 
-    def test_per_layer_accounting_matches_both_parties(self, polynomial_session):
-        reference, result = polynomial_session
-        for party in (0, 1):
-            assert result.reports[party].per_layer_bytes == reference.per_layer_bytes
-
-    def test_framing_overhead_is_reported_separately(self, polynomial_session):
-        _, result = polynomial_session
-        assert result.wire_bytes_on_wire > result.payload_bytes_on_wire
-        assert result.framing_overhead_bytes == (
-            result.wire_bytes_on_wire - result.payload_bytes_on_wire
-        )
-
-    def test_pools_are_exactly_consumed(self, polynomial_session):
-        _, result = polynomial_session
-        for party in (0, 1):
-            assert result.reports[party].pool_served > 0
-
     def test_relu_model_over_socket_is_bit_identical(self):
         """The comparison/OT flow (ReLU + MaxPool) across a real socket."""
         spec = vgg_tiny(input_size=8)
@@ -112,3 +95,26 @@ class TestTwoProcessExecution:
             result = run_two_process_inference(spec, weights, x, seed=2)
             plan = compile_plan(spec, batch_size=batch)
             assert result.payload_bytes_on_wire == plan.online_bytes
+
+    def test_no_party_process_outlives_a_failed_session(self, monkeypatch):
+        """A party that raises mid-job fails the call, and the shard's
+        SIGTERM -> SIGKILL escalation has reaped both processes by then."""
+        import repro.runtime.twoprocess as twoprocess
+
+        shards = []
+
+        class Recorded(twoprocess.WorkerShard):
+            def __init__(self, *args, **kwargs):
+                shards.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(twoprocess, "WorkerShard", Recorded)
+        spec = vgg_tiny(input_size=8).with_all_polynomial()
+        x = np.random.default_rng(0).normal(size=(1, 3, 8, 8))
+        with pytest.raises(ShardFailure, match="failed"):
+            run_two_process_inference(spec, {}, x, seed=1)  # no weights: KeyError
+        (shard,) = shards
+        assert len(shard.processes) == 2
+        for process in shard.processes:
+            assert not process.is_alive()
+            assert process.exitcode is not None  # joined, not abandoned

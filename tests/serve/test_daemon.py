@@ -14,6 +14,7 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -180,12 +181,14 @@ class TestPoolShutdownError:
         promptly with queue position + elapsed wait, instead of hanging."""
         release = threading.Event()
 
-        class WedgedFrontend(BatchingFrontend):
-            def _run_batch(self, model, servable_, inputs):
-                release.wait(timeout=30.0)
-                raise RuntimeError("backend gone")
+        def wedged_backend(model, servable_, inputs):
+            release.wait(timeout=30.0)
+            raise RuntimeError("backend gone")
 
-        frontend = WedgedFrontend({"vgg": servable}, max_batch=1, max_wait=0.0)
+        executor = ThreadPoolExecutor(max_workers=1)
+        frontend = BatchingFrontend(
+            {"vgg": servable}, wedged_backend, executor, max_batch=1, max_wait=0.0
+        )
         futures = [
             frontend.submit("vgg", np.zeros((3, 8, 8))) for _ in range(3)
         ]
@@ -193,7 +196,7 @@ class TestPoolShutdownError:
             target=frontend.close, kwargs={"timeout": 1.0}, daemon=True
         )
         closer.start()
-        # the first future wedges inside _run_batch; close() must not wait
+        # the first future wedges inside the backend; close() must not wait
         # for it forever — after its budget every future has resolved
         for position, future in enumerate(futures):
             with pytest.raises((PoolShutdown, RuntimeError)) as excinfo:
@@ -205,6 +208,7 @@ class TestPoolShutdownError:
         release.set()
         closer.join(timeout=15.0)
         assert not closer.is_alive()
+        executor.shutdown(wait=True)
 
     def test_pool_close_rejects_waiting_batches_promptly(self, servable):
         """A batch waiting for a shard when the drain window ends gets a

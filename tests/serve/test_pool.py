@@ -170,7 +170,7 @@ class TestShardedServing:
             # bypass driver validation to exercise the server-side guard
             shard = pool._shards[0]
             with pytest.raises(ValueError, match="rejected the job"):
-                shard.run_job("vgg", servable.spec, np.zeros((1, 3, 16, 16)))
+                shard.run_job("vgg", np.zeros((1, 3, 16, 16)))
             assert pool.live_shards == 1  # the pair survived both rejections
             good = np.random.default_rng(0).normal(size=(1, 3, 8, 8))
             result = pool.run_batch("vgg", good)

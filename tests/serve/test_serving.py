@@ -1,14 +1,18 @@
-"""Tests for the batched serving frontend and the plan/pool cache."""
+"""Tests for the batched serving frontend (coalescing and lifecycle)."""
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.crypto.dealer import PreprocessingExhausted
+from repro.crypto import make_context
+from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.serve import BatchingFrontend, PlanPoolCache, ServableModel
+from repro.serve import BatchingFrontend, BatchOutcome, ServableModel
 
 
 @pytest.fixture(scope="module")
@@ -24,42 +28,18 @@ def servable():
     return ServableModel(spec, export_layer_weights(net)), net
 
 
-class TestPlanPoolCache:
-    def test_plan_compiled_once_per_key(self, servable):
-        model, _ = servable
-        cache = PlanPoolCache(seed=0)
-        first = cache.plan(model.spec, 2)
-        second = cache.plan(model.spec, 2)
-        assert first is second
-        assert cache.stats.plans_compiled == 1
-        cache.plan(model.spec, 4)
-        assert cache.stats.plans_compiled == 2
+@contextmanager
+def _frontend(models, **knobs):
+    """A frontend over the smallest backend: the in-process engine, serial."""
+    engine = SecureInferenceEngine(make_context(seed=0))
 
-    def test_provisioned_pools_are_served_before_cold_generation(self, servable):
-        model, _ = servable
-        cache = PlanPoolCache(seed=0)
-        assert cache.provision(model.spec, 1, count=2) == 2
-        cache.acquire_pool(model.spec, 1)
-        cache.acquire_pool(model.spec, 1)
-        assert cache.stats.cold_pool_misses == 0
-        cache.acquire_pool(model.spec, 1)  # buffer empty -> cold generation
-        assert cache.stats.cold_pool_misses == 1
-        assert cache.stats.pools_served == 3
+    def run_batch(model, servable, inputs):
+        result = engine.run(servable.spec, servable.weights, inputs)
+        return BatchOutcome(result.logits, result.online_bytes_per_query)
 
-    def test_acquired_pool_funds_exactly_one_execution(self, servable):
-        from repro.crypto import make_context
-        from repro.crypto.secure_model import SecureInferenceEngine
-
-        model, _ = servable
-        cache = PlanPoolCache(seed=0)
-        plan = cache.plan(model.spec, 1)
-        pool = cache.acquire_pool(model.spec, 1)
-        engine = SecureInferenceEngine(make_context(seed=1))
-        x = np.zeros((1, 3, 8, 8))
-        engine.execute(plan, model.weights, x, pool=pool)
-        assert pool.remaining == 0
-        with pytest.raises(PreprocessingExhausted):
-            engine.execute(plan, model.weights, x, pool=pool)
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        with BatchingFrontend(models, run_batch, executor, **knobs) as frontend:
+            yield frontend
 
 
 class TestBatchingFrontend:
@@ -69,9 +49,7 @@ class TestBatchingFrontend:
 
         queries = np.random.default_rng(3).normal(size=(4, 3, 8, 8))
         plaintext = net(Tensor(queries)).data.argmax(1)
-        with BatchingFrontend(
-            {"m": model}, max_batch=4, max_wait=0.25, provision_pools=1
-        ) as frontend:
+        with _frontend({"m": model}, max_batch=4, max_wait=0.25) as frontend:
             futures = frontend.submit_many("m", queries)
             results = [future.result(timeout=120) for future in futures]
         assert [r.batch_size for r in results] == [4, 4, 4, 4]
@@ -84,7 +62,7 @@ class TestBatchingFrontend:
     def test_max_batch_caps_coalescing(self, servable):
         model, _ = servable
         queries = np.random.default_rng(1).normal(size=(5, 3, 8, 8))
-        with BatchingFrontend({"m": model}, max_batch=2, max_wait=0.05) as frontend:
+        with _frontend({"m": model}, max_batch=2, max_wait=0.05) as frontend:
             futures = frontend.submit_many("m", queries)
             results = [future.result(timeout=120) for future in futures]
         assert max(r.batch_size for r in results) <= 2
@@ -94,7 +72,7 @@ class TestBatchingFrontend:
     def test_stats_percentiles_and_qps(self, servable):
         model, _ = servable
         queries = np.random.default_rng(2).normal(size=(3, 3, 8, 8))
-        with BatchingFrontend({"m": model}, max_batch=4, max_wait=0.02) as frontend:
+        with _frontend({"m": model}, max_batch=4, max_wait=0.02) as frontend:
             for future in frontend.submit_many("m", queries):
                 future.result(timeout=120)
         snapshot = frontend.stats.snapshot()
@@ -104,40 +82,40 @@ class TestBatchingFrontend:
 
     def test_unknown_model_rejected_at_submit(self, servable):
         model, _ = servable
-        with BatchingFrontend({"m": model}, max_batch=2, max_wait=0.01) as frontend:
+        with _frontend({"m": model}, max_batch=2, max_wait=0.01) as frontend:
             with pytest.raises(KeyError, match="unknown model"):
                 frontend.submit("nope", np.zeros((3, 8, 8)))
 
     def test_wrong_query_shape_rejected_at_submit(self, servable):
         model, _ = servable
-        with BatchingFrontend({"m": model}, max_batch=2, max_wait=0.01) as frontend:
+        with _frontend({"m": model}, max_batch=2, max_wait=0.01) as frontend:
             with pytest.raises(ValueError, match="expects a query of shape"):
                 frontend.submit("m", np.zeros((3, 4, 4)))
 
     def test_submit_after_close_raises(self, servable):
         model, _ = servable
-        frontend = BatchingFrontend({"m": model}, max_batch=2, max_wait=0.01)
-        frontend.close()
-        frontend.close()  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            frontend.submit("m", np.zeros((3, 8, 8)))
+        with _frontend({"m": model}, max_batch=2, max_wait=0.01) as frontend:
+            frontend.close()
+            frontend.close()  # idempotent
+            with pytest.raises(RuntimeError, match="closed"):
+                frontend.submit("m", np.zeros((3, 8, 8)))
 
     def test_close_flushes_partial_batches(self, servable):
         """Queries still queued at shutdown are served, not dropped."""
         model, _ = servable
-        frontend = BatchingFrontend({"m": model}, max_batch=64, max_wait=30.0)
-        futures = frontend.submit_many(
-            "m", np.random.default_rng(5).normal(size=(2, 3, 8, 8))
-        )
-        frontend.close()
-        results = [future.result(timeout=5) for future in futures]
+        with _frontend({"m": model}, max_batch=64, max_wait=30.0) as frontend:
+            futures = frontend.submit_many(
+                "m", np.random.default_rng(5).normal(size=(2, 3, 8, 8))
+            )
+            frontend.close()
+            results = [future.result(timeout=5) for future in futures]
         assert [r.batch_size for r in results] == [2, 2]
 
     def test_cancelled_future_does_not_kill_the_dispatcher(self, servable):
         """A client cancelling a queued future must not break the batch."""
         model, _ = servable
         queries = np.random.default_rng(8).normal(size=(3, 3, 8, 8))
-        with BatchingFrontend({"m": model}, max_batch=4, max_wait=0.25) as frontend:
+        with _frontend({"m": model}, max_batch=4, max_wait=0.25) as frontend:
             futures = frontend.submit_many("m", queries)
             assert futures[1].cancel()  # still queued -> cancel succeeds
             others = [futures[0].result(timeout=120), futures[2].result(timeout=120)]
@@ -152,9 +130,7 @@ class TestBatchingFrontend:
             vgg_tiny(input_size=8).with_all_polynomial(), model.weights
         )
         queries = np.random.default_rng(6).normal(size=(2, 3, 8, 8))
-        with BatchingFrontend(
-            {"a": model, "b": other}, max_batch=4, max_wait=0.05
-        ) as frontend:
+        with _frontend({"a": model, "b": other}, max_batch=4, max_wait=0.05) as frontend:
             fa = frontend.submit("a", queries[0])
             fb = frontend.submit("b", queries[1])
             assert fa.result(timeout=120).model == "a"
