@@ -20,7 +20,6 @@ from repro.crypto.transport import (
     ShapedTransport,
     TcpTransport,
     Transport,
-    TransportEndpoint,
     WireStats,
 )
 from repro.crypto.dealer import (
@@ -84,7 +83,6 @@ __all__ = [
     "CommunicationLog",
     "PartyChannel",
     "Transport",
-    "TransportEndpoint",
     "LoopbackTransport",
     "TcpTransport",
     "WireStats",

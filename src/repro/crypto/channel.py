@@ -44,7 +44,10 @@ from repro.crypto.events import (
     CommEvent,
     bytes_saved_pct as _bytes_saved_pct,
     group_direction_bytes,
+    open_bits_event,
+    open_ring_event,
     payload_num_bytes,
+    transfer_event,
 )
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import Transport
@@ -280,12 +283,13 @@ class PartyChannel(Channel):
     other world's expressions produce garbage that is never consumed, and
     every cross-party value is obtained from the transport.
 
-    Accounting: both parties log every message of the conversation (their own
-    sends *and* the peer's, sized from the actually transmitted arrays) in
-    the canonical order (S0's message first), so ``log.total_bytes`` /
-    ``log.rounds`` match the simulated channel and the plan manifest
-    exactly.  That order is accounting only.  On the wire a round in which
-    this party both sends and expects data is one full-duplex
+    Every interaction is a round (:meth:`run_round`; the per-event methods
+    are rounds of one event), and both parties log each round from the same
+    SPMD-identical event list in the canonical order (S0's message first),
+    so ``log.total_bytes`` / ``log.rounds`` match the simulated channel and
+    the plan manifest exactly.  That order is accounting only.  On the wire
+    a round in which this party both sends and expects data is one
+    full-duplex
     :meth:`Transport.exchange_arrays <repro.crypto.transport.Transport.exchange_arrays>`
     — the two frames cross on the link, so the round costs one link
     traversal — and a one-directional round is a plain send or receive.
@@ -295,42 +299,19 @@ class PartyChannel(Channel):
         self,
         transport: Transport,
         party: int,
-        element_bytes: Optional[int] = None,
         ring: Optional[FixedPointRing] = None,
     ) -> None:
         if party not in (0, 1):
             raise ValueError(f"party must be 0 or 1, got {party}")
-        super().__init__(element_bytes=element_bytes, ring=ring)
+        super().__init__(ring=ring)
         self.transport = transport
         self.party = party
 
-    # -- helpers ------------------------------------------------------------ #
-    def _log(self, sender: int, payload: np.ndarray, tag: str, element_bits: int = 8) -> None:
-        self.log.messages.append(
-            Message(
-                sender,
-                1 - sender,
-                self._payload_bytes(payload, element_bits),
-                tag,
-                unpacked_bytes=self._payload_bytes(payload, 8),
-            )
-        )
-
-    def _swap(self, mine: np.ndarray, element_bits: int = 8) -> np.ndarray:
-        """Ship my array while receiving the peer's (one full-duplex exchange)."""
-        theirs, _ = self.transport.exchange_array(mine, self.ring, element_bits)
-        return theirs
-
-    # -- protocol-facing semantics ------------------------------------------ #
+    # -- protocol-facing semantics: each call is a round of one event ------- #
     def open_ring(
         self, share_from_0: np.ndarray, share_from_1: np.ndarray, tag: str = ""
     ) -> np.ndarray:
-        mine = np.asarray(share_from_0 if self.party == 0 else share_from_1)
-        theirs = self._swap(mine)
-        s0, s1 = (mine, theirs) if self.party == 0 else (theirs, mine)
-        self._log(0, s0, tag)
-        self._log(1, s1, tag)
-        return self.ring.add(mine, theirs)
+        return self.run_round([open_ring_event(share_from_0, share_from_1, tag)])[0]
 
     def open_bits(
         self,
@@ -339,14 +320,8 @@ class PartyChannel(Channel):
         tag: str = "",
         element_bits: int = 1,
     ) -> np.ndarray:
-        mine = np.asarray(
-            bits_from_0 if self.party == 0 else bits_from_1, dtype=np.uint8
-        )
-        theirs = self._swap(mine, element_bits).astype(np.uint8)
-        s0, s1 = (mine, theirs) if self.party == 0 else (theirs, mine)
-        self._log(0, s0, tag, element_bits)
-        self._log(1, s1, tag, element_bits)
-        return mine ^ theirs
+        event = open_bits_event(bits_from_0, bits_from_1, tag, element_bits)
+        return self.run_round([event])[0]
 
     def transfer(
         self,
@@ -356,49 +331,12 @@ class PartyChannel(Channel):
         tag: str = "",
         element_bits: int = 8,
     ) -> np.ndarray:
-        if sender not in (0, 1) or receiver not in (0, 1) or sender == receiver:
-            raise ValueError(f"invalid sender/receiver pair ({sender}, {receiver})")
-        if self.party == sender:
-            payload = np.asarray(payload)
-            self.transport.send_array(payload, self.ring, element_bits)
-            self._log(sender, payload, tag, element_bits)
-            return payload
-        received, _ = self.transport.recv_array()
-        self._log(sender, received, tag, element_bits)
-        return received
+        event = transfer_event(sender, receiver, payload, tag, element_bits)
+        return self.run_round([event])[0]
 
-    def send(
-        self,
-        sender: int,
-        receiver: int,
-        payload: np.ndarray,
-        tag: str = "",
-        element_bits: int = 8,
-    ) -> np.ndarray:
-        """Raw sends alias to :meth:`transfer` so legacy accounting-only call
-        sites (e.g. :class:`repro.crypto.ot.OTFlow`) stay wire-faithful."""
-        return self.transfer(sender, receiver, payload, tag=tag, element_bits=element_bits)
-
-    def exchange(
-        self,
-        payload0: np.ndarray,
-        payload1: np.ndarray,
-        tag: str = "",
-        element_bits: int = 8,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Bidirectional exchange; returns (received_by_0, received_by_1).
-
-        The slot belonging to this party holds the genuine wire data; the
-        other slot echoes the local argument (it only exists in the other
-        party's process).
-        """
-        mine = np.asarray(payload0 if self.party == 0 else payload1)
-        theirs = self._swap(mine, element_bits)
-        s0, s1 = (mine, theirs) if self.party == 0 else (theirs, mine)
-        self._log(0, s0, tag, element_bits)
-        self._log(1, s1, tag, element_bits)
-        # received_by_0 is what S1 sent and vice versa.
-        return (theirs, payload1) if self.party == 0 else (payload0, theirs)
+    #: (accounting-only call sites such as :class:`repro.crypto.ot.OTFlow`
+    #: call ``send``: over a wire it has to move the payload too)
+    send = transfer
 
     def run_round(self, events: List[CommEvent]) -> List[object]:
         """One coalesced round over the transport: one multi-tensor frame

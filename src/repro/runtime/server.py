@@ -50,7 +50,7 @@ from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
 from repro.crypto.passes import ScheduledPlan, optimize_plan
 from repro.crypto.plan import PreprocessingManifest, compile_plan
-from repro.crypto.transport import FaultyTransport, TcpListener, TransportEndpoint
+from repro.crypto.transport import FaultyTransport, TcpListener, TcpTransport
 from repro.runtime.messages import (
     Heartbeat,
     JobFailed,
@@ -509,7 +509,6 @@ def run_party_server(
     host: str,
     port: int,
     timeout: float = 300.0,
-    link_latency: float = 0.0,
 ) -> None:
     """Entry point for one persistent party process.
 
@@ -520,34 +519,28 @@ def run_party_server(
     and reused for every job — a warm server spawns no processes and opens
     no connections on the serving path.
 
-    With ``port <= 0`` party 0 binds an ephemeral port and announces the
-    kernel-assigned number over the pipe (``("bound-port", port)``) right
-    after receiving the config, *before* accepting — the pool driver reads
-    it and only then boots party 1, so no free-then-bind race exists.
+    Party 0 binds ``port`` (0: an ephemeral one) and announces the bound
+    number over the pipe (``("bound-port", port)``) right after receiving
+    the config, *before* accepting — the pool driver reads it and only then
+    boots party 1, so no free-then-bind race exists.  A
+    :class:`~repro.crypto.transport.FaultPlan` for this party in the config
+    (link shaping and/or scripted faults) wraps the connection.
     """
     transport = None
     sender = _PipeSender(conn)
     heartbeat_stop: Optional[threading.Event] = None
     try:
         config: ServerConfig = conn.recv()
-        listener = None
-        if party == 0 and port <= 0:
-            listener = TcpListener(host=host, port=0)
-            sender.send(("bound-port", listener.port))
-            port = listener.port
-        endpoint = TransportEndpoint(
-            party=party,
-            host=host,
-            port=port,
-            timeout=timeout,
-            link_latency=link_latency,
-            listener=listener,
-        )
-        transport = endpoint.open()
+        if party == 0:
+            with TcpListener(host=host, port=port) as listener:
+                sender.send(("bound-port", listener.port))
+                transport = listener.accept(timeout=timeout)
+        else:
+            transport = TcpTransport.connect(host, port, timeout=timeout, retries=100)
         plan = (config.fault_plans or {}).get(party)
         if plan is not None:
-            # chaos/shaping harness: the wrapper owns the WireStats the
-            # server accounts against, so payload==manifest stays exact
+            # link shaping / chaos harness: the wrapper owns the WireStats
+            # the server accounts against, so payload==manifest stays exact
             transport = FaultyTransport(transport, plan)
         server = PartyServer(party, transport, config)
         server.warm_up()

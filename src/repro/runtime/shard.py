@@ -200,7 +200,6 @@ class WorkerShard:
         *,
         host: str = "127.0.0.1",
         timeout: float = 300.0,
-        link_latency: float = 0.0,
         heartbeat_deadline: float = 0.0,
         initial_counters: Optional[Dict[Tuple[str, int], int]] = None,
         initial_job_id: int = 0,
@@ -249,7 +248,7 @@ class WorkerShard:
                 process = mp.Process(
                     target=run_party_server,
                     args=(child_conn, party, host, port),
-                    kwargs={"timeout": timeout, "link_latency": link_latency},
+                    kwargs={"timeout": timeout},
                     name=f"shard{index}-party{party}",
                     daemon=True,
                 )

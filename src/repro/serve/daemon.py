@@ -42,9 +42,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.transport import (
-    _LEN_PREFIX,
+from repro.crypto.wire import (
+    LEN_PREFIX,
     MAX_FRAME_BYTES,
+    CorruptFrame,
     decode_array,
     encode_array,
     frame_length,
@@ -110,7 +111,7 @@ class _Connection:
     async def send_frames(self, *frames: Tuple[bytes, bytes]) -> None:
         async with self.lock:
             for kind, body in frames:
-                self.writer.write(_LEN_PREFIX.pack(len(kind) + len(body)) + kind + body)
+                self.writer.write(LEN_PREFIX.pack(len(kind) + len(body)) + kind + body)
             await self.writer.drain()
 
     async def send_json(self, payload: Dict[str, object]) -> None:
@@ -355,7 +356,7 @@ class ServingDaemon:
     ) -> Tuple[bytes, bytes]:
         if head is None:
             head = await reader.readexactly(4)
-        (length,) = _LEN_PREFIX.unpack(head)
+        (length,) = LEN_PREFIX.unpack(head)
         if not 1 <= length <= MAX_FRAME_BYTES:
             raise ValueError(f"insane frame length {length}")
         body = await reader.readexactly(length)
@@ -422,9 +423,9 @@ class ServingDaemon:
                         f"submit must be followed by an array frame, got {array_kind!r}"
                     )
                 queries, _ = decode_array(array_body)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                raise
-            except Exception as exc:
+            except (ValueError, CorruptFrame) as exc:
+                # a lost connection propagates; a bad body is this request's
+                # error only — the outer length prefix kept the stream aligned
                 await conn.send_json(
                     {"kind": "error", "id": request_id, "error": str(exc)}
                 )
@@ -548,8 +549,8 @@ class DaemonClient:
         self._next_id = 0
 
     # -- framing -------------------------------------------------------------- #
-    def _send_frame(self, kind: bytes, body: bytes) -> None:
-        self._sock.sendall(_LEN_PREFIX.pack(len(kind) + len(body)) + kind + body)
+    def _write_frame(self, kind: bytes, body: bytes) -> None:
+        self._sock.sendall(LEN_PREFIX.pack(len(kind) + len(body)) + kind + body)
 
     def _recv_exact(self, count: int) -> bytes:
         chunks = []
@@ -561,13 +562,13 @@ class DaemonClient:
             count -= len(chunk)
         return b"".join(chunks)
 
-    def _recv_frame(self) -> Tuple[bytes, bytes]:
+    def _read_frame(self) -> Tuple[bytes, bytes]:
         body = self._recv_exact(frame_length(self._recv_exact(4)))
         return body[:1], body[1:]
 
     def _recv_json(self) -> Dict[str, object]:
         while True:
-            kind, body = self._recv_frame()
+            kind, body = self._read_frame()
             if kind == _KIND_HEARTBEAT:
                 continue  # liveness chatter, not a response
             if kind != _KIND_JSON:
@@ -587,13 +588,13 @@ class DaemonClient:
         with self._lock:
             self._next_id += 1
             request_id = self._next_id
-            self._send_frame(
+            self._write_frame(
                 _KIND_JSON,
                 json.dumps(
                     {"kind": "submit", "id": request_id, "model": model}
                 ).encode("utf-8"),
             )
-            self._send_frame(_KIND_ARRAY, encode_array(queries))
+            self._write_frame(_KIND_ARRAY, encode_array(queries))
             reply = self._recv_json()
             if reply.get("kind") == "backpressure":
                 raise BackpressureError(
@@ -606,7 +607,7 @@ class DaemonClient:
                 )
             if reply.get("kind") != "result":
                 raise RuntimeError(f"inference failed: {reply.get('error')}")
-            kind, body = self._recv_frame()
+            kind, body = self._read_frame()
             if kind != _KIND_ARRAY:
                 raise ValueError(f"expected the logits frame, got {kind!r}")
             logits, _ = decode_array(body)
@@ -622,7 +623,7 @@ class DaemonClient:
     def stats(self) -> Dict[str, object]:
         with self._lock:
             self._next_id += 1
-            self._send_frame(
+            self._write_frame(
                 _KIND_JSON,
                 json.dumps({"kind": "stats", "id": self._next_id}).encode("utf-8"),
             )
@@ -631,7 +632,7 @@ class DaemonClient:
     def healthz(self) -> Dict[str, object]:
         with self._lock:
             self._next_id += 1
-            self._send_frame(
+            self._write_frame(
                 _KIND_JSON,
                 json.dumps({"kind": "healthz", "id": self._next_id}).encode("utf-8"),
             )
@@ -640,8 +641,8 @@ class DaemonClient:
     def ping(self) -> bool:
         """Heartbeat round trip: proof the daemon's event loop is live."""
         with self._lock:
-            self._send_frame(_KIND_HEARTBEAT, b"")
-            kind, _ = self._recv_frame()
+            self._write_frame(_KIND_HEARTBEAT, b"")
+            kind, _ = self._read_frame()
             return kind == _KIND_HEARTBEAT
 
     def close(self) -> None:

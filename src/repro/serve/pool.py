@@ -71,8 +71,11 @@ class ShardedServingPool:
             between ``low_water`` and ``high_water`` afterwards.
         warm_batch_sizes: batch sizes to compile/provision ahead of traffic
             (defaults to ``(1, max_batch)``).
-        link_latency: one-way seconds injected per frame on the inter-party
-            link (capacity planning for LAN/WAN-like deployments).
+        link_latency: one-way seconds slept before every frame on the
+            inter-party link (capacity planning for LAN/WAN-like
+            deployments) — shorthand for
+            ``link_shape=FaultPlan(latency_ms=1e3 * link_latency)``, added
+            to ``link_shape.latency_ms`` when both are given.
         seed: base seed; job seeds derive deterministically from it.
         max_job_retries: transient-fault budget per batch — a job whose
             shard dies mid-flight is replayed (same ticket, same seed) on
@@ -126,6 +129,11 @@ class ShardedServingPool:
             raise ValueError(
                 f"max_shards ({max_shards}) must be >= num_shards ({num_shards})"
             )
+        if link_latency > 0.0:
+            shape = link_shape or FaultPlan()
+            link_shape = dataclasses.replace(
+                shape, latency_ms=shape.latency_ms + 1e3 * link_latency
+            )
         if link_shape is not None and link_shape.drops:
             raise ValueError(
                 "link_shape must be shaping-only (no drop_at_round); put "
@@ -136,7 +144,6 @@ class ShardedServingPool:
         self.ring = ring or DEFAULT_RING
         self.host = host
         self.job_timeout = job_timeout
-        self.link_latency = link_latency
         #: the per-party settings every shard boots from; ``_boot_shard``
         #: replaces only ``base_seed`` and ``fault_plans`` per boot
         self.config = ServerConfig(
@@ -242,7 +249,6 @@ class ShardedServingPool:
             ),
             host=self.host,
             timeout=self.job_timeout,
-            link_latency=self.link_latency,
             heartbeat_deadline=self.heartbeat_deadline,
             initial_counters=initial_counters,
             initial_job_id=initial_job_id,

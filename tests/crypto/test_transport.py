@@ -36,9 +36,8 @@ from repro.crypto.transport import (
     TcpTransport,
     decode_array,
     encode_array,
-    free_port,
-    ring_element_width,
 )
+from repro.crypto.wire import ring_element_width
 
 
 class TestArrayCodec:
@@ -85,23 +84,23 @@ class TestTransports:
     def test_loopback_pair_moves_arrays_both_ways(self):
         a, b = LoopbackTransport.pair(timeout=5.0)
         payload = np.arange(8, dtype=np.uint64)
-        a.send_array(payload, DEFAULT_RING)
-        received, payload_bytes = b.recv_array()
+        a.send_arrays([payload], DEFAULT_RING)
+        [(received, payload_bytes)] = b.recv_arrays()
         np.testing.assert_array_equal(received, payload)
         assert payload_bytes == 64
-        b.send_array(np.ones(3, dtype=np.uint8), DEFAULT_RING)
-        received, _ = a.recv_array()
+        b.send_arrays([np.ones(3, dtype=np.uint8)], DEFAULT_RING)
+        [(received, _)] = a.recv_arrays()
         np.testing.assert_array_equal(received, np.ones(3, dtype=np.uint8))
 
     def test_loopback_timeout(self):
         a, _ = LoopbackTransport.pair(timeout=0.05)
         with pytest.raises(TimeoutError):
-            a.recv_array()
+            a.recv_arrays()
 
     def test_wire_stats_separate_payload_and_overhead(self):
         a, b = LoopbackTransport.pair()
-        a.send_array(np.zeros((2, 2), dtype=np.uint64), DEFAULT_RING)
-        b.recv_array()
+        a.send_arrays([np.zeros((2, 2), dtype=np.uint64)], DEFAULT_RING)
+        b.recv_arrays()
         assert a.stats.payload_bytes_sent == 32
         assert a.stats.overhead_bytes_sent > 0
         assert a.stats.wire_bytes_sent == 32 + a.stats.overhead_bytes_sent
@@ -109,24 +108,25 @@ class TestTransports:
         assert b.stats.frames_received == 1
 
     def test_tcp_transport_over_localhost(self):
-        port = free_port()
+        listener = TcpListener(port=0)
         result = {}
 
         def server():
-            transport = TcpTransport.listen("127.0.0.1", port, timeout=10.0)
+            with listener:
+                transport = listener.accept(timeout=10.0)
             try:
-                received, _ = transport.recv_array()
-                transport.send_array(received * np.uint64(2), DEFAULT_RING)
+                [(received, _)] = transport.recv_arrays()
+                transport.send_arrays([received * np.uint64(2)], DEFAULT_RING)
                 result["server"] = received
             finally:
                 transport.close()
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
+        client = TcpTransport.connect("127.0.0.1", listener.port, timeout=10.0)
         try:
-            client.send_array(np.arange(5, dtype=np.uint64), DEFAULT_RING)
-            doubled, _ = client.recv_array()
+            client.send_arrays([np.arange(5, dtype=np.uint64)], DEFAULT_RING)
+            [(doubled, _)] = client.recv_arrays()
         finally:
             client.close()
             thread.join(timeout=10.0)
@@ -134,8 +134,10 @@ class TestTransports:
         np.testing.assert_array_equal(doubled, np.arange(5, dtype=np.uint64) * 2)
 
     def test_tcp_connect_fails_cleanly_without_listener(self):
+        with TcpListener(port=0) as listener:
+            port = listener.port  # free again once the listener is closed
         with pytest.raises(ConnectionError):
-            TcpTransport.connect("127.0.0.1", free_port(), retries=2, retry_delay=0.01)
+            TcpTransport.connect("127.0.0.1", port, retries=2, retry_delay=0.01)
 
 
 def _run_party_program(party, transport, seed, program, results, errors):
@@ -201,30 +203,9 @@ class TestSimulatedVsPartyChannelParity:
             return out.share0 if party == 0 else out.share1
 
         if transport_kind == "tcp":
-            port = free_port()
-            barrier = threading.Barrier(2)
-
-            def opener(party):
-                barrier.wait()
-                if party == 0:
-                    return TcpTransport.listen("127.0.0.1", port, timeout=30.0)
-                return TcpTransport.connect("127.0.0.1", port, timeout=30.0)
-
-            # open the sockets inside the party threads via a tiny shim
-            transports = {}
-
-            def open_and_store(party):
-                transports[party] = opener(party)
-
-            open_threads = [
-                threading.Thread(target=open_and_store, args=(party,))
-                for party in (0, 1)
-            ]
-            for t in open_threads:
-                t.start()
-            for t in open_threads:
-                t.join(timeout=30.0)
-            pair = (transports[0], transports[1])
+            with TcpListener(port=0) as listener:
+                one = TcpTransport.connect("127.0.0.1", listener.port, timeout=30.0)
+                pair = (listener.accept(timeout=30.0), one)
         else:
             pair = None
 
@@ -237,11 +218,11 @@ class TestSimulatedVsPartyChannelParity:
             DEFAULT_RING.add(share0, share1),
             DEFAULT_RING.add(ref_out.share0, ref_out.share1),
         )
-        # Byte-count parity, message for message.
+        # Byte-count parity, in total (over a wire every event is a round
+        # of one, logged under the "round" tag).
         for channel in (channel0, channel1):
             assert channel.total_bytes == ref_log.total_bytes
             assert channel.rounds == ref_log.rounds
-            assert channel.log.bytes_by_tag() == ref_log.bytes_by_tag()
         if transport_kind == "tcp":
             for party in (0, 1):
                 results[party][1].transport.close()
@@ -396,8 +377,8 @@ class TestSessionFraming:
         a, b = LoopbackTransport.pair()
         a.send_control(b"x" * 100)
         b.recv_control()
-        a.send_array(np.arange(4, dtype=np.uint64), DEFAULT_RING)
-        b.recv_array()
+        a.send_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
+        b.recv_arrays()
         assert a.stats.payload_bytes_sent == 32
         assert b.stats.payload_bytes_received == 32
         assert a.stats.control_frames_sent == 1
@@ -414,19 +395,19 @@ class TestSessionFraming:
         a, b = LoopbackTransport.pair()
         a.send_control(b"header")
         with pytest.raises(ValueError, match="out of sync"):
-            b.recv_array()
+            b.recv_arrays()
         a2, b2 = LoopbackTransport.pair()
-        a2.send_array(np.arange(2, dtype=np.uint64), DEFAULT_RING)
+        a2.send_arrays([np.arange(2, dtype=np.uint64)], DEFAULT_RING)
         with pytest.raises(ValueError, match="out of sync"):
             b2.recv_control()
 
     def test_stats_snapshot_and_since(self):
         a, b = LoopbackTransport.pair()
-        a.send_array(np.arange(4, dtype=np.uint64), DEFAULT_RING)
-        b.recv_array()
+        a.send_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
+        b.recv_arrays()
         before = a.stats.snapshot()
-        a.send_array(np.arange(8, dtype=np.uint64), DEFAULT_RING)
-        b.recv_array()
+        a.send_arrays([np.arange(8, dtype=np.uint64)], DEFAULT_RING)
+        b.recv_arrays()
         delta = a.stats.since(before)
         assert delta.payload_bytes_sent == 64
         assert delta.frames_sent == 1
@@ -434,18 +415,19 @@ class TestSessionFraming:
         assert before.payload_bytes_sent == 32
 
     def test_control_frames_cross_a_real_socket(self):
-        port = free_port()
+        listener = TcpListener(port=0)
         result = {}
 
         def server():
-            transport = TcpTransport.listen(port=port)
+            with listener:
+                transport = listener.accept()
             result["got"] = transport.recv_control()
             result["bye"] = transport.recv_control()
             transport.close()
 
         thread = threading.Thread(target=server)
         thread.start()
-        client = TcpTransport.connect(port=port)
+        client = TcpTransport.connect(port=listener.port)
         client.send_control(b"job-header")
         client.send_shutdown()
         thread.join(timeout=10)
@@ -495,22 +477,18 @@ class TestRoundFrames:
         sink_end.recv_arrays()
         per_array = LoopbackTransport.pair()
         for array in arrays:
-            per_array[0].send_array(array, DEFAULT_RING)
-            per_array[1].recv_array()
+            per_array[0].send_arrays([array], DEFAULT_RING)
+            per_array[1].recv_arrays()
         assert coalesced.stats.payload_bytes_sent == per_array[0].stats.payload_bytes_sent
         assert coalesced.stats.overhead_bytes_sent < per_array[0].stats.overhead_bytes_sent
 
     def test_recv_arrays_rejects_non_round_frames(self):
+        """A bare array record as a frame (what a peer from before rounds
+        were the only data frames would send) is a desync, not data."""
         a, b = LoopbackTransport.pair()
-        a.send_array(np.arange(3, dtype=np.uint64), DEFAULT_RING)
+        a._put_frame(encode_array(np.arange(3, dtype=np.uint64), DEFAULT_RING))
         with pytest.raises(ValueError, match="round frame"):
             b.recv_arrays()
-
-    def test_recv_array_rejects_round_frames(self):
-        a, b = LoopbackTransport.pair()
-        a.send_arrays([np.arange(3, dtype=np.uint64)], DEFAULT_RING)
-        with pytest.raises(ValueError):
-            b.recv_array()
 
     def test_party_channels_run_coalesced_rounds_like_the_simulation(self):
         """run_round over a real transport: same results, same coalesced log
@@ -640,8 +618,6 @@ class TestFaultInjection:
         faulty = FaultyTransport(a, FaultPlan(seed=0, drop_at_round=0))
         faulty.send_control(b"job-header")  # not a round frame: passes
         assert b.recv_control() == b"job-header"
-        faulty.send_array(np.arange(2, dtype=np.uint64), DEFAULT_RING)
-        b.recv_array()  # single-array frames pass too
         with pytest.raises(FaultInjected):
             faulty.send_arrays([np.arange(2, dtype=np.uint64)], DEFAULT_RING)
 
@@ -673,7 +649,7 @@ class TestFaultInjection:
         a, b = LoopbackTransport.pair(timeout=5.0)
         a.close()
         with pytest.raises(ConnectionError, match="mid-frame"):
-            b.recv_array()
+            b.recv_arrays()
         # and it keeps failing (the poison is re-queued)
         with pytest.raises(ConnectionError):
             b.recv_control()
@@ -682,13 +658,14 @@ class TestFaultInjection:
 class TestRecvErrorContext:
     """Satellite: partial-frame errors carry round index, direction, bytes."""
 
-    def _serve_truncated(self, port, payload: bytes):
-        """Accept one connection, ship ``payload`` raw, close mid-frame."""
+    def _serve_truncated(self, payload: bytes):
+        """Accept one connection, ship ``payload`` raw, close mid-frame;
+        returns ``(thread, port)``."""
         import socket as socket_module
 
         server = socket_module.socket()
         server.setsockopt(socket_module.SOL_SOCKET, socket_module.SO_REUSEADDR, 1)
-        server.bind(("127.0.0.1", port))
+        server.bind(("127.0.0.1", 0))
         server.listen(1)
 
         def run():
@@ -699,14 +676,13 @@ class TestRecvErrorContext:
 
         thread = threading.Thread(target=run)
         thread.start()
-        return thread
+        return thread, server.getsockname()[1]
 
     def test_partial_round_frame_reports_context(self):
         import struct
 
-        port = free_port()
         # length prefix promises 100 bytes; only 10 arrive before EOF
-        thread = self._serve_truncated(port, struct.pack("<I", 100) + b"\xfe" + b"x" * 9)
+        thread, port = self._serve_truncated(struct.pack("<I", 100) + b"\xfe" + b"x" * 9)
         client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
         try:
             with pytest.raises(ConnectionError) as excinfo:
@@ -723,8 +699,7 @@ class TestRecvErrorContext:
     def test_truncated_control_frame_reports_context(self):
         import struct
 
-        port = free_port()
-        thread = self._serve_truncated(port, struct.pack("<I", 64) + b"\xff")
+        thread, port = self._serve_truncated(struct.pack("<I", 64) + b"\xff")
         client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
         try:
             with pytest.raises(ConnectionError, match="control frame") as excinfo:
@@ -735,12 +710,11 @@ class TestRecvErrorContext:
         assert "mid-frame" in str(excinfo.value)
 
     def test_eof_before_any_frame_reports_zero_progress(self):
-        port = free_port()
-        thread = self._serve_truncated(port, b"")
+        thread, port = self._serve_truncated(b"")
         client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
         try:
             with pytest.raises(ConnectionError, match="0 payload bytes"):
-                client.recv_array()
+                client.recv_arrays()
         finally:
             client.close()
             thread.join(timeout=10)
@@ -754,8 +728,7 @@ class TestRecvErrorContext:
 
         from repro.crypto.transport import FrameTooLarge
 
-        port = free_port()
-        thread = self._serve_truncated(port, struct.pack("<I", 0xFFFFFFFF))
+        thread, port = self._serve_truncated(struct.pack("<I", 0xFFFFFFFF))
         client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
         tracemalloc.start()
         try:
@@ -781,12 +754,6 @@ class TestInterleavedShutdown:
         with pytest.raises(ValueError, match="out of sync"):
             b.recv_arrays()
 
-    def test_shutdown_during_expected_array_is_a_desync(self):
-        a, b = LoopbackTransport.pair()
-        a.send_shutdown()
-        with pytest.raises(ValueError, match="out of sync"):
-            b.recv_array()
-
     def test_server_treats_mid_job_shutdown_as_connection_loss(self):
         """PartyServer's header sync: a shutdown instead of a job header is
         a connection-scoped failure (the job cannot proceed), not a crash
@@ -804,13 +771,11 @@ class TestInterleavedShutdown:
             server._sync_job_header(request)
 
 
-def _tcp_pair(timeout: float = 10.0, link_latency: float = 0.0):
+def _tcp_pair(timeout: float = 10.0):
     """Two connected TcpTransports in this process (party 0, party 1)."""
     with TcpListener() as listener:
-        client = TcpTransport.connect(
-            "127.0.0.1", listener.port, timeout=timeout, link_latency=link_latency
-        )
-        server = listener.accept(timeout=timeout, link_latency=link_latency)
+        client = TcpTransport.connect("127.0.0.1", listener.port, timeout=timeout)
+        server = listener.accept(timeout=timeout)
     return server, client
 
 
@@ -880,7 +845,8 @@ class _RawPeer:
 
 
 class TestFullDuplexExchange:
-    """``exchange_array(s)`` / ``_exchange_frame``: both frames in flight."""
+    """``exchange_arrays`` / ``_transfer(frame, receive=True)``: both frames
+    in flight."""
 
     ARRAYS_A = [np.arange(6, dtype=np.uint64), (np.array([1, 0, 1], dtype=np.uint8), 1)]
     ARRAYS_B = [np.arange(4, dtype=np.uint64) + 7]
@@ -900,15 +866,6 @@ class TestFullDuplexExchange:
         ref_b.recv_arrays()
         assert a.stats == ref_a.stats
         assert b.stats == ref_b.stats
-
-    def test_exchange_array_swaps_single_array_frames(self):
-        a, b = LoopbackTransport.pair()
-        b.send_array(np.arange(3, dtype=np.uint64), DEFAULT_RING)
-        theirs, payload_bytes = a.exchange_array(np.arange(5, dtype=np.uint64), DEFAULT_RING)
-        np.testing.assert_array_equal(theirs, np.arange(3, dtype=np.uint64))
-        assert payload_bytes == 24
-        np.testing.assert_array_equal(b.recv_array()[0], np.arange(5, dtype=np.uint64))
-        assert a.stats.round_frames_sent == 0 and a.stats.frames_sent == 1
 
     def test_send_arrays_overrides_still_see_exchanged_rounds(self):
         """A subclass that observes ``send_arrays`` (the e2e benchmark's
@@ -959,8 +916,8 @@ class TestFullDuplexExchange:
         frame_b = bytes([2]) * size
         try:
             got_server, got_client = _in_threads(
-                lambda: server._exchange_frame(frame_a),
-                lambda: client._exchange_frame(frame_b),
+                lambda: server._transfer(frame_a, receive=True),
+                lambda: client._transfer(frame_b, receive=True),
             )
         finally:
             server.close()
@@ -1012,39 +969,30 @@ class TestFullDuplexExchange:
         start = time.perf_counter()
         try:
             with pytest.raises(TimeoutError):
-                client._exchange_frame(bytes(frame_bytes))
+                client._transfer(bytes(frame_bytes), receive=True)
             elapsed = time.perf_counter() - start
         finally:
             client.close()
             peer.finish()
         assert 0.25 <= elapsed < 3.0
 
-    def test_link_latency_is_paid_once_per_exchange(self):
-        server, client = _tcp_pair(link_latency=0.05)
+    @pytest.mark.parametrize(
+        "make_pair", [LoopbackTransport.pair, _tcp_pair], ids=["loopback", "tcp"]
+    )
+    def test_shaped_exchange_sleeps_its_delay_once(self, make_pair):
+        shaped = [ShapedTransport(end, FaultPlan(latency_ms=50.0)) for end in make_pair()]
         arrays = [np.arange(4, dtype=np.uint64)]
         start = time.perf_counter()
         try:
             _in_threads(
-                lambda: server.exchange_arrays(arrays, DEFAULT_RING),
-                lambda: client.exchange_arrays(arrays, DEFAULT_RING),
+                lambda: shaped[0].exchange_arrays(arrays, DEFAULT_RING),
+                lambda: shaped[1].exchange_arrays(arrays, DEFAULT_RING),
             )
             elapsed = time.perf_counter() - start
         finally:
-            server.close()
-            client.close()
+            for end in shaped:
+                end.close()
         assert 0.05 <= elapsed < 0.09  # one traversal, not two
-
-    def test_shaped_exchange_sleeps_its_delay_once(self):
-        ends = LoopbackTransport.pair()
-        shaped = [ShapedTransport(end, FaultPlan(latency_ms=50.0)) for end in ends]
-        arrays = [np.arange(4, dtype=np.uint64)]
-        start = time.perf_counter()
-        _in_threads(
-            lambda: shaped[0].exchange_arrays(arrays, DEFAULT_RING),
-            lambda: shaped[1].exchange_arrays(arrays, DEFAULT_RING),
-        )
-        elapsed = time.perf_counter() - start
-        assert 0.05 <= elapsed < 0.09
 
 
 class TestSenderSideFrameLimit:

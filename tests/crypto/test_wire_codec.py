@@ -9,6 +9,10 @@ test that ``decode(encode(x))`` is exact for every supported dtype code.
 
 from __future__ import annotations
 
+import struct
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +20,10 @@ from hypothesis import strategies as st
 
 from repro.crypto.events import packed_num_bytes, payload_num_bytes
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
-from repro.crypto.transport import (
+from repro.crypto.transport import LoopbackTransport
+from repro.crypto.wire import (
     CODEC_STATS,
+    CorruptFrame,
     decode_array,
     encode_array,
     pack_sub_byte,
@@ -161,3 +167,97 @@ def test_property_decode_encode_is_exact(seed, length, code):
         np.testing.assert_array_equal(decoded, values.astype(np.uint64))
     else:
         np.testing.assert_array_equal(decoded, values)
+
+
+def test_round_and_control_frames_are_byte_identical_to_the_committed_wire():
+    """Golden bytes, captured from a ``LoopbackTransport`` before the codec
+    moved to ``repro.crypto.wire``: what ``send_arrays`` and
+    ``send_control`` put on the link may not change under a refactor."""
+    ring = np.arange(6, dtype=np.uint64).reshape(2, 3) * np.uint64(0x0123456789ABCDEF)
+    index = np.arange(13)
+    bits1 = ((index % 2) ^ (index % 3 == 0)).astype(np.uint8)
+    bits2 = (np.arange(7) % 4).astype(np.uint8)
+    a, b = LoopbackTransport.pair()
+    a.send_arrays([ring, (bits1, 1), (bits2, 2)], DEFAULT_RING)
+    assert bytes(b._inbox.get()).hex() == (
+        "fe03000000"
+        "0008020200000000000000030000000000000000000000000000"
+        "00efcdab8967452301de9b5713cf8a4602cd69039d36d06903bc37af269e158d04"
+        "ab055bb0055bb005"
+        "0801010d00000000000000e318"
+        "0902010700000000000000e424"
+    )
+    a.send_control(b"job")
+    assert bytes(b._inbox.get()).hex() == "ff6a6f62"
+    assert (a.stats.payload_bytes_sent, a.stats.overhead_bytes_sent) == (52, 50)
+    assert a.stats.control_bytes_sent == 8
+
+
+def _record(code: int, width: int, dims, payload: bytes = b"") -> bytes:
+    return struct.pack(f"<BBB{len(dims)}Q", code, width, len(dims), *dims) + payload
+
+
+def _round(count: int, body: bytes) -> bytes:
+    return b"\xfe" + struct.pack("<I", count) + body
+
+
+_GOOD = _record(0, 8, (1,), bytes(8))
+
+#: peer-supplied array records that must be refused from the header alone
+HOSTILE_RECORDS = {
+    # 12 bytes that used to unpack into a 2 GiB array / a 2 GiB index
+    "1bit-dims-2^31": _record(8, 1, (2**31,), b"\x00"),
+    "2bit-dims-2^28": _record(9, 2, (2**28,), b"\x00"),
+    "dims-product-wraps-uint64": _record(0, 8, (2**32, 2**32), bytes(8)),
+    "truncated-header": b"\x00\x08",
+    "truncated-dims": struct.pack("<BBBQ", 0, 8, 2, 4),
+    "short-ring-payload": _record(0, 8, (2,), bytes(15)),
+    "unknown-dtype-code": _record(77, 1, (1,), b"\x00"),
+    "control-code-as-dtype": _record(255, 1, (1,), b"\x00"),
+    "ring-width-3": _record(0, 3, (1,), bytes(3)),
+    "native-width-mismatch": _record(2, 8, (1,), bytes(8)),
+    "packed-width-mismatch": _record(8, 2, (4,), b"\x00"),
+    "more-dims-than-numpy-holds": _record(0, 8, (1,) * 255, bytes(8)),
+    "trailing-bytes": _GOOD + b"\x00",
+}
+
+#: the same records as the only array of a round frame, plus the ways a
+#: round frame itself can lie about its contents
+HOSTILE_ROUNDS = {
+    **{name: _round(1, record) for name, record in HOSTILE_RECORDS.items()},
+    "count-overruns-frame": _round(2, _GOOD),
+    "count-2^32-1-of-nothing": _round(2**32 - 1, b""),
+    "no-count": b"\xfe\x01",
+}
+
+
+def _recv_arrays_over_loopback(frame: bytes) -> None:
+    a, b = LoopbackTransport.pair(timeout=5.0)
+    a._put_frame(frame)
+    b.recv_arrays()
+
+
+@pytest.mark.parametrize(
+    "decode, frame",
+    [
+        pytest.param(decode, frame, id=f"{label}-{name}")
+        for label, decode, table in (
+            ("decode_array", decode_array, HOSTILE_RECORDS),
+            ("recv_arrays", _recv_arrays_over_loopback, HOSTILE_ROUNDS),
+        )
+        for name, frame in table.items()
+    ],
+)
+def test_hostile_frame_is_refused_before_anything_is_built(decode, frame):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CorruptFrame):
+            decode(frame)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert issubclass(CorruptFrame, ConnectionError)
+    assert peak < 1 << 20
+    assert elapsed < 1.0  # (the first two took 13 s and 26 s)

@@ -56,7 +56,11 @@ def _loopback_logits(plan, weights, x):
             )
             pool = TrustedDealer(ring=ring, seed=SEED).preprocess(plan).restrict_to_party(party)
             execution = execute_plan_as_party(ctx, party, plan, weights, input_share, pool=pool)
-            verify_against_plan(plan, execution, transports[party].stats)
+            stats = transports[party].stats
+            verify_against_plan(plan, execution, stats)
+            # rounds are the only data frames on the link
+            assert stats.frames_sent == stats.round_frames_sent > 0
+            assert stats.frames_received == stats.round_frames_received > 0
             assert pool.remaining == 0
             assert execution.fused_kernel_calls > 0
             shares[party] = execution.logit_share

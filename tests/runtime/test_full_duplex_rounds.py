@@ -1,7 +1,7 @@
 """A scheduled round costs one link traversal, whichever way it points.
 
-Two ``PartyChannel`` ends over a real ``TcpTransport`` pair with a 20 ms
-one-way link: N openings (both parties send and receive) must take about
+Two ``PartyChannel`` ends over a real ``TcpTransport`` pair shaped to a
+20 ms one-way link: N openings (both parties send and receive) must take about
 N x 20 ms — not 2N, which is what sending in turn cost — and N one-way
 transfers still take N x 20 ms.
 """
@@ -17,7 +17,7 @@ import pytest
 from repro.crypto.channel import PartyChannel
 from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
 from repro.crypto.ring import DEFAULT_RING
-from repro.crypto.transport import TcpListener, TcpTransport
+from repro.crypto.transport import FaultPlan, ShapedTransport, TcpListener, TcpTransport
 
 LINK_LATENCY = 0.02
 ROUNDS = 10
@@ -36,10 +36,10 @@ def _transfer_round():
 def _time_rounds(make_round) -> float:
     """Wall clock of ROUNDS rounds run by both parties, slowest party."""
     with TcpListener() as listener:
-        one = TcpTransport.connect(
-            "127.0.0.1", listener.port, timeout=10.0, link_latency=LINK_LATENCY
-        )
-        zero = listener.accept(timeout=10.0, link_latency=LINK_LATENCY)
+        one = TcpTransport.connect("127.0.0.1", listener.port, timeout=10.0)
+        zero = listener.accept(timeout=10.0)
+    shape = FaultPlan(latency_ms=1e3 * LINK_LATENCY)
+    zero, one = ShapedTransport(zero, shape), ShapedTransport(one, shape)
     elapsed, errors = {}, []
 
     def run(party, transport):

@@ -35,6 +35,24 @@ SRC = Path(repro.crypto.__file__).parents[1]
 RUNTIME_AND_SERVE = sorted(
     path for package in ("runtime", "serve") for path in (SRC / package).glob("*.py")
 )
+CRYPTO = sorted((SRC / "crypto").rglob("*.py"))
+
+
+def _parameter_and_field_names(node) -> set:
+    """Names a function takes, or a class body annotates (dataclass fields)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        arguments = node.args
+        return {
+            a.arg for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
+        }
+    if isinstance(node, ast.ClassDef):
+        return {
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        }
+    return set()
+
 
 MODE_PARAMETERS = {
     "optimize",
@@ -70,20 +88,47 @@ def test_constant_knobs_are_not_parameters_or_fields_anywhere():
     banned = {"verify", "factory_announce_ahead", "retry_backoff"}
     for path in RUNTIME_AND_SERVE:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            names = set()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                arguments = node.args
-                names = {
-                    a.arg
-                    for a in arguments.posonlyargs + arguments.args + arguments.kwonlyargs
-                }
-            elif isinstance(node, ast.ClassDef):
-                names = {
-                    stmt.target.id
-                    for stmt in node.body
-                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                }
+            names = _parameter_and_field_names(node)
             assert not names & banned, (path.name, node.name, names & banned)
+
+
+def test_link_latency_is_spelled_once_and_injected_by_the_fault_plan_only():
+    """One parameter left in ``src/`` — the pool's shorthand for a
+    latency-only ``link_shape`` — and none below it."""
+    holders = [
+        (path.name, node.name)
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "link_latency" in _parameter_and_field_names(node)
+    ]
+    assert holders == [("pool.py", "__init__")]
+    for path in CRYPTO + sorted((SRC / "runtime").glob("*.py")):
+        assert "link_latency" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_a_transport_implements_one_frame_primitive():
+    transport = repro.crypto.transport
+    concrete = [
+        cls
+        for cls in vars(transport).values()
+        if inspect.isclass(cls)
+        and issubclass(cls, transport.Transport)
+        and cls not in (transport.Transport, transport.FaultyTransport)
+    ]
+    assert len(concrete) == 3
+    for cls in concrete:
+        assert "_transfer" in vars(cls), cls.__name__
+    # the fault wrapper only hooks the funnel its round indices hang on
+    assert {"_put_frame", "_take_frame"} <= set(vars(transport.FaultyTransport))
+    assert "_transfer" not in vars(transport.FaultyTransport)
+    for cls in [transport.Transport, transport.FaultyTransport, *concrete]:
+        for gone in (
+            "send_array", "recv_array", "exchange_array",
+            "_send_frame", "_recv_frame", "_exchange_frame",
+        ):
+            assert not hasattr(cls, gone), (cls.__name__, gone)
+    party_channel = vars(repro.crypto.PartyChannel)
+    assert not {"exchange", "_swap", "_log"} & set(party_channel)
 
 
 def test_each_constructor_keeps_its_reduced_option_count():
@@ -126,6 +171,9 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.serve.pool", "_PoolFrontend"),
         ("repro.crypto.transport", "HEARTBEAT_MAGIC"),
         ("repro.crypto.transport", "heartbeat_payload"),
+        ("repro.crypto.transport", "TransportEndpoint"),
+        ("repro.crypto.transport", "free_port"),
+        ("repro.crypto", "TransportEndpoint"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -135,12 +183,13 @@ def test_deleted_names_stay_deleted(module, name):
 def test_deleted_module_and_method_stay_deleted():
     assert importlib.util.find_spec("repro.serve.cache") is None
     assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
+    assert not hasattr(repro.crypto.transport.TcpTransport, "listen")
 
 
-def test_no_runtime_or_serve_module_exceeds_700_lines():
+def test_no_crypto_runtime_or_serve_module_exceeds_700_lines():
     sizes = {
-        path.name: len(path.read_text(encoding="utf-8").splitlines())
-        for path in RUNTIME_AND_SERVE
+        str(path.relative_to(SRC)): len(path.read_text(encoding="utf-8").splitlines())
+        for path in CRYPTO + RUNTIME_AND_SERVE
     }
     assert {name: n for name, n in sizes.items() if n > 700} == {}
 

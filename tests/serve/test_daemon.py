@@ -140,6 +140,33 @@ class TestServingDaemon:
                 # the connection survives the rejected request
                 assert client.ping()
 
+    def test_hostile_array_body_fails_one_request_not_the_loop(self, servable):
+        """12 bytes claiming 2**31 one-bit elements used to be unpacked on
+        the event-loop thread (13 s, 2 GiB): now an error reply for that
+        submit, a heartbeat answered right behind it, and the connection
+        keeps serving."""
+        import json
+        import struct
+
+        hostile = struct.pack("<BBBQ", 8, 1, 1, 2**31) + b"\x00"
+        with ServingDaemon(
+            {"vgg": servable}, num_shards=1, max_batch=2, seed=26
+        ) as daemon:
+            with DaemonClient(*daemon.address) as client:
+                submit = {"kind": "submit", "id": 1, "model": "vgg"}
+                start = time.perf_counter()
+                client._write_frame(b"J", json.dumps(submit).encode("utf-8"))
+                client._write_frame(b"A", hostile)
+                client._write_frame(b"H", b"")
+                kind, body = client._read_frame()
+                assert client._read_frame() == (b"H", b"")
+                assert time.perf_counter() - start < 1.0
+                reply = json.loads(body.decode("utf-8"))
+                assert (kind, reply["kind"], reply["id"]) == (b"J", "error", 1)
+                assert "declares 268435456 payload bytes" in reply["error"]
+                result = client.infer("vgg", np.zeros((1, 3, 8, 8)))
+        assert result.logits.shape == (1, 10)
+
 
 class TestHostileLengthPrefix:
     def test_client_rejects_an_oversized_prefix_before_allocating(self):
