@@ -1,4 +1,4 @@
-"""Ablation — second-order vs first-order architecture gradient (DESIGN.md §4.2).
+"""Ablation — second-order vs first-order architecture gradient.
 
 Algorithm 1 uses the second-order DARTS approximation (virtual weight step +
 finite-difference Hessian-vector product).  This ablation runs the same

@@ -1,5 +1,5 @@
 """Ablation — search strategy: analytic/differentiable equilibrium vs
-gradient-free searchers (DESIGN.md §4, Section III-D motivation).
+gradient-free searchers (Section III-D motivation).
 
 The paper argues that RL/sampling-based NAS "requires a significant amount
 of search overhead" compared to the differentiable formulation.  This

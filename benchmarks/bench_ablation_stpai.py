@@ -1,4 +1,4 @@
-"""Ablation — STPAI vs naive polynomial initialization (DESIGN.md §4.1).
+"""Ablation — STPAI vs naive polynomial initialization.
 
 The paper's first contribution is the straight-through polynomial activation
 initialization.  This ablation finetunes the same all-polynomial tiny VGG

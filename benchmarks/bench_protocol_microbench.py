@@ -3,9 +3,9 @@
 Not a paper figure per se, but the substrate's own performance/throughput
 characterization: wall-clock of the numpy 2PC simulation for the core
 operators (Beaver multiplication, square, DReLU comparison, convolution),
-the measured communication per element (compared in EXPERIMENTS.md with the
-analytical model's volumes), and the offline/online split of the compiled
-plan runtime (compile → preprocess → execute).
+the measured communication per element (comparable with the analytical
+model's volumes, :mod:`repro.hardware.comm`), and the offline/online split
+of the compiled plan runtime (compile → preprocess → execute).
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def test_plan_offline_online_split():
     )
     assert result.communication_bytes == plan.online_bytes
     assert result.communication_rounds == plan.online_rounds
-    # the sequential oracle: same bits, the legacy (uncoalesced) round count
+    # the sequential oracle: same bits, the uncoalesced round count
     oracle = make_context(seed=3)
     reference_logits, _, _ = run_reference(oracle, plan, weights, x)
     np.testing.assert_array_equal(result.logits, reference_logits)
-    assert oracle.communication_rounds == plan.legacy_online_rounds
+    assert oracle.communication_rounds == plan.oracle_rounds
     assert result.offline_material_bytes > 0

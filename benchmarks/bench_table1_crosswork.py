@@ -2,7 +2,7 @@
 
 Regenerates every PASNet row (latency, communication and energy efficiency
 measured with this repository's hardware model; accuracies are the paper's
-reported values — see DESIGN.md) plus the published comparator rows, and
+reported values) plus the published comparator rows, and
 checks the abstract's headline claims: ~100x-class latency reduction for
 PASNet-A, tens-of-x for PASNet-B, and a >1000x energy-efficiency gap.
 """

@@ -1,8 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper (see DESIGN.md
-section 3) and prints the regenerated rows/series so they can be compared
-side by side with the published values recorded in EXPERIMENTS.md.
+Every benchmark regenerates one table or figure of the paper (or
+microbenchmarks the substrate that does) and prints the regenerated
+rows/series so they can be compared side by side with the published values
+in :mod:`repro.baselines.published`.
 """
 
 from __future__ import annotations

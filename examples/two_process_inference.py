@@ -85,7 +85,7 @@ def main() -> None:
     print(f"fused local compute: {result.fused_kernel_calls} kernel calls, "
           f"{result.cpu_time_ns / 1e6:.1f} ms cpu (max over parties)")
     print(f"rounds: {result.online_rounds} (predicted {plan.online_rounds}, "
-          f"sequential would be {plan.legacy_online_rounds})")
+          f"sequential would be {plan.oracle_rounds})")
     rounds_per_drelu = drelu_trace((1,), engine.ctx.ring).scheduled_rounds
     print(f"packed wire format: {result.bytes_saved_pct:.1f}% payload saved "
           f"(unpacked equivalent {result.unpacked_payload_bytes} bytes); "
@@ -95,8 +95,7 @@ def main() -> None:
         raise SystemExit("two-process execution diverged from the reference")
 
     if args.json_path:
-        # ``serving-bench/v1``: the schema shared with bench_pool_scaling so
-        # dashboards can ingest either uniformly (documented in docs/serving.md).
+        # ``serving-bench/v1``: the report schema documented in docs/serving.md
         payload = {
             "schema": "serving-bench/v1",
             "kind": "two_process_inference",

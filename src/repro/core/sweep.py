@@ -8,9 +8,9 @@ this equilibrium directly: an activation gate selects X^2act when the
 latency saving scaled by λ outweighs its (surrogate) accuracy sensitivity,
 and a pooling gate selects AvgPool analogously.
 
-This is the documented substitute for running Algorithm 1 at ImageNet scale
-(see DESIGN.md); the true differentiable search is exercised on the tiny
-backbones by :mod:`repro.core.search` and the examples/tests.
+This is the documented substitute for running Algorithm 1 at ImageNet scale;
+the true differentiable search is exercised on the tiny backbones by
+:mod:`repro.core.search` and the examples/tests.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ The random stream is laid out per (kind, shape) substream (see
 own :class:`~numpy.random.SeedSequence`-derived generator, and each item is
 exactly one fixed-shape ``uint64`` draw.  That layout is what makes the
 offline phase batchable — ``preprocess`` draws whole groups as single
-stacked generator calls — while keeping lazy draws, per-item pool fills,
-vectorized pool fills and factory-provisioned buffers bit-identical at the
-same seed, so every share on the wire is the same in all modes.
+stacked generator calls — while keeping lazy draws, stacked pool fills and
+factory-provisioned buffers bit-identical at the same seed, so every share
+on the wire is the same whichever supplied it.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ class TrustedDealer:
             self.dabits_generated += elements
 
     # -- offline phase -------------------------------------------------------- #
-    def preprocess(self, plan_or_manifest, *, vectorized: bool = True) -> "RandomnessPool":
+    def preprocess(self, plan_or_manifest) -> "RandomnessPool":
         """Generate all correlated randomness of a compiled plan up front.
 
         Accepts an :class:`repro.crypto.plan.InferencePlan` or its
@@ -263,8 +263,7 @@ class TrustedDealer:
         :class:`RandomnessPool` holding every triple/pair/bit-triple the
         online phase will consume.  Each (kind, shape) group of the manifest
         is drawn as **one** stacked generator call from its substream, which
-        is bit-identical to a per-item fill (``vectorized=False``, kept as
-        the benchmark's comparison path) and to lazy draws at the same seed.
+        is bit-identical to lazy draws at the same seed.
         """
         manifest = getattr(plan_or_manifest, "manifest", plan_or_manifest)
         pool = RandomnessPool(ring=self.ring, manifest_hash=manifest.content_hash)
@@ -272,17 +271,7 @@ class TrustedDealer:
             if kind not in GROUP_FIELDS or kind not in PARTY_FIELDS:
                 raise ValueError(f"unknown randomness request kind {kind!r}")
             rng = self._stream(kind, shape)
-            if vectorized:
-                arrays = draw_group(self.ring, rng, kind, shape, count)
-            else:
-                singles = [draw_group(self.ring, rng, kind, shape, 1) for _ in range(count)]
-                arrays = {
-                    field: np.concatenate([one[field] for one in singles])
-                    if singles
-                    else draw_group(self.ring, rng, kind, shape, 0)[field]
-                    for field in GROUP_FIELDS[kind]
-                }
-            pool.install_group(kind, shape, arrays)
+            pool.install_group(kind, shape, draw_group(self.ring, rng, kind, shape, count))
             self._count_group(kind, shape, count)
         return pool
 

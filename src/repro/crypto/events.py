@@ -232,7 +232,7 @@ def run_reference(ctx, plan, weights, inputs, pool=None):
     chain.  It shares inputs and draws randomness exactly like
     :meth:`~repro.crypto.secure_model.SecureInferenceEngine.execute`, which
     must reproduce these logits bit for bit; ``ctx`` afterwards logs
-    ``plan.online_bytes`` and ``plan.legacy_online_rounds``.  Nothing under
+    ``plan.online_bytes`` and ``plan.oracle_rounds``.  Nothing under
     ``repro.runtime`` or ``repro.serve`` may import it.
 
     Returns ``(logits, per_op_bytes, per_op_cpu_ns)``.

@@ -28,8 +28,7 @@ copies (``ring.wrap`` re-``astype``\\ s every operand; ``truncate_local``
 round-trips through three dtype conversions).  Fused execution is therefore
 **bit-identical** to the reference path — asserted per protocol in
 ``tests/crypto/test_kernels.py`` and zoo-wide, against the sequential oracle
-(:func:`repro.crypto.events.run_reference`), by ``tests/crypto/test_zoo.py``
-and ``benchmarks/bench_local_compute.py``.
+(:func:`repro.crypto.events.run_reference`), by ``tests/crypto/test_zoo.py``.
 
 Kernels require the 64-bit ring (dtype-view tricks assume no masking); the
 protocol entry points keep their reference chains for narrower rings and

@@ -264,9 +264,9 @@ class ScheduledPlan:
         return trace_rounds(self.schedule.messages())
 
     @property
-    def legacy_online_rounds(self) -> int:
+    def oracle_rounds(self) -> int:
         """The sequential count of the unoptimized plan — what the oracle logs."""
-        return self.plan.legacy_online_rounds
+        return self.plan.oracle_rounds
 
     @property
     def manifest(self) -> PreprocessingManifest:

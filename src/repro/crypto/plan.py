@@ -27,10 +27,9 @@ Round accounting has two flavours, both exact:
 - ``online_rounds`` — the **scheduled** count: what a round-coalescing
   execution of the plan logs (independent openings of one round group share
   one framed message per direction);
-- ``legacy_online_rounds`` — the trace-derived sequential count (every
-  opening its own exchange): what the sequential oracle
-  (:func:`repro.crypto.events.run_reference`) logs, kept for comparison in
-  reports.
+- ``oracle_rounds`` — the trace-derived sequential count (every
+  opening its own exchange): the direction-flip count the sequential
+  oracle (:func:`repro.crypto.events.run_reference`) logs.
 
 The same manifest is the single source of truth consumed by the hardware
 layer (:func:`repro.hardware.comm.communication_report` with ``plan=`` and
@@ -120,9 +119,9 @@ class PlanOp:
         return trace_rounds(self.scheduled_messages)
 
     @property
-    def legacy_online_rounds(self) -> int:
+    def oracle_rounds(self) -> int:
         """Trace-derived sequential round count (every opening its own
-        exchange) — the pre-scheduler metric, kept for comparison."""
+        exchange) — what the oracle logs for this op."""
         return trace_rounds(self.messages)
 
     @property
@@ -238,8 +237,8 @@ class PreprocessingManifest:
         return trace_rounds(round_trace_messages(self.round_trace))
 
     @property
-    def legacy_online_rounds(self) -> int:
-        """Sequential trace-derived round count, kept for comparison."""
+    def oracle_rounds(self) -> int:
+        """Sequential trace-derived round count — what the oracle logs."""
         return trace_rounds(self.messages)
 
     def summary(self) -> Dict[str, int]:
@@ -251,7 +250,7 @@ class PreprocessingManifest:
             "material_bytes": self.material_bytes,
             "online_bytes": self.online_bytes,
             "online_rounds": self.online_rounds,
-            "legacy_online_rounds": self.legacy_online_rounds,
+            "oracle_rounds": self.oracle_rounds,
         }
 
 
@@ -314,10 +313,10 @@ class InferencePlan:
         )
 
     @property
-    def legacy_online_rounds(self) -> int:
+    def oracle_rounds(self) -> int:
         """Sequential round count: direction changes + 1 over all messages
         of an uncoalesced execution (the :class:`CommunicationLog.rounds`
-        convention) — kept for comparison with the scheduled count."""
+        convention) — what the oracle logs."""
         return trace_rounds([m for op in self.ops for m in op.messages])
 
     def per_op_bytes(self) -> Dict[str, int]:

@@ -111,7 +111,7 @@ class OpTrace:
 
     ``groups`` holds one entry per round group the protocol's phase
     generator yields, in yield order; each group holds its events' messages.
-    The flat legacy view (:attr:`messages`) concatenates every event's
+    The flat sequential view (:attr:`messages`) concatenates every event's
     ``(sender, num_bytes)`` messages in transmission order, mirroring exactly
     what a *sequential* execution logs; the coalesced view
     (:attr:`scheduled_messages`) emits at most one message per direction per
@@ -171,8 +171,8 @@ class OpTrace:
     @property
     def rounds(self) -> int:
         """Sequential round count: direction changes + 1 (the
-        :class:`CommunicationLog` convention).  Kept as the *legacy* metric;
-        the scheduled count is :attr:`scheduled_rounds`."""
+        :class:`CommunicationLog` convention) — what the oracle logs; the
+        scheduled count is :attr:`scheduled_rounds`."""
         return trace_rounds(self.messages)
 
     @property

@@ -2,9 +2,8 @@
 
 Summarizes what a 2PC execution consumed: online communication (bytes,
 rounds, per-tag breakdown) and offline correlated randomness (Beaver
-triples, square pairs, bit triples).  Used by the microbenchmarks and by
-EXPERIMENTS.md to compare the executed simulation against the analytical
-communication model.
+triples, square pairs, bit triples).  Used by the microbenchmarks to compare
+the executed simulation against the analytical communication model.
 """
 
 from __future__ import annotations

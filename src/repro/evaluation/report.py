@@ -2,7 +2,7 @@
 
 The benchmark harnesses print the regenerated rows/series with these helpers
 so their output can be compared side by side with the paper's tables and
-figures (recorded in EXPERIMENTS.md).
+figures.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The latency, communication and energy-efficiency columns are *measured* from
 this repository's hardware model over the variant architectures; the accuracy
 columns are the paper's reported values (training ImageNet offline is out of
-scope — see DESIGN.md) and are labelled as such.  The comparator rows use the
+scope) and are labelled as such.  The comparator rows use the
 published CryptGPU / CryptFLOW numbers, so the headline ratios (latency,
 communication and efficiency improvements) are regenerated end to end.
 """

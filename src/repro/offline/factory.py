@@ -23,7 +23,6 @@ zoo-wide logit identity.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -469,38 +468,3 @@ def group_reference(arrays, kind: str, missing_name: str):
         return arrays.get(counterpart)
     return None
 
-
-def run_factory_server(
-    root: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    nice: Optional[int] = None,
-    ready_queue=None,
-    stop_event=None,
-) -> None:
-    """Run a standalone factory server process (producer included).
-
-    ``nice`` lowers the whole process's scheduling priority so background
-    production cannot steal meaningful CPU from online serving on the same
-    host.  ``ready_queue`` (multiprocessing) receives the bound
-    ``(host, port)``; ``stop_event`` ends the loop.
-    """
-    if nice is not None:
-        try:
-            os.nice(nice)
-        except OSError:  # pragma: no cover - permission-restricted hosts
-            pass
-    store = InventoryStore(root)
-    factory = RandomnessFactory(store)
-    server = FactoryServer(factory, host=host, port=port)
-    server.start()
-    if ready_queue is not None:
-        ready_queue.put(server.address)
-    try:
-        while stop_event is None or not stop_event.is_set():
-            time.sleep(0.05)
-    except KeyboardInterrupt:  # pragma: no cover - interactive use
-        pass
-    finally:
-        server.close()

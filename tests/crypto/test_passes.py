@@ -217,7 +217,7 @@ class TestRoundScheduling:
 
     def test_scheduled_rounds_strictly_fewer_on_relu_models(self):
         splan = optimize_plan(compile_plan(vgg_tiny(input_size=8)))
-        assert splan.online_rounds < splan.legacy_online_rounds
+        assert splan.online_rounds < splan.oracle_rounds
         # The log-depth comparison tree already collapsed the *sequential*
         # round count ~4x (every tree level is one stacked event), so
         # coalescing has less intra-op redundancy left to exploit; the
@@ -230,7 +230,7 @@ class TestRoundScheduling:
         manifest = splan.manifest
         assert manifest.round_trace == splan.schedule.round_trace()
         assert manifest.online_rounds == splan.online_rounds
-        assert manifest.legacy_online_rounds == splan.legacy_online_rounds
+        assert manifest.oracle_rounds == splan.oracle_rounds
         assert manifest.online_bytes == splan.online_bytes
 
     def test_cross_op_coalescing_executes_correctly(self):

@@ -7,11 +7,18 @@ the in-process engine and two party threads over a loopback transport
 reconstruct the **same bits**; observed traffic equals the plan's static
 prediction exactly; and the manifest provisions exactly the randomness
 consumed.
+
+The counts the paper's cost model consumes (rounds, bytes, correlated-
+randomness volume, Eq. 8 / Eq. 14-16) are committed per case in
+``zoo_plan_table.json`` and compared with ``==``: a change that moves one
+edits its row in the same diff (a failure prints the observed row).
 """
 
 from __future__ import annotations
 
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +37,14 @@ from repro.nn.tensor import Tensor
 from repro.runtime.party import execute_plan_as_party, verify_against_plan
 
 SEED = 11
+
+CASES = [
+    pytest.param(build, polynomial, batch, id=f"{build.__name__}-{variant}-{batch}")
+    for build in (vgg_tiny, resnet_tiny, mobilenetv2_tiny)
+    for polynomial, variant in ((False, "relu"), (True, "poly"))
+    for batch in (1, 2)
+]
+PLAN_TABLE = json.loads(Path(__file__).with_name("zoo_plan_table.json").read_text())
 
 
 def _trained_weights(spec):
@@ -82,10 +97,8 @@ def _loopback_logits(plan, weights, x):
     return ring.decode(ring.add(shares[0], shares[1]))
 
 
-@pytest.mark.parametrize("batch", [1, 2])
-@pytest.mark.parametrize("polynomial", [False, True], ids=["relu", "poly"])
-@pytest.mark.parametrize("build", [vgg_tiny, resnet_tiny, mobilenetv2_tiny])
-def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, batch):
+@pytest.mark.parametrize("build,polynomial,batch", CASES)
+def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, batch, request):
     spec = build(input_size=8)
     if polynomial:
         spec = spec.with_all_polynomial()
@@ -108,11 +121,36 @@ def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, bat
         oracle_ctx, plan, weights, x, pool=oracle_pool
     )
     assert oracle_ctx.communication_bytes == plan.online_bytes
-    assert oracle_ctx.communication_rounds == plan.legacy_online_rounds
+    assert oracle_ctx.communication_rounds == plan.oracle_rounds
     assert oracle_per_op == plan.per_op_bytes()
     assert oracle_pool.remaining == 0
     assert oracle_ctx.kernels is None
-    assert plan.online_rounds <= plan.legacy_online_rounds
+    assert plan.online_rounds <= plan.oracle_rounds
+
+    manifest = plan.manifest
+    observed = {
+        "num_ops": len(plan.ops),
+        "schedule_rounds": plan.schedule.num_rounds,
+        "unpacked_online_bytes": oracle_ctx.channel.log.total_unpacked_bytes,
+        "manifest_hash": manifest.content_hash,
+        "requests": len(manifest.requests),
+        **manifest.summary(),
+    }
+    case = request.node.callspec.id
+    assert observed == PLAN_TABLE.get(case), f"observed row for {case}: {json.dumps(observed)}"
 
     assert np.array_equal(result.logits, oracle_logits)
     assert np.array_equal(_loopback_logits(plan, weights, x), oracle_logits)
+
+
+def test_plan_table_has_exactly_one_row_per_case():
+    assert sorted(PLAN_TABLE) == sorted(case.id for case in CASES)
+
+
+def test_relu_rows_hold_the_compression_and_coalescing_floors():
+    for case, row in PLAN_TABLE.items():
+        if "-relu-" in case:
+            # sub-byte packing: comparison payload at least 4x below ring width
+            assert row["unpacked_online_bytes"] >= 4 * row["online_bytes"], case
+            # round coalescing: strictly fewer scheduled rounds than the oracle's
+            assert row["online_rounds"] < row["oracle_rounds"], case

@@ -2,9 +2,8 @@
 
 The invariant everything rests on: one stacked ``count=k`` draw is
 bit-identical to ``k`` per-item draws against the same substream, for every
-group kind and both ring widths — so the vectorized pool fill, the per-item
-fill, the lazy dealer and a factory process all produce the same material
-at the same seed.
+group kind and both ring widths — so the stacked pool fill, the lazy dealer
+and a factory process all produce the same material at the same seed.
 """
 
 from __future__ import annotations
@@ -142,19 +141,6 @@ class TestCorrelations:
 
 
 class TestPreprocessEquivalence:
-    def test_vectorized_preprocess_equals_per_item(self):
-        plan = compile_plan(vgg_tiny(input_size=8), batch_size=2)
-        fast = TrustedDealer(DEFAULT_RING, seed=21).preprocess(plan, vectorized=True)
-        slow = TrustedDealer(DEFAULT_RING, seed=21).preprocess(plan, vectorized=False)
-        groups = plan.manifest.grouped_requests()
-        assert groups, "manifest should not be empty"
-        for kind, shape, _count in groups:
-            fast_buffers = fast.group_buffers(kind, shape)
-            slow_buffers = slow.group_buffers(kind, shape)
-            assert len(fast_buffers) == len(slow_buffers) == 1
-            for name in GROUP_FIELDS[kind]:
-                assert np.array_equal(fast_buffers[0][name], slow_buffers[0][name])
-
     def test_preprocess_accepts_manifest_directly(self):
         plan = compile_plan(vgg_tiny(input_size=8), batch_size=1)
         from_plan = TrustedDealer(DEFAULT_RING, seed=2).preprocess(plan)
