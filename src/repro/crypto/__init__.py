@@ -48,7 +48,6 @@ from repro.crypto.kernels import (
     WorkspaceArena,
     arena_for,
     clear_arenas,
-    clear_executors,
     register_kernel,
 )
 from repro.crypto.passes import (
@@ -108,7 +107,6 @@ __all__ = [
     "WorkspaceArena",
     "arena_for",
     "clear_arenas",
-    "clear_executors",
     "register_kernel",
     "dead_op_elimination",
     "levelize",

@@ -279,9 +279,13 @@ class PartyChannel(Channel):
 
     The same SPMD protocol program that runs against the simulated
     :class:`Channel` runs against a :class:`PartyChannel` inside each party's
-    process: expressions indexed by this party operate on genuine data, the
-    other world's expressions produce garbage that is never consumed, and
-    every cross-party value is obtained from the transport.
+    process: the plan executor reads :attr:`party` as the one live share
+    lane, so expressions indexed by this party operate on genuine data and
+    the other lane is the read-only
+    :func:`~repro.crypto.kernels.dead_lane` placeholder.  :meth:`run_round`
+    only ever reads this party's payload of an event — the other may be the
+    placeholder — and every cross-party value is obtained from the
+    transport.
 
     Every interaction is a round (:meth:`run_round`; the per-event methods
     are rounds of one event), and both parties log each round from the same

@@ -39,6 +39,15 @@ class TwoPartyContext:
         if self.rng is None:
             self.rng = np.random.default_rng(self.seed + 1)
 
+    @property
+    def live_lane(self) -> Optional[int]:
+        """The one share lane this process computes, or None for both.
+
+        Set by the plan executor from the channel (a party process holds
+        only its own world); outside the executor both lanes are live.
+        """
+        return None if self.kernels is None else self.kernels.live
+
     def reset_communication(self) -> None:
         """Clear the channel log (e.g. between benchmark runs)."""
         self.channel.reset()

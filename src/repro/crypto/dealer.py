@@ -37,6 +37,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.kernels import dead_lane
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.sharing import SharePair, share_ring_elements
 from repro.offline.generation import (
@@ -314,7 +315,7 @@ class RandomnessPool:
 
     Pools filled by :meth:`TrustedDealer.preprocess` retain each group's
     stacked share arrays in ``group_buffers``; items are row views into
-    them, so party restriction zeroes whole stacks, never items.
+    them, so party restriction releases whole stacks, never items.
     """
 
     def __init__(
@@ -335,9 +336,6 @@ class RandomnessPool:
         self.dabits_generated = 0
 
     # -- filling (offline) -------------------------------------------------- #
-    def _push(self, kind: str, shape: Tuple[int, ...], item) -> None:
-        self._queues.setdefault((kind, tuple(shape)), deque()).append(item)
-
     def install_group(
         self, kind: str, shape: Tuple[int, ...], arrays: Dict[str, np.ndarray]
     ) -> None:
@@ -381,19 +379,24 @@ class RandomnessPool:
 
     # -- party restriction (networked runtime) ------------------------------- #
     def restrict_to_party(self, party: int) -> "RandomnessPool":
-        """Zero out the other party's share-world in every queued item.
+        """Release the other party's share-world of every queued item.
 
         In the deployment the dealer hands each server only *its* shares of
         the correlated randomness.  The single-process simulation keeps both
         worlds; a party process of the networked runtime calls this right
         after obtaining the pool so that it genuinely holds one share-world
-        — the zeroed side only feeds the garbage lanes of the SPMD protocol
-        program and is never consumed.
+        — and holds nothing else:
 
-        For group-backed pools the zeroing is one in-place memset per stack
-        (items are views).  Restricting an already-restricted pool is a
-        no-op for the same party and an error for the other one — the
-        genuine share-world is already gone.
+        - the other world's stacks become the read-only
+          :func:`~repro.crypto.kernels.dead_lane` placeholder (no memory);
+        - own-world stacks that are views into a multi-lane draw are copied
+          out, so the draw itself is freed;
+        - the queued items are rebuilt as row views of the result.
+
+        The pool then pins exactly half of the manifest's material bytes.
+        Restricting an already-restricted pool is a no-op for the same party
+        and an error for the other one — the genuine share-world is already
+        gone.
         """
         if party not in (0, 1):
             raise ValueError(f"party must be 0 or 1, got {party}")
@@ -402,30 +405,22 @@ class RandomnessPool:
                 return self
             raise ValueError(
                 f"pool is already restricted to party {self.restricted_to}; "
-                f"party {party}'s share-world has been zeroed and cannot be recovered"
+                f"party {party}'s share-world has been released and cannot be recovered"
             )
         other = 1 - party
-        for (kind, _shape), groups in self._buffers.items():
+        for (kind, shape), groups in self._buffers.items():
             for arrays in groups:
-                for field in PARTY_FIELDS[kind][other]:
-                    arrays[field][...] = 0
-        for (kind, _shape), queue in self._queues.items():
-            if (kind, _shape) in self._buffers:
-                continue  # zeroed in place through the stacks above
-            for item in queue:
-                if kind in ("triple", "square"):
-                    pairs = (item.a, item.z) if kind == "square" else (item.a, item.b, item.z)
-                    for pair in pairs:
-                        setattr(pair, f"share{other}", np.zeros_like(pair.share0))
-                elif kind == "bit":
-                    for name in ("a", "b", "c"):
-                        field = f"{name}{other}"
-                        setattr(item, field, np.zeros_like(getattr(item, field)))
-                elif kind == "dabit":
-                    setattr(item, f"r{other}", np.zeros_like(getattr(item, f"r{other}")))
-                    setattr(
-                        item.arith, f"share{other}", np.zeros_like(item.arith.share0)
-                    )
+                for name in PARTY_FIELDS[kind][other]:
+                    arrays[name] = dead_lane(arrays[name].shape, arrays[name].dtype)
+                for name in PARTY_FIELDS[kind][party]:
+                    if arrays[name].base is not None:
+                        arrays[name] = arrays[name].copy()
+            # the queue holds the tail of the groups' items (FIFO pops)
+            queue = self._queues[(kind, shape)]
+            items = [
+                item for arrays in groups for item in items_from_group(self.ring, kind, arrays)
+            ]
+            self._queues[(kind, shape)] = deque(items[len(items) - len(queue) :])
         self.restricted_to = party
         return self
 

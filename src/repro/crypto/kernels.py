@@ -11,23 +11,23 @@ call chains of the protocol handlers.  The executor
   single in-place passes over freshly-owned arrays — Beaver/square
   recombination, SecureML truncation, public-constant scale/add and the
   GMW AND / daBit finishes;
-- **two-lane stacking** runs both share-worlds of a public-weight
-  convolution or matmul through *one* im2col + matmul over a ``2N`` batch
-  (the bilinear maps are per-sample, so lane stacking is bit-identical to
-  two separate calls);
+- **live lanes only** — a party process holds one share-world
+  (:attr:`KernelContext.live`), so every kernel computes that lane alone
+  and returns :func:`dead_lane` for the other; the in-process engine holds
+  both and stacks them: a public-weight convolution or matmul runs both
+  lanes through *one* im2col + matmul over a ``2N`` batch (the bilinear
+  maps are per-sample, so lane stacking is bit-identical to two separate
+  calls);
 - a per-``(plan, batch)`` :class:`WorkspaceArena` owns the im2col/padding
   scratch and the encoded-weight constants, so a warm server re-allocates
-  nothing on the serving path;
-- an opt-in **thread fan-out** (:envvar:`REPRO_KERNEL_THREADS`) splits the
-  batch dimension of the large stacked matmuls across worker threads —
-  disjoint output slices, so the result stays bit-identical.
+  nothing on the serving path.
 
 Every kernel is exact modulo :math:`2^{64}`: it performs the same uint64
 operations as the reference protocol code, only without the intermediate
-copies (``ring.wrap`` re-``astype``\\ s every operand; ``truncate_local``
-round-trips through three dtype conversions).  Fused execution is therefore
-**bit-identical** to the reference path — asserted per protocol in
-``tests/crypto/test_kernels.py`` and zoo-wide, against the sequential oracle
+copies (``truncate_local`` round-trips through three dtype conversions).
+Fused execution is therefore **bit-identical** to the reference path —
+asserted per kernel and live lane in ``tests/crypto/test_kernels.py`` and
+zoo-wide, against the sequential oracle
 (:func:`repro.crypto.events.run_reference`), by ``tests/crypto/test_zoo.py``.
 
 Kernels require the 64-bit ring (dtype-view tricks assume no masking); the
@@ -38,10 +38,8 @@ the oracle run with ``ctx.kernels is None``.
 
 from __future__ import annotations
 
-import atexit
-import os
+import functools
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
@@ -169,143 +167,108 @@ def clear_arenas() -> None:
 
 
 # --------------------------------------------------------------------------- #
+# Live and dead share lanes
+# --------------------------------------------------------------------------- #
+def _read_only_zero(dtype) -> np.ndarray:
+    zero = np.zeros((), dtype=dtype)
+    zero.flags.writeable = False
+    return zero
+
+
+#: the 0-d zeros every dead lane broadcasts, one per lane dtype (ring words,
+#: bit planes); read-only, so no view of them can be made writeable
+_ZEROS = {np.dtype(dtype): _read_only_zero(dtype) for dtype in (np.uint64, np.uint8)}
+
+
+@functools.lru_cache(maxsize=4096)
+def dead_lane(shape: Tuple[int, ...], dtype=np.uint64) -> np.ndarray:
+    """The placeholder of a share lane this process does not hold.
+
+    A read-only broadcast of one module-level zero, shaped like the lane: it
+    costs no memory, and any in-place write into it raises — so a party
+    process cannot silently compute on the peer's world.  Being immutable,
+    one placeholder per ``(shape, dtype)`` is built and then shared.
+    """
+    return np.broadcast_to(_ZEROS[np.dtype(dtype)], shape)
+
+
+def per_lane(
+    live: Optional[int],
+    shape: Tuple[int, ...],
+    compute: Callable[[int], np.ndarray],
+    dtype=np.uint64,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(compute(0), compute(1))`` with :func:`dead_lane` for a lane not held.
+
+    ``live`` is the one lane a party process holds, or None when both are
+    (the in-process engine).  ``shape`` and ``dtype`` describe the lane
+    ``compute`` would have returned.
+    """
+    return tuple(
+        compute(lane) if live is None or live == lane else dead_lane(shape, dtype)
+        for lane in (0, 1)
+    )
+
+
+# --------------------------------------------------------------------------- #
 # Kernel context
 # --------------------------------------------------------------------------- #
 @dataclass
 class KernelContext:
     """Per-execution kernel state the scheduler attaches to the 2PC context.
 
-    ``thread_workers`` is the opt-in fan-out width for the large stacked
-    matmuls (0 = single-threaded).  ``fused_calls`` counts fused-kernel
-    invocations for the profile counters surfaced in engine results and
-    serving stats.
+    ``live`` is the share lane this process holds — the party of a
+    :class:`~repro.crypto.channel.PartyChannel` — or None when it holds both
+    (the in-process engine); kernels compute the live lanes only.
+    ``fused_calls`` counts fused-kernel invocations for the profile counters
+    surfaced in engine results and serving stats.
     """
 
     arena: WorkspaceArena = field(default_factory=WorkspaceArena)
-    thread_workers: int = 0
+    live: Optional[int] = None
     fused_calls: int = 0
 
     def count(self, n: int = 1) -> None:
         self.fused_calls += n
 
 
-def default_thread_workers() -> int:
-    """Opt-in fan-out width from :envvar:`REPRO_KERNEL_THREADS` (default 0)."""
-    try:
-        return max(int(os.environ.get("REPRO_KERNEL_THREADS", "0")), 0)
-    except ValueError:
-        return 0
-
-
-_EXECUTOR: Optional[ThreadPoolExecutor] = None
-_EXECUTOR_WORKERS = 0
-_EXECUTOR_LOCK = threading.Lock()
-
-#: minimum uint64 elements of a stacked matmul before the fan-out engages
-FANOUT_MIN_ELEMENTS = 1 << 16
-
-
-def _fanout_submit(workers: int, tasks) -> "list[Future]":
-    """Submit ``tasks`` to the shared fan-out pool, growing it if needed.
-
-    One process-wide executor serves every worker count: a pool only spawns
-    threads on demand, so a pool sized for the largest count ever requested
-    handles smaller fan-outs for free.  Growing swaps the pool and shuts the
-    old one down (``shutdown(wait=False)`` lets its in-flight tasks finish);
-    submission happens under the lock so a concurrent caller can never
-    submit into a pool that was just retired.
-    """
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None or _EXECUTOR_WORKERS < workers:
-            old = _EXECUTOR
-            _EXECUTOR = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="kernel-fanout"
-            )
-            _EXECUTOR_WORKERS = workers
-            if old is not None:
-                old.shutdown(wait=False)
-        return [_EXECUTOR.submit(task) for task in tasks]
-
-
-def clear_executors() -> None:
-    """Shut down the fan-out thread pool (reconfiguration / test isolation)."""
-    global _EXECUTOR, _EXECUTOR_WORKERS
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is not None:
-            _EXECUTOR.shutdown(wait=False)
-        _EXECUTOR = None
-        _EXECUTOR_WORKERS = 0
-
-
-atexit.register(clear_executors)
-
-
-def _batched_matmul(a: np.ndarray, b: np.ndarray, threads: int) -> np.ndarray:
-    """``a @ b`` over uint64, optionally fanned out along ``b``'s batch axis.
-
-    ``a`` broadcasts along the batch axis (``a.shape[0] == 1``); each worker
-    writes a disjoint batch slice of the preallocated output, so the fanned
-    result is element-for-element the single-threaded one.
-    """
-    with np.errstate(over="ignore"):
-        if (
-            threads <= 1
-            or b.ndim < 3
-            or b.shape[0] < 2
-            or b.size < FANOUT_MIN_ELEMENTS
-        ):
-            return np.matmul(a, b)
-        batch = b.shape[0]
-        out_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (
-            a.shape[-2],
-            b.shape[-1],
-        )
-        out = np.empty(out_shape, dtype=np.uint64)
-        workers = min(threads, batch)
-        bounds = [batch * i // workers for i in range(workers + 1)]
-
-        def run(lo: int, hi: int) -> Callable[[], None]:
-            def task() -> None:
-                with np.errstate(over="ignore"):
-                    np.matmul(a, b[lo:hi], out=out[lo:hi])
-
-            return task
-
-        futures = _fanout_submit(
-            workers,
-            [run(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo],
-        )
-        for future in futures:
-            future.result()
-        return out
-
-
 # --------------------------------------------------------------------------- #
 # Fused elementwise kernels (exact uint64, in-place over fresh arrays)
 # --------------------------------------------------------------------------- #
+def _truncate_lane(ring: FixedPointRing, share: np.ndarray, party: int) -> np.ndarray:
+    """SecureML truncation of one *freshly owned* lane, in place.
+
+    Bit-identical to ``ring.truncate_local(share, party)``: the int64 view
+    replaces ``to_signed`` (a reinterpretation either way) and the shift
+    happens in place instead of through the wrap → shift → double-``astype``
+    copy chain.
+    """
+    if ring.ring_bits != 64:
+        return ring.truncate_local(share, party)
+    signed = share.view(np.int64)
+    if party == 1:
+        np.negative(signed, out=signed)
+    np.right_shift(signed, ring.frac_bits, out=signed)
+    if party == 1:
+        np.negative(signed, out=signed)
+    return share
+
+
 @register_kernel("truncate-pair")
 def truncate_pair(
-    ring: FixedPointRing, share0: np.ndarray, share1: np.ndarray
+    ring: FixedPointRing,
+    share0: np.ndarray,
+    share1: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """In-place SecureML truncation of a *freshly owned* share pair.
 
     Bit-identical to ``(ring.truncate_local(share0, 0),
-    ring.truncate_local(share1, 1))``: the int64 view replaces ``to_signed``
-    (a reinterpretation either way) and the shift happens in place instead
-    of through the wrap → shift → double-``astype`` copy chain.  Callers
-    must own both arrays (they are mutated and returned).
+    ring.truncate_local(share1, 1))`` on the live lanes.  Callers must own
+    the live arrays (they are mutated and returned).
     """
-    if ring.ring_bits != 64:
-        return ring.truncate_local(share0, 0), ring.truncate_local(share1, 1)
-    frac = ring.frac_bits
-    signed0 = share0.view(np.int64)
-    np.right_shift(signed0, frac, out=signed0)
-    signed1 = share1.view(np.int64)
-    np.negative(signed1, out=signed1)
-    np.right_shift(signed1, frac, out=signed1)
-    np.negative(signed1, out=signed1)
-    return share0, share1
+    lanes = (share0, share1)
+    return per_lane(live, share0.shape, lambda i: _truncate_lane(ring, lanes[i], i))
 
 
 @register_kernel("beaver-recombine")
@@ -318,25 +281,29 @@ def beaver_recombine(
     f: np.ndarray,
     z0: np.ndarray,
     z1: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused Beaver recombination ``R_Si = -i·E⊙F + X_Si⊙F + E⊙Y_Si + Z_Si``.
 
-    One scratch temporary instead of six ``ring``-call intermediates; exact
-    wrap-around uint64 arithmetic, so the result equals the reference chain
-    bit for bit.  All operands must share one shape (the elementwise case).
+    One scratch temporary per lane instead of six ``ring``-call
+    intermediates; exact wrap-around uint64 arithmetic, so the result equals
+    the reference chain bit for bit.  All operands must share one shape (the
+    elementwise case).
     """
-    with np.errstate(over="ignore"):
-        r0 = np.multiply(x0, f)
-        scratch = np.multiply(e, y0)
-        np.add(r0, scratch, out=r0)
-        np.add(r0, z0, out=r0)
-        r1 = np.multiply(x1, f)
-        np.multiply(e, y1, out=scratch)
-        np.add(r1, scratch, out=r1)
-        np.add(r1, z1, out=r1)
-        np.multiply(e, f, out=scratch)
-        np.subtract(r1, scratch, out=r1)
-    return r0, r1
+    xs, ys, zs = (x0, x1), (y0, y1), (z0, z1)
+
+    def lane(i: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            r = np.multiply(xs[i], f)
+            scratch = np.multiply(e, ys[i])
+            np.add(r, scratch, out=r)
+            np.add(r, zs[i], out=r)
+            if i == 1:
+                np.multiply(e, f, out=scratch)
+                np.subtract(r, scratch, out=r)
+        return r
+
+    return per_lane(live, e.shape, lane)
 
 
 @register_kernel("square-recombine")
@@ -346,17 +313,22 @@ def square_recombine(
     a1: np.ndarray,
     z0: np.ndarray,
     z1: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused square recombination ``R_Si = Z_Si + 2E⊙A_Si (+ E⊙E on lane 0)``."""
+    a_lanes, z_lanes = (a0, a1), (z0, z1)
     with np.errstate(over="ignore"):
         two_e = np.multiply(e, np.uint64(2))
-        r0 = np.multiply(two_e, a0)
-        np.add(r0, z0, out=r0)
-        scratch = np.multiply(e, e)
-        np.add(r0, scratch, out=r0)
-        r1 = np.multiply(two_e, a1)
-        np.add(r1, z1, out=r1)
-    return r0, r1
+
+    def lane(i: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            r = np.multiply(two_e, a_lanes[i])
+            np.add(r, z_lanes[i], out=r)
+            if i == 0:
+                np.add(r, np.multiply(e, e), out=r)
+        return r
+
+    return per_lane(live, e.shape, lane)
 
 
 @register_kernel("scale-encoded")
@@ -365,22 +337,35 @@ def scale_encoded(
     share0: np.ndarray,
     share1: np.ndarray,
     encoded: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Multiply both lanes by a pre-encoded public constant, truncate in place."""
-    with np.errstate(over="ignore"):
-        r0 = np.multiply(share0, encoded)
-        r1 = np.multiply(share1, encoded)
-    return truncate_pair(ring, r0, r1)
+    """Multiply the live lanes by a pre-encoded public constant, truncate in place."""
+    lanes = (share0, share1)
+
+    def lane(i: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return _truncate_lane(ring, np.multiply(lanes[i], encoded), i)
+
+    return per_lane(live, np.broadcast_shapes(share0.shape, np.shape(encoded)), lane)
 
 
 @register_kernel("add-encoded")
 def add_encoded(
-    share0: np.ndarray, share1: np.ndarray, encoded: np.ndarray
+    share0: np.ndarray,
+    share1: np.ndarray,
+    encoded: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Add a pre-encoded public constant onto a *freshly owned* lane-0 share."""
-    with np.errstate(over="ignore"):
-        np.add(share0, encoded, out=share0)
-    return share0, share1
+    lanes = (share0, share1)
+
+    def lane(i: int) -> np.ndarray:
+        if i == 0:
+            with np.errstate(over="ignore"):
+                np.add(share0, encoded, out=share0)
+        return lanes[i]
+
+    return per_lane(live, share0.shape, lane)
 
 
 @register_kernel("and-finish")
@@ -393,19 +378,22 @@ def and_finish(
     b1: np.ndarray,
     c0: np.ndarray,
     c1: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused GMW AND finish over opened masks ``d = x⊕a`` and ``e = y⊕b``."""
-    scratch = np.bitwise_and(d, b0)
-    z0 = np.bitwise_xor(c0, scratch)
-    np.bitwise_and(e, a0, out=scratch)
-    np.bitwise_xor(z0, scratch, out=z0)
-    np.bitwise_and(d, e, out=scratch)
-    np.bitwise_xor(z0, scratch, out=z0)
-    np.bitwise_and(d, b1, out=scratch)
-    z1 = np.bitwise_xor(c1, scratch)
-    np.bitwise_and(e, a1, out=scratch)
-    np.bitwise_xor(z1, scratch, out=z1)
-    return z0, z1
+    a_lanes, b_lanes, c_lanes = (a0, a1), (b0, b1), (c0, c1)
+
+    def lane(i: int) -> np.ndarray:
+        scratch = np.bitwise_and(d, b_lanes[i])
+        z = np.bitwise_xor(c_lanes[i], scratch)
+        np.bitwise_and(e, a_lanes[i], out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        if i == 0:
+            np.bitwise_and(d, e, out=scratch)
+            np.bitwise_xor(z, scratch, out=z)
+        return z
+
+    return per_lane(live, d.shape, lane, dtype=d.dtype)
 
 
 @register_kernel("b2a-finish")
@@ -414,42 +402,69 @@ def b2a_finish(
     c_ring: np.ndarray,
     arith0: np.ndarray,
     arith1: np.ndarray,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused daBit bit-to-arithmetic finish ``s = c + (1 - 2c)·[b]``."""
+    arith = (arith0, arith1)
     with np.errstate(over="ignore"):
         coeff = np.multiply(c_ring, np.uint64(2))
         np.subtract(ones, coeff, out=coeff)
-        s0 = np.multiply(coeff, arith0)
-        np.add(s0, c_ring, out=s0)
-        s1 = np.multiply(coeff, arith1)
-    return s0, s1
+
+    def lane(i: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            s = np.multiply(coeff, arith[i])
+            if i == 0:
+                np.add(s, c_ring, out=s)
+        return s
+
+    return per_lane(live, c_ring.shape, lane)
 
 
 # --------------------------------------------------------------------------- #
-# Stacked two-lane linear algebra
+# Lane-stacked linear algebra
 # --------------------------------------------------------------------------- #
+def _held(live: Optional[int]) -> Tuple[int, ...]:
+    return (0, 1) if live is None else (live,)
+
+
+def _unstack(out: np.ndarray, live: Optional[int], n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Split a lane-stacked output (held lanes in order, ``n`` rows each)
+    back into ``(lane0, lane1)`` views, :func:`dead_lane` for the other."""
+    held = _held(live)
+
+    def lane(i: int) -> np.ndarray:
+        slot = held.index(i)
+        return out[slot * n : (slot + 1) * n]
+
+    return per_lane(live, (n,) + out.shape[1:], lane)
+
+
 @register_kernel("stacked-matmul")
 def stacked_matmul(
     share0: np.ndarray,
     share1: np.ndarray,
     w_enc_t: np.ndarray,
     arena: Optional[WorkspaceArena] = None,
-    threads: int = 0,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Both share lanes through one ``(2N, K) @ (K, M)`` ring matmul.
+    """The live share lanes through one ``(LN, K) @ (K, M)`` ring matmul.
 
-    Row blocks of a matmul are independent, so the two lane results are the
-    same uint64 values two separate ``ring_matmul`` calls produce.  Returns
-    views into one freshly allocated output (safe to truncate in place).
+    ``L`` is 2 in-process and 1 in a party process.  Row blocks of a matmul
+    are independent, so each lane's result is the same uint64 values a
+    separate ``ring_matmul`` call produces.  Returns views into one freshly
+    allocated output (safe to truncate in place).
     """
-    arena = arena if arena is not None else WorkspaceArena()
     n = share0.shape[0]
-    stacked, _ = arena.get(("matmul-lanes", share0.shape), (2 * n,) + share0.shape[1:])
-    stacked[:n] = share0
-    stacked[n:] = share1
+    if live is None:
+        arena = arena if arena is not None else WorkspaceArena()
+        stacked, _ = arena.get(("matmul-lanes", share0.shape), (2 * n,) + share0.shape[1:])
+        stacked[:n] = share0
+        stacked[n:] = share1
+    else:
+        stacked = (share0, share1)[live]
     with np.errstate(over="ignore"):
         out = np.matmul(stacked, w_enc_t)
-    return out[:n], out[n:]
+    return _unstack(out, live, n)
 
 
 @register_kernel("stacked-conv2d")
@@ -461,14 +476,14 @@ def stacked_conv2d(
     padding: int = 0,
     groups: int = 1,
     arena: Optional[WorkspaceArena] = None,
-    threads: int = 0,
+    live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Both share lanes through one im2col convolution over a ``2N`` batch.
+    """The live share lanes through one im2col convolution over an ``LN`` batch.
 
     Convolution is per-sample along the batch axis, so stacking the lanes is
-    bit-identical to two :func:`repro.crypto.protocols.linear.ring_conv2d`
-    calls — with one padded fill, one column gather and one matmul instead
-    of two of each.  The padded input and the im2col column buffer live in
+    bit-identical to one :func:`repro.crypto.protocols.linear.ring_conv2d`
+    call per lane — with one padded fill, one column gather and one matmul
+    for all of them.  The padded input and the im2col column buffer live in
     the arena; the padding border is written once per buffer lifetime (the
     interior overwrite never touches it).  Returns views into one fresh
     output, safe to truncate in place.
@@ -485,39 +500,42 @@ def stacked_conv2d(
     hp, wp = h + 2 * padding, w + 2 * padding
     oh = (hp - kh) // stride + 1
     ow = (wp - kw) // stride + 1
+    held = _held(live)
+    rows = len(held) * n
 
-    lanes, fresh = arena.get(("conv-pad", (2 * n, ic, hp, wp), padding), (2 * n, ic, hp, wp))
-    if padding:
-        if fresh:
+    if padding or live is None:
+        lanes, fresh = arena.get(("conv-pad", (rows, ic, hp, wp), padding), (rows, ic, hp, wp))
+        if padding and fresh:
             lanes.fill(0)
-        lanes[:n, :, padding : padding + h, padding : padding + w] = share0
-        lanes[n:, :, padding : padding + h, padding : padding + w] = share1
+        for slot, lane in enumerate(held):
+            lanes[slot * n : (slot + 1) * n, :, padding : padding + h, padding : padding + w] = (
+                (share0, share1)[lane]
+            )
     else:
-        lanes[:n] = share0
-        lanes[n:] = share1
+        lanes = (share0, share1)[live]  # one unpadded lane: gather straight from it
 
     sn, sc, sh, sw = lanes.strides
     windows = np.lib.stride_tricks.as_strided(
         lanes,
-        shape=(2 * n, ic, kh, kw, oh, ow),
+        shape=(rows, ic, kh, kw, oh, ow),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
     )
     if groups == 1:
         cols, _ = arena.get(
-            ("conv-cols", (2 * n, ic * kh * kw, oh * ow)),
-            (2 * n, ic * kh * kw, oh * ow),
+            ("conv-cols", (rows, ic * kh * kw, oh * ow)),
+            (rows, ic * kh * kw, oh * ow),
         )
-        np.copyto(cols.reshape(2 * n, ic, kh, kw, oh, ow), windows)
-        w_mat = w_enc.reshape(oc, ic * kh * kw)
-        out = _batched_matmul(w_mat[None, :, :], cols, threads)
+        np.copyto(cols.reshape(rows, ic, kh, kw, oh, ow), windows)
+        w_mat = w_enc.reshape(oc, ic * kh * kw)[None, :, :]
     else:
         ocg = oc // groups
         cols, _ = arena.get(
-            ("conv-cols-g", (2 * n, groups, icg * kh * kw, oh * ow)),
-            (2 * n, groups, icg * kh * kw, oh * ow),
+            ("conv-cols-g", (rows, groups, icg * kh * kw, oh * ow)),
+            (rows, groups, icg * kh * kw, oh * ow),
         )
-        np.copyto(cols.reshape(2 * n, ic, kh, kw, oh, ow), windows)
-        w_mat = w_enc.reshape(groups, ocg, icg * kh * kw)
-        out = _batched_matmul(w_mat[None, :, :, :], cols, threads)
-    out = out.reshape(2 * n, oc, oh, ow)
-    return out[:n], out[n:]
+        np.copyto(cols.reshape(rows, ic, kh, kw, oh, ow), windows)
+        w_mat = w_enc.reshape(groups, ocg, icg * kh * kw)[None, :, :, :]
+    with np.errstate(over="ignore"):
+        out = np.matmul(w_mat, cols)
+    return _unstack(out.reshape(rows, oc, oh, ow), live, n)

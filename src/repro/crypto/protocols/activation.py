@@ -71,7 +71,7 @@ def secure_x2act_phases(
     squared = yield from square_phases(ctx, x, truncate=True, tag=f"{tag}/square")
     quad_term = multiply_public(ctx, squared, np.array(effective_w1), tag=f"{tag}/w1")
     lin_term = multiply_public(ctx, x, np.array(w2), tag=f"{tag}/w2")
-    out = add_shares(quad_term, lin_term)
+    out = add_shares(quad_term, lin_term, live=ctx.live_lane)
     return add_public(ctx, out, np.array(b))
 
 

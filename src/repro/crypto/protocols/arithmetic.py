@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import open_ring_event, run_phases
-from repro.crypto.kernels import KERNELS
+from repro.crypto.kernels import KERNELS, per_lane
 from repro.crypto.protocols.registry import OpTrace, element_bytes, open_trace_event
 from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair
@@ -47,6 +47,16 @@ def _cached_encode(ring: FixedPointRing, kc, public: np.ndarray) -> np.ndarray:
         key = ("pub-enc", public.tobytes(), public.shape)
         return kc.arena.cached(key, (), lambda: ring.encode(public))
     return ring.encode(public)
+
+
+def _lane_difference(
+    ring: FixedPointRing, live: Optional[int], x: SharePair, mask: SharePair
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The masked-difference shares ``X_Si - A_Si`` of the lanes this
+    process holds (``live``; None = both), the dead-lane placeholder for
+    the other (see :func:`repro.crypto.kernels.per_lane`)."""
+    xs, masks = (x.share0, x.share1), (mask.share0, mask.share1)
+    return per_lane(live, x.shape, lambda i: ring.sub(xs[i], masks[i]))
 
 
 def multiply_phases(
@@ -71,28 +81,27 @@ def multiply_phases(
     ring = ctx.ring
     prod = product or ring.mul
     triple = ctx.dealer.triple(x.shape, y.shape, prod)
+    kc = ctx.kernels
+    live = ctx.live_lane
 
-    e0 = ring.sub(x.share0, triple.a.share0)
-    e1 = ring.sub(x.share1, triple.a.share1)
-    f0 = ring.sub(y.share0, triple.b.share0)
-    f1 = ring.sub(y.share1, triple.b.share1)
     # The channel owns the recombination: under a PartyChannel only this
-    # party's difference share is genuine and the other arrives on the wire.
+    # party's difference share is computed and the other arrives on the wire.
+    e = _lane_difference(ring, live, x, triple.a)
+    f = _lane_difference(ring, live, y, triple.b)
     e, f = yield (
-        open_ring_event(e0, e1, tag=f"{tag}/open-e"),
-        open_ring_event(f0, f1, tag=f"{tag}/open-f"),
+        open_ring_event(*e, tag=f"{tag}/open-e"),
+        open_ring_event(*f, tag=f"{tag}/open-f"),
     )
 
-    kc = ctx.kernels
     if kc is not None and product is None and ring.ring_bits == 64:
         # Elementwise case: one fused in-place recombination kernel replaces
         # the eight ring-call intermediates of the reference chain below.
         r0, r1 = KERNELS["beaver-recombine"](
             x.share0, x.share1, y.share0, y.share1, e, f,
-            triple.z.share0, triple.z.share1,
+            triple.z.share0, triple.z.share1, live=live,
         )
         if truncate:
-            r0, r1 = KERNELS["truncate-pair"](ring, r0, r1)
+            r0, r1 = KERNELS["truncate-pair"](ring, r0, r1, live=live)
         kc.count()
         return SharePair(r0, r1, ring)
 
@@ -142,16 +151,16 @@ def square_phases(
     """Secure elementwise square [R] = [X] ⊙ [X] with a Beaver pair (Eq. 3)."""
     ring = ctx.ring
     pair = ctx.dealer.square_pair(x.shape)
-    e0 = ring.sub(x.share0, pair.a.share0)
-    e1 = ring.sub(x.share1, pair.a.share1)
-    (e,) = yield (open_ring_event(e0, e1, tag=f"{tag}/open-e"),)
     kc = ctx.kernels
+    live = ctx.live_lane
+    e = _lane_difference(ring, live, x, pair.a)
+    (e,) = yield (open_ring_event(*e, tag=f"{tag}/open-e"),)
     if kc is not None and ring.ring_bits == 64:
         r0, r1 = KERNELS["square-recombine"](
-            e, pair.a.share0, pair.a.share1, pair.z.share0, pair.z.share1
+            e, pair.a.share0, pair.a.share1, pair.z.share0, pair.z.share1, live=live
         )
         if truncate:
-            r0, r1 = KERNELS["truncate-pair"](ring, r0, r1)
+            r0, r1 = KERNELS["truncate-pair"](ring, r0, r1, live=live)
         kc.count()
         return SharePair(r0, r1, ring)
     with np.errstate(over="ignore"):
@@ -191,7 +200,7 @@ def multiply_public(
     kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         encoded = _cached_encode(ring, kc, public)
-        s0, s1 = KERNELS["scale-encoded"](ring, x.share0, x.share1, encoded)
+        s0, s1 = KERNELS["scale-encoded"](ring, x.share0, x.share1, encoded, live=kc.live)
         kc.count()
         return SharePair(s0, s1, ring)
     encoded = ring.encode(np.asarray(public, dtype=np.float64))
@@ -207,9 +216,14 @@ def add_public(ctx: TwoPartyContext, x: SharePair, public: np.ndarray) -> ShareP
     kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         encoded = _cached_encode(ring, kc, public)
-        with np.errstate(over="ignore"):
-            s0 = np.add(x.share0, encoded)
+
+        def lane(i: int) -> np.ndarray:
+            if i == 1:
+                return x.share1.copy()
+            with np.errstate(over="ignore"):
+                return np.add(x.share0, encoded)
+
         kc.count()
-        return SharePair(s0, x.share1.copy(), ring)
+        return SharePair(*per_lane(kc.live, x.shape, lane), ring)
     encoded = ring.encode(np.asarray(public, dtype=np.float64))
     return SharePair(ring.add(x.share0, np.broadcast_to(encoded, x.shape).copy()), x.share1.copy(), ring)

@@ -87,7 +87,8 @@ def _and_prepare(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: st
         kc = ctx.kernels
         if kc is not None:
             z0, z1 = KERNELS["and-finish"](
-                d, e, triple.a0, triple.a1, triple.b0, triple.b1, triple.c0, triple.c1
+                d, e, triple.a0, triple.a1, triple.b0, triple.b1, triple.c0, triple.c1,
+                live=kc.live,
             )
             kc.count()
             return z0.astype(np.uint8, copy=False), z1.astype(np.uint8, copy=False)
@@ -319,7 +320,9 @@ def bit_to_arithmetic_phases(ctx: TwoPartyContext, bit: XorSharedBit, tag: str =
         ones, fresh = kc.arena.get(("b2a-ones", c.shape), c.shape)
         if fresh:
             ones.fill(1)
-        s0, s1 = KERNELS["b2a-finish"](ones, c_ring, dab.arith.share0, dab.arith.share1)
+        s0, s1 = KERNELS["b2a-finish"](
+            ones, c_ring, dab.arith.share0, dab.arith.share1, live=kc.live
+        )
         kc.count()
         return SharePair(s0, s1, ring)
     # coeff = 1 - 2c in the ring: +1 where c == 0, -1 where c == 1.

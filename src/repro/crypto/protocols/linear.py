@@ -141,16 +141,16 @@ def secure_conv2d_public_weight(
             padding=padding,
             groups=groups,
             arena=arena,
-            threads=kc.thread_workers,
+            live=kc.live,
         )
-        out0, out1 = KERNELS["truncate-pair"](ring, out0, out1)
+        out0, out1 = KERNELS["truncate-pair"](ring, out0, out1, live=kc.live)
         if bias is not None:
             b_enc = arena.cached(
                 ("b-enc-conv", id(bias) if tag is None else tag),
                 (bias,),
                 lambda: ring.encode(np.asarray(bias, dtype=np.float64).reshape(1, -1, 1, 1)),
             )
-            out0, out1 = KERNELS["add-encoded"](out0, out1, b_enc)
+            out0, out1 = KERNELS["add-encoded"](out0, out1, b_enc, live=kc.live)
         kc.count()
         return SharePair(out0, out1, ring)
     w_enc = ring.encode(weight)
@@ -204,16 +204,16 @@ def secure_linear_public_weight(
             lambda: ring.encode(weight).T,
         )
         out0, out1 = KERNELS["stacked-matmul"](
-            x.share0, x.share1, w_enc, arena=arena, threads=kc.thread_workers
+            x.share0, x.share1, w_enc, arena=arena, live=kc.live
         )
-        out0, out1 = KERNELS["truncate-pair"](ring, out0, out1)
+        out0, out1 = KERNELS["truncate-pair"](ring, out0, out1, live=kc.live)
         if bias is not None:
             b_enc = arena.cached(
                 ("b-enc-lin", id(bias) if tag is None else tag),
                 (bias,),
                 lambda: ring.encode(np.asarray(bias, dtype=np.float64).reshape(1, -1)),
             )
-            out0, out1 = KERNELS["add-encoded"](out0, out1, b_enc)
+            out0, out1 = KERNELS["add-encoded"](out0, out1, b_enc, live=kc.live)
         kc.count()
         return SharePair(out0, out1, ring)
     w_enc = ring.encode(weight).T

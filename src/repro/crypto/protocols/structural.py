@@ -61,4 +61,4 @@ def _run_add(
             "(residual_from); analysis-only specs with projection shortcuts "
             "cannot be executed directly"
         )
-    return add_shares(x, cache[layer.residual_from])
+    return add_shares(x, cache[layer.residual_from], live=ctx.live_lane)

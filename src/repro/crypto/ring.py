@@ -78,46 +78,54 @@ class FixedPointRing:
     def to_signed(self, elements: np.ndarray) -> np.ndarray:
         """Interpret ring elements as signed integers in [-2^{k-1}, 2^{k-1})."""
         elements = self.wrap(np.asarray(elements, dtype=np.uint64))
-        as_int = elements.astype(np.int64) if self.ring_bits == 64 else elements.astype(np.int64)
         if self.ring_bits == 64:
             # uint64 -> int64 reinterprets the top bit correctly.
-            return elements.view(np.int64) if elements.dtype == np.uint64 else as_int
+            return elements.view(np.int64)
+        as_int = elements.astype(np.int64)
         half = np.int64(self.half_modulus)
         mod = np.int64(self.modulus)
         return np.where(as_int >= half, as_int - mod, as_int)
 
     # -- modular arithmetic ------------------------------------------------ #
     def wrap(self, elements: np.ndarray) -> np.ndarray:
-        """Reduce elements modulo 2^k."""
+        """Reduce elements modulo 2^k (always a fresh uint64 array)."""
         elements = np.asarray(elements).astype(np.uint64)
         if self.ring_bits == 64:
             return elements
         return elements & self.mask
 
+    def _reduce(self, fresh) -> np.ndarray:
+        """Reduce a result this ring just computed: on the 64-bit ring the
+        uint64 arithmetic already wrapped, so it is returned as is (a 0-d
+        result stays an array) instead of being copied by :meth:`wrap`."""
+        if self.ring_bits == 64:
+            return np.asarray(fresh)
+        return self.wrap(fresh)
+
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.wrap(np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64))
+            return self._reduce(np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64))
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.wrap(np.asarray(a, dtype=np.uint64) - np.asarray(b, dtype=np.uint64))
+            return self._reduce(np.asarray(a, dtype=np.uint64) - np.asarray(b, dtype=np.uint64))
 
     def neg(self, a: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.wrap(np.uint64(0) - np.asarray(a, dtype=np.uint64))
+            return self._reduce(np.uint64(0) - np.asarray(a, dtype=np.uint64))
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.wrap(np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64))
+            return self._reduce(np.asarray(a, dtype=np.uint64) * np.asarray(b, dtype=np.uint64))
 
     def scalar_mul(self, a: np.ndarray, scalar: int) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return self.wrap(np.asarray(a, dtype=np.uint64) * np.uint64(scalar % self.modulus))
+            return self._reduce(np.asarray(a, dtype=np.uint64) * np.uint64(scalar % self.modulus))
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix multiplication over the ring (inputs are ring elements)."""
         with np.errstate(over="ignore"):
-            return self.wrap(
+            return self._reduce(
                 np.asarray(a, dtype=np.uint64) @ np.asarray(b, dtype=np.uint64)
             )
 

@@ -32,10 +32,11 @@ from __future__ import annotations
 import time
 from typing import Dict, Optional, Tuple
 
+from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.events import as_group, group_direction_bytes
-from repro.crypto.kernels import KernelContext, arena_for, default_thread_workers
+from repro.crypto.kernels import KernelContext, arena_for
 from repro.crypto.passes import ScheduledPlan
 from repro.crypto.plan import PLAN_INPUT
 from repro.crypto.protocols.registry import get_handler
@@ -79,13 +80,17 @@ def run_scheduled_plan(
     The executor installs a :class:`~repro.crypto.kernels.KernelContext` on
     ``ctx`` for the duration of the run: the protocol handlers then dispatch
     their local compute to the fused kernels, sharing one
-    per-``(plan, batch)`` workspace arena across jobs.
+    per-``(plan, batch)`` workspace arena across jobs.  The live lane comes
+    from the channel: over a :class:`~repro.crypto.channel.PartyChannel`
+    only that party's share lane is computed (the other is the read-only
+    :func:`~repro.crypto.kernels.dead_lane`); the in-process channel keeps
+    both.
     """
     plan = splan.plan
     per_op_cpu: Dict[str, int] = {op.name: 0 for op in plan.ops}
     kernel_ctx = KernelContext(
         arena=arena_for(arena_key(splan)),
-        thread_workers=default_thread_workers(),
+        live=ctx.channel.party if isinstance(ctx.channel, PartyChannel) else None,
     )
     #: op outputs by name (ADD ops read their residual input from it)
     values: Dict[str, SharePair] = {PLAN_INPUT: shared}

@@ -9,10 +9,11 @@ communication) linear algebra on shares: addition, subtraction and scaling
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.kernels import per_lane
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 
 
@@ -78,11 +79,19 @@ def reconstruct_ring(pair: SharePair) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Local (communication-free) operations on shares — Eq. 1 of the paper
 # --------------------------------------------------------------------------- #
-def add_shares(a: SharePair, b: SharePair) -> SharePair:
-    """[x] + [y]: each party adds its shares locally."""
+def add_shares(a: SharePair, b: SharePair, live: Optional[int] = None) -> SharePair:
+    """[x] + [y]: each party adds its shares locally.
+
+    ``live`` is the one lane a party process holds (None: both); the other
+    lane becomes the dead-lane placeholder (see
+    :func:`repro.crypto.kernels.per_lane`).
+    """
     _check_same_ring(a, b)
     ring = a.ring
-    return SharePair(ring.add(a.share0, b.share0), ring.add(a.share1, b.share1), ring)
+    a_lanes, b_lanes = (a.share0, a.share1), (b.share0, b.share1)
+    return SharePair(
+        *per_lane(live, a.shape, lambda i: ring.add(a_lanes[i], b_lanes[i])), ring
+    )
 
 
 def sub_shares(a: SharePair, b: SharePair) -> SharePair:

@@ -124,8 +124,7 @@ def _draw_triple(
 ) -> Dict[str, np.ndarray]:
     lanes = ring.random((count, 5) + shape, rng)
     a, b, mask_a, mask_b, mask_z = (lanes[:, i] for i in range(5))
-    with np.errstate(over="ignore"):
-        z = ring.wrap(ring.mul(a, b))
+    z = ring.mul(a, b)
     return {
         "a0": mask_a,
         "a1": ring.sub(a, mask_a),
@@ -141,8 +140,7 @@ def _draw_square(
 ) -> Dict[str, np.ndarray]:
     lanes = ring.random((count, 3) + shape, rng)
     a, mask_a, mask_z = (lanes[:, i] for i in range(3))
-    with np.errstate(over="ignore"):
-        z = ring.wrap(ring.mul(a, a))
+    z = ring.mul(a, a)
     return {"a0": mask_a, "a1": ring.sub(a, mask_a), "z0": mask_z, "z1": ring.sub(z, mask_z)}
 
 

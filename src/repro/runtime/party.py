@@ -15,14 +15,17 @@ expressions that produce party-*i* values read only party-*i* inputs plus
 values opened on the channel.  A party process therefore runs the *same*
 program as the single-process simulation, with:
 
-- its own share-world genuine and the other world zero-filled (the other
-  world's expressions compute garbage that is never consumed and never put
-  on the wire);
+- only its own share lane live: the executor reads the party off the
+  channel, so the fused kernels and the local steps of the polynomial
+  protocols compute this party's lane alone and hand back the other as
+  :func:`~repro.crypto.kernels.dead_lane` — one shared read-only zero that
+  costs no memory and is never put on the wire;
 - a :class:`~repro.crypto.channel.PartyChannel`, so every opened value is
   recombined from the share that genuinely crossed the transport;
 - a :class:`~repro.crypto.dealer.RandomnessPool` regenerated from the shared
   session seed and then restricted to this party's world
-  (:meth:`~repro.crypto.dealer.RandomnessPool.restrict_to_party`).
+  (:meth:`~repro.crypto.dealer.RandomnessPool.restrict_to_party`), which
+  releases the other world's material.
 
 Because the randomness streams and openings are identical to the
 single-process engine's, the reconstructed logits are bit-identical to
@@ -32,10 +35,12 @@ which :func:`verify_against_plan` asserts after every run.
 Invariants (relied on by the persistent server and the serving pool):
 
 1. **one share-world per process** — a party process never holds, receives
-   or derives the peer's genuine shares; the other world's lanes of the
-   SPMD program carry zero-filled garbage that is never consumed and never
-   put on the wire (``RandomnessPool.restrict_to_party`` enforces this for
-   the dealer material);
+   or derives the peer's genuine shares, and neither computes nor stores
+   the peer's lane: it is the read-only ``dead_lane`` placeholder, so an
+   in-place write into it raises instead of computing on the peer's world
+   (``RandomnessPool.restrict_to_party`` releases the peer's dealer
+   material; the non-kernel chains of the comparison tree still derive
+   values from the placeholder, which are never consumed nor sent);
 2. **canonical log, full-duplex wire** — both parties log the full
    conversation in one canonical order (party 0's message of a round
    first), so the two logs are identical to each other and to the
@@ -53,12 +58,13 @@ Invariants (relied on by the persistent server and the serving pool):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
+from repro.crypto.kernels import dead_lane
 from repro.crypto.passes import ScheduledPlan
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import SharePair
@@ -135,7 +141,7 @@ def execute_plan_as_party(
     plan: ScheduledPlan,
     weights: Dict[str, Dict[str, np.ndarray]],
     input_share: np.ndarray,
-    pool: Optional[RandomnessPool] = None,
+    pool: RandomnessPool,
 ) -> PartyExecution:
     """Run the online phase of ``plan`` holding only ``party``'s share-world.
 
@@ -145,7 +151,8 @@ def execute_plan_as_party(
     :class:`PartyChannel` for the same party (or a simulated channel in
     tests).  ``input_share`` is this party's additive
     share of the encoded query batch; the peer holds the complementary one.
-    One RNG draw of the input shape is burned first to keep ``ctx.rng``
+    ``pool`` is this party's restricted randomness pool of the session
+    seed.  One RNG draw of the input shape is burned first to keep ``ctx.rng``
     aligned with the reference stream of the single-process path (which
     draws the sharing mask from the same generator).
     """
@@ -155,16 +162,13 @@ def execute_plan_as_party(
             f"plan expects input share of shape {plan.input_shape}, "
             f"got {input_share.shape}"
         )
-    if pool is None:
-        pool = ctx.dealer.preprocess(plan)
-
     ring = ctx.ring
     ring.random(plan.input_shape, ctx.rng)  # burn the sharing-mask draw
-    zeros = np.zeros(plan.input_shape, dtype=np.uint64)
+    peer = dead_lane(plan.input_shape)
     if party == 0:
-        shared = SharePair(input_share, zeros, ring)
+        shared = SharePair(input_share, peer, ring)
     else:
-        shared = SharePair(zeros, input_share, ring)
+        shared = SharePair(peer, input_share, ring)
 
     dealer = ctx.dealer
     ctx.dealer = pool

@@ -122,29 +122,6 @@ class TestWorkspaceArena:
         assert arena_for(("model", 2)) is not a
 
 
-class TestFanoutExecutor:
-    def test_single_pool_serves_growing_worker_counts(self):
-        import repro.crypto.kernels as K
-
-        K.clear_executors()
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 1 << 63, size=(1, 8, 16), dtype=np.uint64)
-        b = rng.integers(0, 1 << 63, size=(4, 16, 2048), dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            expected = np.matmul(a, b)
-        np.testing.assert_array_equal(K._batched_matmul(a, b, 2), expected)
-        pool_two = K._EXECUTOR
-        assert pool_two is not None and K._EXECUTOR_WORKERS == 2
-        # a larger fan-out swaps the pool; a smaller one reuses it
-        np.testing.assert_array_equal(K._batched_matmul(a, b, 4), expected)
-        pool_four = K._EXECUTOR
-        assert pool_four is not pool_two and K._EXECUTOR_WORKERS == 4
-        np.testing.assert_array_equal(K._batched_matmul(a, b, 2), expected)
-        assert K._EXECUTOR is pool_four
-        K.clear_executors()
-        assert K._EXECUTOR is None and K._EXECUTOR_WORKERS == 0
-
-
 class TestFusedKernelsBitIdentical:
     """Each protocol entry point: fused output == reference output, per lane."""
 
@@ -263,11 +240,70 @@ class TestFusedKernelsBitIdentical:
                     out = np.matmul(w.reshape(groups, ocg, -1)[None], cols)
             return out.reshape(n, oc, oh, ow)
 
-        got0, got1 = KERNELS["stacked-conv2d"](
-            share0, share1, w, stride=stride, padding=padding, groups=groups
-        )
-        np.testing.assert_array_equal(got0, reference(share0))
-        np.testing.assert_array_equal(got1, reference(share1))
+        for live in (None, 0, 1):
+            got = KERNELS["stacked-conv2d"](
+                share0, share1, w, stride=stride, padding=padding, groups=groups, live=live
+            )
+            for lane, share in enumerate((share0, share1)):
+                if live is None or live == lane:
+                    np.testing.assert_array_equal(got[lane], reference(share))
+                else:
+                    assert _is_dead_lane(got[lane])
+
+
+def _is_dead_lane(lane: np.ndarray) -> bool:
+    """The read-only, zero-strided all-zero placeholder of a lane not held."""
+    return not lane.flags.writeable and not any(lane.strides) and not lane.any()
+
+
+def _kernel_args(name: str):
+    """Fresh ``(args, kwargs)`` for one kernel — identical on every call, so
+    two calls of an in-place kernel see the same inputs."""
+    ring = make_context().ring
+    rng = np.random.default_rng(sorted(KERNELS).index(name))
+    shape = (3, 4)
+
+    def words(*dims):
+        return rng.integers(0, 2**64, size=dims or shape, dtype=np.uint64)
+
+    def bits():
+        return rng.integers(0, 2, size=shape, dtype=np.uint8)
+
+    cases = {
+        "truncate-pair": lambda: ((ring, words(), words()), {}),
+        "beaver-recombine": lambda: (tuple(words() for _ in range(8)), {}),
+        "square-recombine": lambda: (tuple(words() for _ in range(5)), {}),
+        "scale-encoded": lambda: ((ring, words(), words(), ring.encode(np.array(0.729))), {}),
+        "add-encoded": lambda: ((words(), words(), words(1, 4)), {}),
+        "and-finish": lambda: (tuple(bits() for _ in range(8)), {}),
+        "b2a-finish": lambda: (
+            (np.ones(shape, np.uint64), bits().astype(np.uint64), words(), words()),
+            {},
+        ),
+        "stacked-matmul": lambda: ((words(), words(), words(4, 5)), {}),
+        "stacked-conv2d": lambda: (
+            (words(2, 4, 6, 6), words(2, 4, 6, 6), words(8, 2, 3, 3)),
+            {"padding": 1, "groups": 2},
+        ),
+    }
+    return cases[name]()
+
+
+@pytest.mark.parametrize("live", [0, 1])
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_live_lane_kernel_returns_its_lane_and_a_dead_placeholder(name, live):
+    """A party process's kernel call computes its own lane bit-identically to
+    the two-lane call and hands back the read-only placeholder for the other."""
+    args, kwargs = _kernel_args(name)
+    both = KERNELS[name](*args, **kwargs)
+    args, kwargs = _kernel_args(name)
+    one = KERNELS[name](*args, live=live, **kwargs)
+    np.testing.assert_array_equal(one[live], both[live])
+    dead = one[1 - live]
+    assert _is_dead_lane(dead)
+    assert (dead.shape, dead.dtype) == (both[1 - live].shape, both[1 - live].dtype)
+    with pytest.raises(ValueError, match="read-only"):
+        dead[...] = 1
 
 
 class TestArenaReuseAcrossJobs:

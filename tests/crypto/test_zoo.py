@@ -16,6 +16,7 @@ edits its row in the same diff (a failure prints the observed row).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from pathlib import Path
@@ -56,6 +57,31 @@ def _trained_weights(spec):
     return export_layer_weights(net)
 
 
+def _resident_bytes(pool):
+    """Bytes of the distinct memory blocks a pool's stacks and queued items
+    pin; dead-lane placeholders (read-only zero-strided zeros) pin none."""
+    blocks = {}
+
+    def visit(value):
+        if isinstance(value, np.ndarray):
+            if value.flags.writeable or any(value.strides):
+                while value.base is not None:
+                    value = value.base
+                blocks[id(value)] = value.nbytes
+        elif dataclasses.is_dataclass(value):
+            for field in dataclasses.fields(value):
+                visit(getattr(value, field.name))
+
+    for queue in pool._queues.values():
+        for item in queue:
+            visit(item)
+    for kind, shape in pool._buffers:
+        for arrays in pool.group_buffers(kind, shape):
+            for array in arrays.values():
+                visit(array)
+    return sum(blocks.values())
+
+
 def _loopback_logits(plan, weights, x):
     """Both parties as threads, each holding one share-world; every party's
     traffic is verified against the plan before the logits are returned."""
@@ -70,6 +96,8 @@ def _loopback_logits(plan, weights, x):
                 ring=ring, seed=SEED, channel=PartyChannel(transports[party], party, ring=ring)
             )
             pool = TrustedDealer(ring=ring, seed=SEED).preprocess(plan).restrict_to_party(party)
+            # one share-world held: exactly half of the manifest's material
+            assert _resident_bytes(pool) == plan.manifest.material_bytes // 2
             execution = execute_plan_as_party(ctx, party, plan, weights, input_share, pool=pool)
             stats = transports[party].stats
             verify_against_plan(plan, execution, stats)

@@ -205,26 +205,28 @@ class TestDealerPoolFill:
 
 class TestPartyRestriction:
     def test_restrict_group_arrays_zeroes_only_other_world(self):
-        """``RandomnessPool.restrict_to_party`` zeroes the other party's
-        stacks in place and leaves this party's untouched."""
+        """``RandomnessPool.restrict_to_party`` swaps the other party's
+        stacks for read-only zero placeholders and keeps this party's values,
+        copied out of the multi-lane draw they were views into."""
         arrays = _fresh_group(DEFAULT_RING, 1, "triple", (2,), 3)
         kept = {name: arrays[name].copy() for name in PARTY_FIELDS["triple"][0]}
         pool = RandomnessPool(DEFAULT_RING)
         pool.install_group("triple", (2,), arrays)
         assert pool.restrict_to_party(0) is pool
-        assert pool.group_buffers("triple", (2,))[0] is arrays  # in place, no copy
+        assert pool.group_buffers("triple", (2,))[0] is arrays  # the same group dict
         for name in PARTY_FIELDS["triple"][0]:
             assert np.array_equal(arrays[name], kept[name])
+            assert arrays[name].base is None  # the 5-lane draw is no longer pinned
         for name in PARTY_FIELDS["triple"][1]:
-            assert not arrays[name].any()
-            assert arrays[name].shape == (3, 2)
+            assert not arrays[name].any() and not arrays[name].flags.writeable
+            assert arrays[name].shape == (3, 2) and not any(arrays[name].strides)
         item = pool.triple((2,), (2,), DEFAULT_RING.mul)  # a row view
         assert np.array_equal(item.a.share0, kept["a0"][0]) and not item.a.share1.any()
 
     @pytest.mark.parametrize("party", [0, 1])
     def test_restricted_pool_keeps_its_world_bit_for_bit(self, party):
         """A party's pool is the dealer's pool at the same seed with only the
-        other share-world zeroed, for every group of a real manifest."""
+        other share-world released, for every group of a real manifest."""
         manifest = compile_plan(vgg_tiny(input_size=8), batch_size=2).manifest
         full = TrustedDealer(DEFAULT_RING, seed=9).preprocess(manifest)
         mine = TrustedDealer(DEFAULT_RING, seed=9).preprocess(manifest)

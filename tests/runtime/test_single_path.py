@@ -29,6 +29,7 @@ from repro.crypto.protocols.registry import ProtocolHandler
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
 from repro.runtime import ServerConfig, WorkerShard, run_two_process_inference
+from repro.runtime.party import execute_plan_as_party
 from repro.serve import BatchingFrontend, ShardedServingPool
 
 SRC = Path(repro.crypto.__file__).parents[1]
@@ -74,12 +75,19 @@ MODE_PARAMETERS = {
         ShardedServingPool,
         BatchingFrontend,
         KernelContext,
+        execute_plan_as_party,
     ],
     ids=lambda obj: obj.__qualname__,
 )
 def test_no_mode_parameter_on_any_signature(signature_of):
     parameters = set(inspect.signature(signature_of).parameters)
     assert not parameters & MODE_PARAMETERS
+
+
+def test_a_party_execution_is_always_handed_its_restricted_pool():
+    """No default: a party never falls back to generating both worlds."""
+    pool = inspect.signature(execute_plan_as_party).parameters["pool"]
+    assert pool.default is inspect.Parameter.empty
 
 
 def test_constant_knobs_are_not_parameters_or_fields_anywhere():
@@ -194,6 +202,16 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.runtime.server", "FACTORY_ANNOUNCE_AHEAD"),
         ("repro.serve", "ShardedServingPool.warm_up"),
         ("repro.runtime", "WorkerShard.provision"),
+        ("repro.crypto", "clear_executors"),
+        ("repro.crypto.kernels", "clear_executors"),
+        ("repro.crypto.kernels", "default_thread_workers"),
+        ("repro.crypto.kernels", "KernelContext.thread_workers"),
+        ("repro.crypto.kernels", "_fanout_submit"),
+        ("repro.crypto.kernels", "_EXECUTOR"),
+        ("repro.crypto.kernels", "_EXECUTOR_WORKERS"),
+        ("repro.crypto.kernels", "_EXECUTOR_LOCK"),
+        ("repro.crypto.kernels", "FANOUT_MIN_ELEMENTS"),
+        ("repro.crypto.kernels", "_batched_matmul"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
