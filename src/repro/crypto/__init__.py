@@ -36,7 +36,6 @@ from repro.crypto.events import (
 )
 from repro.crypto.ot import OTFlow, OTFlowCost, one_of_four_ot
 from repro.crypto.plan import (
-    PLAN_INPUT,
     InferencePlan,
     PlanOp,
     PreprocessingManifest,
@@ -49,15 +48,6 @@ from repro.crypto.kernels import (
     arena_for,
     clear_arenas,
     register_kernel,
-)
-from repro.crypto.passes import (
-    PlanSchedule,
-    ScheduledPlan,
-    ScheduledRound,
-    dead_op_elimination,
-    levelize,
-    optimize_plan,
-    schedule_rounds,
 )
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
@@ -97,21 +87,13 @@ __all__ = [
     "InferencePlan",
     "PlanOp",
     "PreprocessingManifest",
-    "PLAN_INPUT",
     "compile_plan",
-    "PlanSchedule",
-    "ScheduledPlan",
-    "ScheduledRound",
     "KERNELS",
     "KernelContext",
     "WorkspaceArena",
     "arena_for",
     "clear_arenas",
     "register_kernel",
-    "dead_op_elimination",
-    "levelize",
-    "optimize_plan",
-    "schedule_rounds",
     "run_scheduled_plan",
     "CommEvent",
     "open_ring_event",

@@ -7,9 +7,9 @@ are mutually independent and may therefore share one network round.  The
 driver that consumes a generator decides how the events hit the wire:
 
 - the round-coalescing executor (:mod:`repro.crypto.scheduler`) — the one
-  runtime path — hands whole groups, possibly merged across independent ops
-  of one plan level, to :meth:`repro.crypto.channel.Channel.run_round`,
-  which puts at most one framed message per direction on the wire per round;
+  runtime path — hands each whole group to
+  :meth:`repro.crypto.channel.Channel.run_round`, which puts at most one
+  framed message per direction on the wire per round;
 - :func:`run_phases` (this module) performs every event of a group
   individually against ``ctx.channel`` — the *sequential* reference
   semantics.  The standalone protocol functions (``secure_relu(ctx, x)``)

@@ -1,8 +1,8 @@
 """Fused local-compute kernels of the plan executor.
 
-The optimizer passes in :mod:`repro.crypto.passes` drive communication;
-this module attacks the other half of the online cost — the per-op numpy
-call chains of the protocol handlers.  The executor
+The plan's round groups fix the communication; this module attacks the
+other half of the online cost — the per-op numpy call chains of the
+protocol handlers.  The executor
 (:func:`repro.crypto.scheduler.run_scheduled_plan`) installs a
 :class:`KernelContext` for every run, and the handlers then dispatch to:
 

@@ -5,31 +5,33 @@ counterpart of the paper's Fig. 3 deployment, split into an offline and an
 online phase):
 
 - :func:`compile_plan` lowers a :class:`repro.models.specs.ModelSpec` into an
-  :class:`InferencePlan` — a **graph** of :class:`PlanOp` protocol ops.
-  Every op carries explicit value defs/uses (it *defines* its layer name and
-  *uses* the names of the ops whose outputs it reads), so the plan is a DAG
-  the optimizer passes in :mod:`repro.crypto.passes` can reason about, not
-  just a flat list;
+  :class:`InferencePlan` — a **chain** of :class:`PlanOp` protocol ops in
+  layer order, each reading its predecessor's output (ADD ops also read
+  their earlier residual source).  The plan is its own schedule: the
+  executor (:func:`repro.crypto.scheduler.run_scheduled_plan`) walks the
+  ops in order and puts one round on the wire per round group;
 - every op carries its exact :class:`~repro.crypto.protocols.registry.OpTrace`
   (ordered correlated-randomness requests and **grouped** wire messages,
   mirroring the round groups its phase generator yields), declared by the
   protocol handlers themselves, so the plan's byte/round predictions match
   the executed :class:`~repro.crypto.channel.CommunicationLog` exactly —
-  in both the sequential and the round-coalescing execution mode;
+  both the executor's and the sequential oracle's;
 - the per-plan :class:`PreprocessingManifest` aggregates those requests into
   the exact Beaver-triple / square-pair / bit-triple counts and byte volumes
   the offline phase must produce (see
   :meth:`repro.crypto.dealer.TrustedDealer.preprocess`) plus the exact
   per-round byte trace of the online phase.
 
-Round accounting has two flavours, both exact:
+Round accounting has three numbers, all exact:
 
-- ``online_rounds`` — the **scheduled** count: what a round-coalescing
-  execution of the plan logs (independent openings of one round group share
-  one framed message per direction);
+- ``online_rounds`` — the **scheduled** count: the direction-flip count a
+  round-coalescing execution of the plan logs (independent openings of one
+  round group share one framed message per direction);
 - ``oracle_rounds`` — the trace-derived sequential count (every
   opening its own exchange): the direction-flip count the sequential
-  oracle (:func:`repro.crypto.events.run_reference`) logs.
+  oracle (:func:`repro.crypto.events.run_reference`) logs;
+- ``num_rounds`` — the number of round groups: the link traversals on a
+  job's critical path (a two-way round is one full-duplex exchange).
 
 The same manifest is the single source of truth consumed by the hardware
 layer (:func:`repro.hardware.comm.communication_report` with ``plan=`` and
@@ -39,10 +41,9 @@ engine can no longer drift apart in their per-op communication accounting.
 Typical use::
 
     plan = compile_plan(spec, batch_size=8)          # offline: compile once
-    splan = optimize_plan(plan)                      # offline: pass pipeline
-    pool = ctx.dealer.preprocess(splan)              # offline: gen randomness
+    pool = ctx.dealer.preprocess(plan)               # offline: gen randomness
     engine = SecureInferenceEngine(ctx)
-    result = engine.execute(splan, weights, queries, pool=pool)   # online
+    result = engine.execute(plan, weights, queries, pool=pool)   # online
 """
 
 from __future__ import annotations
@@ -63,30 +64,18 @@ from repro.crypto.protocols.registry import (
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.models.specs import LayerKind, LayerSpec, ModelSpec
 
-#: the value name of the client query batch (the plan's only external input)
-PLAN_INPUT = "@input"
-
-#: serialization format tag of :meth:`InferencePlan.to_dict`
-PLAN_FORMAT = "inference-plan/v1"
-
 
 @dataclass(frozen=True)
 class PlanOp:
-    """One protocol op of a compiled plan graph.
+    """One protocol op of a compiled plan.
 
     Carries the originating :class:`LayerSpec`, the statically inferred
-    input/output shapes (batch dimension included), the op's exact
-    offline/online trace, and its dataflow edges:
-
-    - ``uses`` — the value names this op reads (:data:`PLAN_INPUT` or the
-      names of earlier ops; ADD ops additionally use their residual source);
-    - ``deps`` — the same edges as op indices (excluding the plan input);
-    - ``round_groups`` — the op's wire messages grouped by round: one group
-      per round its phase generator yields, each group holding the
-      ``(sender, num_bytes)`` messages of its independent events.
+    input/output shapes (batch dimension included) and the op's exact
+    offline/online trace; ``round_groups`` holds its wire messages grouped
+    by round: one group per round its phase generator yields, each group
+    holding the ``(sender, num_bytes)`` messages of its independent events.
     """
 
-    index: int
     name: str
     kind: LayerKind
     layer: LayerSpec
@@ -94,14 +83,7 @@ class PlanOp:
     output_shape: Tuple[int, ...]
     requests: Tuple[RandomnessRequest, ...]
     messages: Tuple[Tuple[int, int], ...]
-    uses: Tuple[str, ...] = ()
-    deps: Tuple[int, ...] = ()
     round_groups: Tuple[TraceGroup, ...] = ()
-
-    @property
-    def defines(self) -> str:
-        """The value name this op defines (its layer name)."""
-        return self.name
 
     @property
     def online_bytes(self) -> int:
@@ -157,10 +139,7 @@ class PreprocessingManifest:
 
     ``messages`` is the flat sequential wire trace; ``round_trace`` is the
     exact per-round byte trace ``(bytes_from_0, bytes_from_1)`` of the
-    scheduled execution the manifest was computed for.  For an optimized
-    :class:`~repro.crypto.passes.ScheduledPlan` the round trace is recomputed
-    from the coalesced schedule, so both byte *and* round predictions stay
-    exact after optimization.
+    executed plan, one entry per round group.
     """
 
     requests: Tuple[RandomnessRequest, ...]
@@ -258,8 +237,8 @@ class PreprocessingManifest:
 class InferencePlan:
     """A compiled secure-inference program for one model and batch size.
 
-    ``ops`` is stored in a topological order (the layer order of the source
-    spec); the dataflow DAG lives in each op's ``uses``/``deps`` edges.
+    ``ops`` is the layer order of the source spec, which is also the
+    execution order: each op reads its predecessor's output.
     """
 
     model_name: str
@@ -319,6 +298,12 @@ class InferencePlan:
         convention) — what the oracle logs."""
         return trace_rounds([m for op in self.ops for m in op.messages])
 
+    @property
+    def num_rounds(self) -> int:
+        """Round groups of the plan: the link traversals on a job's critical
+        path (a link of one-way latency ``L`` costs ``num_rounds × L``)."""
+        return sum(len(op.round_groups) for op in self.ops)
+
     def per_op_bytes(self) -> Dict[str, int]:
         return {op.name: op.online_bytes for op in self.ops}
 
@@ -338,104 +323,20 @@ class InferencePlan:
             for op in self.ops
         ]
 
-    # -- (de)serialization --------------------------------------------------- #
-    def to_dict(self) -> Dict:
-        """JSON-serializable form of the compiled plan graph."""
-        return {
-            "format": PLAN_FORMAT,
-            "model_name": self.model_name,
-            "batch_size": self.batch_size,
-            "ring": {"ring_bits": self.ring.ring_bits, "frac_bits": self.ring.frac_bits},
-            "input_shape": list(self.input_shape),
-            "output_shape": list(self.output_shape),
-            "ops": [_op_to_dict(op) for op in self.ops],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "InferencePlan":
-        if data.get("format") != PLAN_FORMAT:
-            raise ValueError(
-                f"unsupported plan format {data.get('format')!r}; "
-                f"expected {PLAN_FORMAT!r}"
-            )
-        ring = FixedPointRing(
-            ring_bits=int(data["ring"]["ring_bits"]),
-            frac_bits=int(data["ring"]["frac_bits"]),
-        )
-        return cls(
-            model_name=data["model_name"],
-            batch_size=int(data["batch_size"]),
-            ring=ring,
-            input_shape=tuple(data["input_shape"]),
-            output_shape=tuple(data["output_shape"]),
-            ops=tuple(_op_from_dict(entry, ring) for entry in data["ops"]),
-        )
-
-
-def _op_to_dict(op: PlanOp) -> Dict:
-    return {
-        "index": op.index,
-        "name": op.name,
-        "kind": op.kind.value,
-        "layer": op.layer.to_dict(),
-        "input_shape": list(op.input_shape),
-        "output_shape": list(op.output_shape),
-        "uses": list(op.uses),
-        "deps": list(op.deps),
-        "requests": [
-            {"kind": r.kind, "shape": list(r.shape)} for r in op.requests
-        ],
-        "round_groups": [
-            [[[sender, num_bytes] for sender, num_bytes in event] for event in group]
-            for group in op.round_groups
-        ],
-    }
-
-
-def _op_from_dict(data: Dict, ring: FixedPointRing) -> PlanOp:
-    layer = LayerSpec.from_dict(data["layer"])
-    round_groups = tuple(
-        tuple(
-            tuple((int(sender), int(num_bytes)) for sender, num_bytes in event)
-            for event in group
-        )
-        for group in data["round_groups"]
-    )
-    messages = tuple(
-        message for group in round_groups for event in group for message in event
-    )
-    return PlanOp(
-        index=int(data["index"]),
-        name=data["name"],
-        kind=LayerKind(data["kind"]),
-        layer=layer,
-        input_shape=tuple(data["input_shape"]),
-        output_shape=tuple(data["output_shape"]),
-        requests=tuple(
-            RandomnessRequest(entry["kind"], tuple(entry["shape"]))
-            for entry in data["requests"]
-        ),
-        messages=messages,
-        uses=tuple(data["uses"]),
-        deps=tuple(int(d) for d in data["deps"]),
-        round_groups=round_groups,
-    )
-
 
 def compile_plan(
     spec: ModelSpec,
     batch_size: int = 1,
     ring: Optional[FixedPointRing] = None,
 ) -> InferencePlan:
-    """Lower a model spec into an executable plan graph with static shapes.
+    """Lower a model spec into an executable plan with static shapes.
 
     Shape inference threads the (batched) activation shape through the
     registry handlers; each op's trace is evaluated at its concrete input
     shape, which makes the preprocessing manifest and byte accounting exact
-    for the given batch size.  Dataflow edges are made explicit: each op
-    uses the previous op's output (the sequential activation chain of the
-    spec) plus, for ADD ops, the named residual source — giving the
-    optimizer passes a genuine dependency DAG.
+    for the given batch size.  An ADD op's residual source must name an
+    earlier layer of the same shape; anything else fails here, at compile
+    time.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -449,8 +350,7 @@ def compile_plan(
     input_shape = shape
     ops: List[PlanOp] = []
     shapes: Dict[str, Tuple[int, ...]] = {}
-    index_of: Dict[str, int] = {}
-    for index, layer in enumerate(spec.layers):
+    for layer in spec.layers:
         handler = get_handler(layer.kind)
         out_shape = tuple(handler.infer_shape(layer, shape))
         if layer.kind == LayerKind.ADD:
@@ -468,14 +368,9 @@ def compile_plan(
                     f"layer {layer.name!r}: residual shape {residual_shape} "
                     f"does not match main-path shape {out_shape}"
                 )
-        uses: List[str] = [ops[-1].name if ops else PLAN_INPUT]
-        if layer.kind == LayerKind.ADD and layer.residual_from not in uses:
-            uses.append(layer.residual_from)
-        deps = tuple(index_of[name] for name in uses if name in index_of)
         trace: OpTrace = handler.trace(layer, shape, ring)
         ops.append(
             PlanOp(
-                index=index,
                 name=layer.name,
                 kind=layer.kind,
                 layer=layer,
@@ -483,13 +378,10 @@ def compile_plan(
                 output_shape=out_shape,
                 requests=tuple(trace.requests),
                 messages=tuple(trace.messages),
-                uses=tuple(uses),
-                deps=deps,
                 round_groups=tuple(trace.groups),
             )
         )
         shapes[layer.name] = out_shape
-        index_of[layer.name] = index
         shape = out_shape
     return InferencePlan(
         model_name=spec.name,

@@ -3,14 +3,14 @@
 :func:`run_scheduled_plan` is the single online-phase executor, shared by the
 in-process engine (:meth:`repro.crypto.secure_model.SecureInferenceEngine.execute`)
 and the networked party runtime (:func:`repro.runtime.party.execute_plan_as_party`).
-It walks the :class:`~repro.crypto.passes.PlanSchedule` level by level,
-drives the phase generators of all the level's ops in lock-step, and hands
-each round's merged event group to :meth:`repro.crypto.channel.Channel.run_round`
-— so the *scheduler*, not the protocol handlers, decides what hits the wire,
-and every coalesced round is one framed message per direction.  Events carry
-their wire element width (``element_bits``), so the per-op byte attribution
-below and the round frames themselves both account sub-byte payloads at
-packed widths — identical to the manifest's round trace.
+It walks the :class:`~repro.crypto.plan.InferencePlan`'s ops in order,
+drives each op's phase generator to completion and hands every yielded event
+group to :meth:`repro.crypto.channel.Channel.run_round` — so the *executor*,
+not the protocol handlers, decides what hits the wire, and every round group
+is one framed message per direction.  Events carry their wire element width
+(``element_bits``), so the per-op byte attribution below and the round
+frames themselves both account sub-byte payloads at packed widths —
+identical to the manifest's round trace.
 
 Bit-identity with the sequential oracle
 ---------------------------------------
@@ -19,12 +19,13 @@ Each op must consume exactly the correlated randomness it would have drawn
 in a sequential execution (local truncation makes the reconstructed logits
 sensitive to the dealer stream).  When the online phase runs against a
 :class:`~repro.crypto.dealer.RandomnessPool`, the pool is first partitioned
-per op **in manifest order** (:meth:`RandomnessPool.partition`), so an op's
-draws are independent of how the scheduler interleaves the level's
-generators.  For chain-structured plans (every zoo model) the context RNG
-stream is also consumed in sequential order — levels hold one op — making
-scheduled execution bit-identical to :func:`repro.crypto.events.run_reference`,
-which ``tests/crypto/test_zoo.py`` asserts zoo-wide.
+per op **in manifest order** (:meth:`RandomnessPool.partition`): the per-op
+randomness budget, so an op that draws more than its trace declares fails
+instead of eating the next op's material.  Ops run in plan order and
+residual inputs are threaded by name, exactly as in
+:func:`repro.crypto.events.run_reference`, which makes execution
+bit-identical to the oracle — ``tests/crypto/test_zoo.py`` asserts it
+zoo-wide.
 """
 
 from __future__ import annotations
@@ -37,34 +38,33 @@ from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.events import as_group, group_direction_bytes
 from repro.crypto.kernels import KernelContext, arena_for
-from repro.crypto.passes import ScheduledPlan
-from repro.crypto.plan import PLAN_INPUT
+from repro.crypto.plan import InferencePlan
 from repro.crypto.protocols.registry import get_handler
 from repro.crypto.sharing import SharePair
 
 
-def arena_key(splan: ScheduledPlan) -> Tuple:
+def arena_key(plan: InferencePlan) -> Tuple:
     """The workspace-arena key of one plan: same model, batch and ring
     parameters share scratch buffers and encoded-constant caches across
     jobs (see :func:`repro.crypto.kernels.arena_for`)."""
-    ring = splan.ring
-    return (splan.model_name, splan.batch_size, ring.ring_bits, ring.frac_bits)
+    ring = plan.ring
+    return (plan.model_name, plan.batch_size, ring.ring_bits, ring.frac_bits)
 
 
 def run_scheduled_plan(
     ctx: TwoPartyContext,
-    splan: ScheduledPlan,
+    plan: InferencePlan,
     weights: Dict[str, Dict],
     shared: SharePair,
     profile: Optional[Dict[str, object]] = None,
 ) -> Tuple[SharePair, Dict[str, int]]:
-    """Execute the online phase of a scheduled plan.
+    """Execute the online phase of a compiled plan.
 
     Args:
         ctx: the party's (or the simulation's) two-party context; its
             channel must support :meth:`~repro.crypto.channel.Channel.run_round`
             and its dealer should be the preprocessed randomness pool.
-        splan: the optimized plan (see :func:`repro.crypto.passes.optimize_plan`).
+        plan: the compiled plan (see :func:`repro.crypto.plan.compile_plan`).
         weights: mapping layer-name -> parameter dict.
         shared: the share pair of the client query batch.
         profile: optional dict the executor fills with local-compute
@@ -74,8 +74,7 @@ def run_scheduled_plan(
 
     Returns:
         ``(output_shares, per_op_bytes)`` — the final op's output and the
-        exact per-op online byte attribution (independent of how rounds were
-        merged across ops).
+        exact per-op online byte attribution.
 
     The executor installs a :class:`~repro.crypto.kernels.KernelContext` on
     ``ctx`` for the duration of the run: the protocol handlers then dispatch
@@ -86,69 +85,45 @@ def run_scheduled_plan(
     :func:`~repro.crypto.kernels.dead_lane`); the in-process channel keeps
     both.
     """
-    plan = splan.plan
     per_op_cpu: Dict[str, int] = {op.name: 0 for op in plan.ops}
+    per_op_bytes: Dict[str, int] = {op.name: 0 for op in plan.ops}
     kernel_ctx = KernelContext(
-        arena=arena_for(arena_key(splan)),
+        arena=arena_for(arena_key(plan)),
         live=ctx.channel.party if isinstance(ctx.channel, PartyChannel) else None,
     )
     #: op outputs by name (ADD ops read their residual input from it)
-    values: Dict[str, SharePair] = {PLAN_INPUT: shared}
-    per_op_bytes: Dict[str, int] = {op.name: 0 for op in plan.ops}
+    values: Dict[str, SharePair] = {}
 
     outer_dealer = ctx.dealer
     if isinstance(outer_dealer, RandomnessPool):
         op_pools = outer_dealer.partition([op.requests for op in plan.ops])
     else:
-        # lazy dealer: generation order equals consumption order, which for
-        # chain plans (one op per level) matches the sequential stream
+        # lazy dealer: generation order equals consumption order
         op_pools = [outer_dealer] * len(plan.ops)
 
     clock = time.perf_counter_ns
     rounds_executed = 0
     ctx.kernels = kernel_ctx
     try:
-        for level in splan.schedule.levels:
-            live: Dict[int, Tuple[object, Optional[tuple]]] = {}
-            for op_index in level:
-                op = plan.ops[op_index]
-                handler = get_handler(op.kind)
-                gen = handler.phases(
-                    ctx, op.layer, weights.get(op.name, {}), values[op.uses[0]], values
-                )
-                live[op_index] = (gen, None)
-            while live:
-                round_entries = []
-                for op_index in sorted(live):
-                    gen, feed = live[op_index]
-                    ctx.dealer = op_pools[op_index]
-                    started = clock()
-                    try:
-                        group = as_group(gen.send(feed))
-                    except StopIteration as stop:
-                        op = plan.ops[op_index]
-                        per_op_cpu[op.name] += clock() - started
-                        values[op.name] = stop.value
-                        del live[op_index]
-                        continue
-                    per_op_cpu[plan.ops[op_index].name] += clock() - started
-                    round_entries.append((op_index, group))
-                if round_entries:
-                    flat = [event for _, group in round_entries for event in group]
-                    results = ctx.channel.run_round(flat)
-                    rounds_executed += 1
-                    position = 0
-                    for op_index, group in round_entries:
-                        count = len(group)
-                        live[op_index] = (
-                            live[op_index][0],
-                            tuple(results[position : position + count]),
-                        )
-                        position += count
-                        from_0, from_1 = group_direction_bytes(
-                            group, ctx.channel.element_bytes
-                        )
-                        per_op_bytes[plan.ops[op_index].name] += from_0 + from_1
+        for op, op_pool in zip(plan.ops, op_pools):
+            ctx.dealer = op_pool
+            gen = get_handler(op.kind).phases(
+                ctx, op.layer, weights.get(op.name, {}), shared, values
+            )
+            feed = None
+            while True:
+                started = clock()
+                try:
+                    group = as_group(gen.send(feed))
+                except StopIteration as stop:
+                    shared = values[op.name] = stop.value
+                    break
+                finally:
+                    per_op_cpu[op.name] += clock() - started
+                feed = tuple(ctx.channel.run_round(group))
+                rounds_executed += 1
+                from_0, from_1 = group_direction_bytes(group, ctx.channel.element_bytes)
+                per_op_bytes[op.name] += from_0 + from_1
     finally:
         ctx.dealer = outer_dealer
         ctx.kernels = None
@@ -157,11 +132,10 @@ def run_scheduled_plan(
             profile["cpu_time_ns"] = sum(per_op_cpu.values())
             profile["fused_kernel_calls"] = kernel_ctx.fused_calls
 
-    if rounds_executed != splan.schedule.num_rounds:
+    if rounds_executed != plan.num_rounds:
         raise RuntimeError(
-            f"scheduled execution of {plan.model_name!r} performed "
-            f"{rounds_executed} rounds but the schedule predicted "
-            f"{splan.schedule.num_rounds} — a protocol handler's phase "
-            "generator has drifted from its trace"
+            f"execution of {plan.model_name!r} performed {rounds_executed} "
+            f"rounds but the plan predicted {plan.num_rounds} — a protocol "
+            "handler's phase generator has drifted from its trace"
         )
-    return values[plan.ops[-1].name if plan.ops else PLAN_INPUT], per_op_bytes
+    return shared, per_op_bytes

@@ -4,9 +4,8 @@ The :class:`SecureInferenceEngine` is the in-process face of the one runtime
 path, dispatching every layer through the protocol registry
 (:mod:`repro.crypto.protocols.registry`):
 
-- :meth:`~SecureInferenceEngine.compile` lowers the spec into a graph plan
-  and runs the optimizer pass pipeline once, returning the
-  :class:`~repro.crypto.passes.ScheduledPlan` every runtime layer executes;
+- :meth:`~SecureInferenceEngine.compile` lowers the spec into the
+  :class:`~repro.crypto.plan.InferencePlan` every runtime layer executes;
 - :meth:`~SecureInferenceEngine.preprocess` pre-generates *all* correlated
   randomness from the plan's manifest in an offline phase;
 - :meth:`~SecureInferenceEngine.execute` runs the low-latency online phase —
@@ -39,8 +38,7 @@ import numpy as np
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import compile_plan
+from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import reconstruct, share
 from repro.models.specs import ModelSpec
@@ -98,18 +96,12 @@ class SecureInferenceEngine:
     # ------------------------------------------------------------------ #
     # Offline phase
     # ------------------------------------------------------------------ #
-    def compile(self, spec: ModelSpec, batch_size: int = 1) -> ScheduledPlan:
-        """Lower ``spec`` into the scheduled plan for this engine's ring.
+    def compile(self, spec: ModelSpec, batch_size: int = 1) -> InferencePlan:
+        """Lower ``spec`` into the plan for this engine's ring
+        (:func:`repro.crypto.plan.compile_plan`)."""
+        return compile_plan(spec, batch_size=batch_size, ring=self.ctx.ring)
 
-        Compiles the spec into a graph plan and runs the optimizer pass
-        pipeline (:func:`repro.crypto.passes.optimize_plan`); executing the
-        result coalesces independent openings into shared rounds.
-        """
-        return optimize_plan(
-            compile_plan(spec, batch_size=batch_size, ring=self.ctx.ring)
-        )
-
-    def preprocess(self, plan: ScheduledPlan) -> RandomnessPool:
+    def preprocess(self, plan: InferencePlan) -> RandomnessPool:
         """Generate the plan's correlated randomness from the live dealer."""
         return self.ctx.dealer.preprocess(plan)
 
@@ -118,7 +110,7 @@ class SecureInferenceEngine:
     # ------------------------------------------------------------------ #
     def execute(
         self,
-        plan: ScheduledPlan,
+        plan: InferencePlan,
         weights: Dict[str, Dict[str, np.ndarray]],
         inputs: np.ndarray,
         pool: Optional[RandomnessPool] = None,
@@ -126,7 +118,7 @@ class SecureInferenceEngine:
         """Execute the online phase of a compiled plan on a query batch.
 
         Args:
-            plan: the scheduled plan (see :meth:`compile`).
+            plan: the compiled plan (see :meth:`compile`).
             weights: mapping layer-name -> parameter dict as produced by
                 :func:`repro.models.builder.export_layer_weights`.
             inputs: plaintext client queries, NCHW float array whose batch

@@ -25,13 +25,13 @@ WINDOW = 10_000
 class Metrics:
     """Thread-safe counters, gauges and sample windows keyed by flat name.
 
-    The constructor declares the names a snapshot carries before anything
-    is recorded: ``counters`` start at 0, ``gauges`` at the given value.
+    The constructor declares the counters a snapshot carries, at 0, before
+    anything is recorded; a gauge appears with its first ``set``.
     """
 
-    def __init__(self, *counters: str, **gauges: float) -> None:
+    def __init__(self, *counters: str) -> None:
         self._lock = threading.Lock()
-        self._values: Dict[str, float] = {**dict.fromkeys(counters, 0), **gauges}
+        self._values: Dict[str, float] = dict.fromkeys(counters, 0)
         self._windows: Dict[str, Deque[float]] = {}
 
     def inc(self, name: str, delta: float = 1) -> None:

@@ -3,8 +3,8 @@
 The paper deploys a searched network on *two physically separate* computing
 parties.  This module is the per-party half of that deployment: a worker
 that holds exactly one share-world (its input share, its half of the
-correlated randomness) and jointly executes a
-:class:`~repro.crypto.passes.ScheduledPlan` with the peer over a
+correlated randomness) and jointly executes a compiled
+:class:`~repro.crypto.plan.InferencePlan` with the peer over a
 :class:`~repro.crypto.transport.Transport`.
 
 How one program serves both parties
@@ -65,7 +65,7 @@ import numpy as np
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.kernels import dead_lane
-from repro.crypto.passes import ScheduledPlan
+from repro.crypto.plan import InferencePlan
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import SharePair
 from repro.crypto.transport import WireStats
@@ -91,7 +91,7 @@ class PartyExecution:
     fused_kernel_calls: int = 0
 
 
-def predicted_direction_bytes(plan: ScheduledPlan, sender: int) -> int:
+def predicted_direction_bytes(plan: InferencePlan, sender: int) -> int:
     """Manifest-predicted online payload bytes flowing out of ``sender``."""
     return sum(
         num_bytes
@@ -102,7 +102,7 @@ def predicted_direction_bytes(plan: ScheduledPlan, sender: int) -> int:
 
 
 def verify_against_plan(
-    plan: ScheduledPlan, execution: PartyExecution, stats: WireStats
+    plan: InferencePlan, execution: PartyExecution, stats: WireStats
 ) -> None:
     """Assert the measured traffic equals the plan's static prediction.
 
@@ -138,7 +138,7 @@ def verify_against_plan(
 def execute_plan_as_party(
     ctx: TwoPartyContext,
     party: int,
-    plan: ScheduledPlan,
+    plan: InferencePlan,
     weights: Dict[str, Dict[str, np.ndarray]],
     input_share: np.ndarray,
     pool: RandomnessPool,

@@ -49,8 +49,7 @@ import numpy as np
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import compile_plan
+from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.transport import FaultyTransport, TcpListener, TcpTransport
 from repro.obs import Metrics
 from repro.runtime.messages import (
@@ -82,7 +81,7 @@ def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -
 
 @dataclass
 class _PlanEntry:
-    plan: ScheduledPlan
+    plan: InferencePlan
     #: FIFO of (counter, party-restricted pool); the one provisioner
     #: appends in counter order, so counters strictly increase
     pools: Deque[Tuple[int, RandomnessPool]] = field(default_factory=deque)
@@ -126,7 +125,7 @@ class PartyServer:
                 f"party {self.party}: unknown model {model!r}; "
                 f"registered: {sorted(self.config.models)}"
             )
-        plan = optimize_plan(compile_plan(spec, batch_size=batch_size, ring=self.ring))
+        plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
         with self._lock:
             entry = self._entries.setdefault(key, _PlanEntry(plan=plan))
             if entry.plan is plan:

@@ -18,8 +18,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
-from repro.crypto.passes import ScheduledPlan, optimize_plan
-from repro.crypto.plan import compile_plan
+from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.models.specs import ModelSpec
 from repro.runtime.messages import JobReport, ServerConfig
@@ -35,7 +34,7 @@ class TwoProcessResult:
     """
 
     logits: np.ndarray
-    plan: ScheduledPlan
+    plan: InferencePlan
     reports: Dict[int, JobReport]
     wall_seconds: float
 
@@ -117,7 +116,7 @@ def run_two_process_inference(
     finally:
         shard.kill()  # a no-op after a graceful shutdown
     wall_seconds = time.perf_counter() - start
-    plan = optimize_plan(compile_plan(spec, batch_size=batch_size, ring=ring))
+    plan = compile_plan(spec, batch_size=batch_size, ring=ring)
     return TwoProcessResult(
         logits=job.logits, plan=plan, reports=job.reports, wall_seconds=wall_seconds
     )

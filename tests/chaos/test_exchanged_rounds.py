@@ -2,8 +2,8 @@
 
 A ReLU model mixes one-way rounds (the stacked OT transfer) with two-way
 rounds (every opening), so a per-direction round index differs from the
-schedule index — the schedule names the target here, not a hand-picked
-number.  A drop on the receive side and a stall on the send side of an
+schedule index — the plan's round trace names the target here, not a
+hand-picked number.  A drop on the receive side and a stall on the send side of an
 exchanged round must fire exactly once, at that index, and the recovered
 or stalled answer must be bit-identical to the clean run: first party to
 party over real sockets (where the injecting endpoint's own counters and
@@ -20,7 +20,6 @@ import pytest
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import TrustedDealer
-from repro.crypto.passes import optimize_plan
 from repro.crypto.plan import compile_plan
 from repro.crypto.sharing import share
 from repro.crypto.transport import (
@@ -40,8 +39,7 @@ def _exchanged_round_after_a_one_way(plan, party):
     follows a one-way round, in per-direction frame counts."""
     sent = received = 0
     seen_one_way = False
-    for scheduled in plan.schedule.rounds:
-        from_me, to_me = scheduled.bytes_from_0, scheduled.bytes_from_1
+    for from_me, to_me in plan.manifest.round_trace:
         if party == 1:
             from_me, to_me = to_me, from_me
         if from_me and to_me and seen_one_way:
@@ -113,7 +111,7 @@ def relu_job(relu_servable):
     batch = np.random.default_rng(42).normal(
         size=(2, spec.in_channels, spec.input_size, spec.input_size)
     )
-    plan = optimize_plan(compile_plan(spec, batch_size=2))
+    plan = compile_plan(spec, batch_size=2)
     clean, errors, _ = _run_parties(plan, relu_servable.weights, batch, {})
     assert not errors
     return plan, batch, clean

@@ -105,6 +105,29 @@ class TestCompile:
         with pytest.raises(ValueError, match="no-such-layer"):
             compile_plan(dangling)
 
+    @pytest.mark.parametrize(
+        "add, residual, message",
+        [
+            ("add1", "act4", "not an earlier layer"),  # a forward reference
+            ("add2", "conv1", "does not match main-path shape"),
+        ],
+    )
+    def test_forward_or_misshapen_residual_fails_at_compile_time(
+        self, add, residual, message
+    ):
+        from dataclasses import replace as dc_replace
+
+        spec = resnet_tiny(input_size=8)
+        broken = dc_replace(
+            spec,
+            layers=tuple(
+                dc_replace(l, residual_from=residual) if l.name == add else l
+                for l in spec.layers
+            ),
+        )
+        with pytest.raises(ValueError, match=message):
+            compile_plan(broken)
+
     def test_registry_covers_all_executable_kinds(self):
         kinds = set(registered_kinds())
         for kind in (LayerKind.CONV, LayerKind.LINEAR, LayerKind.RELU,

@@ -158,7 +158,7 @@ def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, bat
     manifest = plan.manifest
     observed = {
         "num_ops": len(plan.ops),
-        "schedule_rounds": plan.schedule.num_rounds,
+        "schedule_rounds": plan.num_rounds,
         "unpacked_online_bytes": oracle_ctx.channel.log.total_unpacked_bytes,
         "manifest_hash": manifest.content_hash,
         "requests": len(manifest.requests),

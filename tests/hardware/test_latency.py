@@ -6,7 +6,7 @@ import pytest
 
 from repro.hardware.device import FPGADevice, ZCU104
 from repro.hardware.latency import DEFAULT_LATENCY_MODEL, LatencyModel, OperatorCost
-from repro.hardware.network import LAN_1GBPS, WAN_100MBPS, NetworkModel
+from repro.hardware.network import LAN_1GBPS, WAN_100MBPS
 
 
 class TestOperatorCost:

@@ -18,7 +18,6 @@ from repro.nn import (
     MaxPool2d,
     Module,
     ModuleList,
-    Parameter,
     ReLU,
     ReLU6,
     Sequential,

@@ -22,9 +22,8 @@ import repro.offline
 import repro.runtime
 import repro.runtime.party
 import repro.serve
+from repro.crypto import make_context
 from repro.crypto.kernels import KernelContext
-from repro.crypto.passes import lower_plan, optimize_plan
-from repro.crypto.plan import compile_plan
 from repro.crypto.protocols.registry import ProtocolHandler
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
@@ -33,6 +32,7 @@ from repro.runtime.party import execute_plan_as_party
 from repro.serve import BatchingFrontend, ShardedServingPool
 
 SRC = Path(repro.crypto.__file__).parents[1]
+E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
 RUNTIME_AND_SERVE = sorted(
     path for package in ("runtime", "serve") for path in (SRC / package).glob("*.py")
 )
@@ -68,7 +68,6 @@ MODE_PARAMETERS = {
     "signature_of",
     [
         SecureInferenceEngine.compile,
-        optimize_plan,
         run_two_process_inference,
         ServerConfig,
         WorkerShard,
@@ -212,6 +211,32 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.kernels", "_EXECUTOR_LOCK"),
         ("repro.crypto.kernels", "FANOUT_MIN_ELEMENTS"),
         ("repro.crypto.kernels", "_batched_matmul"),
+        ("repro.crypto", "ScheduledPlan"),
+        ("repro.crypto", "PlanSchedule"),
+        ("repro.crypto", "ScheduledRound"),
+        ("repro.crypto", "levelize"),
+        ("repro.crypto", "schedule_rounds"),
+        ("repro.crypto", "dead_op_elimination"),
+        ("repro.crypto", "optimize_plan"),
+        ("repro.crypto", "PLAN_INPUT"),
+        ("repro.crypto.passes", "ScheduledPlan"),
+        ("repro.crypto.passes", "PlanSchedule"),
+        ("repro.crypto.passes", "ScheduledRound"),
+        ("repro.crypto.passes", "levelize"),
+        ("repro.crypto.passes", "schedule_rounds"),
+        ("repro.crypto.passes", "dead_op_elimination"),
+        ("repro.crypto.passes", "PLAN_PASSES"),
+        ("repro.crypto.passes", "DEFAULT_PASSES"),
+        ("repro.crypto.passes", "SCHEDULED_PLAN_FORMAT"),
+        ("repro.crypto.plan", "PLAN_FORMAT"),
+        ("repro.crypto.plan", "PLAN_INPUT"),
+        ("repro.crypto.plan", "InferencePlan.to_dict"),
+        ("repro.crypto.plan", "InferencePlan.from_dict"),
+        ("repro.crypto.plan", "_op_to_dict"),
+        ("repro.crypto.plan", "_op_from_dict"),
+        ("repro.crypto.plan", "PlanOp.uses"),
+        ("repro.crypto.plan", "PlanOp.deps"),
+        ("repro.crypto.plan", "PlanOp.defines"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -269,9 +294,28 @@ def test_engine_and_party_hold_no_second_executor(module):
     assert "handler.execute" not in source and "plan.ops:" not in source
 
 
-def test_lower_plan_is_the_identity_the_benchmark_still_imports():
-    splan = optimize_plan(compile_plan(vgg_tiny(input_size=8)))
-    assert lower_plan(splan) is splan
+def test_the_benchmark_runs_the_compiled_plan_and_src_never_imports_its_shim(
+    monkeypatch,
+):
+    """``benchmarks/e2e/traced.py`` still routes through the identity shim
+    ``repro.crypto.passes``; what it times must be the plan the engine
+    compiles, and nothing in ``src/`` may lean on the shim."""
+    monkeypatch.syspath_prepend(str(E2E))
+    traced = importlib.import_module("traced")
+    engine = SecureInferenceEngine(make_context(seed=0))
+    spec = vgg_tiny(input_size=8)
+    plan, compiled = traced.production_plan(engine, spec, 1), engine.compile(spec, 1)
+    assert plan.ops == compiled.ops
+    assert plan.online_rounds == compiled.online_rounds
+    assert plan.num_rounds == compiled.num_rounds
+    assert plan.manifest == compiled.manifest
+
+    importers = [
+        path.name
+        for path in SRC.rglob("*.py")
+        if "repro.crypto.passes" in path.read_text(encoding="utf-8")
+    ]
+    assert importers == []
 
 
 @pytest.mark.parametrize(

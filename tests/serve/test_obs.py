@@ -35,7 +35,8 @@ def test_concurrent_records_are_never_lost():
 
 
 def test_declared_names_windows_and_helpers():
-    metrics = Metrics("served", depth=-1)
+    metrics = Metrics("served")
+    metrics.set("depth", -1)
     assert metrics.snapshot() == {"served": 0, "depth": -1}
     assert metrics.percentile("never_observed", 95) == 0.0
     for _ in range(5):
