@@ -138,9 +138,9 @@ SHARD_COUNTERS = (
 class WorkerShard:
     """One persistent worker pair: two party-server processes, one session.
 
-    All serving-path interaction goes through :meth:`run_job`; the shard is
-    handed to exactly one dispatcher thread at a time (via the pool's idle
-    queue), and an internal lock guards against misuse beyond that.
+    All serving-path interaction goes through :meth:`run_job`; in a pool
+    the shard's one worker thread is its only caller, and an internal lock
+    guards against misuse beyond that.
     """
 
     def __init__(
@@ -178,7 +178,7 @@ class WorkerShard:
         )
         # _recv and the supervisor's poll_heartbeats both read the pipes;
         # per-party locks serialize them, and messages a heartbeat sweep
-        # pulls out from under a dispatcher are pushed back here (checked
+        # pulls out from under a running job are pushed back here (checked
         # before the pipe, preserving order).
         self._pipe_locks = [threading.Lock(), threading.Lock()]
         self._pushback: List[Deque] = [deque(), deque()]
@@ -309,13 +309,13 @@ class WorkerShard:
         )
 
     def poll_heartbeats(self) -> Dict[int, Optional[float]]:
-        """Drain pending heartbeat frames without blocking any dispatcher.
+        """Drain pending heartbeat frames without blocking a running job.
 
         Called periodically by the supervisor so idle shards' liveness stays
         fresh (and their pipes never fill with unread frames).  Per-party
-        locks are taken non-blockingly: a dispatcher already on the pipe
-        absorbs heartbeats itself.  Non-heartbeat messages encountered are
-        pushed back for the dispatcher, in order.  Returns the current
+        locks are taken non-blockingly: a job already on the pipe absorbs
+        heartbeats itself.  Non-heartbeat messages encountered are pushed
+        back for :meth:`run_job`, in order.  Returns the current
         heartbeat ages (see :meth:`heartbeat_ages`).
         """
         if self.alive:

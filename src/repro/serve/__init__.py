@@ -5,15 +5,15 @@ traffic.  The plan runtime already amortizes compilation and preprocessing
 across batched queries; this package adds the missing piece between clients
 and the runtime:
 
-- :class:`~repro.serve.frontend.BatchingFrontend` — a request queue that
-  coalesces incoming queries up to ``(max_batch, max_wait)`` and hands each
-  coalesced batch to its backend as a single plan execution, resolving one
-  future per query and recording queue/serve latency percentiles;
-- :class:`~repro.serve.pool.ShardedServingPool` — that backend: N persistent
-  two-process worker pairs (:class:`~repro.runtime.shard.WorkerShard`);
-  batches route to idle shards, the party servers hold the compiled plans
-  and keep randomness buffers filled in the background, and a dead worker
-  pair is evicted while the rest keep serving;
+- :class:`~repro.serve.pool.ShardedServingPool` — N persistent two-process
+  worker pairs (:class:`~repro.runtime.shard.WorkerShard`) behind one
+  pending-query queue: whenever a shard is free, its worker thread takes
+  the next batch (up to ``max_batch`` queries of one model, once full or
+  once the oldest has waited ``max_wait``; policy in
+  :func:`~repro.serve.frontend.take_batch`) and runs it as a single plan
+  execution, resolving one future per query.  The party servers hold the
+  compiled plans and keep randomness buffers filled in the background, and
+  a dead worker pair is evicted while the rest keep serving;
 - :class:`~repro.serve.admission.AdmissionController` — bounded per-(model,
   batch) queues with explicit backpressure (shed-with-retry-after, never
   unbounded buffering) and the EWMA load signals autoscaling steers by;
@@ -41,13 +41,7 @@ from repro.runtime.shard import (
     WorkerShard,
 )
 from repro.serve.daemon import DaemonClient, DaemonResult, ServingDaemon
-from repro.serve.frontend import (
-    BatchingFrontend,
-    BatchOutcome,
-    PoolShutdown,
-    ServableModel,
-    ServedResult,
-)
+from repro.serve.frontend import PoolShutdown, ServableModel, ServedResult
 from repro.serve.pool import ShardedServingPool
 from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
 
@@ -56,8 +50,6 @@ __all__ = [
     "AdmissionDecision",
     "AutoscalePolicy",
     "BackpressureError",
-    "BatchingFrontend",
-    "BatchOutcome",
     "DaemonClient",
     "DaemonResult",
     "HeartbeatMiss",

@@ -105,8 +105,8 @@ class ServingDaemon:
     """The asyncio serving control plane over one supervised shard pool.
 
     Args:
-        models: the deployable zoo (also accepted pre-wrapped in a pool via
-            ``pool=``, in which case ``pool_kwargs`` are ignored).
+        models: the deployable zoo; the daemon builds its pool from it
+            and ``pool_kwargs`` and owns that pool's lifecycle.
         host / port: TCP endpoint (``port=0`` binds an ephemeral port,
             published as :attr:`port` after :meth:`start`).
         queue_budget / ewma_alpha / retry_floor_ms: admission-control knobs
@@ -117,8 +117,6 @@ class ServingDaemon:
         heartbeat_deadline: seconds of heartbeat silence after which a
             shard party counts as wedged (forwarded to the pool).
         supervise_interval: seconds between supervision sweeps.
-        pool: a pre-built pool to serve (the daemon then owns its
-            lifecycle); built from ``models`` + ``pool_kwargs`` otherwise.
     """
 
     def __init__(
@@ -133,27 +131,24 @@ class ServingDaemon:
         heartbeat_deadline: float = 5.0,
         supervise_interval: float = 0.25,
         respawn_cooldown: float = 2.0,
-        pool: Optional[ShardedServingPool] = None,
         **pool_kwargs,
     ) -> None:
         self.host = host
         self.port = port
         self.autoscale = autoscale
-        if pool is None:
-            if autoscale is not None:
-                floor = pool_kwargs.get("num_shards", 2)
-                pool_kwargs.setdefault("max_shards", max(autoscale.max_shards, floor))
-            pool_kwargs.setdefault("heartbeat_deadline", heartbeat_deadline)
-            pool = ShardedServingPool(models=models, **pool_kwargs)
-        self.pool = pool
-        self.models = pool.models
+        if autoscale is not None:
+            floor = pool_kwargs.get("num_shards", 2)
+            pool_kwargs.setdefault("max_shards", max(autoscale.max_shards, floor))
+        pool_kwargs.setdefault("heartbeat_deadline", heartbeat_deadline)
+        self.pool = ShardedServingPool(models=models, **pool_kwargs)
+        self.models = self.pool.models
         self.admission = AdmissionController(
             queue_budget=queue_budget,
             ewma_alpha=ewma_alpha,
             retry_floor_ms=retry_floor_ms,
         )
         self.supervisor = ShardSupervisor(
-            pool,
+            self.pool,
             admission=self.admission,
             policy=autoscale,
             interval=supervise_interval,

@@ -1,46 +1,26 @@
-"""Batching request frontend: a coalescing queue in front of a backend.
+"""The serving pool's one queue: what waits in it and which batch leaves next.
 
-Clients submit single queries; a dispatcher thread coalesces queued queries
-for the same model up to ``max_batch`` (or until the oldest waiting query
-has waited ``max_wait`` seconds), stacks them into one batch and hands it to
-the backend it was given — a ``run_batch`` callable executing one batch, and
-the executor that call runs on, so coalescing continues while batches
-execute.  Each query resolves to its own :class:`ServedResult` future.
-
-Batching is the amortization lever of the plan runtime (one communication
-round trip per protocol op regardless of batch size), so throughput scales
-with the coalesced batch size while per-query latency only pays the small
-coalescing wait.  The frontend holds no plans, pools or engine: the one
-plan + pool store lives in the party servers
-(:class:`repro.runtime.server.PartyServer`), behind the
-:class:`~repro.serve.pool.ShardedServingPool` backend.
-
-Invariants:
-
-- every submitted query resolves exactly once — with a
-  :class:`ServedResult` or with the exception that killed its batch; a
-  backend failure never wedges a client future;
-- a query accepted by :meth:`BatchingFrontend.submit` is dispatched even if
-  :meth:`BatchingFrontend.close` races with it (the closed check and the
-  enqueue are atomic w.r.t. the shutdown drain);
-- statistics are names in one :class:`~repro.obs.Metrics` (thread-safe
-  against concurrent batch completions); :meth:`BatchingFrontend.stats_snapshot`
-  renders it.
+A client query waits in :class:`~repro.serve.pool.ShardedServingPool`'s
+queue as a :class:`_Query` until a shard's worker thread is free and
+:func:`take_batch`, the batching policy, hands it the next job.  Batching
+is the amortization lever of the plan runtime (one communication round
+trip per protocol op regardless of batch size), so throughput scales with
+the batch size while a query waits at most ``max_wait`` for company — and
+queries arriving while every shard is busy leave together when one frees.
+A :class:`_Job` is *sealed*: one plan execution under one
+:class:`~repro.runtime.shard.JobTicket`, never merged, split or re-seeded.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import Executor, Future, InvalidStateError
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
-from queue import Empty, Queue
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.models.specs import ModelSpec
-from repro.obs import Metrics, nest
+from repro.runtime.shard import JobTicket
 
 
 @dataclass
@@ -61,20 +41,10 @@ class ServedResult:
     batch_size: int
     latency_seconds: float
     online_bytes_per_query: float
-    #: which worker shard executed the batch (None if the backend has none)
+    #: which worker shard executed the batch
     shard: Optional[int] = None
     #: session seed of the executing job — replaying the in-process engine at
     #: this seed reproduces the logits bit for bit
-    job_seed: Optional[int] = None
-
-
-@dataclass
-class BatchOutcome:
-    """What one backend execution of a coalesced batch returns."""
-
-    logits: np.ndarray
-    online_bytes_per_query: float
-    shard: Optional[int] = None
     job_seed: Optional[int] = None
 
 
@@ -98,289 +68,81 @@ class PoolShutdown(RuntimeError):
         self.elapsed_seconds = elapsed_seconds
 
 
-@dataclass
-class _PendingQuery:
+@dataclass(eq=False)
+class _Query:
+    """One client query (CHW) waiting for a batch."""
+
     model: str
     query: np.ndarray
     future: "Future[ServedResult]"
     submitted_at: float
 
+    def waiters(self) -> List[Tuple[float, Future]]:
+        return [(self.submitted_at, self.future)]
 
-class BatchingFrontend:
-    """Coalescing request queue in front of a batch-executing backend.
 
-    Args:
-        models: the deployable model zoo, keyed by the name clients use.
-        run_batch: the backend — ``run_batch(model, servable, inputs)``
-            executes one stacked batch and returns a :class:`BatchOutcome`.
-        executor: where ``run_batch`` runs; the caller owns its lifetime.
-        max_batch: hard cap on queries coalesced into one plan execution.
-        max_wait: seconds the oldest queued query may wait before its batch
-            is dispatched even if not full — the latency/throughput knob.
+@dataclass(eq=False)
+class _Job:
+    """A sealed batch: one plan execution, never merged, split or re-seeded."""
+
+    model: str
+    inputs: np.ndarray
+    #: the queries the job's rows answer, in row order; empty for a
+    #: ``run_batch`` job, whose caller waits on ``future`` instead
+    queries: List[_Query]
+    submitted_at: float
+    future: Optional[Future] = None
+    #: fixed at the first attempt, so every replay runs the same session
+    ticket: Optional[JobTicket] = None
+    attempts: int = 0
+
+    def waiters(self) -> List[Tuple[float, Future]]:
+        """Every future this job resolves, with its submit time."""
+        waiting = [(query.submitted_at, query.future) for query in self.queries]
+        return waiting + ([(self.submitted_at, self.future)] if self.future else [])
+
+
+#: what waits in the queue
+_Pending = Union[_Query, _Job]
+
+
+def take_batch(
+    pending: List[_Pending],
+    max_batch: int,
+    max_wait: float,
+    now: float,
+    flush: bool = False,
+) -> Tuple[Optional[_Job], Optional[float]]:
+    """The batching policy: remove and return the job a free shard runs next.
+
+    ``pending`` is in arrival order, except that a requeued job sits at its
+    head.  The first sealed job leaves first, alone.  Otherwise the models'
+    buckets are visited oldest query first, and the first one that is full,
+    whose oldest query has waited ``max_wait`` seconds at ``now``, or that
+    ``flush`` (the pool is closing) releases leaves as one job of up to
+    ``max_batch`` queries in arrival order.  With nothing ready, returns
+    ``(None, seconds until the oldest query is due)`` — ``(None, None)``
+    for an empty queue.
     """
-
-    def __init__(
-        self,
-        models: Dict[str, ServableModel],
-        run_batch: Callable[[str, ServableModel, np.ndarray], BatchOutcome],
-        executor: Executor,
-        max_batch: int = 8,
-        max_wait: float = 0.01,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        self.models = dict(models)
-        self.max_batch = max_batch
-        self.max_wait = max_wait
-        self._run_batch = run_batch
-        self._executor = executor
-        self.metrics = Metrics("queries_completed", "queries_failed", "batches_dispatched")
-        self._queue: "Queue[Optional[_PendingQuery]]" = Queue()
-        self._lifecycle_lock = threading.Lock()
-        # Every accepted query lives here until its future resolves, so
-        # close() can fail stragglers promptly instead of leaving them to
-        # hang when shards die during the drain.
-        self._inflight: Dict[int, _PendingQuery] = {}
-        self._inflight_lock = threading.Lock()
-        self._closed = False
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatcher", daemon=True
-        )
-        self._dispatcher.start()
-
-    def stats_snapshot(self) -> Dict[str, object]:
-        """The registry rendered as the frontend's ``/stats`` document."""
-        stats = nest(self.metrics.snapshot())
-        completed, batches = stats["queries_completed"], stats["batches_dispatched"]
-        span = stats.pop("last_complete", 0.0) - stats.pop("first_submit", 0.0)
-        histogram = stats.get("batch_size_histogram", {})
-        stats.update(
-            mean_batch_size=completed / batches if batches else 0.0,
-            batch_size_histogram={int(n): histogram[n] for n in sorted(histogram, key=int)},
-            p50_latency_ms=1e3 * self.metrics.percentile("latency_seconds", 50),
-            p95_latency_ms=1e3 * self.metrics.percentile("latency_seconds", 95),
-            queries_per_second=completed / span if span > 0 else 0.0,
-        )
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # Client API
-    # ------------------------------------------------------------------ #
-    def submit(self, model: str, query: np.ndarray) -> "Future[ServedResult]":
-        """Enqueue one query (CHW, no batch dimension); returns a future."""
-        if self._closed:
-            raise RuntimeError("frontend is closed")
-        servable = self.models.get(model)
-        if servable is None:
-            raise KeyError(
-                f"unknown model {model!r}; deployed: {sorted(self.models)}"
-            )
-        query = np.asarray(query, dtype=np.float64)
-        spec = servable.spec
-        expected = (spec.in_channels, spec.input_size, spec.input_size)
-        if query.shape != expected:
-            raise ValueError(
-                f"model {model!r} expects a query of shape {expected}, "
-                f"got {query.shape}"
-            )
-        now = time.perf_counter()
-        future: "Future[ServedResult]" = Future()
-        item = _PendingQuery(model, query, future, now)
-        # The closed check and the enqueue are atomic w.r.t. close(), so a
-        # query can never land in the queue after the shutdown drain.
-        with self._lifecycle_lock:
-            if self._closed:
-                raise RuntimeError("frontend is closed")
-            if self.metrics.get("first_submit", None) is None:
-                self.metrics.set("first_submit", now)
-            with self._inflight_lock:
-                self._inflight[id(item)] = item
-            self._queue.put(item)
-        return future
-
-    def submit_many(
-        self, model: str, queries: np.ndarray
-    ) -> List["Future[ServedResult]"]:
-        """Enqueue a stack of queries individually (they may be re-batched)."""
-        return [self.submit(model, query) for query in np.asarray(queries)]
-
-    def close(self, timeout: float = 30.0) -> None:
-        """Drain the queue, stop the dispatcher and reject new submissions.
-
-        Every future accepted before the close resolves — normally if the
-        drain completes within ``timeout``, otherwise with a diagnosable
-        :class:`PoolShutdown` (queue position + elapsed wait) rather than
-        hanging forever on a backend that died mid-drain.
-        """
-        with self._lifecycle_lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._queue.put(None)  # shutdown sentinel, after the last query
-        deadline = time.monotonic() + timeout
-        self._dispatcher.join(timeout=timeout)
-        # Batches handed off to the executor may still be executing
-        # legitimately; give the drain the rest of the budget,
-        # then fail whatever is left promptly.
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                if not self._inflight:
-                    return
-            time.sleep(0.02)
-        self._fail_stragglers()
-
-    def _fail_stragglers(self) -> None:
-        with self._inflight_lock:
-            stragglers = sorted(
-                self._inflight.values(), key=lambda item: item.submitted_at
-            )
-            self._inflight.clear()
-        now = time.perf_counter()
-        failed = 0
-        for position, item in enumerate(stragglers):
-            elapsed = now - item.submitted_at
-            failed += _resolve(
-                item.future,
-                exception=PoolShutdown(
-                    f"frontend shut down with the query still pending "
-                    f"(queue position {position}, waited {elapsed:.1f}s)",
-                    queue_position=position,
-                    elapsed_seconds=elapsed,
-                ),
-            )
-        self.metrics.inc("queries_failed", failed)
-
-    def __enter__(self) -> "BatchingFrontend":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ #
-    # Dispatcher
-    # ------------------------------------------------------------------ #
-    def _dispatch_loop(self) -> None:
-        pending: Dict[str, List[_PendingQuery]] = {}
-        running = True
-        while running or any(pending.values()):
-            timeout = self._next_deadline_in(pending) if running else 0.0
-            item: Optional[_PendingQuery] = None
-            if running:
-                try:
-                    item = self._queue.get(timeout=max(timeout, 1e-4))
-                except Empty:
-                    item = None
-                if item is None and not self._queue.empty():
-                    continue
-            if item is not None:
-                pending.setdefault(item.model, []).append(item)
-            elif self._closed:
-                running = False
-            if not running:
-                # Shutdown: drain whatever is still queued, then flush all.
-                while True:
-                    try:
-                        leftover = self._queue.get_nowait()
-                    except Empty:
-                        break
-                    if leftover is not None:
-                        pending.setdefault(leftover.model, []).append(leftover)
-            self._flush_ready(pending, force=not running)
-
-    def _next_deadline_in(self, pending: Dict[str, List[_PendingQuery]]) -> float:
-        deadlines = [
-            bucket[0].submitted_at + self.max_wait
-            for bucket in pending.values()
-            if bucket
-        ]
-        if not deadlines:
-            return 0.05
-        return max(min(deadlines) - time.perf_counter(), 0.0)
-
-    def _flush_ready(
-        self, pending: Dict[str, List[_PendingQuery]], force: bool
-    ) -> None:
-        now = time.perf_counter()
-        for model, bucket in pending.items():
-            while bucket and (
-                force
-                or len(bucket) >= self.max_batch
-                or now - bucket[0].submitted_at >= self.max_wait
-            ):
-                batch = bucket[: self.max_batch]
-                del bucket[: self.max_batch]
-                self._dispatch_batch(model, batch)
-
-    # ------------------------------------------------------------------ #
-    # Backend hand-off
-    # ------------------------------------------------------------------ #
-    def _dispatch_batch(self, model: str, batch: List[_PendingQuery]) -> None:
-        # Hand off to the backend's executor so the coalescing loop keeps
-        # draining the queue while batches execute concurrently.
-        try:
-            self._executor.submit(self._execute_batch, model, batch)
-        except RuntimeError:
-            # Executor already shut down (its owner's close() raced a slow
-            # drain): run inline so every accepted query still resolves
-            # exactly once — _execute_batch converts any backend failure
-            # into failed futures rather than letting them hang.
-            self._execute_batch(model, batch)
-
-    def _execute_batch(self, model: str, batch: List[_PendingQuery]) -> None:
-        servable = self.models[model]
-        batch_size = len(batch)
-        try:
-            inputs = np.stack([item.query for item in batch])
-            outcome = self._run_batch(model, servable, inputs)
-        except Exception as exc:
-            self.metrics.inc("queries_failed", len(batch))
-            for position, item in enumerate(batch):
-                err = exc
-                if isinstance(exc, PoolShutdown) and exc.queue_position < 0:
-                    # enrich the pool-level shutdown with this query's view
-                    err = PoolShutdown(
-                        str(exc),
-                        queue_position=position,
-                        elapsed_seconds=time.perf_counter() - item.submitted_at,
-                    )
-                _resolve(item.future, exception=err)
-            self._forget(batch)
-            return
-        done = time.perf_counter()
-        predictions = outcome.logits.argmax(axis=1)
-        self.metrics.inc("batches_dispatched")
-        self.metrics.inc("queries_completed", batch_size)
-        self.metrics.inc(f"batch_size_histogram.{batch_size}")
-        self.metrics.set("last_complete", done)
-        for item in batch:
-            self.metrics.observe("latency_seconds", done - item.submitted_at)
-        for row, item in enumerate(batch):
-            _resolve(
-                item.future,
-                result=ServedResult(
-                    logits=outcome.logits[row],
-                    predicted_class=int(predictions[row]),
-                    model=model,
-                    batch_size=batch_size,
-                    latency_seconds=done - item.submitted_at,
-                    online_bytes_per_query=outcome.online_bytes_per_query,
-                    shard=outcome.shard,
-                    job_seed=outcome.job_seed,
-                ),
-            )
-        self._forget(batch)
-
-    def _forget(self, batch: List[_PendingQuery]) -> None:
-        with self._inflight_lock:
-            for item in batch:
-                self._inflight.pop(id(item), None)
+    for item in pending:
+        if isinstance(item, _Job):
+            pending.remove(item)
+            return item, None
+    buckets: Dict[str, List[_Query]] = {}
+    for query in pending:
+        buckets.setdefault(query.model, []).append(query)
+    for model, bucket in buckets.items():
+        if flush or len(bucket) >= max_batch or now - bucket[0].submitted_at >= max_wait:
+            batch = bucket[:max_batch]
+            pending[:] = [item for item in pending if item not in batch]
+            inputs = np.stack([query.query for query in batch])
+            return _Job(model, inputs, batch, batch[0].submitted_at), None
+    return None, (pending[0].submitted_at + max_wait - now if pending else None)
 
 
-def _resolve(future: "Future[ServedResult]", result=None, exception=None) -> bool:
+def _resolve(future: Future, result=None, exception=None) -> bool:
     """Resolve a future without letting a client-side cancel() (or any other
-    already-settled state) kill the dispatcher thread.  Returns whether this
+    already-settled state) kill the worker thread.  Returns whether this
     call actually settled the future."""
     try:
         if exception is not None:

@@ -1,35 +1,35 @@
-"""Sharded serving pool: N persistent worker pairs behind one frontend.
+"""Sharded serving pool: N persistent worker pairs behind one queue.
 
 One two-process worker pair executes one plan at a time — its throughput is
 bounded by the round-trip-heavy online phase.  The pool scales horizontally:
 ``num_shards`` :class:`~repro.runtime.shard.WorkerShard`\\ s (each a pair of
-long-lived party-server processes over one persistent TCP connection), a
-dispatcher that routes coalesced batches to idle shards, and the
-:class:`~repro.serve.frontend.BatchingFrontend` coalescing in front of it
-all.
+long-lived party-server processes over one persistent TCP connection), one
+pending-query queue, and one worker thread per live shard that pulls its
+next batch from that queue (:func:`~repro.serve.frontend.take_batch`)
+whenever its shard is free.
 
 Lifecycle of a shard:
 
 1. **boot** — two party processes are spawned (the only process spawns the
    shard ever performs), the inter-party connection is established once,
    plans for the warm batch sizes are compiled and randomness pools are
-   pre-provisioned;
-2. **serve** — each coalesced batch becomes one ``JobRequest`` to both
-   parties; the shard secret-shares the batch with the job's deterministic
-   seed, reconstructs the logits from the returned shares, and cross-checks
-   both parties' accounting;
+   pre-provisioned; the slot's worker thread starts;
+2. **serve** — each batch the worker takes becomes one ``JobRequest`` to
+   both parties; the shard secret-shares the batch with the job's
+   deterministic seed, reconstructs the logits from the returned shares,
+   and cross-checks both parties' accounting;
 3. **refill** — each party's background provisioner, the only producer of
    randomness pools after boot, tops its buffer up whenever it falls below
    the low-water mark;
 4. **evict / respawn / replay** — a shard whose worker processes die is
-   evicted, its in-flight job is replayed on another shard from the job's
-   :class:`~repro.runtime.shard.JobTicket` (same counter, same pinned
-   session seed — the recovered logits are bit-identical to the fault-free
-   run), and a replacement pair is booted asynchronously that *continues*
-   the dead shard's seed stream.  With ``max_job_retries=0`` the pool keeps
-   the legacy evict-only semantics: the in-flight batch fails cleanly and an
-   evicted slot is only replaced by an explicit
-   :meth:`ShardedServingPool.restart_shard`.
+   evicted; its worker registers a replacement boot (which *continues* the
+   dead shard's seed stream), puts the in-flight job back at the head of
+   the queue sealed with its :class:`~repro.runtime.shard.JobTicket` (same
+   counter, same pinned session seed — the recovered logits are
+   bit-identical to the fault-free run) and exits.  With
+   ``max_job_retries=0`` the pool keeps the legacy evict-only semantics: the
+   in-flight batch fails cleanly and an evicted slot is only replaced by an
+   explicit :meth:`ShardedServingPool.restart_shard`.
 """
 
 from __future__ import annotations
@@ -37,27 +37,27 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from queue import Empty, Queue
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import Future
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import FaultPlan
-from repro.obs import Metrics, merge
+from repro.obs import Metrics, merge, nest
 from repro.runtime.messages import ServerConfig
-from repro.runtime.shard import JobTicket, PoolBatchResult, ShardFailure, WorkerShard
+from repro.runtime.shard import PoolBatchResult, ShardFailure, WorkerShard
 from repro.serve.frontend import (
-    BatchingFrontend,
-    BatchOutcome,
     PoolShutdown,
     ServableModel,
+    ServedResult,
+    _Job,
+    _Pending,
+    _Query,
+    _resolve,
+    take_batch,
 )
-
-#: seconds slept before attempt ``n`` of a replayed job (``RETRY_BACKOFF * n``)
-RETRY_BACKOFF = 0.05
 
 #: the pool's own lifetime counters, top level of its ``/stats`` document
 POOL_COUNTERS = (
@@ -66,14 +66,30 @@ POOL_COUNTERS = (
 )
 
 
+def _dead_pool(position: int, waited: float) -> RuntimeError:
+    return RuntimeError("no live shards remain in the serving pool")
+
+
+def _shut_down(position: int, waited: float) -> PoolShutdown:
+    return PoolShutdown(
+        f"serving pool shut down with the query still pending "
+        f"(queue position {position}, waited {waited:.1f}s)",
+        queue_position=position,
+        elapsed_seconds=waited,
+    )
+
+
 class ShardedServingPool:
-    """N persistent worker pairs behind a coalescing frontend.
+    """N persistent worker pairs, each pulling batches from one queue.
 
     Args:
         models: the deployable model zoo, keyed by the name clients use.
         num_shards: worker pairs to boot (two OS processes each, spawned
             once — the serving path never spawns).
-        max_batch / max_wait: the frontend's coalescing knobs.
+        max_batch: hard cap on queries batched into one plan execution.
+        max_wait: seconds a free shard lets its oldest queued query wait
+            for company before running it in a batch that is not full —
+            the latency/throughput knob.
         provision_pools: randomness pools to pre-buffer per warm key at
             boot; each party's background provisioner then keeps every
             key's buffer between ``LOW_WATER`` and ``HIGH_WATER`` of
@@ -125,6 +141,10 @@ class ShardedServingPool:
     ) -> None:
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if max_wait < 0:
+            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         if max_job_retries < 0:
             raise ValueError(f"max_job_retries must be >= 0, got {max_job_retries}")
         if max_shards is not None and max_shards < num_shards:
@@ -143,6 +163,8 @@ class ShardedServingPool:
             )
         self.models = dict(models)
         self.num_shards = num_shards
+        self.max_batch = max_batch
+        self.max_wait = max_wait
         self.ring = ring or DEFAULT_RING
         self.host = host
         self.job_timeout = job_timeout
@@ -165,40 +187,30 @@ class ShardedServingPool:
         self.max_shards = max_shards if max_shards is not None else num_shards
         self.heartbeat_deadline = heartbeat_deadline
         self.metrics = Metrics(*POOL_COUNTERS)
+        #: the queue's registry, rendered as the ``frontend`` branch of ``/stats``
+        self.batching = Metrics("queries_completed", "queries_failed", "batches_dispatched")
         #: text of the most recent failed replacement boot (None = none yet)
         self.last_respawn_error: Optional[str] = None
-        self._shards: List[Optional[WorkerShard]] = []
+        self._shards: List[Optional[WorkerShard]] = [None] * num_shards
         #: one registry per shard slot, shared by all its incarnations
         self._slots: Dict[int, Metrics] = {}
         #: gracefully-retired shards, kept so close() reaps their processes
         self._retired: List[WorkerShard] = []
         self._restarting: set = set()
-        self._respawn_threads: List[threading.Thread] = []
-        self._idle: "Queue[WorkerShard]" = Queue()
-        self._shard_lock = threading.Lock()
+        #: every thread the pool started (shard workers and boots)
+        self._threads: List[threading.Thread] = []
+        #: the one queue: client queries and sealed jobs, oldest first
+        self._pending: List[_Pending] = []
+        #: the job each busy shard's worker is running
+        self._running: Dict[WorkerShard, _Job] = {}
+        self._lock = threading.Lock()
+        self._wake = threading.Condition(self._lock)
         self._closed = False
-        self._rejecting = False
-        # sized for the autoscaled ceiling, so added shards actually add
-        # dispatch concurrency instead of queueing behind a static cap
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.max_shards, thread_name_prefix="pool-shard"
-        )
-        # provisioning lives in the party servers; the frontend only
-        # coalesces and hands batches to the shard dispatchers
-        self.frontend = BatchingFrontend(
-            self.models,
-            self._run_coalesced,
-            self._executor,
-            max_batch=max_batch,
-            max_wait=max_wait,
-        )
         try:
             for index in range(num_shards):
                 shard = self._boot_shard(index)
-                # register before enqueueing: live_shards must see the shard
-                # no later than any dispatcher that pulls it from the queue
-                self._shards.append(shard)
-                self._idle.put(shard)
+                with self._wake:
+                    self._register_locked(index, shard)
         except Exception:
             self.close()
             raise
@@ -248,7 +260,7 @@ class ShardedServingPool:
         )
         # a replacement records into its slot's registry, so the slot's
         # lifetime totals never drop when it boots
-        with self._shard_lock:
+        with self._lock:
             shard.metrics = self._slots.setdefault(index, shard.metrics)
         self.metrics.inc("processes_spawned", 2)
         self.metrics.inc("shards_booted")
@@ -256,17 +268,17 @@ class ShardedServingPool:
 
     @property
     def live_shards(self) -> int:
-        with self._shard_lock:
-            return sum(1 for s in self._shards if s is not None and s.alive)
+        with self._lock:
+            return len(self._live_locked())
 
     def shards_view(self) -> List[WorkerShard]:
         """A consistent snapshot of the currently-registered shards."""
-        with self._shard_lock:
+        with self._lock:
             return [s for s in self._shards if s is not None]
 
     def booting_shards(self) -> int:
         """Shard slots with a boot (respawn or scale-up) in progress."""
-        with self._shard_lock:
+        with self._lock:
             return len(self._restarting)
 
     def add_shard(self, wait: bool = True) -> Optional[int]:
@@ -278,86 +290,85 @@ class ShardedServingPool:
         must not stall behind a multi-second boot.  Returns the new slot
         index (``None`` when deferred to a thread or the pool is closed).
         """
-        with self._shard_lock:
+        with self._wake:
             if self._closed:
                 return None
             index = len(self._shards)
             self._shards.append(None)  # reserve the slot
             self._restarting.add(index)
-
-        if wait:
-            return index if self._boot_into_slot(index) else None
-        self._start_background(
-            lambda: self._boot_into_slot(index), f"scale-up-shard{index}"
-        )
-        return None
+            if not wait:
+                self._start_locked(
+                    lambda: self._boot_into_slot(index), f"scale-up-shard{index}"
+                )
+                return None
+        return index if self._boot_into_slot(index) else None
 
     def _boot_into_slot(self, index: int, respawn: bool = False, **boot) -> bool:
         """Boot a pair into a slot the caller reserved in ``_restarting``.
 
-        Shared by scale-up and respawn.  A failed boot leaves the slot empty
-        and the evidence (counter + error text) in :meth:`stats_snapshot`;
-        a boot that finishes after :meth:`close` is killed, not registered.
+        Shared by scale-up, respawn and restart.  A failed boot leaves the
+        slot empty and the evidence (counter + error text) in
+        :meth:`stats_snapshot` — and fails the queue if no shard is left to
+        serve it; a boot that finishes after :meth:`close` is killed, not
+        registered.
         """
         try:
             shard = self._boot_shard(index, inject=False, **boot)
         except Exception as exc:
-            with self._shard_lock:
+            with self._wake:
                 self._restarting.discard(index)
                 self.metrics.inc("respawn_failures")
                 self.last_respawn_error = f"shard {index}: {exc!r}"
+                doomed = self._doomed_locked()
+            self._fail(doomed, _dead_pool)
             return False
-        with self._shard_lock:
+        with self._wake:
+            self._restarting.discard(index)
             closed = self._closed
             if not closed:
-                self._shards[index] = shard
+                self._register_locked(index, shard)
                 self.metrics.inc("shards_respawned", int(respawn))
-            self._restarting.discard(index)
         if closed:
             shard.kill()
-            return False
-        self._idle.put(shard)
-        return True
+        return not closed
 
-    def _start_background(self, target, name: str) -> None:
-        """Run a boot/retire on a daemon thread that :meth:`close` joins."""
+    def _register_locked(self, index: int, shard: WorkerShard) -> None:
+        """Put a booted shard into its slot and start its worker (lock held)."""
+        self._shards[index] = shard
+        self._start_locked(lambda: self._serve(shard), f"pool-shard{index}")
+
+    def _start_locked(self, target: Callable[[], object], name: str) -> None:
+        """Run ``target`` on a daemon thread that :meth:`close` joins."""
         thread = threading.Thread(target=target, name=name, daemon=True)
-        with self._shard_lock:
-            self._respawn_threads = [
-                t for t in self._respawn_threads if t.is_alive()
-            ]
-            self._respawn_threads.append(thread)
+        self._threads = [t for t in self._threads if t.is_alive()] + [thread]
         thread.start()
 
     def retire_shard(self) -> Optional[int]:
-        """Shrink the pool by one *idle* shard (autoscale-down).
+        """Shrink the pool by one shard (autoscale-down).
 
-        Claims a shard from the idle queue (never preempts a running job),
-        removes it from the serving rotation, and shuts it down gracefully
-        on a background thread.  Refuses to retire the last live shard.
-        Returns the retired slot index, or ``None`` if nothing could be
-        retired without waiting.
+        The newest live shard leaves the rotation at once; its worker
+        finishes the job it may be running (a retire never preempts one),
+        shuts the pair down gracefully and exits.  Refuses to retire the
+        last live shard.  Returns the retired slot index, or ``None``.
         """
-        try:
-            shard = self._idle.get_nowait()
-        except Empty:
-            return None
-        if not shard.alive:
-            return None  # evicted while queued; its entry is consumed anyway
-        with self._shard_lock:
-            live = sum(1 for s in self._shards if s is not None and s.alive)
-            if self._closed or live <= 1:
-                self._idle.put(shard)
+        with self._wake:
+            live = self._live_locked()
+            if self._closed or len(live) <= 1:
                 return None
+            shard = live[-1]
             self._shards[shard.index] = None
             self._retired.append(shard)
             self.metrics.inc("shards_retired")
-        self._start_background(shard.shutdown, f"retire-shard{shard.index}")
+            self._wake.notify_all()
         return shard.index
 
     def restart_shard(self, index: int) -> None:
-        """Replace an evicted shard with a freshly booted worker pair."""
-        with self._shard_lock:
+        """Replace an evicted shard with a freshly booted worker pair.
+
+        A manual restart is a clean slate: fresh seed stream, and any
+        scripted chaos plan of the slot's first boot stays spent.
+        """
+        with self._wake:
             if index < 0 or index >= len(self._shards):
                 raise IndexError(f"no shard slot {index}")
             old = self._shards[index]
@@ -366,23 +377,23 @@ class ShardedServingPool:
             if index in self._restarting:
                 raise RuntimeError(f"shard {index} restart already in progress")
             self._restarting.add(index)
-        try:
-            if old is not None:
-                old.kill()
-            # a manual restart is a clean slate: fresh seed stream, and any
-            # scripted chaos plan of the slot's first boot stays spent
-            shard = self._boot_shard(index, inject=False)
-            with self._shard_lock:
-                self._shards[index] = shard
-            # enqueue only after the slot is registered, so live_shards
-            # cannot report 0 while the replacement is idle and serviceable
-            self._idle.put(shard)
-        finally:
-            with self._shard_lock:
-                self._restarting.discard(index)
+            self._wake.notify_all()  # the dead shard's idle worker leaves
+        if old is not None:
+            old.kill()
+        if not self._boot_into_slot(index):
+            raise RuntimeError(f"restart failed: {self.last_respawn_error}")
 
     def _respawn_shard_async(self, dead: WorkerShard) -> None:
-        """Boot a replacement for a dead shard without blocking the retry.
+        """Evict a dead or wedged shard: register its replacement boot, wake
+        its idle worker, then kill it — in that order, so the pool never
+        looks dead in between."""
+        with self._wake:
+            self._respawn_locked(dead)
+            self._wake.notify_all()
+        dead.kill()
+
+    def _respawn_locked(self, dead: WorkerShard) -> None:
+        """Register a replacement boot for a dead shard (lock held).
 
         The replacement continues the predecessor's seed stream (inherited
         base seed, counters and job ids), so jobs dispatched to the slot
@@ -390,128 +401,150 @@ class ShardedServingPool:
         run would have — the whole serving history stays replayable.
         """
         index = dead.index
-        with self._shard_lock:
-            if self._closed or index in self._restarting:
-                return
-            self._restarting.add(index)
+        if self._closed or index in self._restarting or self._shards[index] is not dead:
+            return
+        self._shards[index] = None  # one respawn per death, whoever saw it
+        self._restarting.add(index)
         boot = dict(base_seed=dead.config.base_seed, **dead.successor_state())
-        self._start_background(
+        self._start_locked(
             lambda: self._boot_into_slot(index, respawn=True, **boot),
             f"respawn-shard{index}",
         )
 
-    def _acquire_shard(self) -> WorkerShard:
-        deadline = time.monotonic() + self.job_timeout
-        dead_pool_since: Optional[float] = None
+    # -- the worker of one shard ------------------------------------------------ #
+    def _serve(self, shard: WorkerShard) -> None:
+        """Whenever ``shard`` is free, take the next job off the queue and
+        run it; leave once the shard dies, is replaced or retired, or the
+        pool is closed and drained."""
+        retry: Optional[_Job] = None
         while True:
-            if self._rejecting:
-                # the close() drain window is over: fail promptly instead of
-                # waiting out job_timeout on a pool that is going away
-                raise PoolShutdown(
-                    "serving pool shut down while the batch was waiting "
-                    "for a shard"
-                )
-            if self.live_shards == 0:
-                with self._shard_lock:
-                    restarting = bool(self._restarting)
-                if restarting:
-                    # a replacement pair is booting; keep waiting for it
-                    dead_pool_since = None
-                else:
-                    # zero live and nothing booting *yet*: the dispatcher or
-                    # supervisor that saw the death may not have registered
-                    # the respawn — only give up once the state persists
-                    now = time.monotonic()
-                    if dead_pool_since is None:
-                        dead_pool_since = now
-                    elif now - dead_pool_since > 2.0:
-                        raise RuntimeError(
-                            "no live shards remain in the serving pool"
-                        )
-            else:
-                dead_pool_since = None
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeError(
-                    f"no shard became idle within {self.job_timeout:.0f}s"
-                )
-            try:
-                shard = self._idle.get(timeout=min(remaining, 0.5))
-            except Empty:
-                continue
-            if shard.alive:
-                return shard
-            # evicted while queued; drop it and keep looking
+            with self._wake:
+                self._running.pop(shard, None)
+                if retry is not None:
+                    self._pending.insert(0, retry)  # sealed, first in line
+                job = None
+                while self._shards[shard.index] is shard and shard.alive and not (
+                    self._closed and not self._pending
+                ):
+                    job, wait = take_batch(
+                        self._pending, self.max_batch, self.max_wait,
+                        time.perf_counter(), flush=self._closed,
+                    )
+                    if job is not None:
+                        break
+                    self._wake.wait(wait)
+                if self._pending:
+                    self._wake.notify()  # more work: hand it to a free worker
+                if job is None:
+                    # a dead shard's replacement is registered in the same
+                    # locked step that requeued its job: the pool never
+                    # looks dead while a replacement is on its way
+                    if not shard.alive and self.max_job_retries > 0:
+                        self._respawn_locked(shard)
+                    retired = shard in self._retired
+                    doomed = self._doomed_locked()
+                    break
+                self._running[shard] = job
+            retry = self._run(shard, job)
+        self._fail(doomed, _dead_pool)
+        if retired:
+            shard.shutdown()
 
-    def _run_on_shard(self, model: str, inputs: np.ndarray) -> PoolBatchResult:
-        """Run one batch, replaying it on failures until the budget is spent.
-
-        A shard that dies mid-job is evicted and respawned asynchronously;
-        the in-flight job's ticket (counter + session seed, fixed at the
-        first attempt) is replayed on the next shard that frees up, so a
-        transient fault costs latency, never a client future — and the
-        recovered logits are bit-identical to the fault-free run.
-        """
-        attempts = 0
-        ticket: Optional[JobTicket] = None
-        while True:
-            shard = self._acquire_shard()
-            try:
-                result = shard.run_job(model, inputs, ticket=ticket)
-            except ShardFailure as exc:
-                shard.kill()  # evict: never returns to the idle queue
-                if self.max_job_retries > 0:
-                    # heal the slot off the retry path; a zero budget keeps
-                    # the legacy evict-only semantics (manual restart_shard)
-                    self._respawn_shard_async(shard)
-                ticket = exc.ticket or ticket
-                attempts += 1
+    def _run(self, shard: WorkerShard, job: _Job) -> Optional[_Job]:
+        """Run one job on the worker's shard and settle it.  Returns the job
+        if the shard died under it with retry budget left."""
+        try:
+            result = shard.run_job(job.model, job.inputs, ticket=job.ticket)
+        except Exception as exc:
+            if isinstance(exc, ShardFailure):
+                shard.kill()  # evicted: this worker leaves after the job
+                job.ticket = exc.ticket or job.ticket
+                job.attempts += 1
                 self.metrics.inc("jobs_retried")
-                if attempts > self.max_job_retries:
-                    self.metrics.inc("retries_exhausted")
-                    raise
-                time.sleep(RETRY_BACKOFF * attempts)
-                continue
-            finally:
-                if shard.alive:
-                    self._idle.put(shard)
-            if attempts:
-                self.metrics.inc("jobs_recovered")
-            return result
+                if job.attempts <= self.max_job_retries:
+                    return job
+                self.metrics.inc("retries_exhausted")
+            self._fail([job], exc)
+            # the failed futures keep the traceback, which holds this frame:
+            # drop the frame's job so no job -> future -> frame cycle remains
+            del job
+            return None
+        if job.attempts:
+            self.metrics.inc("jobs_recovered")
+        if job.future is not None:
+            _resolve(job.future, result=result)
+        if job.queries:
+            self._answer(job, result)
+        return None
 
-    def _run_coalesced(
-        self, model: str, servable: ServableModel, inputs: np.ndarray
-    ) -> BatchOutcome:
-        """The frontend's backend: one coalesced batch on the shard pool."""
-        result = self._run_on_shard(model, inputs)
-        return BatchOutcome(
-            logits=result.logits,
-            online_bytes_per_query=result.payload_bytes_on_wire / max(result.batch_size, 1),
-            shard=result.shard,
-            job_seed=result.seed,
+    def _answer(self, job: _Job, result: PoolBatchResult) -> None:
+        """Resolve each query of a batch with its row of the logits."""
+        done = time.perf_counter()
+        size = len(job.queries)
+        self.batching.inc("batches_dispatched")
+        self.batching.inc("queries_completed", size)
+        self.batching.inc(f"batch_size_histogram.{size}")
+        self.batching.set("last_complete", done)
+        predictions = result.logits.argmax(axis=1)
+        for row, query in enumerate(job.queries):
+            self.batching.observe("latency_seconds", done - query.submitted_at)
+            _resolve(
+                query.future,
+                result=ServedResult(
+                    logits=result.logits[row],
+                    predicted_class=int(predictions[row]),
+                    model=job.model,
+                    batch_size=size,
+                    latency_seconds=done - query.submitted_at,
+                    online_bytes_per_query=result.payload_bytes_on_wire / size,
+                    shard=result.shard,
+                    job_seed=result.seed,
+                ),
+            )
+
+    def _doomed_locked(self) -> List[_Pending]:
+        """Empty the queue if no shard is live or booting to serve it.
+
+        A worker still holding a job counts as neither: it decides when it
+        leaves, in the locked step that registers its shard's replacement.
+        """
+        if self._restarting or self._running or self._live_locked():
+            return []
+        doomed, self._pending = self._pending, []
+        return doomed
+
+    def _live_locked(self) -> List[WorkerShard]:
+        return [s for s in self._shards if s is not None and s.alive]
+
+    def _fail(
+        self,
+        items: List[_Pending],
+        error: Union[BaseException, Callable[[int, float], BaseException]],
+    ) -> None:
+        """Fail every future of ``items`` with ``error`` — an exception, or
+        ``error(position, waited)`` building one per future, positions
+        counted oldest first."""
+        waiting = sorted(
+            (waiter for item in items for waiter in item.waiters()), key=lambda w: w[0]
         )
+        now = time.perf_counter()
+        failed = sum(
+            _resolve(
+                future,
+                exception=error(position, now - submitted_at) if callable(error) else error,
+            )
+            for position, (submitted_at, future) in enumerate(waiting)
+        )
+        self.batching.inc("queries_failed", failed)
 
     # -- client API ------------------------------------------------------------ #
-    def submit(self, model: str, query: np.ndarray):
-        """Enqueue one query (CHW, no batch dim); returns a future."""
-        return self.frontend.submit(model, query)
-
-    def submit_many(self, model: str, queries: np.ndarray):
-        return self.frontend.submit_many(model, queries)
-
-    def run_batch(self, model: str, inputs: np.ndarray) -> PoolBatchResult:
-        """Execute one batch directly (no coalescing) on an idle shard.
-
-        Deterministic entry point for verification: the returned result
-        carries the job seed, so the in-process engine at that seed must
-        reproduce ``result.logits`` bit for bit.
-        """
+    def _checked(self, model: str, inputs: np.ndarray) -> np.ndarray:
         servable = self.models.get(model)
         if servable is None:
             raise KeyError(
                 f"unknown model {model!r}; deployed: {sorted(self.models)}"
             )
-        inputs = np.asarray(inputs)
+        inputs = np.asarray(inputs, dtype=np.float64)
         spec = servable.spec
         expected = (spec.in_channels, spec.input_size, spec.input_size)
         if inputs.ndim != 4 or tuple(inputs.shape[1:]) != expected:
@@ -519,7 +552,49 @@ class ShardedServingPool:
                 f"model {model!r} expects a batch of shape (N, {expected[0]}, "
                 f"{expected[1]}, {expected[2]}), got {inputs.shape}"
             )
-        return self._run_on_shard(model, inputs)
+        return inputs
+
+    def _enqueue(self, items: List[_Pending]) -> None:
+        """Append to the queue in one locked step and wake a free worker."""
+        with self._wake:
+            if self._closed:
+                raise RuntimeError("serving pool is closed")
+            self._pending.extend(items)
+            self._wake.notify()
+            doomed = self._doomed_locked()
+        self._fail(doomed, _dead_pool)
+
+    def submit(self, model: str, query: np.ndarray) -> "Future[ServedResult]":
+        """Enqueue one query (CHW, no batch dim); returns a future."""
+        return self.submit_many(model, np.asarray(query)[None])[0]
+
+    def submit_many(self, model: str, queries: np.ndarray) -> List["Future[ServedResult]"]:
+        """Enqueue a stack of queries in one step; one future per query.
+
+        The queries may share a batch with other requests' queries, but a
+        free shard never sees part of the stack.
+        """
+        queries = self._checked(model, queries)
+        now = time.perf_counter()
+        items = [_Query(model, query, Future(), now) for query in queries]
+        if self.batching.get("first_submit", None) is None:
+            self.batching.set("first_submit", now)
+        self._enqueue(items)
+        return [item.future for item in items]
+
+    def run_batch(self, model: str, inputs: np.ndarray) -> PoolBatchResult:
+        """Execute one batch as is (sealed: never merged with queued queries).
+
+        Deterministic entry point for verification: the returned result
+        carries the job seed, so the in-process engine at that seed must
+        reproduce ``result.logits`` bit for bit.
+        """
+        future: Future = Future()
+        self._enqueue([_Job(model, self._checked(model, inputs), [], time.perf_counter(), future)])
+        try:
+            return future.result()
+        finally:
+            del future  # a raised traceback holds this frame: leave no cycle
 
     # -- observability --------------------------------------------------------- #
     def stats_snapshot(self) -> Dict[str, object]:
@@ -529,9 +604,9 @@ class ShardedServingPool:
         registry (every incarnation recorded into it), and the fleet
         totals are the rows' sum — so no total goes backwards on a respawn.
         """
-        with self._shard_lock:
+        with self._lock:
             slots = dict(sorted(self._slots.items()))
-            live = [s for s in self._shards if s is not None and s.alive]
+            live = self._live_locked()
         rows = {index: metrics.snapshot() for index, metrics in slots.items()}
         totals = merge(rows.values())
         del totals["busy_seconds"]  # a per-shard figure only
@@ -551,32 +626,48 @@ class ShardedServingPool:
             "heartbeat_ages": {shard.index: shard.heartbeat_ages() for shard in live},
             **totals,
             **_rates(totals),
-            "frontend": self.frontend.stats_snapshot(),
+            "frontend": self._batching_snapshot(),
             "per_shard": rows,
         }
 
+    def _batching_snapshot(self) -> Dict[str, object]:
+        stats = nest(self.batching.snapshot())
+        completed, batches = stats["queries_completed"], stats["batches_dispatched"]
+        span = stats.pop("last_complete", 0.0) - stats.pop("first_submit", 0.0)
+        histogram = stats.get("batch_size_histogram", {})
+        stats.update(
+            mean_batch_size=completed / batches if batches else 0.0,
+            batch_size_histogram={int(n): histogram[n] for n in sorted(histogram, key=int)},
+            p50_latency_ms=1e3 * self.batching.percentile("latency_seconds", 50),
+            p95_latency_ms=1e3 * self.batching.percentile("latency_seconds", 95),
+            queries_per_second=completed / span if span > 0 else 0.0,
+        )
+        return stats
+
     # -- lifecycle ------------------------------------------------------------- #
     def close(self, timeout: float = 60.0) -> None:
-        """Drain the frontend, stop the executor, shut every shard down.
+        """Drain the queue, stop every worker, shut every shard down.
 
-        Batches that cannot finish within the drain window fail promptly
-        with :class:`~repro.serve.frontend.PoolShutdown` instead of hanging
-        on dead shards — every accepted future resolves exactly once.
+        Workers flush what is queued (partial batches run at once); what
+        cannot finish within ``timeout`` fails promptly with a diagnosable
+        :class:`~repro.serve.frontend.PoolShutdown` (queue position +
+        elapsed wait) instead of hanging on dead shards — every accepted
+        future resolves exactly once.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self.frontend.close(timeout=timeout)
-        # the drain window is over: batches still waiting for a shard (e.g.
-        # because shards died during the drain) now fail fast
-        self._rejecting = True
-        self._executor.shutdown(wait=True)
-        with self._shard_lock:
-            respawns = list(self._respawn_threads)
-        for thread in respawns:
-            thread.join(timeout=timeout)
-        with self._shard_lock:
+        with self._wake:
+            if self._closed:
+                return
+            self._closed = True
+            self._wake.notify_all()
+            threads = list(self._threads)
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        with self._wake:
+            stragglers = self._pending + list(self._running.values())
+            self._pending = []
             shards = [s for s in self._shards if s is not None] + list(self._retired)
+        self._fail(stragglers, _shut_down)
         for shard in shards:
             if shard.alive:
                 shard.shutdown(timeout=timeout)

@@ -1,8 +1,8 @@
 """Shard supervision: heartbeat sweeps, evict-and-respawn, autoscaling.
 
 The pool already heals itself *reactively* — a shard that dies mid-job is
-evicted by the dispatcher that hit the failure and its job replays
-elsewhere.  The :class:`ShardSupervisor` adds the *proactive* half:
+evicted by its own worker thread and its job replays elsewhere.  The
+:class:`ShardSupervisor` adds the *proactive* half:
 
 - a background sweep drains every shard's heartbeat frames
   (:meth:`~repro.runtime.shard.WorkerShard.poll_heartbeats`), so idle shards'
@@ -17,8 +17,8 @@ elsewhere.  The :class:`ShardSupervisor` adds the *proactive* half:
   shard stays high and shrinks it when the pool idles, within
   ``[min_shards, max_shards]`` and rate-limited by a cooldown.
 
-The supervisor is optional and composable: the pool works without it (as
-in PRs 3–9), the daemon runs one per pool.
+The supervisor is optional and composable: the pool works without it, the
+daemon runs one per pool.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ class ShardSupervisor:
                 self._evicted_at[shard.index] = now
             self.metrics.inc("heartbeats_missed", int(reason == "heartbeat"))
             self.metrics.inc("shards_evicted")
-            shard.kill()
-            self.pool._respawn_shard_async(shard)
+            self.pool._respawn_shard_async(shard)  # replaces, then kills
         self._autoscale(now)
 
     def _eviction_reason(

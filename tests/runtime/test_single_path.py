@@ -29,7 +29,7 @@ from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
 from repro.runtime import ServerConfig, WorkerShard, run_two_process_inference
 from repro.runtime.party import execute_plan_as_party
-from repro.serve import BatchingFrontend, ShardedServingPool
+from repro.serve import ServingDaemon, ShardedServingPool
 
 SRC = Path(repro.crypto.__file__).parents[1]
 E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
@@ -72,7 +72,6 @@ MODE_PARAMETERS = {
         ServerConfig,
         WorkerShard,
         ShardedServingPool,
-        BatchingFrontend,
         KernelContext,
         execute_plan_as_party,
     ],
@@ -148,8 +147,16 @@ def test_each_constructor_keeps_its_reduced_option_count():
 
     assert count(WorkerShard) <= 9 and "config" in inspect.signature(WorkerShard).parameters
     assert count(ShardedServingPool) <= 17
-    assert count(BatchingFrontend) <= 5
     assert len(dataclasses.fields(ServerConfig)) <= 8
+
+
+def test_one_queue_and_one_worker_per_shard():
+    """A free shard's worker pulls its next batch from the pool's queue:
+    no dispatcher thread or executor in front of it, and the daemon always
+    builds the pool it serves."""
+    for path in sorted((SRC / "serve").glob("*.py")):
+        assert "ThreadPoolExecutor" not in path.read_text(encoding="utf-8"), path.name
+    assert "pool" not in inspect.signature(ServingDaemon).parameters
 
 
 def test_one_provision_request_and_one_process_spawner():
@@ -237,6 +244,11 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.plan", "PlanOp.uses"),
         ("repro.crypto.plan", "PlanOp.deps"),
         ("repro.crypto.plan", "PlanOp.defines"),
+        ("repro.serve", "BatchingFrontend"),
+        ("repro.serve", "BatchOutcome"),
+        ("repro.serve.frontend", "BatchingFrontend"),
+        ("repro.serve", "ShardedServingPool._acquire_shard"),
+        ("repro.serve", "ShardedServingPool._run_coalesced"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):

@@ -18,7 +18,6 @@ import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.models.vgg import vgg_tiny
 from repro.serve import (
     AutoscalePolicy,
     BackpressureError,
-    BatchingFrontend,
     DaemonClient,
     HeartbeatMiss,
     PoolShutdown,
@@ -294,40 +292,6 @@ class TestHostileListenerInput:
 
 
 class TestPoolShutdownError:
-    def test_close_fails_pending_futures_with_diagnosable_error(self, servable):
-        """Futures pending when the backend wedges during a drain fail
-        promptly with queue position + elapsed wait, instead of hanging."""
-        release = threading.Event()
-
-        def wedged_backend(model, servable_, inputs):
-            release.wait(timeout=30.0)
-            raise RuntimeError("backend gone")
-
-        executor = ThreadPoolExecutor(max_workers=1)
-        frontend = BatchingFrontend(
-            {"vgg": servable}, wedged_backend, executor, max_batch=1, max_wait=0.0
-        )
-        futures = [
-            frontend.submit("vgg", np.zeros((3, 8, 8))) for _ in range(3)
-        ]
-        closer = threading.Thread(
-            target=frontend.close, kwargs={"timeout": 1.0}, daemon=True
-        )
-        closer.start()
-        # the first future wedges inside the backend; close() must not wait
-        # for it forever — after its budget every future has resolved
-        for position, future in enumerate(futures):
-            with pytest.raises((PoolShutdown, RuntimeError)) as excinfo:
-                future.result(timeout=15.0)
-            if isinstance(excinfo.value, PoolShutdown):
-                assert excinfo.value.queue_position >= 0
-                assert excinfo.value.elapsed_seconds > 0
-                assert "queue position" in str(excinfo.value)
-        release.set()
-        closer.join(timeout=15.0)
-        assert not closer.is_alive()
-        executor.shutdown(wait=True)
-
     def test_pool_close_rejects_waiting_batches_promptly(self, servable):
         """A batch waiting for a shard when the drain window ends gets a
         PoolShutdown, not a job_timeout-long stall."""
