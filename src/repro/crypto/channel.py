@@ -358,11 +358,8 @@ class PartyChannel(Channel):
         expected = 0
         for event in events:
             if event.kind in (OPEN_RING, OPEN_BITS):
-                mine = np.asarray(
-                    event.payload0 if self.party == 0 else event.payload1
-                )
-                if event.kind == OPEN_BITS:
-                    mine = mine.astype(np.uint8)
+                # (open_bits_event has already cast bit payloads to uint8)
+                mine = event.payload0 if self.party == 0 else event.payload1
                 outgoing.append((mine, event.element_bits))
                 expected += 1
             elif event.kind == TRANSFER:
@@ -397,7 +394,7 @@ class PartyChannel(Channel):
                 results.append(self.ring.add(mine, theirs))
             elif event.kind == OPEN_BITS:
                 mine = next(mine_iter)
-                theirs = next(theirs_iter).astype(np.uint8)
+                theirs = next(theirs_iter).astype(np.uint8, copy=False)
                 results.append(mine ^ theirs)
             else:  # TRANSFER
                 if event.sender == self.party:

@@ -27,8 +27,6 @@ from repro.crypto.protocols.comparison import (
     drelu,
     millionaire_gt,
     secure_and,
-    secure_not,
-    secure_xor,
     select,
 )
 from repro.crypto.protocols.linear import (
@@ -68,8 +66,6 @@ __all__ = [
     "millionaire_gt",
     "drelu",
     "secure_and",
-    "secure_xor",
-    "secure_not",
     "bit_to_arithmetic",
     "select",
     "secure_relu",

@@ -31,7 +31,7 @@ from repro.crypto.events import open_ring_event, run_phases
 from repro.crypto.kernels import KERNELS, per_lane
 from repro.crypto.protocols.registry import OpTrace, element_bytes, open_trace_event
 from repro.crypto.ring import FixedPointRing
-from repro.crypto.sharing import SharePair
+from repro.crypto.sharing import SharePair, sub_shares
 
 
 def _cached_encode(ring: FixedPointRing, kc, public: np.ndarray) -> np.ndarray:
@@ -47,16 +47,6 @@ def _cached_encode(ring: FixedPointRing, kc, public: np.ndarray) -> np.ndarray:
         key = ("pub-enc", public.tobytes(), public.shape)
         return kc.arena.cached(key, (), lambda: ring.encode(public))
     return ring.encode(public)
-
-
-def _lane_difference(
-    ring: FixedPointRing, live: Optional[int], x: SharePair, mask: SharePair
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The masked-difference shares ``X_Si - A_Si`` of the lanes this
-    process holds (``live``; None = both), the dead-lane placeholder for
-    the other (see :func:`repro.crypto.kernels.per_lane`)."""
-    xs, masks = (x.share0, x.share1), (mask.share0, mask.share1)
-    return per_lane(live, x.shape, lambda i: ring.sub(xs[i], masks[i]))
 
 
 def multiply_phases(
@@ -86,11 +76,11 @@ def multiply_phases(
 
     # The channel owns the recombination: under a PartyChannel only this
     # party's difference share is computed and the other arrives on the wire.
-    e = _lane_difference(ring, live, x, triple.a)
-    f = _lane_difference(ring, live, y, triple.b)
+    e = sub_shares(x, triple.a, live)
+    f = sub_shares(y, triple.b, live)
     e, f = yield (
-        open_ring_event(*e, tag=f"{tag}/open-e"),
-        open_ring_event(*f, tag=f"{tag}/open-f"),
+        open_ring_event(e.share0, e.share1, tag=f"{tag}/open-e"),
+        open_ring_event(f.share0, f.share1, tag=f"{tag}/open-f"),
     )
 
     if kc is not None and product is None and ring.ring_bits == 64:
@@ -153,8 +143,8 @@ def square_phases(
     pair = ctx.dealer.square_pair(x.shape)
     kc = ctx.kernels
     live = ctx.live_lane
-    e = _lane_difference(ring, live, x, pair.a)
-    (e,) = yield (open_ring_event(*e, tag=f"{tag}/open-e"),)
+    e = sub_shares(x, pair.a, live)
+    (e,) = yield (open_ring_event(e.share0, e.share1, tag=f"{tag}/open-e"),)
     if kc is not None and ring.ring_bits == 64:
         r0, r1 = KERNELS["square-recombine"](
             e, pair.a.share0, pair.a.share1, pair.z.share0, pair.z.share1, live=live

@@ -7,7 +7,7 @@ per digit transfers masked greater-than / equality indicator bits, which are
 then combined with a GMW-style prefix circuit (AND gates from dealer bit
 triples) into a single XOR-shared comparison bit.
 
-Three structural optimizations make this module the fast path it is:
+Four structural optimizations make this module the fast path it is:
 
 1. **log-depth prefix tree** — the per-digit (gt, eq) pairs are folded with
    the associative comparison combine ``(hi) ∘ (lo) = (gt_hi ^ (eq_hi &
@@ -20,7 +20,12 @@ Three structural optimizations make this module the fast path it is:
    per level instead of one per digit;
 3. **sub-byte payloads** — the OT tables ship as packed 2-bit elements and
    every AND/daBit opening as packed 1-bit planes (see
-   :mod:`repro.crypto.transport`), cutting the boolean wire volume 4-8x.
+   :mod:`repro.crypto.transport`), cutting the boolean wire volume 4-8x;
+4. **live lanes only** — a party process (``ctx.live_lane`` set) computes
+   its own side alone, through :func:`~repro.crypto.kernels.per_lane`: S0
+   draws the pads and builds the OT table, S1 only selects from what
+   arrives, and every AND mask, tree level, DReLU finish and daBit opening
+   leaves the peer's lane the read-only :func:`~repro.crypto.kernels.dead_lane`.
 
 Every interactive routine is a phase generator (``*_phases``) whose yielded
 round groups encode the protocol's intrinsic parallelism: all digit OTs ride
@@ -44,7 +49,7 @@ import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import open_bits_event, run_phases, transfer_event
-from repro.crypto.kernels import KERNELS
+from repro.crypto.kernels import KERNELS, dead_lane, per_lane
 from repro.crypto.protocols.arithmetic import multiply_phases, multiply_trace
 from repro.crypto.protocols.registry import (
     OpTrace,
@@ -62,24 +67,23 @@ XorSharedBit = Tuple[np.ndarray, np.ndarray]
 def _and_prepare(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: str):
     """Local-compute half of a GMW AND gate (elementwise over any shape).
 
-    Pops the bit triple and masks the inputs; returns the pending opening
-    event plus the local-finish closure that consumes the opened planes.
-    Splitting the gate this way lets callers batch several independent AND
-    gates into one round group — and, with stacked inputs, into one event.
+    Pops the bit triple and masks the held lanes of the inputs; returns the
+    pending opening event plus the local-finish closure that consumes the
+    opened planes.  Splitting the gate this way lets callers batch several
+    independent AND gates into one round group — and, with stacked inputs,
+    into one event.
     """
-    x0, x1 = x
-    y0, y1 = y
-    triple = ctx.dealer.bit_triple(x0.shape)
-    d0 = x0 ^ triple.a0
-    d1 = x1 ^ triple.a1
-    e0 = y0 ^ triple.b0
-    e1 = y1 ^ triple.b1
+    shape = x[0].shape
+    triple = ctx.dealer.bit_triple(shape)
+    a, b = (triple.a0, triple.a1), (triple.b0, triple.b1)
     # Open d = x ^ a and e = y ^ b: one stacked 1-bit plane per direction.
-    event = open_bits_event(
-        np.stack([d0, e0]).astype(np.uint8),
-        np.stack([d1, e1]).astype(np.uint8),
-        tag=tag,
+    masked = per_lane(
+        ctx.live_lane,
+        (2,) + shape,
+        lambda i: np.stack([x[i] ^ a[i], y[i] ^ b[i]]),
+        dtype=np.uint8,
     )
+    event = open_bits_event(*masked, tag=tag)
 
     def finish(opened: np.ndarray) -> XorSharedBit:
         d = opened[0]
@@ -115,16 +119,6 @@ def secure_and(
 ) -> XorSharedBit:
     """Sequential entry point of :func:`secure_and_phases`."""
     return run_phases(ctx, secure_and_phases(ctx, x, y, tag=tag))
-
-
-def secure_xor(x: XorSharedBit, y: XorSharedBit) -> XorSharedBit:
-    """XOR of XOR-shared bits is local."""
-    return (x[0] ^ y[0]).astype(np.uint8), (x[1] ^ y[1]).astype(np.uint8)
-
-
-def secure_not(x: XorSharedBit) -> XorSharedBit:
-    """NOT flips one party's share."""
-    return (x[0] ^ np.uint8(1)).astype(np.uint8), x[1].astype(np.uint8)
 
 
 def _tree_level_widths(num_digits: int):
@@ -169,57 +163,69 @@ def millionaire_gt_phases(
     2-bit-packed transfer; the per-digit (gt, eq) indicator pairs are then
     folded MSB-first with the associative comparison combine in a balanced
     tree — ``ceil(log2(num_digits))`` AND rounds, each one stacked gate.
+    A party process reads only its own value and computes only its own lane.
     """
     if value_s0.shape != value_s1.shape:
         raise ValueError("compared values must have the same shape")
     if bit_width % digit_bits:
         raise ValueError("digit_bits must divide bit_width")
+    if digit_bits not in (1, 2):
+        raise ValueError("a digit's 2-bit OT entries must fit one byte: digit_bits is 1 or 2")
     num_digits = bit_width // digit_bits
     radix = 1 << digit_bits
     shape = value_s0.shape
+    stacked = (num_digits,) + shape
+    live = ctx.live_lane
 
-    value_s0 = value_s0.astype(np.uint64)
-    value_s1 = value_s1.astype(np.uint64)
-    digit_mask = np.uint64(radix - 1)
-
-    # The OT masks are *local* randomness of the sender (S0), not correlated
-    # randomness — they come from the context RNG so the dealer stream holds
-    # only the offline material (which lets the plan runtime pre-generate it
-    # without perturbing the online protocol).
-    rng = ctx.rng
+    def lanes(rows: int, compute) -> XorSharedBit:
+        """The held lanes of a ``(rows,) + shape`` bit stack."""
+        return per_lane(live, (rows,) + shape, compute, dtype=np.uint8)
 
     # Stacked digit extraction: axis 0 runs over the digits, LSB first.
     shifts = (np.arange(num_digits, dtype=np.uint64) * np.uint64(digit_bits)).reshape(
         (num_digits,) + (1,) * len(shape)
     )
-    a_digits = ((value_s0[None, ...] >> shifts) & digit_mask).astype(np.uint8)
-    b_digits = ((value_s1[None, ...] >> shifts) & digit_mask).astype(np.uint8)
+
+    def digits(value: np.ndarray) -> np.ndarray:
+        value = np.asarray(value, dtype=np.uint64)[None, ...]
+        return ((value >> shifts) & np.uint64(radix - 1)).astype(np.uint8)
 
     # One stacked OT: S0 prepares masked (gt, eq) indicator bits for every
     # candidate value of every digit; S1 selects with its own digits.  The
     # sender pushes all masked messages onto the wire (what the real OT
     # extension transmits too); the receiver selects from what actually
-    # arrived.  Each table entry is a 2-bit value (gt << 1 | eq), so the
-    # whole payload ships 2-bit packed.
-    pad_gt = rng.integers(0, 2, size=(num_digits,) + shape, dtype=np.uint8)
-    pad_eq = rng.integers(0, 2, size=(num_digits,) + shape, dtype=np.uint8)
-    candidates = np.arange(radix, dtype=np.uint8).reshape(
-        (radix, 1) + (1,) * len(shape)
-    )
-    gt_table = (a_digits[None, ...] > candidates).astype(np.uint8) ^ pad_gt[None, ...]
-    eq_table = (a_digits[None, ...] == candidates).astype(np.uint8) ^ pad_eq[None, ...]
-    payload = ((gt_table << 1) | eq_table).astype(np.uint8)
+    # arrived, so it never builds the table.  Each table entry is a 2-bit
+    # value (gt << 1 | eq), so the whole payload ships 2-bit packed.
+    if live in (None, 0):
+        # The OT masks are *local* randomness of the sender, drawn by S0
+        # alone — from the context RNG, not the dealer, so the dealer stream
+        # holds only the offline material (which lets the plan runtime
+        # pre-generate it without perturbing the online protocol).
+        pad_gt = ctx.rng.integers(0, 2, size=stacked, dtype=np.uint8)
+        pad_eq = ctx.rng.integers(0, 2, size=stacked, dtype=np.uint8)
+        a_digits = digits(value_s0)
+        candidates = np.arange(radix, dtype=np.uint8).reshape((radix,) + (1,) * len(stacked))
+        # entry = (gt << 1 | eq) ^ (pad_gt << 1 | pad_eq), per candidate
+        payload = np.greater(a_digits, candidates).view(np.uint8) << np.uint8(1)
+        payload |= np.equal(a_digits, candidates).view(np.uint8)
+        payload ^= (pad_gt << np.uint8(1)) | pad_eq
+    else:
+        payload = dead_lane((radix,) + stacked, np.uint8)
     (received,) = yield (
         transfer_event(0, 1, payload, tag=f"{tag}/ot-digits", element_bits=2),
     )
-    chosen = np.take_along_axis(received, b_digits[None, ...].astype(np.intp), axis=0)[0]
+    if live in (None, 1):
+        # S1 selects in one pass: a digit's 2-bit entries packed into one
+        # byte, shifted down by twice its own digit
+        entries = received[0].copy()
+        for candidate in range(1, radix):
+            entries |= received[candidate] << np.uint8(2 * candidate)
+        chosen = (entries >> (digits(value_s1) << np.uint8(1))) & np.uint8(3)
 
-    # XOR-shared stacked indicator bits, reordered MSB-first for the tree.
-    order = slice(None, None, -1)
-    gt0 = pad_gt[order].copy()
-    gt1 = ((chosen >> 1) & np.uint8(1))[order].copy()
-    eq0 = pad_eq[order].copy()
-    eq1 = (chosen & np.uint8(1))[order].copy()
+    # XOR-shared stacked indicator bits, reordered MSB-first for the tree:
+    # S0's are its pads, S1's the (gt, eq) entries it selected.
+    gt = lanes(num_digits, lambda i: (pad_gt if i == 0 else chosen >> 1)[::-1])
+    eq = lanes(num_digits, lambda i: (pad_eq if i == 0 else chosen & 1)[::-1])
 
     # Balanced prefix combine:  (hi) ∘ (lo) = (gt_hi ^ (eq_hi & gt_lo),
     # eq_hi & eq_lo).  The operator is associative, so the tree computes the
@@ -227,33 +233,20 @@ def millionaire_gt_phases(
     # stacks all its AND gates — eq_hi against [gt_lo; eq_lo] — into ONE
     # dealer request and ONE packed 1-bit opening; the root level drops the
     # unused equality gate.
-    level = 0
-    for remaining, combines, and_count in _tree_level_widths(num_digits):
+    for level, (remaining, combines, gates) in enumerate(_tree_level_widths(num_digits)):
         hi = slice(0, 2 * combines, 2)
         lo = slice(1, 2 * combines, 2)
-        final = remaining == 2
-        if final:
-            x_stack = (eq0[hi], eq1[hi])
-            y_stack = (gt0[lo], gt1[lo])
-        else:
-            x_stack = (
-                np.concatenate([eq0[hi], eq0[hi]]),
-                np.concatenate([eq1[hi], eq1[hi]]),
-            )
-            y_stack = (
-                np.concatenate([gt0[lo], eq0[lo]]),
-                np.concatenate([gt1[lo], eq1[lo]]),
-            )
+        rest = slice(2 * combines, None)
+        x_stack = lanes(gates, lambda i: np.concatenate([eq[i][hi], eq[i][hi]])[:gates])
+        y_stack = lanes(gates, lambda i: np.concatenate([gt[i][lo], eq[i][lo]])[:gates])
         event, finish = _and_prepare(ctx, x_stack, y_stack, tag=f"{tag}/tree{level}")
         (opened,) = yield (event,)
-        z0, z1 = finish(opened)
-        gt0 = np.concatenate([gt0[hi] ^ z0[:combines], gt0[2 * combines :]])
-        gt1 = np.concatenate([gt1[hi] ^ z1[:combines], gt1[2 * combines :]])
-        if not final:
-            eq0 = np.concatenate([z0[combines:], eq0[2 * combines :]])
-            eq1 = np.concatenate([z1[combines:], eq1[2 * combines :]])
-        level += 1
-    return gt0[0], gt1[0]
+        z = finish(opened)
+        folded = remaining - combines
+        gt = lanes(folded, lambda i: np.concatenate([gt[i][hi] ^ z[i][:combines], gt[i][rest]]))
+        if remaining > 2:  # the root's equality output is never consumed
+            eq = lanes(folded, lambda i: np.concatenate([z[i][combines:], eq[i][rest]]))
+    return gt[0][0], gt[1][0]
 
 
 def millionaire_gt(
@@ -282,16 +275,27 @@ def drelu_phases(ctx: TwoPartyContext, x: SharePair, tag: str = "drelu"):
     the two servers.  DReLU is the complement of the MSB.
     """
     ring = ctx.ring
+    live = ctx.live_lane
+    shares = (x.share0, x.share1)
     half = np.uint64((1 << (ring.ring_bits - 1)) - 1)
-    low0 = ring.low_bits(x.share0)
-    low1 = ring.low_bits(x.share1)
     # carry = (low0 + low1) >= 2^{k-1}  <=>  low0 > (2^{k-1} - 1) - low1
-    threshold_s1 = (half - low1).astype(np.uint64)
+    low0, threshold_s1 = per_lane(
+        live,
+        x.shape,
+        lambda i: ring.low_bits(shares[0]) if i == 0 else half - ring.low_bits(shares[1]),
+    )
     carry = yield from millionaire_gt_phases(
         ctx, low0, threshold_s1, bit_width=ring.ring_bits, tag=f"{tag}/carry"
     )
-    msb = secure_xor(carry, (ring.msb(x.share0), ring.msb(x.share1)))
-    return secure_not(msb)
+
+    def lane(i: int) -> np.ndarray:
+        # XOR shares of msb(x) = msb(x0) ^ msb(x1) ^ carry; NOT flips S0's
+        bit = carry[i] ^ ring.msb(shares[i])
+        if i == 0:
+            bit ^= np.uint8(1)
+        return bit
+
+    return per_lane(live, x.shape, lane, dtype=np.uint8)
 
 
 def drelu(ctx: TwoPartyContext, x: SharePair, tag: str = "drelu") -> XorSharedBit:
@@ -309,11 +313,11 @@ def bit_to_arithmetic_phases(ctx: TwoPartyContext, bit: XorSharedBit, tag: str =
     replaces the Beaver-multiply B2A and its two ring-width openings.
     """
     ring = ctx.ring
-    b0, b1 = bit
-    dab = ctx.dealer.dabit(b0.shape)
-    (c,) = yield (
-        open_bits_event(b0 ^ dab.r0, b1 ^ dab.r1, tag=f"{tag}/open-c"),
-    )
+    shape = bit[0].shape
+    dab = ctx.dealer.dabit(shape)
+    r = (dab.r0, dab.r1)
+    masked = per_lane(ctx.live_lane, shape, lambda i: bit[i] ^ r[i], dtype=np.uint8)
+    (c,) = yield (open_bits_event(*masked, tag=f"{tag}/open-c"),)
     c_ring = c.astype(np.uint64)
     kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:

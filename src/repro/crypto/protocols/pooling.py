@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import run_phases
+from repro.crypto.kernels import per_lane
 from repro.crypto.protocols.comparison import (
     drelu_phases,
     drelu_trace,
@@ -24,18 +25,24 @@ from repro.crypto.sharing import SharePair, add_shares, scale_shares, sub_shares
 from repro.models.specs import LayerKind, LayerSpec
 
 
+def _window_shape(shape: Tuple[int, ...], kernel: int, stride: int) -> Tuple[int, ...]:
+    """``(K*K, N, C, OH, OW)``: the pooling windows of an NCHW tensor."""
+    n, c, h, w = shape
+    return (kernel * kernel, n, c, (h - kernel) // stride + 1, (w - kernel) // stride + 1)
+
+
 def _extract_windows(share: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Rearrange an NCHW share into windows (N, C, OH, OW, K*K)."""
-    n, c, h, w = share.shape
-    oh = (h - kernel) // stride + 1
-    ow = (w - kernel) // stride + 1
+    """Rearrange an NCHW share into windows (K*K, N, C, OH, OW): row ``j``
+    holds the ``j``-th element of every window, contiguous."""
+    window_shape = _window_shape(share.shape, kernel, stride)
     sn, sc, sh, sw = share.strides
     windows = np.lib.stride_tricks.as_strided(
         share,
-        shape=(n, c, oh, ow, kernel, kernel),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
+        shape=(kernel, kernel) + window_shape[1:],
+        strides=(sh, sw, sn, sc, sh * stride, sw * stride),
+        writeable=False,
     )
-    return windows.reshape(n, c, oh, ow, kernel * kernel).copy()
+    return windows.reshape(window_shape).copy()
 
 
 def secure_maxpool2d_phases(
@@ -49,21 +56,21 @@ def secure_maxpool2d_phases(
 
     max(a, b) = b + ReLU(a - b), so each reduction step costs one comparison
     flow plus one multiplexer — this is why MaxPool is nearly as expensive as
-    ReLU under 2PC (Eq. 13).
+    ReLU under 2PC (Eq. 13).  Only the held share lanes are computed.
     """
     stride = stride or kernel_size
-    ring = ctx.ring
-    win0 = _extract_windows(x.share0, kernel_size, stride)
-    win1 = _extract_windows(x.share1, kernel_size, stride)
-    k = win0.shape[-1]
+    live = ctx.live_lane
+    shares = (x.share0, x.share1)
+    window_shape = _window_shape(x.shape, kernel_size, stride)
+    win = per_lane(live, window_shape, lambda i: _extract_windows(shares[i], kernel_size, stride))
 
-    current = SharePair(win0[..., 0].copy(), win1[..., 0].copy(), ring)
-    for i in range(1, k):
-        candidate = SharePair(win0[..., i].copy(), win1[..., i].copy(), ring)
-        diff = sub_shares(candidate, current)
-        bit = yield from drelu_phases(ctx, diff, tag=f"{tag}/cmp{i}")
-        gated = yield from select_phases(ctx, diff, bit, tag=f"{tag}/sel{i}")
-        current = add_shares(current, gated)
+    current = SharePair(win[0][0], win[1][0], ctx.ring)
+    for j in range(1, window_shape[0]):
+        candidate = SharePair(win[0][j], win[1][j], ctx.ring)
+        diff = sub_shares(candidate, current, live=live)
+        bit = yield from drelu_phases(ctx, diff, tag=f"{tag}/cmp{j}")
+        gated = yield from select_phases(ctx, diff, bit, tag=f"{tag}/sel{j}")
+        current = add_shares(current, gated, live=live)
     return current
 
 
@@ -94,8 +101,8 @@ def secure_avgpool2d(
     win0 = _extract_windows(x.share0, kernel_size, stride)
     win1 = _extract_windows(x.share1, kernel_size, stride)
     with np.errstate(over="ignore"):
-        sum0 = ring.wrap(win0.sum(axis=-1, dtype=np.uint64))
-        sum1 = ring.wrap(win1.sum(axis=-1, dtype=np.uint64))
+        sum0 = ring.wrap(win0.sum(axis=0, dtype=np.uint64))
+        sum1 = ring.wrap(win1.sum(axis=0, dtype=np.uint64))
     summed = SharePair(sum0, sum1, ring)
     return scale_shares(summed, 1.0 / (kernel_size * kernel_size))
 
@@ -115,10 +122,7 @@ def secure_global_avgpool(ctx: TwoPartyContext, x: SharePair, tag: str = "gap") 
 # Plan-runtime handlers
 # --------------------------------------------------------------------------- #
 def _pool_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
-    n, c, h, w = input_shape
-    oh = (h - layer.kernel) // layer.stride + 1
-    ow = (w - layer.kernel) // layer.stride + 1
-    return (n, c, oh, ow)
+    return _window_shape(input_shape, layer.kernel, layer.stride)[1:]
 
 
 def _maxpool_trace(

@@ -79,6 +79,13 @@ def reconstruct_ring(pair: SharePair) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 # Local (communication-free) operations on shares — Eq. 1 of the paper
 # --------------------------------------------------------------------------- #
+def _lanewise(a: SharePair, b: SharePair, live: Optional[int], op) -> SharePair:
+    """``op`` applied share by share on the lanes held (see :func:`add_shares`)."""
+    _check_same_ring(a, b)
+    a_lanes, b_lanes = (a.share0, a.share1), (b.share0, b.share1)
+    return SharePair(*per_lane(live, a.shape, lambda i: op(a_lanes[i], b_lanes[i])), a.ring)
+
+
 def add_shares(a: SharePair, b: SharePair, live: Optional[int] = None) -> SharePair:
     """[x] + [y]: each party adds its shares locally.
 
@@ -86,19 +93,13 @@ def add_shares(a: SharePair, b: SharePair, live: Optional[int] = None) -> ShareP
     lane becomes the dead-lane placeholder (see
     :func:`repro.crypto.kernels.per_lane`).
     """
-    _check_same_ring(a, b)
-    ring = a.ring
-    a_lanes, b_lanes = (a.share0, a.share1), (b.share0, b.share1)
-    return SharePair(
-        *per_lane(live, a.shape, lambda i: ring.add(a_lanes[i], b_lanes[i])), ring
-    )
+    return _lanewise(a, b, live, a.ring.add)
 
 
-def sub_shares(a: SharePair, b: SharePair) -> SharePair:
-    """[x] - [y]: each party subtracts its shares locally."""
-    _check_same_ring(a, b)
-    ring = a.ring
-    return SharePair(ring.sub(a.share0, b.share0), ring.sub(a.share1, b.share1), ring)
+def sub_shares(a: SharePair, b: SharePair, live: Optional[int] = None) -> SharePair:
+    """[x] - [y]: each party subtracts its shares locally (``live`` as in
+    :func:`add_shares`)."""
+    return _lanewise(a, b, live, a.ring.sub)
 
 
 def neg_shares(a: SharePair) -> SharePair:

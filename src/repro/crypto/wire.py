@@ -117,6 +117,13 @@ def ring_element_width(ring: FixedPointRing) -> int:
     return width
 
 
+#: byte -> the four 2-bit digits it packs, LSB first, as one little-endian
+#: u32 (so one lookup per byte decodes four digits)
+_DIGITS_OF_BYTE = np.array(
+    [[byte >> shift & 3 for shift in (0, 2, 4, 6)] for byte in range(256)], np.uint8
+).view("<u4")
+
+
 def pack_sub_byte(flat: np.ndarray, element_bits: int) -> bytes:
     """Pack a flat uint8 array of 1- or 2-bit values into ``ceil`` bytes."""
     if element_bits == 1:
@@ -133,7 +140,7 @@ def pack_sub_byte(flat: np.ndarray, element_bits: int) -> bytes:
 
 
 def unpack_sub_byte(payload: bytes, num_elements: int, element_bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_sub_byte`; returns a flat uint8 array."""
+    """Inverse of :func:`pack_sub_byte` (padding bits ignored); a flat uint8 array."""
     if num_elements == 0:
         return np.zeros(0, dtype=np.uint8)
     raw = np.frombuffer(payload, dtype=np.uint8)
@@ -141,8 +148,7 @@ def unpack_sub_byte(payload: bytes, num_elements: int, element_bits: int) -> np.
         return np.unpackbits(raw, count=num_elements, bitorder="little")
     if element_bits != 2:
         raise ValueError(f"unsupported packed element width {element_bits} bits")
-    index = np.arange(num_elements)
-    return ((raw[index >> 2] >> ((index & 3) << 1)) & 3).astype(np.uint8)
+    return np.take(_DIGITS_OF_BYTE, raw).view(np.uint8)[:num_elements]
 
 
 def _native_payload(array: np.ndarray, canonical: np.dtype) -> bytes:

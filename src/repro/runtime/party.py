@@ -16,10 +16,10 @@ values opened on the channel.  A party process therefore runs the *same*
 program as the single-process simulation, with:
 
 - only its own share lane live: the executor reads the party off the
-  channel, so the fused kernels and the local steps of the polynomial
-  protocols compute this party's lane alone and hand back the other as
-  :func:`~repro.crypto.kernels.dead_lane` — one shared read-only zero that
-  costs no memory and is never put on the wire;
+  channel, so the fused kernels and the local steps of the polynomial and
+  comparison protocols compute this party's lane alone and hand back the
+  other as :func:`~repro.crypto.kernels.dead_lane` — one shared read-only
+  zero that costs no memory and is never put on the wire;
 - a :class:`~repro.crypto.channel.PartyChannel`, so every opened value is
   recombined from the share that genuinely crossed the transport;
 - a :class:`~repro.crypto.dealer.RandomnessPool` regenerated from the shared
@@ -39,8 +39,7 @@ Invariants (relied on by the persistent server and the serving pool):
    the peer's lane: it is the read-only ``dead_lane`` placeholder, so an
    in-place write into it raises instead of computing on the peer's world
    (``RandomnessPool.restrict_to_party`` releases the peer's dealer
-   material; the non-kernel chains of the comparison tree still derive
-   values from the placeholder, which are never consumed nor sent);
+   material);
 2. **canonical log, full-duplex wire** — both parties log the full
    conversation in one canonical order (party 0's message of a round
    first), so the two logs are identical to each other and to the

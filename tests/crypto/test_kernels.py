@@ -13,17 +13,21 @@ Key invariants:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.crypto import make_context
-from repro.crypto.events import run_reference
+from repro.crypto import PartyChannel, make_context
+from repro.crypto.dealer import TrustedDealer
+from repro.crypto.events import run_phases, run_reference
 from repro.crypto.kernels import (
     KERNELS,
     KernelContext,
     WorkspaceArena,
     arena_for,
     clear_arenas,
+    dead_lane,
     register_kernel,
 )
 from repro.crypto.protocols.activation import secure_relu
@@ -33,11 +37,15 @@ from repro.crypto.protocols.arithmetic import (
     multiply_public,
     square,
 )
+from repro.crypto.protocols.comparison import drelu_phases, select_phases
+from repro.crypto.protocols.pooling import secure_maxpool2d_phases
 from repro.crypto.scheduler import arena_key
 from repro.crypto.secure_model import SecureInferenceEngine
-from repro.crypto.sharing import share
+from repro.crypto.sharing import SharePair, share
+from repro.crypto.transport import LoopbackTransport
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
+from repro.runtime.party import execute_plan_as_party
 
 
 def _trained_weights(spec):
@@ -304,6 +312,101 @@ def test_live_lane_kernel_returns_its_lane_and_a_dead_placeholder(name, live):
     assert (dead.shape, dead.dtype) == (both[1 - live].shape, both[1 - live].dtype)
     with pytest.raises(ValueError, match="read-only"):
         dead[...] = 1
+
+
+def _as_parties(run):
+    """``{party: run(party, transport)}``, both parties as threads over one
+    loopback link; the first party error is re-raised here."""
+    transports = LoopbackTransport.pair(timeout=60.0)
+    results, errors = {}, []
+
+    def party_main(party):
+        try:
+            results[party] = run(party, transports[party])
+        except BaseException as exc:
+            errors.append(exc)
+            transports[party].close()  # unblock the peer
+
+    threads = [threading.Thread(target=party_main, args=(party,)) for party in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _relu_flow(ctx, x):
+    """The DReLU bit and the multiplexed value, each as a lane pair."""
+    bit = yield from drelu_phases(ctx, x)
+    out = yield from select_phases(ctx, x, bit)
+    return [bit, (out.share0, out.share1)]
+
+
+def _maxpool_flow(ctx, x):
+    out = yield from secure_maxpool2d_phases(ctx, x)
+    return [(out.share0, out.share1)]
+
+
+class TestLiveLaneComparison:
+    """The comparison path in a party process: each party computes only its
+    own side of the OT table, the AND tree and the daBit opening."""
+
+    SEED = 23
+
+    @pytest.mark.parametrize(
+        "flow,shape", [(_relu_flow, (3, 5)), (_maxpool_flow, (1, 2, 4, 4))], ids=["relu", "maxpool"]
+    )
+    def test_party_lanes_combine_to_the_in_process_result(self, flow, shape):
+        values = np.random.default_rng(12).normal(size=shape)
+        shared = share(values, make_context().ring, np.random.default_rng(13))
+
+        both = make_context(seed=self.SEED)
+        both.kernels = KernelContext()
+        expected = run_phases(both, flow(both, shared))
+
+        def party_run(party, transport):
+            ctx = make_context(seed=self.SEED)
+            ctx.channel = PartyChannel(transport, party, ring=ctx.ring)
+            ctx.kernels = KernelContext(live=party)
+            peer = dead_lane(shape)
+            x = SharePair(shared.share0, peer) if party == 0 else SharePair(peer, shared.share1)
+            return run_phases(ctx, flow(ctx, x))
+
+        results = _as_parties(party_run)
+        for output, pair in enumerate(expected):
+            for party in (0, 1):
+                mine = results[party][output]
+                np.testing.assert_array_equal(mine[party], pair[party])
+                assert _is_dead_lane(mine[1 - party])
+
+    def test_only_the_sender_draws_the_ot_pads(self):
+        """After a ReLU job, party 1's context RNG has drawn nothing past the
+        sharing-mask burn; party 0's has drawn the OT pads."""
+        spec = vgg_tiny(input_size=8)
+        weights = _trained_weights(spec)
+        x = np.random.default_rng(14).normal(size=(1, spec.in_channels, 8, 8))
+        plan = SecureInferenceEngine().compile(spec, batch_size=1)
+        ring = plan.ring
+        shared = share(x, ring, np.random.default_rng(15))
+
+        def party_job(party, transport):
+            ctx = make_context(seed=self.SEED)
+            ctx.channel = PartyChannel(transport, party, ring=ring)
+            pool = TrustedDealer(ring=ring, seed=self.SEED).preprocess(plan)
+            input_share = (shared.share0, shared.share1)[party]
+            execute_plan_as_party(
+                ctx, party, plan, weights, input_share, pool=pool.restrict_to_party(party)
+            )
+            return ctx.rng.bit_generator.state
+
+        states = _as_parties(party_job)
+        burned = make_context(seed=self.SEED).rng
+        ring.random(plan.input_shape, burned)
+        assert states[1] == burned.bit_generator.state
+        assert states[0] != burned.bit_generator.state
 
 
 class TestArenaReuseAcrossJobs:

@@ -13,8 +13,6 @@ from repro.crypto.protocols.comparison import (
     drelu,
     millionaire_gt,
     secure_and,
-    secure_not,
-    secure_xor,
     select,
 )
 
@@ -38,14 +36,6 @@ class TestBitGates:
         mask_b = rng.integers(0, 2, 64, dtype=np.uint8)
         out = secure_and(ctx, (mask_a, a ^ mask_a), (mask_b, b ^ mask_b))
         np.testing.assert_array_equal(xor_open(out), (a & b).astype(bool))
-
-    def test_secure_xor_and_not(self, ctx, rng):
-        a = rng.integers(0, 2, 32, dtype=np.uint8)
-        b = rng.integers(0, 2, 32, dtype=np.uint8)
-        x = (a, np.zeros_like(a))
-        y = (np.zeros_like(b), b)
-        np.testing.assert_array_equal(xor_open(secure_xor(x, y)), (a ^ b).astype(bool))
-        np.testing.assert_array_equal(xor_open(secure_not(x)), (1 - a).astype(bool))
 
     def test_and_consumes_communication(self, ctx, rng):
         ctx.reset_communication()
@@ -80,6 +70,18 @@ class TestMillionaire:
         with pytest.raises(ValueError):
             millionaire_gt(
                 ctx, np.zeros(2, dtype=np.uint64), np.zeros(2, dtype=np.uint64), 31, digit_bits=2
+            )
+
+    def test_one_bit_digits_compare_too(self, ctx, rng):
+        a = rng.integers(0, 2**16, size=64, dtype=np.uint64)
+        b = rng.integers(0, 2**16, size=64, dtype=np.uint64)
+        result = xor_open(millionaire_gt(ctx, a, b, bit_width=16, digit_bits=1))
+        np.testing.assert_array_equal(result, a > b)
+
+    def test_rejects_digits_whose_ot_entries_overflow_a_byte(self, ctx):
+        with pytest.raises(ValueError, match="one byte"):
+            millionaire_gt(
+                ctx, np.zeros(2, dtype=np.uint64), np.zeros(2, dtype=np.uint64), 12, digit_bits=3
             )
 
 

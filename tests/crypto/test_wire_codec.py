@@ -80,6 +80,28 @@ class TestPackedRoundTrip:
                 unpack_sub_byte(packed, 37, element_bits), flat
             )
 
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 5, 37, 4097])
+    def test_two_bit_codec_matches_the_per_element_reference(self, length):
+        """Element ``i`` sits in bits ``2(i%4)..2(i%4)+1`` of byte ``i//4``."""
+        digits = np.random.default_rng(length).integers(0, 4, size=length, dtype=np.uint8)
+        reference = bytearray(packed_num_bytes(length, 2))
+        for i, digit in enumerate(digits):
+            reference[i // 4] |= int(digit) << (2 * (i % 4))
+        assert pack_sub_byte(digits, 2) == bytes(reference)
+        decoded = unpack_sub_byte(bytes(reference), length, 2)
+        assert decoded.dtype == np.uint8
+        assert [int(v) for v in decoded] == [int(d) for d in digits]
+
+    @pytest.mark.parametrize("length", [1, 3, 5, 37, 4097])
+    def test_two_bit_decoder_ignores_set_padding_bits(self, length):
+        digits = np.random.default_rng(length).integers(0, 4, size=length, dtype=np.uint8)
+        payload = bytearray(pack_sub_byte(digits, 2))
+        payload[-1] |= 0xFF << (2 * (length % 4 or 4)) & 0xFF  # set every padding bit
+        np.testing.assert_array_equal(unpack_sub_byte(bytes(payload), length, 2), digits)
+        record = encode_array(digits, DEFAULT_RING, 2)
+        decoded, _ = decode_array(record[: -len(payload)] + bytes(payload))
+        np.testing.assert_array_equal(decoded, digits)
+
     def test_default_element_bits_keeps_uint8_at_native_width(self):
         """element_bits=8 (the default) must not repack generic byte data."""
         payload = np.arange(10, dtype=np.uint8)

@@ -249,6 +249,10 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.serve.frontend", "BatchingFrontend"),
         ("repro.serve", "ShardedServingPool._acquire_shard"),
         ("repro.serve", "ShardedServingPool._run_coalesced"),
+        ("repro.crypto.protocols", "secure_xor"),
+        ("repro.crypto.protocols", "secure_not"),
+        ("repro.crypto.protocols.comparison", "secure_xor"),
+        ("repro.crypto.protocols.comparison", "secure_not"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
