@@ -34,7 +34,7 @@ from repro.crypto.events import (
     run_phases,
     transfer_event,
 )
-from repro.crypto.ot import OTFlow, OTFlowCost, one_of_four_ot
+from repro.crypto.ot import OTFlow, one_of_four_ot
 from repro.crypto.plan import (
     InferencePlan,
     PlanOp,
@@ -51,7 +51,6 @@ from repro.crypto.kernels import (
 )
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
-from repro.crypto.stats import ProtocolStatistics, collect_statistics
 from repro.crypto.sharing import (
     SharePair,
     add_public,
@@ -101,7 +100,6 @@ __all__ = [
     "transfer_event",
     "run_phases",
     "OTFlow",
-    "OTFlowCost",
     "one_of_four_ot",
     "FixedPointRing",
     "DEFAULT_RING",
@@ -117,6 +115,4 @@ __all__ = [
     "add_public",
     "scale_shares",
     "scale_shares_integer",
-    "ProtocolStatistics",
-    "collect_statistics",
 ]

@@ -1,52 +1,209 @@
 """Trusted dealer for correlated randomness (offline phase).
 
 The online 2PC protocols consume Beaver triples (for products), Beaver pairs
-(for squares) and bit triples (for AND gates inside the comparison flow).
-In deployments this correlated randomness is produced by an OT-based or
-HE-based offline phase; the paper (like CrypTen and Delphi) separates it from
-the online latency it reports, so the reproduction models it as a local
-dealer.  The dealer never sees the secret inputs — it only outputs shares of
-random correlated values.
+(for squares), bit triples (for AND gates inside the comparison flow) and
+daBits (for B2A conversion).  In deployments this correlated randomness is
+produced by an OT-based or HE-based offline phase; the paper (like CrypTen
+and Delphi) separates it from the online latency it reports, so the
+reproduction models it as a local dealer.  The dealer never sees the secret
+inputs — it only outputs shares of random correlated values.
 
-Two consumption modes exist:
+A compiled plan runs only against a :class:`RandomnessPool`:
+:meth:`TrustedDealer.preprocess` draws every request of the plan's manifest
+up front, and the online phase serves from the pool without a single
+generation call — the executable counterpart of the offline/online split of
+Fig. 3.  A protocol called on its own (outside a plan) draws its items from
+the dealer one at a time (:meth:`TrustedDealer.triple` and friends).
 
-- *lazy* (standalone protocol calls): protocols call :meth:`TrustedDealer.triple`
-  and friends while the online phase runs;
-- *pooled* (plan runtime): :meth:`TrustedDealer.preprocess` generates every
-  request of a compiled plan's manifest up front into a
-  :class:`RandomnessPool`, which then serves the online phase without a
-  single generation call — the executable counterpart of the offline/online
-  split of Fig. 3.
+Stream layout
+-------------
 
-The random stream is laid out per (kind, shape) substream (see
-:mod:`repro.offline.generation`): each group of a manifest draws from its
-own :class:`~numpy.random.SeedSequence`-derived generator, and each item is
-exactly one fixed-shape ``uint64`` draw.  That layout is what makes the
-offline phase batchable — ``preprocess`` draws whole groups as single
-stacked generator calls — while keeping lazy draws and stacked pool fills
-bit-identical at the same seed, so every share on the wire is the same
-whichever supplied it.
+- every (kind, shape) group draws from its own seeded **substream**
+  (:func:`substream`), derived deterministically from ``(seed, ring, kind,
+  shape)`` via :class:`numpy.random.SeedSequence` — so the order in which
+  different groups generate is irrelevant to the bits each group produces;
+- within a substream, each item's material is exactly **one** fixed-shape
+  ``uint64`` draw.  NumPy's ``Generator.integers`` with a 64-bit dtype
+  consumes the bit stream one word per element regardless of how calls are
+  split, so ``k`` per-item draws and one stacked ``(k, ...)`` draw yield
+  bit-identical arrays.  (8-bit draws do *not* have this property — which
+  is why random bits are drawn as ring words and unpacked, never as
+  ``uint8`` streams.)
+
+So ``preprocess`` draws each group as one stacked generator call and is
+still bit-identical to per-item draws at the same seed.  A group is a dict
+of stacked share arrays — e.g. the ``a0`` shares of 64 triples of shape
+``(4, 4)`` form one ``(64, 4, 4)`` array — and a pool item is a set of row
+views into it, so party restriction operates on whole stacks, never items.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.crypto.kernels import dead_lane
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.sharing import SharePair, share_ring_elements
-from repro.offline.generation import (
-    GROUP_FIELDS,
-    PARTY_FIELDS,
-    draw_group,
-    numel,
-    substream,
-)
+
+#: domain-separation tag of the stream layout (first SeedSequence word)
+STREAM_DOMAIN = 0x0FF1D0
+
+_KIND_IDS = {
+    "triple": 1,
+    "square": 2,
+    "bit": 3,
+    "dabit": 4,
+    "triple-generic": 5,
+}
+
+#: group fields held by party 0 / party 1 (the rest is the other share-world)
+PARTY_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "triple": (("a0", "b0", "z0"), ("a1", "b1", "z1")),
+    "square": (("a0", "z0"), ("a1", "z1")),
+    "bit": (("a0", "b0", "c0"), ("a1", "b1", "c1")),
+    "dabit": (("r0", "arith0"), ("r1", "arith1")),
+}
+
+#: a pool's group key: (kind, item shape)
+GroupKey = Tuple[str, Tuple[int, ...]]
+
+
+def numel(shape: Tuple[int, ...]) -> int:
+    """Number of elements of one item of the given shape (scalar -> 1)."""
+    return int(np.prod(shape, dtype=np.int64)) if shape else 1
+
+
+def substream(
+    seed: int, ring: FixedPointRing, kind: str, *shapes: Tuple[int, ...]
+) -> np.random.SeedSequence:
+    """The seeded substream of one (kind, shape) group.
+
+    Domain-separated on the base seed, the ring parameters, the kind and
+    the item shape(s), so every group owns an independent deterministic
+    stream and generation order across groups cannot change the bits.
+    """
+    if kind not in _KIND_IDS:
+        raise ValueError(f"unknown randomness kind {kind!r}")
+    entropy = [STREAM_DOMAIN, int(seed), ring.ring_bits, ring.frac_bits, _KIND_IDS[kind]]
+    for shape in shapes:
+        entropy.append(len(shape))
+        entropy.extend(int(dim) for dim in shape)
+    return np.random.SeedSequence(entropy)
+
+
+def words_per_plane(ring: FixedPointRing, count: int) -> int:
+    """Ring words needed to carry ``count`` random bits (one plane)."""
+    return math.ceil(count / ring.ring_bits) if count else 0
+
+
+def unpack_ring_words(words: np.ndarray, ring: FixedPointRing, count: int) -> np.ndarray:
+    """Unpack uniformly random ring words into ``count`` uniform bits.
+
+    ``words`` has shape ``(..., W)``; the result has shape ``(..., count)``
+    and dtype ``uint8`` with values in {0, 1}.  Bit ``j`` of the plane is
+    bit ``j % ring_bits`` of word ``j // ring_bits`` — every kept bit of a
+    uniform ring element is itself uniform, so the plane is uniform.
+    """
+    lead = words.shape[:-1]
+    if count == 0 or words.size == 0:
+        return np.zeros(lead + (count,), dtype=np.uint8)
+    little = np.ascontiguousarray(words.astype("<u8", copy=False))
+    as_bytes = little.view(np.uint8).reshape(words.shape + (8,))
+    bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")  # (..., W, 64)
+    bits = bits[..., : ring.ring_bits].reshape(lead + (words.shape[-1] * ring.ring_bits,))
+    return np.ascontiguousarray(bits[..., :count])
+
+
+# --------------------------------------------------------------------------- #
+# Per-kind group drawers.  Each consumes exactly one fixed-shape uint64 draw
+# per item from ``rng`` (the split-transparency invariant) and returns the
+# group's stacked arrays with leading dimension ``count``.
+# --------------------------------------------------------------------------- #
+def _draw_triple(
+    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
+) -> Dict[str, np.ndarray]:
+    lanes = ring.random((count, 5) + shape, rng)
+    a, b, mask_a, mask_b, mask_z = (lanes[:, i] for i in range(5))
+    z = ring.mul(a, b)
+    return {
+        "a0": mask_a,
+        "a1": ring.sub(a, mask_a),
+        "b0": mask_b,
+        "b1": ring.sub(b, mask_b),
+        "z0": mask_z,
+        "z1": ring.sub(z, mask_z),
+    }
+
+
+def _draw_square(
+    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
+) -> Dict[str, np.ndarray]:
+    lanes = ring.random((count, 3) + shape, rng)
+    a, mask_a, mask_z = (lanes[:, i] for i in range(3))
+    z = ring.mul(a, a)
+    return {"a0": mask_a, "a1": ring.sub(a, mask_a), "z0": mask_z, "z1": ring.sub(z, mask_z)}
+
+
+def _draw_bit(
+    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
+) -> Dict[str, np.ndarray]:
+    n = numel(shape)
+    planes = words_per_plane(ring, n)
+    words = ring.random((count, 5, planes), rng)
+    bits = unpack_ring_words(words, ring, n).reshape((count, 5) + shape)
+    a, b, a0, b0, c0 = (bits[:, i] for i in range(5))
+    c = a & b
+    return {"a0": a0, "a1": a ^ a0, "b0": b0, "b1": b ^ b0, "c0": c0, "c1": c ^ c0}
+
+
+def _draw_dabit(
+    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
+) -> Dict[str, np.ndarray]:
+    n = numel(shape)
+    planes = words_per_plane(ring, n)
+    words = ring.random((count, 2 * planes + n), rng)
+    r = unpack_ring_words(words[:, :planes], ring, n).reshape((count,) + shape)
+    r0 = unpack_ring_words(words[:, planes : 2 * planes], ring, n).reshape((count,) + shape)
+    mask = words[:, 2 * planes :].reshape((count,) + shape)
+    return {
+        "r0": r0,
+        "r1": r ^ r0,
+        "arith0": mask,
+        "arith1": ring.sub(r.astype(np.uint64), mask),
+    }
+
+
+_DRAWERS = {
+    "triple": _draw_triple,
+    "square": _draw_square,
+    "bit": _draw_bit,
+    "dabit": _draw_dabit,
+}
+
+
+def draw_group(
+    ring: FixedPointRing,
+    rng: np.random.Generator,
+    kind: str,
+    shape: Tuple[int, ...],
+    count: int,
+) -> Dict[str, np.ndarray]:
+    """Draw ``count`` items of one (kind, shape) group from ``rng``.
+
+    One call with ``count=k`` is bit-identical to ``k`` calls with
+    ``count=1`` against the same generator — the split-transparency
+    invariant both callers (per-item dealer draws, pool fill) rely on.
+    """
+    drawer = _DRAWERS.get(kind)
+    if drawer is None:
+        raise ValueError(f"unknown randomness kind {kind!r}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    return drawer(ring, rng, count, tuple(shape))
 
 
 @dataclass
@@ -94,54 +251,35 @@ class DaBit:
     arith: SharePair
 
 
-def items_from_group(
-    ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray]
-) -> List:
-    """Materialize pool items from a group's stacked share arrays.
-
-    Every item field is a row *view* into the stacks — no copies; the
-    stacks stay alive (and restrictable / serializable) as long as any
-    item does.
-    """
-    count = len(next(iter(arrays.values())))
+def _item(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: int):
+    """The item at ``row`` of a stacked group: every field is a row *view*
+    into the stacks, never a copy."""
     if kind == "triple":
-        return [
-            BeaverTriple(
-                a=SharePair(arrays["a0"][i], arrays["a1"][i], ring),
-                b=SharePair(arrays["b0"][i], arrays["b1"][i], ring),
-                z=SharePair(arrays["z0"][i], arrays["z1"][i], ring),
-            )
-            for i in range(count)
-        ]
+        return BeaverTriple(
+            a=SharePair(arrays["a0"][row], arrays["a1"][row], ring),
+            b=SharePair(arrays["b0"][row], arrays["b1"][row], ring),
+            z=SharePair(arrays["z0"][row], arrays["z1"][row], ring),
+        )
     if kind == "square":
-        return [
-            BeaverPair(
-                a=SharePair(arrays["a0"][i], arrays["a1"][i], ring),
-                z=SharePair(arrays["z0"][i], arrays["z1"][i], ring),
-            )
-            for i in range(count)
-        ]
+        return BeaverPair(
+            a=SharePair(arrays["a0"][row], arrays["a1"][row], ring),
+            z=SharePair(arrays["z0"][row], arrays["z1"][row], ring),
+        )
     if kind == "bit":
-        return [
-            BitTriple(
-                a0=arrays["a0"][i],
-                a1=arrays["a1"][i],
-                b0=arrays["b0"][i],
-                b1=arrays["b1"][i],
-                c0=arrays["c0"][i],
-                c1=arrays["c1"][i],
-            )
-            for i in range(count)
-        ]
+        return BitTriple(
+            a0=arrays["a0"][row],
+            a1=arrays["a1"][row],
+            b0=arrays["b0"][row],
+            b1=arrays["b1"][row],
+            c0=arrays["c0"][row],
+            c1=arrays["c1"][row],
+        )
     if kind == "dabit":
-        return [
-            DaBit(
-                r0=arrays["r0"][i],
-                r1=arrays["r1"][i],
-                arith=SharePair(arrays["arith0"][i], arrays["arith1"][i], ring),
-            )
-            for i in range(count)
-        ]
+        return DaBit(
+            r0=arrays["r0"][row],
+            r1=arrays["r1"][row],
+            arith=SharePair(arrays["arith0"][row], arrays["arith1"][row], ring),
+        )
     raise ValueError(f"kind {kind!r} has no pool item form")
 
 
@@ -160,8 +298,8 @@ class TrustedDealer:
         """The (cached) generator of one substream.
 
         Substreams persist across :meth:`preprocess` calls on one dealer,
-        so successive pools from a shared dealer (the serving cache) keep
-        advancing the same streams a lazy execution would.
+        so successive pools from a shared dealer keep advancing the same
+        streams per-item draws would.
         """
         key = (kind,) + shapes
         rng = self._streams.get(key)
@@ -170,7 +308,23 @@ class TrustedDealer:
             self._streams[key] = rng
         return rng
 
-    # -- arithmetic triples ------------------------------------------------ #
+    def _count_group(self, kind: str, shape: Tuple[int, ...], count: int) -> None:
+        elements = count * numel(shape)
+        if kind in ("triple", "square"):
+            self.triples_generated += elements
+        elif kind == "bit":
+            self.bit_triples_generated += elements
+        elif kind == "dabit":
+            self.dabits_generated += elements
+
+    def _draw_item(self, kind: str, shape: Tuple[int, ...]):
+        """One item of a (kind, shape) group: a one-row group draw."""
+        shape = tuple(shape)
+        arrays = draw_group(self.ring, self._stream(kind, shape), kind, shape, 1)
+        self._count_group(kind, shape, 1)
+        return _item(self.ring, kind, arrays, 0)
+
+    # -- per-item draws (protocols called outside a plan) --------------------- #
     def triple(
         self,
         shape_a: Tuple[int, ...],
@@ -204,56 +358,19 @@ class TrustedDealer:
 
     def elementwise_triple(self, shape: Tuple[int, ...]) -> BeaverTriple:
         """Beaver triple for the Hadamard product."""
-        shape = tuple(shape)
-        arrays = draw_group(self.ring, self._stream("triple", shape), "triple", shape, 1)
-        self.triples_generated += numel(shape)
-        return items_from_group(self.ring, "triple", arrays)[0]
+        return self._draw_item("triple", shape)
 
     def square_pair(self, shape: Tuple[int, ...]) -> BeaverPair:
         """Beaver pair (A, A^2) for the square protocol (Eq. 3)."""
-        shape = tuple(shape)
-        arrays = draw_group(self.ring, self._stream("square", shape), "square", shape, 1)
-        self.triples_generated += numel(shape)
-        return items_from_group(self.ring, "square", arrays)[0]
+        return self._draw_item("square", shape)
 
-    # -- bit triples --------------------------------------------------------- #
     def bit_triple(self, shape: Tuple[int, ...]) -> BitTriple:
         """XOR-shared AND triple used by the GMW comparison circuit."""
-        shape = tuple(shape)
-        arrays = draw_group(self.ring, self._stream("bit", shape), "bit", shape, 1)
-        self.bit_triples_generated += numel(shape)
-        return items_from_group(self.ring, "bit", arrays)[0]
+        return self._draw_item("bit", shape)
 
     def dabit(self, shape: Tuple[int, ...]) -> DaBit:
         """A doubly-shared random bit for the one-round B2A conversion."""
-        shape = tuple(shape)
-        arrays = draw_group(self.ring, self._stream("dabit", shape), "dabit", shape, 1)
-        self.dabits_generated += numel(shape)
-        return items_from_group(self.ring, "dabit", arrays)[0]
-
-    # -- shared randomness --------------------------------------------------- #
-    def random_shared_bit(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
-        """XOR shares of uniformly random bits."""
-        shape = tuple(shape)
-        rng = self._stream("shared-bit", shape)
-        arrays = draw_group(self.ring, rng, "shared-bit", shape, 1)
-        return arrays["mask"][0], arrays["masked"][0]
-
-    def random_shared_ring(self, shape: Tuple[int, ...]) -> SharePair:
-        """Additive shares of uniformly random ring elements."""
-        shape = tuple(shape)
-        rng = self._stream("shared-ring", shape)
-        arrays = draw_group(self.ring, rng, "shared-ring", shape, 1)
-        return SharePair(arrays["share0"][0], arrays["share1"][0], self.ring)
-
-    def _count_group(self, kind: str, shape: Tuple[int, ...], count: int) -> None:
-        elements = count * numel(shape)
-        if kind in ("triple", "square"):
-            self.triples_generated += elements
-        elif kind == "bit":
-            self.bit_triples_generated += elements
-        elif kind == "dabit":
-            self.dabits_generated += elements
+        return self._draw_item("dabit", shape)
 
     # -- offline phase -------------------------------------------------------- #
     def preprocess(self, plan_or_manifest) -> "RandomnessPool":
@@ -261,16 +378,14 @@ class TrustedDealer:
 
         Accepts an :class:`repro.crypto.plan.InferencePlan` or its
         :class:`~repro.crypto.plan.PreprocessingManifest` and returns a
-        :class:`RandomnessPool` holding every triple/pair/bit-triple the
-        online phase will consume.  Each (kind, shape) group of the manifest
-        is drawn as **one** stacked generator call from its substream, which
-        is bit-identical to lazy draws at the same seed.
+        :class:`RandomnessPool` holding every item the online phase will
+        consume.  Each (kind, shape) group of the manifest is drawn as
+        **one** stacked generator call from its substream, which is
+        bit-identical to per-item draws at the same seed.
         """
         manifest = getattr(plan_or_manifest, "manifest", plan_or_manifest)
         pool = RandomnessPool(ring=self.ring, manifest_hash=manifest.content_hash)
         for kind, shape, count in manifest.grouped_requests():
-            if kind not in GROUP_FIELDS or kind not in PARTY_FIELDS:
-                raise ValueError(f"unknown randomness request kind {kind!r}")
             rng = self._stream(kind, shape)
             pool.install_group(kind, shape, draw_group(self.ring, rng, kind, shape, count))
             self._count_group(kind, shape, count)
@@ -305,17 +420,18 @@ class PreprocessingExhausted(RuntimeError):
 class RandomnessPool:
     """Pre-generated correlated randomness served during the online phase.
 
-    Implements the same ``triple`` / ``square_pair`` / ``bit_triple``
-    interface as :class:`TrustedDealer`, so it can stand in as
-    ``ctx.dealer`` during plan execution — but it never *generates*: every
-    request pops from a FIFO keyed by (kind, shape), and a request the
-    offline phase did not provision raises :class:`PreprocessingExhausted`.
-    The generation counters therefore stay at zero throughout the online
-    phase, which the tests assert.
+    Implements the same ``triple`` / ``square_pair`` / ``bit_triple`` /
+    ``dabit`` interface as :class:`TrustedDealer`, so it stands in as
+    ``ctx.dealer`` during plan execution — but it never *generates*: a
+    request the offline phase did not provision raises
+    :class:`PreprocessingExhausted`.
 
-    Pools filled by :meth:`TrustedDealer.preprocess` retain each group's
-    stacked share arrays in ``group_buffers``; items are row views into
-    them, so party restriction releases whole stacks, never items.
+    The pool holds one stacked group per (kind, shape) and a window
+    ``[cursor, stop)`` of the rows it may still serve.  A request builds the
+    item at the cursor row — row views into the stacks — and advances the
+    cursor; :meth:`partition` hands out consecutive windows over the same
+    stacks; :meth:`restrict_to_party` swaps the peer's stacks for a
+    placeholder.  Nothing is prebuilt and no share is copied.
     """
 
     def __init__(
@@ -326,36 +442,30 @@ class RandomnessPool:
         self.ring = ring
         self.manifest_hash = manifest_hash
         self.restricted_to: Optional[int] = None
-        self._queues: Dict[Tuple[str, Tuple[int, ...]], Deque] = {}
-        self._buffers: Dict[Tuple[str, Tuple[int, ...]], List[Dict[str, np.ndarray]]] = {}
+        self._groups: Dict[GroupKey, Dict[str, np.ndarray]] = {}
+        #: per group, ``[cursor, stop]``: the rows still to serve
+        self._windows: Dict[GroupKey, List[int]] = {}
         self.served = 0
-        # Mirror the TrustedDealer counters so collect_statistics() works;
-        # they stay 0 because the pool never generates.
-        self.triples_generated = 0
-        self.bit_triples_generated = 0
-        self.dabits_generated = 0
 
     # -- filling (offline) -------------------------------------------------- #
     def install_group(
         self, kind: str, shape: Tuple[int, ...], arrays: Dict[str, np.ndarray]
     ) -> None:
-        """Install a stacked group: enqueue row-view items, retain the stacks."""
+        """Install the stacked group of one (kind, shape); all its rows are
+        served.  A pool holds at most one group per key."""
         key = (kind, tuple(shape))
-        items = items_from_group(self.ring, kind, arrays)
-        self._queues.setdefault(key, deque()).extend(items)
-        self._buffers.setdefault(key, []).append(arrays)
+        if key in self._groups:
+            raise ValueError(f"pool already holds the {kind!r} group of shape {key[1]}")
+        self._groups[key] = arrays
+        self._windows[key] = [0, len(next(iter(arrays.values())))]
 
-    def group_buffers(
-        self, kind: str, shape: Tuple[int, ...]
-    ) -> List[Dict[str, np.ndarray]]:
-        """The retained stacked share arrays of one (kind, shape) group."""
-        return self._buffers.get((kind, tuple(shape)), [])
+    def group(self, kind: str, shape: Tuple[int, ...]) -> Dict[str, np.ndarray]:
+        """The stacked share arrays of one (kind, shape) group."""
+        return self._groups[(kind, tuple(shape))]
 
     # -- consumption (online) ------------------------------------------------ #
     def _exhausted(self, kind: str, shape: Tuple[int, ...]) -> PreprocessingExhausted:
-        remaining_by_kind: Dict[str, int] = {}
-        for (queued_kind, _shape), queue in self._queues.items():
-            remaining_by_kind[queued_kind] = remaining_by_kind.get(queued_kind, 0) + len(queue)
+        remaining_by_kind = self.remaining_by_kind
         depth = (
             ", ".join(f"{k}={n}" for k, n in sorted(remaining_by_kind.items())) or "empty"
         )
@@ -371,15 +481,18 @@ class RandomnessPool:
         )
 
     def _pop(self, kind: str, shape: Tuple[int, ...]):
-        queue = self._queues.get((kind, tuple(shape)))
-        if not queue:
+        key = (kind, tuple(shape))
+        window = self._windows.get(key)
+        if window is None or window[0] == window[1]:
             raise self._exhausted(kind, shape)
+        row = window[0]
+        window[0] += 1
         self.served += 1
-        return queue.popleft()
+        return _item(self.ring, kind, self._groups[key], row)
 
     # -- party restriction (networked runtime) ------------------------------- #
     def restrict_to_party(self, party: int) -> "RandomnessPool":
-        """Release the other party's share-world of every queued item.
+        """Release the other party's share-world of every group.
 
         In the deployment the dealer hands each server only *its* shares of
         the correlated randomness.  The single-process simulation keeps both
@@ -390,13 +503,12 @@ class RandomnessPool:
         - the other world's stacks become the read-only
           :func:`~repro.crypto.kernels.dead_lane` placeholder (no memory);
         - own-world stacks that are views into a multi-lane draw are copied
-          out, so the draw itself is freed;
-        - the queued items are rebuilt as row views of the result.
+          out, so the draw itself is freed.
 
-        The pool then pins exactly half of the manifest's material bytes.
-        Restricting an already-restricted pool is a no-op for the same party
-        and an error for the other one — the genuine share-world is already
-        gone.
+        Items are built at pop time, so nothing is rebuilt.  The pool then
+        pins exactly half of the manifest's material bytes.  Restricting an
+        already-restricted pool is a no-op for the same party and an error
+        for the other one — the genuine share-world is already gone.
         """
         if party not in (0, 1):
             raise ValueError(f"party must be 0 or 1, got {party}")
@@ -407,20 +519,12 @@ class RandomnessPool:
                 f"pool is already restricted to party {self.restricted_to}; "
                 f"party {party}'s share-world has been released and cannot be recovered"
             )
-        other = 1 - party
-        for (kind, shape), groups in self._buffers.items():
-            for arrays in groups:
-                for name in PARTY_FIELDS[kind][other]:
-                    arrays[name] = dead_lane(arrays[name].shape, arrays[name].dtype)
-                for name in PARTY_FIELDS[kind][party]:
-                    if arrays[name].base is not None:
-                        arrays[name] = arrays[name].copy()
-            # the queue holds the tail of the groups' items (FIFO pops)
-            queue = self._queues[(kind, shape)]
-            items = [
-                item for arrays in groups for item in items_from_group(self.ring, kind, arrays)
-            ]
-            self._queues[(kind, shape)] = deque(items[len(items) - len(queue) :])
+        for (kind, _shape), arrays in self._groups.items():
+            for name in PARTY_FIELDS[kind][1 - party]:
+                arrays[name] = dead_lane(arrays[name].shape, arrays[name].dtype)
+            for name in PARTY_FIELDS[kind][party]:
+                if arrays[name].base is not None:
+                    arrays[name] = arrays[name].copy()
         self.restricted_to = party
         return self
 
@@ -430,37 +534,44 @@ class RandomnessPool:
 
         ``request_groups`` is an iterable of per-op
         :class:`~repro.crypto.protocols.registry.RandomnessRequest` sequences
-        (e.g. ``[op.requests for op in plan.ops]``).  Each group's requests
-        are tallied per (kind, shape) in one pass and the items moved as
-        whole slices of the per-key FIFOs, so an op served from its sub-pool
-        consumes the *identical* correlated randomness it would have drawn
-        from the shared FIFO in a sequential execution — regardless of how a
-        round-coalescing scheduler interleaves the ops.  Only item
-        *references* move: no share array is copied or allocated, and the
-        sub-pool items stay views into this pool's group buffers.  This pool
-        is drained in the process.  An empty request group yields an empty
-        sub-pool.
+        (e.g. ``[op.requests for op in plan.ops]``).  For each (kind, shape)
+        its op requests, a sub-pool gets the next window of rows of this
+        pool's stack, so an op served from its sub-pool consumes the
+        *identical* correlated randomness it would have drawn from this pool
+        in a sequential execution — regardless of how a round-coalescing
+        scheduler interleaves the ops.  The stacks are shared, never
+        copied.  This pool is drained in the process; an empty request group
+        yields an empty sub-pool.
+
+        All or nothing: every window is checked before any cursor moves, so
+        a partition that raises :class:`PreprocessingExhausted` leaves this
+        pool as it was.
         """
-        groups = [tuple(requests) for requests in request_groups]
-        pools: "List[RandomnessPool]" = []
-        moved = 0
-        for requests in groups:
-            sub = RandomnessPool(ring=self.ring, manifest_hash=self.manifest_hash)
-            sub.restricted_to = self.restricted_to
-            counts: Dict[Tuple[str, Tuple[int, ...]], int] = {}
+        tallies: List[Dict[GroupKey, int]] = []
+        demand: Dict[GroupKey, int] = {}
+        for requests in request_groups:
+            tally: Dict[GroupKey, int] = {}
             for request in requests:
                 key = (request.kind, tuple(request.shape))
-                counts[key] = counts.get(key, 0) + 1
-            for key, count in counts.items():
-                queue = self._queues.get(key)
-                if queue is None or len(queue) < count:
-                    raise self._exhausted(*key)
-                sub._queues[key] = deque(islice(queue, 0, count))
-                for _ in range(count):
-                    queue.popleft()
-                moved += count
+                tally[key] = tally.get(key, 0) + 1
+                demand[key] = demand.get(key, 0) + 1
+            tallies.append(tally)
+        for key, count in demand.items():
+            window = self._windows.get(key)
+            if window is None or window[1] - window[0] < count:
+                raise self._exhausted(*key)
+
+        pools: "List[RandomnessPool]" = []
+        for tally in tallies:
+            sub = RandomnessPool(ring=self.ring, manifest_hash=self.manifest_hash)
+            sub.restricted_to = self.restricted_to
+            for key, count in tally.items():
+                window = self._windows[key]
+                sub._groups[key] = self._groups[key]
+                sub._windows[key] = [window[0], window[0] + count]
+                window[0] += count
             pools.append(sub)
-        self.served += moved
+        self.served += sum(demand.values())
         return pools
 
     def triple(
@@ -496,12 +607,12 @@ class RandomnessPool:
 
     @property
     def remaining(self) -> int:
-        return sum(len(q) for q in self._queues.values())
+        return sum(stop - cursor for cursor, stop in self._windows.values())
 
     @property
     def remaining_by_kind(self) -> Dict[str, int]:
-        """Remaining queued items per randomness kind."""
+        """Rows still to serve per randomness kind."""
         totals: Dict[str, int] = {}
-        for (kind, _shape), queue in self._queues.items():
-            totals[kind] = totals.get(kind, 0) + len(queue)
+        for (kind, _shape), (cursor, stop) in self._windows.items():
+            totals[kind] = totals.get(kind, 0) + stop - cursor
         return totals

@@ -181,8 +181,9 @@ class PreprocessingManifest:
         """Requests grouped per (kind, shape), in first-occurrence order.
 
         The offline phase generates each group from its own seeded
-        substream and the pool pops per-(kind, shape) FIFOs, so the grouped
-        counts — not the interleaving — fully determine the material.
+        substream and the pool serves each (kind, shape) stack in row
+        order, so the grouped counts — not the interleaving — fully
+        determine the material.
         """
         counts: Dict[Tuple[str, Tuple[int, ...]], int] = {}
         for request in self.requests:

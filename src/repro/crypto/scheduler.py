@@ -17,8 +17,8 @@ Bit-identity with the sequential oracle
 
 Each op must consume exactly the correlated randomness it would have drawn
 in a sequential execution (local truncation makes the reconstructed logits
-sensitive to the dealer stream).  When the online phase runs against a
-:class:`~repro.crypto.dealer.RandomnessPool`, the pool is first partitioned
+sensitive to the dealer stream).  The online phase runs only against a
+:class:`~repro.crypto.dealer.RandomnessPool`, which is first partitioned
 per op **in manifest order** (:meth:`RandomnessPool.partition`): the per-op
 randomness budget, so an op that draws more than its trace declares fails
 instead of eating the next op's material.  Ops run in plan order and
@@ -63,7 +63,8 @@ def run_scheduled_plan(
     Args:
         ctx: the party's (or the simulation's) two-party context; its
             channel must support :meth:`~repro.crypto.channel.Channel.run_round`
-            and its dealer should be the preprocessed randomness pool.
+            and its dealer must be the plan's preprocessed randomness pool
+            (:meth:`~repro.crypto.dealer.TrustedDealer.preprocess`).
         plan: the compiled plan (see :func:`repro.crypto.plan.compile_plan`).
         weights: mapping layer-name -> parameter dict.
         shared: the share pair of the client query batch.
@@ -95,11 +96,13 @@ def run_scheduled_plan(
     values: Dict[str, SharePair] = {}
 
     outer_dealer = ctx.dealer
-    if isinstance(outer_dealer, RandomnessPool):
-        op_pools = outer_dealer.partition([op.requests for op in plan.ops])
-    else:
-        # lazy dealer: generation order equals consumption order
-        op_pools = [outer_dealer] * len(plan.ops)
+    if not isinstance(outer_dealer, RandomnessPool):
+        raise TypeError(
+            "run_scheduled_plan consumes a preprocessed RandomnessPool as "
+            f"ctx.dealer, got {type(outer_dealer).__name__}; obtain one with "
+            "TrustedDealer.preprocess(plan)"
+        )
+    op_pools = outer_dealer.partition([op.requests for op in plan.ops])
 
     clock = time.perf_counter_ns
     rounds_executed = 0

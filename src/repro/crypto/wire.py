@@ -46,12 +46,6 @@ _PACKED_BITS = {code: bits for bits, code in _PACKED_CODES.items()}
 ROUND_CODE = 254
 CONTROL_CODE = 255
 
-#: codec counters: ``fast_path_encodes`` counts arrays serialized without an
-#: intermediate ``astype`` copy (already canonical little-endian contiguous
-#: buffers go straight to ``tobytes``); ``copied_encodes`` counts the rest.
-#: Tests assert the fast path is actually hit on the hot ring-element path.
-CODEC_STATS = {"fast_path_encodes": 0, "copied_encodes": 0}
-
 _DTYPE_CODES = {
     1: np.dtype("uint8"),
     2: np.dtype("<u4"),
@@ -151,16 +145,6 @@ def unpack_sub_byte(payload: bytes, num_elements: int, element_bits: int) -> np.
     return np.take(_DIGITS_OF_BYTE, raw).view(np.uint8)[:num_elements]
 
 
-def _native_payload(array: np.ndarray, canonical: np.dtype) -> bytes:
-    """Array buffer in canonical little-endian order, avoiding the
-    intermediate ``astype`` copy when the buffer already is canonical."""
-    if array.dtype == canonical:
-        CODEC_STATS["fast_path_encodes"] += 1
-        return array.tobytes()
-    CODEC_STATS["copied_encodes"] += 1
-    return np.ascontiguousarray(array).astype(canonical, copy=False).tobytes()
-
-
 def encode_array(
     array: np.ndarray, ring: FixedPointRing = DEFAULT_RING, element_bits: int = 8
 ) -> bytes:
@@ -182,10 +166,8 @@ def encode_array(
     if array.dtype in (np.dtype(np.uint64), np.dtype(np.int64)):
         width = ring_element_width(ring)
         if width == 8 and array.dtype == np.dtype("<u8"):
-            CODEC_STATS["fast_path_encodes"] += 1
             payload = array.tobytes()
         else:
-            CODEC_STATS["copied_encodes"] += 1
             packed = array.astype(np.uint64, copy=False)
             if width != 8:
                 packed = ring.wrap(packed)
@@ -200,7 +182,8 @@ def encode_array(
         code = _CODE_BY_DTYPE.get(canonical)
         if code is None:
             raise ValueError(f"unsupported wire dtype {array.dtype}")
-        payload = _native_payload(array, canonical)
+        # (no copy when the buffer already is canonical)
+        payload = array.astype(canonical, copy=False).tobytes()
         header = _HEADER_HEAD.pack(code, canonical.itemsize, array.ndim)
     return header + dims + payload
 

@@ -18,7 +18,7 @@ from repro.runtime.messages import (
     ServerConfig,
     ShutdownRequest,
 )
-from repro.runtime.party import PartyExecution, execute_plan_as_party
+from repro.runtime.party import execute_plan_as_party
 from repro.runtime.server import PartyServer, derive_job_seed, run_party_server
 from repro.runtime.shard import (
     HeartbeatMiss,
@@ -27,10 +27,7 @@ from repro.runtime.shard import (
     ShardFailure,
     WorkerShard,
 )
-from repro.runtime.twoprocess import (
-    TwoProcessResult,
-    run_two_process_inference,
-)
+from repro.runtime.twoprocess import run_two_process_inference
 
 __all__ = [
     "HeartbeatMiss",
@@ -39,7 +36,6 @@ __all__ = [
     "JobRequest",
     "JobTicket",
     "JobValidationError",
-    "PartyExecution",
     "PartyServer",
     "PoolBatchResult",
     "ServerConfig",
@@ -49,6 +45,5 @@ __all__ = [
     "derive_job_seed",
     "execute_plan_as_party",
     "run_party_server",
-    "TwoProcessResult",
     "run_two_process_inference",
 ]

@@ -90,17 +90,6 @@ class TestTrustedDealer:
         np.testing.assert_array_equal(c, a & b)
         assert set(np.unique(a)) <= {0, 1}
 
-    def test_random_shared_bit_reconstructs_to_bits(self):
-        dealer = TrustedDealer(seed=4)
-        b0, b1 = dealer.random_shared_bit((50,))
-        assert set(np.unique(b0 ^ b1)) <= {0, 1}
-
-    def test_random_shared_ring_uniformity(self):
-        dealer = TrustedDealer(PAPER_RING, seed=5)
-        pair = dealer.random_shared_ring((2000,))
-        values = reconstruct_ring(pair)
-        assert values.max() > 0.9 * PAPER_RING.modulus
-
     def test_triple_counter_increments(self):
         dealer = TrustedDealer(seed=6)
         dealer.elementwise_triple((3, 3))

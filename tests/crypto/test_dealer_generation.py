@@ -2,8 +2,8 @@
 
 The invariant everything rests on: one stacked ``count=k`` draw is
 bit-identical to ``k`` per-item draws against the same substream, for every
-group kind and both ring widths — so the stacked pool fill, the lazy dealer
-and the dealer's pool fill all produce the same material at the same seed.
+group kind and both ring widths — so the stacked pool fill and per-item
+dealer draws produce the same material at the same seed.
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 from repro.crypto import compile_plan
-from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.ring import DEFAULT_RING, PAPER_RING
-from repro.models.vgg import vgg_tiny
-from repro.offline.generation import (
-    GROUP_FIELDS,
+from repro.crypto.dealer import (
     PARTY_FIELDS,
+    RandomnessPool,
+    TrustedDealer,
     draw_group,
     substream,
     unpack_ring_words,
     words_per_plane,
 )
+from repro.crypto.ring import DEFAULT_RING, PAPER_RING
+from repro.models.vgg import vgg_tiny
 
 RINGS = (DEFAULT_RING, PAPER_RING)
 CASES = [
@@ -32,8 +32,6 @@ CASES = [
     ("bit", (7,)),
     ("bit", (4, 130)),  # spills across several words per plane
     ("dabit", (3, 3)),
-    ("shared-bit", (6,)),
-    ("shared-ring", (2, 2)),
 ]
 
 
@@ -53,15 +51,15 @@ class TestSplitTransparency:
         stacked = draw_group(ring, np.random.default_rng(stream), kind, shape, count)
         rng = np.random.default_rng(stream)
         singles = [draw_group(ring, rng, kind, shape, 1) for _ in range(count)]
-        for name in GROUP_FIELDS[kind]:
+        for name in stacked:
             merged = np.concatenate([one[name] for one in singles])
             assert np.array_equal(stacked[name], merged), (kind, shape, name)
 
     @pytest.mark.parametrize("kind,shape", CASES)
     def test_zero_count_draws_empty_stacks(self, kind, shape):
         arrays = _fresh_group(DEFAULT_RING, 0, kind, shape, 0)
-        for name in GROUP_FIELDS[kind]:
-            assert arrays[name].shape == (0,) + shape
+        for array in arrays.values():
+            assert array.shape == (0,) + shape
 
     def test_lazy_dealer_matches_stacked_group(self):
         """Per-item lazy draws on a dealer == one stacked draw."""
@@ -168,10 +166,11 @@ class TestDealerPoolFill:
         pool = TrustedDealer(ring, seed=17).preprocess(manifest)
         assert pool.manifest_hash == manifest.content_hash
         for kind, shape, count in manifest.grouped_requests():
-            (buffers,) = pool.group_buffers(kind, shape)
+            stacks = pool.group(kind, shape)
             expected = _fresh_group(ring, 17, kind, shape, count)
-            for name in GROUP_FIELDS[kind]:
-                assert np.array_equal(buffers[name], expected[name]), (kind, shape, name)
+            assert stacks.keys() == expected.keys()
+            for name in expected:
+                assert np.array_equal(stacks[name], expected[name]), (kind, shape, name)
 
     def test_pool_is_a_pure_function_of_the_seed(self):
         manifest = compile_plan(vgg_tiny(input_size=8), batch_size=2).manifest
@@ -180,15 +179,9 @@ class TestDealerPoolFill:
             for seed in (3, 3, 4)
         )
         kind, shape, _count = manifest.grouped_requests()[0]
-        for name in GROUP_FIELDS[kind]:
-            assert np.array_equal(
-                first.group_buffers(kind, shape)[0][name],
-                again.group_buffers(kind, shape)[0][name],
-            )
-        assert not np.array_equal(
-            first.group_buffers(kind, shape)[0]["a0"],
-            other.group_buffers(kind, shape)[0]["a0"],
-        )
+        for name, stack in first.group(kind, shape).items():
+            assert np.array_equal(stack, again.group(kind, shape)[name])
+        assert not np.array_equal(first.group(kind, shape)["a0"], other.group(kind, shape)["a0"])
 
     def test_pool_holds_exactly_the_manifest_material(self):
         manifest = compile_plan(vgg_tiny(input_size=8), batch_size=2).manifest
@@ -196,8 +189,7 @@ class TestDealerPoolFill:
         held = sum(
             stack.nbytes
             for kind, shape, _count in manifest.grouped_requests()
-            for buffers in pool.group_buffers(kind, shape)
-            for stack in buffers.values()
+            for stack in pool.group(kind, shape).values()
         )
         assert held == manifest.material_bytes > 0
         assert pool.remaining == len(manifest.requests)
@@ -213,7 +205,7 @@ class TestPartyRestriction:
         pool = RandomnessPool(DEFAULT_RING)
         pool.install_group("triple", (2,), arrays)
         assert pool.restrict_to_party(0) is pool
-        assert pool.group_buffers("triple", (2,))[0] is arrays  # the same group dict
+        assert pool.group("triple", (2,)) is arrays  # the same group dict
         for name in PARTY_FIELDS["triple"][0]:
             assert np.array_equal(arrays[name], kept[name])
             assert arrays[name].base is None  # the 5-lane draw is no longer pinned
@@ -234,8 +226,8 @@ class TestPartyRestriction:
         assert mine.restricted_to == party
         assert mine.manifest_hash == full.manifest_hash
         for kind, shape, _count in manifest.grouped_requests():
-            ours = mine.group_buffers(kind, shape)[0]
-            theirs = full.group_buffers(kind, shape)[0]
+            ours = mine.group(kind, shape)
+            theirs = full.group(kind, shape)
             for name in PARTY_FIELDS[kind][party]:
                 assert np.array_equal(ours[name], theirs[name]), (kind, shape, name)
             for name in PARTY_FIELDS[kind][1 - party]:

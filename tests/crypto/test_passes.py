@@ -70,6 +70,7 @@ class TestRoundScheduling:
         ctx = make_context(seed=3)
         empty = dc_replace(compile_plan(vgg_tiny(input_size=8)), ops=())
         shared = share(np.zeros(empty.input_shape), ctx.ring, ctx.rng)
+        ctx.dealer = ctx.dealer.preprocess(empty)
         out, per_op = run_scheduled_plan(ctx, empty, {}, shared)
         assert out is shared and per_op == {}
         assert ctx.kernels is None
@@ -85,6 +86,7 @@ class TestRoundScheduling:
         ctx = make_context(seed=3)
         shared = share(np.zeros(plan.input_shape), ctx.ring, ctx.rng)
         weights = export_layer_weights(build_model(spec))
+        ctx.dealer = ctx.dealer.preprocess(drifted)
         expected = (
             rf"{re.escape(repr(plan.model_name))} performed {plan.num_rounds} "
             rf"rounds but the plan predicted {drifted.num_rounds}"
@@ -92,3 +94,13 @@ class TestRoundScheduling:
         with pytest.raises(RuntimeError, match=expected):
             run_scheduled_plan(ctx, drifted, weights, shared)
         assert ctx.kernels is None
+
+    def test_a_dealer_that_is_not_a_pool_is_rejected(self):
+        """The executor only consumes preprocessed material: a dealer that
+        would generate during the online phase fails before any round."""
+        plan = compile_plan(vgg_tiny(input_size=8))
+        ctx = make_context(seed=3)
+        shared = share(np.zeros(plan.input_shape), ctx.ring, ctx.rng)
+        with pytest.raises(TypeError, match=r"TrustedDealer\.preprocess"):
+            run_scheduled_plan(ctx, plan, {}, shared)
+        assert ctx.communication_rounds == 0 and ctx.kernels is None

@@ -1,7 +1,9 @@
-"""Edge-case tests for :class:`RandomnessPool`: restriction, partitioning
-and contextual exhaustion diagnostics."""
+"""Edge-case tests for :class:`RandomnessPool`: installation, restriction,
+partitioning and contextual exhaustion diagnostics."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,10 +13,31 @@ from repro.crypto.dealer import (
     PreprocessingExhausted,
     RandomnessPool,
     TrustedDealer,
+    draw_group,
+    substream,
 )
 from repro.crypto.protocols.registry import RandomnessRequest
 from repro.crypto.ring import DEFAULT_RING
+from repro.crypto.sharing import SharePair
 from repro.models.vgg import vgg_tiny
+
+
+def _pop(pool, request):
+    """Serve one request the way its protocol asks the pool for it."""
+    shape = tuple(request.shape)
+    if request.kind == "triple":
+        return pool.triple(shape, shape, DEFAULT_RING.mul)
+    popper = {"square": pool.square_pair, "bit": pool.bit_triple, "dabit": pool.dabit}
+    return popper[request.kind](shape)
+
+
+def _arrays(item):
+    """Every share array of an item, in field order."""
+    out = []
+    for field in dataclasses.fields(item):
+        value = getattr(item, field.name)
+        out += [value.share0, value.share1] if isinstance(value, SharePair) else [value]
+    return out
 
 
 @pytest.fixture()
@@ -27,17 +50,28 @@ def pool(plan):
     return TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
 
 
+class TestInstall:
+    def test_install_group_twice_for_the_same_key_raises(self):
+        def group():
+            rng = np.random.default_rng(substream(1, DEFAULT_RING, "triple", (2,)))
+            return draw_group(DEFAULT_RING, rng, "triple", (2,), 3)
+
+        pool = RandomnessPool(DEFAULT_RING)
+        pool.install_group("triple", (2,), group())
+        with pytest.raises(ValueError, match="already holds"):
+            pool.install_group("triple", [2], group())
+        assert pool.remaining == 3
+
+
 class TestRestriction:
     def test_restrict_is_idempotent_for_the_same_party(self, plan):
         pool = TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
         once = pool.restrict_to_party(0)
         kind, shape, _ = plan.manifest.grouped_requests()[0]
-        snapshot = {
-            name: stack.copy() for name, stack in once.group_buffers(kind, shape)[0].items()
-        }
+        snapshot = {name: stack.copy() for name, stack in once.group(kind, shape).items()}
         twice = pool.restrict_to_party(0)
         assert twice is pool
-        after = twice.group_buffers(kind, shape)[0]
+        after = twice.group(kind, shape)
         for name, stack in snapshot.items():
             assert np.array_equal(after[name], stack)
 
@@ -64,7 +98,7 @@ class TestPartition:
         kind, shape, _count = next(
             g for g in plan.manifest.grouped_requests() if g[0] == "triple"
         )
-        stacks = pool.group_buffers(kind, shape)[0]
+        stacks = pool.group(kind, shape)
         (sub,) = pool.partition([[RandomnessRequest(kind=kind, shape=shape)]])
         item = sub.triple(shape, shape, DEFAULT_RING.mul)
         assert np.shares_memory(item.a.share0, stacks["a0"])
@@ -88,6 +122,52 @@ class TestPartition:
         assert error.shape == (999, 999)
         assert error.manifest_hash == plan.manifest.content_hash
         assert error.remaining_by_kind.get("triple", 0) > 0
+
+    def test_failed_partition_leaves_the_pool_untouched(self, plan, pool):
+        """All or nothing: the requests that fit move no cursor when a later
+        group of the same call does not."""
+        remaining, by_kind = pool.remaining, pool.remaining_by_kind
+        fits = next(op.requests for op in plan.ops if op.requests)
+        missing = RandomnessRequest(kind="dabit", shape=(999, 999))
+        with pytest.raises(PreprocessingExhausted) as excinfo:
+            pool.partition([fits, [missing]])
+        assert excinfo.value.remaining_by_kind == by_kind
+        assert (pool.remaining, pool.served) == (remaining, 0)
+        # the intact pool still serves the whole plan
+        subs = pool.partition([op.requests for op in plan.ops])
+        assert sum(sub.remaining for sub in subs) == remaining
+
+    def test_partitioned_pops_equal_sequential_pops(self, plan):
+        """Drained in any order, each op's sub-pool serves exactly the items a
+        sequential run popping in manifest order draws for that op."""
+        sequential = TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
+        expected = [[_pop(sequential, r) for r in op.requests] for op in plan.ops]
+        fresh = TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
+        subs = fresh.partition([op.requests for op in plan.ops])
+        for index in reversed(range(len(plan.ops))):
+            for request, want in zip(plan.ops[index].requests, expected[index]):
+                got = _pop(subs[index], request)
+                for ours, theirs in zip(_arrays(got), _arrays(want)):
+                    assert np.array_equal(ours, theirs), (index, request)
+            assert subs[index].remaining == 0
+
+    def test_a_sub_pool_serves_only_its_window(self, plan, pool):
+        """Consecutive windows over one stack: the first sub-pool gets row 0
+        and nothing more, the second row 1, the parent resumes at row 2."""
+        kind, shape, count = max(
+            (g for g in plan.manifest.grouped_requests() if g[0] == "triple"),
+            key=lambda g: g[2],
+        )
+        assert count >= 3
+        request = RandomnessRequest(kind=kind, shape=shape)
+        stacks = pool.group(kind, shape)
+        first, second = pool.partition([[request], [request]])
+        assert np.shares_memory(_pop(first, request).a.share0, stacks["a0"][0])
+        with pytest.raises(PreprocessingExhausted):
+            _pop(first, request)
+        assert np.shares_memory(_pop(second, request).a.share0, stacks["a0"][1])
+        assert np.shares_memory(_pop(pool, request).a.share0, stacks["a0"][2])
+        assert (first.remaining, second.remaining, pool.served) == (0, 0, 3)
 
 
 class TestExhaustionDiagnostics:

@@ -1,14 +1,13 @@
-"""Tests for the auxiliary protocols: secure argmax/max, stand-alone
-batch norm, and the protocol statistics collector."""
+"""Tests for the auxiliary protocols: secure argmax/max and stand-alone
+batch norm."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.crypto import collect_statistics, make_context, reconstruct, share
+from repro.crypto import make_context, reconstruct, share
 from repro.crypto.protocols.argmax import secure_argmax, secure_max
-from repro.crypto.protocols.activation import secure_relu
 from repro.crypto.protocols.normalization import (
     secure_batchnorm_public,
     secure_batchnorm_shared,
@@ -84,30 +83,3 @@ class TestSecureBatchNorm:
         with pytest.raises(ValueError):
             secure_batchnorm_shared(ctx, x, bad, bad)
 
-
-class TestProtocolStatistics:
-    def test_counts_online_and_offline_cost(self, rng):
-        ctx = make_context(seed=3)
-        x = share(rng.uniform(-1, 1, size=(2, 3, 4, 4)), ctx.ring, rng)
-        secure_relu(ctx, x)
-        stats = collect_statistics(ctx)
-        assert stats.online_bytes == ctx.communication_bytes > 0
-        assert stats.online_rounds > 1
-        assert stats.arithmetic_triples > 0
-        assert stats.bit_triples > 0
-        assert stats.online_megabytes == pytest.approx(stats.online_bytes / 1e6)
-
-    def test_tag_breakdown_sums_to_total(self, rng):
-        ctx = make_context(seed=4)
-        x = share(rng.uniform(-1, 1, size=(8,)), ctx.ring, rng)
-        secure_relu(ctx, x, tag="relu")
-        stats = collect_statistics(ctx)
-        assert sum(stats.bytes_by_tag.values()) == stats.online_bytes
-        assert stats.dominated_by("relu") == pytest.approx(1.0)
-        assert stats.dominated_by("nonexistent") == 0.0
-
-    def test_empty_context(self):
-        ctx = make_context(seed=5)
-        stats = collect_statistics(ctx)
-        assert stats.online_bytes == 0
-        assert stats.dominated_by("anything") == 0.0

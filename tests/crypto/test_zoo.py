@@ -16,7 +16,6 @@ edits its row in the same diff (a failure prints the observed row).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 from pathlib import Path
@@ -58,27 +57,16 @@ def _trained_weights(spec):
 
 
 def _resident_bytes(pool):
-    """Bytes of the distinct memory blocks a pool's stacks and queued items
-    pin; dead-lane placeholders (read-only zero-strided zeros) pin none."""
+    """Bytes of the distinct memory blocks a pool's group stacks pin (items
+    are built at pop time, so the stacks are all it holds); dead-lane
+    placeholders (read-only zero-strided zeros) pin none."""
     blocks = {}
-
-    def visit(value):
-        if isinstance(value, np.ndarray):
+    for arrays in pool._groups.values():
+        for value in arrays.values():
             if value.flags.writeable or any(value.strides):
                 while value.base is not None:
                     value = value.base
                 blocks[id(value)] = value.nbytes
-        elif dataclasses.is_dataclass(value):
-            for field in dataclasses.fields(value):
-                visit(getattr(value, field.name))
-
-    for queue in pool._queues.values():
-        for item in queue:
-            visit(item)
-    for kind, shape in pool._buffers:
-        for arrays in pool.group_buffers(kind, shape):
-            for array in arrays.values():
-                visit(array)
     return sum(blocks.values())
 
 

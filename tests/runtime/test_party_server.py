@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from repro.crypto import make_context
-from repro.crypto.dealer import TrustedDealer
+from repro.crypto.dealer import PARTY_FIELDS, TrustedDealer
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.offline.generation import GROUP_FIELDS, PARTY_FIELDS
 from repro.runtime import JobRequest, PartyServer, ServerConfig
 from repro.runtime.server import derive_job_seed
 from repro.serve import ServableModel, ShardedServingPool
@@ -89,11 +88,8 @@ def _server(servable, party=0):
 
 def _assert_same_material(entry, ours, theirs):
     for kind, shape, _count in entry.plan.manifest.grouped_requests():
-        for name in GROUP_FIELDS[kind]:
-            assert np.array_equal(
-                ours.group_buffers(kind, shape)[0][name],
-                theirs.group_buffers(kind, shape)[0][name],
-            ), (kind, shape, name)
+        for name, stack in ours.group(kind, shape).items():
+            assert np.array_equal(stack, theirs.group(kind, shape)[name]), (kind, shape, name)
 
 
 class TestPoolBuffer:
@@ -121,9 +117,9 @@ class TestPoolBuffer:
         seed = derive_job_seed(3, "vgg", 1, counter)
         full = TrustedDealer(server.ring, seed=seed).preprocess(entry.plan)
         for kind, shape, _count in entry.plan.manifest.grouped_requests():
-            ours = pool.group_buffers(kind, shape)[0]
+            ours = pool.group(kind, shape)
             for name in PARTY_FIELDS[kind][party]:
-                assert np.array_equal(ours[name], full.group_buffers(kind, shape)[0][name])
+                assert np.array_equal(ours[name], full.group(kind, shape)[name])
             for name in PARTY_FIELDS[kind][1 - party]:
                 assert not ours[name].any()
 

@@ -18,7 +18,6 @@ import pytest
 import repro.crypto
 import repro.crypto.secure_model
 import repro.crypto.transport
-import repro.offline
 import repro.runtime
 import repro.runtime.party
 import repro.serve
@@ -253,6 +252,17 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.protocols", "secure_not"),
         ("repro.crypto.protocols.comparison", "secure_xor"),
         ("repro.crypto.protocols.comparison", "secure_not"),
+        ("repro.crypto", "ProtocolStatistics"),
+        ("repro.crypto", "collect_statistics"),
+        ("repro.crypto", "OTFlowCost"),
+        ("repro.runtime", "PartyExecution"),
+        ("repro.runtime", "TwoProcessResult"),
+        ("repro.crypto.wire", "CODEC_STATS"),
+        ("repro.crypto.dealer", "GROUP_FIELDS"),
+        ("repro.crypto.dealer", "items_from_group"),
+        ("repro.crypto.dealer", "TrustedDealer.random_shared_bit"),
+        ("repro.crypto.dealer", "TrustedDealer.random_shared_ring"),
+        ("repro.crypto.dealer", "RandomnessPool.group_buffers"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -265,8 +275,9 @@ def test_deleted_names_stay_deleted(module, name):
 
 def test_deleted_module_and_method_stay_deleted():
     assert importlib.util.find_spec("repro.serve.cache") is None
-    for gone in ("factory", "inventory", "provisioning"):
-        assert importlib.util.find_spec(f"repro.offline.{gone}") is None
+    # the stream layout lives in the dealer: one randomness module
+    assert importlib.util.find_spec("repro.offline") is None
+    assert importlib.util.find_spec("repro.crypto.stats") is None
     assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
     assert not hasattr(repro.crypto.transport.TcpTransport, "listen")
 
@@ -336,7 +347,7 @@ def test_the_benchmark_runs_the_compiled_plan_and_src_never_imports_its_shim(
 
 @pytest.mark.parametrize(
     "package",
-    [repro.crypto, repro.runtime, repro.serve, repro.offline],
+    [repro.crypto, repro.runtime, repro.serve],
     ids=lambda p: p.__name__,
 )
 def test_every_exported_name_resolves(package):
