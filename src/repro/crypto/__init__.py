@@ -55,11 +55,9 @@ from repro.crypto.sharing import (
     SharePair,
     add_public,
     add_shares,
-    neg_shares,
     reconstruct,
     reconstruct_ring,
     scale_shares,
-    scale_shares_integer,
     share,
     share_ring_elements,
     sub_shares,
@@ -111,8 +109,6 @@ __all__ = [
     "reconstruct_ring",
     "add_shares",
     "sub_shares",
-    "neg_shares",
     "add_public",
     "scale_shares",
-    "scale_shares_integer",
 ]

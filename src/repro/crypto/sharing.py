@@ -102,11 +102,6 @@ def sub_shares(a: SharePair, b: SharePair, live: Optional[int] = None) -> ShareP
     return _lanewise(a, b, live, a.ring.sub)
 
 
-def neg_shares(a: SharePair) -> SharePair:
-    ring = a.ring
-    return SharePair(ring.neg(a.share0), ring.neg(a.share1), ring)
-
-
 def add_public(a: SharePair, public: np.ndarray) -> SharePair:
     """[x] + c for a public constant c: only S0 adds (convention)."""
     ring = a.ring
@@ -125,14 +120,6 @@ def scale_shares(a: SharePair, scalar: float) -> SharePair:
     s0 = ring.truncate_local(ring.scalar_mul(a.share0, encoded_scalar), party=0)
     s1 = ring.truncate_local(ring.scalar_mul(a.share1, encoded_scalar), party=1)
     return SharePair(s0, s1, ring)
-
-
-def scale_shares_integer(a: SharePair, scalar: int) -> SharePair:
-    """k * [x] for a public *integer* k (exact, no truncation needed)."""
-    ring = a.ring
-    return SharePair(
-        ring.scalar_mul(a.share0, scalar), ring.scalar_mul(a.share1, scalar), ring
-    )
 
 
 def _check_same_ring(a: SharePair, b: SharePair) -> None:

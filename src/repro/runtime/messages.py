@@ -4,11 +4,13 @@ Everything that crosses the ``multiprocessing`` pipe between
 :class:`repro.runtime.shard.WorkerShard` and
 :func:`repro.runtime.server.run_party_server`: first one
 :class:`ServerConfig`, then a stream of :class:`JobRequest` messages
-answered in order (interleaved with :class:`Heartbeat` frames), finally a
-:class:`ShutdownRequest` answered with the party's final metrics
-snapshot.  Every reply carries that snapshot (a
+answered in order, finally a :class:`ShutdownRequest` answered with the
+party's final metrics snapshot.  Every reply carries that snapshot (a
 flat ``{name: value}`` dict of :class:`repro.obs.Metrics`), so the driver
-always holds the parties' latest counters.  :class:`ServerConfig` is the one
+always holds the parties' latest counters.  The pipe is strict
+request/reply with one sender on each side: a party's liveness never rides
+on it (it writes beats into a shared block instead, see
+:data:`repro.runtime.server.BEAT_PERIOD`).  :class:`ServerConfig` is the one
 declaration of per-party settings — the shard and the serving pool pass it
 through instead of mirroring its fields.
 """
@@ -40,11 +42,6 @@ class ServerConfig:
     #: connection opens.  ``None`` (or a missing party key) means a clean
     #: link.  Chaos tests and shaped-link benchmarks ride through here.
     fault_plans: Optional[Dict[int, FaultPlan]] = None
-    #: seconds between liveness frames the server emits over the driver's
-    #: control pipe (a background thread, so heartbeats keep flowing while a
-    #: job computes or waits on the wire).  ``0`` disables emission — the
-    #: driver then falls back to its hard pipe/timeout detection only.
-    heartbeat_interval: float = 1.0
 
 
 @dataclass
@@ -107,31 +104,6 @@ class JobReport:
     fused_kernel_calls: int = 0
     #: the party's metrics snapshot right after the job
     stats: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class Heartbeat:
-    """One liveness frame a party server emits over the control pipe.
-
-    Emitted by a background thread at ``ServerConfig.heartbeat_interval``,
-    *including* while a job is executing or blocked on the inter-party
-    wire — so the driver can distinguish "slow but alive" from "wedged".
-    The snapshot it carries is what a heartbeat-miss diagnostic needs:
-    when the party was last seen, which job it was inside, and how far
-    through the round schedule it had come.
-    """
-
-    party: int
-    pid: int
-    #: wall-clock ``time.time()`` at emission (the last-seen timestamp a
-    #: heartbeat-miss error reports)
-    timestamp: float
-    jobs_executed: int
-    #: job id currently executing on this party (``None`` between jobs)
-    job_id: Optional[int] = None
-    #: round frames this party has sent over the inter-party transport so
-    #: far — a monotone progress cursor through the job's round schedule
-    round_index: int = 0
 
 
 @dataclass

@@ -53,7 +53,6 @@ from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.transport import FaultyTransport, TcpListener, TcpTransport
 from repro.obs import Metrics
 from repro.runtime.messages import (
-    Heartbeat,
     JobFailed,
     JobReport,
     JobRequest,
@@ -67,6 +66,14 @@ from repro.runtime.party import execute_plan_as_party, verify_against_plan
 LOW_WATER = 1
 #: buffer depth the provisioner refills a key up to
 HIGH_WATER = 3
+#: seconds between the liveness beats a party writes into its beat block,
+#: well under the smallest heartbeat deadline in use (0.5 s)
+BEAT_PERIOD = 0.1
+#: the slots of a party's beat block (a lock-free ``RawArray("d", 4)`` its
+#: :class:`~repro.runtime.shard.WorkerShard` allocates): the last beat's monotonic and wall-clock time, the job
+#: it fell in (-1 between jobs) and the round frames sent so far.  A
+#: monotonic time of 0 means the party has not beaten yet.
+BEAT_MONO, BEAT_WALL, BEAT_JOB, BEAT_ROUNDS = range(4)
 
 
 def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -> int:
@@ -105,7 +112,7 @@ class PartyServer:
         self.metrics = Metrics()
         self._entries: Dict[Tuple[str, int], _PlanEntry] = {}
         #: job id currently executing (``None`` between jobs) — read by the
-        #: heartbeat thread without the lock (GIL-atomic attribute load)
+        #: beat thread without the lock (GIL-atomic attribute load)
         self.current_job_id: Optional[int] = None
         self._lock = threading.Lock()
         self._refill = threading.Condition(self._lock)
@@ -351,46 +358,27 @@ class PartyServer:
         return self.metrics.snapshot()
 
 
-class _PipeSender:
-    """Serializes control-pipe sends between the serving loop and the
-    heartbeat thread (``multiprocessing.Connection`` is not re-entrant)."""
+def _start_beat_thread(server: "PartyServer", beat) -> threading.Event:
+    """Write a liveness beat into ``beat`` every :data:`BEAT_PERIOD` until
+    the returned event is set.
 
-    def __init__(self, conn) -> None:
-        self._conn = conn
-        self._lock = threading.Lock()
-
-    def send(self, message) -> None:
-        with self._lock:
-            self._conn.send(message)
-
-
-def _start_heartbeat_thread(
-    sender: _PipeSender, server: "PartyServer", interval: float
-) -> threading.Event:
-    """Emit :class:`Heartbeat` frames over the pipe until the event is set.
-
-    Runs as a daemon thread beside the serving loop, so liveness frames
-    keep flowing while a job computes or blocks on the inter-party wire —
-    a wedged (but scheduled) process keeps heartbeating; a SIGSTOPped or
-    dead one goes silent, which is exactly the signal the supervisor needs.
+    Runs as a daemon thread beside the serving loop, so beats keep coming
+    while a job computes or blocks on the inter-party wire — a wedged (but
+    scheduled) process keeps beating; a SIGSTOPped or dead one goes silent,
+    which is exactly the signal the shard needs.  The beat time is stored
+    last, so a reader that sees a new beat also sees its job and round.
     """
     stop = threading.Event()
 
     def _beat() -> None:
-        while not stop.wait(interval):
-            try:
-                sender.send(
-                    Heartbeat(
-                        party=server.party,
-                        pid=os.getpid(),
-                        timestamp=time.time(),
-                        jobs_executed=server.metrics.get("jobs_executed"),
-                        job_id=server.current_job_id,
-                        round_index=server.transport.stats.round_frames_sent,
-                    )
-                )
-            except (BrokenPipeError, OSError, ValueError):
-                return  # driver went away; the serving loop will notice too
+        while True:
+            job_id = server.current_job_id
+            beat[BEAT_JOB] = -1 if job_id is None else job_id
+            beat[BEAT_ROUNDS] = server.transport.stats.round_frames_sent
+            beat[BEAT_WALL] = time.time()
+            beat[BEAT_MONO] = time.monotonic()
+            if stop.wait(BEAT_PERIOD):
+                return
 
     thread = threading.Thread(
         target=_beat, name=f"party{server.party}-heartbeat", daemon=True
@@ -401,6 +389,7 @@ def _start_heartbeat_thread(
 
 def run_party_server(
     conn,
+    beat,
     party: int,
     host: str,
     port: int,
@@ -411,9 +400,12 @@ def run_party_server(
     Protocol over the control pipe: first a :class:`ServerConfig`, then any
     stream of :class:`JobRequest` messages, each answered in order;
     finally a :class:`ShutdownRequest`, answered with the
-    party's final metrics snapshot.  The inter-party transport is opened once
-    and reused for every job — a warm server spawns no processes and opens
-    no connections on the serving path.
+    party's final metrics snapshot.  Nothing else crosses the pipe:
+    liveness goes into ``beat``, the party's shared beat block (slots
+    ``BEAT_*``), every :data:`BEAT_PERIOD` from the moment it is ready.
+    The inter-party transport is opened once and reused for every job — a
+    warm server spawns no processes and opens no connections on the
+    serving path.
 
     Party 0 binds ``port`` (0: an ephemeral one) and announces the bound
     number over the pipe (``("bound-port", port)``) right after receiving
@@ -423,13 +415,12 @@ def run_party_server(
     (link shaping and/or scripted faults) wraps the connection.
     """
     transport = None
-    sender = _PipeSender(conn)
-    heartbeat_stop: Optional[threading.Event] = None
+    beat_stop: Optional[threading.Event] = None
     try:
         config: ServerConfig = conn.recv()
         if party == 0:
             with TcpListener(host=host, port=port) as listener:
-                sender.send(("bound-port", listener.port))
+                conn.send(("bound-port", listener.port))
                 transport = listener.accept(timeout=timeout)
         else:
             transport = TcpTransport.connect(host, port, timeout=timeout, retries=100)
@@ -441,15 +432,12 @@ def run_party_server(
         server = PartyServer(party, transport, config)
         server.warm_up()
         server.start_provisioner()
-        sender.send("ready")
-        if config.heartbeat_interval > 0:
-            heartbeat_stop = _start_heartbeat_thread(
-                sender, server, config.heartbeat_interval
-            )
+        conn.send("ready")
+        beat_stop = _start_beat_thread(server, beat)
         while True:
             message = conn.recv()
             if isinstance(message, ShutdownRequest):
-                sender.send(server.shutdown())
+                conn.send(server.shutdown())
                 break
             if not isinstance(message, JobRequest):
                 raise TypeError(
@@ -457,22 +445,22 @@ def run_party_server(
                     f"{type(message).__name__}"
                 )
             try:
-                sender.send(server.execute_job(message))
+                conn.send(server.execute_job(message))
             except JobValidationError as exc:
                 # rejected pre-wire on both parties: answer and keep
                 # serving — only post-wire failures are process-fatal
-                sender.send(JobFailed(job_id=message.job_id, error=str(exc)))
+                conn.send(JobFailed(job_id=message.job_id, error=str(exc)))
     except (EOFError, KeyboardInterrupt):
         pass
     except Exception as exc:  # surface the failure to the driver, then re-raise
         try:
-            sender.send(exc)
+            conn.send(exc)
         except Exception:
             pass
         raise
     finally:
-        if heartbeat_stop is not None:
-            heartbeat_stop.set()
+        if beat_stop is not None:
+            beat_stop.set()
         if transport is not None:
             transport.close()
         conn.close()

@@ -20,9 +20,8 @@ import os
 import signal
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,14 +29,20 @@ from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.sharing import share
 from repro.obs import Metrics
 from repro.runtime.messages import (
-    Heartbeat,
     JobFailed,
     JobReport,
     JobRequest,
     ServerConfig,
     ShutdownRequest,
 )
-from repro.runtime.server import derive_job_seed, run_party_server
+from repro.runtime.server import (
+    BEAT_JOB,
+    BEAT_MONO,
+    BEAT_ROUNDS,
+    BEAT_WALL,
+    derive_job_seed,
+    run_party_server,
+)
 
 
 @dataclass(frozen=True)
@@ -72,8 +77,8 @@ class HeartbeatMiss(ShardFailure):
 
     Distinguishes a *wedged* worker (process alive but not making progress
     — stopped, deadlocked, or stuck on a dead peer link) from a merely
-    *slow* one: a slow party keeps heartbeating from its background thread,
-    so only true silence trips this.  Carries the last liveness evidence so
+    *slow* one: a slow party keeps beating from its background thread, so
+    only true silence trips this.  Carries the last liveness evidence so
     the stall is diagnosable: when the party was last seen, which job it
     was executing and how many protocol rounds it had sent.
     """
@@ -170,20 +175,15 @@ class WorkerShard:
         self._lock = threading.Lock()
         #: seconds of heartbeat silence after which a party counts as wedged
         #: (0 disables enforcement — only the hard ``timeout`` applies).
-        #: Enforced only once a party has heartbeat at least once, so a slow
+        #: Enforced only once a party has beaten at least once, so a slow
         #: boot (plan compilation, provisioning) never trips it.
         self.heartbeat_deadline = heartbeat_deadline
         self._poll_interval = (
             min(0.25, heartbeat_deadline / 4) if heartbeat_deadline > 0 else 0.5
         )
-        # _recv and the supervisor's poll_heartbeats both read the pipes;
-        # per-party locks serialize them, and messages a heartbeat sweep
-        # pulls out from under a running job are pushed back here (checked
-        # before the pipe, preserving order).
-        self._pipe_locks = [threading.Lock(), threading.Lock()]
-        self._pushback: List[Deque] = [deque(), deque()]
-        self.last_heartbeat: List[Optional[Heartbeat]] = [None, None]
-        self._last_beat_mono: List[Optional[float]] = [None, None]
+        # one beat block per party, written by its beat thread and read here
+        # without a lock: a stopped writer must not wedge its reader
+        self._beats = [mp.RawArray("d", 4) for _ in (0, 1)]
         # A replacement for a dead shard inherits its predecessor's counters
         # (and base seed), so the slot's job-seed stream continues exactly
         # where the fault interrupted it — later jobs still match the
@@ -202,7 +202,7 @@ class WorkerShard:
                 parent_conn, child_conn = mp.Pipe()
                 process = mp.Process(
                     target=run_party_server,
-                    args=(child_conn, party, host, port),
+                    args=(child_conn, self._beats[party], party, host, port),
                     kwargs={"timeout": timeout},
                     name=f"shard{index}-party{party}",
                     daemon=True,
@@ -237,114 +237,63 @@ class WorkerShard:
 
     # -- control-pipe plumbing ---------------------------------------------- #
     def _recv(self, party: int, timeout: float):
-        """Receive the next non-heartbeat message from one party.
+        """Receive one party's next reply.
 
-        Polls in short slices instead of one long block: heartbeat frames
-        interleaved with the reply are absorbed (refreshing the party's
-        last-seen time), and a party whose heartbeats go silent for longer
+        Polls in short slices instead of one long block, and between slices
+        reads the party's beat block: a party whose beats stop for longer
         than ``heartbeat_deadline`` raises :class:`HeartbeatMiss` carrying
         the last liveness evidence — surfacing a wedged worker in seconds
         instead of an opaque ``timeout``-long stall.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            with self._pipe_locks[party]:
-                if self._pushback[party]:
-                    message = self._pushback[party].popleft()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise ShardFailure(
-                            f"shard {self.index} party {party} did not answer "
-                            f"within {timeout:.0f}s"
-                        )
-                    try:
-                        if not self._pipes[party].poll(
-                            min(remaining, self._poll_interval)
-                        ):
-                            self._check_heartbeat_deadline(party)
-                            continue
-                        message = self._pipes[party].recv()
-                    except ShardFailure:
-                        raise
-                    except (EOFError, OSError) as exc:
-                        raise ShardFailure(
-                            f"shard {self.index} party {party} pipe broke: {exc}"
-                        ) from exc
-            if isinstance(message, Heartbeat):
-                self._note_heartbeat(party, message)
-                continue
-            if isinstance(message, BaseException):
-                raise ShardFailure(
-                    f"shard {self.index} party {party} failed: {message}"
-                ) from message
-            return message
-
-    def _note_heartbeat(self, party: int, beat: Heartbeat) -> None:
-        with self._lock:
-            self.last_heartbeat[party] = beat
-            self._last_beat_mono[party] = time.monotonic()
+        conn = self._pipes[party]
+        try:
+            while not conn.poll(min(max(deadline - time.monotonic(), 0.0), self._poll_interval)):
+                if time.monotonic() >= deadline:
+                    raise ShardFailure(
+                        f"shard {self.index} party {party} did not answer "
+                        f"within {timeout:.0f}s"
+                    )
+                self._check_heartbeat_deadline(party)
+            message = conn.recv()
+        except (EOFError, OSError) as exc:
+            raise ShardFailure(
+                f"shard {self.index} party {party} pipe broke: {exc}"
+            ) from exc
+        if isinstance(message, BaseException):
+            raise ShardFailure(
+                f"shard {self.index} party {party} failed: {message}"
+            ) from message
+        return message
 
     def _check_heartbeat_deadline(self, party: int) -> None:
         if self.heartbeat_deadline <= 0:
             return
-        with self._lock:
-            last_mono = self._last_beat_mono[party]
-            beat = self.last_heartbeat[party]
-        if last_mono is None:
-            return  # never heartbeat yet (booting, or emission disabled)
-        silence = time.monotonic() - last_mono
+        beat = self._beats[party][:]  # read the block once
+        if not beat[BEAT_MONO]:
+            return  # never beaten yet (still booting)
+        silence = time.monotonic() - beat[BEAT_MONO]
         if silence <= self.heartbeat_deadline:
             return
+        wall, rounds = beat[BEAT_WALL], int(beat[BEAT_ROUNDS])
+        job_id = int(beat[BEAT_JOB]) if beat[BEAT_JOB] >= 0 else None
         raise HeartbeatMiss(
             f"shard {self.index} party {party} missed its heartbeat deadline "
             f"({silence:.1f}s > {self.heartbeat_deadline:.1f}s silent; last "
-            f"seen at {beat.timestamp:.3f} in job "
-            f"{beat.job_id if beat.job_id is not None else '<idle>'} after "
-            f"{beat.round_index} round frames)",
+            f"seen at {wall:.3f} in job "
+            f"{job_id if job_id is not None else '<idle>'} after "
+            f"{rounds} round frames)",
             party=party,
-            last_seen=beat.timestamp,
-            job_id=beat.job_id,
-            round_index=beat.round_index,
+            last_seen=wall,
+            job_id=job_id,
+            round_index=rounds,
         )
 
-    def poll_heartbeats(self) -> Dict[int, Optional[float]]:
-        """Drain pending heartbeat frames without blocking a running job.
-
-        Called periodically by the supervisor so idle shards' liveness stays
-        fresh (and their pipes never fill with unread frames).  Per-party
-        locks are taken non-blockingly: a job already on the pipe absorbs
-        heartbeats itself.  Non-heartbeat messages encountered are pushed
-        back for :meth:`run_job`, in order.  Returns the current
-        heartbeat ages (see :meth:`heartbeat_ages`).
-        """
-        if self.alive:
-            for party in (0, 1):
-                lock = self._pipe_locks[party]
-                if not lock.acquire(blocking=False):
-                    continue
-                try:
-                    conn = self._pipes[party]
-                    while conn.poll(0):
-                        message = conn.recv()
-                        if isinstance(message, Heartbeat):
-                            self._note_heartbeat(party, message)
-                        else:
-                            self._pushback[party].append(message)
-                except (EOFError, OSError):
-                    pass  # process death is the supervisor's other signal
-                finally:
-                    lock.release()
-        return self.heartbeat_ages()
-
     def heartbeat_ages(self) -> Dict[int, Optional[float]]:
-        """Seconds since each party's last heartbeat (None = never seen)."""
+        """Seconds since each party's last beat (None = never seen)."""
         now = time.monotonic()
-        with self._lock:
-            return {
-                party: (now - mono if mono is not None else None)
-                for party, mono in enumerate(self._last_beat_mono)
-            }
+        monos = [beat[BEAT_MONO] for beat in self._beats]
+        return {party: now - mono if mono else None for party, mono in enumerate(monos)}
 
     def _send(self, party: int, message) -> None:
         try:

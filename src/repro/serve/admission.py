@@ -11,9 +11,10 @@ front of it and enforces a *bounded* amount of queued work per
   **releases** when its future resolves (success or failure — the budget
   tracks in-flight work, not outcomes);
 - a query that would push the key past its budget is **shed** with an
-  explicit :class:`BackpressureError` carrying a ``retry_after_ms`` hint
-  computed from the current depth and the key's EWMA service time — the
-  client is told *when* capacity is expected, never silently dropped;
+  explicit verdict carrying a ``retry_after_ms`` hint computed from the
+  current depth and the key's EWMA service time (the daemon's client
+  raises it as a :class:`BackpressureError`) — the client is told *when*
+  capacity is expected, never silently dropped;
 - per-key depth and EWMA service time feed the backpressure hints and the
   supervisor's autoscaling decisions; admitted/shed counters and the
   queue-depth windows are names in the controller's
@@ -71,19 +72,6 @@ class AdmissionDecision:
     queue_budget: int
     #: backoff hint handed to shed clients (0 when admitted)
     retry_after_ms: float = 0.0
-
-    def raise_if_shed(self) -> None:
-        if not self.admitted:
-            raise BackpressureError(
-                f"queue for ({self.model!r}, batch {self.batch_size}) is at "
-                f"{self.queue_depth}/{self.queue_budget} queries; retry in "
-                f"{self.retry_after_ms:.0f} ms",
-                model=self.model,
-                batch_size=self.batch_size,
-                queue_depth=self.queue_depth,
-                queue_budget=self.queue_budget,
-                retry_after_ms=self.retry_after_ms,
-            )
 
 
 @dataclass
@@ -152,12 +140,6 @@ class AdmissionController:
                 queue_budget=self.queue_budget,
                 retry_after_ms=0.0 if admitted else self._retry_after_ms_locked(state),
             )
-
-    def admit_or_raise(self, model: str, batch_size: int = 1) -> AdmissionDecision:
-        """:meth:`try_admit`, raising :class:`BackpressureError` on shed."""
-        decision = self.try_admit(model, batch_size)
-        decision.raise_if_shed()
-        return decision
 
     def release(
         self,

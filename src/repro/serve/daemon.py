@@ -449,14 +449,14 @@ class ServingDaemon:
     ) -> None:
         request_id = request.get("id")
         model = str(request.get("model", ""))
-        queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 4:
+        try:
+            # checked before admission: a stack the pool would refuse must
+            # leave no admission key behind
+            queries = self.pool._checked(model, queries)
+        except (KeyError, ValueError) as exc:
+            self.metrics.inc("client_failures")
             await conn.send_json(
-                {
-                    "kind": "error",
-                    "id": request_id,
-                    "error": f"submit expects a (N, C, H, W) stack, got {queries.shape}",
-                }
+                {"kind": "error", "id": request_id, "error": f"{type(exc).__name__}: {exc}"}
             )
             return
         count = int(queries.shape[0])
@@ -632,7 +632,7 @@ class DaemonClient:
             return self._recv_json()["healthz"]
 
     def ping(self) -> bool:
-        """Heartbeat round trip: proof the daemon's event loop is live."""
+        """A heartbeat round trip: proof the daemon's event loop is live."""
         with self._lock:
             self._write_frame(_KIND_HEARTBEAT, b"")
             kind, _ = self._read_frame()

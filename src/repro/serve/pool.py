@@ -136,7 +136,6 @@ class ShardedServingPool:
         fault_plans: Optional[Dict[int, Dict[int, FaultPlan]]] = None,
         link_shape: Optional[FaultPlan] = None,
         max_shards: Optional[int] = None,
-        heartbeat_interval: float = 1.0,
         heartbeat_deadline: float = 0.0,
     ) -> None:
         if num_shards < 1:
@@ -179,7 +178,6 @@ class ShardedServingPool:
             ),
             provision_pools=provision_pools,
             ring=self.ring,
-            heartbeat_interval=heartbeat_interval,
         )
         self.max_job_retries = max_job_retries
         self.fault_plans = dict(fault_plans or {})
@@ -547,10 +545,10 @@ class ShardedServingPool:
         inputs = np.asarray(inputs, dtype=np.float64)
         spec = servable.spec
         expected = (spec.in_channels, spec.input_size, spec.input_size)
-        if inputs.ndim != 4 or tuple(inputs.shape[1:]) != expected:
+        if inputs.ndim != 4 or tuple(inputs.shape[1:]) != expected or not len(inputs):
             raise ValueError(
                 f"model {model!r} expects a batch of shape (N, {expected[0]}, "
-                f"{expected[1]}, {expected[2]}), got {inputs.shape}"
+                f"{expected[1]}, {expected[2]}) with N >= 1, got {inputs.shape}"
             )
         return inputs
 

@@ -4,9 +4,10 @@ The pool already heals itself *reactively* — a shard that dies mid-job is
 evicted by its own worker thread and its job replays elsewhere.  The
 :class:`ShardSupervisor` adds the *proactive* half:
 
-- a background sweep drains every shard's heartbeat frames
-  (:meth:`~repro.runtime.shard.WorkerShard.poll_heartbeats`), so idle shards'
-  liveness stays fresh and their pipes never fill up;
+- a background sweep reads every shard's heartbeat ages
+  (:meth:`~repro.runtime.shard.WorkerShard.heartbeat_ages`) — each party
+  writes a beat into a shared block at a constant period, so the sweep
+  touches no pipe and an idle shard's liveness is always current;
 - a shard whose party went silent past the heartbeat deadline, or whose
   party *process* died while idle, is evicted and respawned **before** the
   next job finds out the hard way — the respawn continues the dead shard's
@@ -150,8 +151,7 @@ class ShardSupervisor:
         for shard in self.pool.shards_view():
             if not shard.alive:
                 continue
-            ages = shard.poll_heartbeats()
-            reason = self._eviction_reason(shard, ages)
+            reason = self._eviction_reason(shard, shard.heartbeat_ages())
             if reason is None:
                 continue
             with self._lock:
@@ -170,8 +170,8 @@ class ShardSupervisor:
         deadline = self.pool.heartbeat_deadline
         if deadline > 0:
             for party, age in ages.items():
-                # enforce only after a first heartbeat: a slow boot or a
-                # disabled emitter never trips the sweep
+                # enforce only after a first beat: a slow boot never trips
+                # the sweep
                 if age is not None and age > deadline:
                     return "heartbeat"
         for process in shard.processes:

@@ -147,7 +147,6 @@ class TestKillMidRamp:
             job_timeout=120,
             max_job_retries=3,
             queue_budget=64,  # generous: this test is about recovery, not shed
-            heartbeat_interval=0.1,
             heartbeat_deadline=2.0,
             supervise_interval=0.1,
             respawn_cooldown=1.0,

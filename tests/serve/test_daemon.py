@@ -27,6 +27,7 @@ from repro.crypto import make_context
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
+from repro.runtime.server import BEAT_PERIOD
 from repro.serve import (
     AutoscalePolicy,
     BackpressureError,
@@ -196,6 +197,38 @@ class TestServingDaemon:
         assert result.logits.shape == (1, 10)
 
 
+@pytest.fixture(scope="module")
+def shared_daemon(servable):
+    with ServingDaemon({"vgg": servable}, num_shards=1, max_batch=2, seed=34) as daemon:
+        yield daemon
+
+
+class TestInvalidSubmission:
+    @pytest.mark.parametrize(
+        "model, stack",
+        [
+            ("vgg", np.zeros((0, 3, 8, 8))),
+            ("not-deployed", np.zeros((1, 3, 8, 8))),
+            ("vgg", np.zeros((1, 3, 4, 4))),
+            ("vgg", np.zeros((1, 1, 3, 8, 8))),
+        ],
+        ids=["empty_batch", "unknown_model", "wrong_shape", "wrong_rank"],
+    )
+    def test_is_refused_before_admission(self, shared_daemon, model, stack):
+        """The pool's own check runs before the admission controller: an
+        error reply (not a client timeout), the connection keeps serving,
+        and no admission key, counter or window is left behind."""
+        with DaemonClient(*shared_daemon.address, timeout=5.0) as client:
+            start = time.monotonic()
+            with pytest.raises(RuntimeError, match="expects a batch of shape|unknown model"):
+                client.infer(model, stack)
+            assert time.monotonic() - start < 5.0
+            assert client.ping()
+            admission = client.stats()["admission"]
+        assert admission["per_key"] == {}
+        assert admission["jobs_admitted"] == admission["jobs_shed"] == 0
+
+
 class TestHostileLengthPrefix:
     def test_client_rejects_an_oversized_prefix_before_allocating(self):
         """A daemon (or whatever answers on its port) announcing a 4 GiB
@@ -325,18 +358,17 @@ class TestHeartbeatSupervision:
             max_batch=1,
             seed=27,
             max_job_retries=0,
-            heartbeat_interval=0.1,
             heartbeat_deadline=1.0,
             job_timeout=60.0,
         ) as pool:
             warm = pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
             assert warm.logits.shape == (1, 10)
-            # Let a few beats flow and sweep them in, as the production
-            # supervisor does: the deadline only arms once a first heartbeat
-            # has been seen (otherwise a slow boot would trip it spuriously).
+            # The deadline only arms once a first beat has been seen
+            # (otherwise a slow boot would trip it spuriously): wait for one
+            # from each party, as the production supervisor reads them.
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                ages = pool._shards[0].poll_heartbeats()
+                ages = pool._shards[0].heartbeat_ages()
                 if all(age is not None for age in ages.values()):
                     break
                 time.sleep(0.05)
@@ -359,6 +391,21 @@ class TestHeartbeatSupervision:
             assert "heartbeat deadline" in str(miss)
             assert elapsed < 30.0  # deadline, not job_timeout, bounded this
 
+    def test_an_idle_pool_queues_nothing_on_its_control_pipes(self, servable):
+        """Liveness does not ride on the control pipe: with no supervisor
+        draining anything, a pool that served one job and then idled for
+        several beat periods has nothing to read on either pipe, and both
+        parties' beats are fresh."""
+        with ShardedServingPool(
+            {"vgg": servable}, num_shards=1, max_batch=1, seed=33, heartbeat_deadline=1.0
+        ) as pool:
+            pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
+            time.sleep(4 * BEAT_PERIOD)
+            shard = pool._shards[0]
+            assert [conn.poll(0) for conn in shard._pipes] == [False, False]
+            ages = shard.heartbeat_ages()
+            assert all(age is not None and age < 10 * BEAT_PERIOD for age in ages.values()), ages
+
     def test_supervisor_respawns_a_sigkilled_shard(self, servable):
         """The proactive sweep: a party killed while the pool idles is
         evicted and respawned before any job hits the corpse."""
@@ -368,7 +415,6 @@ class TestHeartbeatSupervision:
             max_batch=1,
             seed=28,
             max_job_retries=2,
-            heartbeat_interval=0.1,
             heartbeat_deadline=1.0,
         ) as pool:
             supervisor = ShardSupervisor(pool, interval=0.1)
@@ -398,7 +444,6 @@ class TestHeartbeatSupervision:
             num_shards=1,
             max_batch=1,
             seed=29,
-            heartbeat_interval=0.1,
             heartbeat_deadline=0.5,
         ) as pool:
             supervisor = ShardSupervisor(pool, respawn_cooldown=60.0)
