@@ -3,14 +3,16 @@
 The serving story of the paper made executable end to end: one
 :class:`~repro.serve.daemon.ServingDaemon` event loop multiplexes framed
 TCP clients over a heartbeat-supervised pool of two-process worker pairs,
-with per-(model, batch) admission control in front.  The script
+admitting a query stack only while its model's queued plus running queries
+fit the queue budget.  The script
 
 1. boots the daemon on an ephemeral port and prints the curl-able
    ``/healthz`` and ``/stats`` endpoints,
 2. submits a few query batches through the framed client and verifies one
    of them **bit-identically** against the in-process engine at its job
    seed,
-3. pushes past the admission budget to show an explicit backpressure
+3. fills a second daemon's budget with queries waiting in its pool's
+   queue, then submits one more stack to show an explicit backpressure
    verdict (shed with ``retry_after_ms``, never a silent drop).
 
 Run with:  PYTHONPATH=src python examples/serve_daemon.py
@@ -44,7 +46,7 @@ def main() -> None:
                         help="query batches submitted through the client")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--queue-budget", type=int, default=64,
-                        help="admission queue budget per (model, batch)")
+                        help="queued plus running queries allowed per model")
     parser.add_argument("--json", dest="json_path", default=None,
                         help="write the measurements to this JSON file")
     args = parser.parse_args()
@@ -114,20 +116,22 @@ def main() -> None:
               f"{'OK' if bit_identical else 'DIVERGED'}")
 
         # -- one deliberate shed: the explicit backpressure verdict ------------ #
+        # a stack waiting out max_wait in the pool's queue fills the budget
         shed_verdict = None
+        stack = np.zeros(
+            (args.batch, spec.in_channels, spec.input_size, spec.input_size)
+        )
         with ServingDaemon(
             {args.model: servable},
             num_shards=1,
-            max_batch=args.batch,
+            max_batch=2 * args.batch,
+            max_wait=0.5,
             seed=args.seed + 1,
             queue_budget=args.batch,
         ) as tiny, DaemonClient(*tiny.address) as client:
-            tiny.admission.try_admit(args.model, args.batch)  # fill the budget
+            queued = tiny.pool.submit_many(args.model, stack)
             try:
-                client.infer(args.model, np.zeros(
-                    (args.batch, spec.in_channels,
-                     spec.input_size, spec.input_size)
-                ))
+                client.infer(args.model, stack)
             except BackpressureError as verdict:
                 shed_verdict = {
                     "queue_depth": verdict.queue_depth,
@@ -137,13 +141,15 @@ def main() -> None:
                 print(f"backpressure verdict at a full budget: depth "
                       f"{verdict.queue_depth}/{verdict.queue_budget}, retry "
                       f"after {verdict.retry_after_ms:.0f} ms")
+            for future in queued:  # the queued stack itself is served
+                future.result(timeout=120)
 
         stats = daemon.stats_payload()
 
     if not bit_identical:
         raise SystemExit("daemon logits diverged from the in-process engine")
     if shed_verdict is None:
-        raise SystemExit("a 1-deep budget did not shed — admission is broken")
+        raise SystemExit("a full budget did not shed — admission is broken")
 
     if args.json_path:
         payload = {

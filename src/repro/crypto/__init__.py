@@ -34,20 +34,16 @@ from repro.crypto.events import (
     run_phases,
     transfer_event,
 )
-from repro.crypto.ot import OTFlow, one_of_four_ot
+from repro.crypto.ot import OTFlow
 from repro.crypto.plan import (
     InferencePlan,
-    PlanOp,
     PreprocessingManifest,
     compile_plan,
 )
 from repro.crypto.kernels import (
     KERNELS,
     KernelContext,
-    WorkspaceArena,
     arena_for,
-    clear_arenas,
-    register_kernel,
 )
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
@@ -56,7 +52,6 @@ from repro.crypto.sharing import (
     add_public,
     add_shares,
     reconstruct,
-    reconstruct_ring,
     scale_shares,
     share,
     share_ring_elements,
@@ -82,15 +77,11 @@ __all__ = [
     "RandomnessPool",
     "PreprocessingExhausted",
     "InferencePlan",
-    "PlanOp",
     "PreprocessingManifest",
     "compile_plan",
     "KERNELS",
     "KernelContext",
-    "WorkspaceArena",
     "arena_for",
-    "clear_arenas",
-    "register_kernel",
     "run_scheduled_plan",
     "CommEvent",
     "open_ring_event",
@@ -98,7 +89,6 @@ __all__ = [
     "transfer_event",
     "run_phases",
     "OTFlow",
-    "one_of_four_ot",
     "FixedPointRing",
     "DEFAULT_RING",
     "PAPER_RING",
@@ -106,7 +96,6 @@ __all__ = [
     "share",
     "share_ring_elements",
     "reconstruct",
-    "reconstruct_ring",
     "add_shares",
     "sub_shares",
     "add_public",

@@ -14,53 +14,38 @@ and the runtime:
   execution, resolving one future per query.  The party servers hold the
   compiled plans and keep randomness buffers filled in the background, and
   a dead worker pair is evicted while the rest keep serving;
-- :class:`~repro.serve.admission.AdmissionController` — bounded per-(model,
-  batch) queues with explicit backpressure (shed-with-retry-after, never
-  unbounded buffering) and the EWMA load signals autoscaling steers by;
 - :class:`~repro.serve.supervisor.ShardSupervisor` — heartbeat sweeps,
   proactive evict-and-respawn with per-slot cooldowns, and
   :class:`~repro.serve.supervisor.AutoscalePolicy`-driven scaling of the
-  shard fleet from observed queue depth;
+  shard fleet from the pool's queue depth;
 - :class:`~repro.serve.daemon.ServingDaemon` — the asyncio control plane:
   one event loop multiplexing many framed client connections over the
-  transport codec, plus curl-able ``/stats`` + ``/healthz`` JSON endpoints
-  on the same port; :class:`~repro.serve.daemon.DaemonClient` is the
-  blocking client.
+  transport codec, one bound per model on the pool's queue (a stack that
+  does not fit is shed with a :class:`~repro.serve.frontend.BackpressureError`
+  verdict and a retry hint, never buffered unboundedly), plus curl-able
+  ``/stats`` + ``/healthz`` JSON endpoints on the same port;
+  :class:`~repro.serve.daemon.DaemonClient` is the blocking client.
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    BackpressureError,
-)
-from repro.runtime.shard import (
-    HeartbeatMiss,
-    JobTicket,
-    PoolBatchResult,
-    ShardFailure,
-    WorkerShard,
-)
 from repro.serve.daemon import DaemonClient, DaemonResult, ServingDaemon
-from repro.serve.frontend import PoolShutdown, ServableModel, ServedResult
+from repro.serve.frontend import (
+    BackpressureError,
+    PoolShutdown,
+    ServableModel,
+    ServedResult,
+)
 from repro.serve.pool import ShardedServingPool
 from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
     "AutoscalePolicy",
     "BackpressureError",
     "DaemonClient",
     "DaemonResult",
-    "HeartbeatMiss",
-    "JobTicket",
-    "PoolBatchResult",
     "PoolShutdown",
     "ServableModel",
     "ServedResult",
     "ServingDaemon",
     "ShardedServingPool",
-    "ShardFailure",
     "ShardSupervisor",
-    "WorkerShard",
 ]

@@ -3,12 +3,12 @@
 :class:`ServingDaemon` is the control plane the ROADMAP's top open item
 asks for.  One asyncio event loop (on a background thread) multiplexes any
 number of client connections over a framed protocol that reuses the wire
-codec of :mod:`repro.crypto.transport`; every query passes the
-:class:`~repro.serve.admission.AdmissionController` (bounded queues,
-explicit backpressure with a retry-after hint) before reaching the
-heartbeat-supervised :class:`~repro.serve.pool.ShardedServingPool`, and a
+codec of :mod:`repro.crypto.transport`; a query stack enters the
+heartbeat-supervised :class:`~repro.serve.pool.ShardedServingPool` only if
+it fits its model's bound on the pool's own queue (otherwise it is shed
+with a retry-after hint), and a
 :class:`~repro.serve.supervisor.ShardSupervisor` evicts wedged shards and
-autoscales the fleet from observed queue depth.
+autoscales the fleet from the same queue depth.
 
 Wire protocol (one TCP connection, either direction)::
 
@@ -51,14 +51,17 @@ from repro.crypto.wire import (
     frame_length,
 )
 from repro.obs import Metrics
-from repro.serve.admission import AdmissionController, BackpressureError
-from repro.serve.frontend import ServableModel
+from repro.serve.frontend import BackpressureError, ServableModel
 from repro.serve.pool import ShardedServingPool
 from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
 
 _KIND_JSON = b"J"
 _KIND_ARRAY = b"A"
 _KIND_HEARTBEAT = b"H"
+
+#: the smallest ``retry_after_ms`` a shed client is handed, so a cold pool
+#: (no busy time measured yet) still spreads its retries out
+RETRY_FLOOR_MS = 25.0
 
 
 class _BadLengthPrefix(Exception):
@@ -109,8 +112,8 @@ class ServingDaemon:
             and ``pool_kwargs`` and owns that pool's lifecycle.
         host / port: TCP endpoint (``port=0`` binds an ephemeral port,
             published as :attr:`port` after :meth:`start`).
-        queue_budget / ewma_alpha / retry_floor_ms: admission-control knobs
-            (see :class:`~repro.serve.admission.AdmissionController`).
+        queue_budget: the most query rows of one model the pool may hold
+            queued or running; a stack that would exceed it is shed.
         autoscale: optional autoscaling policy; when set, the pool's
             ``max_shards`` is raised to the policy ceiling so scale-ups have
             headroom.
@@ -125,16 +128,17 @@ class ServingDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         queue_budget: int = 64,
-        ewma_alpha: float = 0.2,
-        retry_floor_ms: float = 25.0,
         autoscale: Optional[AutoscalePolicy] = None,
         heartbeat_deadline: float = 5.0,
         supervise_interval: float = 0.25,
         respawn_cooldown: float = 2.0,
         **pool_kwargs,
     ) -> None:
+        if queue_budget < 1:
+            raise ValueError(f"queue_budget must be >= 1, got {queue_budget}")
         self.host = host
         self.port = port
+        self.queue_budget = queue_budget
         self.autoscale = autoscale
         if autoscale is not None:
             floor = pool_kwargs.get("num_shards", 2)
@@ -142,14 +146,8 @@ class ServingDaemon:
         pool_kwargs.setdefault("heartbeat_deadline", heartbeat_deadline)
         self.pool = ShardedServingPool(models=models, **pool_kwargs)
         self.models = self.pool.models
-        self.admission = AdmissionController(
-            queue_budget=queue_budget,
-            ewma_alpha=ewma_alpha,
-            retry_floor_ms=retry_floor_ms,
-        )
         self.supervisor = ShardSupervisor(
             self.pool,
-            admission=self.admission,
             policy=autoscale,
             interval=supervise_interval,
             respawn_cooldown=respawn_cooldown,
@@ -160,6 +158,9 @@ class ServingDaemon:
             "connections_opened", "connections_active", "requests_served",
             "heartbeat_frames", "http_requests", "client_failures",
         )
+        #: admitted and shed query rows, and the ``queue_depth`` window of
+        #: the submitted model's depth after each verdict
+        self.admission = Metrics("jobs_admitted", "jobs_shed")
         self.started_at: Optional[float] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -250,7 +251,12 @@ class ServingDaemon:
             ),
             "endpoint": {"host": self.host, "port": self.port},
             "daemon": self.metrics.snapshot(),
-            "admission": self.admission.snapshot(),
+            "admission": {
+                **self.admission.snapshot(),
+                "queue_budget": self.queue_budget,
+                "queue_depth": self.pool.queue_depth(),
+                "queue_depth_p95": self.admission.percentile("queue_depth", 95),
+            },
             "supervisor": self.supervisor.stats_snapshot(),
             "pool": self.pool.stats_snapshot(),
         }
@@ -266,9 +272,9 @@ class ServingDaemon:
             "live_shards": live,
             "booting_shards": booting,
             "max_shards": self.pool.max_shards,
-            "queue_depth": self.admission.queue_depth(),
-            "queue_budget": self.admission.queue_budget,
-            "jobs_shed": self.admission.metrics.get("jobs_shed"),
+            "queue_depth": self.pool.queue_depth(),
+            "queue_budget": self.queue_budget,
+            "jobs_shed": self.admission.get("jobs_shed"),
             "heartbeats_missed": self.supervisor.metrics.get("heartbeats_missed"),
             "uptime_seconds": (
                 time.monotonic() - self.started_at if self.started_at else 0.0
@@ -450,18 +456,28 @@ class ServingDaemon:
         request_id = request.get("id")
         model = str(request.get("model", ""))
         try:
-            # checked before admission: a stack the pool would refuse must
-            # leave no admission key behind
+            # a stack the pool would refuse, or one that could never fit
+            # the budget, is an error: a retry hint would be a lie
             queries = self.pool._checked(model, queries)
+            count = len(queries)
+            if count > self.queue_budget:
+                raise ValueError(
+                    f"a stack of {count} queries exceeds the queue budget of "
+                    f"{self.queue_budget} per model"
+                )
         except (KeyError, ValueError) as exc:
             self.metrics.inc("client_failures")
             await conn.send_json(
                 {"kind": "error", "id": request_id, "error": f"{type(exc).__name__}: {exc}"}
             )
             return
-        count = int(queries.shape[0])
-        decision = self.admission.try_admit(model, count)
-        if not decision.admitted:
+        # no await from this read to submit_many: every submission runs on
+        # this thread and the pool's workers only ever shrink the depth
+        depth = self.pool.queue_depth(model)
+        admitted = depth + count <= self.queue_budget
+        self.admission.inc("jobs_admitted" if admitted else "jobs_shed", count)
+        self.admission.observe("queue_depth", depth + count if admitted else depth)
+        if not admitted:
             # the explicit shed verdict: never a silent drop, never an
             # unbounded queue — the client backs off and retries
             await conn.send_json(
@@ -469,14 +485,14 @@ class ServingDaemon:
                     "kind": "backpressure",
                     "id": request_id,
                     "error": (
-                        f"queue for ({model!r}, batch {count}) is at "
-                        f"{decision.queue_depth}/{decision.queue_budget}"
+                        f"queue for {model!r} holds {depth} queries; {count} "
+                        f"more exceed its budget of {self.queue_budget}"
                     ),
                     "model": model,
                     "batch_size": count,
-                    "queue_depth": decision.queue_depth,
-                    "queue_budget": decision.queue_budget,
-                    "retry_after_ms": decision.retry_after_ms,
+                    "queue_depth": depth,
+                    "queue_budget": self.queue_budget,
+                    "retry_after_ms": self._retry_after_ms(depth),
                 }
             )
             return
@@ -486,10 +502,7 @@ class ServingDaemon:
             results = await asyncio.gather(
                 *[asyncio.wrap_future(f) for f in futures]
             )
-        except (Exception, asyncio.CancelledError) as exc:
-            self.admission.release(model, count)
-            if isinstance(exc, asyncio.CancelledError):
-                raise
+        except Exception as exc:
             self.metrics.inc("client_failures")
             await conn.send_json(
                 {
@@ -500,7 +513,6 @@ class ServingDaemon:
             )
             return
         elapsed = time.perf_counter() - started
-        self.admission.release(model, count, service_seconds=elapsed)
         self.metrics.inc("requests_served")
         logits = np.stack([r.logits for r in results])
         await conn.send_frames(
@@ -522,6 +534,13 @@ class ServingDaemon:
             (_KIND_ARRAY, encode_array(logits, ring=self.pool.ring)),
         )
 
+    def _retry_after_ms(self, depth: int) -> float:
+        """When ``depth`` queued rows are expected to drain: the measured
+        busy time per query, spread over the live shards."""
+        live = max(1, self.pool.live_shards)
+        estimate = 1e3 * depth * self.pool.seconds_per_query() / live
+        return max(RETRY_FLOOR_MS, estimate)
+
 
 # --------------------------------------------------------------------------- #
 # Blocking client
@@ -531,7 +550,7 @@ class DaemonClient:
 
     One TCP connection, blocking request/response; safe for one thread at a
     time (benchmarks open one client per load thread).  Shed submissions
-    raise :class:`~repro.serve.admission.BackpressureError` with the
+    raise :class:`~repro.serve.frontend.BackpressureError` with the
     daemon's ``retry_after_ms`` hint attached.
     """
 

@@ -68,6 +68,32 @@ class PoolShutdown(RuntimeError):
         self.elapsed_seconds = elapsed_seconds
 
 
+class BackpressureError(RuntimeError):
+    """The model's queue is full; the query was shed, not dropped silently.
+
+    ``queue_depth`` is the model's queued plus running query rows when the
+    daemon refused the stack, and ``retry_after_ms`` its estimate of when
+    that work drains — a well-behaved client backs off at least that long
+    before resubmitting.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        model: str = "",
+        batch_size: int = 0,
+        queue_depth: int = 0,
+        queue_budget: int = 0,
+        retry_after_ms: float = 0.0,
+    ) -> None:
+        super().__init__(message)
+        self.model = model
+        self.batch_size = batch_size
+        self.queue_depth = queue_depth
+        self.queue_budget = queue_budget
+        self.retry_after_ms = retry_after_ms
+
+
 @dataclass(eq=False)
 class _Query:
     """One client query (CHW) waiting for a batch."""
@@ -76,6 +102,8 @@ class _Query:
     query: np.ndarray
     future: "Future[ServedResult]"
     submitted_at: float
+    #: query rows it adds to the queue's depth
+    rows = 1
 
     def waiters(self) -> List[Tuple[float, Future]]:
         return [(self.submitted_at, self.future)]
@@ -95,6 +123,10 @@ class _Job:
     #: fixed at the first attempt, so every replay runs the same session
     ticket: Optional[JobTicket] = None
     attempts: int = 0
+
+    @property
+    def rows(self) -> int:
+        return len(self.inputs)
 
     def waiters(self) -> List[Tuple[float, Future]]:
         """Every future this job resolves, with its submit time."""

@@ -26,10 +26,8 @@ Lifecycle of a shard:
    dead shard's seed stream), puts the in-flight job back at the head of
    the queue sealed with its :class:`~repro.runtime.shard.JobTicket` (same
    counter, same pinned session seed — the recovered logits are
-   bit-identical to the fault-free run) and exits.  With
-   ``max_job_retries=0`` the pool keeps the legacy evict-only semantics: the
-   in-flight batch fails cleanly and an evicted slot is only replaced by an
-   explicit :meth:`ShardedServingPool.restart_shard`.
+   bit-identical to the fault-free run) and exits (``max_job_retries=0``:
+   the job fails instead and the slot waits for :meth:`restart_shard`).
 """
 
 from __future__ import annotations
@@ -278,6 +276,18 @@ class ShardedServingPool:
         """Shard slots with a boot (respawn or scale-up) in progress."""
         with self._lock:
             return len(self._restarting)
+
+    def queue_depth(self, model: Optional[str] = None) -> int:
+        """Query rows of ``model`` (of all if ``None``) queued or running."""
+        with self._lock:
+            items = [*self._pending, *self._running.values()]
+        return sum(item.rows for item in items if model in (None, item.model))
+
+    def seconds_per_query(self) -> float:
+        """Shard busy time per served query, over every slot's lifetime."""
+        with self._lock:
+            totals = merge(metrics.snapshot() for metrics in self._slots.values())
+        return totals.get("busy_seconds", 0.0) / max(1, totals.get("queries_served", 0))
 
     def add_shard(self, wait: bool = True) -> Optional[int]:
         """Grow the pool by one freshly-booted shard pair (autoscale-up).

@@ -14,8 +14,8 @@ evicted by its own worker thread and its job replays elsewhere.  The
   seed stream exactly as the reactive path does;
 - per-slot respawn cooldowns keep a crash-looping shard (bad host, poisoned
   core file, OOM loop) from turning into a respawn storm;
-- an :class:`AutoscalePolicy` grows the pool when queued work per live
-  shard stays high and shrinks it when the pool idles, within
+- an :class:`AutoscalePolicy` grows the pool when the pool's queue depth
+  per live shard stays high and shrinks it when the pool idles, within
   ``[min_shards, max_shards]`` and rate-limited by a cooldown.
 
 The supervisor is optional and composable: the pool works without it, the
@@ -31,7 +31,6 @@ from typing import Dict, Optional
 
 from repro.obs import Metrics
 from repro.runtime.shard import WorkerShard
-from repro.serve.admission import AdmissionController
 from repro.serve.pool import ShardedServingPool
 
 
@@ -39,8 +38,10 @@ from repro.serve.pool import ShardedServingPool
 class AutoscalePolicy:
     """When to grow or shrink the shard fleet.
 
-    Decisions use *queued query-weight per live shard* (from the admission
-    controller) so the thresholds are fleet-size invariant:
+    Decisions use *queued plus running query rows per live shard* (the
+    pool's :meth:`~repro.serve.pool.ShardedServingPool.queue_depth`, the
+    same depth the daemon admits against) so the thresholds are fleet-size
+    invariant:
 
     - depth per live shard > ``scale_up_depth`` → add a shard (up to
       ``max_shards``);
@@ -53,9 +54,9 @@ class AutoscalePolicy:
 
     min_shards: int = 1
     max_shards: int = 4
-    #: queued query-weight per live shard above which the pool grows
+    #: queue depth per live shard above which the pool grows
     scale_up_depth: float = 8.0
-    #: queued query-weight per live shard below which the pool shrinks
+    #: queue depth per live shard below which the pool shrinks
     scale_down_depth: float = 1.0
     cooldown_seconds: float = 5.0
 
@@ -82,10 +83,8 @@ class ShardSupervisor:
             when a silent party counts as wedged; the supervisor also
             treats a dead party *process* (detected while the shard idles)
             as an eviction trigger immediately.
-        admission: the admission controller whose queue depth steers
-            autoscaling (``None`` disables autoscaling; supervision still
-            runs).
-        policy: the autoscaling policy (``None`` disables autoscaling).
+        policy: the autoscaling policy, steered by the pool's queue depth
+            (``None`` disables autoscaling; supervision still runs).
         interval: seconds between sweeps.
         respawn_cooldown: minimum seconds between evictions of the same
             shard slot — the respawn-storm brake.
@@ -94,13 +93,11 @@ class ShardSupervisor:
     def __init__(
         self,
         pool: ShardedServingPool,
-        admission: Optional[AdmissionController] = None,
         policy: Optional[AutoscalePolicy] = None,
         interval: float = 0.25,
         respawn_cooldown: float = 2.0,
     ) -> None:
         self.pool = pool
-        self.admission = admission
         self.policy = policy
         self.interval = interval
         self.respawn_cooldown = respawn_cooldown
@@ -182,7 +179,7 @@ class ShardSupervisor:
     # -- autoscaling ---------------------------------------------------------- #
     def _autoscale(self, now: float) -> None:
         policy = self.policy
-        if policy is None or self.admission is None:
+        if policy is None:
             return
         with self._lock:
             if now - self._last_scale_at < policy.cooldown_seconds:
@@ -191,7 +188,7 @@ class ShardSupervisor:
         booting = self.pool.booting_shards()
         if live == 0:
             return  # eviction/respawn in flight; scaling waits for a fleet
-        depth_per_shard = self.admission.queue_depth() / live
+        depth_per_shard = self.pool.queue_depth() / live
         if (
             depth_per_shard > policy.scale_up_depth
             and live + booting < policy.max_shards

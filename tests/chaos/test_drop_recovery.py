@@ -65,7 +65,7 @@ def test_exhausted_retry_budget_finally_fails(
     tiny_zoo, query_batch, drop_plan, record_fault_schedule
 ):
     """A fault schedule deeper than the budget fails the job — loudly."""
-    from repro.serve import ShardFailure
+    from repro.runtime.shard import ShardFailure
 
     name = "vgg-tiny"
     servable = tiny_zoo[name]

@@ -25,22 +25,24 @@ import pytest
 
 from repro.crypto import make_context
 from repro.crypto.secure_model import SecureInferenceEngine
+from repro.crypto.wire import decode_array, encode_array
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
 from repro.runtime.server import BEAT_PERIOD
+from repro.runtime.shard import HeartbeatMiss
 from repro.serve import (
     AutoscalePolicy,
     BackpressureError,
     DaemonClient,
-    HeartbeatMiss,
     PoolShutdown,
     ServableModel,
     ServingDaemon,
     ShardedServingPool,
     ShardSupervisor,
 )
-from repro.serve.admission import AdmissionController
 from repro.serve.daemon import http_get
+
+from tests.serve.test_serving import _hold_run_job, _wait_until
 
 #: the sorted dotted key paths of ``/stats`` after one served request on a
 #: 1-shard daemon, dynamic segments normalised — a change that moves one
@@ -49,7 +51,6 @@ STATS_KEYS = json.loads(Path(__file__).with_name("stats_keys.json").read_text())
 SERVING_DOC = Path(__file__).parents[2] / "docs" / "serving.md"
 #: container path -> placeholder for the segments that name runtime things
 DYNAMIC_SEGMENTS = {
-    "admission.per_key": "<model>/b<N>",
     "pool.frontend.batch_size_histogram": "<bucket>",
     "pool.heartbeat_ages": "<shard>",
     "pool.heartbeat_ages.<shard>": "<party>",
@@ -142,25 +143,34 @@ class TestServingDaemon:
                 assert client.stats()["admission"]["queue_budget"] == 64
 
     def test_shed_queries_get_explicit_backpressure(self, servable):
-        """A query past the budget is shed with a retry hint, not dropped."""
+        """A query that does not fit its model's budget on the pool's queue
+        is shed with a retry hint, not dropped; once the queue drains the
+        same query serves."""
         with ServingDaemon(
             {"vgg": servable},
             num_shards=1,
             max_batch=2,
             seed=24,
             queue_budget=1,
-        ) as daemon:
-            with DaemonClient(*daemon.address) as client:
+        ) as daemon, DaemonClient(*daemon.address) as client:
+            # one query held on the only shard fills the budget
+            entered, release = _hold_run_job(daemon.pool)
+            queued = daemon.pool.submit_many("vgg", np.zeros((1, 3, 8, 8)))
+            try:
+                assert entered.wait(timeout=30.0)
                 with pytest.raises(BackpressureError) as excinfo:
-                    client.infer("vgg", np.zeros((2, 3, 8, 8)))  # weight 2 > 1
-                assert excinfo.value.retry_after_ms > 0
-                assert excinfo.value.queue_budget == 1
-                # a within-budget query still serves
-                result = client.infer("vgg", np.zeros((1, 3, 8, 8)))
-                stats = client.stats()
+                    client.infer("vgg", np.zeros((1, 3, 8, 8)))
+            finally:
+                release.set()
+            assert excinfo.value.retry_after_ms > 0
+            assert (excinfo.value.queue_depth, excinfo.value.queue_budget) == (1, 1)
+            assert queued[0].result(timeout=60).logits.shape == (10,)
+            result = client.infer("vgg", np.zeros((1, 3, 8, 8)))
+            stats = client.stats()
         assert result.logits.shape == (1, 10)
-        assert stats["admission"]["jobs_shed"] == 2
+        assert stats["admission"]["jobs_shed"] == 1
         assert stats["admission"]["jobs_admitted"] == 1
+        assert stats["daemon"]["client_failures"] == 0
 
     def test_unknown_model_is_an_error_reply_not_a_hang(self, servable):
         with ServingDaemon(
@@ -211,22 +221,29 @@ class TestInvalidSubmission:
             ("not-deployed", np.zeros((1, 3, 8, 8))),
             ("vgg", np.zeros((1, 3, 4, 4))),
             ("vgg", np.zeros((1, 1, 3, 8, 8))),
+            ("vgg", np.zeros((65, 3, 8, 8))),
         ],
-        ids=["empty_batch", "unknown_model", "wrong_shape", "wrong_rank"],
+        ids=["empty_batch", "unknown_model", "wrong_shape", "wrong_rank", "oversized_stack"],
     )
     def test_is_refused_before_admission(self, shared_daemon, model, stack):
-        """The pool's own check runs before the admission controller: an
-        error reply (not a client timeout), the connection keeps serving,
-        and no admission key, counter or window is left behind."""
+        """A stack the pool would refuse, or one larger than the default
+        budget of 64 (which no retry could ever admit), gets an error reply
+        (not a client timeout or a backpressure verdict), the connection
+        keeps serving, and nothing is admitted or shed."""
+        failures = shared_daemon.metrics.get("client_failures")
         with DaemonClient(*shared_daemon.address, timeout=5.0) as client:
             start = time.monotonic()
-            with pytest.raises(RuntimeError, match="expects a batch of shape|unknown model"):
+            with pytest.raises(
+                RuntimeError,
+                match="expects a batch of shape|unknown model|exceeds the queue budget of 64",
+            ):
                 client.infer(model, stack)
             assert time.monotonic() - start < 5.0
             assert client.ping()
             admission = client.stats()["admission"]
-        assert admission["per_key"] == {}
         assert admission["jobs_admitted"] == admission["jobs_shed"] == 0
+        assert admission["queue_depth"] == 0
+        assert shared_daemon.metrics.get("client_failures") == failures + 1
 
 
 class TestHostileLengthPrefix:
@@ -481,12 +498,13 @@ class TestAutoscaling:
             assert result.logits.shape == (1, 10)
 
     def test_supervisor_autoscales_from_queue_depth(self, servable):
-        admission = AdmissionController(queue_budget=1_000)
+        """The sweep steers by the pool's own queue: ten queries behind a
+        held shard grow the fleet, and it shrinks once they have drained."""
         policy = AutoscalePolicy(
             min_shards=1,
             max_shards=2,
             scale_up_depth=4.0,
-            scale_down_depth=1.0,
+            scale_down_depth=0.5,  # the held query alone (1 per 2 shards) keeps 2
             cooldown_seconds=0.1,
         )
         with ShardedServingPool(
@@ -494,28 +512,71 @@ class TestAutoscaling:
             num_shards=1,
             max_shards=2,
             max_batch=1,
+            max_wait=0.0,
             seed=31,
         ) as pool:
-            supervisor = ShardSupervisor(
-                pool, admission=admission, policy=policy, interval=0.05
-            )
+            entered, release = _hold_run_job(pool)
+            supervisor = ShardSupervisor(pool, policy=policy, interval=0.05)
             with supervisor:
-                for _ in range(10):  # depth 10 > 4 per live shard
-                    admission.try_admit("vgg", 1)
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline:
-                    if pool.live_shards >= 2:
-                        break
-                    time.sleep(0.05)
-                assert pool.live_shards == 2
-                assert supervisor.stats_snapshot()["shards_autoscaled_up"] == 1
-                for _ in range(10):  # drain: depth 0 < 1 per live shard
-                    admission.release("vgg", 1)
-                time.sleep(0.2)  # let the scale-up cooldown lapse
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline:
-                    if pool.live_shards == 1:
-                        break
-                    time.sleep(0.05)
-                assert pool.live_shards == 1
+                try:
+                    futures = pool.submit_many("vgg", np.zeros((10, 3, 8, 8)))
+                    assert entered.wait(timeout=30.0)
+                    assert pool.queue_depth() == 10  # > 4 per live shard
+                    _wait_until(lambda: pool.live_shards == 2, 60.0)
+                    _wait_until(lambda: pool.queue_depth() == 1, 60.0)
+                    assert pool.live_shards == 2
+                    assert supervisor.stats_snapshot()["shards_autoscaled_up"] == 1
+                finally:
+                    release.set()
+                assert all(f.result(timeout=60).logits.shape == (10,) for f in futures)
+                _wait_until(lambda: pool.live_shards == 1, 60.0)
+                assert pool.queue_depth() == 0
                 assert supervisor.stats_snapshot()["shards_autoscaled_down"] == 1
+
+
+def _framed(kind: bytes, body: bytes) -> bytes:
+    return struct.pack("<I", len(kind) + len(body)) + kind + body
+
+
+class TestListenerRobustness:
+    def test_a_submit_fed_bytewise_or_cut_anywhere_ends_cleanly(self, servable):
+        """One valid submit fed a byte at a time is answered with the
+        engine's logits.  The same bytes cut and closed at every offset of
+        both frame heads and the JSON body, and at every 64th offset of the
+        array body, each end the connection within 1 s, let no exception
+        reach the loop's handler and admit nothing; the daemon still serves."""
+        query = np.random.default_rng(9).normal(size=(1, 3, 8, 8))
+        control = _framed(b"J", json.dumps({"kind": "submit", "id": 1, "model": "vgg"}).encode())
+        data = control + _framed(b"A", encode_array(query))
+        array_body = len(control) + 5  # the A frame's length prefix and kind byte
+        cuts = list(range(array_body)) + list(range(array_body, len(data), 64))
+        escaped = []
+        with ServingDaemon(
+            {"vgg": servable}, num_shards=1, max_batch=2, seed=35
+        ) as daemon:
+            daemon._loop.call_soon_threadsafe(
+                daemon._loop.set_exception_handler,
+                lambda loop, context: escaped.append(context),
+            )
+            with DaemonClient(*daemon.address) as client:
+                for offset in range(len(data)):
+                    client._sock.sendall(data[offset:offset + 1])
+                reply = client._recv_json()
+                kind, body = client._read_frame()
+            assert (reply["kind"], reply["id"], kind) == ("result", 1, b"A")
+            reference = _replay_job(servable, query, reply["job_seeds"][0])
+            np.testing.assert_array_equal(decode_array(body)[0], reference)
+            _wait_until(lambda: daemon.metrics.get("connections_active") == 0)
+            for cut in cuts:
+                with socket.create_connection(daemon.address, timeout=5.0) as sock:
+                    start = time.monotonic()
+                    sock.sendall(data[:cut])
+                    sock.shutdown(socket.SHUT_WR)
+                    assert _read_to_eof(sock) == b"", cut
+                    assert time.monotonic() - start < 1.0, cut
+                assert daemon.metrics.get("connections_active") == 0, cut
+            _wait_until(lambda: daemon.pool.queue_depth() == 0)
+            assert daemon.admission.get("jobs_admitted") == 1
+            with DaemonClient(*daemon.address) as client:
+                assert client.infer("vgg", query).logits.shape == (1, 10)
+        assert escaped == []

@@ -19,7 +19,8 @@ from repro.crypto import make_context
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.serve import ServableModel, ShardedServingPool, ShardFailure
+from repro.runtime.shard import ShardFailure
+from repro.serve import ServableModel, ShardedServingPool
 
 
 @pytest.fixture(scope="module")

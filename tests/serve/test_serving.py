@@ -129,6 +129,14 @@ def _hold_run_job(pool):
     return entered, release
 
 
+def _wait_until(condition, timeout: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.01)
+
+
 class TestPoolLifecycle:
     def test_unknown_model_or_shape_is_rejected_at_submit(self, servable):
         with _pool({"m": servable}, max_batch=2) as pool:
@@ -261,6 +269,9 @@ class TestConcurrentQueue:
                 results = [future.result(timeout=120) for future in futures]
             finally:
                 sys.setswitchinterval(interval)
+            # the depth admission reads is the queue itself: nothing is left
+            # once every job has settled (a worker drops its job just after)
+            _wait_until(lambda: pool.queue_depth() == 0)
             snapshot = pool.stats_snapshot()
         frontend = snapshot["frontend"]
         assert len(results) == frontend["queries_completed"] == snapshot["queries_served"]
