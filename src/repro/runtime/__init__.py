@@ -19,24 +19,16 @@ from repro.runtime.messages import (
     ShutdownRequest,
 )
 from repro.runtime.party import execute_plan_as_party
-from repro.runtime.server import PartyServer, derive_job_seed, run_party_server
-from repro.runtime.shard import (
-    HeartbeatMiss,
-    JobTicket,
-    PoolBatchResult,
-    ShardFailure,
-    WorkerShard,
-)
+from repro.runtime.server import derive_job_seed, run_party_server
+from repro.runtime.shard import JobTicket, PoolBatchResult, ShardFailure, WorkerShard
 from repro.runtime.twoprocess import run_two_process_inference
 
 __all__ = [
-    "HeartbeatMiss",
     "JobFailed",
     "JobReport",
     "JobRequest",
     "JobTicket",
     "JobValidationError",
-    "PartyServer",
     "PoolBatchResult",
     "ServerConfig",
     "ShardFailure",

@@ -18,7 +18,7 @@ through instead of mirroring its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class ServerConfig:
     base_seed: int
     models: Dict[str, ModelSpec]
     weights: Dict[str, Dict[str, Dict[str, np.ndarray]]]
-    warm_batch_sizes: Tuple[int, ...] = ()
     provision_pools: int = 0
     ring: FixedPointRing = DEFAULT_RING
     #: per-party link shaping / scripted fault schedules: the party's

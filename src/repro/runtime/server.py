@@ -9,14 +9,19 @@ per shard rather than once per inference:
   executes a stream of :class:`JobRequest` messages (received over the
   driver's control pipe, see :mod:`repro.runtime.messages`) against the
   persistent connection, answering each with a :class:`JobReport`.
-- Correlated randomness is **pre-provisioned**: buffered at boot for the
-  warm keys, then kept topped up by one background provisioner thread —
-  the only producer — which refills a key's buffer of party-restricted
+- Correlated randomness is **pre-provisioned**: boot buffers batch 1 of
+  every model; any other ``(model, batch)`` key goes live on its first
+  job.  One background provisioner thread — the only producer — then
+  refills live keys' buffers of party-restricted
   :class:`~repro.crypto.dealer.RandomnessPool`\\ s from :data:`LOW_WATER`
-  to :data:`HIGH_WATER`, so the online path of a warm server performs zero
-  dealer generation calls.  A job whose pool is not buffered generates it
-  here, at the same seed.  :class:`_PlanEntry` is the single
-  per-``(model, batch)`` plan + pool store of the whole stack.
+  to :data:`HIGH_WATER`, most recently used key first, so the online path
+  of a warm server performs zero dealer generation calls.  The buffers
+  never hold more than :data:`POOL_BUDGET_BYTES`: a key that needs room
+  takes it from the pools of less recently used keys (their plans and
+  counters stay), and a key whose one pool exceeds the budget is served
+  cold.  A job whose pool is not buffered generates it here, at the same
+  seed.  :class:`_PlanEntry` is the single per-``(model, batch)`` plan +
+  pool store of the whole stack.
 - Job seeds are **deterministic**: :func:`derive_job_seed` maps
   ``(base_seed, model, batch, counter)`` to the session seed, so the
   dispatcher (which secret-shares the query), both party servers (which
@@ -35,6 +40,7 @@ every job.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import threading
@@ -66,6 +72,9 @@ from repro.runtime.party import execute_plan_as_party, verify_against_plan
 LOW_WATER = 1
 #: buffer depth the provisioner refills a key up to
 HIGH_WATER = 3
+#: the most randomness-pool bytes a party buffers over all its keys (a
+#: restricted pool pins ``plan.manifest.material_bytes // 2``)
+POOL_BUDGET_BYTES = 96 << 20
 #: seconds between the liveness beats a party writes into its beat block,
 #: well under the smallest heartbeat deadline in use (0.5 s)
 BEAT_PERIOD = 0.1
@@ -74,6 +83,30 @@ BEAT_PERIOD = 0.1
 #: it fell in (-1 between jobs) and the round frames sent so far.  A
 #: monotonic time of 0 means the party has not beaten yet.
 BEAT_MONO, BEAT_WALL, BEAT_JOB, BEAT_ROUNDS = range(4)
+#: glibc ``mallopt`` parameter numbers (``malloc.h``)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
+
+
+def _pin_malloc() -> None:
+    """Give this process's glibc heap one arena and fixed thresholds (a
+    no-op without glibc).
+
+    Left to its defaults, glibc gives each thread its own arena and keeps
+    its thresholds dynamic: it maps a large block fresh until it has freed
+    one that size and returns free heap top above twice that to the kernel.
+    A party then faults in a job's temporaries anew on every job — how
+    many depends on what its boot happened to allocate — and the pools its
+    provisioner thread draws never reuse the pages the online phase freed.
+    Pinned, blocks up to 32 MiB come from the one heap and up to 64 MiB of
+    free heap stays mapped for the next job or pool.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_ARENA_MAX, 1)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -> int:
@@ -89,6 +122,10 @@ def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -
 @dataclass
 class _PlanEntry:
     plan: InferencePlan
+    #: bytes one buffered (party-restricted) pool of this key pins
+    pool_bytes: int
+    #: the server's use clock at this key's last job (or its creation)
+    last_used: int
     #: FIFO of (counter, party-restricted pool); the one provisioner
     #: appends in counter order, so counters strictly increase
     pools: Deque[Tuple[int, RandomnessPool]] = field(default_factory=deque)
@@ -109,8 +146,10 @@ class PartyServer:
         self.config = config
         self.ring = config.ring
         self.channel = PartyChannel(transport, party, ring=config.ring)
-        self.metrics = Metrics()
+        self.metrics = Metrics("pool_bytes_resident", "pools_evicted")
         self._entries: Dict[Tuple[str, int], _PlanEntry] = {}
+        #: use clock: ticks once per job and per new key (LRU order)
+        self._uses = 0
         #: job id currently executing (``None`` between jobs) — read by the
         #: beat thread without the lock (GIL-atomic attribute load)
         self.current_job_id: Optional[int] = None
@@ -133,9 +172,12 @@ class PartyServer:
                 f"registered: {sorted(self.config.models)}"
             )
         plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
+        pool_bytes = plan.manifest.material_bytes // 2
         with self._lock:
-            entry = self._entries.setdefault(key, _PlanEntry(plan=plan))
-            if entry.plan is plan:
+            entry = self._entries.get(key)
+            if entry is None:
+                self._uses += 1
+                entry = self._entries[key] = _PlanEntry(plan, pool_bytes, self._uses)
                 self.metrics.inc("plans_compiled")
         return entry
 
@@ -144,17 +186,50 @@ class PartyServer:
         dealer = TrustedDealer(ring=self.ring, seed=seed)
         return dealer.preprocess(entry.plan).restrict_to_party(self.party)
 
+    def _resident_locked(self) -> int:
+        return sum(len(e.pools) * e.pool_bytes for e in self._entries.values())
+
+    def _room_locked(self, entry: _PlanEntry, evict: bool) -> bool:
+        """Whether one more pool of ``entry`` fits :data:`POOL_BUDGET_BYTES`.
+
+        Room may come from the pools of keys used less recently than
+        ``entry``: with ``evict`` they lose just enough of them, least
+        recently used key first and newest counter first — each such key
+        rewinds its counter, so a later refill regenerates the same seeds.
+        Nothing is evicted unless the room is found.
+        """
+        free = POOL_BUDGET_BYTES - self._resident_locked()
+        victims = sorted(
+            (e for e in self._entries.values() if e.last_used < entry.last_used),
+            key=lambda e: e.last_used,
+        )
+        if free + sum(len(e.pools) * e.pool_bytes for e in victims) < entry.pool_bytes:
+            return False
+        if not evict:
+            return True
+        for victim in victims:
+            while victim.pools and free < entry.pool_bytes:
+                victim.next_counter = victim.pools.pop()[0]
+                free += victim.pool_bytes
+                self.metrics.inc("pools_evicted")
+        self.metrics.set("pool_bytes_resident", self._resident_locked())
+        return True
+
     def provision(self, model: str, batch_size: int, count: int) -> None:
-        """Buffer ``count`` additional pools for a key."""
+        """Buffer up to ``count`` additional pools for a key, as many as
+        :data:`POOL_BUDGET_BYTES` leaves room for."""
         entry = self._entry(model, batch_size)
         for _ in range(max(count, 0)):
             with self._lock:
+                if self._closing or not self._room_locked(entry, evict=True):
+                    return
                 counter = entry.next_counter
                 entry.next_counter += 1
             seed = derive_job_seed(self.config.base_seed, model, batch_size, counter)
             pool = self._pool_at_seed(entry, seed)
             with self._lock:
                 entry.pools.append((counter, pool))
+                self.metrics.set("pool_bytes_resident", self._resident_locked())
             self.metrics.inc("pools_provisioned")
 
     def _acquire_pool(
@@ -167,7 +242,8 @@ class PartyServer:
         the front can hold the job's counter.  A replay pinned to another
         shard generation's seed cannot use pools buffered under this
         server's base seed: it generates at the pinned seed and leaves the
-        buffer untouched.
+        buffer untouched.  Either way the job makes its key the most
+        recently used.
         """
         derived = derive_job_seed(
             self.config.base_seed, request.model, request.batch_size, request.counter
@@ -175,11 +251,14 @@ class PartyServer:
         seed = derived if request.seed is None else int(request.seed)
         pool = None
         with self._lock:
+            self._uses += 1
+            entry.last_used = self._uses
             if seed == derived:
                 while entry.pools and entry.pools[0][0] < request.counter:
                     entry.pools.popleft()
                 if entry.pools and entry.pools[0][0] == request.counter:
                     pool = entry.pools.popleft()[1]
+                self.metrics.set("pool_bytes_resident", self._resident_locked())
             entry.next_counter = max(entry.next_counter, request.counter + 1)
         self.metrics.inc("pool_misses" if pool is None else "pool_hits")
         if pool is None:
@@ -197,29 +276,36 @@ class PartyServer:
         )
         self._provisioner.start()
 
+    def _refill_target_locked(self) -> Optional[Tuple[str, int]]:
+        """The most recently used key below :data:`LOW_WATER` that has room
+        for a pool (or can take it), or ``None``."""
+        for key, entry in sorted(self._entries.items(), key=lambda kv: -kv[1].last_used):
+            if len(entry.pools) < LOW_WATER and self._room_locked(entry, evict=False):
+                return key
+        return None
+
+    def refill(self) -> None:
+        """Top keys below :data:`LOW_WATER` up to :data:`HIGH_WATER`, most
+        recently used first, until none can take room for a pool."""
+        while True:
+            with self._lock:
+                key = None if self._closing else self._refill_target_locked()
+                if key is None:
+                    return
+                deficit = HIGH_WATER - len(self._entries[key].pools)
+            self.provision(*key, deficit)
+
     def _provision_loop(self) -> None:
         while True:
             with self._refill:
+                # target check and wait share the lock, so a job's notify
+                # cannot be lost — an idle server (or one whose keys cannot
+                # take room) sleeps here instead of busy-polling
+                while not self._closing and self._refill_target_locked() is None:
+                    self._refill.wait()
                 if self._closing:
                     return
-                keys = [
-                    key
-                    for key, entry in self._entries.items()
-                    if len(entry.pools) < LOW_WATER
-                ]
-                if not keys:
-                    # deficit check and wait share the lock, so a job's
-                    # notify cannot be lost — an idle server sleeps here
-                    # indefinitely instead of busy-polling
-                    self._refill.wait()
-                    continue
-            for model, batch_size in keys:
-                with self._lock:
-                    if self._closing:
-                        return
-                    entry = self._entries[(model, batch_size)]
-                    deficit = HIGH_WATER - len(entry.pools)
-                self.provision(model, batch_size, deficit)
+            self.refill()
 
     def notify_provisioner(self) -> None:
         with self._refill:
@@ -326,12 +412,10 @@ class PartyServer:
 
     # -- lifecycle ------------------------------------------------------------ #
     def warm_up(self) -> None:
-        """Compile plans and buffer pools for the configured warm keys."""
+        """Compile batch 1 of every model and buffer its pools; any other
+        key goes live on its first job."""
         for model in self.config.models:
-            for batch_size in self.config.warm_batch_sizes:
-                self._entry(model, batch_size)
-                if self.config.provision_pools > 0:
-                    self.provision(model, batch_size, self.config.provision_pools)
+            self.provision(model, 1, self.config.provision_pools)
 
     def shutdown(self) -> Dict[str, float]:
         """Graceful end of session: wire handshake, stop the provisioner.
@@ -397,7 +481,8 @@ def run_party_server(
 ) -> None:
     """Entry point for one persistent party process.
 
-    Protocol over the control pipe: first a :class:`ServerConfig`, then any
+    Protocol over the control pipe: first a :class:`ServerConfig`, answered
+    with ``("ready", metrics snapshot)`` once booted, then any
     stream of :class:`JobRequest` messages, each answered in order;
     finally a :class:`ShutdownRequest`, answered with the
     party's final metrics snapshot.  Nothing else crosses the pipe:
@@ -405,7 +490,7 @@ def run_party_server(
     ``BEAT_*``), every :data:`BEAT_PERIOD` from the moment it is ready.
     The inter-party transport is opened once and reused for every job — a
     warm server spawns no processes and opens no connections on the
-    serving path.
+    serving path — and the process pins its heap first (:func:`_pin_malloc`).
 
     Party 0 binds ``port`` (0: an ephemeral one) and announces the bound
     number over the pipe (``("bound-port", port)``) right after receiving
@@ -414,6 +499,7 @@ def run_party_server(
     :class:`~repro.crypto.transport.FaultPlan` for this party in the config
     (link shaping and/or scripted faults) wraps the connection.
     """
+    _pin_malloc()
     transport = None
     beat_stop: Optional[threading.Event] = None
     try:
@@ -432,7 +518,7 @@ def run_party_server(
         server = PartyServer(party, transport, config)
         server.warm_up()
         server.start_provisioner()
-        conn.send("ready")
+        conn.send(("ready", server.metrics.snapshot()))
         beat_stop = _start_beat_thread(server, beat)
         while True:
             message = conn.recv()

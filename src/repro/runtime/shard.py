@@ -136,7 +136,7 @@ class PoolBatchResult:
 SHARD_COUNTERS = (
     "jobs_executed", "queries_served", "failures", "busy_seconds",
     "pool_hits", "pool_misses", "payload_bytes", "unpacked_payload_bytes",
-    "cpu_time_ns", "fused_kernel_calls",
+    "cpu_time_ns", "fused_kernel_calls", "pool_bytes_resident", "pools_evicted",
 )
 
 
@@ -226,10 +226,11 @@ class WorkerShard:
                     port = int(announcement[1])
             for party in (0, 1):
                 ready = self._recv(party, timeout)
-                if ready != "ready":
+                if not isinstance(ready, tuple) or ready[0] != "ready":
                     raise ShardFailure(
                         f"shard {index} party {party} failed to boot: {ready!r}"
                     )
+                self._absorb(party, ready[1])
         except Exception:
             self.kill()
             raise
@@ -463,9 +464,15 @@ class WorkerShard:
             }
 
     def _absorb(self, party: int, stats: Dict[str, float]) -> None:
-        """Keep a party's latest metrics snapshot."""
+        """Keep a party's latest metrics snapshot and carry its randomness
+        residency into this shard's row: the pair's resident pool bytes and
+        the pools its parties evicted."""
         with self._lock:
+            before = self.party_stats.get(party, {})
             self.party_stats[party] = stats
+            resident = sum(s["pool_bytes_resident"] for s in self.party_stats.values())
+        self.metrics.set("pool_bytes_resident", resident)
+        self.metrics.inc("pools_evicted", stats["pools_evicted"] - before.get("pools_evicted", 0))
 
     # -- lifecycle ------------------------------------------------------------ #
     def shutdown(self, timeout: float = 30.0) -> None:

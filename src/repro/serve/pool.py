@@ -12,15 +12,16 @@ Lifecycle of a shard:
 
 1. **boot** — two party processes are spawned (the only process spawns the
    shard ever performs), the inter-party connection is established once,
-   plans for the warm batch sizes are compiled and randomness pools are
+   each model's batch-1 plan is compiled and its randomness pools are
    pre-provisioned; the slot's worker thread starts;
 2. **serve** — each batch the worker takes becomes one ``JobRequest`` to
    both parties; the shard secret-shares the batch with the job's
    deterministic seed, reconstructs the logits from the returned shares,
    and cross-checks both parties' accounting;
 3. **refill** — each party's background provisioner, the only producer of
-   randomness pools after boot, tops its buffer up whenever it falls below
-   the low-water mark;
+   randomness pools after boot, tops a key's buffer up whenever it falls
+   below the low-water mark, most recently used key first and within one
+   byte budget per party;
 4. **evict / respawn / replay** — a shard whose worker processes die is
    evicted; its worker registers a replacement boot (which *continues* the
    dead shard's seed stream), puts the in-flight job back at the head of
@@ -88,13 +89,13 @@ class ShardedServingPool:
         max_wait: seconds a free shard lets its oldest queued query wait
             for company before running it in a batch that is not full —
             the latency/throughput knob.
-        provision_pools: randomness pools to pre-buffer per warm key at
-            boot; each party's background provisioner then keeps every
+        provision_pools: randomness pools to pre-buffer per model for
+            batch 1 at boot; any other batch size goes live on its first
+            job.  Each party's background provisioner then keeps every live
             key's buffer between ``LOW_WATER`` and ``HIGH_WATER`` of
-            :mod:`repro.runtime.server`.  ``0`` leaves the provisioner off,
-            so every job generates its pool cold.
-        warm_batch_sizes: batch sizes to compile/provision ahead of traffic
-            (defaults to ``(1, max_batch)``).
+            :mod:`repro.runtime.server`, most recently used key first, and
+            its resident pools under ``POOL_BUDGET_BYTES``.  ``0`` leaves
+            the provisioner off, so every job generates its pool cold.
         link_latency: one-way seconds slept before every frame on the
             inter-party link (capacity planning for LAN/WAN-like
             deployments) — shorthand for
@@ -124,7 +125,6 @@ class ShardedServingPool:
         max_batch: int = 8,
         max_wait: float = 0.01,
         provision_pools: int = 2,
-        warm_batch_sizes: Optional[Tuple[int, ...]] = None,
         link_latency: float = 0.0,
         seed: int = 0,
         ring: Optional[FixedPointRing] = None,
@@ -171,9 +171,6 @@ class ShardedServingPool:
             base_seed=seed,
             models={name: servable.spec for name, servable in models.items()},
             weights={name: servable.weights for name, servable in models.items()},
-            warm_batch_sizes=(
-                tuple(warm_batch_sizes) if warm_batch_sizes is not None else (1, max_batch)
-            ),
             provision_pools=provision_pools,
             ring=self.ring,
         )
@@ -617,7 +614,8 @@ class ShardedServingPool:
             live = self._live_locked()
         rows = {index: metrics.snapshot() for index, metrics in slots.items()}
         totals = merge(rows.values())
-        del totals["busy_seconds"]  # a per-shard figure only
+        for name in ("busy_seconds", "pool_bytes_resident", "pools_evicted"):
+            del totals[name]  # per-shard figures only
         totals["shard_failures"] = totals.pop("failures")
         for index, row in rows.items():
             row.update(

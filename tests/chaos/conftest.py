@@ -127,7 +127,7 @@ def stall_plan():
 
 
 def make_chaos_pool(name: str, servable: ServableModel, **kwargs):
-    """A 1-shard pool with the chaos suite's fixed seed and warm config.
+    """A 1-shard pool with the chaos suite's fixed seed and config.
 
     Clean reference runs and faulted runs boot through the same helper, so
     the only difference between them is the fault schedule — any logit
@@ -138,7 +138,6 @@ def make_chaos_pool(name: str, servable: ServableModel, **kwargs):
     defaults = dict(
         num_shards=1,
         provision_pools=0,
-        warm_batch_sizes=(2,),
         seed=CHAOS_POOL_SEED,
         job_timeout=120,
     )

@@ -4,7 +4,7 @@ bit-identical accepted jobs, and storm-free recovery under mid-ramp kills.
 The control plane's overload contract has three legs:
 
 1. every offered query ends in an explicit verdict — logits or a
-   :class:`~repro.serve.admission.BackpressureError` with a retry hint;
+   :class:`~repro.serve.frontend.BackpressureError` with a retry hint;
    accepted + shed must account for every submission (no silent drops);
 2. the jobs that *are* accepted stay bit-identical to the in-process
    engine at their job seed, zoo-wide, no matter how hard the queue is

@@ -9,16 +9,22 @@ traffic multiplexed onto the same connection.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.crypto import make_context
 from repro.crypto.dealer import PARTY_FIELDS, TrustedDealer
+from repro.crypto.plan import compile_plan
 from repro.crypto.secure_model import SecureInferenceEngine
+from repro.crypto.sharing import share
+from repro.crypto.transport import LoopbackTransport
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.runtime import JobRequest, PartyServer, ServerConfig
-from repro.runtime.server import derive_job_seed
+from repro.runtime import JobRequest, ServerConfig
+from repro.runtime import server as party_server
+from repro.runtime.server import PartyServer, derive_job_seed
 from repro.serve import ServableModel, ShardedServingPool
 
 
@@ -37,13 +43,16 @@ def servable():
 
 @pytest.fixture(scope="module")
 def warm_pool(servable):
-    """One persistent worker pair shared by the whole module."""
+    """One persistent worker pair shared by the whole module.
+
+    Boot buffers batch 1 of every model; ``vgg-boot`` is left for
+    :meth:`TestPersistentPartyServer.test_warm_keys_hit_the_provisioned_pools`.
+    """
     with ShardedServingPool(
-        {"vgg": servable},
+        {"vgg": servable, "vgg-boot": servable},
         num_shards=1,
         max_batch=4,
         provision_pools=2,
-        warm_batch_sizes=(1, 2, 4),
         seed=5,
     ) as pool:
         yield pool
@@ -72,10 +81,10 @@ class TestDeterministicJobSeeds:
         assert len(seeds) == 5
 
 
-def _job(counter, seed=None):
+def _job(counter, seed=None, batch=1):
     return JobRequest(
-        job_id=counter, model="vgg", batch_size=1, counter=counter,
-        input_share=np.zeros((1, 3, 8, 8)), seed=seed,
+        job_id=counter, model="vgg", batch_size=batch, counter=counter,
+        input_share=np.zeros((batch, 3, 8, 8)), seed=seed,
     )
 
 
@@ -191,10 +200,10 @@ class TestPersistentPartyServer:
         assert result.payload_bytes_on_wire == plan.online_bytes
 
     def test_warm_keys_hit_the_provisioned_pools(self, servable, warm_pool):
-        """Boot buffers every warm key before the shard reports ready, so
-        the first job on a key no other test touches is a hit."""
-        x = np.random.default_rng(3).normal(size=(4, 3, 8, 8))
-        result = warm_pool.run_batch("vgg", x)
+        """Boot buffers every model's batch 1 before the shard reports
+        ready, so the first job on a key no other test touches is a hit."""
+        x = np.random.default_rng(3).normal(size=(1, 3, 8, 8))
+        result = warm_pool.run_batch("vgg-boot", x)
         assert result.pool_hits == 2  # both parties served from the buffer
         assert result.pool_misses == 0
 
@@ -229,15 +238,15 @@ class TestPersistentPartyServer:
         assert all(not p.is_alive() for p in shard.processes)
 
     def test_plans_compile_once_per_key(self, servable):
-        """The party server is the only plan store: N jobs on one (model,
-        batch) key compile one plan per party, a second batch size one more."""
+        """The party server is the only plan store: boot compiles batch 1,
+        N jobs on that key compile nothing more, a second batch size one
+        more plan per party."""
 
         def plans_compiled(batch_sizes):
             pool = ShardedServingPool(
                 {"vgg": servable},
                 num_shards=1,
                 provision_pools=0,
-                warm_batch_sizes=(),
                 seed=9,
             )
             for batch in batch_sizes:
@@ -254,7 +263,6 @@ class TestPersistentPartyServer:
             {"vgg": servable},
             num_shards=1,
             provision_pools=2,
-            warm_batch_sizes=(1,),
             seed=13,
         )
         try:
@@ -273,3 +281,137 @@ class TestPersistentPartyServer:
             assert hits >= 4  # at least half the party-pools came pre-built
         finally:
             pool.close()
+
+
+def _pair(servable, provision_pools=1):
+    """Both parties' servers over one in-process link, provisioners off:
+    a test drives each refill itself with :meth:`PartyServer.refill`."""
+    links = LoopbackTransport.pair()
+    config = ServerConfig(
+        base_seed=3,
+        models={"vgg": servable.spec},
+        weights={"vgg": servable.weights},
+        provision_pools=provision_pools,
+    )
+    return [PartyServer(party, links[party], config) for party in (0, 1)]
+
+
+def _run_pair_job(servers, x, counter):
+    """One job on both parties (two threads, as two processes would run
+    it); returns the reconstructed logits and the job's seed."""
+    batch = x.shape[0]
+    seed = derive_job_seed(3, "vgg", batch, counter)
+    ring = servers[0].ring
+    shared = share(x, ring, np.random.default_rng(seed + 1))
+    reports = {}
+
+    def run(party, input_share):
+        reports[party] = servers[party].execute_job(
+            JobRequest(
+                job_id=counter, model="vgg", batch_size=batch, counter=counter,
+                input_share=input_share, seed=seed,
+            )
+        )
+
+    threads = [
+        threading.Thread(target=run, args=(party, part))
+        for party, part in ((0, shared.share0), (1, shared.share1))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert set(reports) == {0, 1}
+    logits = ring.decode(ring.add(reports[0].logit_share, reports[1].logit_share))
+    return logits, seed
+
+
+def _resident_array_bytes(server):
+    """Bytes of this party's own share arrays over every buffered pool —
+    counted from the arrays, not from the manifest."""
+    total = 0
+    with server._lock:
+        for entry in server._entries.values():
+            for _counter, pool in entry.pools:
+                for kind, shape, _count in entry.plan.manifest.grouped_requests():
+                    group = pool.group(kind, shape)
+                    total += sum(group[name].nbytes for name in PARTY_FIELDS[kind][server.party])
+    return total
+
+
+class TestResidencyByBytes:
+    def test_boot_buffers_batch_one_of_every_model_only(self, servable):
+        provision_pools, models = 2, {"vgg": servable, "vgg-b": servable}
+        with ShardedServingPool(
+            models, num_shards=1, max_batch=8, provision_pools=provision_pools, seed=17
+        ) as pool:
+            shard = pool._shards[0]
+            for party in (0, 1):
+                stats = shard.party_stats[party]
+                assert stats["pools_provisioned"] == provision_pools * len(models)
+                # one batch-1 plan per model: no batch-8 plan was compiled
+                assert stats["plans_compiled"] == len(models)
+            row = pool.stats_snapshot()["per_shard"][0]
+            pool_bytes = compile_plan(servable.spec, batch_size=1).manifest.material_bytes // 2
+            assert row["pool_bytes_resident"] == 2 * provision_pools * len(models) * pool_bytes
+            assert row["pools_evicted"] == 0
+
+    def test_residency_never_exceeds_the_budget_and_evicts_lru_keys(
+        self, servable, monkeypatch
+    ):
+        def pool_bytes(batch):
+            return compile_plan(servable.spec, batch_size=batch).manifest.material_bytes // 2
+
+        # room for two batch-8 pools and less than any other key's pool
+        budget = 2 * pool_bytes(8) + pool_bytes(1) // 2
+        monkeypatch.setattr(party_server, "POOL_BUDGET_BYTES", budget)
+        servers = _pair(servable)
+        for server in servers:
+            server.warm_up()
+        plans_before = None
+        for batch in range(1, 9):
+            x = np.random.default_rng(40 + batch).normal(size=(batch, 3, 8, 8))
+            _run_pair_job(servers, x, counter=0)
+            for server in servers:
+                server.refill()
+                resident = _resident_array_bytes(server)
+                assert resident <= budget, (batch, server.party, resident)
+                assert server.metrics.get("pool_bytes_resident") == resident
+        for server in servers:
+            assert server.metrics.get("pools_evicted") > 0
+            # (c) the most recently used key still holds its pools
+            assert len(server._entries[("vgg", 8)].pools) == 2
+            # every older key lost its pools but kept its plan
+            assert not any(server._entries[("vgg", b)].pools for b in range(1, 8))
+            plans_before = server.metrics.get("plans_compiled")
+            assert plans_before == 8
+
+        # (d) the first job of an evicted key: bit-identical at its derived
+        # seed, served without compiling anything
+        x = np.random.default_rng(50).normal(size=(1, 3, 8, 8))
+        logits, seed = _run_pair_job(servers, x, counter=1)
+        assert seed == derive_job_seed(3, "vgg", 1, 1)
+        np.testing.assert_array_equal(logits, _reference_logits(servable, x, seed))
+        for server in servers:
+            assert server.metrics.get("plans_compiled") == plans_before
+            # the evicted key now is the most recent: refilled from the next
+            # counter on, within the budget
+            server.refill()
+            assert [c for c, _ in server._entries[("vgg", 1)].pools][0] == 2
+            assert _resident_array_bytes(server) <= budget
+
+    def test_a_key_whose_pool_exceeds_the_budget_is_served_cold(
+        self, servable, monkeypatch
+    ):
+        one = compile_plan(servable.spec, batch_size=1).manifest.material_bytes // 2
+        monkeypatch.setattr(party_server, "POOL_BUDGET_BYTES", one)
+        server = _server(servable)
+        server.provision("vgg", 2, 3)
+        server.provision("vgg", 1, 3)
+        server.refill()
+        assert server.metrics.get("pool_bytes_resident") == one
+        assert len(server._entries[("vgg", 1)].pools) == 1
+        assert not server._entries[("vgg", 2)].pools
+        # its job generates its pool at the derived seed
+        _, hit, seed = server._acquire_pool(server._entries[("vgg", 2)], _job(0, batch=2))
+        assert (hit, seed) == (False, derive_job_seed(3, "vgg", 2, 0))
