@@ -2,11 +2,11 @@
 
 The online 2PC protocols consume Beaver triples (for products), Beaver pairs
 (for squares), bit triples (for AND gates inside the comparison flow) and
-daBits (for B2A conversion).  In deployments this correlated randomness is
-produced by an OT-based or HE-based offline phase; the paper (like CrypTen
-and Delphi) separates it from the online latency it reports, so the
-reproduction models it as a local dealer.  The dealer never sees the secret
-inputs — it only outputs shares of random correlated values.
+daBits (for the one-round ReLU/MaxPool multiplexer).  In deployments this
+correlated randomness is produced by an OT-based or HE-based offline phase;
+the paper (like CrypTen and Delphi) separates it from the online latency it
+reports, so the reproduction models it as a local dealer.  The dealer never
+sees the secret inputs — it only outputs shares of random correlated values.
 
 A compiled plan runs only against a :class:`RandomnessPool`:
 :meth:`TrustedDealer.preprocess` draws every request of the plan's manifest
@@ -65,7 +65,7 @@ PARTY_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "triple": (("a0", "b0", "z0"), ("a1", "b1", "z1")),
     "square": (("a0", "z0"), ("a1", "z1")),
     "bit": (("a0", "b0", "c0"), ("a1", "b1", "c1")),
-    "dabit": (("r0", "arith0"), ("r1", "arith1")),
+    "dabit": (("r0", "arith0", "a0", "ra0"), ("r1", "arith1", "a1", "ra1")),
 }
 
 #: a pool's group key: (kind, item shape)
@@ -165,15 +165,23 @@ def _draw_dabit(
 ) -> Dict[str, np.ndarray]:
     n = numel(shape)
     planes = words_per_plane(ring, n)
-    words = ring.random((count, 2 * planes + n), rng)
+    words = ring.random((count, 2 * planes + 4 * n), rng)
     r = unpack_ring_words(words[:, :planes], ring, n).reshape((count,) + shape)
     r0 = unpack_ring_words(words[:, planes : 2 * planes], ring, n).reshape((count,) + shape)
-    mask = words[:, 2 * planes :].reshape((count,) + shape)
+    a, mask_r, mask_a, mask_ra = (
+        words[:, 2 * planes + i * n : 2 * planes + (i + 1) * n].reshape((count,) + shape)
+        for i in range(4)
+    )
+    r_ring = r.astype(np.uint64)
     return {
         "r0": r0,
         "r1": r ^ r0,
-        "arith0": mask,
-        "arith1": ring.sub(r.astype(np.uint64), mask),
+        "arith0": mask_r,
+        "arith1": ring.sub(r_ring, mask_r),
+        "a0": mask_a,
+        "a1": ring.sub(a, mask_a),
+        "ra0": mask_ra,
+        "ra1": ring.sub(ring.mul(r_ring, a), mask_ra),
     }
 
 
@@ -237,18 +245,22 @@ class BitTriple:
 
 @dataclass
 class DaBit:
-    """A doubly-shared random bit (Rotaru-Wood style daBit).
+    """A doubly-shared random bit with a Beaver half-triple (ABY3-style).
 
     The same uniformly random bit ``r`` is held both XOR-shared (``r0 ^ r1 =
     r``) and additively shared over the ring (``arith`` reconstructs to the
-    0/1 integer ``r``).  One daBit turns B2A conversion into a single 1-bit
-    opening: open ``c = b ^ r``, then ``[b] = c + (1 - 2c) * [r]`` locally —
-    no Beaver triple, no ring-width opening.
+    0/1 integer ``r``), next to additive shares of a random ring element
+    ``a`` and of the product ``r·a``.  One item turns the multiplexer
+    ``[b·x]`` into a single round: open ``c = b ^ r`` (one bit) and ``e = x
+    - a`` (one ring word), then ``[b·x] = c·[x] + (1 - 2c)·(e·[r] + [r·a])``
+    locally — no Beaver triple, no second round.
     """
 
     r0: np.ndarray
     r1: np.ndarray
     arith: SharePair
+    a: SharePair
+    ra: SharePair
 
 
 def _item(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: int):
@@ -279,6 +291,8 @@ def _item(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: i
             r0=arrays["r0"][row],
             r1=arrays["r1"][row],
             arith=SharePair(arrays["arith0"][row], arrays["arith1"][row], ring),
+            a=SharePair(arrays["a0"][row], arrays["a1"][row], ring),
+            ra=SharePair(arrays["ra0"][row], arrays["ra1"][row], ring),
         )
     raise ValueError(f"kind {kind!r} has no pool item form")
 
@@ -369,7 +383,7 @@ class TrustedDealer:
         return self._draw_item("bit", shape)
 
     def dabit(self, shape: Tuple[int, ...]) -> DaBit:
-        """A doubly-shared random bit for the one-round B2A conversion."""
+        """A doubly-shared random bit and half-triple for the one-round select."""
         return self._draw_item("dabit", shape)
 
     # -- offline phase -------------------------------------------------------- #

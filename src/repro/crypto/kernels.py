@@ -10,7 +10,7 @@ protocol handlers.  The executor
   per-op ``ring.add``/``ring.sub``/``ring.truncate_local`` chains with
   single in-place passes over freshly-owned arrays — Beaver/square
   recombination, SecureML truncation, public-constant scale/add and the
-  GMW AND / daBit finishes;
+  GMW AND / one-round select finishes;
 - **live lanes only** — a party process holds one share-world
   (:attr:`KernelContext.live`), so every kernel computes that lane alone
   and returns :func:`dead_lane` for the other; the in-process engine holds
@@ -396,28 +396,34 @@ def and_finish(
     return per_lane(live, d.shape, lane, dtype=d.dtype)
 
 
-@register_kernel("b2a-finish")
-def b2a_finish(
-    ones: np.ndarray,
-    c_ring: np.ndarray,
-    arith0: np.ndarray,
-    arith1: np.ndarray,
+@register_kernel("select-finish")
+def select_finish(
+    c: np.ndarray,
+    e: np.ndarray,
+    x0: np.ndarray,
+    x1: np.ndarray,
+    r0: np.ndarray,
+    r1: np.ndarray,
+    ra0: np.ndarray,
+    ra1: np.ndarray,
     live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused daBit bit-to-arithmetic finish ``s = c + (1 - 2c)·[b]``."""
-    arith = (arith0, arith1)
-    with np.errstate(over="ignore"):
-        coeff = np.multiply(c_ring, np.uint64(2))
-        np.subtract(ones, coeff, out=coeff)
+    """Fused one-round select finish over opened ``c = b⊕r`` and ``e = x - a``.
+
+    With ``t = e·[r] + [r·a]`` (shares of ``r·x``), a lane's share of
+    ``b·x`` is ``x - t`` where ``c`` is set and ``t`` elsewhere.
+    """
+    xs, rs, ras = (x0, x1), (r0, r1), (ra0, ra1)
+    flip = c.astype(bool, copy=False)
 
     def lane(i: int) -> np.ndarray:
         with np.errstate(over="ignore"):
-            s = np.multiply(coeff, arith[i])
-            if i == 0:
-                np.add(s, c_ring, out=s)
-        return s
+            t = np.multiply(e, rs[i])
+            np.add(t, ras[i], out=t)
+            np.subtract(xs[i], t, out=t, where=flip)
+        return t
 
-    return per_lane(live, c_ring.shape, lane)
+    return per_lane(live, e.shape, lane)
 
 
 # --------------------------------------------------------------------------- #

@@ -153,7 +153,7 @@ class PreprocessingManifest:
 
     @property
     def triple_elements(self) -> int:
-        """Beaver-triple elements (Eq. 2 products, incl. B2A and multiplex)."""
+        """Beaver-triple elements (Eq. 2 products of two shared tensors)."""
         return self.elements("triple")
 
     @property
@@ -168,7 +168,7 @@ class PreprocessingManifest:
 
     @property
     def dabit_elements(self) -> int:
-        """Doubly-shared random bits consumed by the one-round B2A."""
+        """daBits (with their half-triples) consumed by the one-round select."""
         return self.elements("dabit")
 
     @property

@@ -23,7 +23,6 @@ from repro.crypto.protocols.arithmetic import (
     square,
 )
 from repro.crypto.protocols.comparison import (
-    bit_to_arithmetic,
     drelu,
     millionaire_gt,
     secure_and,
@@ -66,7 +65,6 @@ __all__ = [
     "millionaire_gt",
     "drelu",
     "secure_and",
-    "bit_to_arithmetic",
     "select",
     "secure_relu",
     "secure_x2act",

@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
-from repro.crypto.protocols.comparison import bit_to_arithmetic, drelu
+from repro.crypto.protocols.comparison import drelu, select
 from repro.crypto.sharing import SharePair, add_shares, sub_shares
 
 
@@ -30,8 +30,6 @@ def secure_max(ctx: TwoPartyContext, x: SharePair, tag: str = "max") -> SharePai
         candidate = SharePair(x.share0[:, index].copy(), x.share1[:, index].copy(), ring)
         diff = sub_shares(candidate, current)
         bit = drelu(ctx, diff, tag=f"{tag}/cmp{index}")
-        from repro.crypto.protocols.comparison import select
-
         gated = select(ctx, diff, bit, tag=f"{tag}/sel{index}")
         current = add_shares(current, gated)
     return current
@@ -58,21 +56,16 @@ def secure_argmax(
         candidate = SharePair(x.share0[:, index].copy(), x.share1[:, index].copy(), ring)
         diff = sub_shares(candidate, current_value)
         bit = drelu(ctx, diff, tag=f"{tag}/cmp{index}")
-        from repro.crypto.protocols.comparison import select
-
         # value update: current += bit * (candidate - current)
         gated = select(ctx, diff, bit, tag=f"{tag}/val{index}")
         current_value = add_shares(current_value, gated)
         # index update: index += bit * (i - index); the running index is kept
-        # as a plain (unscaled) integer in the ring so no truncation is needed.
-        arith_bit = bit_to_arithmetic(ctx, bit, tag=f"{tag}/b2a{index}")
+        # as a plain (unscaled) integer in the ring, and select is exact.
         gap0 = ring.wrap(np.full(n, index, dtype=np.uint64))
         index_gap = sub_shares(
             SharePair(gap0, np.zeros(n, dtype=np.uint64), ring), index_shares
         )
-        from repro.crypto.protocols.arithmetic import multiply
-
-        delta = multiply(ctx, index_gap, arith_bit, truncate=False, tag=f"{tag}/idx{index}")
+        delta = select(ctx, index_gap, bit, tag=f"{tag}/idx{index}")
         index_shares = add_shares(index_shares, delta)
 
     revealed = ctx.channel.open_ring(

@@ -19,13 +19,14 @@ Four structural optimizations make this module the fast path it is:
    stacked array: one dealer request, one numpy kernel and one wire event
    per level instead of one per digit;
 3. **sub-byte payloads** — the OT tables ship as packed 2-bit elements and
-   every AND/daBit opening as packed 1-bit planes (see
+   every AND opening and the select's ``c`` as packed 1-bit planes (see
    :mod:`repro.crypto.transport`), cutting the boolean wire volume 4-8x;
 4. **live lanes only** — a party process (``ctx.live_lane`` set) computes
    its own side alone, through :func:`~repro.crypto.kernels.per_lane`: S0
    draws the pads and builds the OT table, S1 only selects from what
-   arrives, and every AND mask, tree level, DReLU finish and daBit opening
-   leaves the peer's lane the read-only :func:`~repro.crypto.kernels.dead_lane`.
+   arrives, and every AND mask, tree level, DReLU finish and select opening
+   and finish leaves the peer's lane the read-only
+   :func:`~repro.crypto.kernels.dead_lane`.
 
 Every interactive routine is a phase generator (``*_phases``) whose yielded
 round groups encode the protocol's intrinsic parallelism: all digit OTs ride
@@ -36,9 +37,9 @@ On top of the raw comparison this module builds:
 
 - :func:`drelu` -- XOR-shared derivative of ReLU, i.e. the bit (x > 0),
   computed from the shares' MSBs and a carry comparison;
-- :func:`bit_to_arithmetic` -- B2A conversion of an XOR-shared bit via a
-  dealer daBit: one packed 1-bit opening, no ring-width traffic;
-- :func:`select` -- multiplexing a shared value by a shared bit.
+- :func:`select` -- multiplexing a shared value by an XOR-shared bit in one
+  round: a dealer daBit widened with a Beaver half-triple turns it into one
+  packed 1-bit opening plus one ring-word opening, finished locally.
 """
 
 from __future__ import annotations
@@ -48,18 +49,19 @@ from typing import Tuple
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
-from repro.crypto.events import open_bits_event, run_phases, transfer_event
+from repro.crypto.events import open_bits_event, open_ring_event, run_phases, transfer_event
 from repro.crypto.kernels import KERNELS, dead_lane, per_lane
-from repro.crypto.protocols.arithmetic import multiply_phases, multiply_trace
 from repro.crypto.protocols.registry import (
     OpTrace,
     TraceEvent,
+    element_bytes,
     open_bits_trace_event,
+    open_trace_event,
     packed_payload_bytes,
     send_trace_event,
 )
 from repro.crypto.ring import FixedPointRing
-from repro.crypto.sharing import SharePair
+from repro.crypto.sharing import SharePair, sub_shares
 
 XorSharedBit = Tuple[np.ndarray, np.ndarray]
 
@@ -303,51 +305,50 @@ def drelu(ctx: TwoPartyContext, x: SharePair, tag: str = "drelu") -> XorSharedBi
     return run_phases(ctx, drelu_phases(ctx, x, tag=tag))
 
 
-def bit_to_arithmetic_phases(ctx: TwoPartyContext, bit: XorSharedBit, tag: str = "b2a"):
-    """Convert an XOR-shared bit into additive shares of the same bit value.
+def select_phases(ctx: TwoPartyContext, x: SharePair, bit: XorSharedBit, tag: str = "select"):
+    """Shares of ``x * bit`` (bit in {0,1}) — the ReLU/MaxPool multiplexer.
 
-    daBit conversion: the dealer supplies a random bit ``r`` both XOR-shared
-    and arithmetically shared.  The parties open ``c = b ^ r`` (one packed
-    1-bit exchange — the only interaction) and compute ``[b] = c + (1 - 2c)
-    * [r]`` locally, S0 adding the public constant by convention.  This
-    replaces the Beaver-multiply B2A and its two ring-width openings.
+    One round: the dealer's daBit holds a random bit ``r`` XOR-shared and
+    additively shared, plus additive shares of a random ``a`` and of
+    ``r·a`` (a Beaver half-triple, ABY3's bit injection).  The parties open
+    ``c = b ^ r`` (one packed bit) and ``e = x - a`` (one ring word) in a
+    single round group; then, as ``b = c ^ r = c + (1 - 2c)·r`` and ``r·x =
+    e·r + r·a``::
+
+        [b·x] = c·[x] + (1 - 2c)·(e·[r] + [r·a])
+
+    locally — exact, no truncation and no public constant on either party.
     """
     ring = ctx.ring
-    shape = bit[0].shape
-    dab = ctx.dealer.dabit(shape)
+    live = ctx.live_lane
+    dab = ctx.dealer.dabit(x.shape)
     r = (dab.r0, dab.r1)
-    masked = per_lane(ctx.live_lane, shape, lambda i: bit[i] ^ r[i], dtype=np.uint8)
-    (c,) = yield (open_bits_event(*masked, tag=f"{tag}/open-c"),)
-    c_ring = c.astype(np.uint64)
+    masked = per_lane(live, x.shape, lambda i: bit[i] ^ r[i], dtype=np.uint8)
+    e = sub_shares(x, dab.a, live)
+    c, e = yield (
+        open_bits_event(*masked, tag=f"{tag}/open-c"),
+        open_ring_event(e.share0, e.share1, tag=f"{tag}/open-e"),
+    )
     kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
-        ones, fresh = kc.arena.get(("b2a-ones", c.shape), c.shape)
-        if fresh:
-            ones.fill(1)
-        s0, s1 = KERNELS["b2a-finish"](
-            ones, c_ring, dab.arith.share0, dab.arith.share1, live=kc.live
+        s0, s1 = KERNELS["select-finish"](
+            c, e, x.share0, x.share1, dab.arith.share0, dab.arith.share1,
+            dab.ra.share0, dab.ra.share1, live=kc.live,
         )
         kc.count()
         return SharePair(s0, s1, ring)
-    # coeff = 1 - 2c in the ring: +1 where c == 0, -1 where c == 1.
-    coeff = ring.sub(
-        np.ones(c.shape, dtype=np.uint64), ring.scalar_mul(c_ring, 2)
-    )
-    s0 = ring.add(c_ring, ring.mul(coeff, dab.arith.share0))
-    s1 = ring.mul(coeff, dab.arith.share1)
+    shares = (x.share0, x.share1)
+    arith = (dab.arith.share0, dab.arith.share1)
+    ra = (dab.ra.share0, dab.ra.share1)
+    flip = c.astype(bool)
+
+    def lane(i: int) -> np.ndarray:
+        # t = e·[r] + [r·a] shares r·x; the lane holds x - t where c is set
+        t = ring.add(ring.mul(e, arith[i]), ra[i])
+        return np.where(flip, ring.sub(shares[i], t), t)
+
+    s0, s1 = per_lane(live, x.shape, lane)
     return SharePair(s0, s1, ring)
-
-
-def bit_to_arithmetic(ctx: TwoPartyContext, bit: XorSharedBit, tag: str = "b2a") -> SharePair:
-    """Sequential entry point of :func:`bit_to_arithmetic_phases`."""
-    return run_phases(ctx, bit_to_arithmetic_phases(ctx, bit, tag=tag))
-
-
-def select_phases(ctx: TwoPartyContext, x: SharePair, bit: XorSharedBit, tag: str = "select"):
-    """Shares of ``x * bit`` (bit in {0,1}) — the ReLU multiplexer."""
-    arith_bit = yield from bit_to_arithmetic_phases(ctx, bit, tag=f"{tag}/b2a")
-    result = yield from multiply_phases(ctx, x, arith_bit, truncate=False, tag=f"{tag}/mux")
-    return result
 
 
 def select(
@@ -401,14 +402,12 @@ def drelu_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
     return millionaire_trace(shape, ring)
 
 
-def bit_to_arithmetic_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """B2A is one daBit and one packed 1-bit opening."""
+def select_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
+    """One daBit, then ``c`` (packed 1-bit) and ``e`` (ring width) open in
+    one round group."""
     n = int(np.prod(shape)) if shape else 1
     trace = OpTrace().request("dabit", shape)
-    trace.group([open_bits_trace_event(n, element_bits=1)])
+    trace.group(
+        [open_bits_trace_event(n, element_bits=1), open_trace_event(n * element_bytes(ring))]
+    )
     return trace
-
-
-def select_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """Multiplexing = daBit B2A conversion plus one Beaver multiplication."""
-    return bit_to_arithmetic_trace(shape, ring).extend(multiply_trace(shape, ring))

@@ -45,6 +45,16 @@ def _extract_windows(share: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return windows.reshape(window_shape).copy()
 
 
+def _tournament_levels(rows: int):
+    """The pair counts of a tournament over ``rows`` window elements, level
+    by level: each level compares ``rows // 2`` stacked pairs and an odd row
+    carries, so ``ceil(log2(rows))`` levels reduce a window.  The generator
+    and the trace iterate this exact sequence."""
+    while rows > 1:
+        yield rows // 2
+        rows -= rows // 2
+
+
 def secure_maxpool2d_phases(
     ctx: TwoPartyContext,
     x: SharePair,
@@ -52,26 +62,37 @@ def secure_maxpool2d_phases(
     stride: int | None = None,
     tag: str = "maxpool",
 ):
-    """2PC-MaxPool: window maxima via repeated secure pairwise max.
+    """2PC-MaxPool: window maxima via a tournament of secure pairwise maxima.
 
-    max(a, b) = b + ReLU(a - b), so each reduction step costs one comparison
-    flow plus one multiplexer — this is why MaxPool is nearly as expensive as
-    ReLU under 2PC (Eq. 13).  Only the held share lanes are computed.
+    max(a, b) = a + ReLU(b - a), so each comparison costs one comparison flow
+    plus one multiplexer — this is why MaxPool is nearly as expensive as
+    ReLU under 2PC (Eq. 13).  Each tournament level stacks all its window
+    pairs into one ``(pairs, N, C, OH, OW)`` DReLU and one select: the same
+    ``k^2 - 1`` comparisons in ``ceil(log2(k^2))`` levels.  Only the held
+    share lanes are computed.
     """
     stride = stride or kernel_size
     live = ctx.live_lane
     shares = (x.share0, x.share1)
     window_shape = _window_shape(x.shape, kernel_size, stride)
-    win = per_lane(live, window_shape, lambda i: _extract_windows(shares[i], kernel_size, stride))
-
-    current = SharePair(win[0][0], win[1][0], ctx.ring)
-    for j in range(1, window_shape[0]):
-        candidate = SharePair(win[0][j], win[1][j], ctx.ring)
-        diff = sub_shares(candidate, current, live=live)
-        bit = yield from drelu_phases(ctx, diff, tag=f"{tag}/cmp{j}")
-        gated = yield from select_phases(ctx, diff, bit, tag=f"{tag}/sel{j}")
-        current = add_shares(current, gated, live=live)
-    return current
+    rows = per_lane(live, window_shape, lambda i: _extract_windows(shares[i], kernel_size, stride))
+    remaining = window_shape[0]
+    for level, pairs in enumerate(_tournament_levels(remaining)):
+        first = SharePair(*(lane[0 : 2 * pairs : 2] for lane in rows), ctx.ring)
+        second = SharePair(*(lane[1 : 2 * pairs : 2] for lane in rows), ctx.ring)
+        diff = sub_shares(second, first, live=live)
+        bit = yield from drelu_phases(ctx, diff, tag=f"{tag}/cmp{level}")
+        gated = yield from select_phases(ctx, diff, bit, tag=f"{tag}/sel{level}")
+        winners = add_shares(first, gated, live=live)
+        winner_lanes = (winners.share0, winners.share1)
+        remaining -= pairs
+        # the winners, then the odd row that carries to the next level
+        rows = per_lane(
+            live,
+            (remaining,) + window_shape[1:],
+            lambda i: np.concatenate([winner_lanes[i], rows[i][2 * pairs :]]),
+        )
+    return SharePair(rows[0][0], rows[1][0], ctx.ring)
 
 
 def secure_maxpool2d(
@@ -128,13 +149,14 @@ def _pool_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[i
 def _maxpool_trace(
     layer: LayerSpec, input_shape: Tuple[int, ...], ring: FixedPointRing
 ) -> OpTrace:
-    """The pairwise-max reduction: k^2 - 1 steps, each a DReLU comparison
-    plus a multiplex over the window tensor (Eq. 13's execution shape)."""
+    """The tournament reduction: ``ceil(log2(k^2))`` levels, each one DReLU
+    comparison plus one multiplex over the level's stacked window pairs —
+    ``k^2 - 1`` pairwise maxima in all (Eq. 13's execution shape)."""
     window_shape = _pool_infer_shape(layer, input_shape)
     trace = OpTrace()
-    for _ in range(layer.kernel * layer.kernel - 1):
-        trace.extend(drelu_trace(window_shape, ring))
-        trace.extend(select_trace(window_shape, ring))
+    for pairs in _tournament_levels(layer.kernel * layer.kernel):
+        trace.extend(drelu_trace((pairs,) + window_shape, ring))
+        trace.extend(select_trace((pairs,) + window_shape, ring))
     return trace
 
 

@@ -71,12 +71,13 @@ class RandomnessRequest:
 
     ``kind`` is one of ``"triple"`` (elementwise Beaver triple), ``"square"``
     (Beaver pair for the square protocol), ``"bit"`` (GMW AND bit triple) or
-    ``"dabit"`` (a doubly-shared random bit: XOR shares plus arithmetic
-    shares of the same bit, consumed by the one-round B2A conversion);
+    ``"dabit"`` (a doubly-shared random bit — XOR shares plus arithmetic
+    shares of the same bit — widened with additive shares of a random ring
+    element ``a`` and of ``r·a``, consumed by the one-round select);
     ``shape`` is the tensor shape of the request.  Elementwise triples have
     identical operand shapes, which is the only triple form the model-zoo
     protocols consume (public-weight convolution and linear layers need no
-    triples at all).
+    triples at all, and the ReLU/MaxPool multiplexer needs a daBit only).
     """
 
     kind: str
@@ -91,7 +92,7 @@ class RandomnessRequest:
 
         A Beaver triple is three shared tensors (two shares each), a square
         pair two, a bit triple six one-byte bit arrays, a daBit one bit byte
-        plus one ring element per party.
+        plus three ring elements (``r``, ``a``, ``r·a``) per party.
         """
         eb = ring.ring_bits // 8
         if self.kind == "triple":
@@ -101,7 +102,7 @@ class RandomnessRequest:
         if self.kind == "bit":
             return 6 * self.num_elements
         if self.kind == "dabit":
-            return 2 * self.num_elements * (1 + eb)
+            return 2 * self.num_elements * (1 + 3 * eb)
         raise ValueError(f"unknown randomness request kind {self.kind!r}")
 
 

@@ -182,8 +182,8 @@ class TestFusedKernelsBitIdentical:
         np.testing.assert_array_equal(outputs[0].share1, outputs[1].share1)
 
     def test_secure_relu(self):
-        """Exercises the and-finish, b2a-finish and beaver-recombine kernels
-        through the full comparison + mux flow."""
+        """Exercises the and-finish and select-finish kernels through the
+        full comparison + mux flow."""
         reference, fused = _paired_contexts()
         values = np.random.default_rng(6).normal(size=(9,))
         outputs = []
@@ -284,10 +284,7 @@ def _kernel_args(name: str):
         "scale-encoded": lambda: ((ring, words(), words(), ring.encode(np.array(0.729))), {}),
         "add-encoded": lambda: ((words(), words(), words(1, 4)), {}),
         "and-finish": lambda: (tuple(bits() for _ in range(8)), {}),
-        "b2a-finish": lambda: (
-            (np.ones(shape, np.uint64), bits().astype(np.uint64), words(), words()),
-            {},
-        ),
+        "select-finish": lambda: ((bits(), *(words() for _ in range(7))), {}),
         "stacked-matmul": lambda: ((words(), words(), words(4, 5)), {}),
         "stacked-conv2d": lambda: (
             (words(2, 4, 6, 6), words(2, 4, 6, 6), words(8, 2, 3, 3)),
@@ -352,7 +349,7 @@ def _maxpool_flow(ctx, x):
 
 class TestLiveLaneComparison:
     """The comparison path in a party process: each party computes only its
-    own side of the OT table, the AND tree and the daBit opening."""
+    own side of the OT table, the AND tree and the select's openings."""
 
     SEED = 23
 

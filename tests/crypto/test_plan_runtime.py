@@ -25,7 +25,7 @@ from repro.crypto.protocols.registry import get_handler, registered_kinds
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.resnet import resnet_tiny
-from repro.models.specs import LayerKind, ModelSpec
+from repro.models.specs import LayerKind, LayerSpec, ModelSpec
 from repro.models.vgg import vgg_tiny
 
 
@@ -136,6 +136,34 @@ class TestCompile:
             assert kind in kinds
         with pytest.raises(KeyError):
             get_handler(LayerKind.BATCHNORM)
+
+
+class TestComparisonLayerCost:
+    """What one ReLU element and one 2x2 MaxPool window cost after the
+    one-round select: OT + 5 AND-tree levels + 1 select round group."""
+
+    @staticmethod
+    def _trace(kind, input_shape, kernel=1):
+        layer = LayerSpec(name="op", kind=kind, kernel=kernel, stride=kernel)
+        return get_handler(kind).trace(layer, input_shape, make_context().ring)
+
+    def test_relu_is_seven_round_groups_and_78_75_bytes_per_element(self):
+        n = 64
+        trace = self._trace(LayerKind.RELU, (1, 4, 4, 4))
+        assert len(trace.groups) == 7
+        assert trace.online_bytes * 4 == 315 * n  # 78.75 B/element
+        assert {r.kind for r in trace.requests} == {"bit", "dabit"}
+
+    def test_maxpool_2x2_is_a_two_level_tournament_of_unchanged_bytes(self):
+        """Two levels of 7 round groups; the bytes of 3 pairwise maxima per
+        window, as the sequential reduction spent."""
+        input_shape = (2, 3, 4, 4)
+        windows = 2 * 3 * 2 * 2
+        trace = self._trace(LayerKind.MAXPOOL, input_shape, kernel=2)
+        assert len(trace.groups) == 14
+        relu = self._trace(LayerKind.RELU, (windows,))
+        assert trace.online_bytes == 3 * relu.online_bytes
+        assert [r.shape[0] for r in trace.requests if r.kind == "dabit"] == [2, 1]
 
 
 class TestCompiledExecutionEquivalence:

@@ -19,6 +19,7 @@ from repro.crypto.dealer import (
 from repro.crypto.protocols.registry import RandomnessRequest
 from repro.crypto.ring import DEFAULT_RING
 from repro.crypto.sharing import SharePair
+from repro.models.resnet import resnet_tiny
 from repro.models.vgg import vgg_tiny
 
 
@@ -96,13 +97,13 @@ class TestPartition:
         """Sub-pool items stay views into the parent pool's group buffers —
         the no-intermediate-copies contract of the vectorized fill."""
         kind, shape, _count = next(
-            g for g in plan.manifest.grouped_requests() if g[0] == "triple"
+            g for g in plan.manifest.grouped_requests() if g[0] == "dabit"
         )
         stacks = pool.group(kind, shape)
         (sub,) = pool.partition([[RandomnessRequest(kind=kind, shape=shape)]])
-        item = sub.triple(shape, shape, DEFAULT_RING.mul)
+        item = sub.dabit(shape)
         assert np.shares_memory(item.a.share0, stacks["a0"])
-        assert np.shares_memory(item.z.share1, stacks["z1"])
+        assert np.shares_memory(item.ra.share1, stacks["ra1"])
 
     def test_partition_preserves_identity_and_restriction(self, plan, pool):
         pool.restrict_to_party(1)
@@ -121,7 +122,7 @@ class TestPartition:
         assert error.kind == "dabit"
         assert error.shape == (999, 999)
         assert error.manifest_hash == plan.manifest.content_hash
-        assert error.remaining_by_kind.get("triple", 0) > 0
+        assert error.remaining_by_kind.get("bit", 0) > 0
 
     def test_failed_partition_leaves_the_pool_untouched(self, plan, pool):
         """All or nothing: the requests that fit move no cursor when a later
@@ -151,11 +152,13 @@ class TestPartition:
                     assert np.array_equal(ours, theirs), (index, request)
             assert subs[index].remaining == 0
 
-    def test_a_sub_pool_serves_only_its_window(self, plan, pool):
+    def test_a_sub_pool_serves_only_its_window(self):
         """Consecutive windows over one stack: the first sub-pool gets row 0
         and nothing more, the second row 1, the parent resumes at row 2."""
+        plan = compile_plan(resnet_tiny(input_size=8), batch_size=2)
+        pool = TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
         kind, shape, count = max(
-            (g for g in plan.manifest.grouped_requests() if g[0] == "triple"),
+            (g for g in plan.manifest.grouped_requests() if g[0] == "dabit"),
             key=lambda g: g[2],
         )
         assert count >= 3
@@ -191,8 +194,8 @@ class TestExhaustionDiagnostics:
         assert error.kind == kind
         assert error.shape == tuple(shape)
         assert error.manifest_hash == plan.manifest.content_hash
-        # the (kind, shape) FIFO is empty; other kinds are still stocked
-        assert error.remaining_by_kind.get("triple", 0) > 0
+        # the (kind, shape) FIFO is empty; the other kind is still stocked
+        assert error.remaining_by_kind.get("dabit" if kind == "bit" else "bit", 0) > 0
         # deterministic: re-requesting reproduces the same diagnostics
         with pytest.raises(PreprocessingExhausted) as again:
             getattr(pool, "bit_triple" if kind == "bit" else kind)(shape)

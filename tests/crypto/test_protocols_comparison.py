@@ -1,20 +1,28 @@
-"""Tests for the comparison protocols (millionaire, DReLU, B2A, select)."""
+"""Tests for the comparison protocols (millionaire, DReLU, one-round select)."""
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import make_context, reconstruct, share
+from repro.crypto import PartyChannel, make_context, reconstruct, share
+from repro.crypto.events import as_group, perform_event
+from repro.crypto.kernels import KernelContext, dead_lane
 from repro.crypto.protocols.comparison import (
-    bit_to_arithmetic,
     drelu,
     millionaire_gt,
     secure_and,
     select,
+    select_phases,
+    select_trace,
 )
+from repro.crypto.ring import DEFAULT_RING, PAPER_RING
+from repro.crypto.sharing import SharePair, share_ring_elements
+from repro.crypto.transport import LoopbackTransport
 
 
 def xor_open(bit) -> np.ndarray:
@@ -95,13 +103,6 @@ class TestDReLUAndSelect:
         x = np.array([-0.01, 0.01, -1e-3, 5e-4])
         bits = xor_open(drelu(ctx, share(x, ctx.ring, rng)))
         np.testing.assert_array_equal(bits, x > 0)
-
-    def test_bit_to_arithmetic_round_trip(self, ctx, rng):
-        bits = rng.integers(0, 2, 32, dtype=np.uint8)
-        mask = rng.integers(0, 2, 32, dtype=np.uint8)
-        arith = bit_to_arithmetic(ctx, (mask, bits ^ mask))
-        recovered = ctx.ring.add(arith.share0, arith.share1)
-        np.testing.assert_array_equal(recovered.astype(np.uint8), bits)
 
     def test_select_multiplexes(self, ctx, rng):
         x = rng.uniform(-5, 5, size=(20,))
@@ -185,31 +186,142 @@ class TestLogDepthTree:
         assert total_ands == 61
 
 
-class TestDaBitB2A:
-    def test_b2a_uses_one_dabit_and_one_bit_opening(self, ctx, rng):
-        from repro.crypto.protocols.comparison import bit_to_arithmetic_trace
+def _boundary_words(ring, count: int = 64) -> np.ndarray:
+    """The ring-boundary values 0, 1, 2^(k-1) - 1, 2^(k-1), 2^k - 1, then
+    uniformly random ring words up to ``count``."""
+    half = 1 << (ring.ring_bits - 1)
+    edges = np.array([0, 1, half - 1, half, ring.modulus - 1], dtype=np.uint64)
+    rest = ring.random((count - len(edges),), np.random.default_rng(31))
+    return np.concatenate([edges, rest])
 
-        shape = (40,)
+
+def _bit_plane(kind: str, n: int) -> np.ndarray:
+    if kind == "zeros":
+        return np.zeros(n, dtype=np.uint8)
+    if kind == "ones":
+        return np.ones(n, dtype=np.uint8)
+    return np.random.default_rng(32).integers(0, 2, n, dtype=np.uint8)
+
+
+def _select_inputs(ring, plane: str):
+    """Raw words ``x``, a plane ``b``, and their sharings: ``[x]`` additive,
+    ``b`` XOR-shared."""
+    x = _boundary_words(ring)
+    b = _bit_plane(plane, len(x))
+    rng = np.random.default_rng(33)
+    mask = rng.integers(0, 2, len(x), dtype=np.uint8)
+    return x, b, share_ring_elements(x, ring, rng), (mask, b ^ mask)
+
+
+def _expected_select(ring, x, b) -> np.ndarray:
+    return np.where(b.astype(bool), x, np.uint64(0))
+
+
+PLANES = ["zeros", "ones", "random"]
+RINGS = [pytest.param(DEFAULT_RING, id="r64"), pytest.param(PAPER_RING, id="r32")]
+
+
+class TestOneRoundSelect:
+    """The multiplexer is one daBit, one bit and one ring-word opening, and
+    exact on every ring value and every bit plane."""
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["reference", "fused"])
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_select_is_exact_at_ring_boundaries(self, plane, ring, fused):
+        ctx = make_context(ring=ring, seed=5)
+        if fused:
+            ctx.kernels = KernelContext()
+        x, b, shared, bit = _select_inputs(ring, plane)
+        out = select(ctx, shared, bit)
+        np.testing.assert_array_equal(
+            ring.add(out.share0, out.share1), _expected_select(ring, x, b)
+        )
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_select_is_exact_over_party_channels_with_dead_peer_lanes(self, plane, ring):
+        """Each party thread holds its own lanes only; the peer's are the
+        read-only placeholder, and the two live results reconstruct b·x."""
+        x, b, shared, bit = _select_inputs(ring, plane)
+        transports = LoopbackTransport.pair(timeout=60.0)
+        results, errors = {}, []
+
+        def party_main(party):
+            try:
+                ctx = make_context(ring=ring, seed=5)
+                ctx.channel = PartyChannel(transports[party], party, ring=ring)
+                ctx.kernels = KernelContext(live=party)
+                held = ((shared.share0, shared.share1)[party], bit[party])
+                peer = (dead_lane(x.shape), dead_lane(x.shape, np.uint8))
+                x_lanes, b_lanes = zip(*((held, peer) if party == 0 else (peer, held)))
+                out = select(ctx, SharePair(*x_lanes, ring), b_lanes)
+                results[party] = (out.share0, out.share1)
+            except BaseException as exc:
+                errors.append(exc)
+                transports[party].close()
+
+        threads = [threading.Thread(target=party_main, args=(p,)) for p in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+        for party in (0, 1):
+            peer = results[party][1 - party]
+            assert not peer.flags.writeable and not any(peer.strides)
+        got = ring.add(results[0][0], results[1][1])
+        np.testing.assert_array_equal(got, _expected_select(ring, x, b))
+
+    def test_trace_is_one_dabit_and_one_round_group(self, ctx, rng):
+        shape = (5, 8)
+        n = 40
+        trace = select_trace(shape, ctx.ring)
+        assert [(r.kind, r.shape) for r in trace.requests] == [("dabit", shape)]
+        assert len(trace.groups) == 1
+        assert trace.online_bytes == 2 * (8 * n + -(-n // 8))
+        assert trace.scheduled_rounds == 2  # one frame each way
+
+        values = rng.uniform(-4, 4, size=shape)
         bits = rng.integers(0, 2, shape, dtype=np.uint8)
         mask = rng.integers(0, 2, shape, dtype=np.uint8)
         dabits_before = ctx.dealer.dabits_generated
+        triples_before = ctx.dealer.triples_generated
         ctx.reset_communication()
-        bit_to_arithmetic(ctx, (mask, bits ^ mask))
-        assert ctx.dealer.dabits_generated - dabits_before == 40
-        trace = bit_to_arithmetic_trace(shape, ctx.ring)
+        select(ctx, share(values, ctx.ring, rng), (mask, bits ^ mask))
+        assert ctx.dealer.dabits_generated - dabits_before == n
+        assert ctx.dealer.triples_generated == triples_before
         assert ctx.communication_bytes == trace.online_bytes
-        # 40 bits per direction packed: 5 bytes each way — no ring traffic
-        assert ctx.communication_bytes == 10
+
+    @pytest.mark.parametrize("plane", ["zeros", "ones"])
+    def test_opened_bit_is_balanced_on_constant_planes(self, plane):
+        """``c = b ^ r`` is what the peer sees of ``b``: at a fixed seed its
+        mean over 2^14 elements is 0.5 whether ``b`` is all zeros or all
+        ones."""
+        n = 1 << 14
+        ctx = make_context(seed=9)
+        b = _bit_plane(plane, n)
+        x = share(np.zeros(n), ctx.ring, np.random.default_rng(34))
+        gen = select_phases(ctx, x, (b, np.zeros(n, dtype=np.uint8)))
+        group = as_group(gen.send(None))
+        opened = [perform_event(ctx.channel, event) for event in group]
+        assert abs(float(opened[0].mean()) - 0.5) <= 0.02
 
     def test_dabit_reconstructs_consistently(self):
         from repro.crypto.dealer import TrustedDealer
 
         dealer = TrustedDealer(seed=7)
         dab = dealer.dabit((200,))
+        ring = dealer.ring
         xor_bit = dab.r0 ^ dab.r1
-        arith_bit = dealer.ring.add(dab.arith.share0, dab.arith.share1)
+        arith_bit = ring.add(dab.arith.share0, dab.arith.share1)
         np.testing.assert_array_equal(arith_bit.astype(np.uint8), xor_bit)
         assert set(np.unique(xor_bit)) <= {0, 1}
+        a = ring.add(dab.a.share0, dab.a.share1)
+        ra = ring.add(dab.ra.share0, dab.ra.share1)
+        np.testing.assert_array_equal(ra, ring.mul(arith_bit, a))
 
 
 @settings(max_examples=15, deadline=None)

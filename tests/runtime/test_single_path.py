@@ -290,6 +290,11 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto", "scale_shares_integer"),
         ("repro.crypto.sharing", "neg_shares"),
         ("repro.crypto.sharing", "scale_shares_integer"),
+        ("repro.crypto.protocols", "bit_to_arithmetic"),
+        ("repro.crypto.protocols.comparison", "bit_to_arithmetic"),
+        ("repro.crypto.protocols.comparison", "bit_to_arithmetic_phases"),
+        ("repro.crypto.protocols.comparison", "bit_to_arithmetic_trace"),
+        ("repro.crypto.kernels", "b2a_finish"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -311,6 +316,8 @@ def test_deleted_module_and_method_stay_deleted():
     assert importlib.util.find_spec("repro.crypto.stats") is None
     assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
     assert not hasattr(repro.crypto.transport.TcpTransport, "listen")
+    # the one-round select replaced the daBit B2A and its finish kernel
+    assert "b2a-finish" not in repro.crypto.kernels.KERNELS
 
 
 def test_runtime_and_serving_keep_no_sample_window_of_their_own():
