@@ -1,7 +1,7 @@
 """Trusted dealer for correlated randomness (offline phase).
 
 The online 2PC protocols consume Beaver triples (for products), Beaver pairs
-(for squares), bit triples (for AND gates inside the comparison flow) and
+(for squares), fan-out bit triples (for AND gates inside the comparison flow) and
 daBits (for the one-round ReLU/MaxPool multiplexer).  In deployments this
 correlated randomness is produced by an OT-based or HE-based offline phase;
 the paper (like CrypTen and Delphi) separates it from the online latency it
@@ -148,15 +148,34 @@ def _draw_square(
     return {"a0": mask_a, "a1": ring.sub(a, mask_a), "z0": mask_z, "z1": ring.sub(z, mask_z)}
 
 
+def fan_out_rows(gates: int) -> int:
+    """Shared-operand rows of a fan-out AND item with ``gates`` gate rows.
+
+    Gate row ``k`` shares operand row ``k mod fan_out_rows(gates)``: the
+    comparison tree's ``eq_hi`` feeds both the ``gt`` and the ``eq`` gate of
+    its combine, and a one-row item is a plain AND gate.
+    """
+    return (gates + 1) // 2
+
+
 def _draw_bit(
     ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
 ) -> Dict[str, np.ndarray]:
-    n = numel(shape)
-    planes = words_per_plane(ring, n)
-    words = ring.random((count, 5, planes), rng)
-    bits = unpack_ring_words(words, ring, n).reshape((count, 5) + shape)
-    a, b, a0, b0, c0 = (bits[:, i] for i in range(5))
-    c = a & b
+    if not shape:
+        raise ValueError("a fan-out AND item's shape leads with its gate rows")
+    gates, element = shape[0], shape[1:]
+    fan = fan_out_rows(gates)
+    n = numel(element)
+    fan_words, gate_words = words_per_plane(ring, fan * n), words_per_plane(ring, gates * n)
+    words = ring.random((count, 2 * fan_words + 3 * gate_words), rng)
+
+    def plane(start: int, size: int, rows: int) -> np.ndarray:
+        bits = unpack_ring_words(words[:, start : start + size], ring, rows * n)
+        return bits.reshape((count, rows) + element)
+
+    a, a0 = (plane(i * fan_words, fan_words, fan) for i in range(2))
+    b, b0, c0 = (plane(2 * fan_words + i * gate_words, gate_words, gates) for i in range(3))
+    c = np.concatenate([a, a], axis=1)[:, :gates] & b
     return {"a0": a0, "a1": a ^ a0, "b0": b0, "b1": b ^ b0, "c0": c0, "c1": c ^ c0}
 
 
@@ -233,7 +252,13 @@ class BeaverPair:
 
 @dataclass
 class BitTriple:
-    """XOR-shares of bits (a, b, c) with c = a AND b, used by GMW AND gates."""
+    """XOR-shares of a fan-out AND triple, used by the GMW AND gates.
+
+    An item of shape ``(gates,) + S`` holds ``a`` with
+    :func:`fan_out_rows` ``(gates)`` rows and ``b``, ``c`` with ``gates``
+    rows, where ``c[k] = a[k mod fan] & b[k]``: gates that share an input
+    mask it once.
+    """
 
     a0: np.ndarray
     a1: np.ndarray

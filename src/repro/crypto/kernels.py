@@ -380,20 +380,32 @@ def and_finish(
     c1: np.ndarray,
     live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused GMW AND finish over opened masks ``d = x⊕a`` and ``e = y⊕b``."""
-    a_lanes, b_lanes, c_lanes = (a0, a1), (b0, b1), (c0, c1)
+    """Fused fan-out GMW AND finish over opened masks ``d = x⊕a`` and ``e = y⊕b``.
+
+    ``d`` and ``a`` carry one row per shared operand, ``e``, ``b`` and ``c``
+    one per gate; gate row ``k`` reads operand row ``k mod len(d)``.  With
+    ``d`` and ``a`` broadcast over the gate rows, lane ``i`` holds ``c ⊕ (d &
+    b) ⊕ (e & a)``, and lane 0 also ``d & e`` — folded in as ``d & (b ⊕ e)``.
+    """
+    fan, gates = len(d), len(e)
+    blocks = [
+        (slice(start, min(start + fan, gates)), slice(0, min(fan, gates - start)))
+        for start in range(0, gates, fan)
+    ]
+    a_lanes, c_lanes = (a0, a1), (c0, c1)
 
     def lane(i: int) -> np.ndarray:
-        scratch = np.bitwise_and(d, b_lanes[i])
-        z = np.bitwise_xor(c_lanes[i], scratch)
-        np.bitwise_and(e, a_lanes[i], out=scratch)
+        y = np.bitwise_xor(b0, e) if i == 0 else b1
+        z = np.empty(e.shape, dtype=e.dtype)
+        scratch = np.empty_like(z)
+        for rows, shared in blocks:
+            np.bitwise_and(y[rows], d[shared], out=z[rows])
+            np.bitwise_and(e[rows], a_lanes[i][shared], out=scratch[rows])
         np.bitwise_xor(z, scratch, out=z)
-        if i == 0:
-            np.bitwise_and(d, e, out=scratch)
-            np.bitwise_xor(z, scratch, out=z)
+        np.bitwise_xor(z, c_lanes[i], out=z)
         return z
 
-    return per_lane(live, d.shape, lane, dtype=d.dtype)
+    return per_lane(live, e.shape, lane, dtype=e.dtype)
 
 
 @register_kernel("select-finish")

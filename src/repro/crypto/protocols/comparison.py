@@ -9,11 +9,16 @@ triples) into a single XOR-shared comparison bit.
 
 Four structural optimizations make this module the fast path it is:
 
-1. **log-depth prefix tree** — the per-digit (gt, eq) pairs are folded with
-   the associative comparison combine ``(hi) ∘ (lo) = (gt_hi ^ (eq_hi &
-   gt_lo), eq_hi & eq_lo)`` in a Kogge-Stone-style balanced tree, so a
-   64-bit comparison over 32 digits needs ``ceil(log2(32)) = 5`` AND rounds
-   instead of the 32 sequential prefix steps of the naive chain;
+1. **log-depth prefix tree of fan-out gates** — the per-digit (gt, eq)
+   pairs are folded with the associative comparison combine ``(hi) ∘ (lo)
+   = (gt_hi ^ (eq_hi & gt_lo), eq_hi & eq_lo)`` in a Kogge-Stone-style
+   balanced tree, so a 64-bit comparison over 32 digits needs
+   ``ceil(log2(32)) = 5`` AND rounds instead of the 32 sequential prefix
+   steps of the naive chain.  Both gates of a combine share ``eq_hi``, so a
+   level opens it once under one fan-out triple (CrypTFlow2's correlated
+   AND triples), and the last position's equality bit, which no level
+   reads, is never computed: 88 opened bits per party per element instead
+   of 122;
 2. **stacked-digit kernels** — digit extraction, the OT table construction
    and every tree level's AND gates operate on one ``(digits,) + shape``
    stacked array: one dealer request, one numpy kernel and one wire event
@@ -49,11 +54,11 @@ from typing import Tuple
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
+from repro.crypto.dealer import fan_out_rows
 from repro.crypto.events import open_bits_event, open_ring_event, run_phases, transfer_event
 from repro.crypto.kernels import KERNELS, dead_lane, per_lane
 from repro.crypto.protocols.registry import (
     OpTrace,
-    TraceEvent,
     element_bytes,
     open_bits_trace_event,
     open_trace_event,
@@ -67,29 +72,35 @@ XorSharedBit = Tuple[np.ndarray, np.ndarray]
 
 
 def _and_prepare(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: str):
-    """Local-compute half of a GMW AND gate (elementwise over any shape).
+    """Local-compute half of a fan-out GMW AND gate.
 
-    Pops the bit triple and masks the held lanes of the inputs; returns the
+    ``y`` stacks ``gates`` rows of second operands, ``x`` the
+    :func:`~repro.crypto.dealer.fan_out_rows` shared first operands: gate row
+    ``k`` computes ``x[k mod len(x)] & y[k]``.  Pops the fan-out triple and
+    masks the held lanes of the inputs, each shared operand once; returns the
     pending opening event plus the local-finish closure that consumes the
     opened planes.  Splitting the gate this way lets callers batch several
     independent AND gates into one round group — and, with stacked inputs,
     into one event.
     """
-    shape = x[0].shape
-    triple = ctx.dealer.bit_triple(shape)
+    fan, gates = len(x[0]), len(y[0])
+    triple = ctx.dealer.bit_triple(y[0].shape)
     a, b = (triple.a0, triple.a1), (triple.b0, triple.b1)
-    # Open d = x ^ a and e = y ^ b: one stacked 1-bit plane per direction.
-    masked = per_lane(
-        ctx.live_lane,
-        (2,) + shape,
-        lambda i: np.stack([x[i] ^ a[i], y[i] ^ b[i]]),
-        dtype=np.uint8,
-    )
+
+    def masked_lane(i: int) -> np.ndarray:
+        # d = x ^ a over the shared rows, e = y ^ b over the gate rows
+        masked = np.empty((fan + gates,) + y[i].shape[1:], dtype=np.uint8)
+        np.bitwise_xor(x[i], a[i], out=masked[:fan])
+        np.bitwise_xor(y[i], b[i], out=masked[fan:])
+        return masked
+
+    # One stacked 1-bit plane per direction.
+    masked = per_lane(ctx.live_lane, (fan + gates,) + y[0].shape[1:], masked_lane, np.uint8)
     event = open_bits_event(*masked, tag=tag)
 
     def finish(opened: np.ndarray) -> XorSharedBit:
-        d = opened[0]
-        e = opened[1]
+        d = opened[:fan]
+        e = opened[fan:]
         kc = ctx.kernels
         if kc is not None:
             z0, z1 = KERNELS["and-finish"](
@@ -97,9 +108,11 @@ def _and_prepare(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: st
                 live=kc.live,
             )
             kc.count()
-            return z0.astype(np.uint8, copy=False), z1.astype(np.uint8, copy=False)
-        z0 = triple.c0 ^ (d & triple.b0) ^ (e & triple.a0) ^ (d & e)
-        z1 = triple.c1 ^ (d & triple.b1) ^ (e & triple.a1)
+            return z0, z1
+        shared = np.arange(gates) % fan
+        d = d[shared]
+        z0 = triple.c0 ^ (d & triple.b0) ^ (e & triple.a0[shared]) ^ (d & e)
+        z1 = triple.c1 ^ (d & triple.b1) ^ (e & triple.a1[shared])
         return z0.astype(np.uint8), z1.astype(np.uint8)
 
     return event, finish
@@ -110,10 +123,12 @@ def secure_and_phases(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, ta
 
     Each party opens (x ^ a) and (y ^ b); the shares of x AND y are then a
     local affine combination of the opened values and the triple shares.
+    It is the one-row fan-out gate: one shared operand, one gate.
     """
-    event, finish = _and_prepare(ctx, x, y, tag)
+    event, finish = _and_prepare(ctx, (x[0][None], x[1][None]), (y[0][None], y[1][None]), tag)
     (opened,) = yield (event,)
-    return finish(opened)
+    z = finish(opened)
+    return z[0][0], z[1][0]
 
 
 def secure_and(
@@ -124,22 +139,25 @@ def secure_and(
 
 
 def _tree_level_widths(num_digits: int):
-    """The AND-gate counts of the prefix tree, level by root-ward level.
+    """The fan-out AND gates of the prefix tree, level by root-ward level.
 
-    Yields ``(pair_count, combine_count, and_count)`` per tree level:
-    ``combine_count`` adjacent (hi, lo) pairs are combined, each costing two
-    AND gates (``eq_hi & gt_lo`` and ``eq_hi & eq_lo``) — except the root
-    combine, whose equality output is never consumed, so it costs one.  The
-    generator and the trace iterate this exact sequence, which is what keeps
-    randomness requests and wire events in lockstep.
+    Yields ``(remaining, combine_count, gate_count)`` per tree level:
+    ``combine_count`` adjacent (hi, lo) pairs of the ``remaining`` nodes are
+    combined, each masking its shared ``eq_hi`` once and costing two gates
+    (``eq_hi & gt_lo`` and ``eq_hi & eq_lo``).  The last position's equality
+    bit is never read — at the root it is the root itself, below that the
+    position that folds into it — so when ``remaining`` is even the last
+    combine drops its ``eq_lo`` gate; when it is odd, the carried node holds
+    the last position and every combine keeps both gates.  The generator and
+    the trace iterate this exact sequence, which is what keeps randomness
+    requests and wire events in lockstep.
     """
     remaining = num_digits
     while remaining > 1:
         combines = remaining // 2
-        final = remaining == 2
-        and_count = 2 * combines - (1 if final else 0)
-        yield remaining, combines, and_count
-        remaining = combines + (remaining - 2 * combines)
+        gates = 2 * combines - (1 - remaining % 2)
+        yield remaining, combines, gates
+        remaining -= combines
 
 
 def millionaire_gt_phases(
@@ -164,7 +182,8 @@ def millionaire_gt_phases(
     One stacked 1-of-``2^digit_bits`` OT covers every digit in a single
     2-bit-packed transfer; the per-digit (gt, eq) indicator pairs are then
     folded MSB-first with the associative comparison combine in a balanced
-    tree — ``ceil(log2(num_digits))`` AND rounds, each one stacked gate.
+    tree — ``ceil(log2(num_digits))`` AND rounds, each one stacked fan-out
+    gate.
     A party process reads only its own value and computes only its own lane.
     """
     if value_s0.shape != value_s1.shape:
@@ -225,29 +244,28 @@ def millionaire_gt_phases(
         chosen = (entries >> (digits(value_s1) << np.uint8(1))) & np.uint8(3)
 
     # XOR-shared stacked indicator bits, reordered MSB-first for the tree:
-    # S0's are its pads, S1's the (gt, eq) entries it selected.
+    # S0's are its pads, S1's the (gt, eq) entries it selected.  ``eq`` holds
+    # every position but the last, whose equality bit no level reads.
     gt = lanes(num_digits, lambda i: (pad_gt if i == 0 else chosen >> 1)[::-1])
-    eq = lanes(num_digits, lambda i: (pad_eq if i == 0 else chosen & 1)[::-1])
+    eq = lanes(num_digits - 1, lambda i: (pad_eq if i == 0 else chosen & 1)[:0:-1])
 
     # Balanced prefix combine:  (hi) ∘ (lo) = (gt_hi ^ (eq_hi & gt_lo),
     # eq_hi & eq_lo).  The operator is associative, so the tree computes the
     # same MSB-first fold as the sequential chain in log depth.  Each level
-    # stacks all its AND gates — eq_hi against [gt_lo; eq_lo] — into ONE
-    # dealer request and ONE packed 1-bit opening; the root level drops the
-    # unused equality gate.
+    # is one fan-out gate — eq_hi shared by [gt_lo; eq_lo] — so ONE dealer
+    # request and ONE packed 1-bit opening; eq_lo stops where ``eq`` does.
     for level, (remaining, combines, gates) in enumerate(_tree_level_widths(num_digits)):
         hi = slice(0, 2 * combines, 2)
         lo = slice(1, 2 * combines, 2)
         rest = slice(2 * combines, None)
-        x_stack = lanes(gates, lambda i: np.concatenate([eq[i][hi], eq[i][hi]])[:gates])
-        y_stack = lanes(gates, lambda i: np.concatenate([gt[i][lo], eq[i][lo]])[:gates])
-        event, finish = _and_prepare(ctx, x_stack, y_stack, tag=f"{tag}/tree{level}")
+        shared = lanes(combines, lambda i: eq[i][hi])
+        operands = lanes(gates, lambda i: np.concatenate([gt[i][lo], eq[i][lo]]))
+        event, finish = _and_prepare(ctx, shared, operands, tag=f"{tag}/tree{level}")
         (opened,) = yield (event,)
         z = finish(opened)
         folded = remaining - combines
         gt = lanes(folded, lambda i: np.concatenate([gt[i][hi] ^ z[i][:combines], gt[i][rest]]))
-        if remaining > 2:  # the root's equality output is never consumed
-            eq = lanes(folded, lambda i: np.concatenate([z[i][combines:], eq[i][rest]]))
+        eq = lanes(folded - 1, lambda i: np.concatenate([z[i][combines:], eq[i][rest]]))
     return gt[0][0], gt[1][0]
 
 
@@ -361,17 +379,19 @@ def select(
 # --------------------------------------------------------------------------- #
 # Trace functions (plan-compiler accounting; mirror the phase generators)
 # --------------------------------------------------------------------------- #
-def _and_trace_event(shape: Tuple[int, ...]) -> TraceEvent:
-    """One stacked GMW AND opening: two 1-bit planes per element per
-    direction, packed eight bits per byte."""
-    n = int(np.prod(shape)) if shape else 1
-    return open_bits_trace_event(2 * n, element_bits=1)
+def _and_trace(gate_shape: Tuple[int, ...]) -> OpTrace:
+    """One fan-out AND gate: its triple, then both parties open ``d`` over
+    the shared rows and ``e`` over the gate rows as one packed 1-bit plane
+    per direction."""
+    gates = gate_shape[0]
+    per_row = int(np.prod(gate_shape[1:], dtype=np.int64))
+    opened = (fan_out_rows(gates) + gates) * per_row
+    return OpTrace().request("bit", gate_shape).group([open_bits_trace_event(opened)])
 
 
 def secure_and_trace(shape: Tuple[int, ...]) -> OpTrace:
-    """One GMW AND gate: a bit triple, then both parties open (d, e) as one
-    packed 1-bit plane pair per direction."""
-    return OpTrace().request("bit", shape).group([_and_trace_event(shape)])
+    """One GMW AND gate: the one-row fan-out gate over ``shape``."""
+    return _and_trace((1,) + tuple(shape))
 
 
 def millionaire_trace(
@@ -379,8 +399,8 @@ def millionaire_trace(
 ) -> OpTrace:
     """Trace of :func:`millionaire_gt`: one stacked 1-of-4 OT (all masked
     2-bit table entries cross the wire, packed, in a single round) followed
-    by ``ceil(log2(num_digits))`` tree levels, each one stacked AND gate in
-    a round group of its own.  Requests and groups iterate the exact
+    by ``ceil(log2(num_digits))`` tree levels, each one stacked fan-out AND
+    gate in a round group of its own.  Requests and groups iterate the exact
     ``_tree_level_widths`` sequence the generator walks.
     """
     n = int(np.prod(shape)) if shape else 1
@@ -390,10 +410,8 @@ def millionaire_trace(
     trace.group(
         [send_trace_event(0, packed_payload_bytes(radix * num_digits * n, digit_bits))]
     )
-    for _remaining, _combines, and_count in _tree_level_widths(num_digits):
-        level_shape = (and_count,) + tuple(shape)
-        trace.request("bit", level_shape)
-        trace.group([_and_trace_event(level_shape)])
+    for _remaining, _combines, gates in _tree_level_widths(num_digits):
+        trace.extend(_and_trace((gates,) + tuple(shape)))
     return trace
 
 

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.crypto.dealer import fan_out_rows
 from repro.crypto.events import packed_num_bytes
 from repro.crypto.ring import FixedPointRing
 from repro.models.specs import LayerKind, LayerSpec
@@ -70,7 +71,9 @@ class RandomnessRequest:
     """One unit of correlated randomness an online protocol will consume.
 
     ``kind`` is one of ``"triple"`` (elementwise Beaver triple), ``"square"``
-    (Beaver pair for the square protocol), ``"bit"`` (GMW AND bit triple) or
+    (Beaver pair for the square protocol), ``"bit"`` (fan-out GMW AND
+    triple: ``shape[0]`` gate rows sharing ``ceil(shape[0] / 2)`` operand
+    rows) or
     ``"dabit"`` (a doubly-shared random bit — XOR shares plus arithmetic
     shares of the same bit — widened with additive shares of a random ring
     element ``a`` and of ``r·a``, consumed by the one-round select);
@@ -91,7 +94,8 @@ class RandomnessRequest:
         """Bytes of randomness material the dealer ships for this request.
 
         A Beaver triple is three shared tensors (two shares each), a square
-        pair two, a bit triple six one-byte bit arrays, a daBit one bit byte
+        pair two, a fan-out bit triple two one-byte shares per operand bit
+        ``a`` and four per gate bit (``b``, ``c``), a daBit one bit byte
         plus three ring elements (``r``, ``a``, ``r·a``) per party.
         """
         eb = ring.ring_bits // 8
@@ -100,7 +104,8 @@ class RandomnessRequest:
         if self.kind == "square":
             return 4 * self.num_elements * eb
         if self.kind == "bit":
-            return 6 * self.num_elements
+            gates = self.shape[0]
+            return (2 * fan_out_rows(gates) + 4 * gates) * (self.num_elements // gates)
         if self.kind == "dabit":
             return 2 * self.num_elements * (1 + 3 * eb)
         raise ValueError(f"unknown randomness request kind {self.kind!r}")

@@ -82,12 +82,15 @@ class TestTrustedDealer:
         np.testing.assert_array_equal(reconstruct_ring(pair.z), PAPER_RING.mul(a, a))
 
     def test_bit_triple_satisfies_and_relation(self):
+        """A fan-out item: 100 gate rows share 50 operand rows, gate k
+        operand row k mod 50."""
         dealer = TrustedDealer(seed=3)
         triple = dealer.bit_triple((100,))
         a = triple.a0 ^ triple.a1
         b = triple.b0 ^ triple.b1
         c = triple.c0 ^ triple.c1
-        np.testing.assert_array_equal(c, a & b)
+        assert a.shape == (50,) and b.shape == c.shape == (100,)
+        np.testing.assert_array_equal(c, np.tile(a, 2) & b)
         assert set(np.unique(a)) <= {0, 1}
 
     def test_triple_counter_increments(self):

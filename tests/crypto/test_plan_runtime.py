@@ -147,11 +147,11 @@ class TestComparisonLayerCost:
         layer = LayerSpec(name="op", kind=kind, kernel=kernel, stride=kernel)
         return get_handler(kind).trace(layer, input_shape, make_context().ring)
 
-    def test_relu_is_seven_round_groups_and_78_75_bytes_per_element(self):
+    def test_relu_is_seven_round_groups_and_70_25_bytes_per_element(self):
         n = 64
         trace = self._trace(LayerKind.RELU, (1, 4, 4, 4))
         assert len(trace.groups) == 7
-        assert trace.online_bytes * 4 == 315 * n  # 78.75 B/element
+        assert trace.online_bytes * 4 == 281 * n  # 70.25 B/element
         assert {r.kind for r in trace.requests} == {"bit", "dabit"}
 
     def test_maxpool_2x2_is_a_two_level_tournament_of_unchanged_bytes(self):

@@ -12,14 +12,18 @@ from hypothesis import strategies as st
 from repro.crypto import PartyChannel, make_context, reconstruct, share
 from repro.crypto.events import as_group, perform_event
 from repro.crypto.kernels import KernelContext, dead_lane
+from repro.crypto.plan import PreprocessingManifest
 from repro.crypto.protocols.comparison import (
+    _tree_level_widths,
     drelu,
     millionaire_gt,
     secure_and,
+    secure_and_trace,
     select,
     select_phases,
     select_trace,
 )
+from repro.crypto.protocols.registry import RandomnessRequest
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import SharePair, share_ring_elements
 from repro.crypto.transport import LoopbackTransport
@@ -175,15 +179,16 @@ class TestLogDepthTree:
         assert num_bytes == 4 * num_digits * n * 2 // 8  # radix * D * n entries
 
     def test_fewer_and_gates_than_the_sequential_chain(self, ctx):
-        """The tree spends 61 AND gates per element where the chain spent 63
-        (the root combine drops its unused equality gate)."""
+        """The tree spends 57 AND gates per element where the chain spent 63:
+        the last position's equality bit is never read, so every level with
+        an even node count drops its last combine's equality gate."""
         from repro.crypto.protocols.comparison import millionaire_trace
 
         trace = millionaire_trace((1,), ctx.ring)
         total_ands = sum(
             r.num_elements for r in trace.requests if r.kind == "bit"
         )
-        assert total_ands == 61
+        assert total_ands == 31 + 15 + 7 + 3 + 1
 
 
 def _boundary_words(ring, count: int = 64) -> np.ndarray:
@@ -322,6 +327,139 @@ class TestOneRoundSelect:
         a = ring.add(dab.a.share0, dab.a.share1)
         ra = ring.add(dab.ra.share0, dab.ra.share1)
         np.testing.assert_array_equal(ra, ring.mul(arith_bit, a))
+
+
+def _gt_pairs(ring) -> tuple:
+    """``(a, b)`` pairs at the ring boundaries 0, 1, 2^(k-2) - 1, 2^(k-1) - 1
+    against each other, equal pairs, and ``b = a - 1`` pairs."""
+    edges = np.array([0, 1, (1 << (ring.ring_bits - 2)) - 1, (1 << (ring.ring_bits - 1)) - 1])
+    edges = edges.astype(np.uint64)
+    rest = ring.random((60,), np.random.default_rng(41)) >> np.uint64(1)
+    values = np.concatenate([edges, rest])
+    a = np.concatenate([np.repeat(edges, len(edges)), values, values[1:]])
+    b = np.concatenate([np.tile(edges, len(edges)), values, values[1:] - np.uint64(1)])
+    return a, b
+
+
+class TestFanOutTree:
+    """Each tree level masks a combine's shared eq_hi once and computes no
+    equality bit for the last position."""
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["reference", "fused"])
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_millionaire_is_exact_on_boundary_equal_and_adjacent_pairs(self, ring, fused):
+        ctx = make_context(ring=ring, seed=6)
+        if fused:
+            ctx.kernels = KernelContext()
+        a, b = _gt_pairs(ring)
+        result = xor_open(millionaire_gt(ctx, a, b, bit_width=ring.ring_bits))
+        np.testing.assert_array_equal(result, a > b)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_millionaire_is_exact_over_party_channels_with_dead_peer_lanes(self, ring):
+        a, b = _gt_pairs(ring)
+        transports = LoopbackTransport.pair(timeout=60.0)
+        results, errors = {}, []
+
+        def party_main(party):
+            try:
+                ctx = make_context(ring=ring, seed=6)
+                ctx.channel = PartyChannel(transports[party], party, ring=ring)
+                ctx.kernels = KernelContext(live=party)
+                values = (a, dead_lane(b.shape)) if party == 0 else (dead_lane(a.shape), b)
+                results[party] = millionaire_gt(ctx, *values, bit_width=ring.ring_bits)
+            except BaseException as exc:
+                errors.append(exc)
+                transports[party].close()
+
+        threads = [threading.Thread(target=party_main, args=(p,)) for p in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+        if errors:
+            raise errors[0]
+        for party in (0, 1):
+            peer = results[party][1 - party]
+            assert not peer.flags.writeable and not any(peer.strides)
+        got = (results[0][0] ^ results[1][1]).astype(bool)
+        np.testing.assert_array_equal(got, a > b)
+
+    @pytest.mark.parametrize(
+        "num_digits,widths",
+        [
+            (1, []),
+            (2, [(2, 1, 1)]),
+            (3, [(3, 1, 2), (2, 1, 1)]),
+            (4, [(4, 2, 3), (2, 1, 1)]),
+            (5, [(5, 2, 4), (3, 1, 2), (2, 1, 1)]),
+            (7, [(7, 3, 6), (4, 2, 3), (2, 1, 1)]),
+            (32, [(32, 16, 31), (16, 8, 15), (8, 4, 7), (4, 2, 3), (2, 1, 1)]),
+        ],
+    )
+    def test_tree_level_widths(self, num_digits, widths):
+        """``(remaining, combines, gates)``: the last combine drops its eq
+        gate exactly when ``remaining`` is even."""
+        assert list(_tree_level_widths(num_digits)) == widths
+        for remaining, combines, gates in widths:
+            assert gates == 2 * combines - (remaining % 2 == 0)
+
+    @pytest.mark.parametrize("bit_width", [6, 10, 14])
+    def test_odd_digit_counts_compare_exactly(self, ctx, bit_width):
+        """3, 5 and 7 two-bit digits: levels with a carried node keep every
+        eq gate.  All pairs of a 128-value grid spanning the domain, plus
+        ``b = a - 1``."""
+        grid = np.arange(1 << min(bit_width, 7), dtype=np.uint64) << np.uint64(
+            max(bit_width - 7, 0)
+        )
+        a = np.repeat(grid, len(grid))
+        b = np.tile(grid, len(grid))
+        b = np.concatenate([b, grid[1:] - np.uint64(1)])
+        a = np.concatenate([a, grid[1:]])
+        result = xor_open(millionaire_gt(ctx, a, b, bit_width=bit_width))
+        np.testing.assert_array_equal(result, a > b)
+
+    def test_tree_opens_88_bits_per_party_per_element(self, ctx):
+        """47 + 23 + 11 + 5 + 2 opened bits per party, so a 64-bit DReLU is
+        32 B of OT plus 22 B of tree per element."""
+        from repro.crypto.protocols.comparison import drelu_trace, millionaire_trace
+
+        n = 8
+        trace = millionaire_trace((n,), ctx.ring)
+        per_party = [messages[0][1] * 8 // n for (messages,) in trace.groups[1:]]
+        assert per_party == [47, 23, 11, 5, 2]
+        assert drelu_trace((n,), ctx.ring).online_bytes == 54 * n
+
+    @pytest.mark.parametrize("shape", [(31,), (31, 3, 5), (15, 4), (3, 2), (1, 7)])
+    def test_fan_out_item_shares_one_operand_row_per_gate_pair(self, shape):
+        """``c_k = a[k mod fan] & b_k`` on every gate row, per item and over
+        a stacked group."""
+        from repro.crypto.dealer import TrustedDealer
+
+        gates, fan = shape[0], (shape[0] + 1) // 2
+        dealer = TrustedDealer(seed=8)
+        for triple in (dealer.bit_triple(shape), dealer.bit_triple(shape)):
+            a, b = triple.a0 ^ triple.a1, triple.b0 ^ triple.b1
+            assert a.shape == (fan,) + shape[1:] and b.shape == shape
+            shared = a[np.arange(gates) % fan]
+            np.testing.assert_array_equal(triple.c0 ^ triple.c1, shared & b)
+        pool = TrustedDealer(seed=8).preprocess(
+            PreprocessingManifest(requests=(RandomnessRequest("bit", shape),) * 3, ring=DEFAULT_RING)
+        )
+        group = pool.group("bit", shape)
+        a, b = group["a0"] ^ group["a1"], group["b0"] ^ group["b1"]
+        np.testing.assert_array_equal(
+            group["c0"] ^ group["c1"], a[:, np.arange(gates) % fan] & b
+        )
+        assert pool.remaining == 3
+
+    def test_secure_and_is_the_one_row_fan_out_gate(self, ctx):
+        assert secure_and_trace((4, 5)).requests[0].shape == (1, 4, 5)
+        bits = np.ones(20, dtype=np.uint8)
+        before = ctx.dealer.bit_triples_generated
+        secure_and(ctx, (bits, bits ^ 1), (bits, bits ^ 1))
+        assert ctx.dealer.bit_triples_generated - before == 20
 
 
 @settings(max_examples=15, deadline=None)
