@@ -23,12 +23,12 @@ Lifecycle of a shard:
    below the low-water mark, most recently used key first and within one
    byte budget per party;
 4. **evict / respawn / replay** — a shard whose worker processes die is
-   evicted; its worker registers a replacement boot (which *continues* the
-   dead shard's seed stream), puts the in-flight job back at the head of
+   evicted; its worker registers a replacement boot, which *continues* the
+   dead shard's seed stream, puts the in-flight job back at the head of
    the queue sealed with its :class:`~repro.runtime.shard.JobTicket` (same
    counter, same pinned session seed — the recovered logits are
-   bit-identical to the fault-free run) and exits (``max_job_retries=0``:
-   the job fails instead and the slot waits for :meth:`restart_shard`).
+   bit-identical to the fault-free run) and exits.  With no retry budget
+   left the job fails instead; the slot comes back either way.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import dataclasses
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -63,6 +63,10 @@ POOL_COUNTERS = (
     "processes_spawned", "shards_booted", "shards_respawned", "respawn_failures",
     "shards_retired", "jobs_retried", "jobs_recovered", "retries_exhausted",
 )
+
+#: base-seed distance between shard slots: every boot of slot ``i`` (initial,
+#: respawn or scale-up) serves the stream of ``seed + SLOT_SEED_STRIDE * i``
+SLOT_SEED_STRIDE = 112_648
 
 
 def _dead_pool(position: int, waited: float) -> RuntimeError:
@@ -105,9 +109,8 @@ class ShardedServingPool:
         max_job_retries: transient-fault budget per batch — a job whose
             shard dies mid-flight is replayed (same ticket, same seed) on
             another or respawned shard up to this many extra attempts
-            before the client future is allowed to fail.  ``0`` disables
-            both replay and auto-respawn (the legacy evict-only
-            semantics, paired with manual :meth:`restart_shard`).
+            before the client future is allowed to fail.  A dead shard is
+            respawned on its continued seed stream at any budget.
         fault_plans: scripted chaos schedules, ``{shard index: {party:
             FaultPlan}}`` — applied only to the shard slot's *initial*
             boot; replacements come up clean so a bounded retry budget
@@ -189,7 +192,8 @@ class ShardedServingPool:
         self._slots: Dict[int, Metrics] = {}
         #: gracefully-retired shards, kept so close() reaps their processes
         self._retired: List[WorkerShard] = []
-        self._restarting: set = set()
+        #: slots with a boot (respawn or scale-up) in progress
+        self._booting: set = set()
         #: every thread the pool started (shard workers and boots)
         self._threads: List[threading.Thread] = []
         #: the one queue: client queries and sealed jobs, oldest first
@@ -223,33 +227,20 @@ class ShardedServingPool:
                 plans.setdefault(party, self.link_shape)
         return plans or None
 
-    def _boot_shard(
-        self,
-        index: int,
-        base_seed: Optional[int] = None,
-        initial_counters: Optional[Dict[Tuple[str, int], int]] = None,
-        initial_job_id: int = 0,
-        inject: bool = True,
-    ) -> WorkerShard:
-        if base_seed is None:
-            # distinct seed stream per shard slot *and* per boot generation,
-            # so a restarted shard never replays a previous incarnation's
-            # jobs — unless the caller pins the predecessor's base_seed to
-            # *continue* its stream (the retry/replay respawn path)
-            booted = self.metrics.get("shards_booted")
-            base_seed = self.config.base_seed + 7919 * index + 104_729 * booted
+    def _boot_shard(self, index: int, inject: bool = True, **inherited) -> WorkerShard:
+        """Boot slot ``index``; a respawn passes its dead predecessor's
+        :meth:`~repro.runtime.shard.WorkerShard.successor_state`."""
         shard = WorkerShard(
             index,
             dataclasses.replace(
                 self.config,
-                base_seed=base_seed,
+                base_seed=self.config.base_seed + SLOT_SEED_STRIDE * index,
                 fault_plans=self._shard_fault_plans(index, inject),
             ),
             host=self.host,
             timeout=self.job_timeout,
             heartbeat_deadline=self.heartbeat_deadline,
-            initial_counters=initial_counters,
-            initial_job_id=initial_job_id,
+            **inherited,
         )
         # a replacement records into its slot's registry, so the slot's
         # lifetime totals never drop when it boots
@@ -272,10 +263,11 @@ class ShardedServingPool:
     def booting_shards(self) -> int:
         """Shard slots with a boot (respawn or scale-up) in progress."""
         with self._lock:
-            return len(self._restarting)
+            return len(self._booting)
 
     def queue_depth(self, model: Optional[str] = None) -> int:
-        """Query rows of ``model`` (of all if ``None``) queued or running."""
+        """Query rows of ``model`` (of all if ``None``) queued or not yet
+        answered."""
         with self._lock:
             items = [*self._pending, *self._running.values()]
         return sum(item.rows for item in items if model in (None, item.model))
@@ -289,18 +281,18 @@ class ShardedServingPool:
     def add_shard(self, wait: bool = True) -> Optional[int]:
         """Grow the pool by one freshly-booted shard pair (autoscale-up).
 
-        The new slot gets its own seed stream (it has no predecessor to
-        continue).  With ``wait=False`` the boot happens on a background
-        thread and the call returns immediately — the supervisor's sweep
-        must not stall behind a multi-second boot.  Returns the new slot
-        index (``None`` when deferred to a thread or the pool is closed).
+        Slots are never reused, so the new slot's seed stream is its own.
+        With ``wait=False`` the boot happens on a background thread and the
+        call returns at once — the supervisor's sweep must not stall behind
+        a multi-second boot.  Returns the new slot index (``None`` when
+        deferred to a thread or the pool is closed).
         """
         with self._wake:
             if self._closed:
                 return None
             index = len(self._shards)
             self._shards.append(None)  # reserve the slot
-            self._restarting.add(index)
+            self._booting.add(index)
             if not wait:
                 self._start_locked(
                     lambda: self._boot_into_slot(index), f"scale-up-shard{index}"
@@ -309,26 +301,25 @@ class ShardedServingPool:
         return index if self._boot_into_slot(index) else None
 
     def _boot_into_slot(self, index: int, respawn: bool = False, **boot) -> bool:
-        """Boot a pair into a slot the caller reserved in ``_restarting``.
+        """Boot a pair into a slot the caller reserved in ``_booting``.
 
-        Shared by scale-up, respawn and restart.  A failed boot leaves the
-        slot empty and the evidence (counter + error text) in
-        :meth:`stats_snapshot` — and fails the queue if no shard is left to
-        serve it; a boot that finishes after :meth:`close` is killed, not
-        registered.
+        Shared by scale-up and respawn.  A failed boot leaves the slot empty
+        and the evidence (counter + error text) in :meth:`stats_snapshot`,
+        and fails the queue if no shard is left to serve it; a boot that
+        finishes after :meth:`close` is killed, not registered.
         """
         try:
             shard = self._boot_shard(index, inject=False, **boot)
         except Exception as exc:
             with self._wake:
-                self._restarting.discard(index)
+                self._booting.discard(index)
                 self.metrics.inc("respawn_failures")
                 self.last_respawn_error = f"shard {index}: {exc!r}"
                 doomed = self._doomed_locked()
             self._fail(doomed, _dead_pool)
             return False
         with self._wake:
-            self._restarting.discard(index)
+            self._booting.discard(index)
             closed = self._closed
             if not closed:
                 self._register_locked(index, shard)
@@ -367,27 +358,6 @@ class ShardedServingPool:
             self._wake.notify_all()
         return shard.index
 
-    def restart_shard(self, index: int) -> None:
-        """Replace an evicted shard with a freshly booted worker pair.
-
-        A manual restart is a clean slate: fresh seed stream, and any
-        scripted chaos plan of the slot's first boot stays spent.
-        """
-        with self._wake:
-            if index < 0 or index >= len(self._shards):
-                raise IndexError(f"no shard slot {index}")
-            old = self._shards[index]
-            if old is not None and old.alive:
-                raise RuntimeError(f"shard {index} is still alive")
-            if index in self._restarting:
-                raise RuntimeError(f"shard {index} restart already in progress")
-            self._restarting.add(index)
-            self._wake.notify_all()  # the dead shard's idle worker leaves
-        if old is not None:
-            old.kill()
-        if not self._boot_into_slot(index):
-            raise RuntimeError(f"restart failed: {self.last_respawn_error}")
-
     def _respawn_shard_async(self, dead: WorkerShard) -> None:
         """Evict a dead or wedged shard: register its replacement boot, wake
         its idle worker, then kill it — in that order, so the pool never
@@ -400,17 +370,17 @@ class ShardedServingPool:
     def _respawn_locked(self, dead: WorkerShard) -> None:
         """Register a replacement boot for a dead shard (lock held).
 
-        The replacement continues the predecessor's seed stream (inherited
-        base seed, counters and job ids), so jobs dispatched to the slot
-        after recovery still derive the same session seeds the fault-free
-        run would have — the whole serving history stays replayable.
+        The replacement continues the predecessor's seed stream (the slot's
+        base seed, inherited counters and job ids): jobs dispatched to the
+        slot after recovery derive the session seeds the fault-free run
+        would have, so the whole serving history stays replayable.
         """
         index = dead.index
-        if self._closed or index in self._restarting or self._shards[index] is not dead:
+        if self._closed or index in self._booting or self._shards[index] is not dead:
             return
         self._shards[index] = None  # one respawn per death, whoever saw it
-        self._restarting.add(index)
-        boot = dict(base_seed=dead.config.base_seed, **dead.successor_state())
+        self._booting.add(index)
+        boot = dead.successor_state()
         self._start_locked(
             lambda: self._boot_into_slot(index, respawn=True, **boot),
             f"respawn-shard{index}",
@@ -444,7 +414,7 @@ class ShardedServingPool:
                     # a dead shard's replacement is registered in the same
                     # locked step that requeued its job: the pool never
                     # looks dead while a replacement is on its way
-                    if not shard.alive and self.max_job_retries > 0:
+                    if not shard.alive:
                         self._respawn_locked(shard)
                     retired = shard in self._retired
                     doomed = self._doomed_locked()
@@ -476,6 +446,8 @@ class ShardedServingPool:
             return None
         if job.attempts:
             self.metrics.inc("jobs_recovered")
+        with self._lock:
+            del self._running[shard]  # answered: its rows stop counting now
         if job.future is not None:
             _resolve(job.future, result=result)
         if job.queries:
@@ -513,7 +485,7 @@ class ShardedServingPool:
         A worker still holding a job counts as neither: it decides when it
         leaves, in the locked step that registers its shard's replacement.
         """
-        if self._restarting or self._running or self._live_locked():
+        if self._booting or self._running or self._live_locked():
             return []
         doomed, self._pending = self._pending, []
         return doomed

@@ -11,6 +11,8 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -31,7 +33,8 @@ from repro.runtime.party import execute_plan_as_party
 from repro.serve import ServingDaemon, ShardedServingPool, ShardSupervisor
 
 SRC = Path(repro.crypto.__file__).parents[1]
-E2E = Path(__file__).resolve().parents[2] / "benchmarks" / "e2e"
+REPO = Path(__file__).resolve().parents[2]
+E2E = REPO / "benchmarks" / "e2e"
 RUNTIME_AND_SERVE = sorted(
     path for package in ("runtime", "serve") for path in (SRC / package).glob("*.py")
 )
@@ -209,6 +212,7 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.runtime.messages", "RefillReport"),
         ("repro.runtime.server", "FACTORY_ANNOUNCE_AHEAD"),
         ("repro.serve", "ShardedServingPool.warm_up"),
+        ("repro.serve", "ShardedServingPool.restart_shard"),
         ("repro.runtime", "WorkerShard.provision"),
         ("repro.crypto", "clear_executors"),
         ("repro.crypto.kernels", "clear_executors"),
@@ -392,3 +396,32 @@ def test_every_exported_name_resolves(package):
     """Names were deleted from ``__all__`` by hand (no ruff in the sandbox)."""
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing
+
+
+#: ``pool.<name>`` citations in the docs whose ``pool`` is not the serving pool
+NOT_THE_SERVING_POOL = {
+    ("docs/protocols.md", "remaining"),  # a RandomnessPool from dealer.preprocess
+    ("docs/serving.md", "frontend"),  # the /stats path pool.batching renders as
+}
+
+
+def test_every_pool_attribute_the_docs_cite_exists():
+    """The docs name ``pool.<name>`` as operational API; a deleted method
+    must leave the docs with it."""
+    cited = {
+        (path.relative_to(REPO).as_posix(), name)
+        for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
+        for name in re.findall(r"(?<![\w./])pool\.([A-Za-z_]\w*)", path.read_text("utf-8"))
+    }
+    assert NOT_THE_SERVING_POOL <= cited  # an entry whose citation went goes too
+    init = ast.parse(textwrap.dedent(inspect.getsource(ShardedServingPool.__init__)))
+    attributes = set(dir(ShardedServingPool)) | {
+        node.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+    missing = {(doc, name) for doc, name in cited - NOT_THE_SERVING_POOL if name not in attributes}
+    assert missing == set()

@@ -354,15 +354,31 @@ class TestPoolShutdownError:
             max_job_retries=0,
             job_timeout=120.0,
         )
-        # evict the only shard so dispatched batches wait forever
-        shard = pool._shards[0]
-        shard.kill()
+        # the only shard dies and its replacement boot blocks until after
+        # the drain window, so the batch waits for a shard the whole time
+        released = threading.Event()
+
+        def _boot_blocks(*args, **kwargs):
+            released.wait(timeout=60.0)
+            raise OSError("replacement boot released after close")
+
+        pool._boot_shard = _boot_blocks
+        pool._shards[0].kill()
         future = pool.submit("vgg", np.zeros((3, 8, 8)))
-        start = time.monotonic()
-        pool.close(timeout=2.0)
-        with pytest.raises((PoolShutdown, RuntimeError)):
-            future.result(timeout=10.0)
-        assert time.monotonic() - start < 60.0  # far below job_timeout
+        try:
+            deadline = time.monotonic() + 10.0
+            while pool.booting_shards() == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            start = time.monotonic()
+            pool.close(timeout=2.0)
+            with pytest.raises(PoolShutdown):
+                future.result(timeout=10.0)
+            assert time.monotonic() - start < 60.0  # far below job_timeout
+        finally:
+            released.set()
+            for thread in list(pool._threads):
+                thread.join(timeout=10.0)
 
 
 class TestHeartbeatSupervision:

@@ -1,11 +1,11 @@
-"""Tests for the sharded serving pool: routing, failure, retry, restart.
+"""Tests for the sharded serving pool: routing, failure, retry, respawn.
 
-The resilience contract: a killed worker pair is evicted and its in-flight
-job is replayed (same ticket, same seed) on a surviving or respawned shard,
-so no client future fails while retry budget remains.  With
-``max_job_retries=0`` the pool keeps the legacy evict-only semantics: the
-in-flight batch fails cleanly (no hang, no wedged dispatcher), the remaining
-shards keep serving, and an evicted slot is rebooted with ``restart_shard``.
+The resilience contract: a killed worker pair is evicted, its slot is
+respawned on the dead shard's continued seed stream, and its in-flight job
+is replayed (same ticket, same seed) on a surviving or respawned shard, so
+no client future fails while retry budget remains.  With
+``max_job_retries=0`` the in-flight batch fails with a typed error instead
+(no hang, no wedged worker), and the slot still comes back.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from repro.crypto import make_context
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
+from repro.runtime.server import derive_job_seed
 from repro.runtime.shard import ShardFailure
 from repro.serve import ServableModel, ShardedServingPool
 
@@ -44,6 +45,14 @@ def _kill_shard(pool, index):
     for process in shard.processes:
         process.join(timeout=10)
     return shard
+
+
+def _wait_for_fleet(pool, live, timeout=60.0):
+    """Wait until ``live`` shards serve and no boot is in flight."""
+    deadline = time.monotonic() + timeout
+    while (pool.live_shards, pool.booting_shards()) != (live, 0):
+        assert time.monotonic() < deadline, (pool.live_shards, pool.booting_shards())
+        time.sleep(0.05)
 
 
 class TestShardedServing:
@@ -128,7 +137,9 @@ class TestShardedServing:
             results = [future.result(timeout=120) for future in futures]
             assert len(results) == 6
 
-    def test_restart_shard_rejoins_the_pool(self, servable):
+    def test_killed_slot_respawns_on_its_continued_stream_at_budget_zero(
+        self, servable
+    ):
         with ShardedServingPool(
             {"vgg": servable},
             num_shards=2,
@@ -136,29 +147,44 @@ class TestShardedServing:
             provision_pools=0,
             seed=7,
             job_timeout=60,
-            max_job_retries=0,  # legacy evict-only semantics
+            max_job_retries=0,  # no replay: the job on the dead pair fails
         ) as pool:
-            _kill_shard(pool, 0)
+            dead = _kill_shard(pool, 0)
             x = np.random.default_rng(2).normal(size=(1, 3, 8, 8))
-            for _ in range(3):  # flush the dead pair out of the idle queue
+            for _ in range(3):  # the longest-idle worker, slot 0's, goes first
                 try:
                     pool.run_batch("vgg", x)
-                except (ShardFailure, RuntimeError):
-                    pass
-            assert pool.live_shards == 1
-            pool.restart_shard(0)
-            assert pool.live_shards == 2
-            assert pool.stats_snapshot()["processes_spawned"] == 6  # 2 boots + 1 restart
-            # the restarted slot serves again, on a fresh seed stream
-            results = {pool.run_batch("vgg", x).shard for _ in range(4)}
-            assert 0 in results
-            engine_check = pool.run_batch("vgg", x)
-            engine = SecureInferenceEngine(make_context(seed=engine_check.seed))
+                except ShardFailure:
+                    break  # typed; no further job may reach the replacement
+            else:
+                pytest.fail("no job reached the dead pair")
+            # the slot comes back by itself: no call brings it back
+            _wait_for_fleet(pool, 2)
+            snapshot = pool.stats_snapshot()
+            assert snapshot["processes_spawned"] == 6  # 2 boots + 1 respawn
+            assert snapshot["shards_respawned"] == 1
+            assert snapshot["retries_exhausted"] == 1
+            replacement = pool._shards[0]
+            assert replacement is not dead
+            assert replacement.config.base_seed == dead.config.base_seed
+            # counters and job ids continue where the dead shard stopped
+            state = dead.successor_state()
+            assert replacement.successor_state() == state
+            # drive slot 0 directly: its next job is the dead shard's next one
+            served = replacement.run_job("vgg", x)
+            assert served.shard == 0
+            assert served.seed == derive_job_seed(
+                dead.config.base_seed, "vgg", 1, state["initial_counters"][("vgg", 1)]
+            )
+            engine = SecureInferenceEngine(make_context(seed=served.seed))
             plan = engine.compile(servable.spec, batch_size=1)
             reference = engine.execute(
                 plan, servable.weights, x, pool=engine.preprocess(plan)
             )
-            np.testing.assert_array_equal(engine_check.logits, reference.logits)
+            np.testing.assert_array_equal(served.logits, reference.logits)
+            assert replacement.successor_state()["initial_job_id"] == (
+                state["initial_job_id"] + 1
+            )
 
     def test_malformed_batch_is_rejected_without_killing_the_shard(self, servable):
         """A bad query is a job-scoped error: both parties reject it before
@@ -177,25 +203,52 @@ class TestShardedServing:
             result = pool.run_batch("vgg", good)
             assert result.shard == 0  # same persistent pair still serving
 
-    def test_restarting_a_live_shard_is_refused(self, servable):
-        with ShardedServingPool(
-            {"vgg": servable}, num_shards=1, provision_pools=0, seed=8
-        ) as pool:
-            with pytest.raises(RuntimeError, match="still alive"):
-                pool.restart_shard(0)
-
-    def test_all_shards_dead_raises_instead_of_hanging(self, servable):
+    def test_at_budget_zero_the_job_fails_typed_and_the_slot_returns(self, servable):
         with ShardedServingPool(
             {"vgg": servable},
             num_shards=1,
             provision_pools=0,
             seed=10,
             job_timeout=30,
-            max_job_retries=0,  # no replay, no auto-respawn
+            max_job_retries=0,
         ) as pool:
             _kill_shard(pool, 0)
             x = np.zeros((1, 3, 8, 8))
-            with pytest.raises((ShardFailure, RuntimeError)):
+            with pytest.raises(ShardFailure):
                 pool.run_batch("vgg", x)  # detects the death, evicts
-            with pytest.raises(RuntimeError, match="no live shards"):
-                pool.run_batch("vgg", x)
+            # the next job waits for the replacement instead of failing
+            result = pool.run_batch("vgg", x)
+            assert result.shard == 0 and result.logits.shape == (1, 10)
+            snapshot = pool.stats_snapshot()
+            assert snapshot["retries_exhausted"] == 1
+            assert snapshot["shards_respawned"] == 1
+            assert snapshot["live_shards"] == 1
+
+    def test_every_boot_of_a_slot_serves_that_slots_seed_stream(self, servable):
+        """Slot ``i`` boots on ``seed + 112_648 * i`` whatever booted before:
+        a respawn ahead of a scale-up does not shift the new slot's stream."""
+        seed = 12
+        with ShardedServingPool(
+            {"vgg": servable}, num_shards=1, max_shards=2, provision_pools=0, seed=seed
+        ) as pool:
+            _kill_shard(pool, 0)
+            pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))  # replayed on the respawn
+            _wait_for_fleet(pool, 1)
+            assert pool.stats_snapshot()["shards_respawned"] == 1
+            assert pool.add_shard() == 1
+            assert pool._shards[0].config.base_seed == seed
+            assert pool._shards[1].config.base_seed == seed + 112_648
+
+    def test_an_answered_query_no_longer_counts_in_the_queue(self, servable):
+        """A client that resubmits the moment its answer lands must not be
+        counted against its own finished job."""
+        with ShardedServingPool(
+            {"vgg": servable}, num_shards=1, max_batch=1, max_wait=0.0,
+            provision_pools=0, seed=13,
+        ) as pool:
+            depths = []
+            for _ in range(3):
+                future = pool.submit("vgg", np.zeros((3, 8, 8)))
+                future.add_done_callback(lambda f: depths.append(pool.queue_depth("vgg")))
+                future.result(timeout=120)
+            assert depths == [0, 0, 0]
