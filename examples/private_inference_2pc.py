@@ -96,7 +96,7 @@ def demo_model_inference() -> None:
     print(f"offline: {1e3 * offline_s:.1f} ms — "
           f"{manifest.triple_elements} triple + "
           f"{manifest.square_pair_elements} square-pair + "
-          f"{manifest.bit_triple_elements} bit-triple elements "
+          f"{manifest.bit_triple_elements} AND-plane bits "
           f"({manifest.material_bytes / 1e3:.1f} kB of material)")
     print(f"online:  {1e3 * online_s:.1f} ms — "
           f"{result.communication_bytes / 1e3:.1f} kB "

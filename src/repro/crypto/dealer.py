@@ -1,12 +1,13 @@
 """Trusted dealer for correlated randomness (offline phase).
 
 The online 2PC protocols consume Beaver triples (for products), Beaver pairs
-(for squares), fan-out bit triples (for AND gates inside the comparison flow) and
-daBits (for the one-round ReLU/MaxPool multiplexer).  In deployments this
-correlated randomness is produced by an OT-based or HE-based offline phase;
-the paper (like CrypTen and Delphi) separates it from the online latency it
-reports, so the reproduction models it as a local dealer.  The dealer never
-sees the secret inputs — it only outputs shares of random correlated values.
+(for squares), multi-input AND items (mask products for the comparison
+tree's combines) and daBits (for the one-round ReLU/MaxPool multiplexer).
+In deployments this correlated randomness is produced by an OT-based or
+HE-based offline phase; the paper (like CrypTen and Delphi) separates it
+from the online latency it reports, so the reproduction models it as a local
+dealer.  The dealer never sees the secret inputs — it only outputs shares of
+random correlated values.
 
 A compiled plan runs only against a :class:`RandomnessPool`:
 :meth:`TrustedDealer.preprocess` draws every request of the plan's manifest
@@ -45,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.andgates import and_table, and_terms, plane_bytes
 from repro.crypto.kernels import dead_lane
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.sharing import SharePair, share_ring_elements
@@ -64,7 +66,7 @@ _KIND_IDS = {
 PARTY_FIELDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "triple": (("a0", "b0", "z0"), ("a1", "b1", "z1")),
     "square": (("a0", "z0"), ("a1", "z1")),
-    "bit": (("a0", "b0", "c0"), ("a1", "b1", "c1")),
+    "bit": (("lam0",), ("lam1",)),
     "dabit": (("r0", "arith0", "a0", "ra0"), ("r1", "arith1", "a1", "ra1")),
 }
 
@@ -75,6 +77,17 @@ GroupKey = Tuple[str, Tuple[int, ...]]
 def numel(shape: Tuple[int, ...]) -> int:
     """Number of elements of one item of the given shape (scalar -> 1)."""
     return int(np.prod(shape, dtype=np.int64)) if shape else 1
+
+
+def item_elements(kind: str, shape: Tuple[int, ...]) -> int:
+    """Elements of one item: an AND item of shape ``(radix, outputs) + S``
+    counts its mask and mask-product bits per party, every other kind its
+    shape's elements."""
+    if kind == "bit":
+        if len(shape) < 2:
+            raise ValueError("an AND item's shape leads with its radix and output count")
+        return len(and_terms(shape[0], shape[1])[2]) * numel(shape[2:])
+    return numel(shape)
 
 
 def substream(
@@ -118,6 +131,19 @@ def unpack_ring_words(words: np.ndarray, ring: FixedPointRing, count: int) -> np
     return np.ascontiguousarray(bits[..., :count])
 
 
+def random_bytes(words: np.ndarray, ring: FixedPointRing, count: int) -> np.ndarray:
+    """``count`` uniformly random bytes per row of ring words ``(..., W)``:
+    the :func:`unpack_ring_words` plane of ``8 * count`` bits, packed in
+    little bit order (a whole-byte ring's words are simply cut into their
+    low bytes)."""
+    if ring.ring_bits % 8:
+        return np.packbits(unpack_ring_words(words, ring, 8 * count), axis=-1, bitorder="little")
+    little = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
+    low = little.reshape(words.shape + (8,))[..., : ring.ring_bits // 8]
+    flat = low.reshape(words.shape[:-1] + (words.shape[-1] * (ring.ring_bits // 8),))
+    return np.ascontiguousarray(flat[..., :count])
+
+
 # --------------------------------------------------------------------------- #
 # Per-kind group drawers.  Each consumes exactly one fixed-shape uint64 draw
 # per item from ``rng`` (the split-transparency invariant) and returns the
@@ -148,35 +174,22 @@ def _draw_square(
     return {"a0": mask_a, "a1": ring.sub(a, mask_a), "z0": mask_z, "z1": ring.sub(z, mask_z)}
 
 
-def fan_out_rows(gates: int) -> int:
-    """Shared-operand rows of a fan-out AND item with ``gates`` gate rows.
-
-    Gate row ``k`` shares operand row ``k mod fan_out_rows(gates)``: the
-    comparison tree's ``eq_hi`` feeds both the ``gt`` and the ``eq`` gate of
-    its combine, and a one-row item is a plain AND gate.
-    """
-    return (gates + 1) // 2
-
-
-def _draw_bit(
+def _draw_and(
     ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
 ) -> Dict[str, np.ndarray]:
-    if not shape:
-        raise ValueError("a fan-out AND item's shape leads with its gate rows")
-    gates, element = shape[0], shape[1:]
-    fan = fan_out_rows(gates)
-    n = numel(element)
-    fan_words, gate_words = words_per_plane(ring, fan * n), words_per_plane(ring, gates * n)
-    words = ring.random((count, 2 * fan_words + 3 * gate_words), rng)
-
-    def plane(start: int, size: int, rows: int) -> np.ndarray:
-        bits = unpack_ring_words(words[:, start : start + size], ring, rows * n)
-        return bits.reshape((count, rows) + element)
-
-    a, a0 = (plane(i * fan_words, fan_words, fan) for i in range(2))
-    b, b0, c0 = (plane(2 * fan_words + i * gate_words, gate_words, gates) for i in range(3))
-    c = np.concatenate([a, a], axis=1)[:, :gates] & b
-    return {"a0": a0, "a1": a ^ a0, "b0": b0, "b1": b ^ b0, "c0": c0, "c1": c ^ c0}
+    table = and_table(shape[0], shape[1])
+    width = plane_bytes(shape[2:])
+    mask_bytes, share_bytes = table.inputs * width, len(table.subsets) * width
+    mask_words = words_per_plane(ring, 8 * mask_bytes)
+    words = ring.random((count, mask_words + words_per_plane(ring, 8 * share_bytes)), rng)
+    # the masks, then every product the monomials read, built up by size
+    lam = np.empty((count, len(table.subsets), width), dtype=np.uint8)
+    lam[:, : table.inputs] = random_bytes(words[:, :mask_words], ring, mask_bytes).reshape(
+        (count, table.inputs, width)
+    )
+    table.products(lam.swapaxes(0, 1))
+    lam0 = random_bytes(words[:, mask_words:], ring, share_bytes).reshape(lam.shape)
+    return {"lam0": lam0, "lam1": lam ^ lam0}
 
 
 def _draw_dabit(
@@ -207,7 +220,7 @@ def _draw_dabit(
 _DRAWERS = {
     "triple": _draw_triple,
     "square": _draw_square,
-    "bit": _draw_bit,
+    "bit": _draw_and,
     "dabit": _draw_dabit,
 }
 
@@ -251,21 +264,19 @@ class BeaverPair:
 
 
 @dataclass
-class BitTriple:
-    """XOR-shares of a fan-out AND triple, used by the GMW AND gates.
+class AndMasks:
+    """XOR shares of one multi-input AND item: the planes of its
+    :class:`~repro.crypto.andgates.AndTable` — a fresh mask per opened input,
+    then every mask-subset product the combine's monomials expand to.
 
-    An item of shape ``(gates,) + S`` holds ``a`` with
-    :func:`fan_out_rows` ``(gates)`` rows and ``b``, ``c`` with ``gates``
-    rows, where ``c[k] = a[k mod fan] & b[k]``: gates that share an input
-    mask it once.
+    An item of shape ``(radix, outputs) + S`` holds ``(planes, B)`` per
+    share: each plane bit-packed over ``S``, ``B = ceil(|S| / 8)`` bytes
+    (:func:`~repro.crypto.andgates.unpack_planes` restores ``S``).
+    ``(2, 1) + S`` is a plain AND gate: two masks and their product.
     """
 
-    a0: np.ndarray
-    a1: np.ndarray
-    b0: np.ndarray
-    b1: np.ndarray
-    c0: np.ndarray
-    c1: np.ndarray
+    lam0: np.ndarray
+    lam1: np.ndarray
 
 
 @dataclass
@@ -303,14 +314,7 @@ def _item(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: i
             z=SharePair(arrays["z0"][row], arrays["z1"][row], ring),
         )
     if kind == "bit":
-        return BitTriple(
-            a0=arrays["a0"][row],
-            a1=arrays["a1"][row],
-            b0=arrays["b0"][row],
-            b1=arrays["b1"][row],
-            c0=arrays["c0"][row],
-            c1=arrays["c1"][row],
-        )
+        return AndMasks(lam0=arrays["lam0"][row], lam1=arrays["lam1"][row])
     if kind == "dabit":
         return DaBit(
             r0=arrays["r0"][row],
@@ -330,7 +334,7 @@ class TrustedDealer:
         self.seed = int(seed)
         self._streams: Dict[Tuple, np.random.Generator] = {}
         self.triples_generated = 0
-        self.bit_triples_generated = 0
+        self.and_planes_generated = 0
         self.dabits_generated = 0
 
     def _stream(self, kind: str, *shapes: Tuple[int, ...]) -> np.random.Generator:
@@ -348,11 +352,11 @@ class TrustedDealer:
         return rng
 
     def _count_group(self, kind: str, shape: Tuple[int, ...], count: int) -> None:
-        elements = count * numel(shape)
+        elements = count * item_elements(kind, shape)
         if kind in ("triple", "square"):
             self.triples_generated += elements
         elif kind == "bit":
-            self.bit_triples_generated += elements
+            self.and_planes_generated += elements
         elif kind == "dabit":
             self.dabits_generated += elements
 
@@ -403,8 +407,8 @@ class TrustedDealer:
         """Beaver pair (A, A^2) for the square protocol (Eq. 3)."""
         return self._draw_item("square", shape)
 
-    def bit_triple(self, shape: Tuple[int, ...]) -> BitTriple:
-        """XOR-shared AND triple used by the GMW comparison circuit."""
+    def and_masks(self, shape: Tuple[int, ...]) -> AndMasks:
+        """Mask products of a multi-input AND item ``(radix, outputs) + S``."""
         return self._draw_item("bit", shape)
 
     def dabit(self, shape: Tuple[int, ...]) -> DaBit:
@@ -459,7 +463,7 @@ class PreprocessingExhausted(RuntimeError):
 class RandomnessPool:
     """Pre-generated correlated randomness served during the online phase.
 
-    Implements the same ``triple`` / ``square_pair`` / ``bit_triple`` /
+    Implements the same ``triple`` / ``square_pair`` / ``and_masks`` /
     ``dabit`` interface as :class:`TrustedDealer`, so it stands in as
     ``ctx.dealer`` during plan execution — but it never *generates*: a
     request the offline phase did not provision raises
@@ -638,7 +642,7 @@ class RandomnessPool:
     def square_pair(self, shape: Tuple[int, ...]) -> BeaverPair:
         return self._pop("square", shape)
 
-    def bit_triple(self, shape: Tuple[int, ...]) -> BitTriple:
+    def and_masks(self, shape: Tuple[int, ...]) -> AndMasks:
         return self._pop("bit", shape)
 
     def dabit(self, shape: Tuple[int, ...]) -> DaBit:

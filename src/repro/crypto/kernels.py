@@ -9,8 +9,9 @@ protocol handlers.  The executor
 - **fused composite kernels** (registered in :data:`KERNELS`) replace the
   per-op ``ring.add``/``ring.sub``/``ring.truncate_local`` chains with
   single in-place passes over freshly-owned arrays — Beaver/square
-  recombination, SecureML truncation, public-constant scale/add and the
-  GMW AND / one-round select finishes;
+  recombination, SecureML truncation, public-constant scale/add, the
+  multi-input AND (:class:`~repro.crypto.andgates.AndTable`) and
+  one-round select finishes;
 - **live lanes only** — a party process holds one share-world
   (:attr:`KernelContext.live`), so every kernel computes that lane alone
   and returns :func:`dead_lane` for the other; the in-process engine holds
@@ -45,6 +46,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.andgates import and_table, pack_planes, unpack_planes
 from repro.crypto.ring import FixedPointRing
 
 #: registry of fused local-compute kernels, keyed by kernel name
@@ -368,44 +370,52 @@ def add_encoded(
     return per_lane(live, share0.shape, lane)
 
 
-@register_kernel("and-finish")
-def and_finish(
+# --------------------------------------------------------------------------- #
+# Multi-input AND: the comparison tree's radix-k combine (ABY2.0)
+# --------------------------------------------------------------------------- #
+@register_kernel("and-table")
+def and_table_finish(
     d: np.ndarray,
-    e: np.ndarray,
-    a0: np.ndarray,
-    a1: np.ndarray,
-    b0: np.ndarray,
-    b1: np.ndarray,
-    c0: np.ndarray,
-    c1: np.ndarray,
+    lam0: np.ndarray,
+    lam1: np.ndarray,
+    radix: int,
+    outputs: int,
     live: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused fan-out GMW AND finish over opened masks ``d = x⊕a`` and ``e = y⊕b``.
+    """Fused multi-input AND finish over the opened inputs ``d = x ⊕ λ``.
 
-    ``d`` and ``a`` carry one row per shared operand, ``e``, ``b`` and ``c``
-    one per gate; gate row ``k`` reads operand row ``k mod len(d)``.  With
-    ``d`` and ``a`` broadcast over the gate rows, lane ``i`` holds ``c ⊕ (d &
-    b) ⊕ (e & a)``, and lane 0 also ``d & e`` — folded in as ``d & (b ⊕ e)``.
+    ``d`` stacks the combine's ``(inputs,) + S`` opened bits, ``lam0`` /
+    ``lam1`` the XOR shares of its :class:`~repro.crypto.andgates.AndTable`
+    planes, each bit-packed over ``S``; returns each lane's ``(outputs,) +
+    S`` shares of the product terms (without the linear ``gt_0``).  The
+    public coefficient planes are computed once, packed, then each held lane
+    is one AND with its share planes and one XOR-reduction per output —
+    eight elements a byte.
     """
-    fan, gates = len(d), len(e)
-    blocks = [
-        (slice(start, min(start + fan, gates)), slice(0, min(fan, gates - start)))
-        for start in range(0, gates, fan)
-    ]
-    a_lanes, c_lanes = (a0, a1), (c0, c1)
+    table = and_table(radix, outputs)
+    element = d.shape[1:]
+    stack = np.empty((len(table.subsets) + 1, lam0.shape[-1]), dtype=np.uint8)
+    stack[: table.inputs] = pack_planes(d)
+    stack[-1] = 0xFF
+    table.products(stack)
+    (_, first), *layers = table.coef_layers
+    coefficients = stack[first]
+    for rows, terms in layers:
+        coefficients[rows] ^= stack[terms]
+    held = len(table.lane_planes)
+    lams = (lam0, lam1)
 
     def lane(i: int) -> np.ndarray:
-        y = np.bitwise_xor(b0, e) if i == 0 else b1
-        z = np.empty(e.shape, dtype=e.dtype)
-        scratch = np.empty_like(z)
-        for rows, shared in blocks:
-            np.bitwise_and(y[rows], d[shared], out=z[rows])
-            np.bitwise_and(e[rows], a_lanes[i][shared], out=scratch[rows])
-        np.bitwise_xor(z, scratch, out=z)
-        np.bitwise_xor(z, c_lanes[i], out=z)
-        return z
+        terms = np.take(lams[i], table.lane_planes, axis=0)
+        np.bitwise_and(terms, coefficients[:held], out=terms)
+        z = np.empty((outputs, terms.shape[-1]), dtype=np.uint8)
+        for output, (start, stop) in enumerate(table.lane_bounds):
+            np.bitwise_xor.reduce(terms[start:stop], axis=0, out=z[output])
+        if i == 0:
+            np.bitwise_xor(z, coefficients[held:], out=z)
+        return unpack_planes(z, element)
 
-    return per_lane(live, e.shape, lane, dtype=e.dtype)
+    return per_lane(live, (outputs,) + element, lane, dtype=np.uint8)
 
 
 @register_kernel("select-finish")

@@ -163,7 +163,8 @@ class PreprocessingManifest:
 
     @property
     def bit_triple_elements(self) -> int:
-        """GMW AND-gate bit triples of the comparison circuit."""
+        """AND-item plane bits (masks and mask products, per party) of the
+        comparison tree; the name predates multi-input AND items."""
         return self.elements("bit")
 
     @property

@@ -4,25 +4,27 @@ The comparison protocol ("millionaires' problem") determines whose value is
 larger without revealing the values.  Following the paper's OT-flow
 (Section III-C.1) the values are decomposed into 2-bit digits; a 1-of-4 OT
 per digit transfers masked greater-than / equality indicator bits, which are
-then combined with a GMW-style prefix circuit (AND gates from dealer bit
-triples) into a single XOR-shared comparison bit.
+then combined with a prefix circuit of multi-input AND gates (dealer mask
+products) into a single XOR-shared comparison bit.
 
 Four structural optimizations make this module the fast path it is:
 
-1. **log-depth prefix tree of fan-out gates** — the per-digit (gt, eq)
-   pairs are folded with the associative comparison combine ``(hi) ∘ (lo)
-   = (gt_hi ^ (eq_hi & gt_lo), eq_hi & eq_lo)`` in a Kogge-Stone-style
-   balanced tree, so a 64-bit comparison over 32 digits needs
-   ``ceil(log2(32)) = 5`` AND rounds instead of the 32 sequential prefix
-   steps of the naive chain.  Both gates of a combine share ``eq_hi``, so a
-   level opens it once under one fan-out triple (CrypTFlow2's correlated
-   AND triples), and the last position's equality bit, which no level
-   reads, is never computed: 88 opened bits per party per element instead
-   of 122;
+1. **a three-level tree of multi-input AND combines** — the per-digit (gt,
+   eq) pairs are folded MSB-first by radix-``k`` combines ``gt = gt_0 ⊕
+   eq_0·gt_1 ⊕ … ⊕ eq_0···eq_{k-2}·gt_{k-1}``, ``eq = eq_0···eq_{k-1}``.
+   The terms are mutually exclusive, so XOR is exact, and one round
+   evaluates them all: each input is opened once under a fresh mask and the
+   dealer supplies shares of the mask products (ABY2.0's multi-input AND
+   gates).  :func:`tree_schedule` picks the radix of every level from its
+   cost table — the fewest rounds whose material stays within 1.5× that of
+   the radix-2 tree — so a 64-bit comparison over 32 digits folds
+   ``32 → 16 → 4 → 1`` in 3 AND rounds (5 at radix 2, 32 for the
+   sequential chain), and the last position's equality bit, which no level
+   reads, is never computed: 80 opened bits per party per element;
 2. **stacked-digit kernels** — digit extraction, the OT table construction
-   and every tree level's AND gates operate on one ``(digits,) + shape``
-   stacked array: one dealer request, one numpy kernel and one wire event
-   per level instead of one per digit;
+   and every tree level's combines operate on one ``(digits,) + shape``
+   stacked array: one dealer request per combine radix, one fused finish
+   and one wire event per level instead of one per digit;
 3. **sub-byte payloads** — the OT tables ship as packed 2-bit elements and
    every AND opening and the select's ``c`` as packed 1-bit planes (see
    :mod:`repro.crypto.transport`), cutting the boolean wire volume 4-8x;
@@ -35,7 +37,7 @@ Four structural optimizations make this module the fast path it is:
 
 Every interactive routine is a phase generator (``*_phases``) whose yielded
 round groups encode the protocol's intrinsic parallelism: all digit OTs ride
-one round, each tree level's AND gates ride one round.  The plain functions
+one round, each tree level's combines ride one round.  The plain functions
 drive the generators sequentially (the reference semantics).
 
 On top of the raw comparison this module builds:
@@ -49,12 +51,13 @@ On top of the raw comparison this module builds:
 
 from __future__ import annotations
 
-from typing import Tuple
+import functools
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.crypto.andgates import and_table, and_terms, unpack_planes
 from repro.crypto.context import TwoPartyContext
-from repro.crypto.dealer import fan_out_rows
 from repro.crypto.events import open_bits_event, open_ring_event, run_phases, transfer_event
 from repro.crypto.kernels import KERNELS, dead_lane, per_lane
 from repro.crypto.protocols.registry import (
@@ -69,66 +72,99 @@ from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair, sub_shares
 
 XorSharedBit = Tuple[np.ndarray, np.ndarray]
+#: one AND block: ``(radix, outputs, inputs)``, ``inputs`` the held lanes of
+#: an ``(I,) + S`` stack of the combine's XOR-shared input bits
+AndBlock = Tuple[int, int, XorSharedBit]
+
+#: the radices a tree level may fold with
+RADICES = (2, 4, 8)
 
 
-def _and_prepare(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: str):
-    """Local-compute half of a fan-out GMW AND gate.
+def _and_prepare(ctx: TwoPartyContext, blocks: List[AndBlock], tag: str):
+    """Local-compute half of one round of multi-input AND combines.
 
-    ``y`` stacks ``gates`` rows of second operands, ``x`` the
-    :func:`~repro.crypto.dealer.fan_out_rows` shared first operands: gate row
-    ``k`` computes ``x[k mod len(x)] & y[k]``.  Pops the fan-out triple and
-    masks the held lanes of the inputs, each shared operand once; returns the
-    pending opening event plus the local-finish closure that consumes the
-    opened planes.  Splitting the gate this way lets callers batch several
-    independent AND gates into one round group — and, with stacked inputs,
-    into one event.
+    Pops one AND item per block (its inputs are the first planes of the
+    combine's :class:`~repro.crypto.andgates.AndTable`) and masks every input
+    once; all blocks' masked inputs ride one packed 1-bit plane per
+    direction.  Returns the pending opening event plus the local finish
+    that turns the opened plane into each block's ``(outputs,) + S``
+    XOR-shared product terms.  Splitting the gate this way lets callers
+    batch independent combines into one round group and one event.
     """
-    fan, gates = len(x[0]), len(y[0])
-    triple = ctx.dealer.bit_triple(y[0].shape)
-    a, b = (triple.a0, triple.a1), (triple.b0, triple.b1)
+    items = [ctx.dealer.and_masks((k, o) + x[0].shape[1:]) for k, o, x in blocks]
+    bounds = np.cumsum([0] + [x[0].size for _, _, x in blocks])
+    spans = list(zip(blocks, items, bounds, bounds[1:]))
 
     def masked_lane(i: int) -> np.ndarray:
-        # d = x ^ a over the shared rows, e = y ^ b over the gate rows
-        masked = np.empty((fan + gates,) + y[i].shape[1:], dtype=np.uint8)
-        np.bitwise_xor(x[i], a[i], out=masked[:fan])
-        np.bitwise_xor(y[i], b[i], out=masked[fan:])
+        masked = np.empty(bounds[-1], dtype=np.uint8)
+        for (_, _, x), item, start, stop in spans:
+            lam = unpack_planes((item.lam0, item.lam1)[i][: len(x[i])], x[i].shape[1:])
+            np.bitwise_xor(x[i], lam, out=masked[start:stop].reshape(x[i].shape))
         return masked
 
-    # One stacked 1-bit plane per direction.
-    masked = per_lane(ctx.live_lane, (fan + gates,) + y[0].shape[1:], masked_lane, np.uint8)
+    masked = per_lane(ctx.live_lane, (int(bounds[-1]),), masked_lane, np.uint8)
     event = open_bits_event(*masked, tag=tag)
 
-    def finish(opened: np.ndarray) -> XorSharedBit:
-        d = opened[:fan]
-        e = opened[fan:]
-        kc = ctx.kernels
-        if kc is not None:
-            z0, z1 = KERNELS["and-finish"](
-                d, e, triple.a0, triple.a1, triple.b0, triple.b1, triple.c0, triple.c1,
-                live=kc.live,
-            )
-            kc.count()
-            return z0, z1
-        shared = np.arange(gates) % fan
-        d = d[shared]
-        z0 = triple.c0 ^ (d & triple.b0) ^ (e & triple.a0[shared]) ^ (d & e)
-        z1 = triple.c1 ^ (d & triple.b1) ^ (e & triple.a1[shared])
-        return z0.astype(np.uint8), z1.astype(np.uint8)
+    def finish(opened: np.ndarray) -> List[XorSharedBit]:
+        return [
+            _and_finish(ctx, k, o, opened[start:stop].reshape(x[0].shape), item)
+            for (k, o, x), item, start, stop in spans
+        ]
 
     return event, finish
 
 
-def secure_and_phases(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: str = "and"):
-    """GMW AND gate on XOR-shared bits using a dealer bit triple.
+def _and_finish(ctx: TwoPartyContext, radix: int, outputs: int, d: np.ndarray, item):
+    """Shares of a combine's product terms from its opened inputs ``d``.
 
-    Each party opens (x ^ a) and (y ^ b); the shares of x AND y are then a
-    local affine combination of the opened values and the triple shares.
-    It is the one-row fan-out gate: one shared operand, one gate.
+    The fused kernel groups the terms by mask plane; the reference expands
+    ``∏_{i∈m} (d_i ⊕ λ_i) = ⊕_{T⊆m} d_{m∖T}·λ_T`` one term at a time.
     """
-    event, finish = _and_prepare(ctx, (x[0][None], x[1][None]), (y[0][None], y[1][None]), tag)
+    kc = ctx.kernels
+    if kc is not None:
+        z = KERNELS["and-table"](d, item.lam0, item.lam1, radix, outputs, live=kc.live)
+        kc.count()
+        return z
+    table = and_table(radix, outputs)
+    terms = []
+    for output, mask in table.monomials:
+        subset = mask
+        while True:
+            coefficient = np.ones(d.shape[1:], dtype=np.uint8)
+            for i in range(table.inputs):
+                if (mask ^ subset) >> i & 1:
+                    coefficient &= d[i]
+            terms.append((output, subset, coefficient))
+            if not subset:
+                break
+            subset = (subset - 1) & mask
+
+    def lane(i: int) -> np.ndarray:
+        lam = unpack_planes((item.lam0, item.lam1)[i], d.shape[1:])
+        z = np.zeros((outputs,) + d.shape[1:], dtype=np.uint8)
+        for output, subset, coefficient in terms:
+            if subset:
+                z[output] ^= coefficient & lam[table.planes[subset]]
+            elif i == 0:  # the public product d_m
+                z[output] ^= coefficient
+        return z
+
+    return per_lane(ctx.live_lane, (outputs,) + d.shape[1:], lane, np.uint8)
+
+
+def secure_and_phases(ctx: TwoPartyContext, x: XorSharedBit, y: XorSharedBit, tag: str = "and"):
+    """AND gate on XOR-shared bits: the one-monomial AND item.
+
+    A radix-2 combine computing ``gt`` only, ``x`` as its ``eq_0`` and
+    ``y`` as its ``gt_1``: each party opens ``x ⊕ λ_x`` and ``y ⊕ λ_y``,
+    and the shares of ``x·y`` are a local combination of the opened values
+    and the shares of ``λ_x``, ``λ_y`` and ``λ_x·λ_y``.
+    """
+    inputs = per_lane(ctx.live_lane, (2,) + x[0].shape, lambda i: np.stack([x[i], y[i]]), np.uint8)
+    event, finish = _and_prepare(ctx, [(2, 1, inputs)], tag)
     (opened,) = yield (event,)
-    z = finish(opened)
-    return z[0][0], z[1][0]
+    ((z0, z1),) = finish(opened)
+    return z0[0], z1[0]
 
 
 def secure_and(
@@ -138,26 +174,88 @@ def secure_and(
     return run_phases(ctx, secure_and_phases(ctx, x, y, tag=tag))
 
 
-def _tree_level_widths(num_digits: int):
-    """The fan-out AND gates of the prefix tree, level by root-ward level.
+# --------------------------------------------------------------------------- #
+# The tree schedule
+# --------------------------------------------------------------------------- #
+def tree_levels(num_leaves: int, radices: Tuple[int, ...]):
+    """The combines of a tree schedule, level by root-ward level.
 
-    Yields ``(remaining, combine_count, gate_count)`` per tree level:
-    ``combine_count`` adjacent (hi, lo) pairs of the ``remaining`` nodes are
-    combined, each masking its shared ``eq_hi`` once and costing two gates
-    (``eq_hi & gt_lo`` and ``eq_hi & eq_lo``).  The last position's equality
-    bit is never read — at the root it is the root itself, below that the
-    position that folds into it — so when ``remaining`` is even the last
-    combine drops its ``eq_lo`` gate; when it is odd, the carried node holds
-    the last position and every combine keeps both gates.  The generator and
-    the trace iterate this exact sequence, which is what keeps randomness
-    requests and wire events in lockstep.
+    Yields ``(remaining, radix, full, last)`` per level: the ``remaining``
+    nodes, MSB first, are cut into groups of ``radix``.  The ``full`` groups
+    before the last keep their ``eq`` output; the last group, ``last``
+    nodes, holds the last position, whose equality bit no level reads, so
+    it computes ``gt`` only (one node is carried as it is).  The generator
+    and the trace iterate this exact sequence, which is what keeps
+    randomness requests and wire events in lockstep.
     """
-    remaining = num_digits
-    while remaining > 1:
-        combines = remaining // 2
-        gates = 2 * combines - (1 - remaining % 2)
-        yield remaining, combines, gates
-        remaining -= combines
+    remaining = num_leaves
+    for radix in radices:
+        full = (remaining - 1) // radix
+        last = remaining - full * radix
+        yield remaining, radix, full, last
+        remaining = full + 1
+    if remaining != 1:
+        raise ValueError(f"schedule {radices} leaves {remaining} of {num_leaves} nodes unfolded")
+
+
+def _combine_inputs(
+    gt: np.ndarray, eq: np.ndarray, radix: int, outputs: int, combines: int, first: int
+) -> np.ndarray:
+    """One lane's ``(inputs, combines) + S`` stack of a block's AND inputs:
+    ``eq_0..`` then ``gt_1..`` of each of ``combines`` consecutive groups of
+    ``radix`` nodes from node ``first`` (the order of the
+    :class:`~repro.crypto.andgates.AndTable` inputs)."""
+    stop = first + combines * radix
+    element = gt.shape[1:]
+    eqs = eq[first:stop].reshape((combines, radix - 2 + outputs) + element)
+    gts = gt[first:stop].reshape((combines, radix) + element)
+    return np.concatenate([eqs.swapaxes(0, 1), gts.swapaxes(0, 1)[1:]])
+
+
+def level_blocks(radix: int, full: int, last: int) -> List[Tuple[int, int, int, int]]:
+    """``(radix, outputs, combines, first node)`` of a level's AND blocks."""
+    blocks = [(radix, 2, full, 0)] if full else []
+    if last > 1:
+        blocks.append((last, 1, 1, full * radix))
+    return blocks
+
+
+def schedule_cost(num_leaves: int, radices: Tuple[int, ...]) -> Tuple[int, int, int]:
+    """``(rounds, opened bits, material bits)`` per element and party: a
+    combine opens its table's inputs and holds one share bit per plane."""
+    opened = material = 0
+    for _remaining, radix, full, last in tree_levels(num_leaves, radices):
+        for k, outputs, combines, _first in level_blocks(radix, full, last):
+            inputs, _monomials, subsets = and_terms(k, outputs)
+            opened += combines * inputs
+            material += combines * len(subsets)
+    return len(radices), opened, material
+
+
+def schedules(remaining: int):
+    """Every sequence of :data:`RADICES` that folds ``remaining`` nodes to
+    one root; a level's radix never exceeds the nodes it folds."""
+    if remaining == 1:
+        yield ()
+        return
+    for radix in RADICES:
+        if radix <= remaining:
+            for rest in schedules((remaining - 1) // radix + 1):
+                yield (radix,) + rest
+
+
+@functools.lru_cache(maxsize=64)
+def tree_schedule(num_leaves: int) -> Tuple[int, ...]:
+    """The radices the comparison tree over ``num_leaves`` folds with.
+
+    The rule, applied to :func:`schedule_cost`'s table: the fewest rounds,
+    subject to material of at most 1.5× the radix-2 tree's; ties go to
+    fewer material bits.  32 leaves give ``(2, 4, 4)``.
+    """
+    budget = schedule_cost(num_leaves, (2,) * (num_leaves - 1).bit_length())[2] * 3 / 2
+    costs = {radices: schedule_cost(num_leaves, radices) for radices in schedules(num_leaves)}
+    fitting = [radices for radices, (_, _, material) in costs.items() if material <= budget]
+    return min(fitting, key=lambda radices: (costs[radices][0], costs[radices][2]))
 
 
 def millionaire_gt_phases(
@@ -181,9 +279,8 @@ def millionaire_gt_phases(
 
     One stacked 1-of-``2^digit_bits`` OT covers every digit in a single
     2-bit-packed transfer; the per-digit (gt, eq) indicator pairs are then
-    folded MSB-first with the associative comparison combine in a balanced
-    tree — ``ceil(log2(num_digits))`` AND rounds, each one stacked fan-out
-    gate.
+    folded MSB-first by the levels of :func:`tree_schedule`, each one round
+    of multi-input AND combines.
     A party process reads only its own value and computes only its own lane.
     """
     if value_s0.shape != value_s1.shape:
@@ -249,23 +346,34 @@ def millionaire_gt_phases(
     gt = lanes(num_digits, lambda i: (pad_gt if i == 0 else chosen >> 1)[::-1])
     eq = lanes(num_digits - 1, lambda i: (pad_eq if i == 0 else chosen & 1)[:0:-1])
 
-    # Balanced prefix combine:  (hi) ∘ (lo) = (gt_hi ^ (eq_hi & gt_lo),
-    # eq_hi & eq_lo).  The operator is associative, so the tree computes the
-    # same MSB-first fold as the sequential chain in log depth.  Each level
-    # is one fan-out gate — eq_hi shared by [gt_lo; eq_lo] — so ONE dealer
-    # request and ONE packed 1-bit opening; eq_lo stops where ``eq`` does.
-    for level, (remaining, combines, gates) in enumerate(_tree_level_widths(num_digits)):
-        hi = slice(0, 2 * combines, 2)
-        lo = slice(1, 2 * combines, 2)
-        rest = slice(2 * combines, None)
-        shared = lanes(combines, lambda i: eq[i][hi])
-        operands = lanes(gates, lambda i: np.concatenate([gt[i][lo], eq[i][lo]]))
-        event, finish = _and_prepare(ctx, shared, operands, tag=f"{tag}/tree{level}")
+    # Each level folds groups of nodes in one round of AND combines: the
+    # full groups as one radix-k block, the last group (gt only) as another.
+    levels = tree_levels(num_digits, tree_schedule(num_digits))
+    for level, (remaining, fold, full, last) in enumerate(levels):
+        groups = level_blocks(fold, full, last)
+        blocks = []
+        for k, o, c, first in groups:
+            held = per_lane(
+                live,
+                (and_terms(k, o)[0], c) + shape,
+                lambda i: _combine_inputs(gt[i], eq[i], k, o, c, first),
+                np.uint8,
+            )
+            blocks.append((k, o, held))
+        event, finish = _and_prepare(ctx, blocks, tag=f"{tag}/tree{level}")
         (opened,) = yield (event,)
         z = finish(opened)
-        folded = remaining - combines
-        gt = lanes(folded, lambda i: np.concatenate([gt[i][hi] ^ z[i][:combines], gt[i][rest]]))
-        eq = lanes(folded - 1, lambda i: np.concatenate([z[i][combines:], eq[i][rest]]))
+
+        def fold_gt(i: int) -> np.ndarray:
+            # gt = gt_0 ⊕ (the block's product terms), one node per group
+            parts = [
+                gt[i][first : first + c * k : k] ^ terms[i][0]
+                for (k, _o, c, first), terms in zip(groups, z)
+            ]
+            return np.concatenate(parts + ([gt[i][remaining - 1 :]] if last == 1 else []))
+
+        gt = lanes(full + 1, fold_gt)
+        eq = lanes(full, lambda i: z[0][i][1] if full else np.empty((0,) + shape, np.uint8))
     return gt[0][0], gt[1][0]
 
 
@@ -379,19 +487,21 @@ def select(
 # --------------------------------------------------------------------------- #
 # Trace functions (plan-compiler accounting; mirror the phase generators)
 # --------------------------------------------------------------------------- #
-def _and_trace(gate_shape: Tuple[int, ...]) -> OpTrace:
-    """One fan-out AND gate: its triple, then both parties open ``d`` over
-    the shared rows and ``e`` over the gate rows as one packed 1-bit plane
-    per direction."""
-    gates = gate_shape[0]
-    per_row = int(np.prod(gate_shape[1:], dtype=np.int64))
-    opened = (fan_out_rows(gates) + gates) * per_row
-    return OpTrace().request("bit", gate_shape).group([open_bits_trace_event(opened)])
+def _and_trace(blocks: List[Tuple[int, int, Tuple[int, ...]]]) -> OpTrace:
+    """One round of AND blocks ``(radix, outputs, S)``: an AND item per
+    block, then both parties open every block's inputs as one packed 1-bit
+    plane per direction."""
+    trace = OpTrace()
+    opened = 0
+    for k, outputs, element in blocks:
+        trace.request("bit", (k, outputs) + element)
+        opened += and_terms(k, outputs)[0] * int(np.prod(element, dtype=np.int64))
+    return trace.group([open_bits_trace_event(opened)])
 
 
 def secure_and_trace(shape: Tuple[int, ...]) -> OpTrace:
-    """One GMW AND gate: the one-row fan-out gate over ``shape``."""
-    return _and_trace((1,) + tuple(shape))
+    """One AND gate: the one-monomial AND item over ``shape``."""
+    return _and_trace([(2, 1, tuple(shape))])
 
 
 def millionaire_trace(
@@ -399,9 +509,9 @@ def millionaire_trace(
 ) -> OpTrace:
     """Trace of :func:`millionaire_gt`: one stacked 1-of-4 OT (all masked
     2-bit table entries cross the wire, packed, in a single round) followed
-    by ``ceil(log2(num_digits))`` tree levels, each one stacked fan-out AND
-    gate in a round group of its own.  Requests and groups iterate the exact
-    ``_tree_level_widths`` sequence the generator walks.
+    by the :func:`tree_schedule` levels, each one round of AND blocks in a
+    round group of its own.  Requests and groups iterate the exact
+    :func:`tree_levels` sequence the generator walks.
     """
     n = int(np.prod(shape)) if shape else 1
     num_digits = ring.ring_bits // digit_bits
@@ -410,8 +520,9 @@ def millionaire_trace(
     trace.group(
         [send_trace_event(0, packed_payload_bytes(radix * num_digits * n, digit_bits))]
     )
-    for _remaining, _combines, gates in _tree_level_widths(num_digits):
-        trace.extend(_and_trace((gates,) + tuple(shape)))
+    for _remaining, fold, full, last in tree_levels(num_digits, tree_schedule(num_digits)):
+        blocks = level_blocks(fold, full, last)
+        trace.extend(_and_trace([(k, o, (c,) + tuple(shape)) for k, o, c, _ in blocks]))
     return trace
 
 

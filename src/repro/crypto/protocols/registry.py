@@ -30,9 +30,8 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Tuple
 
-import numpy as np
-
-from repro.crypto.dealer import fan_out_rows
+from repro.crypto.andgates import and_terms, plane_bytes
+from repro.crypto.dealer import item_elements
 from repro.crypto.events import packed_num_bytes
 from repro.crypto.ring import FixedPointRing
 from repro.models.specs import LayerKind, LayerSpec
@@ -71,9 +70,9 @@ class RandomnessRequest:
     """One unit of correlated randomness an online protocol will consume.
 
     ``kind`` is one of ``"triple"`` (elementwise Beaver triple), ``"square"``
-    (Beaver pair for the square protocol), ``"bit"`` (fan-out GMW AND
-    triple: ``shape[0]`` gate rows sharing ``ceil(shape[0] / 2)`` operand
-    rows) or
+    (Beaver pair for the square protocol), ``"bit"`` (a multi-input AND
+    item of shape ``(radix, outputs) + S``: the mask products of one
+    comparison-tree combine per element of ``S``) or
     ``"dabit"`` (a doubly-shared random bit — XOR shares plus arithmetic
     shares of the same bit — widened with additive shares of a random ring
     element ``a`` and of ``r·a``, consumed by the one-round select);
@@ -88,15 +87,16 @@ class RandomnessRequest:
 
     @property
     def num_elements(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        """Elements of the item; an AND item's are its planes' bits."""
+        return item_elements(self.kind, self.shape)
 
     def material_bytes(self, ring: FixedPointRing) -> int:
         """Bytes of randomness material the dealer ships for this request.
 
         A Beaver triple is three shared tensors (two shares each), a square
-        pair two, a fan-out bit triple two one-byte shares per operand bit
-        ``a`` and four per gate bit (``b``, ``c``), a daBit one bit byte
-        plus three ring elements (``r``, ``a``, ``r·a``) per party.
+        pair two, an AND item two shares of each plane packed eight bits a
+        byte, a daBit one bit byte plus three ring elements (``r``, ``a``,
+        ``r·a``) per party.
         """
         eb = ring.ring_bits // 8
         if self.kind == "triple":
@@ -104,8 +104,8 @@ class RandomnessRequest:
         if self.kind == "square":
             return 4 * self.num_elements * eb
         if self.kind == "bit":
-            gates = self.shape[0]
-            return (2 * fan_out_rows(gates) + 4 * gates) * (self.num_elements // gates)
+            planes = len(and_terms(self.shape[0], self.shape[1])[2])
+            return 2 * planes * plane_bytes(self.shape[2:])
         if self.kind == "dabit":
             return 2 * self.num_elements * (1 + 3 * eb)
         raise ValueError(f"unknown randomness request kind {self.kind!r}")

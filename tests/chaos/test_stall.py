@@ -1,7 +1,7 @@
 """Stalls and jitter are survivable: no retry, no eviction, same logits.
 
 A stall parks one direction of the link mid-protocol (here: during the
-OT-tree rounds of a ReLU model) without closing it — the job must ride it
+comparison tree's first round of a ReLU model) without closing it — the job must ride it
 out and come back bit-identical, with the stall visible only as latency.
 """
 
@@ -9,7 +9,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.crypto import compile_plan
+from repro.crypto.protocols.comparison import millionaire_trace
+from repro.crypto.protocols.registry import group_direction_totals
+from repro.models.specs import LayerKind
 from tests.chaos.conftest import make_chaos_pool
+
+
+def _first_tree_level_recv_round(spec, batch_size: int) -> int:
+    """Party 1's recv-direction round index of the first tree level of the
+    compiled plan's first comparison: the round frames S0 sends before it."""
+    plan = compile_plan(spec, batch_size=batch_size)
+    at = next(i for i, op in enumerate(plan.ops) if op.kind in (LayerKind.RELU, LayerKind.MAXPOOL))
+    first = plan.ops[at]
+    assert first.kind == LayerKind.RELU
+    # its groups open with the digit OT; the next one is the tree's first level
+    assert first.round_groups[1] == millionaire_trace(first.input_shape, plan.ring).groups[1]
+    before = [group for op in plan.ops[:at] for group in op.round_groups] + [first.round_groups[0]]
+    return sum(1 for group in before if group_direction_totals(group)[0] > 0)
 
 
 def test_stall_during_ot_tree_is_survived_without_retry(
@@ -21,9 +38,9 @@ def test_stall_during_ot_tree_is_survived_without_retry(
     with make_chaos_pool(name, relu_servable) as pool:
         reference = pool.run_batch(name, batch)
 
-    # the ReLU comparison flow burns rounds on the OT tree; round 6 of the
-    # recv direction lands inside it for this plan
-    plans = {0: {1: stall_plan(round_index=6, stall_ms=250.0, direction="recv", seed=9)}}
+    # stall the recv direction in the first AND-tree level of the first ReLU
+    tree_round = _first_tree_level_recv_round(relu_servable.spec, len(batch))
+    plans = {0: {1: stall_plan(round_index=tree_round, stall_ms=250.0, direction="recv", seed=9)}}
     record_fault_schedule(plans, model=name)
     with make_chaos_pool(name, relu_servable, fault_plans=plans) as pool:
         stalled = pool.run_batch(name, batch)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.crypto.channel import Channel, CommunicationLog, Message
 from repro.crypto.dealer import TrustedDealer
+from repro.crypto.andgates import unpack_planes
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import reconstruct_ring
 
@@ -81,24 +82,21 @@ class TestTrustedDealer:
         a = reconstruct_ring(pair.a)
         np.testing.assert_array_equal(reconstruct_ring(pair.z), PAPER_RING.mul(a, a))
 
-    def test_bit_triple_satisfies_and_relation(self):
-        """A fan-out item: 100 gate rows share 50 operand rows, gate k
-        operand row k mod 50."""
+    def test_and_gate_item_satisfies_and_relation(self):
+        """The one-monomial AND item: two masks and their product."""
         dealer = TrustedDealer(seed=3)
-        triple = dealer.bit_triple((100,))
-        a = triple.a0 ^ triple.a1
-        b = triple.b0 ^ triple.b1
-        c = triple.c0 ^ triple.c1
-        assert a.shape == (50,) and b.shape == c.shape == (100,)
-        np.testing.assert_array_equal(c, np.tile(a, 2) & b)
-        assert set(np.unique(a)) <= {0, 1}
+        item = dealer.and_masks((2, 1, 100))
+        assert item.lam0.shape == (3, 13)  # three planes of 100 bits, packed
+        lam = unpack_planes(item.lam0 ^ item.lam1, (100,))
+        np.testing.assert_array_equal(lam[2], lam[0] & lam[1])
+        assert set(np.unique(lam)) <= {0, 1}
 
     def test_triple_counter_increments(self):
         dealer = TrustedDealer(seed=6)
         dealer.elementwise_triple((3, 3))
-        dealer.bit_triple((5,))
+        dealer.and_masks((2, 1, 5))
         assert dealer.triples_generated == 9
-        assert dealer.bit_triples_generated == 5
+        assert dealer.and_planes_generated == 15
 
     def test_dealer_is_deterministic_given_seed(self):
         first = TrustedDealer(seed=9).elementwise_triple((2, 2))

@@ -17,12 +17,13 @@ from repro.crypto.dealer import (
     RandomnessPool,
     TrustedDealer,
     draw_group,
-    fan_out_rows,
+    random_bytes,
     substream,
     unpack_ring_words,
     words_per_plane,
 )
-from repro.crypto.ring import DEFAULT_RING, PAPER_RING
+from repro.crypto.andgates import and_table, plane_bytes, unpack_planes
+from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
 from repro.models.vgg import vgg_tiny
 
 RINGS = (DEFAULT_RING, PAPER_RING)
@@ -30,8 +31,8 @@ CASES = [
     ("triple", (3, 4)),
     ("triple", ()),
     ("square", (2, 5)),
-    ("bit", (7,)),
-    ("bit", (4, 130)),  # spills across several words per plane
+    ("bit", (2, 1, 7)),
+    ("bit", (4, 2, 3, 130)),  # spills across several words per plane
     ("dabit", (3, 3)),
 ]
 
@@ -60,8 +61,9 @@ class TestSplitTransparency:
     def test_zero_count_draws_empty_stacks(self, kind, shape):
         arrays = _fresh_group(DEFAULT_RING, 0, kind, shape, 0)
         for name, array in arrays.items():
-            if kind == "bit" and name in ("a0", "a1"):  # the shared operand rows
-                assert array.shape == (0, fan_out_rows(shape[0])) + shape[1:]
+            if kind == "bit":  # one packed row per plane of the combine's table
+                planes = len(and_table(shape[0], shape[1]).subsets)
+                assert array.shape == (0, planes, plane_bytes(shape[2:]))
             else:
                 assert array.shape == (0,) + shape
 
@@ -116,6 +118,17 @@ class TestBitUnpacking:
                 word = int(words[row, j // ring.ring_bits])
                 assert bits[row, j] == (word >> (j % ring.ring_bits)) & 1
 
+    @pytest.mark.parametrize("ring_bits", [64, 32, 20])
+    def test_random_bytes_are_the_packed_bit_plane(self, ring_bits):
+        """A whole-byte ring's words cut into low bytes give the same bytes
+        as packing the :func:`unpack_ring_words` plane, bit for bit."""
+        ring = FixedPointRing(ring_bits=ring_bits, frac_bits=8)
+        count = 3 * ring_bits // 8 + 3
+        words = ring.random((4, words_per_plane(ring, 8 * count)), np.random.default_rng(10))
+        plane = unpack_ring_words(words, ring, 8 * count)
+        expected = np.packbits(plane, axis=-1, bitorder="little")
+        np.testing.assert_array_equal(random_bytes(words, ring, count), expected)
+
     def test_zero_count(self):
         assert words_per_plane(DEFAULT_RING, 0) == 0
         out = unpack_ring_words(np.zeros((4, 0), dtype=np.uint64), DEFAULT_RING, 0)
@@ -137,14 +150,21 @@ class TestCorrelations:
         z = ring.wrap(arrays["z0"] + arrays["z1"])
         assert np.array_equal(z, ring.wrap(ring.mul(a, a)))
 
-    def test_bit_triple_and_dabit_relations(self):
+    @pytest.mark.parametrize("radix,outputs", [(2, 1), (2, 2), (3, 1), (4, 2), (8, 1)])
+    def test_and_item_and_dabit_relations(self, radix, outputs):
+        """Plane ``p`` of an AND item reconstructs to the product of the
+        masks in ``subsets[p]``; the first ``inputs`` planes are the masks."""
         ring = DEFAULT_RING
-        arrays = _fresh_group(ring, 4, "bit", (100,), 6)
-        a = arrays["a0"] ^ arrays["a1"]
-        b = arrays["b0"] ^ arrays["b1"]
-        c = arrays["c0"] ^ arrays["c1"]
-        assert np.array_equal(c, np.tile(a, 2) & b)
-        assert set(np.unique(a)) <= {0, 1}
+        table = and_table(radix, outputs)
+        arrays = _fresh_group(ring, 4, "bit", (radix, outputs, 100), 6)
+        assert arrays["lam0"].shape == (6, len(table.subsets), 13)
+        lam = unpack_planes(arrays["lam0"] ^ arrays["lam1"], (100,))
+        assert set(np.unique(lam)) <= {0, 1}
+        masks = lam[:, : table.inputs]
+        for plane, subset in enumerate(table.subsets):
+            chosen = [i for i in range(table.inputs) if subset >> i & 1]
+            assert np.array_equal(lam[:, plane], np.bitwise_and.reduce(masks[:, chosen], axis=1))
+        assert 0.45 < masks.mean() < 0.55
         arrays = _fresh_group(ring, 4, "dabit", (100,), 6)
         r = arrays["r0"] ^ arrays["r1"]
         arith = ring.wrap(arrays["arith0"] + arrays["arith1"])
@@ -185,7 +205,8 @@ class TestDealerPoolFill:
         kind, shape, _count = manifest.grouped_requests()[0]
         for name, stack in first.group(kind, shape).items():
             assert np.array_equal(stack, again.group(kind, shape)[name])
-        assert not np.array_equal(first.group(kind, shape)["a0"], other.group(kind, shape)["a0"])
+        field = PARTY_FIELDS[kind][0][0]
+        assert not np.array_equal(first.group(kind, shape)[field], other.group(kind, shape)[field])
 
     def test_pool_holds_exactly_the_manifest_material(self):
         manifest = compile_plan(vgg_tiny(input_size=8), batch_size=2).manifest
@@ -267,9 +288,9 @@ class TestManifestIdentity:
         from repro.crypto.protocols.registry import RandomnessRequest
 
         t = RandomnessRequest(kind="triple", shape=(2,))
-        b = RandomnessRequest(kind="bit", shape=(5,))
+        b = RandomnessRequest(kind="bit", shape=(2, 1, 5))
         manifest = PreprocessingManifest(requests=(t, b, t, b, t), ring=DEFAULT_RING)
         assert manifest.grouped_requests() == [
             ("triple", (2,), 3),
-            ("bit", (5,), 2),
+            ("bit", (2, 1, 5), 2),
         ]

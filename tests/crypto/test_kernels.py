@@ -182,7 +182,7 @@ class TestFusedKernelsBitIdentical:
         np.testing.assert_array_equal(outputs[0].share1, outputs[1].share1)
 
     def test_secure_relu(self):
-        """Exercises the and-finish and select-finish kernels through the
+        """Exercises the and-table and select-finish kernels through the
         full comparison + mux flow."""
         reference, fused = _paired_contexts()
         values = np.random.default_rng(6).normal(size=(9,))
@@ -274,8 +274,8 @@ def _kernel_args(name: str):
     def words(*dims):
         return rng.integers(0, 2**64, size=dims or shape, dtype=np.uint64)
 
-    def bits():
-        return rng.integers(0, 2, size=shape, dtype=np.uint8)
+    def bits(*dims):
+        return rng.integers(0, 2, size=dims + shape, dtype=np.uint8)
 
     cases = {
         "truncate-pair": lambda: ((ring, words(), words()), {}),
@@ -283,7 +283,10 @@ def _kernel_args(name: str):
         "square-recombine": lambda: (tuple(words() for _ in range(5)), {}),
         "scale-encoded": lambda: ((ring, words(), words(), ring.encode(np.array(0.729))), {}),
         "add-encoded": lambda: ((words(), words(), words(1, 4)), {}),
-        "and-finish": lambda: (tuple(bits() for _ in range(8)), {}),
+        "and-table": lambda: (
+            (bits(7), words(29, 2).astype(np.uint8), words(29, 2).astype(np.uint8), 4, 2),
+            {},
+        ),
         "select-finish": lambda: ((bits(), *(words() for _ in range(7))), {}),
         "stacked-matmul": lambda: ((words(), words(), words(4, 5)), {}),
         "stacked-conv2d": lambda: (

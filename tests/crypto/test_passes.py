@@ -14,16 +14,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.crypto import make_context
 from repro.crypto.plan import compile_plan
+from repro.crypto.protocols.registry import get_handler
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import share
 from repro.models.builder import build_model, export_layer_weights
+from repro.models.resnet import resnet_tiny
+from repro.models.specs import LayerKind, LayerSpec
 from repro.models.vgg import vgg_tiny
+
+DOCS = Path(__file__).resolve().parents[2] / "docs"
 
 
 class TestGraphIR:
@@ -104,3 +110,43 @@ class TestRoundScheduling:
         with pytest.raises(TypeError, match=r"TrustedDealer\.preprocess"):
             run_scheduled_plan(ctx, plan, {}, shared)
         assert ctx.communication_rounds == 0 and ctx.kernels is None
+
+
+class TestDocsStateTheCompiledPlan:
+    """The counts the docs quote are what ``compile_plan`` compiles."""
+
+    def test_pasnetc_round_counts_in_passes_md_are_the_compiled_plans(self):
+        text = (DOCS / "passes.md").read_text(encoding="utf-8")
+        online = int(re.search(r"`online_rounds == (\d+)`", text).group(1))
+        groups = int(re.search(r"`num_rounds == (\d+)`", text).group(1))
+        link_ms = int(re.search(r"~(\d+) ms of link time on a\s+5 ms link", text).group(1))
+        # PASNet-C's recipe: resnet-tiny at 16x16, all but the last two ReLUs
+        # X²act, searchable MaxPools AvgPool
+        spec = resnet_tiny(input_size=16)
+        relus = [layer.name for layer in spec.layers if layer.kind == LayerKind.RELU]
+        kinds = {name: LayerKind.X2ACT for name in relus[:-2]}
+        kinds.update(
+            {
+                layer.name: LayerKind.AVGPOOL
+                for layer in spec.layers
+                if layer.kind == LayerKind.MAXPOOL and layer.searchable
+            }
+        )
+        plan = compile_plan(spec.replace_kinds(kinds))
+        assert (online, groups, link_ms) == (
+            plan.online_rounds,
+            plan.num_rounds,
+            5 * plan.num_rounds,
+        )
+
+    def test_relu_element_cost_in_protocols_md_is_the_compiled_ops(self):
+        text = (DOCS / "protocols.md").read_text(encoding="utf-8")
+        found = re.search(r"\*\*([\d.]+) B and\s+(\d+) round groups per\s+element\*\*", text)
+        material = float(re.search(r"([\d.]+) B of material per element", text).group(1))
+        n = 64
+        ring = make_context().ring
+        layer = LayerSpec(name="op", kind=LayerKind.RELU)
+        trace = get_handler(LayerKind.RELU).trace(layer, (1, n), ring)
+        assert float(found.group(1)) == trace.online_bytes / n
+        assert int(found.group(2)) == len(trace.groups)
+        assert material == sum(r.material_bytes(ring) for r in trace.requests) / n

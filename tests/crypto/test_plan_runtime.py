@@ -147,20 +147,26 @@ class TestComparisonLayerCost:
         layer = LayerSpec(name="op", kind=kind, kernel=kernel, stride=kernel)
         return get_handler(kind).trace(layer, input_shape, make_context().ring)
 
-    def test_relu_is_seven_round_groups_and_70_25_bytes_per_element(self):
+    def test_relu_is_five_round_groups_and_68_25_bytes_per_element(self):
+        """The OT, the three tree levels and the select; 32 B of OT, 20 B
+        of tree and 16.25 B of select per element, and 101.75 B of dealer
+        material: the tree's 207 plane bits per party, packed, and the
+        daBit's 50 B."""
         n = 64
         trace = self._trace(LayerKind.RELU, (1, 4, 4, 4))
-        assert len(trace.groups) == 7
-        assert trace.online_bytes * 4 == 281 * n  # 70.25 B/element
+        assert len(trace.groups) == 5
+        assert trace.online_bytes * 4 == 273 * n  # 68.25 B/element
+        ring = make_context().ring
+        assert sum(r.material_bytes(ring) for r in trace.requests) * 4 == 407 * n
         assert {r.kind for r in trace.requests} == {"bit", "dabit"}
 
     def test_maxpool_2x2_is_a_two_level_tournament_of_unchanged_bytes(self):
-        """Two levels of 7 round groups; the bytes of 3 pairwise maxima per
+        """Two levels of 5 round groups; the bytes of 3 pairwise maxima per
         window, as the sequential reduction spent."""
         input_shape = (2, 3, 4, 4)
         windows = 2 * 3 * 2 * 2
         trace = self._trace(LayerKind.MAXPOOL, input_shape, kernel=2)
-        assert len(trace.groups) == 14
+        assert len(trace.groups) == 10
         relu = self._trace(LayerKind.RELU, (windows,))
         assert trace.online_bytes == 3 * relu.online_bytes
         assert [r.shape[0] for r in trace.requests if r.kind == "dabit"] == [2, 1]
@@ -190,12 +196,12 @@ class TestCompiledExecutionEquivalence:
         plan = engine.compile(spec, batch_size=2)
         pool = engine.preprocess(plan)
         dealer = engine.ctx.dealer
-        generated_before = (dealer.triples_generated, dealer.bit_triples_generated)
+        generated_before = (dealer.triples_generated, dealer.and_planes_generated)
         assert generated_before != (0, 0)  # preprocessing did the work
 
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
         result = engine.execute(plan, weights, x, pool=pool)
-        generated_after = (dealer.triples_generated, dealer.bit_triples_generated)
+        generated_after = (dealer.triples_generated, dealer.and_planes_generated)
         assert generated_after == generated_before
         assert pool.remaining == 0  # manifest is exact: nothing over-provisioned
         assert pool.served > 0

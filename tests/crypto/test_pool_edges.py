@@ -28,7 +28,7 @@ def _pop(pool, request):
     shape = tuple(request.shape)
     if request.kind == "triple":
         return pool.triple(shape, shape, DEFAULT_RING.mul)
-    popper = {"square": pool.square_pair, "bit": pool.bit_triple, "dabit": pool.dabit}
+    popper = {"square": pool.square_pair, "bit": pool.and_masks, "dabit": pool.dabit}
     return popper[request.kind](shape)
 
 
@@ -176,7 +176,7 @@ class TestPartition:
 class TestExhaustionDiagnostics:
     def _drain(self, pool, kind, shape):
         popper = {
-            "bit": pool.bit_triple,
+            "bit": pool.and_masks,
             "dabit": pool.dabit,
             "square": pool.square_pair,
         }[kind]
@@ -198,7 +198,7 @@ class TestExhaustionDiagnostics:
         assert error.remaining_by_kind.get("dabit" if kind == "bit" else "bit", 0) > 0
         # deterministic: re-requesting reproduces the same diagnostics
         with pytest.raises(PreprocessingExhausted) as again:
-            getattr(pool, "bit_triple" if kind == "bit" else kind)(shape)
+            getattr(pool, "and_masks" if kind == "bit" else kind)(shape)
         assert again.value.remaining_by_kind == error.remaining_by_kind
 
     def test_exhaustion_message_names_the_missing_request(self, pool):

@@ -14,14 +14,18 @@ from repro.crypto.events import as_group, perform_event
 from repro.crypto.kernels import KernelContext, dead_lane
 from repro.crypto.plan import PreprocessingManifest
 from repro.crypto.protocols.comparison import (
-    _tree_level_widths,
+    _and_prepare,
     drelu,
     millionaire_gt,
+    schedule_cost,
+    schedules,
     secure_and,
     secure_and_trace,
     select,
     select_phases,
     select_trace,
+    tree_levels,
+    tree_schedule,
 )
 from repro.crypto.protocols.registry import RandomnessRequest
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
@@ -117,14 +121,14 @@ class TestDReLUAndSelect:
 
 
 class TestLogDepthTree:
-    """The tentpole: comparison in ceil(log2(digits)) AND rounds, packed."""
+    """Comparison in a few rounds of multi-input AND combines, packed."""
 
     @pytest.mark.parametrize(
         "bit_width,expected_levels",
-        [(64, 5), (32, 4), (16, 3), (8, 2), (4, 1), (2, 0)],
+        [(64, 3), (32, 3), (16, 2), (8, 2), (4, 1), (2, 0)],
     )
     def test_and_round_count_is_logarithmic(self, bit_width, expected_levels):
-        """One OT round plus ceil(log2(bit_width / 2)) stacked AND rounds."""
+        """One OT round plus one round per :func:`tree_schedule` level."""
         from repro.crypto import make_context
         from repro.crypto.events import as_group
 
@@ -156,11 +160,11 @@ class TestLogDepthTree:
         x = rng.uniform(-4, 4, size=shape)
         ctx.reset_communication()
         dealer = ctx.dealer
-        bits_before = dealer.bit_triples_generated
+        bits_before = dealer.and_planes_generated
         drelu(ctx, share(x, ctx.ring, rng))
         trace = drelu_trace(shape, ctx.ring)
         assert ctx.communication_bytes == trace.online_bytes
-        consumed = dealer.bit_triples_generated - bits_before
+        consumed = dealer.and_planes_generated - bits_before
         requested = sum(
             r.num_elements for r in trace.requests if r.kind == "bit"
         )
@@ -178,17 +182,16 @@ class TestLogDepthTree:
         assert sender == 0
         assert num_bytes == 4 * num_digits * n * 2 // 8  # radix * D * n entries
 
-    def test_fewer_and_gates_than_the_sequential_chain(self, ctx):
-        """The tree spends 57 AND gates per element where the chain spent 63:
-        the last position's equality bit is never read, so every level with
-        an even node count drops its last combine's equality gate."""
+    def test_tree_holds_207_material_bits_per_party_per_element(self, ctx):
+        """Masks and mask products per party: 15 radix-2 combines of 5 bits
+        and one of 3 (no eq output), then three radix-4 combines of 29 and
+        one of 21, then one of 21 — 1.43x the radix-2 tree's 145."""
         from repro.crypto.protocols.comparison import millionaire_trace
 
         trace = millionaire_trace((1,), ctx.ring)
-        total_ands = sum(
-            r.num_elements for r in trace.requests if r.kind == "bit"
-        )
-        assert total_ands == 31 + 15 + 7 + 3 + 1
+        per_level = [r.num_elements for r in trace.requests if r.kind == "bit"]
+        assert per_level == [15 * 5, 3, 3 * 29, 21, 21]
+        assert sum(per_level) == 207
 
 
 def _boundary_words(ring, count: int = 64) -> np.ndarray:
@@ -341,9 +344,81 @@ def _gt_pairs(ring) -> tuple:
     return a, b
 
 
-class TestFanOutTree:
-    """Each tree level masks a combine's shared eq_hi once and computes no
-    equality bit for the last position."""
+class TestTreeSchedule:
+    """The level schedule is a pure function; the radix comes from its cost
+    table by one rule: the fewest rounds whose material is at most 1.5x the
+    radix-2 tree's, ties to fewer material bits."""
+
+    @pytest.mark.parametrize(
+        "leaves,radices,rounds,opened,material",
+        [
+            (32, (2, 2, 2, 2, 2), 5, 88, 145),
+            (32, (2, 2, 2, 4), 4, 87, 155),
+            (32, (2, 4, 4), 3, 80, 207),
+            (32, (4, 4, 2), 3, 70, 277),
+            (32, (2, 2, 8), 3, 84, 497),
+            (32, (4, 8), 2, 69, 605),
+            (32, (8, 4), 2, 65, 1929),
+            (63, (2, 2, 2, 2, 2, 2), 6, 181, 300),
+            (63, (2, 2, 4, 4), 4, 173, 362),
+            (63, (2, 4, 8), 3, 162, 760),
+            (63, (4, 4, 4), 3, 142, 573),
+            (63, (8, 8), 2, 131, 4133),
+        ],
+    )
+    def test_cost_table(self, leaves, radices, rounds, opened, material):
+        """Rounds, opened bits and material bits per element and party."""
+        assert schedule_cost(leaves, radices) == (rounds, opened, material)
+
+    @pytest.mark.parametrize(
+        "leaves,levels",
+        [
+            (32, [(32, 2, 15, 2), (16, 4, 3, 4), (4, 4, 0, 4)]),
+            (63, [(63, 2, 31, 1), (32, 2, 15, 2), (16, 4, 3, 4), (4, 4, 0, 4)]),
+            (7, [(7, 2, 3, 1), (4, 4, 0, 4)]),
+            (1, []),
+        ],
+    )
+    def test_levels_of_the_picked_schedule(self, leaves, levels):
+        """``(remaining, radix, full, last)``: ``full`` groups keep their eq
+        output, the last group of ``last`` nodes holds the last position
+        (one node is carried)."""
+        assert list(tree_levels(leaves, tree_schedule(leaves))) == levels
+
+    @pytest.mark.parametrize(
+        "leaves,pick",
+        [
+            (32, (2, 4, 4)),
+            (63, (2, 2, 4, 4)),
+            (16, (2, 2, 4)),
+            (8, (2, 4)),
+            (4, (2, 2)),
+            (2, (2,)),
+            (1, ()),
+        ],
+    )
+    def test_rule_pick(self, leaves, pick):
+        """Every schedule with fewer rounds breaks the budget, and no
+        schedule of as many rounds within it holds less material."""
+        assert tree_schedule(leaves) == pick
+        budget = 1.5 * schedule_cost(leaves, (2,) * (leaves - 1).bit_length())[2]
+        rounds, _, material = schedule_cost(leaves, pick)
+        assert material <= budget
+        for other in schedules(leaves):
+            cost = schedule_cost(leaves, other)
+            fewer_rounds, as_many = cost[0] < rounds, cost[0] == rounds
+            assert not (fewer_rounds and cost[2] <= budget)
+            assert not (as_many and cost[2] < material)
+
+    def test_a_schedule_must_reach_the_root(self):
+        with pytest.raises(ValueError, match="unfolded"):
+            list(tree_levels(32, (2, 4)))
+
+
+class TestMultiInputAndTree:
+    """Each tree level folds groups of 2 or 4 nodes in one round of
+    multi-input AND combines, and computes no equality bit for the last
+    position."""
 
     @pytest.mark.parametrize("fused", [False, True], ids=["reference", "fused"])
     @pytest.mark.parametrize("ring", RINGS)
@@ -386,30 +461,16 @@ class TestFanOutTree:
         got = (results[0][0] ^ results[1][1]).astype(bool)
         np.testing.assert_array_equal(got, a > b)
 
-    @pytest.mark.parametrize(
-        "num_digits,widths",
-        [
-            (1, []),
-            (2, [(2, 1, 1)]),
-            (3, [(3, 1, 2), (2, 1, 1)]),
-            (4, [(4, 2, 3), (2, 1, 1)]),
-            (5, [(5, 2, 4), (3, 1, 2), (2, 1, 1)]),
-            (7, [(7, 3, 6), (4, 2, 3), (2, 1, 1)]),
-            (32, [(32, 16, 31), (16, 8, 15), (8, 4, 7), (4, 2, 3), (2, 1, 1)]),
-        ],
-    )
-    def test_tree_level_widths(self, num_digits, widths):
-        """``(remaining, combines, gates)``: the last combine drops its eq
-        gate exactly when ``remaining`` is even."""
-        assert list(_tree_level_widths(num_digits)) == widths
-        for remaining, combines, gates in widths:
-            assert gates == 2 * combines - (remaining % 2 == 0)
-
-    @pytest.mark.parametrize("bit_width", [6, 10, 14])
-    def test_odd_digit_counts_compare_exactly(self, ctx, bit_width):
-        """3, 5 and 7 two-bit digits: levels with a carried node keep every
-        eq gate.  All pairs of a 128-value grid spanning the domain, plus
-        ``b = a - 1``."""
+    @pytest.mark.parametrize("fused", [False, True], ids=["reference", "fused"])
+    @pytest.mark.parametrize("bit_width", [6, 10, 14, 18, 22, 58])
+    def test_odd_digit_counts_compare_exactly(self, bit_width, fused):
+        """3, 5, 7, 9, 11 and 29 two-bit digits: radix-2 levels with a
+        carried node, and radix-4 levels whose last group is one carried
+        node, 2 nodes or 3 nodes.  All pairs of a 128-value grid spanning
+        the domain, plus ``b = a - 1``."""
+        ctx = make_context(seed=7)
+        if fused:
+            ctx.kernels = KernelContext()
         grid = np.arange(1 << min(bit_width, 7), dtype=np.uint64) << np.uint64(
             max(bit_width - 7, 0)
         )
@@ -420,46 +481,97 @@ class TestFanOutTree:
         result = xor_open(millionaire_gt(ctx, a, b, bit_width=bit_width))
         np.testing.assert_array_equal(result, a > b)
 
-    def test_tree_opens_88_bits_per_party_per_element(self, ctx):
-        """47 + 23 + 11 + 5 + 2 opened bits per party, so a 64-bit DReLU is
-        32 B of OT plus 22 B of tree per element."""
+    @pytest.mark.parametrize("fused", [False, True], ids=["reference", "fused"])
+    def test_63_one_bit_leaves_compare_exactly(self, fused):
+        """The 63-leaf tree of a masked-opening comparison: boundary, equal
+        and adjacent pairs of 63-bit values."""
+        ctx = make_context(seed=8)
+        if fused:
+            ctx.kernels = KernelContext()
+        a, b = _gt_pairs(DEFAULT_RING)
+        result = xor_open(millionaire_gt(ctx, a, b, bit_width=63, digit_bits=1))
+        np.testing.assert_array_equal(result, a > b)
+
+    def test_tree_opens_80_bits_per_party_per_element(self, ctx):
+        """47 + 27 + 6 opened bits per party, so a 64-bit DReLU is 32 B of
+        OT plus 20 B of tree per element."""
         from repro.crypto.protocols.comparison import drelu_trace, millionaire_trace
 
         n = 8
         trace = millionaire_trace((n,), ctx.ring)
         per_party = [messages[0][1] * 8 // n for (messages,) in trace.groups[1:]]
-        assert per_party == [47, 23, 11, 5, 2]
-        assert drelu_trace((n,), ctx.ring).online_bytes == 54 * n
+        assert per_party == [47, 27, 6]
+        assert drelu_trace((n,), ctx.ring).online_bytes == 52 * n
 
-    @pytest.mark.parametrize("shape", [(31,), (31, 3, 5), (15, 4), (3, 2), (1, 7)])
-    def test_fan_out_item_shares_one_operand_row_per_gate_pair(self, shape):
-        """``c_k = a[k mod fan] & b_k`` on every gate row, per item and over
-        a stacked group."""
+    @pytest.mark.parametrize("shape", [(4, 2, 3, 5), (4, 1, 1, 7), (2, 2, 15, 4), (3, 1, 2)])
+    def test_and_item_planes_are_mask_products(self, shape):
+        """Plane ``p`` reconstructs to the product of the masks in
+        ``subsets[p]``, per item and over a stacked pool group."""
         from repro.crypto.dealer import TrustedDealer
+        from repro.crypto.andgates import and_table, unpack_planes
 
-        gates, fan = shape[0], (shape[0] + 1) // 2
+        table = and_table(shape[0], shape[1])
+
+        def check(packed):
+            lam = unpack_planes(packed, shape[2:])
+            axis = lam.ndim - len(shape) + 1  # the plane axis, before S
+            for plane, subset in enumerate(table.subsets):
+                chosen = [i for i in range(table.inputs) if subset >> i & 1]
+                expected = np.bitwise_and.reduce(np.take(lam, chosen, axis=axis), axis=axis)
+                np.testing.assert_array_equal(np.take(lam, plane, axis=axis), expected)
+
         dealer = TrustedDealer(seed=8)
-        for triple in (dealer.bit_triple(shape), dealer.bit_triple(shape)):
-            a, b = triple.a0 ^ triple.a1, triple.b0 ^ triple.b1
-            assert a.shape == (fan,) + shape[1:] and b.shape == shape
-            shared = a[np.arange(gates) % fan]
-            np.testing.assert_array_equal(triple.c0 ^ triple.c1, shared & b)
+        for item in (dealer.and_masks(shape), dealer.and_masks(shape)):
+            assert item.lam0.shape == (len(table.subsets), -(-np.prod(shape[2:]) // 8))
+            check(item.lam0 ^ item.lam1)
         pool = TrustedDealer(seed=8).preprocess(
-            PreprocessingManifest(requests=(RandomnessRequest("bit", shape),) * 3, ring=DEFAULT_RING)
+            PreprocessingManifest(
+                requests=(RandomnessRequest("bit", shape),) * 3, ring=DEFAULT_RING
+            )
         )
         group = pool.group("bit", shape)
-        a, b = group["a0"] ^ group["a1"], group["b0"] ^ group["b1"]
-        np.testing.assert_array_equal(
-            group["c0"] ^ group["c1"], a[:, np.arange(gates) % fan] & b
-        )
+        check(group["lam0"] ^ group["lam1"])
         assert pool.remaining == 3
 
-    def test_secure_and_is_the_one_row_fan_out_gate(self, ctx):
-        assert secure_and_trace((4, 5)).requests[0].shape == (1, 4, 5)
+    @pytest.mark.parametrize("radix,outputs", [(2, 1), (2, 2), (3, 1), (4, 1), (4, 2), (8, 1)])
+    def test_fused_finish_equals_the_term_by_term_expansion(self, radix, outputs):
+        """The kernel's coefficient planes and the reference's one-term-at-a-
+        time expansion give the same shares, and they reconstruct to the
+        combine's gt (and eq) products of the unmasked inputs."""
+        from repro.crypto.dealer import TrustedDealer
+        from repro.crypto.andgates import and_table
+
+        table = and_table(radix, outputs)
+        shape = (table.inputs, 3, 5)
+        rng = np.random.default_rng(radix * 10 + outputs)
+        x = rng.integers(0, 2, shape, dtype=np.uint8)
+        mask = rng.integers(0, 2, shape, dtype=np.uint8)
+        results = []
+        for fused in (False, True):
+            ctx = make_context(seed=12)
+            ctx.dealer = TrustedDealer(seed=12)
+            if fused:
+                ctx.kernels = KernelContext()
+            event, finish = _and_prepare(ctx, [(radix, outputs, (mask, x ^ mask))], "t")
+            (z,) = finish(perform_event(ctx.channel, event))
+            results.append(z)
+        for lane in (0, 1):
+            np.testing.assert_array_equal(results[0][lane], results[1][lane])
+        z = results[0][0] ^ results[0][1]
+        for output in range(outputs):
+            expected = np.zeros(shape[1:], dtype=np.uint8)
+            for o, monomial in table.monomials:
+                if o == output:
+                    chosen = [i for i in range(table.inputs) if monomial >> i & 1]
+                    expected ^= np.bitwise_and.reduce(x[chosen], axis=0)
+            np.testing.assert_array_equal(z[output], expected)
+
+    def test_secure_and_is_the_one_monomial_and_item(self, ctx):
+        assert secure_and_trace((4, 5)).requests[0].shape == (2, 1, 4, 5)
         bits = np.ones(20, dtype=np.uint8)
-        before = ctx.dealer.bit_triples_generated
+        before = ctx.dealer.and_planes_generated
         secure_and(ctx, (bits, bits ^ 1), (bits, bits ^ 1))
-        assert ctx.dealer.bit_triples_generated - before == 20
+        assert ctx.dealer.and_planes_generated - before == 3 * 20
 
 
 @settings(max_examples=15, deadline=None)

@@ -299,6 +299,12 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.protocols.comparison", "bit_to_arithmetic_phases"),
         ("repro.crypto.protocols.comparison", "bit_to_arithmetic_trace"),
         ("repro.crypto.kernels", "b2a_finish"),
+        ("repro.crypto.kernels", "and_finish"),
+        ("repro.crypto.dealer", "BitTriple"),
+        ("repro.crypto.dealer", "fan_out_rows"),
+        ("repro.crypto.dealer", "TrustedDealer.bit_triple"),
+        ("repro.crypto.dealer", "RandomnessPool.bit_triple"),
+        ("repro.crypto.protocols.comparison", "_tree_level_widths"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -322,6 +328,8 @@ def test_deleted_module_and_method_stay_deleted():
     assert not hasattr(repro.crypto.transport.TcpTransport, "listen")
     # the one-round select replaced the daBit B2A and its finish kernel
     assert "b2a-finish" not in repro.crypto.kernels.KERNELS
+    # the multi-input AND table's finish replaced the fan-out AND finish
+    assert "and-finish" not in repro.crypto.kernels.KERNELS
 
 
 def test_runtime_and_serving_keep_no_sample_window_of_their_own():
