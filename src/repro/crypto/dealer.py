@@ -25,11 +25,18 @@ Stream layout
   different groups generate is irrelevant to the bits each group produces;
 - within a substream, each item's material is exactly **one** fixed-shape
   ``uint64`` draw.  NumPy's ``Generator.integers`` with a 64-bit dtype
-  consumes the bit stream one word per element regardless of how calls are
-  split, so ``k`` per-item draws and one stacked ``(k, ...)`` draw yield
-  bit-identical arrays.  (8-bit draws do *not* have this property — which
-  is why random bits are drawn as ring words and unpacked, never as
-  ``uint8`` streams.)
+  consumes one 64-bit word per element on a ring wider than 32 bits; on a
+  ring of 32 bits or less it consumes one 32-bit half per element and
+  buffers the other half in the bit generator (6 elements take 3 words).
+  Either way the stream does not depend on how calls are split, so ``k``
+  per-item draws and one stacked ``(k, ...)`` draw yield bit-identical
+  arrays.  (8-bit draws do *not* have this property — which is why random
+  bits are drawn as ring words and unpacked, never as ``uint8`` streams.)
+- the draw is cut into named spans (:func:`_layout`): party 0's share of
+  each correlated value is a span and party 1's is the correction, so a
+  party process draws only its own share-world (``preprocess(plan,
+  party=p)``); party 0 skips the spans it does not hold where a span's
+  word count is known (rings wider than 32 bits) and the item is large.
 
 So ``preprocess`` draws each group as one stacked generator call and is
 still bit-identical to per-item draws at the same seed.  A group is a dict
@@ -40,6 +47,7 @@ views into it, so party restriction operates on whole stacks, never items.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -76,7 +84,7 @@ GroupKey = Tuple[str, Tuple[int, ...]]
 
 def numel(shape: Tuple[int, ...]) -> int:
     """Number of elements of one item of the given shape (scalar -> 1)."""
-    return int(np.prod(shape, dtype=np.int64)) if shape else 1
+    return int(math.prod(shape))
 
 
 def item_elements(kind: str, shape: Tuple[int, ...]) -> int:
@@ -119,7 +127,8 @@ def unpack_ring_words(words: np.ndarray, ring: FixedPointRing, count: int) -> np
     ``words`` has shape ``(..., W)``; the result has shape ``(..., count)``
     and dtype ``uint8`` with values in {0, 1}.  Bit ``j`` of the plane is
     bit ``j % ring_bits`` of word ``j // ring_bits`` — every kept bit of a
-    uniform ring element is itself uniform, so the plane is uniform.
+    uniform ring element is itself uniform, so the plane is uniform.  The
+    plane owns its memory, so a pool holding it never pins ``words``.
     """
     lead = words.shape[:-1]
     if count == 0 or words.size == 0:
@@ -128,101 +137,123 @@ def unpack_ring_words(words: np.ndarray, ring: FixedPointRing, count: int) -> np
     as_bytes = little.view(np.uint8).reshape(words.shape + (8,))
     bits = np.unpackbits(as_bytes, axis=-1, bitorder="little")  # (..., W, 64)
     bits = bits[..., : ring.ring_bits].reshape(lead + (words.shape[-1] * ring.ring_bits,))
-    return np.ascontiguousarray(bits[..., :count])
+    return bits[..., :count].copy()
 
 
 def random_bytes(words: np.ndarray, ring: FixedPointRing, count: int) -> np.ndarray:
     """``count`` uniformly random bytes per row of ring words ``(..., W)``:
     the :func:`unpack_ring_words` plane of ``8 * count`` bits, packed in
     little bit order (a whole-byte ring's words are simply cut into their
-    low bytes)."""
+    low bytes, copied out so that ``words`` is never pinned)."""
     if ring.ring_bits % 8:
         return np.packbits(unpack_ring_words(words, ring, 8 * count), axis=-1, bitorder="little")
     little = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
     low = little.reshape(words.shape + (8,))[..., : ring.ring_bits // 8]
     flat = low.reshape(words.shape[:-1] + (words.shape[-1] * (ring.ring_bits // 8),))
-    return np.ascontiguousarray(flat[..., :count])
+    return flat[..., :count].copy()
 
 
 # --------------------------------------------------------------------------- #
-# Per-kind group drawers.  Each consumes exactly one fixed-shape uint64 draw
-# per item from ``rng`` (the split-transparency invariant) and returns the
-# group's stacked arrays with leading dimension ``count``.
+# Per-kind item layouts: an item's one uint64 draw cut into named spans.
+# Party 0's share of each correlated value is a decoded span; party 1's is
+# the correction computed from all of them.
 # --------------------------------------------------------------------------- #
-def _draw_triple(
-    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
-) -> Dict[str, np.ndarray]:
-    lanes = ring.random((count, 5) + shape, rng)
-    a, b, mask_a, mask_b, mask_z = (lanes[:, i] for i in range(5))
-    z = ring.mul(a, b)
-    return {
-        "a0": mask_a,
-        "a1": ring.sub(a, mask_a),
-        "b0": mask_b,
-        "b1": ring.sub(b, mask_b),
-        "z0": mask_z,
-        "z1": ring.sub(z, mask_z),
-    }
+#: one span of an item's draw: (name, words, decode of its (count, words) block)
+_Span = Tuple[str, int, Callable[[np.ndarray], np.ndarray]]
 
 
-def _draw_square(
-    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
-) -> Dict[str, np.ndarray]:
-    lanes = ring.random((count, 3) + shape, rng)
-    a, mask_a, mask_z = (lanes[:, i] for i in range(3))
-    z = ring.mul(a, a)
-    return {"a0": mask_a, "a1": ring.sub(a, mask_a), "z0": mask_z, "z1": ring.sub(z, mask_z)}
-
-
-def _draw_and(
-    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
-) -> Dict[str, np.ndarray]:
-    table = and_table(shape[0], shape[1])
-    width = plane_bytes(shape[2:])
-    mask_bytes, share_bytes = table.inputs * width, len(table.subsets) * width
-    mask_words = words_per_plane(ring, 8 * mask_bytes)
-    words = ring.random((count, mask_words + words_per_plane(ring, 8 * share_bytes)), rng)
-    # the masks, then every product the monomials read, built up by size
-    lam = np.empty((count, len(table.subsets), width), dtype=np.uint8)
-    lam[:, : table.inputs] = random_bytes(words[:, :mask_words], ring, mask_bytes).reshape(
-        (count, table.inputs, width)
-    )
-    table.products(lam.swapaxes(0, 1))
-    lam0 = random_bytes(words[:, mask_words:], ring, share_bytes).reshape(lam.shape)
-    return {"lam0": lam0, "lam1": lam ^ lam0}
-
-
-def _draw_dabit(
-    ring: FixedPointRing, rng: np.random.Generator, count: int, shape: Tuple[int, ...]
-) -> Dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=256)
+def _layout(ring: FixedPointRing, kind: str, shape: Tuple[int, ...]) -> Tuple[_Span, ...]:
+    """The spans of one item's draw of a (kind, shape) group, in draw order."""
     n = numel(shape)
-    planes = words_per_plane(ring, n)
-    words = ring.random((count, 2 * planes + 4 * n), rng)
-    r = unpack_ring_words(words[:, :planes], ring, n).reshape((count,) + shape)
-    r0 = unpack_ring_words(words[:, planes : 2 * planes], ring, n).reshape((count,) + shape)
-    a, mask_r, mask_a, mask_ra = (
-        words[:, 2 * planes + i * n : 2 * planes + (i + 1) * n].reshape((count,) + shape)
-        for i in range(4)
-    )
-    r_ring = r.astype(np.uint64)
+
+    def ring_words(block: np.ndarray) -> np.ndarray:
+        return block.reshape(block.shape[:1] + shape)
+
+    if kind == "triple":
+        return tuple((name, n, ring_words) for name in ("a", "b", "a0", "b0", "z0"))
+    if kind == "square":
+        return tuple((name, n, ring_words) for name in ("a", "a0", "z0"))
+    if kind == "bit":
+        table, width = and_table(shape[0], shape[1]), plane_bytes(shape[2:])
+
+        def byte_planes(count: int) -> Tuple[int, Callable[[np.ndarray], np.ndarray]]:
+            def decode(block: np.ndarray) -> np.ndarray:
+                return random_bytes(block, ring, count * width).reshape((len(block), count, width))
+
+            return words_per_plane(ring, 8 * count * width), decode
+
+        # the opened inputs' masks, then party 0's share of every product plane
+        return (("masks", *byte_planes(table.inputs)), ("lam0", *byte_planes(len(table.subsets))))
+    if kind == "dabit":
+        def bits(block: np.ndarray) -> np.ndarray:
+            return unpack_ring_words(block, ring, n).reshape(block.shape[:1] + shape)
+
+        planes = words_per_plane(ring, n)
+        return (("r", planes, bits), ("r0", planes, bits)) + tuple(
+            (name, n, ring_words) for name in ("a", "arith0", "a0", "ra0")
+        )
+    raise ValueError(f"unknown randomness kind {kind!r}")
+
+
+def _world1(
+    ring: FixedPointRing, kind: str, shape: Tuple[int, ...], v: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Party 1's fields: each correlated value less party 0's share of it."""
+    if kind == "triple":
+        a1, b1 = ring.sub(v["a"], v["a0"]), ring.sub(v["b"], v["b0"])
+        return {"a1": a1, "b1": b1, "z1": ring.sub(ring.mul(v["a"], v["b"]), v["z0"])}
+    if kind == "square":
+        return {"a1": ring.sub(v["a"], v["a0"]), "z1": ring.sub(ring.mul(v["a"], v["a"]), v["z0"])}
+    if kind == "bit":
+        # the masks, then every product the monomials read, built up by size
+        table = and_table(shape[0], shape[1])
+        lam = np.empty(v["lam0"].shape, dtype=np.uint8)
+        lam[:, : table.inputs] = v["masks"]
+        table.products(lam.swapaxes(0, 1))
+        return {"lam1": lam ^ v["lam0"]}
+    r = v["r"].astype(np.uint64)
     return {
-        "r0": r0,
-        "r1": r ^ r0,
-        "arith0": mask_r,
-        "arith1": ring.sub(r_ring, mask_r),
-        "a0": mask_a,
-        "a1": ring.sub(a, mask_a),
-        "ra0": mask_ra,
-        "ra1": ring.sub(ring.mul(r_ring, a), mask_ra),
+        "r1": v["r"] ^ v["r0"],
+        "arith1": ring.sub(r, v["arith0"]),
+        "a1": ring.sub(v["a"], v["a0"]),
+        "ra1": ring.sub(ring.mul(r, v["a"]), v["ra0"]),
     }
 
 
-_DRAWERS = {
-    "triple": _draw_triple,
-    "square": _draw_square,
-    "bit": _draw_and,
-    "dabit": _draw_dabit,
-}
+#: the fewest words an item must skip for party 0 to pass over them with
+#: ``advance``: below it, the generator calls of a per-item draw cost more
+#: than drawing the whole item and copying party 0's spans out
+_MIN_SKIP_WORDS = 4096
+
+
+def _draw_blocks(
+    ring: FixedPointRing, rng: np.random.Generator, count: int, layout: Tuple[_Span, ...], only=None
+) -> Dict[str, np.ndarray]:
+    """The ``(count, words)`` block of every span of ``count`` items, or of
+    the spans named in ``only`` (owning their memory), leaving ``rng`` where
+    drawing every span leaves it.
+
+    A skipped span is passed over with ``bit_generator.advance``, which
+    counts 64-bit words: that is one word per element on a ring wider than
+    32 bits only, so a narrower ring draws every span and keeps copies (as
+    does an item that skips fewer than :data:`_MIN_SKIP_WORDS`).
+    """
+    may_skip = only is not None and ring.ring_bits > 32
+    if not may_skip or sum(w for name, w, _ in layout if name not in only) < _MIN_SKIP_WORDS:
+        words = ring.random((count, sum(span[1] for span in layout)), rng)
+        blocks, start = {}, 0
+        for name, width, _decode in layout:
+            blocks[name], start = words[:, start : start + width], start + width
+        return blocks if only is None else {name: blocks[name].copy() for name in only}
+    blocks = {name: np.empty((count, w), np.uint64) for name, w, _ in layout if name in only}
+    for row in range(count):
+        for name, width, _decode in layout:
+            if name in blocks:
+                blocks[name][row] = ring.random((width,), rng)
+            else:
+                rng.bit_generator.advance(width)
+    return blocks
 
 
 def draw_group(
@@ -231,19 +262,36 @@ def draw_group(
     kind: str,
     shape: Tuple[int, ...],
     count: int,
+    party: Optional[int] = None,
 ) -> Dict[str, np.ndarray]:
     """Draw ``count`` items of one (kind, shape) group from ``rng``.
 
     One call with ``count=k`` is bit-identical to ``k`` calls with
     ``count=1`` against the same generator — the split-transparency
     invariant both callers (per-item dealer draws, pool fill) rely on.
+
+    With ``party``, only that party's share-world is built and the peer's
+    fields are :func:`~repro.crypto.kernels.dead_lane` placeholders: the
+    arrays equal the full draw's and ``rng`` ends where the full draw leaves
+    it.  Party 0 draws just its own spans; party 1 draws every word and
+    keeps only its own fields.
     """
-    drawer = _DRAWERS.get(kind)
-    if drawer is None:
-        raise ValueError(f"unknown randomness kind {kind!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return drawer(ring, rng, count, tuple(shape))
+    if party not in (None, 0, 1):
+        raise ValueError(f"party must be 0 or 1, got {party}")
+    shape = tuple(shape)
+    layout = _layout(ring, kind, shape)
+    own = PARTY_FIELDS[kind][0]
+    blocks = _draw_blocks(ring, rng, count, layout, own if party == 0 else None)
+    values = {name: decode(blocks[name]) for name, _width, decode in layout if name in blocks}
+    out = {} if party == 1 else {name: values[name] for name in own}
+    if party != 0:
+        out.update(_world1(ring, kind, shape, values))
+    if party is not None:
+        for mine, peer in zip(PARTY_FIELDS[kind][party], PARTY_FIELDS[kind][1 - party]):
+            out[peer] = dead_lane(out[mine].shape, out[mine].dtype)
+    return out
 
 
 @dataclass
@@ -302,27 +350,19 @@ class DaBit:
 def _item(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: int):
     """The item at ``row`` of a stacked group: every field is a row *view*
     into the stacks, never a copy."""
+
+    def pair(name: str) -> SharePair:
+        return SharePair(arrays[name + "0"][row], arrays[name + "1"][row], ring)
+
     if kind == "triple":
-        return BeaverTriple(
-            a=SharePair(arrays["a0"][row], arrays["a1"][row], ring),
-            b=SharePair(arrays["b0"][row], arrays["b1"][row], ring),
-            z=SharePair(arrays["z0"][row], arrays["z1"][row], ring),
-        )
+        return BeaverTriple(a=pair("a"), b=pair("b"), z=pair("z"))
     if kind == "square":
-        return BeaverPair(
-            a=SharePair(arrays["a0"][row], arrays["a1"][row], ring),
-            z=SharePair(arrays["z0"][row], arrays["z1"][row], ring),
-        )
+        return BeaverPair(a=pair("a"), z=pair("z"))
     if kind == "bit":
         return AndMasks(lam0=arrays["lam0"][row], lam1=arrays["lam1"][row])
     if kind == "dabit":
-        return DaBit(
-            r0=arrays["r0"][row],
-            r1=arrays["r1"][row],
-            arith=SharePair(arrays["arith0"][row], arrays["arith1"][row], ring),
-            a=SharePair(arrays["a0"][row], arrays["a1"][row], ring),
-            ra=SharePair(arrays["ra0"][row], arrays["ra1"][row], ring),
-        )
+        r0, r1 = arrays["r0"][row], arrays["r1"][row]
+        return DaBit(r0=r0, r1=r1, arith=pair("arith"), a=pair("a"), ra=pair("ra"))
     raise ValueError(f"kind {kind!r} has no pool item form")
 
 
@@ -416,7 +456,7 @@ class TrustedDealer:
         return self._draw_item("dabit", shape)
 
     # -- offline phase -------------------------------------------------------- #
-    def preprocess(self, plan_or_manifest) -> "RandomnessPool":
+    def preprocess(self, plan_or_manifest, party: Optional[int] = None) -> "RandomnessPool":
         """Generate all correlated randomness of a compiled plan up front.
 
         Accepts an :class:`repro.crypto.plan.InferencePlan` or its
@@ -424,14 +464,18 @@ class TrustedDealer:
         :class:`RandomnessPool` holding every item the online phase will
         consume.  Each (kind, shape) group of the manifest is drawn as
         **one** stacked generator call from its substream, which is
-        bit-identical to per-item draws at the same seed.
+        bit-identical to per-item draws at the same seed.  With ``party``
+        the pool holds only that party's share-world (:func:`draw_group`):
+        bit-identical to ``preprocess(plan).restrict_to_party(party)``, and
+        every substream advances as far.
         """
         manifest = getattr(plan_or_manifest, "manifest", plan_or_manifest)
         pool = RandomnessPool(ring=self.ring, manifest_hash=manifest.content_hash)
         for kind, shape, count in manifest.grouped_requests():
             rng = self._stream(kind, shape)
-            pool.install_group(kind, shape, draw_group(self.ring, rng, kind, shape, count))
+            pool.install_group(kind, shape, draw_group(self.ring, rng, kind, shape, count, party))
             self._count_group(kind, shape, count)
+        pool.restricted_to = party
         return pool
 
 
@@ -537,18 +581,12 @@ class RandomnessPool:
     def restrict_to_party(self, party: int) -> "RandomnessPool":
         """Release the other party's share-world of every group.
 
-        In the deployment the dealer hands each server only *its* shares of
-        the correlated randomness.  The single-process simulation keeps both
-        worlds; a party process of the networked runtime calls this right
-        after obtaining the pool so that it genuinely holds one share-world
-        — and holds nothing else:
-
-        - the other world's stacks become the read-only
-          :func:`~repro.crypto.kernels.dead_lane` placeholder (no memory);
-        - own-world stacks that are views into a multi-lane draw are copied
-          out, so the draw itself is freed.
-
-        Items are built at pop time, so nothing is rebuilt.  The pool then
+        The reference for a party's pool: a party process draws its own
+        world directly (``TrustedDealer.preprocess(plan, party=p)``), which
+        is bit-identical to this applied to the full pool.  The other
+        world's stacks become the read-only
+        :func:`~repro.crypto.kernels.dead_lane` placeholder and own stacks
+        that are views into a multi-lane draw are copied out, so the pool
         pins exactly half of the manifest's material bytes.  Restricting an
         already-restricted pool is a no-op for the same party and an error
         for the other one — the genuine share-world is already gone.

@@ -22,10 +22,11 @@ program as the single-process simulation, with:
   zero that costs no memory and is never put on the wire;
 - a :class:`~repro.crypto.channel.PartyChannel`, so every opened value is
   recombined from the share that genuinely crossed the transport;
-- a :class:`~repro.crypto.dealer.RandomnessPool` regenerated from the shared
-  session seed and then restricted to this party's world
-  (:meth:`~repro.crypto.dealer.RandomnessPool.restrict_to_party`), which
-  releases the other world's material.
+- a :class:`~repro.crypto.dealer.RandomnessPool` of this party's world
+  alone, regenerated from the shared session seed
+  (``TrustedDealer.preprocess(plan, party=p)``, bit-identical to
+  :meth:`~repro.crypto.dealer.RandomnessPool.restrict_to_party` of the
+  full pool), so the other world's material is never held.
 
 Because the randomness streams and openings are identical to the
 single-process engine's, the reconstructed logits are bit-identical to
@@ -38,8 +39,7 @@ Invariants (relied on by the persistent server and the serving pool):
    or derives the peer's genuine shares, and neither computes nor stores
    the peer's lane: it is the read-only ``dead_lane`` placeholder, so an
    in-place write into it raises instead of computing on the peer's world
-   (``RandomnessPool.restrict_to_party`` releases the peer's dealer
-   material);
+   (its pool holds only its own dealer material);
 2. **canonical log, full-duplex wire** — both parties log the full
    conversation in one canonical order (party 0's message of a round
    first), so the two logs are identical to each other and to the

@@ -11,13 +11,14 @@ per shard rather than once per inference:
   persistent connection, answering each with a :class:`JobReport`.
 - Correlated randomness is **pre-provisioned**: boot buffers batch 1 of
   every model; any other ``(model, batch)`` key goes live on its first
-  job.  One background provisioner thread — the only producer — then
-  refills live keys' buffers of party-restricted
-  :class:`~repro.crypto.dealer.RandomnessPool`\\ s from :data:`LOW_WATER`
-  to :data:`HIGH_WATER`, most recently used key first, so the online path
-  of a warm server performs zero dealer generation calls.  The buffers
-  never hold more than :data:`POOL_BUDGET_BYTES`: a key that needs room
-  takes it from the pools of less recently used keys (their plans and
+  job.  A party generates only its own share-world of each
+  :class:`~repro.crypto.dealer.RandomnessPool`.  One background
+  provisioner thread — the only producer — tops every key a job drew from
+  back up to :data:`HIGH_WATER` after that job, most recently used key
+  first, so the online path of a warm server performs zero dealer
+  generation calls; a key no job has used keeps its boot depth.  The
+  buffers never hold more than :data:`POOL_BUDGET_BYTES`: a key that needs
+  room takes it from the pools of less recently used keys (their plans and
   counters stay), and a key whose one pool exceeds the budget is served
   cold.  A job whose pool is not buffered generates it here, at the same
   seed.  :class:`_PlanEntry` is the single per-``(model, batch)`` plan +
@@ -68,9 +69,7 @@ from repro.runtime.messages import (
 )
 from repro.runtime.party import execute_plan_as_party, verify_against_plan
 
-#: buffered pools per (model, batch) key below which the provisioner refills
-LOW_WATER = 1
-#: buffer depth the provisioner refills a key up to
+#: buffer depth the provisioner tops a key up to after each of its jobs
 HIGH_WATER = 3
 #: the most randomness-pool bytes a party buffers over all its keys (a
 #: restricted pool pins ``plan.manifest.material_bytes // 2``)
@@ -126,6 +125,8 @@ class _PlanEntry:
     pool_bytes: int
     #: the server's use clock at this key's last job (or its creation)
     last_used: int
+    #: whether a job has drawn from this key (only those are refilled)
+    live: bool = False
     #: FIFO of (counter, party-restricted pool); the one provisioner
     #: appends in counter order, so counters strictly increase
     pools: Deque[Tuple[int, RandomnessPool]] = field(default_factory=deque)
@@ -146,7 +147,7 @@ class PartyServer:
         self.config = config
         self.ring = config.ring
         self.channel = PartyChannel(transport, party, ring=config.ring)
-        self.metrics = Metrics("pool_bytes_resident", "pools_evicted")
+        self.metrics = Metrics("pool_bytes_resident", "pools_evicted", "pools_discarded")
         self._entries: Dict[Tuple[str, int], _PlanEntry] = {}
         #: use clock: ticks once per job and per new key (LRU order)
         self._uses = 0
@@ -182,9 +183,8 @@ class PartyServer:
         return entry
 
     def _pool_at_seed(self, entry: _PlanEntry, seed: int) -> RandomnessPool:
-        """The party-restricted pool of one session seed, generated here."""
-        dealer = TrustedDealer(ring=self.ring, seed=seed)
-        return dealer.preprocess(entry.plan).restrict_to_party(self.party)
+        """This party's share-world of one session seed's pool, generated here."""
+        return TrustedDealer(ring=self.ring, seed=seed).preprocess(entry.plan, party=self.party)
 
     def _resident_locked(self) -> int:
         return sum(len(e.pools) * e.pool_bytes for e in self._entries.values())
@@ -238,7 +238,8 @@ class PartyServer:
         """The pool and session seed of one job: buffered (hit) or generated (miss).
 
         The one provisioner appends in counter order, so heads older than
-        the job are stale (those jobs were served cold) and dropped, and only
+        the job are stale (those jobs were served cold) and dropped —
+        counted as ``pools_discarded``, generated for nothing — and only
         the front can hold the job's counter.  A replay pinned to another
         shard generation's seed cannot use pools buffered under this
         server's base seed: it generates at the pinned seed and leaves the
@@ -253,9 +254,11 @@ class PartyServer:
         with self._lock:
             self._uses += 1
             entry.last_used = self._uses
+            entry.live = True
             if seed == derived:
                 while entry.pools and entry.pools[0][0] < request.counter:
                     entry.pools.popleft()
+                    self.metrics.inc("pools_discarded")
                 if entry.pools and entry.pools[0][0] == request.counter:
                     pool = entry.pools.popleft()[1]
                 self.metrics.set("pool_bytes_resident", self._resident_locked())
@@ -277,15 +280,17 @@ class PartyServer:
         self._provisioner.start()
 
     def _refill_target_locked(self) -> Optional[Tuple[str, int]]:
-        """The most recently used key below :data:`LOW_WATER` that has room
-        for a pool (or can take it), or ``None``."""
+        """The most recently used key a job has drawn from that holds fewer
+        than :data:`HIGH_WATER` pools and has room for one more (or can take
+        it), or ``None``.  A key no job has used keeps its boot depth."""
         for key, entry in sorted(self._entries.items(), key=lambda kv: -kv[1].last_used):
-            if len(entry.pools) < LOW_WATER and self._room_locked(entry, evict=False):
+            below = entry.live and len(entry.pools) < HIGH_WATER
+            if below and self._room_locked(entry, evict=False):
                 return key
         return None
 
     def refill(self) -> None:
-        """Top keys below :data:`LOW_WATER` up to :data:`HIGH_WATER`, most
+        """Top every key a job has drawn from up to :data:`HIGH_WATER`, most
         recently used first, until none can take room for a pool."""
         while True:
             with self._lock:

@@ -137,6 +137,7 @@ SHARD_COUNTERS = (
     "jobs_executed", "queries_served", "failures", "busy_seconds",
     "pool_hits", "pool_misses", "payload_bytes", "unpacked_payload_bytes",
     "cpu_time_ns", "fused_kernel_calls", "pool_bytes_resident", "pools_evicted",
+    "pools_discarded",
 )
 
 
@@ -466,13 +467,14 @@ class WorkerShard:
     def _absorb(self, party: int, stats: Dict[str, float]) -> None:
         """Keep a party's latest metrics snapshot and carry its randomness
         residency into this shard's row: the pair's resident pool bytes and
-        the pools its parties evicted."""
+        the pools its parties evicted or discarded unused."""
         with self._lock:
             before = self.party_stats.get(party, {})
             self.party_stats[party] = stats
             resident = sum(s["pool_bytes_resident"] for s in self.party_stats.values())
         self.metrics.set("pool_bytes_resident", resident)
-        self.metrics.inc("pools_evicted", stats["pools_evicted"] - before.get("pools_evicted", 0))
+        for name in ("pools_evicted", "pools_discarded"):
+            self.metrics.inc(name, stats[name] - before.get(name, 0))
 
     # -- lifecycle ------------------------------------------------------------ #
     def shutdown(self, timeout: float = 30.0) -> None:

@@ -95,11 +95,12 @@ class ShardedServingPool:
             the latency/throughput knob.
         provision_pools: randomness pools to pre-buffer per model for
             batch 1 at boot; any other batch size goes live on its first
-            job.  Each party's background provisioner then keeps every live
-            key's buffer between ``LOW_WATER`` and ``HIGH_WATER`` of
-            :mod:`repro.runtime.server`, most recently used key first, and
-            its resident pools under ``POOL_BUDGET_BYTES``.  ``0`` leaves
-            the provisioner off, so every job generates its pool cold.
+            job.  Each party's background provisioner then tops every key
+            a job drew from back up to ``HIGH_WATER`` of
+            :mod:`repro.runtime.server` after that job, most recently used
+            key first, with its resident pools under ``POOL_BUDGET_BYTES``;
+            a key no job has used keeps this boot depth.  ``0`` leaves the
+            provisioner off, so every job generates its pool cold.
         link_latency: one-way seconds slept before every frame on the
             inter-party link (capacity planning for LAN/WAN-like
             deployments) — shorthand for
@@ -586,7 +587,7 @@ class ShardedServingPool:
             live = self._live_locked()
         rows = {index: metrics.snapshot() for index, metrics in slots.items()}
         totals = merge(rows.values())
-        for name in ("busy_seconds", "pool_bytes_resident", "pools_evicted"):
+        for name in ("busy_seconds", "pool_bytes_resident", "pools_evicted", "pools_discarded"):
             del totals[name]  # per-shard figures only
         totals["shard_failures"] = totals.pop("failures")
         for index, row in rows.items():

@@ -25,6 +25,8 @@ from repro.crypto.dealer import (
 from repro.crypto.andgates import and_table, plane_bytes, unpack_planes
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
 from repro.models.vgg import vgg_tiny
+from tests.crypto.test_zoo import CASES as ZOO_CASES
+from tests.crypto.test_zoo import _resident_bytes
 
 RINGS = (DEFAULT_RING, PAPER_RING)
 CASES = [
@@ -34,6 +36,13 @@ CASES = [
     ("bit", (2, 1, 7)),
     ("bit", (4, 2, 3, 130)),  # spills across several words per plane
     ("dabit", (3, 3)),
+]
+#: items that skip at least ``_MIN_SKIP_WORDS`` of party 0's unused words
+SKIPPING_CASES = [
+    ("triple", (2, 2048)),
+    ("square", (4096,)),
+    ("bit", (2, 1, 262144)),
+    ("dabit", (4096,)),
 ]
 
 
@@ -77,6 +86,24 @@ class TestSplitTransparency:
             assert np.array_equal(item.a.share0, stacked["a0"][i])
             assert np.array_equal(item.b.share1, stacked["b1"][i])
             assert np.array_equal(item.z.share0, stacked["z0"][i])
+
+
+class TestWordsPerElement:
+    @pytest.mark.parametrize("ring_bits", [64, 32, 20])
+    def test_elements_consume_whole_words_only_above_32_bits(self, ring_bits):
+        """``n`` elements of a ring draw take ``n`` 64-bit words on a ring
+        wider than 32 bits, and ``ceil(n / 2)`` on one of 32 bits or less —
+        an odd element's other half is buffered in the bit generator.  Party
+        0's skipped spans (``bit_generator.advance``) rest on the first."""
+        ring = FixedPointRing(ring_bits=ring_bits, frac_bits=8)
+        for n in (1, 5, 6):
+            drawn = np.random.default_rng(3)
+            ring.random((n,), drawn)
+            words = n if ring_bits > 32 else (n + 1) // 2
+            skipped = np.random.default_rng(3)
+            skipped.bit_generator.advance(words)
+            assert drawn.bit_generator.state["state"] == skipped.bit_generator.state["state"]
+            assert drawn.bit_generator.state["has_uint32"] == (ring_bits <= 32 and n % 2)
 
 
 class TestSubstreams:
@@ -258,6 +285,71 @@ class TestPartyRestriction:
             for name in PARTY_FIELDS[kind][1 - party]:
                 assert not ours[name].any(), (kind, shape, name)
                 assert ours[name].shape == theirs[name].shape
+
+    @pytest.mark.parametrize("ring_bits", [64, 40, 32, 20])
+    @pytest.mark.parametrize("party", [0, 1])
+    @pytest.mark.parametrize("kind,shape", CASES + SKIPPING_CASES)
+    def test_party_draw_leaves_the_stream_where_the_full_draw_does(
+        self, kind, shape, party, ring_bits
+    ):
+        """Small items draw whole and big ones skip party 0's unused spans
+        (rings wider than 32 bits); either way the stream ends up where the
+        full draw leaves it."""
+        ring = FixedPointRing(ring_bits=ring_bits, frac_bits=8)
+        stream = substream(4, ring, kind, shape)
+        full_rng, own_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+        for count in (3, 1, 0, 2):
+            full = draw_group(ring, full_rng, kind, shape, count)
+            own = draw_group(ring, own_rng, kind, shape, count, party)
+            assert own.keys() == full.keys()
+            for name in PARTY_FIELDS[kind][party]:
+                assert np.array_equal(own[name], full[name]), (count, name)
+                assert own[name].dtype == full[name].dtype
+            for name in PARTY_FIELDS[kind][1 - party]:
+                assert own[name].shape == full[name].shape and not any(own[name].strides)
+            assert own_rng.bit_generator.state == full_rng.bit_generator.state
+
+    @pytest.mark.parametrize("ring", RINGS, ids=["r64", "r32"])
+    @pytest.mark.parametrize("party", [0, 1])
+    @pytest.mark.parametrize("build,polynomial,batch", ZOO_CASES)
+    def test_party_preprocess_is_the_restricted_full_pool(
+        self, build, polynomial, batch, party, ring, monkeypatch
+    ):
+        """``preprocess(plan, party=p)`` draws only party ``p``'s world,
+        bit-identical to restricting the full pool, on every zoo plan — and
+        a second pool from the same dealer still matches, so the skipped
+        words leave every substream where the full draw leaves it.  Party 0
+        skips every span it does not hold here, however small."""
+        monkeypatch.setattr("repro.crypto.dealer._MIN_SKIP_WORDS", 0)
+        spec = build(input_size=8)
+        if polynomial:
+            spec = spec.with_all_polynomial()
+        manifest = compile_plan(spec, batch_size=batch, ring=ring).manifest
+        full_dealer, own_dealer = TrustedDealer(ring, seed=5), TrustedDealer(ring, seed=5)
+        for _ in range(2):
+            full = full_dealer.preprocess(manifest).restrict_to_party(party)
+            own = own_dealer.preprocess(manifest, party=party)
+            assert own.restricted_to == party
+            assert own.manifest_hash == full.manifest_hash
+            assert own.remaining == full.remaining == len(manifest.requests)
+            for kind, shape, _count in manifest.grouped_requests():
+                ours, theirs = own.group(kind, shape), full.group(kind, shape)
+                assert ours.keys() == theirs.keys()
+                for name in ours:
+                    assert ours[name].dtype == theirs[name].dtype, (kind, shape, name)
+                    assert np.array_equal(ours[name], theirs[name]), (kind, shape, name)
+                for name in PARTY_FIELDS[kind][1 - party]:
+                    assert not ours[name].flags.writeable and not any(ours[name].strides)
+            # ring elements are stored as uint64, so a 32-bit ring pins more
+            # than its manifest's wire-width bytes — as much as restriction
+            assert _resident_bytes(own) == _resident_bytes(full)
+            if ring.ring_bits == 64:
+                assert _resident_bytes(own) == manifest.material_bytes // 2
+        assert own_dealer._streams.keys() == full_dealer._streams.keys()
+        for key, rng in own_dealer._streams.items():
+            assert rng.bit_generator.state == full_dealer._streams[key].bit_generator.state
+        for counter in ("triples_generated", "and_planes_generated", "dabits_generated"):
+            assert getattr(own_dealer, counter) == getattr(full_dealer, counter)
 
     def test_restrict_rejects_bad_inputs(self):
         pool = RandomnessPool(DEFAULT_RING)

@@ -167,6 +167,7 @@ class TestPoolBuffer:
         assert hit and pool is buffered[2][1]
         assert not entry.pools
         assert (server.metrics.get("pool_hits"), server.metrics.get("pool_misses")) == (2, 1)
+        assert server.metrics.get("pools_discarded") == 1
 
 
 class TestPersistentPartyServer:
@@ -337,6 +338,30 @@ def _resident_array_bytes(server):
                     group = pool.group(kind, shape)
                     total += sum(group[name].nbytes for name in PARTY_FIELDS[kind][server.party])
     return total
+
+
+class TestRefillAfterEveryJob:
+    def test_every_job_tops_its_key_back_up_and_boot_keys_keep_their_depth(
+        self, servable
+    ):
+        """The provisioner refills a key after each job that drew from it,
+        not once it runs dry, so every job after a key's first is a hit; a
+        key no job has used keeps its boot depth."""
+        servers = _pair(servable)
+        for server in servers:
+            server.warm_up()
+        for counter in range(6):
+            x = np.random.default_rng(60 + counter).normal(size=(2, 3, 8, 8))
+            logits, seed = _run_pair_job(servers, x, counter)
+            for server in servers:
+                server.refill()
+                assert len(server._entries[("vgg", 2)].pools) == party_server.HIGH_WATER
+                assert len(server._entries[("vgg", 1)].pools) == server.config.provision_pools
+                hits = server.metrics.get("pool_hits")
+                assert (hits, server.metrics.get("pool_misses")) == (counter, 1), server.party
+        np.testing.assert_array_equal(logits, _reference_logits(servable, x, seed))
+        for server in servers:
+            assert server.metrics.get("pools_discarded") == 0
 
 
 class TestResidencyByBytes:
