@@ -21,8 +21,10 @@ import json
 import numpy as np
 
 from repro.crypto import make_context
-from repro.crypto.protocols.comparison import drelu_trace
+from repro.crypto.plan import record_phases
+from repro.crypto.protocols.comparison import drelu_phases
 from repro.crypto.secure_model import SecureInferenceEngine
+from repro.crypto.sharing import SharePair
 from repro.models import build_model, export_layer_weights, get_backbone
 from repro.nn.tensor import Tensor
 from repro.runtime import run_two_process_inference
@@ -86,7 +88,10 @@ def main() -> None:
           f"{result.cpu_time_ns / 1e6:.1f} ms cpu (max over parties)")
     print(f"rounds: {result.online_rounds} (predicted {plan.online_rounds}, "
           f"sequential would be {plan.oracle_rounds})")
-    rounds_per_drelu = drelu_trace((1,), engine.ctx.ring).scheduled_rounds
+    # one DReLU recorded by running its phase generator once
+    ring = engine.ctx.ring
+    one = SharePair(np.zeros(1, np.uint64), np.zeros(1, np.uint64), ring)
+    rounds_per_drelu = record_phases(lambda c: drelu_phases(c, one), ring)[0].scheduled_rounds
     print(f"packed wire format: {result.bytes_saved_pct:.1f}% payload saved "
           f"(unpacked equivalent {result.unpacked_payload_bytes} bytes); "
           f"{rounds_per_drelu} rounds per DReLU (log-depth comparison tree)")

@@ -89,8 +89,8 @@ class OTFlow:
     - step 3 (S0 -> S1): an encrypted 4 x U comparison matrix per element —
       w-bit words in the paper's accounting (Eq. 8), or 2-bit packed entries
       with ``packed=True``, matching what the executable runtime actually
-      ships for its stacked digit OT (see
-      :func:`repro.crypto.protocols.comparison.millionaire_trace`).
+      ships for its stacked digit OT (the first round group of
+      :func:`repro.crypto.protocols.comparison.millionaire_gt_phases`).
 
     The word width is **derived from the ring**: pass ``ring=`` (or nothing
     — ``execute`` falls back to the context's ring) instead of hardcoding

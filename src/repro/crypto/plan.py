@@ -12,10 +12,13 @@ online phase):
   ops in order and puts one round on the wire per round group;
 - every op carries its exact :class:`~repro.crypto.protocols.registry.OpTrace`
   (ordered correlated-randomness requests and **grouped** wire messages,
-  mirroring the round groups its phase generator yields), declared by the
-  protocol handlers themselves, so the plan's byte/round predictions match
-  the executed :class:`~repro.crypto.channel.CommunicationLog` exactly —
-  both the executor's and the sequential oracle's;
+  one group per round group its phase generator yields), recorded by
+  running that generator once (:func:`trace_op`, the third driver of a
+  phase generator next to :func:`~repro.crypto.events.run_phases` and
+  :func:`~repro.crypto.scheduler.run_scheduled_plan`), so the plan's
+  byte/round predictions match the executed
+  :class:`~repro.crypto.channel.CommunicationLog` exactly — both the
+  executor's and the sequential oracle's;
 - the per-plan :class:`PreprocessingManifest` aggregates those requests into
   the exact Beaver-triple / square-pair / bit-triple counts and byte volumes
   the offline phase must produce (see
@@ -48,10 +51,17 @@ Typical use::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from repro.crypto.context import TwoPartyContext
+from repro.crypto.dealer import TrustedDealer
+from repro.crypto.events import as_group, event_payload_arrays, payload_num_bytes
+from repro.crypto.kernels import KernelContext, dead_lane
 from repro.crypto.protocols.registry import (
     OpTrace,
     RandomnessRequest,
@@ -62,6 +72,7 @@ from repro.crypto.protocols.registry import (
     trace_rounds,
 )
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
+from repro.crypto.sharing import SharePair
 from repro.models.specs import LayerKind, LayerSpec, ModelSpec
 
 
@@ -176,6 +187,12 @@ class PreprocessingManifest:
     def material_bytes(self) -> int:
         """Total bytes of randomness material the dealer ships offline."""
         return sum(r.material_bytes(self.ring) for r in self.requests)
+
+    @property
+    def party_pool_bytes(self) -> int:
+        """Bytes one party's pool pins: its half of the material, with every
+        ring element held as a uint64 word whatever the ring's width."""
+        return sum(r.material_bytes(self.ring, word_bytes=8) for r in self.requests) // 2
 
     # -- grouping / identity -------------------------------------------------- #
     def grouped_requests(self) -> List[Tuple[str, Tuple[int, ...], int]]:
@@ -326,6 +343,79 @@ class InferencePlan:
         ]
 
 
+class _RecordingDealer(TrustedDealer):
+    """The dealer of a recording run: notes each item's request, then draws
+    it as usual."""
+
+    def __init__(self, ring: FixedPointRing) -> None:
+        super().__init__(ring)
+        self.requests: List[RandomnessRequest] = []
+
+    def _draw_item(self, kind: str, shape: Tuple[int, ...]):
+        self.requests.append(RandomnessRequest(kind, tuple(shape)))
+        return super()._draw_item(kind, shape)
+
+
+def record_phases(
+    start: Callable[[TwoPartyContext], object],
+    ring: FixedPointRing = DEFAULT_RING,
+    live: Optional[int] = 1,
+) -> Tuple[OpTrace, object]:
+    """Run the phase generator ``start(ctx)`` once and record its trace.
+
+    ``ctx`` is a throwaway context holding share lane ``live`` (None for
+    both) and a dealer that records every item drawn.  Each yielded round
+    group becomes one trace group, its events' bytes counted by the
+    channel's own rule (:func:`~repro.crypto.events.payload_num_bytes`),
+    and is answered with zero arrays of the results' shapes.  Returns the
+    trace and the generator's return value.
+    """
+    dealer = _RecordingDealer(ring)
+    ctx = TwoPartyContext(ring=ring, dealer=dealer, kernels=KernelContext(live=live))
+    gen = start(ctx)
+    element_bytes = ring.ring_bits // 8
+    groups: List[TraceGroup] = []
+    answers = None
+    while True:
+        try:
+            group = as_group(gen.send(answers))
+        except StopIteration as stop:
+            return OpTrace(tuple(dealer.requests), tuple(groups)), stop.value
+        groups.append(
+            tuple(
+                tuple(
+                    (sender, payload_num_bytes(array, element_bytes, event.element_bits))
+                    for sender, array in event_payload_arrays(event)
+                )
+                for event in group
+            )
+        )
+        answers = tuple(np.zeros(e.payload0.shape, e.payload0.dtype) for e in group)
+
+
+@functools.lru_cache(maxsize=1024)
+def trace_op(
+    layer: LayerSpec, input_shape: Tuple[int, ...], ring: FixedPointRing = DEFAULT_RING
+) -> OpTrace:
+    """The exact trace of one op at ``input_shape``: its phase generator
+    recorded on lane 1 alone (S0's OT pads and table are never built), or
+    the empty trace of a handler registered as a plain function.  A trace
+    depends on nothing else, so it is recorded once per process."""
+    handler = get_handler(layer.kind)
+    if not handler.yields:
+        return OpTrace()
+    shape = tuple(input_shape)
+    x = SharePair(dead_lane(shape), np.zeros(shape, np.uint64), ring)
+    trace, out = record_phases(lambda ctx: handler.phases(ctx, layer, {}, x, {}), ring)
+    expected = tuple(handler.infer_shape(layer, shape))
+    if out.shape != expected:
+        raise RuntimeError(
+            f"layer {layer.name!r}: recorded output shape {out.shape} differs "
+            f"from the inferred {expected}"
+        )
+    return trace
+
+
 def compile_plan(
     spec: ModelSpec,
     batch_size: int = 1,
@@ -334,11 +424,11 @@ def compile_plan(
     """Lower a model spec into an executable plan with static shapes.
 
     Shape inference threads the (batched) activation shape through the
-    registry handlers; each op's trace is evaluated at its concrete input
-    shape, which makes the preprocessing manifest and byte accounting exact
-    for the given batch size.  An ADD op's residual source must name an
-    earlier layer of the same shape; anything else fails here, at compile
-    time.
+    registry handlers; each op's trace is recorded at its concrete input
+    shape (:func:`trace_op`), which makes the preprocessing manifest and
+    byte accounting exact for the given batch size.  An ADD op's residual
+    source must name an earlier layer of the same shape; anything else
+    fails here, at compile time.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -370,7 +460,7 @@ def compile_plan(
                     f"layer {layer.name!r}: residual shape {residual_shape} "
                     f"does not match main-path shape {out_shape}"
                 )
-        trace: OpTrace = handler.trace(layer, shape, ring)
+        trace = trace_op(layer, shape, ring)
         ops.append(
             PlanOp(
                 name=layer.name,
@@ -378,9 +468,9 @@ def compile_plan(
                 layer=layer,
                 input_shape=shape,
                 output_shape=out_shape,
-                requests=tuple(trace.requests),
+                requests=trace.requests,
                 messages=tuple(trace.messages),
-                round_groups=tuple(trace.groups),
+                round_groups=trace.groups,
             )
         )
         shapes[layer.name] = out_shape

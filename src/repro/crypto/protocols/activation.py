@@ -9,30 +9,15 @@ layer kinds are registered at the bottom of the module.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import run_phases
-from repro.crypto.protocols.arithmetic import (
-    add_public,
-    multiply_public,
-    square_phases,
-    square_trace,
-)
-from repro.crypto.protocols.comparison import (
-    drelu_phases,
-    drelu_trace,
-    select_phases,
-    select_trace,
-)
-from repro.crypto.protocols.registry import (
-    OpTrace,
-    register_protocol,
-    same_shape,
-)
-from repro.crypto.ring import FixedPointRing
+from repro.crypto.protocols.arithmetic import add_public, multiply_public, square_phases
+from repro.crypto.protocols.comparison import drelu_phases, select_phases
+from repro.crypto.protocols.registry import register_protocol, same_shape
 from repro.crypto.sharing import SharePair, add_shares
 from repro.models.specs import LayerKind, LayerSpec
 
@@ -109,12 +94,7 @@ def secure_square_activation(ctx: TwoPartyContext, x: SharePair, tag: str = "sq"
 # --------------------------------------------------------------------------- #
 # Plan-runtime handlers
 # --------------------------------------------------------------------------- #
-def _relu_trace(layer: LayerSpec, input_shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """ReLU = DReLU (comparison flow) + multiplex over the full tensor."""
-    return drelu_trace(input_shape, ring).extend(select_trace(input_shape, ring))
-
-
-@register_protocol(LayerKind.RELU, infer_shape=same_shape, trace=_relu_trace)
+@register_protocol(LayerKind.RELU, infer_shape=same_shape)
 def _run_relu(
     ctx: TwoPartyContext,
     layer: LayerSpec,
@@ -126,12 +106,7 @@ def _run_relu(
     return result
 
 
-def _x2act_trace(layer: LayerSpec, input_shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """X^2act interacts only through the square protocol."""
-    return square_trace(input_shape, ring)
-
-
-@register_protocol(LayerKind.X2ACT, infer_shape=same_shape, trace=_x2act_trace)
+@register_protocol(LayerKind.X2ACT, infer_shape=same_shape)
 def _run_x2act(
     ctx: TwoPartyContext,
     layer: LayerSpec,

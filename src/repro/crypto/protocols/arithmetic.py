@@ -10,26 +10,21 @@ Each interactive protocol is written as a *phase generator*
 receives the opened values back from whichever driver runs it — the
 sequential reference driver or the round-coalescing scheduler.  The plain
 functions (:func:`multiply`, :func:`square`) drive the generator
-sequentially and keep the original call-site API.
-
-Next to each protocol lives its *trace* function (:func:`multiply_trace`,
-:func:`square_trace`), which declares the exact correlated-randomness
-requests and wire messages of one invocation for the plan compiler (see
-:mod:`repro.crypto.plan`).  Trace groups and generator yields must be kept
-in lockstep — the preprocessing manifest and the round schedule are exact
-only because they are.
+sequentially and keep the original call-site API.  The plan compiler
+records a generator's randomness requests and wire messages by running it
+once (:func:`repro.crypto.plan.trace_op`), so no second description of a
+protocol's cost exists.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import open_ring_event, run_phases
 from repro.crypto.kernels import KERNELS, per_lane
-from repro.crypto.protocols.registry import OpTrace, element_bytes, open_trace_event
 from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair, sub_shares
 
@@ -124,17 +119,6 @@ def multiply(
     return run_phases(ctx, multiply_phases(ctx, x, y, product=product, truncate=truncate, tag=tag))
 
 
-def multiply_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """Offline/online trace of one elementwise :func:`multiply` call:
-    one Beaver triple, then the E and F openings in one round group."""
-    n = int(np.prod(shape)) if shape else 1
-    eb = element_bytes(ring)
-    trace = OpTrace().request("triple", shape)
-    # open E = X - A and F = Y - B: independent, one coalescible group
-    trace.group([open_trace_event(n * eb), open_trace_event(n * eb)])
-    return trace
-
-
 def square_phases(
     ctx: TwoPartyContext, x: SharePair, truncate: bool = True, tag: str = "square"
 ):
@@ -172,14 +156,6 @@ def square_phases(
 def square(ctx: TwoPartyContext, x: SharePair, truncate: bool = True, tag: str = "square") -> SharePair:
     """Sequential entry point of :func:`square_phases`."""
     return run_phases(ctx, square_phases(ctx, x, truncate=truncate, tag=tag))
-
-
-def square_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """Trace of one :func:`square` call: one Beaver pair, one opening."""
-    n = int(np.prod(shape)) if shape else 1
-    trace = OpTrace().request("square", shape)
-    trace.exchange(n * element_bytes(ring))  # open E = X - A
-    return trace
 
 
 def multiply_public(

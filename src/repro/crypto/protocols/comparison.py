@@ -60,15 +60,6 @@ from repro.crypto.andgates import and_table, and_terms, unpack_planes
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import open_bits_event, open_ring_event, run_phases, transfer_event
 from repro.crypto.kernels import KERNELS, dead_lane, per_lane
-from repro.crypto.protocols.registry import (
-    OpTrace,
-    element_bytes,
-    open_bits_trace_event,
-    open_trace_event,
-    packed_payload_bytes,
-    send_trace_event,
-)
-from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair, sub_shares
 
 XorSharedBit = Tuple[np.ndarray, np.ndarray]
@@ -185,8 +176,7 @@ def tree_levels(num_leaves: int, radices: Tuple[int, ...]):
     before the last keep their ``eq`` output; the last group, ``last``
     nodes, holds the last position, whose equality bit no level reads, so
     it computes ``gt`` only (one node is carried as it is).  The generator
-    and the trace iterate this exact sequence, which is what keeps
-    randomness requests and wire events in lockstep.
+    and :func:`schedule_cost` iterate this exact sequence.
     """
     remaining = num_leaves
     for radix in radices:
@@ -482,61 +472,3 @@ def select(
 ) -> SharePair:
     """Sequential entry point of :func:`select_phases`."""
     return run_phases(ctx, select_phases(ctx, x, bit, tag=tag))
-
-
-# --------------------------------------------------------------------------- #
-# Trace functions (plan-compiler accounting; mirror the phase generators)
-# --------------------------------------------------------------------------- #
-def _and_trace(blocks: List[Tuple[int, int, Tuple[int, ...]]]) -> OpTrace:
-    """One round of AND blocks ``(radix, outputs, S)``: an AND item per
-    block, then both parties open every block's inputs as one packed 1-bit
-    plane per direction."""
-    trace = OpTrace()
-    opened = 0
-    for k, outputs, element in blocks:
-        trace.request("bit", (k, outputs) + element)
-        opened += and_terms(k, outputs)[0] * int(np.prod(element, dtype=np.int64))
-    return trace.group([open_bits_trace_event(opened)])
-
-
-def secure_and_trace(shape: Tuple[int, ...]) -> OpTrace:
-    """One AND gate: the one-monomial AND item over ``shape``."""
-    return _and_trace([(2, 1, tuple(shape))])
-
-
-def millionaire_trace(
-    shape: Tuple[int, ...], ring: FixedPointRing, digit_bits: int = 2
-) -> OpTrace:
-    """Trace of :func:`millionaire_gt`: one stacked 1-of-4 OT (all masked
-    2-bit table entries cross the wire, packed, in a single round) followed
-    by the :func:`tree_schedule` levels, each one round of AND blocks in a
-    round group of its own.  Requests and groups iterate the exact
-    :func:`tree_levels` sequence the generator walks.
-    """
-    n = int(np.prod(shape)) if shape else 1
-    num_digits = ring.ring_bits // digit_bits
-    radix = 1 << digit_bits
-    trace = OpTrace()
-    trace.group(
-        [send_trace_event(0, packed_payload_bytes(radix * num_digits * n, digit_bits))]
-    )
-    for _remaining, fold, full, last in tree_levels(num_digits, tree_schedule(num_digits)):
-        blocks = level_blocks(fold, full, last)
-        trace.extend(_and_trace([(k, o, (c,) + tuple(shape)) for k, o, c, _ in blocks]))
-    return trace
-
-
-def drelu_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """DReLU is one millionaire comparison (the carry); MSB mixing is local."""
-    return millionaire_trace(shape, ring)
-
-
-def select_trace(shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """One daBit, then ``c`` (packed 1-bit) and ``e`` (ring width) open in
-    one round group."""
-    n = int(np.prod(shape)) if shape else 1
-    trace = OpTrace().request("dabit", shape)
-    trace.group(
-        [open_bits_trace_event(n, element_bits=1), open_trace_event(n * element_bytes(ring))]
-    )
-    return trace

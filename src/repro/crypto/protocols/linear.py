@@ -17,7 +17,7 @@ import numpy as np
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.kernels import KERNELS
 from repro.crypto.protocols.arithmetic import add_public, multiply
-from repro.crypto.protocols.registry import no_trace, register_protocol
+from repro.crypto.protocols.registry import register_protocol
 from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair
 from repro.models.specs import LayerKind, LayerSpec
@@ -260,7 +260,7 @@ def _conv_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[i
     return (n, layer.out_channels, oh, ow)
 
 
-@register_protocol(LayerKind.CONV, infer_shape=_conv_infer_shape, trace=no_trace)
+@register_protocol(LayerKind.CONV, infer_shape=_conv_infer_shape)
 def _run_conv(
     ctx: TwoPartyContext,
     layer: LayerSpec,
@@ -300,7 +300,7 @@ def _linear_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple
     return (input_shape[0], layer.out_channels)
 
 
-@register_protocol(LayerKind.LINEAR, infer_shape=_linear_infer_shape, trace=no_trace)
+@register_protocol(LayerKind.LINEAR, infer_shape=_linear_infer_shape)
 def _run_linear(
     ctx: TwoPartyContext,
     layer: LayerSpec,

@@ -9,18 +9,8 @@ import numpy as np
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.events import run_phases
 from repro.crypto.kernels import per_lane
-from repro.crypto.protocols.comparison import (
-    drelu_phases,
-    drelu_trace,
-    select_phases,
-    select_trace,
-)
-from repro.crypto.protocols.registry import (
-    OpTrace,
-    no_trace,
-    register_protocol,
-)
-from repro.crypto.ring import FixedPointRing
+from repro.crypto.protocols.comparison import drelu_phases, select_phases
+from repro.crypto.protocols.registry import register_protocol
 from repro.crypto.sharing import SharePair, add_shares, scale_shares, sub_shares
 from repro.models.specs import LayerKind, LayerSpec
 
@@ -48,8 +38,7 @@ def _extract_windows(share: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 def _tournament_levels(rows: int):
     """The pair counts of a tournament over ``rows`` window elements, level
     by level: each level compares ``rows // 2`` stacked pairs and an odd row
-    carries, so ``ceil(log2(rows))`` levels reduce a window.  The generator
-    and the trace iterate this exact sequence."""
+    carries, so ``ceil(log2(rows))`` levels reduce a window."""
     while rows > 1:
         yield rows // 2
         rows -= rows // 2
@@ -146,21 +135,7 @@ def _pool_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[i
     return _window_shape(input_shape, layer.kernel, layer.stride)[1:]
 
 
-def _maxpool_trace(
-    layer: LayerSpec, input_shape: Tuple[int, ...], ring: FixedPointRing
-) -> OpTrace:
-    """The tournament reduction: ``ceil(log2(k^2))`` levels, each one DReLU
-    comparison plus one multiplex over the level's stacked window pairs —
-    ``k^2 - 1`` pairwise maxima in all (Eq. 13's execution shape)."""
-    window_shape = _pool_infer_shape(layer, input_shape)
-    trace = OpTrace()
-    for pairs in _tournament_levels(layer.kernel * layer.kernel):
-        trace.extend(drelu_trace((pairs,) + window_shape, ring))
-        trace.extend(select_trace((pairs,) + window_shape, ring))
-    return trace
-
-
-@register_protocol(LayerKind.MAXPOOL, infer_shape=_pool_infer_shape, trace=_maxpool_trace)
+@register_protocol(LayerKind.MAXPOOL, infer_shape=_pool_infer_shape)
 def _run_maxpool(
     ctx: TwoPartyContext,
     layer: LayerSpec,
@@ -174,7 +149,7 @@ def _run_maxpool(
     return result
 
 
-@register_protocol(LayerKind.AVGPOOL, infer_shape=_pool_infer_shape, trace=no_trace)
+@register_protocol(LayerKind.AVGPOOL, infer_shape=_pool_infer_shape)
 def _run_avgpool(
     ctx: TwoPartyContext,
     layer: LayerSpec,
@@ -189,7 +164,7 @@ def _gap_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[in
     return (input_shape[0], input_shape[1])
 
 
-@register_protocol(LayerKind.GLOBAL_AVGPOOL, infer_shape=_gap_infer_shape, trace=no_trace)
+@register_protocol(LayerKind.GLOBAL_AVGPOOL, infer_shape=_gap_infer_shape)
 def _run_global_avgpool(
     ctx: TwoPartyContext,
     layer: LayerSpec,

@@ -9,30 +9,28 @@ bundles the facets the compiler and runtime need:
   punctuated by ``yield``\\ ed round groups of
   :class:`~repro.crypto.events.CommEvent`.  The driver (not the handler)
   decides how each group hits the wire: coalesced into shared rounds by the
-  plan scheduler (the runtime), or event by event by the sequential oracle
-  (:func:`repro.crypto.events.run_reference`);
+  plan scheduler (the runtime), event by event by the sequential oracle
+  (:func:`repro.crypto.events.run_reference`), or recorded as an
+  :class:`OpTrace` by the plan compiler (:func:`repro.crypto.plan.trace_op`);
 - ``infer_shape`` — static shape inference used by the plan compiler;
-- ``trace`` — the *exact* offline/online cost of one invocation: the ordered
-  correlated-randomness requests and the **grouped** wire messages.  Trace
-  groups mirror the generator's yield groups one for one, which is what lets
-  the compiler schedule rounds without running the protocol.
+- ``yields`` — whether ``phases`` was registered as a generator.  A plain
+  function neither communicates nor draws randomness, so its trace is
+  empty without a run.
 
-Because ``trace`` is declared next to ``phases`` in the same module, the
-preprocessing manifest and the byte accounting of a compiled plan are exact
-by construction: the trace lists requests/messages in the same order the
-protocol performs them, so an offline phase that generates randomness in
-trace order produces the identical dealer stream lazy draws would have.
+There is no second, hand-written description of a protocol's cost: the
+compiler runs the phase generator once and the trace falls out, so the
+preprocessing manifest and the byte accounting of a compiled plan list the
+requests and messages in exactly the order the protocol performs them.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.crypto.andgates import and_terms, plane_bytes
 from repro.crypto.dealer import item_elements
-from repro.crypto.events import packed_num_bytes
 from repro.crypto.ring import FixedPointRing
 from repro.models.specs import LayerKind, LayerSpec
 
@@ -41,28 +39,6 @@ from repro.models.specs import LayerKind, LayerSpec
 TraceEvent = Tuple[Tuple[int, int], ...]
 #: one traced round group: events that may share a coalesced round
 TraceGroup = Tuple[TraceEvent, ...]
-
-
-def open_trace_event(num_bytes: int) -> TraceEvent:
-    """A bidirectional opening of ``num_bytes`` per direction."""
-    return ((0, int(num_bytes)), (1, int(num_bytes)))
-
-
-def send_trace_event(sender: int, num_bytes: int) -> TraceEvent:
-    """A one-directional transfer."""
-    return ((int(sender), int(num_bytes)),)
-
-
-def packed_payload_bytes(num_elements: int, element_bits: int) -> int:
-    """Wire bytes of a packed sub-byte payload — the trace-side alias of
-    :func:`repro.crypto.events.packed_num_bytes` (``ceil`` per array), so
-    the trace helpers cannot drift from the channel accounting rule."""
-    return packed_num_bytes(num_elements, element_bits)
-
-
-def open_bits_trace_event(num_elements: int, element_bits: int = 1) -> TraceEvent:
-    """A bidirectional bit opening, packed at ``element_bits`` per element."""
-    return open_trace_event(packed_payload_bytes(num_elements, element_bits))
 
 
 @dataclass(frozen=True)
@@ -90,15 +66,16 @@ class RandomnessRequest:
         """Elements of the item; an AND item's are its planes' bits."""
         return item_elements(self.kind, self.shape)
 
-    def material_bytes(self, ring: FixedPointRing) -> int:
+    def material_bytes(self, ring: FixedPointRing, word_bytes: int = 0) -> int:
         """Bytes of randomness material the dealer ships for this request.
 
         A Beaver triple is three shared tensors (two shares each), a square
         pair two, an AND item two shares of each plane packed eight bits a
         byte, a daBit one bit byte plus three ring elements (``r``, ``a``,
-        ``r·a``) per party.
+        ``r·a``) per party.  A ring element counts ``word_bytes``, by
+        default its wire width.
         """
-        eb = ring.ring_bits // 8
+        eb = word_bytes or ring.ring_bits // 8
         if self.kind == "triple":
             return 6 * self.num_elements * eb
         if self.kind == "square":
@@ -111,7 +88,7 @@ class RandomnessRequest:
         raise ValueError(f"unknown randomness request kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpTrace:
     """Ordered randomness requests and grouped wire messages of one op.
 
@@ -124,34 +101,8 @@ class OpTrace:
     group, mirroring what a round-coalescing execution logs.
     """
 
-    requests: List[RandomnessRequest] = field(default_factory=list)
-    groups: List[TraceGroup] = field(default_factory=list)
-
-    # -- builders ---------------------------------------------------------- #
-    def request(self, kind: str, shape: Tuple[int, ...]) -> "OpTrace":
-        self.requests.append(RandomnessRequest(kind, tuple(shape)))
-        return self
-
-    def send(self, sender: int, num_bytes: int) -> "OpTrace":
-        """One transfer in a round group of its own."""
-        self.groups.append((send_trace_event(sender, num_bytes),))
-        return self
-
-    def exchange(self, num_bytes: int) -> "OpTrace":
-        """Both directions, S0 first — one opening in a group of its own."""
-        self.groups.append((open_trace_event(num_bytes),))
-        return self
-
-    def group(self, events: List[TraceEvent]) -> "OpTrace":
-        """One round group of independent events (coalescible together)."""
-        if events:
-            self.groups.append(tuple(events))
-        return self
-
-    def extend(self, other: "OpTrace") -> "OpTrace":
-        self.requests.extend(other.requests)
-        self.groups.extend(other.groups)
-        return self
+    requests: Tuple[RandomnessRequest, ...] = ()
+    groups: Tuple[TraceGroup, ...] = ()
 
     # -- views -------------------------------------------------------------- #
     @property
@@ -226,18 +177,17 @@ def trace_rounds(messages) -> int:
 PhasesFn = Callable[..., object]
 #: infer_shape(layer, input_shape) -> output_shape
 InferShapeFn = Callable[[LayerSpec, Tuple[int, ...]], Tuple[int, ...]]
-#: trace(layer, input_shape, ring) -> OpTrace
-TraceFn = Callable[[LayerSpec, Tuple[int, ...], FixedPointRing], OpTrace]
 
 
 @dataclass(frozen=True)
 class ProtocolHandler:
-    """The registered (phases, infer_shape, trace) facets of a kind."""
+    """The registered facets of a kind; ``yields`` is False for a handler
+    registered as a plain (communication-free) function."""
 
     kind: LayerKind
     phases: PhasesFn
     infer_shape: InferShapeFn
-    trace: TraceFn
+    yields: bool
 
 
 _HANDLERS: Dict[LayerKind, ProtocolHandler] = {}
@@ -258,7 +208,7 @@ def _as_phases(fn: Callable) -> PhasesFn:
 
 
 def register_protocol(
-    kind: LayerKind, *, infer_shape: InferShapeFn, trace: TraceFn
+    kind: LayerKind, *, infer_shape: InferShapeFn
 ) -> Callable[[Callable], Callable]:
     """Decorator registering ``fn`` as the online protocol for ``kind``.
 
@@ -274,7 +224,7 @@ def register_protocol(
             kind=kind,
             phases=_as_phases(fn),
             infer_shape=infer_shape,
-            trace=trace,
+            yields=inspect.isgeneratorfunction(fn),
         )
         return fn
 
@@ -304,16 +254,6 @@ def _ensure_registered() -> None:
     import repro.crypto.protocols  # noqa: F401
 
 
-# -- shared trace helpers ---------------------------------------------------- #
-def element_bytes(ring: FixedPointRing) -> int:
-    """On-the-wire size of one ring element (matches the channel accounting)."""
-    return ring.ring_bits // 8
-
-
-def no_trace(layer: LayerSpec, input_shape: Tuple[int, ...], ring: FixedPointRing) -> OpTrace:
-    """Trace of a communication-free local op (conv/linear/avgpool/...)."""
-    return OpTrace()
-
-
+# -- shared shape helpers -------------------------------------------------- #
 def same_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(input_shape)

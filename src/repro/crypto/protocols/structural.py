@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
-from repro.crypto.protocols.registry import no_trace, register_protocol, same_shape
+from repro.crypto.protocols.registry import register_protocol, same_shape
 from repro.crypto.sharing import SharePair, add_shares
 from repro.models.specs import LayerKind, LayerSpec
 
@@ -23,7 +23,7 @@ def _flatten_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tupl
     return (n, int(np.prod(input_shape[1:])))
 
 
-@register_protocol(LayerKind.FLATTEN, infer_shape=_flatten_infer_shape, trace=no_trace)
+@register_protocol(LayerKind.FLATTEN, infer_shape=_flatten_infer_shape)
 def _run_flatten(
     ctx: TwoPartyContext,
     layer: LayerSpec,
@@ -47,7 +47,7 @@ def _add_infer_shape(layer: LayerSpec, input_shape: Tuple[int, ...]) -> Tuple[in
     return same_shape(layer, input_shape)
 
 
-@register_protocol(LayerKind.ADD, infer_shape=_add_infer_shape, trace=no_trace)
+@register_protocol(LayerKind.ADD, infer_shape=_add_infer_shape)
 def _run_add(
     ctx: TwoPartyContext,
     layer: LayerSpec,

@@ -139,6 +139,7 @@ def run_scheduled_plan(
         raise RuntimeError(
             f"execution of {plan.model_name!r} performed {rounds_executed} "
             f"rounds but the plan predicted {plan.num_rounds} — a protocol "
-            "handler's phase generator has drifted from its trace"
+            "handler's phase generator yielded other round groups than the "
+            "plan recorded"
         )
     return shared, per_op_bytes

@@ -110,15 +110,16 @@ def plan_op_cost(
 ) -> OperatorCost:
     """Cost one op from its compiled-plan trace (exact executable comm).
 
-    Communication bytes and rounds come from the protocol handler's declared
-    trace at the concrete input shape; the time term charges one network base
-    latency per round plus the payload over the raw bandwidth.  Computation
-    uses the device equations of :func:`layer_cost`.
+    Communication bytes and rounds come from the op's recorded trace at the
+    concrete input shape (:func:`repro.crypto.plan.trace_op`); the time term
+    charges one network base latency per round plus the payload over the
+    raw bandwidth.  Computation uses the device equations of
+    :func:`layer_cost`.
     """
-    from repro.crypto.protocols.registry import get_handler
+    from repro.crypto.plan import trace_op
     from repro.crypto.ring import DEFAULT_RING
 
-    trace = get_handler(layer.kind).trace(layer, input_shape, ring or DEFAULT_RING)
+    trace = trace_op(layer, input_shape, ring or DEFAULT_RING)
     comm_bytes = trace.online_bytes
     comm_s = (
         trace.rounds * model.network.base_latency_s

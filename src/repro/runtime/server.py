@@ -72,7 +72,7 @@ from repro.runtime.party import execute_plan_as_party, verify_against_plan
 #: buffer depth the provisioner tops a key up to after each of its jobs
 HIGH_WATER = 3
 #: the most randomness-pool bytes a party buffers over all its keys (a
-#: restricted pool pins ``plan.manifest.material_bytes // 2``)
+#: party's pool pins ``plan.manifest.party_pool_bytes``)
 POOL_BUDGET_BYTES = 96 << 20
 #: seconds between the liveness beats a party writes into its beat block,
 #: well under the smallest heartbeat deadline in use (0.5 s)
@@ -173,7 +173,7 @@ class PartyServer:
                 f"registered: {sorted(self.config.models)}"
             )
         plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
-        pool_bytes = plan.manifest.material_bytes // 2
+        pool_bytes = plan.manifest.party_pool_bytes
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto import compile_plan
-from repro.crypto.protocols.comparison import millionaire_trace
+from repro.crypto.plan import record_phases
+from repro.crypto.protocols.comparison import millionaire_gt_phases
 from repro.crypto.protocols.registry import group_direction_totals
 from repro.models.specs import LayerKind
 from tests.chaos.conftest import make_chaos_pool
@@ -24,7 +25,11 @@ def _first_tree_level_recv_round(spec, batch_size: int) -> int:
     first = plan.ops[at]
     assert first.kind == LayerKind.RELU
     # its groups open with the digit OT; the next one is the tree's first level
-    assert first.round_groups[1] == millionaire_trace(first.input_shape, plan.ring).groups[1]
+    zeros = np.zeros(first.input_shape, dtype=np.uint64)
+    comparison, _ = record_phases(
+        lambda c: millionaire_gt_phases(c, zeros, zeros, bit_width=plan.ring.ring_bits), plan.ring
+    )
+    assert first.round_groups[1] == comparison.groups[1]
     before = [group for op in plan.ops[:at] for group in op.round_groups] + [first.round_groups[0]]
     return sum(1 for group in before if group_direction_totals(group)[0] > 0)
 

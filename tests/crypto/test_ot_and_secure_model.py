@@ -65,14 +65,19 @@ class TestOTFlowAccounting:
 
     def test_packed_flow_matches_executed_millionaire_trace(self, ctx):
         """Satellite acceptance: the packed Eq. 8 matrix volume equals the
-        stacked digit OT of the executed comparison trace, byte for byte."""
-        from repro.crypto.protocols.comparison import millionaire_trace
+        stacked digit OT of the recorded comparison trace, byte for byte."""
+        from repro.crypto.plan import record_phases
+        from repro.crypto.protocols.comparison import millionaire_gt_phases
 
         shape = (37,)
         ctx.reset_communication()
         cost = OTFlow(ring=ctx.ring, packed=True).execute(ctx, int(np.prod(shape)))
         assert ctx.communication_bytes == cost.total_bytes  # log stays exact
-        trace = millionaire_trace(shape, ctx.ring)
+        zeros = np.zeros(shape, dtype=np.uint64)
+        trace, _ = record_phases(
+            lambda c: millionaire_gt_phases(c, zeros, zeros, bit_width=ctx.ring.ring_bits),
+            ctx.ring,
+        )
         (ot_event,) = trace.groups[0]
         ((sender, ot_bytes),) = ot_event
         assert sender == 0

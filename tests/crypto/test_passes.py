@@ -6,7 +6,7 @@ Key invariants:
 - the manifest's round trace has one entry per round group, and its
   per-round bytes sum to the plan's online bytes;
 - the executor performs exactly ``plan.num_rounds`` rounds and fails loudly
-  when a trace drifts from its phase generator (bit-identity with the
+  when a plan's trace differs from its phase generator (bit-identity with the
   sequential oracle, zoo-wide, lives in ``test_zoo.py``).
 """
 
@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import make_context
-from repro.crypto.plan import compile_plan
-from repro.crypto.protocols.registry import get_handler
+from repro.crypto.plan import compile_plan, trace_op
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import share
 from repro.models.builder import build_model, export_layer_weights
@@ -146,7 +145,7 @@ class TestDocsStateTheCompiledPlan:
         n = 64
         ring = make_context().ring
         layer = LayerSpec(name="op", kind=LayerKind.RELU)
-        trace = get_handler(LayerKind.RELU).trace(layer, (1, n), ring)
+        trace = trace_op(layer, (1, n), ring)
         assert float(found.group(1)) == trace.online_bytes / n
         assert int(found.group(2)) == len(trace.groups)
         assert material == sum(r.material_bytes(ring) for r in trace.requests) / n

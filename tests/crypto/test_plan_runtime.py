@@ -21,6 +21,7 @@ from repro.crypto import (
     compile_plan,
     make_context,
 )
+from repro.crypto.plan import trace_op
 from repro.crypto.protocols.registry import get_handler, registered_kinds
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
@@ -145,7 +146,7 @@ class TestComparisonLayerCost:
     @staticmethod
     def _trace(kind, input_shape, kernel=1):
         layer = LayerSpec(name="op", kind=kind, kernel=kernel, stride=kernel)
-        return get_handler(kind).trace(layer, input_shape, make_context().ring)
+        return trace_op(layer, input_shape, make_context().ring)
 
     def test_relu_is_five_round_groups_and_68_25_bytes_per_element(self):
         """The OT, the three tree levels and the select; 32 B of OT, 20 B

@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from repro.crypto import PartyChannel, make_context, reconstruct, share
 from repro.crypto.events import as_group, perform_event
 from repro.crypto.kernels import KernelContext, dead_lane
-from repro.crypto.plan import PreprocessingManifest
+from repro.crypto.plan import PreprocessingManifest, record_phases
 from repro.crypto.protocols.comparison import (
     _and_prepare,
     drelu,
+    drelu_phases,
     millionaire_gt,
+    millionaire_gt_phases,
     schedule_cost,
     schedules,
     secure_and,
-    secure_and_trace,
+    secure_and_phases,
     select,
     select_phases,
-    select_trace,
     tree_levels,
     tree_schedule,
 )
@@ -35,6 +36,25 @@ from repro.crypto.transport import LoopbackTransport
 
 def xor_open(bit) -> np.ndarray:
     return (bit[0] ^ bit[1]).astype(bool)
+
+
+def millionaire_trace(shape, ring):
+    """The recorded trace of one comparison of ``shape``-shaped values."""
+    zeros = np.zeros(shape, dtype=np.uint64)
+    return record_phases(
+        lambda c: millionaire_gt_phases(c, zeros, zeros, bit_width=ring.ring_bits), ring
+    )[0]
+
+
+def drelu_trace(shape, ring):
+    x = SharePair(np.zeros(shape, np.uint64), np.zeros(shape, np.uint64), ring)
+    return record_phases(lambda c: drelu_phases(c, x), ring)[0]
+
+
+def select_trace(shape, ring):
+    x = SharePair(np.zeros(shape, np.uint64), np.zeros(shape, np.uint64), ring)
+    bit = (np.zeros(shape, np.uint8), np.zeros(shape, np.uint8))
+    return record_phases(lambda c: select_phases(c, x, bit), ring)[0]
 
 
 class TestBitGates:
@@ -153,9 +173,8 @@ class TestLogDepthTree:
         assert groups == 1 + expected_levels  # OT + tree levels
 
     def test_trace_matches_sequential_execution_exactly(self, ctx, rng):
-        """Bytes AND dealer requests of the trace mirror the generator."""
-        from repro.crypto.protocols.comparison import drelu_trace
-
+        """Bytes AND dealer requests of the recorded trace match a
+        sequential execution on the simulated channel."""
         shape = (3, 5)
         x = rng.uniform(-4, 4, size=shape)
         ctx.reset_communication()
@@ -172,8 +191,6 @@ class TestLogDepthTree:
 
     def test_ot_payload_ships_two_bit_packed(self, ctx):
         """The stacked digit OT accounts 2 bits per table entry."""
-        from repro.crypto.protocols.comparison import millionaire_trace
-
         n = 8
         trace = millionaire_trace((n,), ctx.ring)
         (ot_event,) = trace.groups[0]
@@ -186,8 +203,6 @@ class TestLogDepthTree:
         """Masks and mask products per party: 15 radix-2 combines of 5 bits
         and one of 3 (no eq output), then three radix-4 combines of 29 and
         one of 21, then one of 21 — 1.43x the radix-2 tree's 145."""
-        from repro.crypto.protocols.comparison import millionaire_trace
-
         trace = millionaire_trace((1,), ctx.ring)
         per_level = [r.num_elements for r in trace.requests if r.kind == "bit"]
         assert per_level == [15 * 5, 3, 3 * 29, 21, 21]
@@ -495,8 +510,6 @@ class TestMultiInputAndTree:
     def test_tree_opens_80_bits_per_party_per_element(self, ctx):
         """47 + 27 + 6 opened bits per party, so a 64-bit DReLU is 32 B of
         OT plus 20 B of tree per element."""
-        from repro.crypto.protocols.comparison import drelu_trace, millionaire_trace
-
         n = 8
         trace = millionaire_trace((n,), ctx.ring)
         per_party = [messages[0][1] * 8 // n for (messages,) in trace.groups[1:]]
@@ -567,7 +580,9 @@ class TestMultiInputAndTree:
             np.testing.assert_array_equal(z[output], expected)
 
     def test_secure_and_is_the_one_monomial_and_item(self, ctx):
-        assert secure_and_trace((4, 5)).requests[0].shape == (2, 1, 4, 5)
+        x = (np.zeros((4, 5), np.uint8), np.zeros((4, 5), np.uint8))
+        trace, _ = record_phases(lambda c: secure_and_phases(c, x, x), ctx.ring)
+        assert trace.requests[0].shape == (2, 1, 4, 5)
         bits = np.ones(20, dtype=np.uint8)
         before = ctx.dealer.and_planes_generated
         secure_and(ctx, (bits, bits ^ 1), (bits, bits ^ 1))

@@ -26,8 +26,11 @@ import pytest
 from repro.crypto import PartyChannel, TwoPartyContext, make_context
 from repro.crypto.dealer import TrustedDealer
 from repro.crypto.events import run_reference
+from repro.crypto.plan import compile_plan, record_phases
+from repro.crypto.protocols.registry import get_handler
+from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.secure_model import SecureInferenceEngine
-from repro.crypto.sharing import share
+from repro.crypto.sharing import SharePair, share
 from repro.crypto.transport import LoopbackTransport
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.mobilenet import mobilenetv2_tiny
@@ -37,6 +40,7 @@ from repro.nn.tensor import Tensor
 from repro.runtime.party import execute_plan_as_party, verify_against_plan
 
 SEED = 11
+RINGS = {"r64": DEFAULT_RING, "r32": PAPER_RING}
 
 CASES = [
     pytest.param(build, polynomial, batch, id=f"{build.__name__}-{variant}-{batch}")
@@ -170,3 +174,34 @@ def test_relu_rows_hold_the_compression_and_coalescing_floors():
             assert row["unpacked_online_bytes"] >= 4 * row["online_bytes"], case
             # round coalescing: strictly fewer scheduled rounds than the oracle's
             assert row["online_rounds"] < row["oracle_rounds"], case
+
+
+@pytest.mark.parametrize("ring", RINGS.values(), ids=RINGS.keys())
+@pytest.mark.parametrize("build,polynomial,batch", CASES)
+def test_every_interactive_op_is_data_and_lane_oblivious(build, polynomial, batch, ring):
+    """The premise of recording an op's trace once on zeros: its messages
+    and randomness requests depend on neither the data nor the lane held.
+    Each op recorded on a random input share, with both lanes, lane 0 alone
+    and lane 1 alone, gives exactly the compiled op's requests and round
+    groups — a protocol whose messages varied with either would leak."""
+    spec = build(input_size=8)
+    if polynomial:
+        spec = spec.with_all_polynomial()
+    plan = compile_plan(spec, batch_size=batch, ring=ring)
+    rng = np.random.default_rng(SEED)
+    recorded = 0
+    for op in plan.ops:
+        handler = get_handler(op.kind)
+        if not handler.yields:
+            assert not op.requests and not op.round_groups, op.name
+            continue
+        x = SharePair(ring.random(op.input_shape, rng), ring.random(op.input_shape, rng), ring)
+        for live in (None, 0, 1):
+            trace, out = record_phases(
+                lambda ctx: handler.phases(ctx, op.layer, {}, x, {}), ring, live=live
+            )
+            assert trace.requests == op.requests, (op.name, live)
+            assert trace.groups == op.round_groups, (op.name, live)
+            assert out.shape == op.output_shape, (op.name, live)
+        recorded += 1
+    assert recorded and recorded == sum(op.interactive for op in plan.ops)

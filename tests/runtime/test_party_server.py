@@ -17,10 +17,12 @@ import pytest
 from repro.crypto import make_context
 from repro.crypto.dealer import PARTY_FIELDS, TrustedDealer
 from repro.crypto.plan import compile_plan
+from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.crypto.sharing import share
 from repro.crypto.transport import LoopbackTransport
 from repro.models.builder import build_model, export_layer_weights
+from repro.models.resnet import resnet_tiny
 from repro.models.vgg import vgg_tiny
 from repro.runtime import JobRequest, ServerConfig
 from repro.runtime import server as party_server
@@ -338,6 +340,28 @@ def _resident_array_bytes(server):
                     group = pool.group(kind, shape)
                     total += sum(group[name].nbytes for name in PARTY_FIELDS[kind][server.party])
     return total
+
+
+@pytest.mark.parametrize("ring", [DEFAULT_RING, PAPER_RING], ids=["r64", "r32"])
+@pytest.mark.parametrize("polynomial", [False, True], ids=["relu", "poly"])
+@pytest.mark.parametrize("build", [vgg_tiny, resnet_tiny])
+def test_pool_bytes_count_what_a_partys_pool_pins(build, polynomial, ring):
+    """The budget's unit is a party's pool as generated: ring elements are
+    uint64 words on every ring, so a 32-bit ring pins more than its
+    wire-width material."""
+    spec = build(input_size=8)
+    if polynomial:
+        spec = spec.with_all_polynomial()
+    config = ServerConfig(base_seed=3, models={"m": spec}, weights={"m": {}}, ring=ring)
+    for party in (0, 1):
+        entry = PartyServer(party, None, config)._entry("m", 1)
+        pool = TrustedDealer(ring=ring, seed=3).preprocess(entry.plan, party=party)
+        owned = sum(
+            pool.group(kind, shape)[name].nbytes
+            for kind, shape, _count in entry.plan.manifest.grouped_requests()
+            for name in PARTY_FIELDS[kind][party]
+        )
+        assert entry.pool_bytes == owned, party
 
 
 class TestRefillAfterEveryJob:

@@ -25,7 +25,7 @@ import repro.runtime.party
 import repro.serve
 from repro.crypto import make_context
 from repro.crypto.kernels import KernelContext
-from repro.crypto.protocols.registry import ProtocolHandler
+from repro.crypto.protocols.registry import ProtocolHandler, register_protocol
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
 from repro.runtime import ServerConfig, WorkerShard, run_two_process_inference
@@ -305,6 +305,28 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.dealer", "TrustedDealer.bit_triple"),
         ("repro.crypto.dealer", "RandomnessPool.bit_triple"),
         ("repro.crypto.protocols.comparison", "_tree_level_widths"),
+        ("repro.crypto.protocols.comparison", "millionaire_trace"),
+        ("repro.crypto.protocols.comparison", "drelu_trace"),
+        ("repro.crypto.protocols.comparison", "select_trace"),
+        ("repro.crypto.protocols.comparison", "secure_and_trace"),
+        ("repro.crypto.protocols.comparison", "_and_trace"),
+        ("repro.crypto.protocols.arithmetic", "square_trace"),
+        ("repro.crypto.protocols.arithmetic", "multiply_trace"),
+        ("repro.crypto.protocols.activation", "_relu_trace"),
+        ("repro.crypto.protocols.activation", "_x2act_trace"),
+        ("repro.crypto.protocols.pooling", "_maxpool_trace"),
+        ("repro.crypto.protocols.registry", "no_trace"),
+        ("repro.crypto.protocols.registry", "TraceFn"),
+        ("repro.crypto.protocols.registry", "open_trace_event"),
+        ("repro.crypto.protocols.registry", "send_trace_event"),
+        ("repro.crypto.protocols.registry", "open_bits_trace_event"),
+        ("repro.crypto.protocols.registry", "packed_payload_bytes"),
+        ("repro.crypto.protocols.registry", "element_bytes"),
+        ("repro.crypto.protocols.registry", "OpTrace.request"),
+        ("repro.crypto.protocols.registry", "OpTrace.send"),
+        ("repro.crypto.protocols.registry", "OpTrace.exchange"),
+        ("repro.crypto.protocols.registry", "OpTrace.group"),
+        ("repro.crypto.protocols.registry", "OpTrace.extend"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -352,6 +374,23 @@ def test_no_crypto_runtime_or_serve_module_exceeds_700_lines():
 def test_protocol_handlers_expose_phases_only():
     fields = {field.name for field in dataclasses.fields(ProtocolHandler)}
     assert "phases" in fields and "execute" not in fields
+    # the compiler records an op's trace from its phases: no second copy
+    assert "trace" not in fields
+    assert "trace" not in inspect.signature(register_protocol).parameters
+
+
+def test_no_crypto_module_defines_a_hand_written_trace():
+    """A ``*_trace`` function would be a second description of a protocol
+    that must be kept in step with its phase generator by hand."""
+    for path in CRYPTO:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.endswith("_trace")
+        ]
+        assert defined == [], path.name
 
 
 @pytest.mark.parametrize("package", [repro.runtime, repro.serve], ids=lambda p: p.__name__)
