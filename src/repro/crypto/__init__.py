@@ -34,7 +34,6 @@ from repro.crypto.events import (
     run_phases,
     transfer_event,
 )
-from repro.crypto.ot import OTFlow
 from repro.crypto.plan import (
     InferencePlan,
     PreprocessingManifest,
@@ -88,7 +87,6 @@ __all__ = [
     "open_bits_event",
     "transfer_event",
     "run_phases",
-    "OTFlow",
     "FixedPointRing",
     "DEFAULT_RING",
     "PAPER_RING",

@@ -338,8 +338,7 @@ class PartyChannel(Channel):
         event = transfer_event(sender, receiver, payload, tag, element_bits)
         return self.run_round([event])[0]
 
-    #: (accounting-only call sites such as :class:`repro.crypto.ot.OTFlow`
-    #: call ``send``: over a wire it has to move the payload too)
+    #: (the simulated ``send`` only logs; a party's has to move the payload)
     send = transfer
 
     def run_round(self, events: List[CommEvent]) -> List[object]:

@@ -61,9 +61,10 @@ class LatencyModel:
 
     ``packed_wire=True`` recomputes the Eq. 8 path at the packed wire widths
     of the executable runtime's frame format v2: the encrypted comparison
-    matrix ships :data:`OT_PART_BITS`-bit entries instead of w-bit words
-    (the executed counterpart is asserted byte-exact against
-    :class:`repro.crypto.ot.OTFlow` with ``packed=True``).  The default
+    matrix ships :data:`OT_PART_BITS`-bit entries instead of w-bit words,
+    which is what the stacked digit OT of
+    :func:`repro.crypto.protocols.comparison.millionaire_gt_phases` ships
+    (asserted byte-exact on the paper's 32-bit ring).  The default
     stays the paper's literal accounting so the Fig. 1 / Table I
     reproductions are unchanged.
     """

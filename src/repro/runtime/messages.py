@@ -18,13 +18,13 @@ through instead of mirroring its fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.plan import InferencePlan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import FaultPlan
-from repro.models.specs import ModelSpec
 
 
 @dataclass
@@ -32,7 +32,8 @@ class ServerConfig:
     """Everything a party server needs to boot, sent once over the pipe."""
 
     base_seed: int
-    models: Dict[str, ModelSpec]
+    #: the plans a party boots with, per ``(model, batch)``; it compiles none
+    plans: Dict[Tuple[str, int], InferencePlan]
     weights: Dict[str, Dict[str, Dict[str, np.ndarray]]]
     provision_pools: int = 0
     ring: FixedPointRing = DEFAULT_RING
@@ -58,14 +59,17 @@ class JobRequest:
     #: first ran on a dead shard pins the original seed so the recovered
     #: logits stay bit-identical to the fault-free run.
     seed: Optional[int] = None
+    #: the key's plan, shipped only to parties that do not hold it yet
+    plan: Optional[InferencePlan] = None
 
 
 class JobValidationError(ValueError):
     """A job rejected *before* any frame crossed the wire.
 
     Validation runs on deterministic inputs (both parties hold identically
-    shaped shares and the same model registry), so both parties reject the
-    same jobs — the session stays in sync and the server keeps serving.
+    shaped shares and hold, or are shipped, the same plans), so both parties
+    reject the same jobs — the session stays in sync and the server keeps
+    serving.
     """
 
 

@@ -1,9 +1,12 @@
 """Persistent party server: one long-lived process per party, many jobs.
 
-A party process stays alive across requests, so process start-up, plan
-compilation, connection establishment and the offline phase are paid once
-per shard rather than once per inference:
+A party process stays alive across requests, so process start-up,
+connection establishment and the offline phase are paid once per shard
+rather than once per inference:
 
+- Plans are **received**, never compiled here: batch 1 of every model in
+  the :class:`ServerConfig`, any other key in the first
+  :class:`JobRequest` that uses it.
 - :func:`run_party_server` is the process entry point.  It opens the
   inter-party :class:`~repro.crypto.transport.Transport` **once**, then
   executes a stream of :class:`JobRequest` messages (received over the
@@ -21,8 +24,8 @@ per shard rather than once per inference:
   room takes it from the pools of less recently used keys (their plans and
   counters stay), and a key whose one pool exceeds the budget is served
   cold.  A job whose pool is not buffered generates it here, at the same
-  seed.  :class:`_PlanEntry` is the single per-``(model, batch)`` plan +
-  pool store of the whole stack.
+  seed.  :class:`_PlanEntry` is a party's per-``(model, batch)`` plan +
+  pool store.
 - Job seeds are **deterministic**: :func:`derive_job_seed` maps
   ``(base_seed, model, batch, counter)`` to the session seed, so the
   dispatcher (which secret-shares the query), both party servers (which
@@ -31,9 +34,10 @@ per shard rather than once per inference:
   bit-identical to ``SecureInferenceEngine.execute`` at the same seed.
 
 Session framing over the persistent connection: before each job the
-parties exchange a control frame carrying ``(job id, model, batch,
-counter)`` and refuse to proceed on a mismatch, so a desynchronized
-dispatcher fails loudly instead of mixing share-worlds.  Control bytes are
+parties swap a control frame carrying ``(job id, model, batch, counter,
+seed)`` and the hash of the plan each holds for the key, and both refuse to
+proceed on a mismatch, so a desynchronized dispatcher or plan fails loudly,
+before any round frame, instead of mixing share-worlds.  Control bytes are
 accounted separately from protocol payload, which keeps the per-job
 payload deltas equal to the plan manifest's prediction — verified after
 every job.
@@ -56,7 +60,7 @@ import numpy as np
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
-from repro.crypto.plan import InferencePlan, compile_plan
+from repro.crypto.plan import InferencePlan
 from repro.crypto.transport import FaultyTransport, TcpListener, TcpTransport
 from repro.obs import Metrics
 from repro.runtime.messages import (
@@ -123,6 +127,8 @@ class _PlanEntry:
     plan: InferencePlan
     #: bytes one buffered (party-restricted) pool of this key pins
     pool_bytes: int
+    #: the plan's ``manifest.content_hash``, checked with the peer every job
+    plan_hash: str
     #: the server's use clock at this key's last job (or its creation)
     last_used: int
     #: whether a job has drawn from this key (only those are refilled)
@@ -136,9 +142,10 @@ class _PlanEntry:
 class PartyServer:
     """The in-process half of :func:`run_party_server` (testable directly).
 
-    Holds the persistent transport + channel, the compiled-plan cache, the
-    randomness buffers and the background provisioner for one party, and
-    one :class:`~repro.obs.Metrics` whose snapshot rides every reply.
+    Holds the persistent transport + channel, the plans it was handed (it
+    compiles none), the randomness buffers and the background provisioner
+    for one party, and one :class:`~repro.obs.Metrics` whose snapshot rides
+    every reply.
     """
 
     def __init__(self, party: int, transport, config: ServerConfig) -> None:
@@ -160,26 +167,26 @@ class PartyServer:
         self._provisioner: Optional[threading.Thread] = None
 
     # -- plan / pool management --------------------------------------------- #
-    def _entry(self, model: str, batch_size: int) -> _PlanEntry:
+    def _entry(
+        self, model: str, batch_size: int, shipped: Optional[InferencePlan] = None
+    ) -> _PlanEntry:
+        """A key's plan and pools, registered from its boot or shipped plan."""
         key = (model, batch_size)
         with self._lock:
             entry = self._entries.get(key)
-        if entry is not None:
-            return entry
-        spec = self.config.models.get(model)
-        if spec is None:
-            raise KeyError(
-                f"party {self.party}: unknown model {model!r}; "
-                f"registered: {sorted(self.config.models)}"
-            )
-        plan = compile_plan(spec, batch_size=batch_size, ring=self.ring)
-        pool_bytes = plan.manifest.party_pool_bytes
-        with self._lock:
-            entry = self._entries.get(key)
             if entry is None:
+                plan = self.config.plans.get(key, shipped)
+                if plan is None:
+                    raise KeyError(
+                        f"party {self.party}: no plan for {key}, and the job "
+                        f"shipped none; boot plans: {sorted(self.config.plans)}"
+                    )
                 self._uses += 1
-                entry = self._entries[key] = _PlanEntry(plan, pool_bytes, self._uses)
-                self.metrics.inc("plans_compiled")
+                manifest = plan.manifest
+                entry = self._entries[key] = _PlanEntry(
+                    plan, manifest.party_pool_bytes, manifest.content_hash, self._uses
+                )
+                self.metrics.inc("plans_received")
         return entry
 
     def _pool_at_seed(self, entry: _PlanEntry, seed: int) -> RandomnessPool:
@@ -317,12 +324,12 @@ class PartyServer:
             self._refill.notify_all()
 
     # -- job execution -------------------------------------------------------- #
-    def _sync_job_header(self, request: JobRequest) -> None:
-        """Exchange and cross-check the job header over the wire.
+    def _sync_job_header(self, request: JobRequest, plan_hash: str) -> None:
+        """Swap and cross-check the job header over the wire.
 
-        Party 0 announces, party 1 verifies: a dispatcher that fed the two
-        pipes different job streams is caught before any share crosses the
-        wire for the wrong session.
+        Both parties announce, then both verify: a dispatcher that fed the
+        two pipes different job streams, or parties holding different plans
+        for the key, are caught on both sides before any round frame.
         """
         header = {
             "job": request.job_id,
@@ -330,29 +337,35 @@ class PartyServer:
             "batch": request.batch_size,
             "counter": request.counter,
             "seed": request.seed,
+            "plan": plan_hash,
         }
-        if self.party == 0:
-            self.transport.send_control(json.dumps(header).encode("utf-8"))
-        else:
-            announced = self.transport.recv_control()
-            if announced is None:
-                raise ConnectionError(
-                    "peer shut the session down while a job was pending"
-                )
-            peer_header = json.loads(announced.decode("utf-8"))
-            if peer_header != header:
-                raise RuntimeError(
-                    f"party 1: job desync — peer announced {peer_header}, "
-                    f"local pipe delivered {header}"
-                )
+        self.transport.send_control(json.dumps(header).encode("utf-8"))
+        announced = self.transport.recv_control()
+        if announced is None:
+            raise ConnectionError("peer shut the session down while a job was pending")
+        peer_header = json.loads(announced.decode("utf-8"))
+        if peer_header != header:
+            raise RuntimeError(
+                f"party {self.party}: job desync — peer announced {peer_header}, "
+                f"local pipe delivered {header}"
+            )
 
     def execute_job(self, request: JobRequest) -> JobReport:
         # Everything up to _sync_job_header is pre-wire validation: it sees
         # only deterministic inputs, so a rejection here is job-scoped
         # (JobValidationError) — both parties reject identically, no frame
         # has been sent, and the persistent session stays usable.
+        shipped = request.plan
+        if shipped is not None and not (
+            isinstance(shipped, InferencePlan)
+            and (shipped.batch_size, shipped.ring) == (request.batch_size, self.ring)
+        ):
+            raise JobValidationError(
+                f"job {request.job_id} shipped a {type(shipped).__name__} that "
+                f"is not a batch-{request.batch_size} plan on {self.ring}"
+            )
         try:
-            entry = self._entry(request.model, request.batch_size)
+            entry = self._entry(request.model, request.batch_size, shipped)
         except KeyError as exc:
             raise JobValidationError(str(exc)) from exc
         if tuple(np.asarray(request.input_share).shape) != entry.plan.input_shape:
@@ -361,7 +374,7 @@ class PartyServer:
                 f"an input share of shape {entry.plan.input_shape}, got "
                 f"{np.asarray(request.input_share).shape}"
             )
-        self._sync_job_header(request)
+        self._sync_job_header(request, entry.plan_hash)
         pool, hit, seed = self._acquire_pool(entry, request)
         start = time.perf_counter()
         ctx = TwoPartyContext(ring=self.ring, seed=seed, channel=self.channel)
@@ -417,10 +430,10 @@ class PartyServer:
 
     # -- lifecycle ------------------------------------------------------------ #
     def warm_up(self) -> None:
-        """Compile batch 1 of every model and buffer its pools; any other
-        key goes live on its first job."""
-        for model in self.config.models:
-            self.provision(model, 1, self.config.provision_pools)
+        """Buffer the pools of every boot plan; any other key goes live on
+        its first job."""
+        for model, batch_size in self.config.plans:
+            self.provision(model, batch_size, self.config.provision_pools)
 
     def shutdown(self) -> Dict[str, float]:
         """Graceful end of session: wire handshake, stop the provisioner.

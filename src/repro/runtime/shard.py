@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
+from repro.crypto.plan import InferencePlan
 from repro.crypto.sharing import share
 from repro.obs import Metrics
 from repro.runtime.messages import (
@@ -177,7 +178,7 @@ class WorkerShard:
         #: seconds of heartbeat silence after which a party counts as wedged
         #: (0 disables enforcement — only the hard ``timeout`` applies).
         #: Enforced only once a party has beaten at least once, so a slow
-        #: boot (plan compilation, provisioning) never trips it.
+        #: boot (unpickling the boot plans, provisioning) never trips it.
         self.heartbeat_deadline = heartbeat_deadline
         self._poll_interval = (
             min(0.25, heartbeat_deadline / 4) if heartbeat_deadline > 0 else 0.5
@@ -191,6 +192,8 @@ class WorkerShard:
         # fault-free run bit for bit.
         self._counters: Dict[Tuple[str, int], int] = dict(initial_counters or {})
         self._next_job_id = initial_job_id
+        #: the keys both parties hold a plan for (a respawn: the boot plans)
+        self._held = set(config.plans)
         self._pipes: List = []
         self._processes: List[mp.Process] = []
 
@@ -309,10 +312,14 @@ class WorkerShard:
     def run_job(
         self,
         model: str,
+        plan: InferencePlan,
         inputs: np.ndarray,
         ticket: Optional[JobTicket] = None,
     ) -> PoolBatchResult:
         """Execute one batch on this shard's persistent worker pair.
+
+        ``plan`` is the compiled plan of ``(model, len(inputs))``; it is
+        shipped with the job only if the parties do not hold it yet.
 
         ``ticket`` replays a job that already ran (or started) elsewhere:
         the counter and session seed are taken from the ticket instead of
@@ -352,6 +359,7 @@ class WorkerShard:
             # is bit-identical to the in-process engine at the same seed).
             client_rng = np.random.default_rng(ticket.seed + 1)
             shared = share(inputs, self.config.ring, client_rng)
+            shipped = None if (model, batch_size) in self._held else plan
             for party, input_share in ((0, shared.share0), (1, shared.share1)):
                 self._send(
                     party,
@@ -362,6 +370,7 @@ class WorkerShard:
                         counter=ticket.counter,
                         input_share=input_share,
                         seed=ticket.seed,
+                        plan=shipped,
                     ),
                 )
             replies = {
@@ -381,6 +390,7 @@ class WorkerShard:
                         f"JobReport, got {type(message).__name__}"
                     )
                 reports[party] = message
+            self._held.add((model, batch_size))
             self._cross_check(reports)
         except ShardFailure as exc:
             exc.ticket = ticket

@@ -101,9 +101,10 @@ def run_two_process_inference(
     """
     ring = ring or DEFAULT_RING
     batch_size = len(inputs)
+    plan = compile_plan(spec, batch_size=batch_size, ring=ring)
     config = ServerConfig(
         base_seed=seed,
-        models={spec.name: spec},
+        plans={(spec.name, batch_size): plan},
         weights={spec.name: weights},
         ring=ring,
     )
@@ -111,12 +112,11 @@ def run_two_process_inference(
     start = time.perf_counter()
     shard = WorkerShard(0, config, host=host, timeout=timeout)
     try:
-        job = shard.run_job(spec.name, inputs, ticket=ticket)
+        job = shard.run_job(spec.name, plan, inputs, ticket=ticket)
         shard.shutdown()
     finally:
         shard.kill()  # a no-op after a graceful shutdown
     wall_seconds = time.perf_counter() - start
-    plan = compile_plan(spec, batch_size=batch_size, ring=ring)
     return TwoProcessResult(
         logits=job.logits, plan=plan, reports=job.reports, wall_seconds=wall_seconds
     )

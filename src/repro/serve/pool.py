@@ -12,16 +12,18 @@ Lifecycle of a shard:
 
 1. **boot** — two party processes are spawned (the only process spawns the
    shard ever performs), the inter-party connection is established once,
-   each model's batch-1 plan is compiled and its randomness pools are
-   pre-provisioned; the slot's worker thread starts;
+   and the parties pre-provision the randomness pools of each model's
+   batch-1 plan, which the pool compiled once for every boot; the slot's
+   worker thread starts;
 2. **serve** — each batch the worker takes becomes one ``JobRequest`` to
-   both parties; the shard secret-shares the batch with the job's
-   deterministic seed, reconstructs the logits from the returned shares,
-   and cross-checks both parties' accounting;
+   both parties, carrying the key's plan (compiled here once) while the
+   shard's parties do not hold it; the shard secret-shares the batch with
+   the job's deterministic seed, reconstructs the logits from the returned
+   shares, and cross-checks both parties' accounting;
 3. **refill** — each party's background provisioner, the only producer of
-   randomness pools after boot, tops a key's buffer up whenever it falls
-   below the low-water mark, most recently used key first and within one
-   byte budget per party;
+   randomness pools after boot, tops the key of every job back up to its
+   high-water mark right after that job, most recently used key first and
+   within one byte budget per party;
 4. **evict / respawn / replay** — a shard whose worker processes die is
    evicted; its worker registers a replacement boot, which *continues* the
    dead shard's seed stream, puts the in-flight job back at the head of
@@ -37,11 +39,12 @@ import dataclasses
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
+from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import FaultPlan
 from repro.obs import Metrics, merge, nest
@@ -169,11 +172,14 @@ class ShardedServingPool:
         self.ring = ring or DEFAULT_RING
         self.host = host
         self.job_timeout = job_timeout
+        #: every plan compiled so far, per ``(model, batch)`` key
+        self._plans: Dict[Tuple[str, int], InferencePlan] = {}
+        self._compiling = threading.Lock()
         #: the per-party settings every shard boots from; ``_boot_shard``
         #: replaces only ``base_seed`` and ``fault_plans`` per boot
         self.config = ServerConfig(
             base_seed=seed,
-            models={name: servable.spec for name, servable in models.items()},
+            plans={(name, 1): self._plan(name, 1) for name in models},
             weights={name: servable.weights for name, servable in models.items()},
             provision_pools=provision_pools,
             ring=self.ring,
@@ -212,6 +218,15 @@ class ShardedServingPool:
         except Exception:
             self.close()
             raise
+
+    def _plan(self, model: str, batch_size: int) -> InferencePlan:
+        """A key's plan, compiled on its first use (parties never compile)."""
+        with self._compiling:
+            key = (model, batch_size)
+            if key not in self._plans:
+                spec = self.models[model].spec
+                self._plans[key] = compile_plan(spec, batch_size=batch_size, ring=self.ring)
+            return self._plans[key]
 
     # -- shard management ----------------------------------------------------- #
     def _shard_fault_plans(self, index: int, inject: bool) -> Optional[Dict[int, FaultPlan]]:
@@ -430,7 +445,8 @@ class ShardedServingPool:
         """Run one job on the worker's shard and settle it.  Returns the job
         if the shard died under it with retry budget left."""
         try:
-            result = shard.run_job(job.model, job.inputs, ticket=job.ticket)
+            plan = self._plan(job.model, len(job.inputs))
+            result = shard.run_job(job.model, plan, job.inputs, ticket=job.ticket)
         except Exception as exc:
             if isinstance(exc, ShardFailure):
                 shard.kill()  # evicted: this worker leaves after the job

@@ -761,14 +761,14 @@ class TestInterleavedShutdown:
         from repro.runtime.server import JobRequest, PartyServer, ServerConfig
 
         a, b = LoopbackTransport.pair()
-        config = ServerConfig(base_seed=0, models={}, weights={})
-        server = PartyServer(1, b, config)  # party 1 validates headers
+        config = ServerConfig(base_seed=0, plans={}, weights={})
+        server = PartyServer(1, b, config)
         a.send_shutdown()
         request = JobRequest(
             job_id=0, model="m", batch_size=1, counter=0, input_share=np.zeros(1)
         )
         with pytest.raises(ConnectionError, match="shut the session down"):
-            server._sync_job_header(request)
+            server._sync_job_header(request, plan_hash="0" * 16)
 
 
 def _tcp_pair(timeout: float = 10.0):

@@ -3,12 +3,18 @@ constants quoted in the paper."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.crypto import make_context
-from repro.crypto.ot import OTFlow
+from repro.crypto.plan import record_phases
+from repro.crypto.protocols.comparison import millionaire_gt_phases
 from repro.crypto.ring import PAPER_RING
-from repro.hardware.latency import DEFAULT_LATENCY_MODEL, OT_NUM_PARTS, OT_PART_VALUES
+from repro.hardware.latency import (
+    DEFAULT_LATENCY_MODEL,
+    OT_NUM_PARTS,
+    OT_PART_BITS,
+    OT_PART_VALUES,
+)
 
 
 class TestOTFlowConstants:
@@ -25,12 +31,18 @@ class TestOTFlowConstants:
         per_element = cost.communication_bytes / (10 * 10 * 10)
         assert per_element == pytest.approx(324.0, rel=0.02)
 
-    def test_executed_flow_total_matches_analytical_volume(self):
-        ctx = make_context(seed=0)
-        elements = 123
-        executed = OTFlow(word_bits=32, digit_bits=2).execute(ctx, elements)
-        # 16 + 64 + 1 words of 4 bytes per element, plus the 4-byte base word.
-        assert executed.total_bytes == 4 + 4 * elements * (16 + 64 + 1)
+    def test_packed_eq8_matrix_is_what_the_digit_ot_ships(self):
+        """The packed Eq. 8 matrix — 4 x U entries of 2 bits per element —
+        is the stacked digit OT the runtime's comparison sends, S0 to S1."""
+        elements = 37
+        zeros = np.zeros(elements, dtype=np.uint64)
+        trace, _ = record_phases(
+            lambda ctx: millionaire_gt_phases(ctx, zeros, zeros, bit_width=PAPER_RING.ring_bits),
+            PAPER_RING,
+        )
+        ((ot_event,), *_) = trace.groups
+        packed_bits = OT_PART_BITS * OT_PART_VALUES * OT_NUM_PARTS * elements
+        assert ot_event == ((0, packed_bits // 8),)
 
     def test_x2act_communication_is_two_openings(self):
         """Eq. 14: two COMM terms of one 32-bit word per element each."""

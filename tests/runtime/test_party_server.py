@@ -10,6 +10,7 @@ traffic multiplexed onto the same connection.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,12 +23,15 @@ from repro.crypto.secure_model import SecureInferenceEngine
 from repro.crypto.sharing import share
 from repro.crypto.transport import LoopbackTransport
 from repro.models.builder import build_model, export_layer_weights
+from repro.models.specs import LayerKind
 from repro.models.resnet import resnet_tiny
 from repro.models.vgg import vgg_tiny
 from repro.runtime import JobRequest, ServerConfig
 from repro.runtime import server as party_server
+from repro.runtime.messages import JobValidationError
 from repro.runtime.server import PartyServer, derive_job_seed
 from repro.serve import ServableModel, ShardedServingPool
+from repro.serve import pool as serve_pool
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +95,8 @@ def _job(counter, seed=None, batch=1):
 
 
 def _server(servable, party=0):
-    config = ServerConfig(
-        base_seed=3, models={"vgg": servable.spec}, weights={"vgg": servable.weights}
-    )
+    plans = {("vgg", b): compile_plan(servable.spec, batch_size=b) for b in (1, 2)}
+    config = ServerConfig(base_seed=3, plans=plans, weights={"vgg": servable.weights})
     return PartyServer(party, None, config)  # the buffer needs no transport
 
 
@@ -240,26 +243,53 @@ class TestPersistentPartyServer:
         # both workers exited on their own after the wire handshake
         assert all(not p.is_alive() for p in shard.processes)
 
-    def test_plans_compile_once_per_key(self, servable):
-        """The party server is the only plan store: boot compiles batch 1,
-        N jobs on that key compile nothing more, a second batch size one
-        more plan per party."""
+    def test_plans_compile_once_per_key(self, servable, monkeypatch):
+        """The pool is the only compiler: it compiles every key once, and a
+        shard's parties receive a plan once — batch 1 at boot, any other key
+        with the first job the shard serves on it, and once more after the
+        slot is respawned."""
+        compiled = []
 
-        def plans_compiled(batch_sizes):
-            pool = ShardedServingPool(
-                {"vgg": servable},
-                num_shards=1,
-                provision_pools=0,
-                seed=9,
-            )
-            for batch in batch_sizes:
+        def compile_counted(spec, batch_size, ring):
+            compiled.append(batch_size)
+            return compile_plan(spec, batch_size=batch_size, ring=ring)
+
+        monkeypatch.setattr(serve_pool, "compile_plan", compile_counted)
+
+        def received():
+            return {
+                shard.index: [shard.party_stats[p]["plans_received"] for p in (0, 1)]
+                for shard in pool.shards_view()
+            }
+
+        with ShardedServingPool(
+            {"vgg": servable}, num_shards=2, provision_pools=0, seed=9
+        ) as pool:
+            for batch in (1, 1, 1):
                 pool.run_batch("vgg", np.zeros((batch, 3, 8, 8)))
-            pool.close()
-            stats = pool._shards[0].party_stats
-            return [stats[party]["plans_compiled"] for party in (0, 1)]
+            assert received() == {0: [1, 1], 1: [1, 1]}
+            index = pool.run_batch("vgg", np.zeros((2, 3, 8, 8))).shard
+            assert received() == {index: [2, 2], 1 - index: [1, 1]}
 
-        assert plans_compiled([1, 1, 1]) == [1, 1]
-        assert plans_compiled([1, 1, 2]) == [2, 2]
+            dead = pool.shards_view()[index]
+            for process in dead.processes:
+                process.terminate()
+                process.join(timeout=10)
+            for _ in range(20):  # the job that finds the dead pair is replayed
+                if not dead.alive:
+                    break
+                pool.run_batch("vgg", np.zeros((2, 3, 8, 8)))
+            deadline = time.monotonic() + 60
+            while (pool.live_shards, pool.booting_shards()) != (2, 0):
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            replacement = pool.shards_view()[index]
+            assert replacement is not dead and not dead.alive
+            x = np.zeros((2, 3, 8, 8))
+            replacement.run_job("vgg", pool._plan("vgg", 2), x)
+            # booted with batch 1 only, so it received batch 2 once more
+            assert received()[index] == [2, 2]
+        assert sorted(compiled) == [1, 2]  # each key once, in the driver
 
     def test_background_provisioner_refills_after_jobs(self, servable):
         pool = ShardedServingPool(
@@ -287,46 +317,130 @@ class TestPersistentPartyServer:
 
 
 def _pair(servable, provision_pools=1):
-    """Both parties' servers over one in-process link, provisioners off:
-    a test drives each refill itself with :meth:`PartyServer.refill`."""
+    """Both parties' servers over one in-process link, booted with the
+    batch-1 plan as a pool boots them, provisioners off: a test drives each
+    refill itself with :meth:`PartyServer.refill`."""
     links = LoopbackTransport.pair()
     config = ServerConfig(
         base_seed=3,
-        models={"vgg": servable.spec},
+        plans={("vgg", 1): compile_plan(servable.spec, batch_size=1)},
         weights={"vgg": servable.weights},
         provision_pools=provision_pools,
     )
     return [PartyServer(party, links[party], config) for party in (0, 1)]
 
 
-def _run_pair_job(servers, x, counter):
-    """One job on both parties (two threads, as two processes would run
-    it); returns the reconstructed logits and the job's seed."""
+def _pair_job(x, counter, plan=None):
+    """Both parties' requests for one job, and its seed."""
     batch = x.shape[0]
     seed = derive_job_seed(3, "vgg", batch, counter)
-    ring = servers[0].ring
-    shared = share(x, ring, np.random.default_rng(seed + 1))
-    reports = {}
-
-    def run(party, input_share):
-        reports[party] = servers[party].execute_job(
-            JobRequest(
-                job_id=counter, model="vgg", batch_size=batch, counter=counter,
-                input_share=input_share, seed=seed,
-            )
+    shared = share(x, DEFAULT_RING, np.random.default_rng(seed + 1))
+    requests = {
+        party: JobRequest(
+            job_id=counter, model="vgg", batch_size=batch, counter=counter,
+            input_share=part, seed=seed, plan=plan,
         )
-
-    threads = [
-        threading.Thread(target=run, args=(party, part))
         for party, part in ((0, shared.share0), (1, shared.share1))
-    ]
+    }
+    return requests, seed
+
+
+def _answers(servers, requests):
+    """Each party's answer to its request, run on two threads as two
+    processes would run them: its report, or the exception it raised."""
+    answers = {}
+
+    def run(party):
+        try:
+            answers[party] = servers[party].execute_job(requests[party])
+        except Exception as exc:
+            answers[party] = exc
+
+    threads = [threading.Thread(target=run, args=(party,)) for party in (0, 1)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
-    assert set(reports) == {0, 1}
+    assert set(answers) == {0, 1}
+    return answers
+
+
+def _run_pair_job(servable, servers, x, counter):
+    """One job on both parties, shipping its plan as a shard does (only if
+    the parties do not hold it yet); returns the reconstructed logits and
+    the job's seed."""
+    batch = x.shape[0]
+    held = ("vgg", batch) in servers[0]._entries
+    plan = None if held else compile_plan(servable.spec, batch_size=batch)
+    requests, seed = _pair_job(x, counter, plan)
+    reports = _answers(servers, requests)
+    for report in reports.values():
+        if isinstance(report, Exception):
+            raise report
+    ring = servers[0].ring
     logits = ring.decode(ring.add(reports[0].logit_share, reports[1].logit_share))
     return logits, seed
+
+
+#: (batch of the job, the plan it ships) that both parties must refuse
+SHIPPED_PLANS_REFUSED = {
+    "not-a-plan": (2, lambda spec: {"model_name": spec.name, "batch_size": 2}),
+    "wrong-batch": (2, lambda spec: compile_plan(spec, batch_size=1)),
+    "wrong-ring": (2, lambda spec: compile_plan(spec, batch_size=2, ring=PAPER_RING)),
+    "wrong-ring-for-a-held-key": (
+        1, lambda spec: compile_plan(spec, batch_size=1, ring=PAPER_RING)
+    ),
+    "new-key-without-a-plan": (2, lambda spec: None),
+}
+
+
+@pytest.mark.parametrize(
+    "batch, shipped", SHIPPED_PLANS_REFUSED.values(), ids=SHIPPED_PLANS_REFUSED.keys()
+)
+def test_a_shipped_plan_is_checked_before_the_wire(servable, batch, shipped):
+    """A job whose shipped plan is not a plan of its batch size on the
+    parties' ring — even for a key they hold — or that ships none for a key
+    they do not hold, is rejected by both parties before any frame, and
+    both keep serving."""
+    servers = _pair(servable)
+    x = np.random.default_rng(8).normal(size=(batch, 3, 8, 8))
+    requests, _ = _pair_job(x, counter=0, plan=shipped(servable.spec))
+    for party, server in enumerate(servers):
+        held = set(server._entries)
+        with pytest.raises(JobValidationError):
+            server.execute_job(requests[party])
+        stats = server.transport.stats
+        assert (stats.control_frames_sent, stats.round_frames_sent) == (0, 0)
+        assert set(server._entries) == held
+    logits, seed = _run_pair_job(servable, servers, x, counter=0)
+    np.testing.assert_array_equal(logits, _reference_logits(servable, x, seed))
+
+
+@pytest.mark.parametrize("mismatch", ["plan", "counter"])
+def test_desynced_parties_both_stop_before_any_round_frame(servable, mismatch):
+    """Party 1 is shipped the key's plan compiled with one X²act swapped
+    for a ReLU, so its manifest differs from party 0's — or is handed
+    another counter: the job header swap stops both parties with a typed
+    error before any round frame."""
+    spec = servable.spec
+    swapped = next(layer.name for layer in spec.layers if layer.kind == LayerKind.X2ACT)
+    plans = [
+        compile_plan(spec, batch_size=2),
+        compile_plan(spec.replace_kinds({swapped: LayerKind.RELU}), batch_size=2),
+    ]
+    assert plans[0].manifest.content_hash != plans[1].manifest.content_hash
+    servers = _pair(servable)
+    x = np.random.default_rng(9).normal(size=(2, 3, 8, 8))
+    requests, _ = _pair_job(x, counter=0, plan=plans[0])
+    if mismatch == "plan":
+        requests[1].plan = plans[1]
+    else:
+        requests[1].counter = 1
+    answers = _answers(servers, requests)
+    for party, server in enumerate(servers):
+        assert isinstance(answers[party], RuntimeError), answers[party]
+        assert "desync" in str(answers[party])
+        assert server.transport.stats.round_frames_sent == 0
 
 
 def _resident_array_bytes(server):
@@ -352,7 +466,8 @@ def test_pool_bytes_count_what_a_partys_pool_pins(build, polynomial, ring):
     spec = build(input_size=8)
     if polynomial:
         spec = spec.with_all_polynomial()
-    config = ServerConfig(base_seed=3, models={"m": spec}, weights={"m": {}}, ring=ring)
+    plans = {("m", 1): compile_plan(spec, batch_size=1, ring=ring)}
+    config = ServerConfig(base_seed=3, plans=plans, weights={"m": {}}, ring=ring)
     for party in (0, 1):
         entry = PartyServer(party, None, config)._entry("m", 1)
         pool = TrustedDealer(ring=ring, seed=3).preprocess(entry.plan, party=party)
@@ -376,7 +491,7 @@ class TestRefillAfterEveryJob:
             server.warm_up()
         for counter in range(6):
             x = np.random.default_rng(60 + counter).normal(size=(2, 3, 8, 8))
-            logits, seed = _run_pair_job(servers, x, counter)
+            logits, seed = _run_pair_job(servable, servers, x, counter)
             for server in servers:
                 server.refill()
                 assert len(server._entries[("vgg", 2)].pools) == party_server.HIGH_WATER
@@ -398,8 +513,8 @@ class TestResidencyByBytes:
             for party in (0, 1):
                 stats = shard.party_stats[party]
                 assert stats["pools_provisioned"] == provision_pools * len(models)
-                # one batch-1 plan per model: no batch-8 plan was compiled
-                assert stats["plans_compiled"] == len(models)
+                # one batch-1 plan per model: no batch-8 plan was received
+                assert stats["plans_received"] == len(models)
             row = pool.stats_snapshot()["per_shard"][0]
             pool_bytes = compile_plan(servable.spec, batch_size=1).manifest.material_bytes // 2
             assert row["pool_bytes_resident"] == 2 * provision_pools * len(models) * pool_bytes
@@ -420,7 +535,7 @@ class TestResidencyByBytes:
         plans_before = None
         for batch in range(1, 9):
             x = np.random.default_rng(40 + batch).normal(size=(batch, 3, 8, 8))
-            _run_pair_job(servers, x, counter=0)
+            _run_pair_job(servable, servers, x, counter=0)
             for server in servers:
                 server.refill()
                 resident = _resident_array_bytes(server)
@@ -432,17 +547,17 @@ class TestResidencyByBytes:
             assert len(server._entries[("vgg", 8)].pools) == 2
             # every older key lost its pools but kept its plan
             assert not any(server._entries[("vgg", b)].pools for b in range(1, 8))
-            plans_before = server.metrics.get("plans_compiled")
+            plans_before = server.metrics.get("plans_received")
             assert plans_before == 8
 
         # (d) the first job of an evicted key: bit-identical at its derived
-        # seed, served without compiling anything
+        # seed, served without receiving a plan again
         x = np.random.default_rng(50).normal(size=(1, 3, 8, 8))
-        logits, seed = _run_pair_job(servers, x, counter=1)
+        logits, seed = _run_pair_job(servable, servers, x, counter=1)
         assert seed == derive_job_seed(3, "vgg", 1, 1)
         np.testing.assert_array_equal(logits, _reference_logits(servable, x, seed))
         for server in servers:
-            assert server.metrics.get("plans_compiled") == plans_before
+            assert server.metrics.get("plans_received") == plans_before
             # the evicted key now is the most recent: refilled from the next
             # counter on, within the budget
             server.refill()

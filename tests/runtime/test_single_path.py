@@ -155,6 +155,21 @@ def test_each_constructor_keeps_its_reduced_option_count():
     assert len(dataclasses.fields(ServerConfig)) <= 6
 
 
+def test_the_party_server_receives_plans_and_never_compiles():
+    """The pool compiles each key once and ships the plan: the party
+    server imports no compiler, and its config holds plans, not specs."""
+    tree = ast.parse((SRC / "runtime" / "server.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"compile_plan", "trace_op", "record_phases"}
+    fields = {field.name for field in dataclasses.fields(ServerConfig)}
+    assert "plans" in fields and "models" not in fields
+
+
 def test_one_queue_and_one_worker_per_shard():
     """A free shard's worker pulls its next batch from the pool's queue:
     no dispatcher thread or executor in front of it, and the daemon always
@@ -262,6 +277,7 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto", "ProtocolStatistics"),
         ("repro.crypto", "collect_statistics"),
         ("repro.crypto", "OTFlowCost"),
+        ("repro.crypto", "OTFlow"),
         ("repro.runtime", "PartyExecution"),
         ("repro.runtime", "TwoProcessResult"),
         ("repro.crypto.wire", "CODEC_STATS"),
@@ -346,6 +362,8 @@ def test_deleted_module_and_method_stay_deleted():
     # the stream layout lives in the dealer: one randomness module
     assert importlib.util.find_spec("repro.offline") is None
     assert importlib.util.find_spec("repro.crypto.stats") is None
+    # the OT simulator only tests called: the comparison runs its own OT
+    assert importlib.util.find_spec("repro.crypto.ot") is None
     assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
     assert not hasattr(repro.crypto.transport.TcpTransport, "listen")
     # the one-round select replaced the daBit B2A and its finish kernel

@@ -171,7 +171,7 @@ class TestShardedServing:
             state = dead.successor_state()
             assert replacement.successor_state() == state
             # drive slot 0 directly: its next job is the dead shard's next one
-            served = replacement.run_job("vgg", x)
+            served = replacement.run_job("vgg", pool.config.plans[("vgg", 1)], x)
             assert served.shard == 0
             assert served.seed == derive_job_seed(
                 dead.config.base_seed, "vgg", 1, state["initial_counters"][("vgg", 1)]
@@ -197,7 +197,7 @@ class TestShardedServing:
             # bypass driver validation to exercise the server-side guard
             shard = pool._shards[0]
             with pytest.raises(ValueError, match="rejected the job"):
-                shard.run_job("vgg", np.zeros((1, 3, 16, 16)))
+                shard.run_job("vgg", pool.config.plans[("vgg", 1)], np.zeros((1, 3, 16, 16)))
             assert pool.live_shards == 1  # the pair survived both rejections
             good = np.random.default_rng(0).normal(size=(1, 3, 8, 8))
             result = pool.run_batch("vgg", good)
