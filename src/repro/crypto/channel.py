@@ -22,12 +22,14 @@ API (:meth:`Channel.open_ring`, :meth:`Channel.open_bits`,
 Protocol code MUST consume the results delivered for its communication
 events (or the return values of these methods) rather than recombining
 local variables — that is what makes the identical SPMD protocol program
-correct in both the simulated and the networked setting.  Since the
-phase-generator refactor the protocols do not call the channel directly:
-they yield :class:`~repro.crypto.events.CommEvent` round groups, and the
-driver either performs each event individually (the sequential oracle)
-or hands a whole coalesced round to :meth:`Channel.run_round` — one framed
-message per direction per round.
+correct in both the simulated and the networked setting.  Protocols
+compiled into a plan do not call the channel directly: they yield
+:class:`~repro.crypto.events.CommEvent` round groups, and the driver either
+performs each event individually (the sequential oracle) or hands a whole
+coalesced round to :meth:`Channel.run_round` — one framed message per
+direction per round.  A protocol called outside a plan may still call
+:meth:`Channel.open_ring` and friends itself (secure argmax does), and on a
+:class:`PartyChannel` each such call is a round of one event.
 """
 
 from __future__ import annotations
@@ -347,58 +349,45 @@ class PartyChannel(Channel):
         exchanged full duplex.
 
         A direction with nothing to ship sends no frame at all; both parties
-        derive that from the same (SPMD-identical) event list, so the frame
-        sequence stays deterministic and a round is two-way for one party
-        exactly when it is for the other.  Logging matches the simulated
-        channel's: one entry per direction with the round's summed payload
-        bytes.
+        derive that, and the layout of every frame, from the same
+        (SPMD-identical) event list, so the frame sequence stays
+        deterministic, a round is two-way for one party exactly when it is
+        for the other, and a frame needs no per-array headers.  Logging
+        matches the simulated channel's: one entry per direction with the
+        round's summed payload bytes.
         """
         outgoing: "List[Tuple[np.ndarray, int]]" = []
-        expected = 0
+        expected: "List[Tuple[np.ndarray, int]]" = []
         for event in events:
             if event.kind in (OPEN_RING, OPEN_BITS):
                 # (open_bits_event has already cast bit payloads to uint8)
                 mine = event.payload0 if self.party == 0 else event.payload1
                 outgoing.append((mine, event.element_bits))
-                expected += 1
+                expected.append((mine, event.element_bits))
             elif event.kind == TRANSFER:
-                if event.sender == self.party:
-                    outgoing.append((np.asarray(event.payload0), event.element_bits))
-                else:
-                    expected += 1
+                # (the receiver's payload0 is the sender's placeholder)
+                item = (np.asarray(event.payload0), event.element_bits)
+                (outgoing if event.sender == self.party else expected).append(item)
             else:
                 raise ValueError(f"unknown comm event kind {event.kind!r}")
 
-        incoming: "List[Tuple[np.ndarray, int]]" = []
+        received: List[np.ndarray] = []
         if outgoing and expected:
-            incoming = self.transport.exchange_arrays(outgoing, self.ring)
+            received = self.transport.exchange_arrays(outgoing, expected, self.ring)
         elif outgoing:
             self.transport.send_arrays(outgoing, self.ring)
         elif expected:
-            incoming = self.transport.recv_arrays()
-        received = [array for array, _ in incoming]
-        if len(received) != expected:
-            raise ValueError(
-                f"party {self.party}: round frame carried {len(received)} "
-                f"arrays, expected {expected} — the peers' schedules diverged"
-            )
+            received = self.transport.recv_arrays(expected, self.ring)
 
         results: List[object] = []
         mine_iter = iter(array for array, _ in outgoing)
         theirs_iter = iter(received)
         for event in events:
             if event.kind == OPEN_RING:
-                mine = next(mine_iter)
-                theirs = next(theirs_iter)
-                results.append(self.ring.add(mine, theirs))
+                results.append(self.ring.add(next(mine_iter), next(theirs_iter)))
             elif event.kind == OPEN_BITS:
-                mine = next(mine_iter)
-                theirs = next(theirs_iter).astype(np.uint8, copy=False)
-                results.append(mine ^ theirs)
+                results.append(next(mine_iter) ^ next(theirs_iter))
             else:  # TRANSFER
-                if event.sender == self.party:
-                    results.append(next(mine_iter))
-                else:
-                    results.append(next(theirs_iter))
+                results.append(next(mine_iter if event.sender == self.party else theirs_iter))
         self._log_round(events)
         return results

@@ -2,20 +2,22 @@
 
 The :class:`~repro.crypto.channel.Channel` family needs a way to move
 ndarray payloads between the two computing parties.  This module extracts
-that concern into a :class:`Transport` abstraction with two implementations:
+that concern into a :class:`Transport` abstraction:
 
 - :class:`LoopbackTransport` — the in-process simulated transport: a pair
   of connected endpoints backed by thread-safe queues, used to run the two
   party programs in two threads of one process;
 - :class:`TcpTransport` — a real TCP socket transport with length-prefixed
   framing, so the two party programs can live in two OS processes (or on two
-  machines) and exchange shares over the network.
+  machines) and exchange shares over the network;
+- :class:`ShapedTransport` and :class:`FaultyTransport` — wrappers around
+  either that delay frames and inject scripted faults (see below).
 
 A transport implements one method, :meth:`Transport._transfer` — ship a
 frame, collect the peer's next one, or both at once — and every frame is
-``uint32 length (LE) || body``.  What is *in* a body (the array codec, its
-limits, :class:`WireStats`) lives in :mod:`repro.crypto.wire` and is
-documented in ``docs/wire.md``.
+``uint32 length (LE) || body``.  What is *in* a body (the array codec,
+:class:`WireStats`) lives in :mod:`repro.crypto.wire` and is documented in
+``docs/wire.md``.
 
 Multi-message sessions
 ----------------------
@@ -25,7 +27,8 @@ distinguishes two frame classes:
 
 - **round frames** (the protocol payload: the arrays of one coalesced
   communication round, :meth:`Transport.send_arrays` /
-  :meth:`Transport.recv_arrays` / :meth:`Transport.exchange_arrays`);
+  :meth:`Transport.recv_arrays` / :meth:`Transport.exchange_arrays`),
+  payloads only — the receiver names the arrays it expects;
 - **control frames** (:meth:`Transport.send_control` /
   :meth:`Transport.recv_control`): opaque byte blobs used by the session
   layer for job headers, synchronization and the graceful-shutdown
@@ -73,6 +76,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.crypto.events import payload_num_bytes
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.wire import (
     CONTROL_CODE,
@@ -82,17 +86,19 @@ from repro.crypto.wire import (
     CorruptFrame,
     FrameTooLarge,
     WireStats,
-    decode_array,
-    encode_array,
+    decode_payload,
+    encode_payload,
     frame_length,
-    payload_length,
-    record_length,
+    ring_element_width,
 )
+# (re-exported: the record codec of the serving daemon's ``A`` frame)
+from repro.crypto.wire import decode_array, encode_array  # noqa: F401
 
 #: control payload of the graceful-shutdown handshake.  A peer that receives
 #: it learns the session ended cleanly (recv_control returns None) rather
 #: than by a dropped connection.
 SHUTDOWN_PAYLOAD = b"\x00__2pc_session_shutdown__"
+_ROUND_HEAD = bytes([ROUND_CODE])
 
 
 class Transport:
@@ -163,38 +169,37 @@ class Transport:
 
         ``arrays`` holds plain ndarrays or ``(array, element_bits)`` pairs —
         the pair form declares a packed sub-byte width for a uint8 payload.
-        The frame is ``[ROUND_CODE][u32 count]`` followed by one
-        ``header || dims || payload`` record per array
-        (:func:`~repro.crypto.wire.encode_array`).  Records need no
-        per-array length prefix: each header determines its own payload
-        length, so the receiver walks the concatenation.  Array payload
-        bytes count toward the payload stats array by array — the manifest
-        check stays exact — and everything else in the frame is overhead.
-        Returns the summed payload byte count.
+        The frame is ``[ROUND_CODE]`` followed by each array's payload
+        (:func:`~repro.crypto.wire.encode_payload`), nothing else: the
+        receiver lays it out from the round it expects.  Everything but the
+        code byte and the length prefix counts as payload.  Returns the
+        payload byte count.
         """
-        records = []
-        payload_bytes = 0
+        payloads = []
         for item in arrays:
             array, element_bits = item if isinstance(item, tuple) else (item, 8)
-            encoded = encode_array(array, ring, element_bits)
-            payload_bytes += payload_length(encoded)
-            records.append(encoded)
-        # (one join: the records are copied into the frame exactly once)
-        head = bytes([ROUND_CODE]) + LEN_PREFIX.pack(len(records))
-        frame = b"".join([head, *records])
+            payloads.append(encode_payload(array, ring, element_bits))
+        # (one join: the payloads are copied into the frame exactly once)
+        frame = b"".join([_ROUND_HEAD, *payloads])
+        payload_bytes = len(frame) - len(_ROUND_HEAD)
         self._put_frame(frame)
         self.stats.frames_sent += 1
         self.stats.round_frames_sent += 1
-        self.stats.round_arrays_sent += len(records)
+        self.stats.round_arrays_sent += len(payloads)
         self.stats.payload_bytes_sent += payload_bytes
-        self.stats.overhead_bytes_sent += len(frame) - payload_bytes + LEN_PREFIX.size
+        self.stats.overhead_bytes_sent += len(_ROUND_HEAD) + LEN_PREFIX.size
         return payload_bytes
 
-    def recv_arrays(self) -> "list[Tuple[np.ndarray, int]]":
-        """Receive one coalesced round frame; ``(array, payload_bytes)`` per
-        array, in the order the peer packed them.  A frame that is not the
-        ``count`` whole records it announces raises
-        :class:`~repro.crypto.wire.CorruptFrame`."""
+    def recv_arrays(self, expected, ring: FixedPointRing = DEFAULT_RING) -> List[np.ndarray]:
+        """Receive one coalesced round frame laid out as ``expected``.
+
+        ``expected`` holds one template per array, in the peer's order and
+        in :meth:`send_arrays`' form: a template's shape, dtype and
+        ``element_bits`` fix its payload's length and type.  A frame whose
+        length is not exactly the code byte plus those payloads raises
+        :class:`~repro.crypto.wire.CorruptFrame` before anything is built;
+        otherwise the decoded arrays come back in order.
+        """
         frame = self._recv_frame_expecting(
             f"round frame {self.stats.round_frames_received}"
         )
@@ -203,38 +208,33 @@ class Transport:
                 "received a non-round frame where a round frame was expected "
                 "— the schedulers of the two endpoints are out of sync"
             )
-        offset = 1 + LEN_PREFIX.size
-        if len(frame) < offset:
-            raise CorruptFrame(f"{len(frame)}-byte round frame has no array count")
-        (count,) = LEN_PREFIX.unpack_from(frame, 1)
-        out = []
-        payload_total = 0
-        for _ in range(count):
-            # (a count that overruns the frame fails on the first absent record)
-            length = record_length(frame, offset)
-            array, payload_bytes = decode_array(frame[offset : offset + length])
-            offset += length
-            out.append((array, payload_bytes))
-            payload_total += payload_bytes
-        if offset != len(frame):
+        element_bytes = ring_element_width(ring)
+        layout = [item if isinstance(item, tuple) else (item, 8) for item in expected]
+        sizes = [payload_num_bytes(array, element_bytes, bits) for array, bits in layout]
+        payload_bytes = sum(sizes)
+        if len(frame) != len(_ROUND_HEAD) + payload_bytes:
             raise CorruptFrame(
-                f"round frame has {len(frame) - offset} trailing bytes after "
-                f"{count} arrays"
+                f"{len(frame)}-byte round frame; its {len(layout)} arrays "
+                f"take {payload_bytes} payload bytes after the code byte"
             )
+        view = memoryview(frame)
+        offset = len(_ROUND_HEAD)
+        out = []
+        for (template, bits), size in zip(layout, sizes):
+            out.append(decode_payload(view[offset : offset + size], template, ring, bits))
+            offset += size
         self.stats.frames_received += 1
         self.stats.round_frames_received += 1
-        self.stats.round_arrays_received += count
-        self.stats.payload_bytes_received += payload_total
-        self.stats.overhead_bytes_received += (
-            len(frame) - payload_total + LEN_PREFIX.size
-        )
+        self.stats.round_arrays_received += len(layout)
+        self.stats.payload_bytes_received += payload_bytes
+        self.stats.overhead_bytes_received += len(_ROUND_HEAD) + LEN_PREFIX.size
         return out
 
     def exchange_arrays(
-        self, arrays, ring: FixedPointRing = DEFAULT_RING
-    ) -> "list[Tuple[np.ndarray, int]]":
+        self, arrays, expected, ring: FixedPointRing = DEFAULT_RING
+    ) -> List[np.ndarray]:
         """One full-duplex round: ship my round frame while receiving the
-        peer's; returns what :meth:`recv_arrays` returns.
+        peer's; returns what :meth:`recv_arrays` returns for ``expected``.
 
         Framing and accounting are exactly :meth:`send_arrays` followed by
         :meth:`recv_arrays` — only the frame layer differs: the outgoing
@@ -249,7 +249,7 @@ class Transport:
         self._parked = []
         try:
             self.send_arrays(arrays, ring)
-            return self.recv_arrays()
+            return self.recv_arrays(expected, ring)
         finally:
             self._parked = None
 

@@ -1,24 +1,25 @@
-"""The array codec: how one ndarray becomes bytes (frame format v2).
+"""The array codec: how one ndarray becomes bytes.
 
 :mod:`repro.crypto.transport` moves frames; this module says what is in
-them.  An array record is ``header || dims || payload``: the 3-byte header
-holds dtype code, element width and ndim, the dims are little-endian
-uint64, the payload is the array buffer in little-endian order.  Ring
+them.  An array's *payload* is its buffer in little-endian order.  Ring
 elements (stored as uint64 in memory regardless of the configured ring
 width) are packed at the *ring element width* — 8 bytes for the 64-bit
 executable ring, 4 bytes for the paper's 32-bit ring.  uint8 payloads whose
 true information width is sub-byte are packed at that width: 1-bit planes
 (GMW AND openings) at eight elements per byte, 2-bit digits (the gt/eq OT
-tables) at four per byte, ``ceil`` per array.  The measured on-wire payload
-bytes therefore equal the :class:`~repro.crypto.channel.CommunicationLog`
-accounting and the :class:`~repro.crypto.plan.PreprocessingManifest`
-prediction exactly, at packed widths; header and length-prefix bytes are
-tracked separately as framing overhead (:class:`WireStats`).
+tables) at four per byte, ``ceil`` per array.  The payload bytes therefore
+equal the :class:`~repro.crypto.channel.CommunicationLog` accounting and
+the :class:`~repro.crypto.plan.PreprocessingManifest` prediction exactly,
+at packed widths; everything else on the wire is tracked as framing
+overhead (:class:`WireStats`).
 
-Records exist inside the round frames of the party link and as the body of
-the serving daemon's ``A`` frame.  Both come from a peer, so the decoder
-checks the length a header *declares* against the bytes present before it
-builds anything (:class:`CorruptFrame`).  See ``docs/wire.md``.
+A round frame of the party link is payloads only
+(:func:`encode_payload` / :func:`decode_payload`): both parties hold the
+round group that lays it out.  The serving daemon's ``A`` frame body is a
+self-describing *record*, ``header || dims || payload``
+(:func:`encode_array` / :func:`decode_array`), whose decoder checks the
+length a header *declares* against the bytes present before it builds
+anything (:class:`CorruptFrame`).  See ``docs/wire.md``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 #: Codes 8/9 are the sub-byte codes: uint8 arrays packed at 1 or 2 bits per
 #: element (their header width field holds *bits*, not bytes).
 #: Code 255 marks a control frame (session layer, not an array at all);
-#: code 254 marks a multi-array *round* frame (one coalesced communication
-#: round: several independent arrays in a single framed message).
+#: code 254 marks a *round* frame (the payloads of one coalesced
+#: communication round, back to back).
 _RING_CODE = 0
 _PACKED_CODES = {1: 8, 2: 9}  # element_bits -> dtype code
 _PACKED_BITS = {code: bits for bits, code in _PACKED_CODES.items()}
@@ -79,10 +80,11 @@ class FrameTooLarge(ConnectionError):
 
 
 class CorruptFrame(ConnectionError):
-    """A peer-supplied frame does not parse: truncated header or dims,
-    declared payload length other than the length present, unknown dtype
-    code or element width, a round frame whose count overruns it, trailing
-    bytes.  Raised before anything is built from the frame.
+    """A peer-supplied frame does not parse: a record with a truncated
+    header or dims, a declared payload length other than the length
+    present, an unknown dtype code or element width, or trailing bytes; a
+    round frame whose length is not its round's.  Raised before anything
+    is built from the frame.
 
     On the party link the stream cannot be trusted afterwards, hence
     :class:`ConnectionError` (eviction and replay already handle it).
@@ -145,72 +147,98 @@ def unpack_sub_byte(payload: bytes, num_elements: int, element_bits: int) -> np.
     return np.take(_DIGITS_OF_BYTE, raw).view(np.uint8)[:num_elements]
 
 
-def encode_array(
+def _wire_code(dtype: np.dtype, ring: FixedPointRing, element_bits: int) -> Tuple[int, int]:
+    """The ``(dtype code, width field)`` an array of ``dtype`` travels as."""
+    if dtype in (np.dtype(np.uint64), np.dtype(np.int64)):
+        return _RING_CODE, ring_element_width(ring)
+    if element_bits in _PACKED_CODES and dtype == np.dtype(np.uint8):
+        # sub-byte code: the width field carries *bits* per element
+        return _PACKED_CODES[element_bits], element_bits
+    canonical = dtype.newbyteorder("<")
+    code = _CODE_BY_DTYPE.get(canonical)
+    if code is None:
+        raise ValueError(f"unsupported wire dtype {dtype}")
+    return code, canonical.itemsize
+
+
+def encode_payload(
     array: np.ndarray, ring: FixedPointRing = DEFAULT_RING, element_bits: int = 8
 ) -> bytes:
-    """Serialize an ndarray into ``header || dims || payload`` bytes.
+    """An array's payload bytes, in C order.
 
     uint64/int64 arrays are treated as ring elements and packed at the ring
     element width; uint8 arrays with a declared sub-byte ``element_bits`` (1
     or 2) are bit-packed; other dtypes are packed at their native width in
-    little-endian order.  The payload byte count therefore matches
-    :meth:`repro.crypto.channel.Channel.send` accounting exactly.
+    little-endian order.  The byte count therefore is
+    :func:`~repro.crypto.events.payload_num_bytes`, the channel accounting.
     """
     array = np.asarray(array)
-    if not array.flags["C_CONTIGUOUS"]:
-        # (ascontiguousarray would also promote 0-d arrays to 1-d)
-        array = np.ascontiguousarray(array)
+    return _encode(array, *_wire_code(array.dtype, ring, element_bits), ring)
+
+
+def _encode(array: np.ndarray, code: int, width: int, ring: FixedPointRing) -> bytes:
+    if code == _RING_CODE:
+        if width == 8 and array.dtype == np.dtype("<u8"):
+            return array.tobytes()
+        packed = array.astype(np.uint64, copy=False)
+        if width != 8:
+            packed = ring.wrap(packed)
+        return packed.astype(_RING_PACK_DTYPES[width], copy=False).tobytes()
+    if code in _PACKED_BITS:
+        return pack_sub_byte(array.reshape(-1), width)
+    # (no copy when the buffer already is canonical)
+    return array.astype(_DTYPE_CODES[code], copy=False).tobytes()
+
+
+def _decode(payload, code: int, width: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """The array a payload of exactly the right length holds; it owns its
+    memory (ring elements come back as uint64, packed payloads as uint8)."""
+    if code == _RING_CODE:
+        array = np.frombuffer(payload, dtype=_RING_PACK_DTYPES[width])
+        return array.astype(np.uint64).reshape(shape)
+    if code in _PACKED_BITS:
+        return unpack_sub_byte(payload, math.prod(shape), width).reshape(shape)
+    return np.frombuffer(payload, dtype=_DTYPE_CODES[code]).reshape(shape).copy()
+
+
+def decode_payload(
+    payload, template: np.ndarray, ring: FixedPointRing = DEFAULT_RING, element_bits: int = 8
+) -> np.ndarray:
+    """Inverse of :func:`encode_payload`: the array shaped and typed like
+    ``template`` whose payload is ``payload`` (exactly
+    ``payload_num_bytes(template, ...)`` bytes — the caller checks)."""
+    return _decode(payload, *_wire_code(template.dtype, ring, element_bits), template.shape)
+
+
+def encode_array(
+    array: np.ndarray, ring: FixedPointRing = DEFAULT_RING, element_bits: int = 8
+) -> bytes:
+    """Serialize an ndarray into a self-describing ``header || dims ||
+    payload`` record (the payload of :func:`encode_payload` after a header)."""
+    array = np.asarray(array)
     if array.ndim > 255:
         raise ValueError("arrays with more than 255 dimensions are not supported")
+    code, width = _wire_code(array.dtype, ring, element_bits)
+    header = _HEADER_HEAD.pack(code, width, array.ndim)
     dims = struct.pack(f"<{array.ndim}Q", *array.shape)
-    if array.dtype in (np.dtype(np.uint64), np.dtype(np.int64)):
-        width = ring_element_width(ring)
-        if width == 8 and array.dtype == np.dtype("<u8"):
-            payload = array.tobytes()
-        else:
-            packed = array.astype(np.uint64, copy=False)
-            if width != 8:
-                packed = ring.wrap(packed)
-            payload = packed.astype(_RING_PACK_DTYPES[width], copy=False).tobytes()
-        header = _HEADER_HEAD.pack(_RING_CODE, width, array.ndim)
-    elif element_bits in _PACKED_CODES and array.dtype == np.dtype(np.uint8):
-        # sub-byte code: the header's width field carries *bits* per element
-        payload = pack_sub_byte(array.reshape(-1), element_bits)
-        header = _HEADER_HEAD.pack(_PACKED_CODES[element_bits], element_bits, array.ndim)
-    else:
-        canonical = array.dtype.newbyteorder("<")
-        code = _CODE_BY_DTYPE.get(canonical)
-        if code is None:
-            raise ValueError(f"unsupported wire dtype {array.dtype}")
-        # (no copy when the buffer already is canonical)
-        payload = array.astype(canonical, copy=False).tobytes()
-        header = _HEADER_HEAD.pack(code, canonical.itemsize, array.ndim)
-    return header + dims + payload
+    return header + dims + _encode(array, code, width, ring)
 
 
-def payload_length(record: bytes) -> int:
-    """Payload bytes of a record :func:`encode_array` just built."""
-    _, _, ndim = _HEADER_HEAD.unpack_from(record, 0)
-    return len(record) - _HEADER_HEAD.size - 8 * ndim
+def decode_array(frame: bytes) -> Tuple[np.ndarray, int]:
+    """Inverse of :func:`encode_array`, for one peer-supplied record.
 
-
-def record_length(buffer: bytes, offset: int = 0) -> int:
-    """Length of the ``header || dims || payload`` record at ``offset`` of a
-    peer-supplied buffer, checked to lie wholly inside it.
-
-    The header fully determines the payload size — element width times the
-    product of the dims, or ``ceil(bits * elements / 8)`` for the sub-byte
-    codes.  That makes the records prefix-free (round frames concatenate
-    them without per-array length prefixes) and lets every check run before
-    anything is sliced, allocated or unpacked.
+    Returns ``(array, payload_bytes)``.  The header fully determines the
+    payload size — element width times the product of the dims, or
+    ``ceil(bits * elements / 8)`` for the sub-byte codes — so every check
+    runs before anything is sliced, allocated or unpacked: a frame that is
+    not exactly the record its header declares raises :class:`CorruptFrame`.
     """
     try:
-        code, width, ndim = _HEADER_HEAD.unpack_from(buffer, offset)
-        dims = struct.unpack_from(f"<{ndim}Q", buffer, offset + _HEADER_HEAD.size)
+        code, width, ndim = _HEADER_HEAD.unpack_from(frame, 0)
+        shape = struct.unpack_from(f"<{ndim}Q", frame, _HEADER_HEAD.size)
     except struct.error as exc:
         raise CorruptFrame(
-            f"array record at byte {offset} of a {len(buffer)}-byte frame is "
-            f"cut off inside its header or dims"
+            f"{len(frame)}-byte array record is cut off inside its header or dims"
         ) from exc
     if code == _RING_CODE:
         known = width in _RING_PACK_DTYPES
@@ -219,54 +247,23 @@ def record_length(buffer: bytes, offset: int = 0) -> int:
     else:
         known = code in _DTYPE_CODES and width == _DTYPE_CODES[code].itemsize
     if not known:
-        raise CorruptFrame(
-            f"array record at byte {offset} has unknown dtype code {code} "
-            f"or element width {width}"
-        )
-    num_elements = math.prod(dims)  # (Python ints: hostile dims cannot wrap)
+        raise CorruptFrame(f"array record has unknown dtype code {code} or element width {width}")
+    num_elements = math.prod(shape)  # (Python ints: hostile dims cannot wrap)
     if code in _PACKED_BITS:
         payload_bytes = packed_num_bytes(num_elements, width)  # width is bits here
     else:
         payload_bytes = width * num_elements
-    length = _HEADER_HEAD.size + 8 * ndim + payload_bytes
-    if offset + length > len(buffer):
+    offset = _HEADER_HEAD.size + 8 * ndim
+    if offset + payload_bytes != len(frame):
         raise CorruptFrame(
-            f"array record at byte {offset} declares {payload_bytes} payload "
-            f"bytes (dims {dims}) but the frame ends after {len(buffer)}"
+            f"array record declares {payload_bytes} payload bytes (dims {shape}) "
+            f"but {len(frame) - offset} follow its header"
         )
-    return length
-
-
-def decode_array(frame: bytes) -> Tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_array`, for one peer-supplied record.
-
-    Returns ``(array, payload_bytes)`` — the payload byte count excludes the
-    header, so it can be checked against the channel accounting.  Ring
-    element payloads come back as uint64, packed sub-byte payloads as uint8
-    (the in-memory conventions).  Raises :class:`CorruptFrame` unless the
-    frame is exactly the record its header declares.
-    """
-    declared = record_length(frame)
-    if declared != len(frame):
-        raise CorruptFrame(
-            f"{len(frame) - declared} trailing bytes after a {declared}-byte "
-            f"array record"
-        )
-    code, width, ndim = _HEADER_HEAD.unpack_from(frame, 0)
-    shape = struct.unpack_from(f"<{ndim}Q", frame, _HEADER_HEAD.size)
-    payload = frame[_HEADER_HEAD.size + 8 * ndim :]
     try:
-        if code == _RING_CODE:
-            array = np.frombuffer(payload, dtype=_RING_PACK_DTYPES[width])
-            array = array.astype(np.uint64).reshape(shape)
-        elif code in _PACKED_BITS:
-            array = unpack_sub_byte(payload, math.prod(shape), width).reshape(shape)
-        else:
-            array = np.frombuffer(payload, dtype=_DTYPE_CODES[code]).reshape(shape)
-            array = np.ascontiguousarray(array)
+        array = _decode(memoryview(frame)[offset:], code, width, shape)
     except ValueError as exc:  # lengths agree, so: dims numpy cannot hold
         raise CorruptFrame(f"array record does not fit an ndarray: {exc}") from exc
-    return array, len(payload)
+    return array, payload_bytes
 
 
 @dataclass
@@ -274,9 +271,9 @@ class WireStats:
     """Measured traffic of one transport endpoint.
 
     ``payload_bytes_*`` counts array payload bytes only (the quantity the
-    manifest predicts); ``overhead_bytes_*`` counts length prefixes and array
-    headers; ``control_bytes_*`` counts session-layer control frames (job
-    headers, shutdown handshake) in full.  The sum of all three is what
+    manifest predicts); ``overhead_bytes_*`` counts the rest of a round
+    frame, its length prefix and code byte; ``control_bytes_*`` counts
+    session-layer control frames (job headers, shutdown handshake) in full.  The sum of all three is what
     actually crossed the wire — and because control traffic is kept out of
     the payload counters, per-job payload deltas on a persistent connection
     still match the manifest exactly.
@@ -292,8 +289,8 @@ class WireStats:
     control_frames_received: int = 0
     control_bytes_sent: int = 0
     control_bytes_received: int = 0
-    #: coalesced multi-array round frames — the only data frames, so equal
-    #: to ``frames_*``; ``round_arrays_*`` counts the arrays that rode inside
+    #: coalesced round frames — the only data frames, so equal to
+    #: ``frames_*``; ``round_arrays_*`` counts the arrays that rode inside
     #: them — the round counters of the round-coalescing scheduler
     round_frames_sent: int = 0
     round_frames_received: int = 0

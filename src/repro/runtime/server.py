@@ -137,6 +137,9 @@ class _PlanEntry:
     #: appends in counter order, so counters strictly increase
     pools: Deque[Tuple[int, RandomnessPool]] = field(default_factory=deque)
     next_counter: int = 0
+    #: the counter whose pool :meth:`PartyServer.provision` is generating
+    #: right now, if any (a job for it waits instead of generating it too)
+    generating: Optional[int] = None
 
 
 class PartyServer:
@@ -230,13 +233,19 @@ class PartyServer:
             with self._lock:
                 if self._closing or not self._room_locked(entry, evict=True):
                     return
-                counter = entry.next_counter
+                counter = entry.generating = entry.next_counter
                 entry.next_counter += 1
             seed = derive_job_seed(self.config.base_seed, model, batch_size, counter)
-            pool = self._pool_at_seed(entry, seed)
-            with self._lock:
-                entry.pools.append((counter, pool))
-                self.metrics.set("pool_bytes_resident", self._resident_locked())
+            pool = None
+            try:
+                pool = self._pool_at_seed(entry, seed)
+            finally:
+                with self._refill:
+                    entry.generating = None
+                    if pool is not None:
+                        entry.pools.append((counter, pool))
+                        self.metrics.set("pool_bytes_resident", self._resident_locked())
+                    self._refill.notify_all()
             self.metrics.inc("pools_provisioned")
 
     def _acquire_pool(
@@ -247,7 +256,9 @@ class PartyServer:
         The one provisioner appends in counter order, so heads older than
         the job are stale (those jobs were served cold) and dropped —
         counted as ``pools_discarded``, generated for nothing — and only
-        the front can hold the job's counter.  A replay pinned to another
+        the front can hold the job's counter.  A job whose pool the
+        provisioner is generating right now waits for it rather than
+        generating it again.  A replay pinned to another
         shard generation's seed cannot use pools buffered under this
         server's base seed: it generates at the pinned seed and leaves the
         buffer untouched.  Either way the job makes its key the most
@@ -263,6 +274,8 @@ class PartyServer:
             entry.last_used = self._uses
             entry.live = True
             if seed == derived:
+                while entry.generating == request.counter:
+                    self._refill.wait()
                 while entry.pools and entry.pools[0][0] < request.counter:
                     entry.pools.popleft()
                     self.metrics.inc("pools_discarded")

@@ -85,25 +85,25 @@ class TestTransports:
         a, b = LoopbackTransport.pair(timeout=5.0)
         payload = np.arange(8, dtype=np.uint64)
         a.send_arrays([payload], DEFAULT_RING)
-        [(received, payload_bytes)] = b.recv_arrays()
+        [received] = b.recv_arrays([payload])
         np.testing.assert_array_equal(received, payload)
-        assert payload_bytes == 64
+        assert b.stats.payload_bytes_received == 64
         b.send_arrays([np.ones(3, dtype=np.uint8)], DEFAULT_RING)
-        [(received, _)] = a.recv_arrays()
+        [received] = a.recv_arrays([np.zeros(3, dtype=np.uint8)])
         np.testing.assert_array_equal(received, np.ones(3, dtype=np.uint8))
 
     def test_loopback_timeout(self):
         a, _ = LoopbackTransport.pair(timeout=0.05)
         with pytest.raises(TimeoutError):
-            a.recv_arrays()
+            a.recv_arrays([np.zeros(1, dtype=np.uint64)])
 
     def test_wire_stats_separate_payload_and_overhead(self):
         a, b = LoopbackTransport.pair()
         a.send_arrays([np.zeros((2, 2), dtype=np.uint64)], DEFAULT_RING)
-        b.recv_arrays()
+        b.recv_arrays([np.zeros((2, 2), dtype=np.uint64)])
         assert a.stats.payload_bytes_sent == 32
-        assert a.stats.overhead_bytes_sent > 0
-        assert a.stats.wire_bytes_sent == 32 + a.stats.overhead_bytes_sent
+        assert a.stats.overhead_bytes_sent == 5  # length prefix + code byte
+        assert a.stats.wire_bytes_sent == 32 + 5
         assert b.stats.payload_bytes_received == 32
         assert b.stats.frames_received == 1
 
@@ -115,7 +115,7 @@ class TestTransports:
             with listener:
                 transport = listener.accept(timeout=10.0)
             try:
-                [(received, _)] = transport.recv_arrays()
+                [received] = transport.recv_arrays([np.zeros(5, dtype=np.uint64)])
                 transport.send_arrays([received * np.uint64(2)], DEFAULT_RING)
                 result["server"] = received
             finally:
@@ -126,7 +126,7 @@ class TestTransports:
         client = TcpTransport.connect("127.0.0.1", listener.port, timeout=10.0)
         try:
             client.send_arrays([np.arange(5, dtype=np.uint64)], DEFAULT_RING)
-            [(doubled, _)] = client.recv_arrays()
+            [doubled] = client.recv_arrays([np.zeros(5, dtype=np.uint64)])
         finally:
             client.close()
             thread.join(timeout=10.0)
@@ -378,7 +378,7 @@ class TestSessionFraming:
         a.send_control(b"x" * 100)
         b.recv_control()
         a.send_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
-        b.recv_arrays()
+        b.recv_arrays([np.zeros(4, dtype=np.uint64)])
         assert a.stats.payload_bytes_sent == 32
         assert b.stats.payload_bytes_received == 32
         assert a.stats.control_frames_sent == 1
@@ -395,7 +395,7 @@ class TestSessionFraming:
         a, b = LoopbackTransport.pair()
         a.send_control(b"header")
         with pytest.raises(ValueError, match="out of sync"):
-            b.recv_arrays()
+            b.recv_arrays([np.zeros(2, dtype=np.uint64)])
         a2, b2 = LoopbackTransport.pair()
         a2.send_arrays([np.arange(2, dtype=np.uint64)], DEFAULT_RING)
         with pytest.raises(ValueError, match="out of sync"):
@@ -404,10 +404,10 @@ class TestSessionFraming:
     def test_stats_snapshot_and_since(self):
         a, b = LoopbackTransport.pair()
         a.send_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
-        b.recv_arrays()
+        b.recv_arrays([np.zeros(4, dtype=np.uint64)])
         before = a.stats.snapshot()
         a.send_arrays([np.arange(8, dtype=np.uint64)], DEFAULT_RING)
-        b.recv_arrays()
+        b.recv_arrays([np.zeros(8, dtype=np.uint64)])
         delta = a.stats.since(before)
         assert delta.payload_bytes_sent == 64
         assert delta.frames_sent == 1
@@ -447,18 +447,18 @@ class TestRoundFrames:
             np.arange(3, dtype=np.uint64),
         ]
         sent_payload = a.send_arrays(arrays, DEFAULT_RING)
-        received = b.recv_arrays()
+        received = b.recv_arrays([np.zeros_like(array) for array in arrays])
         assert len(received) == 3
-        for original, (decoded, payload_bytes) in zip(arrays, received):
+        for original, decoded in zip(arrays, received):
+            assert decoded.dtype == original.dtype
             np.testing.assert_array_equal(decoded, original)
-            assert payload_bytes > 0
-        assert sent_payload == sum(p for _, p in received)
+        assert sent_payload == b.stats.payload_bytes_received == 48 + 4 + 24
 
     def test_round_frame_stats_count_payload_exactly(self):
         a, b = LoopbackTransport.pair()
         arrays = [np.arange(8, dtype=np.uint64), np.arange(5, dtype=np.uint8)]
         a.send_arrays(arrays, DEFAULT_RING)
-        b.recv_arrays()
+        b.recv_arrays(arrays)
         # 8 ring elements at 8 bytes + 5 uint8 = 69 payload bytes
         assert a.stats.payload_bytes_sent == 69
         assert b.stats.payload_bytes_received == 69
@@ -467,18 +467,18 @@ class TestRoundFrames:
         assert a.stats.round_arrays_sent == 2
         assert b.stats.round_frames_received == 1
         assert b.stats.round_arrays_received == 2
-        assert a.stats.overhead_bytes_sent > 0
+        assert a.stats.overhead_bytes_sent == b.stats.overhead_bytes_received == 5
 
     def test_round_frame_overhead_is_less_than_per_array_frames(self):
         """The point of coalescing: one frame's overhead, not N frames'."""
         arrays = [np.arange(4, dtype=np.uint64) for _ in range(10)]
         coalesced, sink_end = LoopbackTransport.pair()
         coalesced.send_arrays(arrays, DEFAULT_RING)
-        sink_end.recv_arrays()
+        sink_end.recv_arrays(arrays)
         per_array = LoopbackTransport.pair()
         for array in arrays:
             per_array[0].send_arrays([array], DEFAULT_RING)
-            per_array[1].recv_arrays()
+            per_array[1].recv_arrays([array])
         assert coalesced.stats.payload_bytes_sent == per_array[0].stats.payload_bytes_sent
         assert coalesced.stats.overhead_bytes_sent < per_array[0].stats.overhead_bytes_sent
 
@@ -488,7 +488,7 @@ class TestRoundFrames:
         a, b = LoopbackTransport.pair()
         a._put_frame(encode_array(np.arange(3, dtype=np.uint64), DEFAULT_RING))
         with pytest.raises(ValueError, match="round frame"):
-            b.recv_arrays()
+            b.recv_arrays([np.zeros(3, dtype=np.uint64)])
 
     def test_party_channels_run_coalesced_rounds_like_the_simulation(self):
         """run_round over a real transport: same results, same coalesced log
@@ -547,9 +547,11 @@ class TestRoundFrames:
 class TestFaultInjection:
     """ShapedTransport / FaultyTransport: deterministic shaping and faults."""
 
+    ARRAYS = [np.arange(4, dtype=np.uint64)]
+
     def _round(self, sender, receiver):
-        sender.send_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
-        return receiver.recv_arrays()
+        sender.send_arrays(self.ARRAYS, DEFAULT_RING)
+        return receiver.recv_arrays(self.ARRAYS)
 
     def test_shaped_transport_keeps_accounting_exact(self):
         a, b = LoopbackTransport.pair()
@@ -578,20 +580,20 @@ class TestFaultInjection:
         assert faulty.stats.faults_injected == 1
         # the peer observes a genuine connection loss, with recv context
         with pytest.raises(ConnectionError, match="round frame 2"):
-            b.recv_arrays()
+            b.recv_arrays(self.ARRAYS)
 
     def test_recv_direction_drop_discards_the_frame_in_flight(self):
         a, b = LoopbackTransport.pair()
         faulty = FaultyTransport(
             b, FaultPlan(seed=0, drop_at_round=0, drop_direction="recv")
         )
-        a.send_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
+        a.send_arrays(self.ARRAYS, DEFAULT_RING)
         with pytest.raises(FaultInjected, match="recv direction"):
-            faulty.recv_arrays()
+            faulty.recv_arrays(self.ARRAYS)
         assert faulty.stats.faults_injected == 1
         # the injecting side closed the link: the sender's next recv fails too
         with pytest.raises(ConnectionError):
-            a.recv_arrays()
+            a.recv_arrays(self.ARRAYS)
 
     def test_drop_fires_at_most_max_drops_times(self):
         a, b = LoopbackTransport.pair()
@@ -649,7 +651,7 @@ class TestFaultInjection:
         a, b = LoopbackTransport.pair(timeout=5.0)
         a.close()
         with pytest.raises(ConnectionError, match="mid-frame"):
-            b.recv_arrays()
+            b.recv_arrays([np.zeros(1, dtype=np.uint64)])
         # and it keeps failing (the poison is re-queued)
         with pytest.raises(ConnectionError):
             b.recv_control()
@@ -686,7 +688,7 @@ class TestRecvErrorContext:
         client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
         try:
             with pytest.raises(ConnectionError) as excinfo:
-                client.recv_arrays()
+                client.recv_arrays([np.zeros(99, dtype=np.uint8)])
         finally:
             client.close()
             thread.join(timeout=10)
@@ -714,7 +716,7 @@ class TestRecvErrorContext:
         client = TcpTransport.connect("127.0.0.1", port, timeout=10.0)
         try:
             with pytest.raises(ConnectionError, match="0 payload bytes"):
-                client.recv_arrays()
+                client.recv_arrays([np.zeros(1, dtype=np.uint64)])
         finally:
             client.close()
             thread.join(timeout=10)
@@ -752,7 +754,7 @@ class TestInterleavedShutdown:
         a, b = LoopbackTransport.pair()
         a.send_shutdown()
         with pytest.raises(ValueError, match="out of sync"):
-            b.recv_arrays()
+            b.recv_arrays([np.zeros(1, dtype=np.uint64)])
 
     def test_server_treats_mid_job_shutdown_as_connection_loss(self):
         """PartyServer's header sync: a shutdown instead of a job header is
@@ -855,15 +857,15 @@ class TestFullDuplexExchange:
         """Same frames, same WireStats: only the frame layer differs."""
         a, b = LoopbackTransport.pair()
         b.send_arrays(self.ARRAYS_B, DEFAULT_RING)  # already queued for a
-        received = a.exchange_arrays(self.ARRAYS_A, DEFAULT_RING)
-        np.testing.assert_array_equal(received[0][0], self.ARRAYS_B[0])
-        assert [len(r) for r in b.recv_arrays()] == [2, 2]
+        received = a.exchange_arrays(self.ARRAYS_A, self.ARRAYS_B, DEFAULT_RING)
+        np.testing.assert_array_equal(received[0], self.ARRAYS_B[0])
+        assert [len(r) for r in b.recv_arrays(self.ARRAYS_A)] == [6, 3]
 
         ref_a, ref_b = LoopbackTransport.pair()
         ref_a.send_arrays(self.ARRAYS_A, DEFAULT_RING)
         ref_b.send_arrays(self.ARRAYS_B, DEFAULT_RING)
-        ref_a.recv_arrays()
-        ref_b.recv_arrays()
+        ref_a.recv_arrays(self.ARRAYS_B)
+        ref_b.recv_arrays(self.ARRAYS_A)
         assert a.stats == ref_a.stats
         assert b.stats == ref_b.stats
 
@@ -881,7 +883,7 @@ class TestFullDuplexExchange:
         a, b = LoopbackTransport.pair()
         recording = Recording(a, FaultPlan())
         b.send_arrays(self.ARRAYS_B, DEFAULT_RING)
-        recording.exchange_arrays(self.ARRAYS_A, DEFAULT_RING)
+        recording.exchange_arrays(self.ARRAYS_A, self.ARRAYS_B, DEFAULT_RING)
         assert seen == [2]
         assert recording.stats.round_frames_sent == 1
 
@@ -889,15 +891,15 @@ class TestFullDuplexExchange:
         server, client = _tcp_pair()
         try:
             got_server, got_client = _in_threads(
-                lambda: server.exchange_arrays(self.ARRAYS_A, DEFAULT_RING),
-                lambda: client.exchange_arrays(self.ARRAYS_B, DEFAULT_RING),
+                lambda: server.exchange_arrays(self.ARRAYS_A, self.ARRAYS_B, DEFAULT_RING),
+                lambda: client.exchange_arrays(self.ARRAYS_B, self.ARRAYS_A, DEFAULT_RING),
             )
         finally:
             server.close()
             client.close()
-        np.testing.assert_array_equal(got_server[0][0], self.ARRAYS_B[0])
-        np.testing.assert_array_equal(got_client[0][0], self.ARRAYS_A[0])
-        np.testing.assert_array_equal(got_client[1][0], self.ARRAYS_A[1][0])
+        np.testing.assert_array_equal(got_server[0], self.ARRAYS_B[0])
+        np.testing.assert_array_equal(got_client[0], self.ARRAYS_A[0])
+        np.testing.assert_array_equal(got_client[1], self.ARRAYS_A[1][0])
         assert server.stats.payload_bytes_sent == client.stats.payload_bytes_received
         assert client.stats.payload_bytes_sent == server.stats.payload_bytes_received
 
@@ -932,9 +934,9 @@ class TestFullDuplexExchange:
         peer = _RawPeer(whole + truncated)
         client = TcpTransport.connect("127.0.0.1", peer.port, timeout=10.0)
         try:
-            client.exchange_arrays(arrays, DEFAULT_RING)  # round 0 completes
+            client.exchange_arrays(arrays, arrays, DEFAULT_RING)  # round 0 completes
             with pytest.raises(ConnectionError) as excinfo:
-                client.exchange_arrays(arrays, DEFAULT_RING)
+                client.exchange_arrays(arrays, arrays, DEFAULT_RING)
         finally:
             client.close()
             peer.finish()
@@ -949,8 +951,9 @@ class TestFullDuplexExchange:
         client = TcpTransport.connect("127.0.0.1", peer.port, timeout=10.0)
         tracemalloc.start()
         try:
+            arrays = [np.arange(4, dtype=np.uint64)]
             with pytest.raises(FrameTooLarge, match="4294967295"):
-                client.exchange_arrays([np.arange(4, dtype=np.uint64)], DEFAULT_RING)
+                client.exchange_arrays(arrays, arrays, DEFAULT_RING)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -985,8 +988,8 @@ class TestFullDuplexExchange:
         start = time.perf_counter()
         try:
             _in_threads(
-                lambda: shaped[0].exchange_arrays(arrays, DEFAULT_RING),
-                lambda: shaped[1].exchange_arrays(arrays, DEFAULT_RING),
+                lambda: shaped[0].exchange_arrays(arrays, arrays, DEFAULT_RING),
+                lambda: shaped[1].exchange_arrays(arrays, arrays, DEFAULT_RING),
             )
             elapsed = time.perf_counter() - start
         finally:
@@ -1007,7 +1010,7 @@ class TestSenderSideFrameLimit:
         try:
             with pytest.raises(FrameTooLarge, match="refusing to send"):
                 if duplex:
-                    client.exchange_arrays(big, DEFAULT_RING)
+                    client.exchange_arrays(big, big, DEFAULT_RING)
                 else:
                     client.send_arrays(big, DEFAULT_RING)
             # nothing leaked onto the stream: the next frame the peer sees
@@ -1028,22 +1031,22 @@ class TestFaultsOnExchangedRounds:
 
     def _one_way_to(self, sender, receiver):
         sender.send_arrays(self.ARRAYS, DEFAULT_RING)
-        return receiver.recv_arrays()
+        return receiver.recv_arrays(self.ARRAYS)
 
     def test_send_side_drop_fires_before_the_exchange(self):
         a, b = LoopbackTransport.pair()
         faulty = FaultyTransport(a, FaultPlan(drop_at_round=1))
         self._one_way_to(b, faulty)  # a receive does not advance the send index
         b.send_arrays(self.ARRAYS, DEFAULT_RING)
-        faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)  # send round 0
-        b.recv_arrays()
+        faulty.exchange_arrays(self.ARRAYS, self.ARRAYS, DEFAULT_RING)  # send round 0
+        b.recv_arrays(self.ARRAYS)
         b.send_arrays(self.ARRAYS, DEFAULT_RING)
         with pytest.raises(FaultInjected, match=r"round 1 \(send direction"):
-            faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)
+            faulty.exchange_arrays(self.ARRAYS, self.ARRAYS, DEFAULT_RING)
         assert faulty.stats.faults_injected == 1
         assert faulty.stats.round_frames_sent == 1  # the frame never left
         with pytest.raises(ConnectionError, match="round frame 1"):
-            b.recv_arrays()
+            b.recv_arrays(self.ARRAYS)
 
     def test_recv_side_drop_fires_after_the_exchange(self):
         a, b = LoopbackTransport.pair()
@@ -1054,12 +1057,12 @@ class TestFaultsOnExchangedRounds:
         self._one_way_to(b, faulty)  # recv round 0
         b.send_arrays(self.ARRAYS, DEFAULT_RING)
         with pytest.raises(FaultInjected, match=r"round 1 \(recv direction"):
-            faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)
+            faulty.exchange_arrays(self.ARRAYS, self.ARRAYS, DEFAULT_RING)
         assert faulty.stats.faults_injected == 1
         assert faulty.stats.round_frames_sent == 2  # my half of the round left
-        assert len(b.recv_arrays()) == 1
+        assert len(b.recv_arrays(self.ARRAYS)) == 1
         with pytest.raises(ConnectionError):
-            b.recv_arrays()
+            b.recv_arrays(self.ARRAYS)
 
     def test_stall_on_an_exchanged_round_fires_once_per_configured_direction(self):
         a, b = LoopbackTransport.pair()
@@ -1069,6 +1072,6 @@ class TestFaultsOnExchangedRounds:
         )
         for _ in range(2):
             b.send_arrays(self.ARRAYS, DEFAULT_RING)
-            faulty.exchange_arrays(self.ARRAYS, DEFAULT_RING)
+            faulty.exchange_arrays(self.ARRAYS, self.ARRAYS, DEFAULT_RING)
         assert faulty.stats.stalls_injected == 2  # send index 0 + recv index 0
         assert faulty.stats.faults_injected == 0

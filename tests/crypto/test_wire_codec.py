@@ -173,9 +173,9 @@ def test_property_decode_encode_is_exact(seed, length, code):
 
 
 def test_round_and_control_frames_are_byte_identical_to_the_committed_wire():
-    """Golden bytes, captured from a ``LoopbackTransport`` before the codec
-    moved to ``repro.crypto.wire``: what ``send_arrays`` and
-    ``send_control`` put on the link may not change under a refactor."""
+    """Golden bytes of what ``send_arrays`` and ``send_control`` put on the
+    link: a round frame is the code byte and the payloads, nothing else,
+    and may not change under a refactor."""
     ring = np.arange(6, dtype=np.uint64).reshape(2, 3) * np.uint64(0x0123456789ABCDEF)
     index = np.arange(13)
     bits1 = ((index % 2) ^ (index % 3 == 0)).astype(np.uint8)
@@ -183,16 +183,15 @@ def test_round_and_control_frames_are_byte_identical_to_the_committed_wire():
     a, b = LoopbackTransport.pair()
     a.send_arrays([ring, (bits1, 1), (bits2, 2)], DEFAULT_RING)
     assert bytes(b._inbox.get()).hex() == (
-        "fe03000000"
-        "0008020200000000000000030000000000000000000000000000"
-        "00efcdab8967452301de9b5713cf8a4602cd69039d36d06903bc37af269e158d04"
+        "fe"
+        "0000000000000000efcdab8967452301de9b5713cf8a4602cd69039d36d06903bc37af269e158d04"
         "ab055bb0055bb005"
-        "0801010d00000000000000e318"
-        "0902010700000000000000e424"
+        "e318"
+        "e424"
     )
     a.send_control(b"job")
     assert bytes(b._inbox.get()).hex() == "ff6a6f62"
-    assert (a.stats.payload_bytes_sent, a.stats.overhead_bytes_sent) == (52, 50)
+    assert (a.stats.payload_bytes_sent, a.stats.overhead_bytes_sent) == (52, 5)
     assert a.stats.control_bytes_sent == 8
 
 
@@ -201,6 +200,7 @@ def _record(code: int, width: int, dims, payload: bytes = b"") -> bytes:
 
 
 def _round(count: int, body: bytes) -> bytes:
+    """A round frame in the layout that prefixed a count and array records."""
     return b"\xfe" + struct.pack("<I", count) + body
 
 
@@ -224,20 +224,49 @@ HOSTILE_RECORDS = {
     "trailing-bytes": _GOOD + b"\x00",
 }
 
-#: the same records as the only array of a round frame, plus the ways a
-#: round frame itself can lie about its contents
+#: the round every hostile round frame is received as: one ring element, a
+#: 1-bit plane of 13 and a 2-bit digit tensor of 7 (8 + 2 + 2 payload bytes)
+ROUND_LAYOUT = [
+    np.zeros(1, dtype=np.uint64),
+    (np.zeros(13, dtype=np.uint8), 1),
+    (np.zeros((7, 1), dtype=np.uint8), 2),
+]
+_EXACT = b"\xfe" + bytes(range(1, 13))
+
+#: the records above as the array of a round frame laid out as they used to
+#: be, the ways such a frame could lie about its count, and the frames one
+#: byte off the layout: every one has a length other than the round's
 HOSTILE_ROUNDS = {
     **{name: _round(1, record) for name, record in HOSTILE_RECORDS.items()},
     "count-overruns-frame": _round(2, _GOOD),
     "count-2^32-1-of-nothing": _round(2**32 - 1, b""),
     "no-count": b"\xfe\x01",
+    "one-byte-short": _EXACT[:-1],
+    "one-byte-long": _EXACT + b"\x00",
 }
 
 
-def _recv_arrays_over_loopback(frame: bytes) -> None:
+def _recv_arrays_over_loopback(frame: bytes):
     a, b = LoopbackTransport.pair(timeout=5.0)
     a._put_frame(frame)
-    b.recv_arrays()
+    return b.recv_arrays(ROUND_LAYOUT, DEFAULT_RING)
+
+
+def test_a_round_frame_of_exactly_its_layouts_length_decodes():
+    """The positive control of the hostile rounds: same layout, right
+    length.  The arrays own their memory: scribbling over the received
+    frame afterwards changes none of them."""
+    frame = bytearray(_EXACT)
+    arrays = _recv_arrays_over_loopback(frame)
+    expected = [
+        np.array([0x0807060504030201], dtype=np.uint64),
+        unpack_sub_byte(bytes([9, 10]), 13, 1),
+        unpack_sub_byte(bytes([11, 12]), 7, 2).reshape(7, 1),
+    ]
+    frame[1:] = bytes(12)
+    for array, reference in zip(arrays, expected):
+        assert array.dtype == reference.dtype
+        np.testing.assert_array_equal(array, reference)
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,9 @@ def _loopback_logits(plan, weights, x):
             # rounds are the only data frames on the link
             assert stats.frames_sent == stats.round_frames_sent > 0
             assert stats.frames_received == stats.round_frames_received > 0
+            # a round frame is its payloads plus the length prefix and code byte
+            assert stats.overhead_bytes_sent == 5 * stats.round_frames_sent
+            assert stats.overhead_bytes_received == 5 * stats.round_frames_received
             assert pool.remaining == 0
             assert execution.fused_kernel_calls > 0
             shares[party] = execution.logit_share

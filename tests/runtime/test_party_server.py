@@ -174,6 +174,46 @@ class TestPoolBuffer:
         assert (server.metrics.get("pool_hits"), server.metrics.get("pool_misses")) == (2, 1)
         assert server.metrics.get("pools_discarded") == 1
 
+    def test_a_job_waits_for_the_pool_the_provisioner_is_generating(self, servable):
+        """Job ``c`` arriving while the provisioner generates counter ``c``
+        takes that pool when it lands: no cold copy, nothing discarded."""
+        server = _server(servable)
+        entry = server._entry("vgg", 1)
+        generate = server._pool_at_seed
+        seeds, started, release = [], threading.Event(), threading.Event()
+
+        def held_generation(entry, seed):
+            seeds.append(seed)
+            started.set()
+            assert release.wait(timeout=30)
+            return generate(entry, seed)
+
+        server._pool_at_seed = held_generation
+        provisioner = threading.Thread(target=server.provision, args=("vgg", 1, 1))
+        provisioner.start()
+        assert started.wait(timeout=30) and entry.generating == 0
+        acquired = []
+        job = threading.Thread(
+            target=lambda: acquired.append(server._acquire_pool(entry, _job(0)))
+        )
+        job.start()
+        deadline = time.monotonic() + 30
+        try:
+            while not server._refill._waiters:  # the job is parked on the refill
+                assert len(seeds) == 1, "the job generated its pool cold"
+                assert time.monotonic() < deadline, "the job did not wait"
+                time.sleep(0.001)
+        finally:
+            release.set()
+        for thread in (provisioner, job):
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        ((pool, hit, seed),) = acquired
+        assert hit and seeds == [seed] == [derive_job_seed(3, "vgg", 1, 0)]
+        assert server.metrics.get("pools_discarded") == 0
+        assert (server.metrics.get("pool_hits"), server.metrics.get("pool_misses")) == (1, 0)
+        assert entry.generating is None and not entry.pools
+
 
 class TestPersistentPartyServer:
     def test_job_stream_is_bit_identical_per_job(self, servable, warm_pool):

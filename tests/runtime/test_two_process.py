@@ -9,6 +9,9 @@ in both directions.
 
 from __future__ import annotations
 
+import pickle
+import time
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from repro.crypto.plan import compile_plan
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.runtime import ShardFailure, run_two_process_inference
+from repro.runtime import ServerConfig, ShardFailure, WorkerShard, run_two_process_inference
 from repro.runtime.party import predicted_direction_bytes
 
 
@@ -118,3 +121,32 @@ class TestTwoProcessExecution:
         for process in shard.processes:
             assert not process.is_alive()
             assert process.exitcode is not None  # joined, not abandoned
+
+
+@pytest.mark.parametrize(
+    "garbage",
+    [b"not a pickle", pickle.dumps({"job": "not a JobRequest"})],
+    ids=["unpicklable", "not-a-job-request"],
+)
+def test_garbled_control_pipe_input_fails_the_next_job_and_leaves_no_process(garbage):
+    """Bytes on a party's control pipe that are not a message it knows end
+    that party: the next job fails fast as a ShardFailure, and the shard's
+    kill reaps both processes."""
+    spec = vgg_tiny(input_size=8).with_all_polynomial()
+    plan = compile_plan(spec, batch_size=1)
+    config = ServerConfig(
+        base_seed=0, plans={(spec.name, 1): plan}, weights={spec.name: _trained(spec)}
+    )
+    shard = WorkerShard(0, config, timeout=30.0)
+    try:
+        shard._pipes[0].send_bytes(garbage)
+        start = time.perf_counter()
+        with pytest.raises(ShardFailure, match="party 0"):
+            shard.run_job(spec.name, plan, np.zeros((1, 3, 8, 8)))
+        assert time.perf_counter() - start < 5.0
+        assert not shard.alive
+    finally:
+        shard.kill()
+    assert len(shard.processes) == 2
+    for process in shard.processes:
+        assert not process.is_alive()
