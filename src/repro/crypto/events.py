@@ -3,24 +3,24 @@
 The online protocols are written as *phase generators* (see
 :mod:`repro.crypto.protocols.registry`): pure local computation punctuated by
 ``yield``\\ ed **round groups** — tuples of :class:`CommEvent` whose messages
-are mutually independent and may therefore share one network round.  The
-driver that consumes a generator decides how the events hit the wire:
+are mutually independent and may therefore share one network round.  A
+channel's one verb, :meth:`repro.crypto.channel.Channel.run_round`, performs
+a round of events; the driver that consumes a generator decides how many
+events each round holds:
 
 - the round-coalescing executor (:mod:`repro.crypto.scheduler`) — the one
-  runtime path — hands each whole group to
-  :meth:`repro.crypto.channel.Channel.run_round`, which puts at most one
-  framed message per direction on the wire per round;
-- :func:`run_phases` (this module) performs every event of a group
-  individually against ``ctx.channel`` — the *sequential* reference
+  runtime path — hands each whole group to ``run_round``, which puts at
+  most one framed message per direction on the wire per round;
+- :func:`run_phases` (this module) performs every event of a group as a
+  round of its own against ``ctx.channel`` — the *sequential* reference
   semantics.  The standalone protocol functions (``secure_relu(ctx, x)``)
   use it, and :func:`run_reference` drives a whole plan through it: the
   **oracle** that tests and benchmark gates compare the runtime against.
 
-Protocol code never calls ``channel.open_ring``/``open_bits``/``transfer``
-directly anymore; it *describes* the communication as events and lets the
-scheduler drive the channel.  The event results delivered back into the
-generator are exactly what the corresponding channel method would have
-returned, so the local math is oblivious to the driving mode.
+Protocol code describes its communication as events built with
+:func:`open_ring_event`, :func:`open_bits_event` and :func:`transfer_event`.
+The result a round delivers for an event does not depend on which other
+events share the round, so the local math is oblivious to the driving mode.
 """
 
 from __future__ import annotations
@@ -186,33 +186,13 @@ def group_direction_bytes(
     return total0, total1
 
 
-def perform_event(channel, event: CommEvent):
-    """Execute one event against a channel, exactly as the legacy direct
-    calls did (same logging, same tags, same return value)."""
-    if event.kind == OPEN_RING:
-        return channel.open_ring(event.payload0, event.payload1, tag=event.tag)
-    if event.kind == OPEN_BITS:
-        return channel.open_bits(
-            event.payload0, event.payload1, tag=event.tag, element_bits=event.element_bits
-        )
-    if event.kind == TRANSFER:
-        return channel.transfer(
-            event.sender,
-            event.receiver,
-            event.payload0,
-            tag=event.tag,
-            element_bits=event.element_bits,
-        )
-    raise ValueError(f"unknown comm event kind {event.kind!r}")
-
-
 def run_phases(ctx, gen):
     """Drive a phase generator sequentially (the reference semantics).
 
-    Every event of every yielded group is performed individually against
-    ``ctx.channel`` in group order, which reproduces the pre-refactor wire
-    conversation byte for byte: grouping carries *scheduling freedom*, not a
-    semantic change.  Returns the generator's return value.
+    Every event of every yielded group is performed as a round of one
+    event against ``ctx.channel``, in group order: grouping carries
+    *scheduling freedom*, not a semantic change.  Returns the generator's
+    return value.
     """
     results: Optional[Sequence] = None
     while True:
@@ -220,7 +200,7 @@ def run_phases(ctx, gen):
             group = gen.send(results)
         except StopIteration as stop:
             return stop.value
-        results = tuple(perform_event(ctx.channel, event) for event in as_group(group))
+        results = tuple(ctx.channel.run_round((event,))[0] for event in as_group(group))
 
 
 def run_reference(ctx, plan, weights, inputs, pool=None):

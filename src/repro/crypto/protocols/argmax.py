@@ -17,6 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
+from repro.crypto.events import open_ring_event
 from repro.crypto.protocols.comparison import drelu, select
 from repro.crypto.sharing import SharePair, add_shares, sub_shares
 
@@ -68,7 +69,7 @@ def secure_argmax(
         delta = select(ctx, index_gap, bit, tag=f"{tag}/idx{index}")
         index_shares = add_shares(index_shares, delta)
 
-    revealed = ctx.channel.open_ring(
-        index_shares.share0, index_shares.share1, tag=f"{tag}/open"
+    (revealed,) = ctx.channel.run_round(
+        (open_ring_event(index_shares.share0, index_shares.share1, tag=f"{tag}/open"),)
     )
     return revealed.astype(np.int64), current_value

@@ -21,6 +21,8 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
+from multiprocessing.util import register_after_fork
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -204,6 +206,10 @@ class WorkerShard:
         try:
             for party in (0, 1):
                 parent_conn, child_conn = mp.Pipe()
+                # every process forked from here on (this shard's parties,
+                # other shards', respawns) drops its copy of the driver's
+                # end, so a party reads EOF once the driver closes or dies
+                register_after_fork(parent_conn, Connection.close)
                 process = mp.Process(
                     target=run_party_server,
                     args=(child_conn, self._beats[party], party, host, port),

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,29 @@ def _seed_all():
     """Make every test deterministic."""
     seed_everything(1234)
     yield
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _module_leaves_no_process_or_thread():
+    """After each test module, no child process is alive (allowing 2 s for
+    exits in flight) and no non-daemon thread the module started still runs.
+
+    A leaked party process or worker thread fails the module that leaked it,
+    not a later run that hangs on it.  File descriptors are not checked.
+    """
+    before = set(threading.enumerate())
+    yield
+
+    def leaks():
+        threads = [t for t in threading.enumerate() if t not in before and not t.daemon]
+        return multiprocessing.active_children(), threads
+
+    deadline = time.monotonic() + 2.0
+    while any(leaks()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    children, threads = leaks()
+    assert not children, f"child processes outlived the module: {children}"
+    assert not threads, f"non-daemon threads outlived the module: {threads}"
 
 
 @pytest.fixture

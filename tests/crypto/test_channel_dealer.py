@@ -7,6 +7,7 @@ import pytest
 
 from repro.crypto.channel import Channel, CommunicationLog, Message
 from repro.crypto.dealer import TrustedDealer
+from repro.crypto.events import open_ring_event, transfer_event
 from repro.crypto.andgates import unpack_planes
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import reconstruct_ring
@@ -14,48 +15,47 @@ from repro.crypto.sharing import reconstruct_ring
 
 class TestChannel:
     def test_byte_accounting_for_ring_elements(self):
-        channel = Channel(element_bytes=4)
-        channel.send(0, 1, np.zeros(10, dtype=np.uint64))
+        channel = Channel(ring=PAPER_RING)  # 32-bit ring: 4 bytes per element
+        channel.run_round([transfer_event(0, 1, np.zeros(10, dtype=np.uint64))])
         assert channel.total_bytes == 40
 
     def test_byte_accounting_for_bit_payloads(self):
-        channel = Channel(element_bytes=4)
-        channel.send(0, 1, np.zeros(10, dtype=np.uint8))
+        channel = Channel(ring=PAPER_RING)
+        channel.run_round([transfer_event(0, 1, np.zeros(10, dtype=np.uint8))])
         assert channel.total_bytes == 10
 
     def test_round_counting(self):
         channel = Channel()
-        channel.send(0, 1, np.zeros(1, dtype=np.uint8), tag="a")
-        channel.send(0, 1, np.zeros(1, dtype=np.uint8), tag="b")
-        channel.send(1, 0, np.zeros(1, dtype=np.uint8), tag="c")
-        channel.send(0, 1, np.zeros(1, dtype=np.uint8), tag="d")
+        for sender, tag in ((0, "a"), (0, "b"), (1, "c"), (0, "d")):
+            channel.run_round([transfer_event(sender, 1 - sender, np.zeros(1, np.uint8), tag)])
         assert channel.rounds == 3
 
     def test_exchange_counts_both_directions(self):
-        channel = Channel(element_bytes=8)
-        channel.exchange(np.zeros(3, dtype=np.uint64), np.zeros(3, dtype=np.uint64))
+        channel = Channel()  # 64-bit ring: 8 bytes per element
+        zeros = np.zeros(3, dtype=np.uint64)
+        channel.run_round([open_ring_event(zeros, zeros)])
         assert channel.total_bytes == 48
 
     def test_rejects_self_send(self):
         with pytest.raises(ValueError):
-            Channel().send(0, 0, np.zeros(1))
+            Channel().run_round([transfer_event(0, 0, np.zeros(1))])
 
     def test_reset_clears_log(self):
         channel = Channel()
-        channel.send(0, 1, np.zeros(5, dtype=np.uint64))
+        channel.run_round([transfer_event(0, 1, np.zeros(5, dtype=np.uint64))])
         channel.reset()
         assert channel.total_bytes == 0 and channel.rounds == 0
 
-    def test_bytes_by_tag(self):
+    def test_log_totals_sum_every_message(self):
         log = CommunicationLog(
-            messages=[Message(0, 1, 10, "a"), Message(1, 0, 5, "a"), Message(0, 1, 7, "b")]
+            messages=[Message(0, 1, 10, 10), Message(1, 0, 5, 40), Message(0, 1, 7, 7)]
         )
-        assert log.bytes_by_tag() == {"a": 15, "b": 7}
+        assert (log.total_bytes, log.total_unpacked_bytes, log.rounds) == (22, 57, 3)
 
     def test_payload_returned_unchanged(self):
         channel = Channel()
         payload = np.arange(4, dtype=np.uint64)
-        received = channel.send(0, 1, payload)
+        (received,) = channel.run_round([transfer_event(0, 1, payload)])
         np.testing.assert_array_equal(received, payload)
 
 

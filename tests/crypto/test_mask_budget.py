@@ -30,7 +30,7 @@ import pytest
 from repro.crypto import compile_plan, make_context, share
 from repro.crypto.andgates import and_terms
 from repro.crypto.dealer import TrustedDealer
-from repro.crypto.events import as_group, event_payload_arrays, perform_event
+from repro.crypto.events import as_group, event_payload_arrays
 from repro.crypto.protocols.comparison import millionaire_gt_phases
 from repro.crypto.protocols.registry import get_handler
 from repro.models.builder import build_model, export_layer_weights
@@ -122,7 +122,7 @@ def _round_groups(build, polynomial, batch):
                     masks[cls] = masks.get(cls, 0) + bits
             dealer.drawn = []
             groups.append((tuple(event.tag for event in group), sent, masks))
-            results = tuple(perform_event(ctx.channel, event) for event in group)
+            results = tuple(ctx.channel.run_round(group))
     return groups
 
 
@@ -166,7 +166,7 @@ def _received_by_s1(n: int = 1 << 14):
             return received
         for event in group:
             received[event.tag.rsplit("/", 1)[1]] = event.payload0
-        results = tuple(perform_event(ctx.channel, event) for event in group)
+        results = tuple(ctx.channel.run_round(group))
 
 
 def _assert_balanced(rows: np.ndarray) -> None:

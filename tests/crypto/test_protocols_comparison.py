@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import PartyChannel, make_context, reconstruct, share
-from repro.crypto.events import as_group, perform_event
+from repro.crypto.events import as_group
 from repro.crypto.kernels import KernelContext, dead_lane
 from repro.crypto.plan import PreprocessingManifest, record_phases
 from repro.crypto.protocols.comparison import (
@@ -161,15 +161,13 @@ class TestLogDepthTree:
         gen = millionaire_gt_phases(ctx, a, b, bit_width=bit_width)
         groups = 0
         feed = None
-        from repro.crypto.events import perform_event
-
         while True:
             try:
                 group = as_group(gen.send(feed))
             except StopIteration:
                 break
             groups += 1
-            feed = tuple(perform_event(ctx.channel, event) for event in group)
+            feed = tuple(ctx.channel.run_round(group))
         assert groups == 1 + expected_levels  # OT + tree levels
 
     def test_trace_matches_sequential_execution_exactly(self, ctx, rng):
@@ -329,7 +327,7 @@ class TestOneRoundSelect:
         x = share(np.zeros(n), ctx.ring, np.random.default_rng(34))
         gen = select_phases(ctx, x, (b, np.zeros(n, dtype=np.uint8)))
         group = as_group(gen.send(None))
-        opened = [perform_event(ctx.channel, event) for event in group]
+        opened = ctx.channel.run_round(group)
         assert abs(float(opened[0].mean()) - 0.5) <= 0.02
 
     def test_dabit_reconstructs_consistently(self):
@@ -566,7 +564,7 @@ class TestMultiInputAndTree:
             if fused:
                 ctx.kernels = KernelContext()
             event, finish = _and_prepare(ctx, [(radix, outputs, (mask, x ^ mask))], "t")
-            (z,) = finish(perform_event(ctx.channel, event))
+            (z,) = finish(ctx.channel.run_round((event,))[0])
             results.append(z)
         for lane in (0, 1):
             np.testing.assert_array_equal(results[0][lane], results[1][lane])

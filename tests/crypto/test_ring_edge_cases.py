@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.crypto import make_context, reconstruct, share
+from repro.crypto.events import transfer_event
 from repro.crypto.protocols.arithmetic import multiply, square
 from repro.crypto.protocols.comparison import drelu
 from repro.crypto.ring import FixedPointRing
@@ -47,7 +48,7 @@ class TestAlternativeRings:
     def test_channel_element_bytes_follow_ring(self):
         ring = FixedPointRing(ring_bits=32, frac_bits=12)
         ctx = make_context(ring=ring, seed=3)
-        ctx.channel.send(0, 1, np.zeros(10, dtype=np.uint64))
+        ctx.channel.run_round([transfer_event(0, 1, np.zeros(10, dtype=np.uint64))])
         assert ctx.channel.total_bytes == 40  # 4 bytes per 32-bit element
 
 

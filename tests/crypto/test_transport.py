@@ -23,6 +23,7 @@ import repro.crypto.transport as transport_module
 from repro.crypto.channel import Channel, PartyChannel
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import TrustedDealer
+from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import SharePair, share
 from repro.crypto.transport import (
@@ -283,7 +284,7 @@ class TestSimulatedVsPartyChannelParity:
                 local = genuine
             else:
                 local = np.full_like(genuine, 99)  # garbage on the receiver
-            return ctx.channel.transfer(0, 1, local, tag="ot")
+            return ctx.channel.run_round([transfer_event(0, 1, local, tag="ot")])[0]
 
         results = _run_two_party_threads(program)
         np.testing.assert_array_equal(results[0][0], genuine)
@@ -291,57 +292,71 @@ class TestSimulatedVsPartyChannelParity:
 
 
 class TestCommunicationLogEdgeCases:
-    """Satellite: CommunicationLog.rounds / bytes_by_tag edge cases."""
+    """Satellite: CommunicationLog.rounds and per-round logging edge cases."""
+
+    @staticmethod
+    def _send(channel, sender, payload):
+        channel.run_round([transfer_event(sender, 1 - sender, payload)])
 
     def test_empty_log_has_zero_rounds_and_bytes(self):
         channel = Channel()
         assert channel.rounds == 0
         assert channel.total_bytes == 0
-        assert channel.log.bytes_by_tag() == {}
+        assert channel.log.messages == []
 
     def test_single_message_is_one_round(self):
         channel = Channel()
-        channel.send(0, 1, np.zeros(1, dtype=np.uint8))
+        self._send(channel, 0, np.zeros(1, dtype=np.uint8))
         assert channel.rounds == 1
 
     def test_same_sender_streak_stays_one_round(self):
         channel = Channel()
         for _ in range(5):
-            channel.send(1, 0, np.zeros(2, dtype=np.uint8))
+            self._send(channel, 1, np.zeros(2, dtype=np.uint8))
         assert channel.rounds == 1
 
     def test_alternation_counts_every_direction_change(self):
         channel = Channel()
         for i in range(6):
-            channel.send(i % 2, 1 - i % 2, np.zeros(1, dtype=np.uint8))
+            self._send(channel, i % 2, np.zeros(1, dtype=np.uint8))
         assert channel.rounds == 6
 
-    def test_bytes_by_tag_aggregates_and_keeps_untagged(self):
-        channel = Channel(element_bytes=8)
-        channel.send(0, 1, np.zeros(2, dtype=np.uint64), tag="open")
-        channel.send(1, 0, np.zeros(3, dtype=np.uint64), tag="open")
-        channel.send(0, 1, np.zeros(4, dtype=np.uint8))
-        assert channel.log.bytes_by_tag() == {"open": 40, "": 4}
+    def test_a_round_logs_one_summed_message_per_direction(self):
+        channel = Channel()  # 64-bit ring: 8 bytes per element
+        channel.run_round(
+            [
+                transfer_event(0, 1, np.zeros(2, dtype=np.uint64), tag="open"),
+                transfer_event(1, 0, np.zeros(3, dtype=np.uint64), tag="open"),
+                transfer_event(0, 1, np.zeros(4, dtype=np.uint8)),
+            ]
+        )
+        assert [(m.sender, m.receiver, m.num_bytes) for m in channel.log.messages] == [
+            (0, 1, 20),
+            (1, 0, 24),
+        ]
 
     def test_clear_resets_everything(self):
         channel = Channel()
-        channel.send(0, 1, np.zeros(3, dtype=np.uint64), tag="x")
+        self._send(channel, 0, np.zeros(3, dtype=np.uint64))
         channel.log.clear()
-        assert channel.log.bytes_by_tag() == {}
+        assert channel.log.messages == []
         assert channel.rounds == 0
 
-    def test_zero_size_payload_counts_zero_bytes_but_one_round(self):
+    def test_zero_size_payload_logs_no_message(self):
         channel = Channel()
-        channel.send(0, 1, np.zeros(0, dtype=np.uint64), tag="empty")
+        (received,) = channel.run_round(
+            [transfer_event(0, 1, np.zeros(0, dtype=np.uint64), tag="empty")]
+        )
+        assert received.size == 0
         assert channel.total_bytes == 0
-        assert channel.rounds == 1
-        assert channel.log.bytes_by_tag() == {"empty": 0}
+        assert channel.rounds == 0
+        assert channel.log.messages == []
 
     def test_open_ring_logs_one_exchange_and_returns_sum(self):
         ctx = make_context(seed=0)
         a = ctx.ring.random((4,), ctx.rng)
         b = ctx.ring.random((4,), ctx.rng)
-        opened = ctx.channel.open_ring(a, b, tag="open")
+        (opened,) = ctx.channel.run_round([open_ring_event(a, b, tag="open")])
         np.testing.assert_array_equal(opened, ctx.ring.add(a, b))
         assert ctx.channel.total_bytes == 2 * 4 * ctx.channel.element_bytes
         assert ctx.channel.rounds == 2  # one message each direction
@@ -350,7 +365,7 @@ class TestCommunicationLogEdgeCases:
         ctx = make_context(seed=0)
         bits0 = np.array([1, 0, 1, 1], dtype=np.uint8)
         bits1 = np.array([1, 1, 0, 1], dtype=np.uint8)
-        opened = ctx.channel.open_bits(bits0, bits1, tag="and")
+        (opened,) = ctx.channel.run_round([open_bits_event(bits0, bits1, tag="and")])
         np.testing.assert_array_equal(opened, bits0 ^ bits1)
         # 4 bits per direction ride one packed byte each (frame format v2)
         assert ctx.channel.total_bytes == 2
@@ -493,8 +508,6 @@ class TestRoundFrames:
     def test_party_channels_run_coalesced_rounds_like_the_simulation(self):
         """run_round over a real transport: same results, same coalesced log
         as the simulated channel."""
-        from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
-
         rng = np.random.default_rng(0)
         s0 = DEFAULT_RING.random((4,), rng)
         s1 = DEFAULT_RING.random((4,), rng)

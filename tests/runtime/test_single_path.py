@@ -24,6 +24,7 @@ import repro.runtime
 import repro.runtime.party
 import repro.serve
 from repro.crypto import make_context
+from repro.crypto.channel import Channel
 from repro.crypto.kernels import KernelContext
 from repro.crypto.protocols.registry import ProtocolHandler, register_protocol
 from repro.crypto.secure_model import SecureInferenceEngine
@@ -343,6 +344,19 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.protocols.registry", "OpTrace.exchange"),
         ("repro.crypto.protocols.registry", "OpTrace.group"),
         ("repro.crypto.protocols.registry", "OpTrace.extend"),
+        ("repro.crypto.events", "perform_event"),
+        ("repro.crypto.channel", "Channel.send"),
+        ("repro.crypto.channel", "Channel.exchange"),
+        ("repro.crypto.channel", "Channel.open_ring"),
+        ("repro.crypto.channel", "Channel.open_bits"),
+        ("repro.crypto.channel", "Channel.transfer"),
+        ("repro.crypto.channel", "Channel._payload_bytes"),
+        ("repro.crypto.channel", "PartyChannel.send"),
+        ("repro.crypto.channel", "PartyChannel.open_ring"),
+        ("repro.crypto.channel", "PartyChannel.open_bits"),
+        ("repro.crypto.channel", "PartyChannel.transfer"),
+        ("repro.crypto.channel", "CommunicationLog.bytes_by_tag"),
+        ("repro.crypto.channel", "Message.tag"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -365,6 +379,8 @@ def test_deleted_module_and_method_stay_deleted():
     # the OT simulator only tests called: the comparison runs its own OT
     assert importlib.util.find_spec("repro.crypto.ot") is None
     assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
+    # a channel derives its element width from its ring; run_round is its verb
+    assert list(inspect.signature(Channel.__init__).parameters) == ["self", "ring"]
     assert not hasattr(repro.crypto.transport.TcpTransport, "listen")
     # the one-round select replaced the daBit B2A and its finish kernel
     assert "b2a-finish" not in repro.crypto.kernels.KERNELS

@@ -150,3 +150,23 @@ def test_garbled_control_pipe_input_fails_the_next_job_and_leaves_no_process(gar
     assert len(shard.processes) == 2
     for process in shard.processes:
         assert not process.is_alive()
+
+
+def test_parties_exit_cleanly_once_the_driver_closes_their_control_pipes():
+    """A party reads end-of-file on its control pipe as "the driver is
+    gone" and exits 0: no forked process may hold the driver's end open."""
+    spec = vgg_tiny(input_size=8).with_all_polynomial()
+    plan = compile_plan(spec, batch_size=1)
+    config = ServerConfig(
+        base_seed=0, plans={(spec.name, 1): plan}, weights={spec.name: _trained(spec)}
+    )
+    shard = WorkerShard(0, config, timeout=30.0)
+    try:
+        for conn in shard._pipes:
+            conn.close()
+        deadline = time.monotonic() + 5.0
+        for process in shard.processes:
+            process.join(timeout=max(deadline - time.monotonic(), 0.0))
+        assert [process.exitcode for process in shard.processes] == [0, 0]
+    finally:
+        shard.kill()
