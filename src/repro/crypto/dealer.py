@@ -1,8 +1,11 @@
 """Trusted dealer for correlated randomness (offline phase).
 
-The online 2PC protocols consume Beaver triples (for products), Beaver pairs
-(for squares), multi-input AND items (mask products for the comparison
-tree's combines) and daBits (for the one-round ReLU/MaxPool multiplexer).
+The online 2PC protocols consume four kinds of correlated randomness:
+Beaver triples (``triple``, for products), Beaver pairs (``square``, Eq. 3),
+multi-input AND items (``bit``: XOR shares of a comparison-tree combine's
+mask planes, bit-packed) and daBits (``dabit``: a random bit ``r`` both
+XOR- and additively shared, next to shares of a random ``a`` and of ``r·a``,
+for the one-round ReLU/MaxPool multiplexer).
 In deployments this correlated randomness is produced by an OT-based or
 HE-based offline phase; the paper (like CrypTen and Delphi) separates it
 from the online latency it reports, so the reproduction models it as a local
@@ -13,8 +16,13 @@ A compiled plan runs only against a :class:`RandomnessPool`:
 :meth:`TrustedDealer.preprocess` draws every request of the plan's manifest
 up front, and the online phase serves from the pool without a single
 generation call — the executable counterpart of the offline/online split of
-Fig. 3.  A protocol called on its own (outside a plan) draws its items from
-the dealer one at a time (:meth:`TrustedDealer.triple` and friends).
+Fig. 3.  Dealer and pool share one verb, ``draw(kind, shape)``: a protocol
+called on its own (outside a plan) draws its items from the dealer one at a
+time, a plan's ops pop theirs from the pool.  An item is the row of its
+group keyed by field stem (:data:`PARTY_FIELDS`): each ring-word share pair
+one :class:`~repro.crypto.sharing.SharePair` (``a``, ``b``, ``z``,
+``arith``, ``ra``), each bit plane its two arrays (``lam0``/``lam1``,
+``r0``/``r1``).
 
 Stream layout
 -------------
@@ -41,7 +49,7 @@ Stream layout
 So ``preprocess`` draws each group as one stacked generator call and is
 still bit-identical to per-item draws at the same seed.  A group is a dict
 of stacked share arrays — e.g. the ``a0`` shares of 64 triples of shape
-``(4, 4)`` form one ``(64, 4, 4)`` array — and a pool item is a set of row
+``(4, 4)`` form one ``(64, 4, 4)`` array — and an item is a set of row
 views into it, so party restriction operates on whole stacks, never items.
 """
 
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import Counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -196,6 +204,23 @@ def _layout(ring: FixedPointRing, kind: str, shape: Tuple[int, ...]) -> Tuple[_S
     raise ValueError(f"unknown randomness kind {kind!r}")
 
 
+def material_bytes(
+    ring: FixedPointRing, kind: str, shape: Tuple[int, ...], word_bytes: int = 0
+) -> int:
+    """Bytes of randomness material the dealer ships for one item.
+
+    A Beaver triple is three shared tensors (two shares each), a square
+    pair two, an AND item two shares of each plane packed eight bits a
+    byte, a daBit one bit byte plus three ring elements (``r``, ``a``,
+    ``r·a``) per party.  A ring element counts ``word_bytes``, by default
+    its wire width.
+    """
+    eb = word_bytes or ring.ring_bits // 8
+    if kind == "bit":
+        return 2 * len(and_terms(shape[0], shape[1])[2]) * plane_bytes(shape[2:])
+    return 2 * numel(shape) * {"triple": 3 * eb, "square": 2 * eb, "dabit": 1 + 3 * eb}[kind]
+
+
 def _world1(
     ring: FixedPointRing, kind: str, shape: Tuple[int, ...], v: Dict[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
@@ -294,88 +319,30 @@ def draw_group(
     return out
 
 
-@dataclass
-class BeaverTriple:
-    """Shares of (A, B, Z) with Z = A ⊗ B for a generic product ⊗."""
-
-    a: SharePair
-    b: SharePair
-    z: SharePair
-
-
-@dataclass
-class BeaverPair:
-    """Shares of (A, Z) with Z = A ⊙ A (elementwise), used by the square protocol."""
-
-    a: SharePair
-    z: SharePair
-
-
-@dataclass
-class AndMasks:
-    """XOR shares of one multi-input AND item: the planes of its
-    :class:`~repro.crypto.andgates.AndTable` — a fresh mask per opened input,
-    then every mask-subset product the combine's monomials expand to.
-
-    An item of shape ``(radix, outputs) + S`` holds ``(planes, B)`` per
-    share: each plane bit-packed over ``S``, ``B = ceil(|S| / 8)`` bytes
-    (:func:`~repro.crypto.andgates.unpack_planes` restores ``S``).
-    ``(2, 1) + S`` is a plain AND gate: two masks and their product.
-    """
-
-    lam0: np.ndarray
-    lam1: np.ndarray
-
-
-@dataclass
-class DaBit:
-    """A doubly-shared random bit with a Beaver half-triple (ABY3-style).
-
-    The same uniformly random bit ``r`` is held both XOR-shared (``r0 ^ r1 =
-    r``) and additively shared over the ring (``arith`` reconstructs to the
-    0/1 integer ``r``), next to additive shares of a random ring element
-    ``a`` and of the product ``r·a``.  One item turns the multiplexer
-    ``[b·x]`` into a single round: open ``c = b ^ r`` (one bit) and ``e = x
-    - a`` (one ring word), then ``[b·x] = c·[x] + (1 - 2c)·(e·[r] + [r·a])``
-    locally — no Beaver triple, no second round.
-    """
-
-    r0: np.ndarray
-    r1: np.ndarray
-    arith: SharePair
-    a: SharePair
-    ra: SharePair
-
-
-def _item(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: int):
-    """The item at ``row`` of a stacked group: every field is a row *view*
-    into the stacks, never a copy."""
-
-    def pair(name: str) -> SharePair:
-        return SharePair(arrays[name + "0"][row], arrays[name + "1"][row], ring)
-
-    if kind == "triple":
-        return BeaverTriple(a=pair("a"), b=pair("b"), z=pair("z"))
-    if kind == "square":
-        return BeaverPair(a=pair("a"), z=pair("z"))
-    if kind == "bit":
-        return AndMasks(lam0=arrays["lam0"][row], lam1=arrays["lam1"][row])
-    if kind == "dabit":
-        r0, r1 = arrays["r0"][row], arrays["r1"][row]
-        return DaBit(r0=r0, r1=r1, arith=pair("arith"), a=pair("a"), ra=pair("ra"))
-    raise ValueError(f"kind {kind!r} has no pool item form")
+def _row(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: int) -> Dict:
+    """The item at ``row`` of a stacked group, keyed by field stem: a ring-word
+    share pair is one :class:`SharePair`, a bit plane keeps its two arrays.
+    Every array is a row *view* into the stacks, never a copy."""
+    item: Dict[str, object] = {}
+    for name0, name1 in zip(*PARTY_FIELDS[kind]):
+        share0, share1 = arrays[name0][row], arrays[name1][row]
+        if share0.dtype == np.uint8:
+            item[name0], item[name1] = share0, share1
+        else:
+            item[name0[:-1]] = SharePair(share0, share1, ring)
+    return item
 
 
 class TrustedDealer:
-    """Generates correlated randomness for the online protocols."""
+    """Generates correlated randomness for the online protocols;
+    ``generated[kind]`` counts the elements drawn per kind (a general
+    product's triple counts its output under ``triple-generic``)."""
 
     def __init__(self, ring: FixedPointRing = DEFAULT_RING, seed: int = 0) -> None:
         self.ring = ring
         self.seed = int(seed)
         self._streams: Dict[Tuple, np.random.Generator] = {}
-        self.triples_generated = 0
-        self.and_planes_generated = 0
-        self.dabits_generated = 0
+        self.generated: Dict[str, int] = Counter()
 
     def _stream(self, kind: str, *shapes: Tuple[int, ...]) -> np.random.Generator:
         """The (cached) generator of one substream.
@@ -391,69 +358,39 @@ class TrustedDealer:
             self._streams[key] = rng
         return rng
 
-    def _count_group(self, kind: str, shape: Tuple[int, ...], count: int) -> None:
-        elements = count * item_elements(kind, shape)
-        if kind in ("triple", "square"):
-            self.triples_generated += elements
-        elif kind == "bit":
-            self.and_planes_generated += elements
-        elif kind == "dabit":
-            self.dabits_generated += elements
-
-    def _draw_item(self, kind: str, shape: Tuple[int, ...]):
-        """One item of a (kind, shape) group: a one-row group draw."""
+    # -- per-item draws (protocols called outside a plan) --------------------- #
+    def draw(self, kind: str, shape: Tuple[int, ...]) -> Dict:
+        """One item of a (kind, shape) group: the row of a one-row group draw."""
         shape = tuple(shape)
         arrays = draw_group(self.ring, self._stream(kind, shape), kind, shape, 1)
-        self._count_group(kind, shape, 1)
-        return _item(self.ring, kind, arrays, 0)
+        self.generated[kind] += item_elements(kind, shape)
+        return _row(self.ring, kind, arrays, 0)
 
-    # -- per-item draws (protocols called outside a plan) --------------------- #
     def triple(
         self,
         shape_a: Tuple[int, ...],
         shape_b: Tuple[int, ...],
         product: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> BeaverTriple:
-        """Generate a Beaver triple for an arbitrary bilinear product.
+    ) -> Dict[str, SharePair]:
+        """A Beaver triple for a general bilinear product (never provisioned
+        by a plan: the elementwise one is ``draw("triple", shape)``).
 
         ``product`` maps ring-element arrays of the given shapes to the ring
-        elements of A ⊗ B (e.g. elementwise product, matmul or convolution),
-        and must consist of ring additions/multiplications only so the wrap
-        semantics are preserved.  The elementwise (Hadamard) form — the only
-        one manifests provision — routes through the batched group layout;
-        a generic product keeps its own substream keyed by both shapes.
-        (Bound-method equality compares the underlying function and ring.)
+        elements of A ⊗ B (e.g. matmul or convolution), and must consist of
+        ring additions/multiplications only so the wrap semantics are
+        preserved.  It draws from its own substream keyed by both shapes.
         """
         shape_a, shape_b = tuple(shape_a), tuple(shape_b)
-        if shape_a == shape_b and product == self.ring.mul:
-            return self.elementwise_triple(shape_a)
         rng = self._stream("triple-generic", shape_a, shape_b)
         a_plain = self.ring.random(shape_a, rng)
         b_plain = self.ring.random(shape_b, rng)
         with np.errstate(over="ignore"):
             z_plain = self.ring.wrap(product(a_plain, b_plain))
-        self.triples_generated += numel(z_plain.shape)
-        return BeaverTriple(
-            a=share_ring_elements(a_plain, self.ring, rng),
-            b=share_ring_elements(b_plain, self.ring, rng),
-            z=share_ring_elements(z_plain, self.ring, rng),
-        )
-
-    def elementwise_triple(self, shape: Tuple[int, ...]) -> BeaverTriple:
-        """Beaver triple for the Hadamard product."""
-        return self._draw_item("triple", shape)
-
-    def square_pair(self, shape: Tuple[int, ...]) -> BeaverPair:
-        """Beaver pair (A, A^2) for the square protocol (Eq. 3)."""
-        return self._draw_item("square", shape)
-
-    def and_masks(self, shape: Tuple[int, ...]) -> AndMasks:
-        """Mask products of a multi-input AND item ``(radix, outputs) + S``."""
-        return self._draw_item("bit", shape)
-
-    def dabit(self, shape: Tuple[int, ...]) -> DaBit:
-        """A doubly-shared random bit and half-triple for the one-round select."""
-        return self._draw_item("dabit", shape)
+        self.generated["triple-generic"] += numel(z_plain.shape)
+        return {
+            name: share_ring_elements(plain, self.ring, rng)
+            for name, plain in (("a", a_plain), ("b", b_plain), ("z", z_plain))
+        }
 
     # -- offline phase -------------------------------------------------------- #
     def preprocess(self, plan_or_manifest, party: Optional[int] = None) -> "RandomnessPool":
@@ -474,7 +411,7 @@ class TrustedDealer:
         for kind, shape, count in manifest.grouped_requests():
             rng = self._stream(kind, shape)
             pool.install_group(kind, shape, draw_group(self.ring, rng, kind, shape, count, party))
-            self._count_group(kind, shape, count)
+            self.generated[kind] += count * item_elements(kind, shape)
         pool.restricted_to = party
         return pool
 
@@ -507,14 +444,13 @@ class PreprocessingExhausted(RuntimeError):
 class RandomnessPool:
     """Pre-generated correlated randomness served during the online phase.
 
-    Implements the same ``triple`` / ``square_pair`` / ``and_masks`` /
-    ``dabit`` interface as :class:`TrustedDealer`, so it stands in as
+    Serves :meth:`draw` like :class:`TrustedDealer`, so it stands in as
     ``ctx.dealer`` during plan execution — but it never *generates*: a
     request the offline phase did not provision raises
     :class:`PreprocessingExhausted`.
 
     The pool holds one stacked group per (kind, shape) and a window
-    ``[cursor, stop)`` of the rows it may still serve.  A request builds the
+    ``[cursor, stop)`` of the rows it may still serve.  A draw returns the
     item at the cursor row — row views into the stacks — and advances the
     cursor; :meth:`partition` hands out consecutive windows over the same
     stacks; :meth:`restrict_to_party` swaps the peer's stacks for a
@@ -567,15 +503,15 @@ class RandomnessPool:
             manifest_hash=self.manifest_hash,
         )
 
-    def _pop(self, kind: str, shape: Tuple[int, ...]):
+    def draw(self, kind: str, shape: Tuple[int, ...]) -> Dict:
+        """The item at the cursor row of the (kind, shape) group."""
         key = (kind, tuple(shape))
         window = self._windows.get(key)
         if window is None or window[0] == window[1]:
             raise self._exhausted(kind, shape)
-        row = window[0]
         window[0] += 1
         self.served += 1
-        return _item(self.ring, kind, self._groups[key], row)
+        return _row(self.ring, kind, self._groups[key], window[0] - 1)
 
     # -- party restriction (networked runtime) ------------------------------- #
     def restrict_to_party(self, party: int) -> "RandomnessPool":
@@ -655,36 +591,19 @@ class RandomnessPool:
         self.served += sum(demand.values())
         return pools
 
-    def triple(
-        self,
-        shape_a: Tuple[int, ...],
-        shape_b: Tuple[int, ...],
-        product: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> BeaverTriple:
-        # Elementwise (Hadamard) triples are the only form the manifest
-        # provisions; serving one for a different bilinear product (matmul,
-        # convolution) would yield wrong shares with no error, so reject any
-        # product that is not this ring's elementwise multiplication.
-        # (Bound-method equality compares the underlying function and ring.)
-        if tuple(shape_a) != tuple(shape_b) or product != self.ring.mul:
-            raise PreprocessingExhausted(
-                "the randomness pool only provisions elementwise triples; "
-                f"got operand shapes {tuple(shape_a)} vs {tuple(shape_b)} with "
-                f"product {getattr(product, '__qualname__', product)!r}",
-                kind="triple",
-                shape=tuple(shape_a),
-                manifest_hash=self.manifest_hash,
-            )
-        return self._pop("triple", shape_a)
-
-    def square_pair(self, shape: Tuple[int, ...]) -> BeaverPair:
-        return self._pop("square", shape)
-
-    def and_masks(self, shape: Tuple[int, ...]) -> AndMasks:
-        return self._pop("bit", shape)
-
-    def dabit(self, shape: Tuple[int, ...]) -> DaBit:
-        return self._pop("dabit", shape)
+    def triple(self, shape_a: Tuple[int, ...], shape_b: Tuple[int, ...], product) -> None:
+        """Refuse a general product's triple: the manifest provisions only
+        elementwise ones (``draw("triple", shape)``), and serving one of
+        those for matmul or convolution would yield wrong shares with no
+        error."""
+        raise PreprocessingExhausted(
+            "the randomness pool only provisions elementwise triples; "
+            f"got operand shapes {tuple(shape_a)} vs {tuple(shape_b)} with "
+            f"product {getattr(product, '__qualname__', product)!r}",
+            kind="triple",
+            shape=tuple(shape_a),
+            manifest_hash=self.manifest_hash,
+        )
 
     @property
     def remaining(self) -> int:

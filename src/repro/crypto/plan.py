@@ -351,9 +351,9 @@ class _RecordingDealer(TrustedDealer):
         super().__init__(ring)
         self.requests: List[RandomnessRequest] = []
 
-    def _draw_item(self, kind: str, shape: Tuple[int, ...]):
+    def draw(self, kind: str, shape: Tuple[int, ...]):
         self.requests.append(RandomnessRequest(kind, tuple(shape)))
-        return super()._draw_item(kind, shape)
+        return super().draw(kind, shape)
 
 
 def record_phases(

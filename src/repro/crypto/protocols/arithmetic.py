@@ -65,14 +65,18 @@ def multiply_phases(
     """
     ring = ctx.ring
     prod = product or ring.mul
-    triple = ctx.dealer.triple(x.shape, y.shape, prod)
+    if product is None and x.shape == y.shape:
+        triple = ctx.dealer.draw("triple", x.shape)
+    else:
+        triple = ctx.dealer.triple(x.shape, y.shape, prod)
+    a, b, z = triple["a"], triple["b"], triple["z"]
     kc = ctx.kernels
     live = ctx.live_lane
 
     # The channel owns the recombination: under a PartyChannel only this
     # party's difference share is computed and the other arrives on the wire.
-    e = sub_shares(x, triple.a, live)
-    f = sub_shares(y, triple.b, live)
+    e = sub_shares(x, a, live)
+    f = sub_shares(y, b, live)
     e, f = yield (
         open_ring_event(e.share0, e.share1, tag=f"{tag}/open-e"),
         open_ring_event(f.share0, f.share1, tag=f"{tag}/open-f"),
@@ -83,7 +87,7 @@ def multiply_phases(
         # the eight ring-call intermediates of the reference chain below.
         r0, r1 = KERNELS["beaver-recombine"](
             x.share0, x.share1, y.share0, y.share1, e, f,
-            triple.z.share0, triple.z.share1, live=live,
+            z.share0, z.share1, live=live,
         )
         if truncate:
             r0, r1 = KERNELS["truncate-pair"](ring, r0, r1, live=live)
@@ -93,8 +97,8 @@ def multiply_phases(
     with np.errstate(over="ignore"):
         # R_Si = -i * E⊗F + X_Si⊗F + E⊗Y_Si + Z_Si      (Eq. 2)
         ef = ring.wrap(prod(e, f))
-        r0 = ring.add(ring.add(ring.wrap(prod(x.share0, f)), ring.wrap(prod(e, y.share0))), triple.z.share0)
-        r1 = ring.add(ring.add(ring.wrap(prod(x.share1, f)), ring.wrap(prod(e, y.share1))), triple.z.share1)
+        r0 = ring.add(ring.add(ring.wrap(prod(x.share0, f)), ring.wrap(prod(e, y.share0))), z.share0)
+        r1 = ring.add(ring.add(ring.wrap(prod(x.share1, f)), ring.wrap(prod(e, y.share1))), z.share1)
         r1 = ring.sub(r1, ef)
 
     result = SharePair(r0, r1, ring)
@@ -124,14 +128,15 @@ def square_phases(
 ):
     """Secure elementwise square [R] = [X] ⊙ [X] with a Beaver pair (Eq. 3)."""
     ring = ctx.ring
-    pair = ctx.dealer.square_pair(x.shape)
+    pair = ctx.dealer.draw("square", x.shape)
+    a, z = pair["a"], pair["z"]
     kc = ctx.kernels
     live = ctx.live_lane
-    e = sub_shares(x, pair.a, live)
+    e = sub_shares(x, a, live)
     (e,) = yield (open_ring_event(e.share0, e.share1, tag=f"{tag}/open-e"),)
     if kc is not None and ring.ring_bits == 64:
         r0, r1 = KERNELS["square-recombine"](
-            e, pair.a.share0, pair.a.share1, pair.z.share0, pair.z.share1, live=live
+            e, a.share0, a.share1, z.share0, z.share1, live=live
         )
         if truncate:
             r0, r1 = KERNELS["truncate-pair"](ring, r0, r1, live=live)
@@ -140,8 +145,8 @@ def square_phases(
     with np.errstate(over="ignore"):
         # R_Si = Z_Si + 2 E ⊙ A_Si + E ⊙ E (the E⊙E term is public; add once)
         two_e = ring.scalar_mul(e, 2)
-        r0 = ring.add(pair.z.share0, ring.mul(two_e, pair.a.share0))
-        r1 = ring.add(pair.z.share1, ring.mul(two_e, pair.a.share1))
+        r0 = ring.add(z.share0, ring.mul(two_e, a.share0))
+        r1 = ring.add(z.share1, ring.mul(two_e, a.share1))
         r0 = ring.add(r0, ring.mul(e, e))
     result = SharePair(r0, r1, ring)
     if truncate:

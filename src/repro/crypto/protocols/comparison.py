@@ -82,14 +82,14 @@ def _and_prepare(ctx: TwoPartyContext, blocks: List[AndBlock], tag: str):
     XOR-shared product terms.  Splitting the gate this way lets callers
     batch independent combines into one round group and one event.
     """
-    items = [ctx.dealer.and_masks((k, o) + x[0].shape[1:]) for k, o, x in blocks]
+    items = [ctx.dealer.draw("bit", (k, o) + x[0].shape[1:]) for k, o, x in blocks]
     bounds = np.cumsum([0] + [x[0].size for _, _, x in blocks])
     spans = list(zip(blocks, items, bounds, bounds[1:]))
 
     def masked_lane(i: int) -> np.ndarray:
         masked = np.empty(bounds[-1], dtype=np.uint8)
         for (_, _, x), item, start, stop in spans:
-            lam = unpack_planes((item.lam0, item.lam1)[i][: len(x[i])], x[i].shape[1:])
+            lam = unpack_planes(item[f"lam{i}"][: len(x[i])], x[i].shape[1:])
             np.bitwise_xor(x[i], lam, out=masked[start:stop].reshape(x[i].shape))
         return masked
 
@@ -113,7 +113,7 @@ def _and_finish(ctx: TwoPartyContext, radix: int, outputs: int, d: np.ndarray, i
     """
     kc = ctx.kernels
     if kc is not None:
-        z = KERNELS["and-table"](d, item.lam0, item.lam1, radix, outputs, live=kc.live)
+        z = KERNELS["and-table"](d, item["lam0"], item["lam1"], radix, outputs, live=kc.live)
         kc.count()
         return z
     table = and_table(radix, outputs)
@@ -131,7 +131,7 @@ def _and_finish(ctx: TwoPartyContext, radix: int, outputs: int, d: np.ndarray, i
             subset = (subset - 1) & mask
 
     def lane(i: int) -> np.ndarray:
-        lam = unpack_planes((item.lam0, item.lam1)[i], d.shape[1:])
+        lam = unpack_planes(item[f"lam{i}"], d.shape[1:])
         z = np.zeros((outputs,) + d.shape[1:], dtype=np.uint8)
         for output, subset, coefficient in terms:
             if subset:
@@ -437,10 +437,10 @@ def select_phases(ctx: TwoPartyContext, x: SharePair, bit: XorSharedBit, tag: st
     """
     ring = ctx.ring
     live = ctx.live_lane
-    dab = ctx.dealer.dabit(x.shape)
-    r = (dab.r0, dab.r1)
+    dab = ctx.dealer.draw("dabit", x.shape)
+    r = (dab["r0"], dab["r1"])
     masked = per_lane(live, x.shape, lambda i: bit[i] ^ r[i], dtype=np.uint8)
-    e = sub_shares(x, dab.a, live)
+    e = sub_shares(x, dab["a"], live)
     c, e = yield (
         open_bits_event(*masked, tag=f"{tag}/open-c"),
         open_ring_event(e.share0, e.share1, tag=f"{tag}/open-e"),
@@ -448,14 +448,14 @@ def select_phases(ctx: TwoPartyContext, x: SharePair, bit: XorSharedBit, tag: st
     kc = ctx.kernels
     if kc is not None and ring.ring_bits == 64:
         s0, s1 = KERNELS["select-finish"](
-            c, e, x.share0, x.share1, dab.arith.share0, dab.arith.share1,
-            dab.ra.share0, dab.ra.share1, live=kc.live,
+            c, e, x.share0, x.share1, dab["arith"].share0, dab["arith"].share1,
+            dab["ra"].share0, dab["ra"].share1, live=kc.live,
         )
         kc.count()
         return SharePair(s0, s1, ring)
     shares = (x.share0, x.share1)
-    arith = (dab.arith.share0, dab.arith.share1)
-    ra = (dab.ra.share0, dab.ra.share1)
+    arith = (dab["arith"].share0, dab["arith"].share1)
+    ra = (dab["ra"].share0, dab["ra"].share1)
     flip = c.astype(bool)
 
     def lane(i: int) -> np.ndarray:

@@ -29,8 +29,7 @@ import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
-from repro.crypto.andgates import and_terms, plane_bytes
-from repro.crypto.dealer import item_elements
+from repro.crypto.dealer import item_elements, material_bytes
 from repro.crypto.ring import FixedPointRing
 from repro.models.specs import LayerKind, LayerSpec
 
@@ -67,25 +66,9 @@ class RandomnessRequest:
         return item_elements(self.kind, self.shape)
 
     def material_bytes(self, ring: FixedPointRing, word_bytes: int = 0) -> int:
-        """Bytes of randomness material the dealer ships for this request.
-
-        A Beaver triple is three shared tensors (two shares each), a square
-        pair two, an AND item two shares of each plane packed eight bits a
-        byte, a daBit one bit byte plus three ring elements (``r``, ``a``,
-        ``r·a``) per party.  A ring element counts ``word_bytes``, by
-        default its wire width.
-        """
-        eb = word_bytes or ring.ring_bits // 8
-        if self.kind == "triple":
-            return 6 * self.num_elements * eb
-        if self.kind == "square":
-            return 4 * self.num_elements * eb
-        if self.kind == "bit":
-            planes = len(and_terms(self.shape[0], self.shape[1])[2])
-            return 2 * planes * plane_bytes(self.shape[2:])
-        if self.kind == "dabit":
-            return 2 * self.num_elements * (1 + 3 * eb)
-        raise ValueError(f"unknown randomness request kind {self.kind!r}")
+        """Bytes of randomness material the dealer ships for this request
+        (:func:`repro.crypto.dealer.material_bytes`)."""
+        return material_bytes(ring, self.kind, self.shape, word_bytes)
 
 
 @dataclass(frozen=True)

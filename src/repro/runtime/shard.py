@@ -198,6 +198,9 @@ class WorkerShard:
         self._held = set(config.plans)
         self._pipes: List = []
         self._processes: List[mp.Process] = []
+        #: exit codes of the reaped (and closed) processes, by party
+        self._exitcodes: Dict[int, int] = {}
+        self._reaping = threading.Lock()
 
         # Party 0 binds an ephemeral port itself and announces the
         # kernel-assigned number before party 1 boots — race-free even when
@@ -494,7 +497,7 @@ class WorkerShard:
 
     # -- lifecycle ------------------------------------------------------------ #
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Graceful stop: wire shutdown handshake, then join the processes."""
+        """Graceful stop: wire shutdown handshake, then reap the processes."""
         if self.alive:
             try:
                 for party in (0, 1):
@@ -506,38 +509,66 @@ class WorkerShard:
             except ShardFailure:
                 pass
         self.alive = False
-        for process in self._processes:
-            process.join(timeout=timeout)
-        self.kill()
+        self._reap(grace=timeout)
 
     def kill(self) -> None:
-        """Hard stop: terminate whatever is still running.
+        """Hard stop: terminate whatever is still running."""
+        self.alive = False
+        self._reap(grace=0.0)
+
+    def _reap(self, grace: float) -> None:
+        """Close the control pipes, give each party ``grace`` seconds to exit,
+        terminate what still runs, then close each reaped process — its
+        sentinel pipe fds go now, not when the shard is garbage-collected —
+        keeping its exit code for :attr:`exitcodes`.
 
         Escalates SIGTERM → SIGKILL: a *stopped* process (SIGSTOP — the
         wedged-worker chaos case) leaves SIGTERM pending forever, so after a
         grace period the process is killed outright.  Eviction must never
-        wedge the evictor.
+        wedge the evictor.  Concurrent calls (an eviction racing the worker
+        whose job found the shard dead) reap each process once.
         """
-        self.alive = False
-        for conn in self._pipes:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
+        with self._reaping:
+            for conn in self._pipes:
                 try:
-                    # a *stopped* process (SIGSTOP) leaves SIGTERM pending
-                    # forever; waking it delivers the termination now
-                    os.kill(process.pid, signal.SIGCONT)
-                except (ProcessLookupError, OSError):
+                    conn.close()
+                except OSError:
                     pass
-                process.join(timeout=5.0)
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
+            for party, process in enumerate(self._processes):
+                if party in self._exitcodes:
+                    continue  # reaped and closed by an earlier call
+                if grace:
+                    process.join(timeout=grace)
+                if process.is_alive():
+                    process.terminate()
+                    try:
+                        # a *stopped* process (SIGSTOP) leaves SIGTERM pending
+                        # forever; waking it delivers the termination now
+                        os.kill(process.pid, signal.SIGCONT)
+                    except (ProcessLookupError, OSError):
+                        pass
+                    process.join(timeout=5.0)
+                if process.is_alive():
+                    process.kill()
+                    process.join(timeout=5.0)
+                if process.exitcode is not None:
+                    self._exitcodes[party] = process.exitcode
+                    process.close()
+
+    @property
+    def exitcodes(self) -> List[Optional[int]]:
+        """Each party's exit code, None while it runs; kept once the
+        process is reaped and closed."""
+        codes = []
+        for party, process in enumerate(self._processes):
+            try:
+                codes.append(process.exitcode)
+            except ValueError:  # closed: _reap kept its code first
+                codes.append(self._exitcodes[party])
+        return codes
 
     @property
     def processes(self) -> List[mp.Process]:
+        """The two party processes (closed once reaped: read
+        :attr:`exitcodes` after :meth:`kill`)."""
         return list(self._processes)

@@ -171,9 +171,8 @@ class ShardSupervisor:
                 # the sweep
                 if age is not None and age > deadline:
                     return "heartbeat"
-        for process in shard.processes:
-            if not process.is_alive():
-                return "process-death"
+        if any(code is not None for code in shard.exitcodes):
+            return "process-death"
         return None
 
     # -- autoscaling ---------------------------------------------------------- #

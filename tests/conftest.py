@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -21,27 +23,45 @@ def _seed_all():
     yield
 
 
+def open_fds() -> Dict[int, str]:
+    """This process's open file descriptors and their targets, less the
+    ``multiprocessing`` heap arenas in /dev/shm, which are kept for the
+    process's lifetime by design."""
+    fds = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # the listing's own descriptor, closed by now
+        if not target.startswith("/dev/shm/"):
+            fds[int(fd)] = target
+    return fds
+
+
 @pytest.fixture(scope="module", autouse=True)
 def _module_leaves_no_process_or_thread():
-    """After each test module, no child process is alive (allowing 2 s for
-    exits in flight) and no non-daemon thread the module started still runs.
+    """After each test module, no child process is alive, no non-daemon
+    thread the module started still runs and no file descriptor it opened
+    is still open (allowing 2 s for exits in flight).
 
-    A leaked party process or worker thread fails the module that leaked it,
-    not a later run that hangs on it.  File descriptors are not checked.
+    A leaked party process, worker thread or pipe fails the module that
+    leaked it, not a later run that hangs on it or runs out of descriptors.
     """
-    before = set(threading.enumerate())
+    before, fds_before = set(threading.enumerate()), open_fds()
     yield
 
     def leaks():
         threads = [t for t in threading.enumerate() if t not in before and not t.daemon]
-        return multiprocessing.active_children(), threads
+        fds = {fd: t for fd, t in open_fds().items() if fds_before.get(fd) != t}
+        return multiprocessing.active_children(), threads, fds
 
     deadline = time.monotonic() + 2.0
     while any(leaks()) and time.monotonic() < deadline:
         time.sleep(0.05)
-    children, threads = leaks()
+    children, threads, fds = leaks()
     assert not children, f"child processes outlived the module: {children}"
     assert not threads, f"non-daemon threads outlived the module: {threads}"
+    assert not fds, f"file descriptors outlived the module: {fds}"
 
 
 @pytest.fixture

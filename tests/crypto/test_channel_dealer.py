@@ -60,45 +60,45 @@ class TestChannel:
 
 
 class TestTrustedDealer:
-    def test_elementwise_triple_is_consistent(self):
+    def test_drawn_triple_is_consistent(self):
         dealer = TrustedDealer(DEFAULT_RING, seed=0)
-        triple = dealer.elementwise_triple((4, 4))
-        a = reconstruct_ring(triple.a)
-        b = reconstruct_ring(triple.b)
-        z = reconstruct_ring(triple.z)
+        triple = dealer.draw("triple", (4, 4))
+        a = reconstruct_ring(triple["a"])
+        b = reconstruct_ring(triple["b"])
+        z = reconstruct_ring(triple["z"])
         np.testing.assert_array_equal(z, DEFAULT_RING.mul(a, b))
 
     def test_matmul_triple_is_consistent(self):
         dealer = TrustedDealer(DEFAULT_RING, seed=1)
         triple = dealer.triple((2, 3), (3, 4), DEFAULT_RING.matmul)
         np.testing.assert_array_equal(
-            reconstruct_ring(triple.z),
-            DEFAULT_RING.matmul(reconstruct_ring(triple.a), reconstruct_ring(triple.b)),
+            reconstruct_ring(triple["z"]),
+            DEFAULT_RING.matmul(reconstruct_ring(triple["a"]), reconstruct_ring(triple["b"])),
         )
 
     def test_square_pair_is_consistent(self):
         dealer = TrustedDealer(PAPER_RING, seed=2)
-        pair = dealer.square_pair((8,))
-        a = reconstruct_ring(pair.a)
-        np.testing.assert_array_equal(reconstruct_ring(pair.z), PAPER_RING.mul(a, a))
+        pair = dealer.draw("square", (8,))
+        a = reconstruct_ring(pair["a"])
+        np.testing.assert_array_equal(reconstruct_ring(pair["z"]), PAPER_RING.mul(a, a))
 
     def test_and_gate_item_satisfies_and_relation(self):
         """The one-monomial AND item: two masks and their product."""
         dealer = TrustedDealer(seed=3)
-        item = dealer.and_masks((2, 1, 100))
-        assert item.lam0.shape == (3, 13)  # three planes of 100 bits, packed
-        lam = unpack_planes(item.lam0 ^ item.lam1, (100,))
+        item = dealer.draw("bit", (2, 1, 100))
+        assert item["lam0"].shape == (3, 13)  # three planes of 100 bits, packed
+        lam = unpack_planes(item["lam0"] ^ item["lam1"], (100,))
         np.testing.assert_array_equal(lam[2], lam[0] & lam[1])
         assert set(np.unique(lam)) <= {0, 1}
 
     def test_triple_counter_increments(self):
         dealer = TrustedDealer(seed=6)
-        dealer.elementwise_triple((3, 3))
-        dealer.and_masks((2, 1, 5))
-        assert dealer.triples_generated == 9
-        assert dealer.and_planes_generated == 15
+        dealer.draw("triple", (3, 3))
+        dealer.draw("bit", (2, 1, 5))
+        dealer.triple((2, 3), (3, 4), DEFAULT_RING.matmul)
+        assert dealer.generated == {"triple": 9, "bit": 15, "triple-generic": 8}
 
     def test_dealer_is_deterministic_given_seed(self):
-        first = TrustedDealer(seed=9).elementwise_triple((2, 2))
-        second = TrustedDealer(seed=9).elementwise_triple((2, 2))
-        np.testing.assert_array_equal(first.a.share0, second.a.share0)
+        first = TrustedDealer(seed=9).draw("triple", (2, 2))
+        second = TrustedDealer(seed=9).draw("triple", (2, 2))
+        np.testing.assert_array_equal(first["a"].share0, second["a"].share0)

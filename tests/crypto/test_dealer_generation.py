@@ -17,6 +17,7 @@ from repro.crypto.dealer import (
     RandomnessPool,
     TrustedDealer,
     draw_group,
+    item_elements,
     random_bytes,
     substream,
     unpack_ring_words,
@@ -24,6 +25,7 @@ from repro.crypto.dealer import (
 )
 from repro.crypto.andgates import and_table, plane_bytes, unpack_planes
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
+from repro.crypto.sharing import SharePair
 from repro.models.vgg import vgg_tiny
 from tests.crypto.test_zoo import CASES as ZOO_CASES
 from tests.crypto.test_zoo import _resident_bytes
@@ -76,16 +78,36 @@ class TestSplitTransparency:
             else:
                 assert array.shape == (0,) + shape
 
-    def test_lazy_dealer_matches_stacked_group(self):
-        """Per-item lazy draws on a dealer == one stacked draw."""
-        shape = (2, 3)
-        dealer = TrustedDealer(DEFAULT_RING, seed=5)
-        lazy = [dealer.elementwise_triple(shape) for _ in range(4)]
-        stacked = _fresh_group(DEFAULT_RING, 5, "triple", shape, 4)
-        for i, item in enumerate(lazy):
-            assert np.array_equal(item.a.share0, stacked["a0"][i])
-            assert np.array_equal(item.b.share1, stacked["b1"][i])
-            assert np.array_equal(item.z.share0, stacked["z0"][i])
+    @pytest.mark.parametrize("ring", RINGS, ids=["r64", "r32"])
+    @pytest.mark.parametrize("kind,shape", CASES)
+    def test_lazy_dealer_matches_stacked_group(self, ring, kind, shape):
+        """``k`` dealer draws are rows ``0..k-1`` of one stacked draw, field by
+        field, and a pool holding that stack serves the same rows as views."""
+        count = 4
+        stacked = _fresh_group(ring, 5, kind, shape, count)
+        dealer, pool = TrustedDealer(ring, seed=5), RandomnessPool(ring)
+        pool.install_group(kind, shape, stacked)
+        for row in range(count):
+            for source in (dealer, pool):
+                fields = _fields(source.draw(kind, shape))
+                assert fields.keys() == stacked.keys()
+                for name, value in fields.items():
+                    assert np.array_equal(value, stacked[name][row]), (source, row, name)
+                    if source is pool and shape:
+                        assert np.shares_memory(value, stacked[name]), (row, name)
+        assert dealer.generated == {kind: count * item_elements(kind, shape)}
+
+
+def _fields(item):
+    """An item's arrays by group field name: a share pair's stem gains the
+    share index, a bit plane keeps its name."""
+    fields = {}
+    for stem, value in item.items():
+        if isinstance(value, SharePair):
+            fields[stem + "0"], fields[stem + "1"] = value.share0, value.share1
+        else:
+            fields[stem] = value
+    return fields
 
 
 class TestWordsPerElement:
@@ -264,8 +286,8 @@ class TestPartyRestriction:
         for name in PARTY_FIELDS["triple"][1]:
             assert not arrays[name].any() and not arrays[name].flags.writeable
             assert arrays[name].shape == (3, 2) and not any(arrays[name].strides)
-        item = pool.triple((2,), (2,), DEFAULT_RING.mul)  # a row view
-        assert np.array_equal(item.a.share0, kept["a0"][0]) and not item.a.share1.any()
+        item = pool.draw("triple", (2,))  # a row view
+        assert np.array_equal(item["a"].share0, kept["a0"][0]) and not item["a"].share1.any()
 
     @pytest.mark.parametrize("party", [0, 1])
     def test_restricted_pool_keeps_its_world_bit_for_bit(self, party):
@@ -348,8 +370,7 @@ class TestPartyRestriction:
         assert own_dealer._streams.keys() == full_dealer._streams.keys()
         for key, rng in own_dealer._streams.items():
             assert rng.bit_generator.state == full_dealer._streams[key].bit_generator.state
-        for counter in ("triples_generated", "and_planes_generated", "dabits_generated"):
-            assert getattr(own_dealer, counter) == getattr(full_dealer, counter)
+        assert own_dealer.generated == full_dealer.generated
 
     def test_restrict_rejects_bad_inputs(self):
         pool = RandomnessPool(DEFAULT_RING)

@@ -57,20 +57,13 @@ DIGIT_OT = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP
 class _RecordingDealer:
     """Serves a pool's items and records the ``(kind, shape)`` of each."""
 
-    KINDS = {"triple": "triple", "square_pair": "square", "and_masks": "bit", "dabit": "dabit"}
-
     def __init__(self, pool) -> None:
         self.pool = pool
         self.drawn = []
 
-    def __getattr__(self, name):
-        serve = getattr(self.pool, name)
-
-        def draw(shape, *args):
-            self.drawn.append((self.KINDS[name], tuple(shape)))
-            return serve(shape, *args)
-
-        return draw
+    def draw(self, kind, shape):
+        self.drawn.append((kind, tuple(shape)))
+        return self.pool.draw(kind, shape)
 
 
 def _mask_bits(kind: str, shape, ring_bits: int):

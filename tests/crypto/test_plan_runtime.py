@@ -197,13 +197,12 @@ class TestCompiledExecutionEquivalence:
         plan = engine.compile(spec, batch_size=2)
         pool = engine.preprocess(plan)
         dealer = engine.ctx.dealer
-        generated_before = (dealer.triples_generated, dealer.and_planes_generated)
-        assert generated_before != (0, 0)  # preprocessing did the work
+        generated_before = dict(dealer.generated)
+        assert generated_before["bit"] and generated_before["dabit"]  # preprocessing did the work
 
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))
         result = engine.execute(plan, weights, x, pool=pool)
-        generated_after = (dealer.triples_generated, dealer.and_planes_generated)
-        assert generated_after == generated_before
+        assert dealer.generated == generated_before
         assert pool.remaining == 0  # manifest is exact: nothing over-provisioned
         assert pool.served > 0
         assert result.offline_bit_triple_elements == plan.manifest.bit_triple_elements

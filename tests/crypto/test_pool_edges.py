@@ -3,8 +3,6 @@ partitioning and contextual exhaustion diagnostics."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -23,20 +21,10 @@ from repro.models.resnet import resnet_tiny
 from repro.models.vgg import vgg_tiny
 
 
-def _pop(pool, request):
-    """Serve one request the way its protocol asks the pool for it."""
-    shape = tuple(request.shape)
-    if request.kind == "triple":
-        return pool.triple(shape, shape, DEFAULT_RING.mul)
-    popper = {"square": pool.square_pair, "bit": pool.and_masks, "dabit": pool.dabit}
-    return popper[request.kind](shape)
-
-
 def _arrays(item):
     """Every share array of an item, in field order."""
     out = []
-    for field in dataclasses.fields(item):
-        value = getattr(item, field.name)
+    for value in item.values():
         out += [value.share0, value.share1] if isinstance(value, SharePair) else [value]
     return out
 
@@ -101,9 +89,10 @@ class TestPartition:
         )
         stacks = pool.group(kind, shape)
         (sub,) = pool.partition([[RandomnessRequest(kind=kind, shape=shape)]])
-        item = sub.dabit(shape)
-        assert np.shares_memory(item.a.share0, stacks["a0"])
-        assert np.shares_memory(item.ra.share1, stacks["ra1"])
+        item = sub.draw(kind, shape)
+        assert np.shares_memory(item["a"].share0, stacks["a0"])
+        assert np.shares_memory(item["ra"].share1, stacks["ra1"])
+        assert np.shares_memory(item["r0"], stacks["r0"])
 
     def test_partition_preserves_identity_and_restriction(self, plan, pool):
         pool.restrict_to_party(1)
@@ -142,12 +131,12 @@ class TestPartition:
         """Drained in any order, each op's sub-pool serves exactly the items a
         sequential run popping in manifest order draws for that op."""
         sequential = TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
-        expected = [[_pop(sequential, r) for r in op.requests] for op in plan.ops]
+        expected = [[sequential.draw(r.kind, r.shape) for r in op.requests] for op in plan.ops]
         fresh = TrustedDealer(DEFAULT_RING, seed=13).preprocess(plan)
         subs = fresh.partition([op.requests for op in plan.ops])
         for index in reversed(range(len(plan.ops))):
             for request, want in zip(plan.ops[index].requests, expected[index]):
-                got = _pop(subs[index], request)
+                got = subs[index].draw(request.kind, request.shape)
                 for ours, theirs in zip(_arrays(got), _arrays(want)):
                     assert np.array_equal(ours, theirs), (index, request)
             assert subs[index].remaining == 0
@@ -165,23 +154,18 @@ class TestPartition:
         request = RandomnessRequest(kind=kind, shape=shape)
         stacks = pool.group(kind, shape)
         first, second = pool.partition([[request], [request]])
-        assert np.shares_memory(_pop(first, request).a.share0, stacks["a0"][0])
+        assert np.shares_memory(first.draw(kind, shape)["a"].share0, stacks["a0"][0])
         with pytest.raises(PreprocessingExhausted):
-            _pop(first, request)
-        assert np.shares_memory(_pop(second, request).a.share0, stacks["a0"][1])
-        assert np.shares_memory(_pop(pool, request).a.share0, stacks["a0"][2])
+            first.draw(kind, shape)
+        assert np.shares_memory(second.draw(kind, shape)["a"].share0, stacks["a0"][1])
+        assert np.shares_memory(pool.draw(kind, shape)["a"].share0, stacks["a0"][2])
         assert (first.remaining, second.remaining, pool.served) == (0, 0, 3)
 
 
 class TestExhaustionDiagnostics:
     def _drain(self, pool, kind, shape):
-        popper = {
-            "bit": pool.and_masks,
-            "dabit": pool.dabit,
-            "square": pool.square_pair,
-        }[kind]
         while True:
-            popper(shape)
+            pool.draw(kind, shape)
 
     @pytest.mark.parametrize("kind", ["bit", "dabit"])
     def test_mid_schedule_exhaustion_reports_context(self, plan, pool, kind):
@@ -198,21 +182,21 @@ class TestExhaustionDiagnostics:
         assert error.remaining_by_kind.get("dabit" if kind == "bit" else "bit", 0) > 0
         # deterministic: re-requesting reproduces the same diagnostics
         with pytest.raises(PreprocessingExhausted) as again:
-            getattr(pool, "and_masks" if kind == "bit" else kind)(shape)
+            pool.draw(kind, shape)
         assert again.value.remaining_by_kind == error.remaining_by_kind
 
     def test_exhaustion_message_names_the_missing_request(self, pool):
         with pytest.raises(PreprocessingExhausted, match="shape \\(123,\\)"):
-            pool.dabit((123,))
+            pool.draw("dabit", (123,))
 
     def test_empty_pool_reports_empty_depth(self):
         pool = RandomnessPool(ring=DEFAULT_RING, manifest_hash="abc123")
         with pytest.raises(PreprocessingExhausted) as excinfo:
-            pool.square_pair((2,))
+            pool.draw("square", (2,))
         assert excinfo.value.remaining_by_kind == {}
         assert excinfo.value.manifest_hash == "abc123"
         assert "empty" in str(excinfo.value)
 
-    def test_non_elementwise_triple_rejected_with_context(self, pool):
+    def test_general_product_triple_rejected_with_context(self, pool):
         with pytest.raises(PreprocessingExhausted, match="elementwise"):
             pool.triple((2, 3), (3, 4), DEFAULT_RING.matmul)

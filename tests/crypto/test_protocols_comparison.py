@@ -177,11 +177,11 @@ class TestLogDepthTree:
         x = rng.uniform(-4, 4, size=shape)
         ctx.reset_communication()
         dealer = ctx.dealer
-        bits_before = dealer.and_planes_generated
+        bits_before = dealer.generated["bit"]
         drelu(ctx, share(x, ctx.ring, rng))
         trace = drelu_trace(shape, ctx.ring)
         assert ctx.communication_bytes == trace.online_bytes
-        consumed = dealer.and_planes_generated - bits_before
+        consumed = dealer.generated["bit"] - bits_before
         requested = sum(
             r.num_elements for r in trace.requests if r.kind == "bit"
         )
@@ -308,12 +308,11 @@ class TestOneRoundSelect:
         values = rng.uniform(-4, 4, size=shape)
         bits = rng.integers(0, 2, shape, dtype=np.uint8)
         mask = rng.integers(0, 2, shape, dtype=np.uint8)
-        dabits_before = ctx.dealer.dabits_generated
-        triples_before = ctx.dealer.triples_generated
+        generated_before = dict(ctx.dealer.generated)
         ctx.reset_communication()
         select(ctx, share(values, ctx.ring, rng), (mask, bits ^ mask))
-        assert ctx.dealer.dabits_generated - dabits_before == n
-        assert ctx.dealer.triples_generated == triples_before
+        generated_before["dabit"] = generated_before.get("dabit", 0) + n
+        assert ctx.dealer.generated == generated_before  # a daBit and nothing else
         assert ctx.communication_bytes == trace.online_bytes
 
     @pytest.mark.parametrize("plane", ["zeros", "ones"])
@@ -334,14 +333,14 @@ class TestOneRoundSelect:
         from repro.crypto.dealer import TrustedDealer
 
         dealer = TrustedDealer(seed=7)
-        dab = dealer.dabit((200,))
+        dab = dealer.draw("dabit", (200,))
         ring = dealer.ring
-        xor_bit = dab.r0 ^ dab.r1
-        arith_bit = ring.add(dab.arith.share0, dab.arith.share1)
+        xor_bit = dab["r0"] ^ dab["r1"]
+        arith_bit = ring.add(dab["arith"].share0, dab["arith"].share1)
         np.testing.assert_array_equal(arith_bit.astype(np.uint8), xor_bit)
         assert set(np.unique(xor_bit)) <= {0, 1}
-        a = ring.add(dab.a.share0, dab.a.share1)
-        ra = ring.add(dab.ra.share0, dab.ra.share1)
+        a = ring.add(dab["a"].share0, dab["a"].share1)
+        ra = ring.add(dab["ra"].share0, dab["ra"].share1)
         np.testing.assert_array_equal(ra, ring.mul(arith_bit, a))
 
 
@@ -532,9 +531,9 @@ class TestMultiInputAndTree:
                 np.testing.assert_array_equal(np.take(lam, plane, axis=axis), expected)
 
         dealer = TrustedDealer(seed=8)
-        for item in (dealer.and_masks(shape), dealer.and_masks(shape)):
-            assert item.lam0.shape == (len(table.subsets), -(-np.prod(shape[2:]) // 8))
-            check(item.lam0 ^ item.lam1)
+        for item in (dealer.draw("bit", shape), dealer.draw("bit", shape)):
+            assert item["lam0"].shape == (len(table.subsets), -(-np.prod(shape[2:]) // 8))
+            check(item["lam0"] ^ item["lam1"])
         pool = TrustedDealer(seed=8).preprocess(
             PreprocessingManifest(
                 requests=(RandomnessRequest("bit", shape),) * 3, ring=DEFAULT_RING
@@ -582,9 +581,9 @@ class TestMultiInputAndTree:
         trace, _ = record_phases(lambda c: secure_and_phases(c, x, x), ctx.ring)
         assert trace.requests[0].shape == (2, 1, 4, 5)
         bits = np.ones(20, dtype=np.uint8)
-        before = ctx.dealer.and_planes_generated
+        before = ctx.dealer.generated["bit"]
         secure_and(ctx, (bits, bits ^ 1), (bits, bits ^ 1))
-        assert ctx.dealer.and_planes_generated - before == 3 * 20
+        assert ctx.dealer.generated["bit"] - before == 3 * 20
 
 
 @settings(max_examples=15, deadline=None)

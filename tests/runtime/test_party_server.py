@@ -281,7 +281,7 @@ class TestPersistentPartyServer:
             # wire totals ride only the shutdown reply
             assert stats["wire.control_bytes_sent"] + stats["wire.control_bytes_received"] > 0
         # both workers exited on their own after the wire handshake
-        assert all(not p.is_alive() for p in shard.processes)
+        assert shard.exitcodes == [0, 0]
 
     def test_plans_compile_once_per_key(self, servable, monkeypatch):
         """The pool is the only compiler: it compiles every key once, and a

@@ -357,6 +357,24 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.channel", "PartyChannel.transfer"),
         ("repro.crypto.channel", "CommunicationLog.bytes_by_tag"),
         ("repro.crypto.channel", "Message.tag"),
+        ("repro.crypto.dealer", "TrustedDealer.elementwise_triple"),
+        ("repro.crypto.dealer", "TrustedDealer.square_pair"),
+        ("repro.crypto.dealer", "TrustedDealer.and_masks"),
+        ("repro.crypto.dealer", "TrustedDealer.dabit"),
+        ("repro.crypto.dealer", "TrustedDealer._draw_item"),
+        ("repro.crypto.dealer", "TrustedDealer._count_group"),
+        ("repro.crypto.dealer", "RandomnessPool.square_pair"),
+        ("repro.crypto.dealer", "RandomnessPool.and_masks"),
+        ("repro.crypto.dealer", "RandomnessPool.dabit"),
+        ("repro.crypto.dealer", "RandomnessPool._pop"),
+        ("repro.crypto.dealer", "BeaverTriple"),
+        ("repro.crypto.dealer", "BeaverPair"),
+        ("repro.crypto.dealer", "AndMasks"),
+        ("repro.crypto.dealer", "DaBit"),
+        ("repro.crypto.dealer", "_item"),
+        ("repro.crypto.dealer", "TrustedDealer().triples_generated"),
+        ("repro.crypto.dealer", "TrustedDealer().and_planes_generated"),
+        ("repro.crypto.dealer", "TrustedDealer().dabits_generated"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -365,7 +383,9 @@ def test_deleted_names_stay_deleted(module, name):
     owner = importlib.import_module(module)
     *parents, leaf = name.split(".")
     for parent in parents:
-        owner = getattr(owner, parent)
+        # ``Cls()`` names an instance attribute: look on a default instance
+        owner = getattr(owner, parent.removesuffix("()"))
+        owner = owner() if parent.endswith("()") else owner
     assert not hasattr(owner, leaf)
 
 

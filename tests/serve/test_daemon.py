@@ -405,8 +405,8 @@ class TestHeartbeatSupervision:
                 if all(age is not None for age in ages.values()):
                     break
                 time.sleep(0.05)
-            victim = pool._shards[0].processes[0]
-            os.kill(victim.pid, signal.SIGSTOP)
+            victim = pool._shards[0].processes[0].pid  # closed once evicted
+            os.kill(victim, signal.SIGSTOP)
             try:
                 start = time.monotonic()
                 with pytest.raises(HeartbeatMiss) as excinfo:
@@ -414,7 +414,7 @@ class TestHeartbeatSupervision:
                 elapsed = time.monotonic() - start
             finally:
                 try:
-                    os.kill(victim.pid, signal.SIGCONT)
+                    os.kill(victim, signal.SIGCONT)
                 except ProcessLookupError:
                     pass  # eviction's SIGTERM→SIGKILL escalation got it first
             miss = excinfo.value
