@@ -14,10 +14,8 @@ and the runtime:
   execution, resolving one future per query.  The party servers hold the
   compiled plans and keep randomness buffers filled in the background, and
   a dead worker pair is evicted while the rest keep serving;
-- :class:`~repro.serve.supervisor.ShardSupervisor` — heartbeat sweeps,
-  proactive evict-and-respawn with per-slot cooldowns, and
-  :class:`~repro.serve.supervisor.AutoscalePolicy`-driven scaling of the
-  shard fleet from the pool's queue depth;
+- :class:`~repro.serve.supervisor.ShardSupervisor` — heartbeat sweeps and
+  proactive evict-and-respawn with per-slot cooldowns;
 - :class:`~repro.serve.daemon.ServingDaemon` — the asyncio control plane:
   one event loop multiplexing many framed client connections over the
   transport codec, one bound per model on the pool's queue (a stack that
@@ -35,10 +33,9 @@ from repro.serve.frontend import (
     ServedResult,
 )
 from repro.serve.pool import ShardedServingPool
-from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
+from repro.serve.supervisor import ShardSupervisor
 
 __all__ = [
-    "AutoscalePolicy",
     "BackpressureError",
     "DaemonClient",
     "DaemonResult",

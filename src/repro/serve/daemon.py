@@ -7,8 +7,8 @@ codec of :mod:`repro.crypto.transport`; a query stack enters the
 heartbeat-supervised :class:`~repro.serve.pool.ShardedServingPool` only if
 it fits its model's bound on the pool's own queue (otherwise it is shed
 with a retry-after hint), and a
-:class:`~repro.serve.supervisor.ShardSupervisor` evicts wedged shards and
-autoscales the fleet from the same queue depth.
+:class:`~repro.serve.supervisor.ShardSupervisor` evicts and respawns wedged
+or dead shards.
 
 Wire protocol (one TCP connection, either direction)::
 
@@ -53,7 +53,7 @@ from repro.crypto.wire import (
 from repro.obs import Metrics
 from repro.serve.frontend import BackpressureError, ServableModel
 from repro.serve.pool import ShardedServingPool
-from repro.serve.supervisor import AutoscalePolicy, ShardSupervisor
+from repro.serve.supervisor import ShardSupervisor
 
 _KIND_JSON = b"J"
 _KIND_ARRAY = b"A"
@@ -114,9 +114,6 @@ class ServingDaemon:
             published as :attr:`port` after :meth:`start`).
         queue_budget: the most query rows of one model the pool may hold
             queued or running; a stack that would exceed it is shed.
-        autoscale: optional autoscaling policy; when set, the pool's
-            ``max_shards`` is raised to the policy ceiling so scale-ups have
-            headroom.
         heartbeat_deadline: seconds of heartbeat silence after which a
             shard party counts as wedged (forwarded to the pool).
         supervise_interval: seconds between supervision sweeps.
@@ -128,7 +125,6 @@ class ServingDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         queue_budget: int = 64,
-        autoscale: Optional[AutoscalePolicy] = None,
         heartbeat_deadline: float = 5.0,
         supervise_interval: float = 0.25,
         respawn_cooldown: float = 2.0,
@@ -139,18 +135,11 @@ class ServingDaemon:
         self.host = host
         self.port = port
         self.queue_budget = queue_budget
-        self.autoscale = autoscale
-        if autoscale is not None:
-            floor = pool_kwargs.get("num_shards", 2)
-            pool_kwargs.setdefault("max_shards", max(autoscale.max_shards, floor))
         pool_kwargs.setdefault("heartbeat_deadline", heartbeat_deadline)
         self.pool = ShardedServingPool(models=models, **pool_kwargs)
         self.models = self.pool.models
         self.supervisor = ShardSupervisor(
-            self.pool,
-            policy=autoscale,
-            interval=supervise_interval,
-            respawn_cooldown=respawn_cooldown,
+            self.pool, interval=supervise_interval, respawn_cooldown=respawn_cooldown
         )
         #: ``client_failures`` counts submissions that failed *without* a
         #: shed verdict; ``connections_active`` is the one gauge
@@ -271,7 +260,6 @@ class ServingDaemon:
             "status": status,
             "live_shards": live,
             "booting_shards": booting,
-            "max_shards": self.pool.max_shards,
             "queue_depth": self.pool.queue_depth(),
             "queue_budget": self.queue_budget,
             "jobs_shed": self.admission.get("jobs_shed"),

@@ -64,11 +64,11 @@ from repro.serve.frontend import (
 #: the pool's own lifetime counters, top level of its ``/stats`` document
 POOL_COUNTERS = (
     "processes_spawned", "shards_booted", "shards_respawned", "respawn_failures",
-    "shards_retired", "jobs_retried", "jobs_recovered", "retries_exhausted",
+    "jobs_retried", "jobs_recovered", "retries_exhausted",
 )
 
-#: base-seed distance between shard slots: every boot of slot ``i`` (initial,
-#: respawn or scale-up) serves the stream of ``seed + SLOT_SEED_STRIDE * i``
+#: base-seed distance between shard slots: every boot of slot ``i`` (initial
+#: or respawn) serves the stream of ``seed + SLOT_SEED_STRIDE * i``
 SLOT_SEED_STRIDE = 112_648
 
 
@@ -140,7 +140,6 @@ class ShardedServingPool:
         max_job_retries: int = 2,
         fault_plans: Optional[Dict[int, Dict[int, FaultPlan]]] = None,
         link_shape: Optional[FaultPlan] = None,
-        max_shards: Optional[int] = None,
         heartbeat_deadline: float = 0.0,
     ) -> None:
         if num_shards < 1:
@@ -151,10 +150,6 @@ class ShardedServingPool:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         if max_job_retries < 0:
             raise ValueError(f"max_job_retries must be >= 0, got {max_job_retries}")
-        if max_shards is not None and max_shards < num_shards:
-            raise ValueError(
-                f"max_shards ({max_shards}) must be >= num_shards ({num_shards})"
-            )
         if link_latency > 0.0:
             shape = link_shape or FaultPlan()
             link_shape = dataclasses.replace(
@@ -187,7 +182,6 @@ class ShardedServingPool:
         self.max_job_retries = max_job_retries
         self.fault_plans = dict(fault_plans or {})
         self.link_shape = link_shape
-        self.max_shards = max_shards if max_shards is not None else num_shards
         self.heartbeat_deadline = heartbeat_deadline
         self.metrics = Metrics(*POOL_COUNTERS)
         #: the queue's registry, rendered as the ``frontend`` branch of ``/stats``
@@ -197,9 +191,7 @@ class ShardedServingPool:
         self._shards: List[Optional[WorkerShard]] = [None] * num_shards
         #: one registry per shard slot, shared by all its incarnations
         self._slots: Dict[int, Metrics] = {}
-        #: gracefully-retired shards, kept so close() reaps their processes
-        self._retired: List[WorkerShard] = []
-        #: slots with a boot (respawn or scale-up) in progress
+        #: slots with a respawn in progress
         self._booting: set = set()
         #: every thread the pool started (shard workers and boots)
         self._threads: List[threading.Thread] = []
@@ -277,7 +269,7 @@ class ShardedServingPool:
             return [s for s in self._shards if s is not None]
 
     def booting_shards(self) -> int:
-        """Shard slots with a boot (respawn or scale-up) in progress."""
+        """Shard slots with a respawn in progress."""
         with self._lock:
             return len(self._booting)
 
@@ -294,56 +286,6 @@ class ShardedServingPool:
             totals = merge(metrics.snapshot() for metrics in self._slots.values())
         return totals.get("busy_seconds", 0.0) / max(1, totals.get("queries_served", 0))
 
-    def add_shard(self, wait: bool = True) -> Optional[int]:
-        """Grow the pool by one freshly-booted shard pair (autoscale-up).
-
-        Slots are never reused, so the new slot's seed stream is its own.
-        With ``wait=False`` the boot happens on a background thread and the
-        call returns at once — the supervisor's sweep must not stall behind
-        a multi-second boot.  Returns the new slot index (``None`` when
-        deferred to a thread or the pool is closed).
-        """
-        with self._wake:
-            if self._closed:
-                return None
-            index = len(self._shards)
-            self._shards.append(None)  # reserve the slot
-            self._booting.add(index)
-            if not wait:
-                self._start_locked(
-                    lambda: self._boot_into_slot(index), f"scale-up-shard{index}"
-                )
-                return None
-        return index if self._boot_into_slot(index) else None
-
-    def _boot_into_slot(self, index: int, respawn: bool = False, **boot) -> bool:
-        """Boot a pair into a slot the caller reserved in ``_booting``.
-
-        Shared by scale-up and respawn.  A failed boot leaves the slot empty
-        and the evidence (counter + error text) in :meth:`stats_snapshot`,
-        and fails the queue if no shard is left to serve it; a boot that
-        finishes after :meth:`close` is killed, not registered.
-        """
-        try:
-            shard = self._boot_shard(index, inject=False, **boot)
-        except Exception as exc:
-            with self._wake:
-                self._booting.discard(index)
-                self.metrics.inc("respawn_failures")
-                self.last_respawn_error = f"shard {index}: {exc!r}"
-                doomed = self._doomed_locked()
-            self._fail(doomed, _dead_pool)
-            return False
-        with self._wake:
-            self._booting.discard(index)
-            closed = self._closed
-            if not closed:
-                self._register_locked(index, shard)
-                self.metrics.inc("shards_respawned", int(respawn))
-        if closed:
-            shard.kill()
-        return not closed
-
     def _register_locked(self, index: int, shard: WorkerShard) -> None:
         """Put a booted shard into its slot and start its worker (lock held)."""
         self._shards[index] = shard
@@ -354,25 +296,6 @@ class ShardedServingPool:
         thread = threading.Thread(target=target, name=name, daemon=True)
         self._threads = [t for t in self._threads if t.is_alive()] + [thread]
         thread.start()
-
-    def retire_shard(self) -> Optional[int]:
-        """Shrink the pool by one shard (autoscale-down).
-
-        The newest live shard leaves the rotation at once; its worker
-        finishes the job it may be running (a retire never preempts one),
-        shuts the pair down gracefully and exits.  Refuses to retire the
-        last live shard.  Returns the retired slot index, or ``None``.
-        """
-        with self._wake:
-            live = self._live_locked()
-            if self._closed or len(live) <= 1:
-                return None
-            shard = live[-1]
-            self._shards[shard.index] = None
-            self._retired.append(shard)
-            self.metrics.inc("shards_retired")
-            self._wake.notify_all()
-        return shard.index
 
     def _respawn_shard_async(self, dead: WorkerShard) -> None:
         """Evict a dead or wedged shard: register its replacement boot, wake
@@ -397,16 +320,41 @@ class ShardedServingPool:
         self._shards[index] = None  # one respawn per death, whoever saw it
         self._booting.add(index)
         boot = dead.successor_state()
-        self._start_locked(
-            lambda: self._boot_into_slot(index, respawn=True, **boot),
-            f"respawn-shard{index}",
-        )
+        self._start_locked(lambda: self._boot_replacement(index, boot), f"respawn-shard{index}")
+
+    def _boot_replacement(self, index: int, boot: Dict[str, object]) -> None:
+        """Boot the replacement :meth:`_respawn_locked` registered for slot
+        ``index``, on its own thread.
+
+        A failed boot leaves the slot empty and the evidence (counter + error
+        text) in :meth:`stats_snapshot`, and fails the queue if no shard is
+        left to serve it; a boot that finishes after :meth:`close` is killed,
+        not registered.
+        """
+        try:
+            shard = self._boot_shard(index, inject=False, **boot)
+        except Exception as exc:
+            with self._wake:
+                self._booting.discard(index)
+                self.metrics.inc("respawn_failures")
+                self.last_respawn_error = f"shard {index}: {exc!r}"
+                doomed = self._doomed_locked()
+            self._fail(doomed, _dead_pool)
+            return
+        with self._wake:
+            self._booting.discard(index)
+            closed = self._closed
+            if not closed:
+                self._register_locked(index, shard)
+                self.metrics.inc("shards_respawned")
+        if closed:
+            shard.kill()
 
     # -- the worker of one shard ------------------------------------------------ #
     def _serve(self, shard: WorkerShard) -> None:
         """Whenever ``shard`` is free, take the next job off the queue and
-        run it; leave once the shard dies, is replaced or retired, or the
-        pool is closed and drained."""
+        run it; leave once the shard dies or is replaced, or the pool is
+        closed and drained."""
         retry: Optional[_Job] = None
         while True:
             with self._wake:
@@ -432,14 +380,11 @@ class ShardedServingPool:
                     # looks dead while a replacement is on its way
                     if not shard.alive:
                         self._respawn_locked(shard)
-                    retired = shard in self._retired
                     doomed = self._doomed_locked()
                     break
                 self._running[shard] = job
             retry = self._run(shard, job)
         self._fail(doomed, _dead_pool)
-        if retired:
-            shard.shutdown()
 
     def _run(self, shard: WorkerShard, job: _Job) -> Optional[_Job]:
         """Run one job on the worker's shard and settle it.  Returns the job
@@ -615,7 +560,6 @@ class ShardedServingPool:
         return {
             **self.metrics.snapshot(),
             "num_shards": self.num_shards,
-            "max_shards": self.max_shards,
             "live_shards": len(live),
             "last_respawn_error": self.last_respawn_error,
             "heartbeat_ages": {shard.index: shard.heartbeat_ages() for shard in live},
@@ -661,7 +605,7 @@ class ShardedServingPool:
         with self._wake:
             stragglers = self._pending + list(self._running.values())
             self._pending = []
-            shards = [s for s in self._shards if s is not None] + list(self._retired)
+            shards = [s for s in self._shards if s is not None]
         self._fail(stragglers, _shut_down)
         for shard in shards:
             if shard.alive:

@@ -11,6 +11,7 @@ import ast
 import dataclasses
 import importlib.util
 import inspect
+import json
 import re
 import textwrap
 from pathlib import Path
@@ -150,9 +151,9 @@ def test_each_constructor_keeps_its_reduced_option_count():
         return len(inspect.signature(target).parameters)
 
     assert count(WorkerShard) <= 9 and "config" in inspect.signature(WorkerShard).parameters
-    assert count(ShardedServingPool) <= 15
-    assert count(ServingDaemon) <= 9
-    assert "admission" not in inspect.signature(ShardSupervisor).parameters
+    assert count(ShardedServingPool) <= 14
+    assert count(ServingDaemon) <= 8
+    assert not {"admission", "policy"} & set(inspect.signature(ShardSupervisor).parameters)
     assert len(dataclasses.fields(ServerConfig)) <= 6
 
 
@@ -375,6 +376,11 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.dealer", "TrustedDealer().triples_generated"),
         ("repro.crypto.dealer", "TrustedDealer().and_planes_generated"),
         ("repro.crypto.dealer", "TrustedDealer().dabits_generated"),
+        ("repro.serve", "AutoscalePolicy"),
+        ("repro.serve.supervisor", "AutoscalePolicy"),
+        ("repro.serve", "ShardedServingPool.add_shard"),
+        ("repro.serve", "ShardedServingPool.retire_shard"),
+        ("repro.serve", "ShardSupervisor._autoscale"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -526,3 +532,50 @@ def test_every_pool_attribute_the_docs_cite_exists():
     }
     missing = {(doc, name) for doc, name in cited - NOT_THE_SERVING_POOL if name not in attributes}
     assert missing == set()
+
+
+def _resolve(owners, parts):
+    """The first owner on which the ``::``-separated ``parts`` resolve."""
+    for owner in owners:
+        target = owner
+        try:
+            for part in parts:
+                target = getattr(target, part)
+        except AttributeError:
+            continue
+        return owner
+    raise AttributeError("::".join(parts))
+
+
+def test_every_citation_in_what_is_gated_where_resolves():
+    """Each test id "What is gated where" in docs/serving.md cites exists,
+    and each ``workload/metric`` names a metric of ``BENCHMARK.json``.  A relative
+    ``::a::b`` resolves on the class of the id before it in the same cell,
+    else on that id's module."""
+    text = (REPO / "docs" / "serving.md").read_text(encoding="utf-8")
+    section = text.split("## What is gated where", 1)[1].split("\n## ", 1)[0]
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {workload["name"] for workload in bench["workloads"]}
+    metrics = {metric["name"] for metric in bench["end_to_end"] + bench["per_layer"]}
+    cited_metrics = []
+    for line in section.splitlines():
+        for cell in line.split("|"):
+            module = cls = None
+            for token in re.findall(r"`([^`]+)`", cell):
+                if token.startswith("tests/") and "::" in token:
+                    path, *parts = token.split("::")
+                    module = importlib.import_module(path.removesuffix(".py").replace("/", "."))
+                    owner = _resolve([module], parts)
+                elif token.startswith("::"):
+                    assert module is not None, f"{token} follows no test id"
+                    parts = token[2:].split("::")
+                    owner = _resolve([o for o in (cls, module) if o is not None], parts)
+                else:
+                    workload, slash, metric = token.partition("/")
+                    if slash and workload in workloads:
+                        cited_metrics.append(metric)
+                    continue
+                # the class a following relative id resolves on, if any
+                first = getattr(owner, parts[0])
+                cls = first if inspect.isclass(first) else (cls if owner is cls else None)
+    assert cited_metrics and set(cited_metrics) <= metrics, set(cited_metrics) - metrics

@@ -9,7 +9,9 @@ in both directions.
 
 from __future__ import annotations
 
+import os
 import pickle
+import struct
 import time
 
 import numpy as np
@@ -150,24 +152,38 @@ def test_garbled_control_pipe_input_fails_the_next_job_and_leaves_no_process(gar
     assert None not in shard.exitcodes
 
 
-def test_parties_exit_cleanly_once_the_driver_closes_their_control_pipes():
+@pytest.mark.parametrize(
+    "tail, exitcode",
+    # a message cut short: a Connection length prefix announcing 1 MiB,
+    # then 8 of its bytes
+    [(b"", 0), (struct.pack("!i", 1 << 20) + bytes(8), 1)],
+    ids=["clean-close", "cut-mid-message"],
+)
+def test_parties_exit_cleanly_once_the_driver_closes_their_control_pipes(tail, exitcode):
     """A party reads end-of-file on its control pipe as "the driver is
-    gone" and exits 0: no forked process may hold the driver's end open."""
+    gone" and exits 0: no forked process may hold the driver's end open.
+    A pipe cut in the middle of a message ends the party with an error
+    (exit 1) just as promptly.  Either way ``kill()`` leaves the driver
+    no descriptor and no live process."""
     spec = vgg_tiny(input_size=8).with_all_polynomial()
     plan = compile_plan(spec, batch_size=1)
     config = ServerConfig(
         base_seed=0, plans={(spec.name, 1): plan}, weights={spec.name: _trained(spec)}
     )
+    before = open_fds()
     shard = WorkerShard(0, config, timeout=30.0)
     try:
         for conn in shard._pipes:
+            os.write(conn.fileno(), tail)
             conn.close()
         deadline = time.monotonic() + 5.0
         for process in shard.processes:
             process.join(timeout=max(deadline - time.monotonic(), 0.0))
-        assert [process.exitcode for process in shard.processes] == [0, 0]
+        assert [process.exitcode for process in shard.processes] == [exitcode] * 2
     finally:
         shard.kill()
+    assert open_fds() == before
+    assert None not in shard.exitcodes
 
 
 def test_kill_leaves_the_driver_no_descriptor_of_its_parties():

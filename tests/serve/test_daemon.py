@@ -1,5 +1,5 @@
 """Tests for the serving control plane: daemon protocol, backpressure,
-heartbeat supervision, autoscaling, and prompt shutdown of pending futures.
+heartbeat supervision, and prompt shutdown of pending futures.
 
 The control-plane contract mirrors the pool's resilience contract one layer
 up: every client interaction ends in an explicit verdict (logits, a
@@ -31,7 +31,6 @@ from repro.models.vgg import vgg_tiny
 from repro.runtime.server import BEAT_PERIOD
 from repro.runtime.shard import HeartbeatMiss
 from repro.serve import (
-    AutoscalePolicy,
     BackpressureError,
     DaemonClient,
     PoolShutdown,
@@ -66,6 +65,13 @@ def _key_paths(tree, prefix=""):
             yield from _key_paths(value, path)
         else:
             yield path
+
+
+def _documented_json(marker: str) -> dict:
+    """The one JSON example in docs/serving.md that contains ``marker``."""
+    blocks = re.findall(r"```json no-run\n(.*?)```", SERVING_DOC.read_text(), re.S)
+    (tree,) = [json.loads(block) for block in blocks if marker in block]
+    return tree
 
 
 @pytest.fixture(scope="module")
@@ -123,14 +129,13 @@ class TestServingDaemon:
         assert stats["pool"]["jobs_executed"] >= 1
         observed = sorted(set(_key_paths(stats)))
         assert observed == STATS_KEYS, json.dumps(observed, indent=1)
+        # the /healthz example in docs/serving.md has exactly the served keys
+        assert set(health) == set(_documented_json('"ok | booting | dead"')), sorted(health)
 
     def test_documented_stats_tree_is_the_pinned_schema(self):
         """The ``/stats`` example in docs/serving.md has exactly the pinned
         key paths, so the page cannot drift from the daemon."""
-        blocks = re.findall(r"```json no-run\n(.*?)```", SERVING_DOC.read_text(), re.S)
-        trees = [json.loads(block) for block in blocks if '"control_plane_stats"' in block]
-        assert len(trees) == 1
-        documented = sorted(set(_key_paths(trees[0])))
+        documented = sorted(set(_key_paths(_documented_json('"control_plane_stats"'))))
         assert documented == STATS_KEYS, json.dumps(documented, indent=1)
 
     def test_framed_stats_healthz_and_ping(self, servable):
@@ -488,66 +493,6 @@ class TestHeartbeatSupervision:
             first = supervisor.stats_snapshot()["shards_evicted"]
             supervisor.sweep()  # same slot, still inside the cooldown
             assert supervisor.stats_snapshot()["shards_evicted"] == first == 1
-
-
-class TestAutoscaling:
-    def test_pool_grows_and_shrinks_explicitly(self, servable):
-        with ShardedServingPool(
-            {"vgg": servable},
-            num_shards=1,
-            max_shards=2,
-            max_batch=1,
-            seed=30,
-        ) as pool:
-            assert pool.add_shard() == 1
-            assert pool.live_shards == 2
-            retired = pool.retire_shard()
-            assert retired is not None
-            deadline = time.monotonic() + 30.0
-            while pool.live_shards > 1 and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert pool.live_shards == 1
-            assert pool.stats_snapshot()["shards_retired"] == 1
-            # never retires the last live shard
-            assert pool.retire_shard() is None
-            result = pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
-            assert result.logits.shape == (1, 10)
-
-    def test_supervisor_autoscales_from_queue_depth(self, servable):
-        """The sweep steers by the pool's own queue: ten queries behind a
-        held shard grow the fleet, and it shrinks once they have drained."""
-        policy = AutoscalePolicy(
-            min_shards=1,
-            max_shards=2,
-            scale_up_depth=4.0,
-            scale_down_depth=0.5,  # the held query alone (1 per 2 shards) keeps 2
-            cooldown_seconds=0.1,
-        )
-        with ShardedServingPool(
-            {"vgg": servable},
-            num_shards=1,
-            max_shards=2,
-            max_batch=1,
-            max_wait=0.0,
-            seed=31,
-        ) as pool:
-            entered, release = _hold_run_job(pool)
-            supervisor = ShardSupervisor(pool, policy=policy, interval=0.05)
-            with supervisor:
-                try:
-                    futures = pool.submit_many("vgg", np.zeros((10, 3, 8, 8)))
-                    assert entered.wait(timeout=30.0)
-                    assert pool.queue_depth() == 10  # > 4 per live shard
-                    _wait_until(lambda: pool.live_shards == 2, 60.0)
-                    _wait_until(lambda: pool.queue_depth() == 1, 60.0)
-                    assert pool.live_shards == 2
-                    assert supervisor.stats_snapshot()["shards_autoscaled_up"] == 1
-                finally:
-                    release.set()
-                assert all(f.result(timeout=60).logits.shape == (10,) for f in futures)
-                _wait_until(lambda: pool.live_shards == 1, 60.0)
-                assert pool.queue_depth() == 0
-                assert supervisor.stats_snapshot()["shards_autoscaled_down"] == 1
 
 
 def _framed(kind: bytes, body: bytes) -> bytes:

@@ -21,7 +21,7 @@ from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
 from repro.runtime.server import derive_job_seed
 from repro.runtime.shard import ShardFailure
-from repro.serve import ServableModel, ShardedServingPool
+from repro.serve import ServableModel, ShardedServingPool, ShardSupervisor
 
 
 @pytest.fixture(scope="module")
@@ -226,16 +226,16 @@ class TestShardedServing:
 
     def test_every_boot_of_a_slot_serves_that_slots_seed_stream(self, servable):
         """Slot ``i`` boots on ``seed + 112_648 * i`` whatever booted before:
-        a respawn ahead of a scale-up does not shift the new slot's stream."""
+        a respawn of slot 1 serves slot 1's stream, and slot 0 keeps its own."""
         seed = 12
         with ShardedServingPool(
-            {"vgg": servable}, num_shards=1, max_shards=2, provision_pools=0, seed=seed
+            {"vgg": servable}, num_shards=2, provision_pools=0, seed=seed
         ) as pool:
-            _kill_shard(pool, 0)
-            pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))  # replayed on the respawn
-            _wait_for_fleet(pool, 1)
+            dead = _kill_shard(pool, 1)
+            ShardSupervisor(pool).sweep()  # evicts the dead pair, respawns slot 1
+            _wait_for_fleet(pool, 2)
             assert pool.stats_snapshot()["shards_respawned"] == 1
-            assert pool.add_shard() == 1
+            assert pool._shards[1] is not dead
             assert pool._shards[0].config.base_seed == seed
             assert pool._shards[1].config.base_seed == seed + 112_648
 
