@@ -13,9 +13,9 @@ and the runtime:
   :func:`~repro.serve.frontend.take_batch`) and runs it as a single plan
   execution, resolving one future per query.  The party servers hold the
   compiled plans and keep randomness buffers filled in the background, and
-  a dead worker pair is evicted while the rest keep serving;
-- :class:`~repro.serve.supervisor.ShardSupervisor` — heartbeat sweeps and
-  proactive evict-and-respawn with per-slot cooldowns;
+  a dead worker pair is evicted and respawned by its own worker thread —
+  while idle too, once a heartbeat deadline is set — while the rest keep
+  serving;
 - :class:`~repro.serve.daemon.ServingDaemon` — the asyncio control plane:
   one event loop multiplexing many framed client connections over the
   transport codec, one bound per model on the pool's queue (a stack that
@@ -33,7 +33,6 @@ from repro.serve.frontend import (
     ServedResult,
 )
 from repro.serve.pool import ShardedServingPool
-from repro.serve.supervisor import ShardSupervisor
 
 __all__ = [
     "BackpressureError",
@@ -44,5 +43,4 @@ __all__ = [
     "ServedResult",
     "ServingDaemon",
     "ShardedServingPool",
-    "ShardSupervisor",
 ]

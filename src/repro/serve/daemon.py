@@ -4,11 +4,11 @@
 asks for.  One asyncio event loop (on a background thread) multiplexes any
 number of client connections over a framed protocol that reuses the wire
 codec of :mod:`repro.crypto.transport`; a query stack enters the
-heartbeat-supervised :class:`~repro.serve.pool.ShardedServingPool` only if
-it fits its model's bound on the pool's own queue (otherwise it is shed
-with a retry-after hint), and a
-:class:`~repro.serve.supervisor.ShardSupervisor` evicts and respawns wedged
-or dead shards.
+:class:`~repro.serve.pool.ShardedServingPool` only if it fits its model's
+bound on the pool's own queue (otherwise it is shed with a retry-after
+hint).  The daemon arms the pool's heartbeat deadline, so each shard's
+worker evicts and respawns its own shard once a party goes silent or dies,
+even while no job runs.
 
 Wire protocol (one TCP connection, either direction)::
 
@@ -53,7 +53,6 @@ from repro.crypto.wire import (
 from repro.obs import Metrics
 from repro.serve.frontend import BackpressureError, ServableModel
 from repro.serve.pool import ShardedServingPool
-from repro.serve.supervisor import ShardSupervisor
 
 _KIND_JSON = b"J"
 _KIND_ARRAY = b"A"
@@ -115,8 +114,9 @@ class ServingDaemon:
         queue_budget: the most query rows of one model the pool may hold
             queued or running; a stack that would exceed it is shed.
         heartbeat_deadline: seconds of heartbeat silence after which a
-            shard party counts as wedged (forwarded to the pool).
-        supervise_interval: seconds between supervision sweeps.
+            shard party counts as wedged (forwarded to the pool, whose idle
+            workers then check their shards every ``min(0.25, deadline/4)``
+            seconds).
     """
 
     def __init__(
@@ -126,8 +126,6 @@ class ServingDaemon:
         port: int = 0,
         queue_budget: int = 64,
         heartbeat_deadline: float = 5.0,
-        supervise_interval: float = 0.25,
-        respawn_cooldown: float = 2.0,
         **pool_kwargs,
     ) -> None:
         if queue_budget < 1:
@@ -138,9 +136,6 @@ class ServingDaemon:
         pool_kwargs.setdefault("heartbeat_deadline", heartbeat_deadline)
         self.pool = ShardedServingPool(models=models, **pool_kwargs)
         self.models = self.pool.models
-        self.supervisor = ShardSupervisor(
-            self.pool, interval=supervise_interval, respawn_cooldown=respawn_cooldown
-        )
         #: ``client_failures`` counts submissions that failed *without* a
         #: shed verdict; ``connections_active`` is the one gauge
         self.metrics = Metrics(
@@ -158,7 +153,7 @@ class ServingDaemon:
 
     # -- lifecycle ------------------------------------------------------------ #
     def start(self, timeout: float = 30.0) -> "ServingDaemon":
-        """Boot the event loop thread, bind the port, start supervising."""
+        """Boot the event loop thread and bind the port."""
         if self._loop is not None:
             return self
         self._loop = asyncio.new_event_loop()
@@ -172,7 +167,6 @@ class ServingDaemon:
         except Exception:
             self.close()
             raise
-        self.supervisor.start()
         self.started_at = time.monotonic()
         return self
 
@@ -183,7 +177,7 @@ class ServingDaemon:
         self.port = self._server.sockets[0].getsockname()[1]
 
     def close(self, timeout: float = 60.0) -> None:
-        """Stop accepting, drain, stop supervising, shut the pool down."""
+        """Stop accepting, drain, shut the pool down."""
         if self._closed:
             return
         self._closed = True
@@ -215,7 +209,6 @@ class ServingDaemon:
                 self._thread.join(timeout=timeout)
             self._loop.close()
             self._loop = None
-        self.supervisor.stop()
         self.pool.close(timeout=timeout)
 
     def __enter__(self) -> "ServingDaemon":
@@ -246,7 +239,6 @@ class ServingDaemon:
                 "queue_depth": self.pool.queue_depth(),
                 "queue_depth_p95": self.admission.percentile("queue_depth", 95),
             },
-            "supervisor": self.supervisor.stats_snapshot(),
             "pool": self.pool.stats_snapshot(),
         }
 
@@ -263,7 +255,7 @@ class ServingDaemon:
             "queue_depth": self.pool.queue_depth(),
             "queue_budget": self.queue_budget,
             "jobs_shed": self.admission.get("jobs_shed"),
-            "heartbeats_missed": self.supervisor.metrics.get("heartbeats_missed"),
+            "heartbeats_missed": self.pool.metrics.get("heartbeats_missed"),
             "uptime_seconds": (
                 time.monotonic() - self.started_at if self.started_at else 0.0
             ),

@@ -30,12 +30,17 @@ Lifecycle of a shard:
    the queue sealed with its :class:`~repro.runtime.shard.JobTicket` (same
    counter, same pinned session seed — the recovered logits are
    bit-identical to the fault-free run) and exits.  With no retry budget
-   left the job fails instead; the slot comes back either way.
+   left the job fails instead; the slot comes back either way.  With a
+   ``heartbeat_deadline`` set, an idle worker also checks its own shard
+   every poll interval and evicts it the same way when a party went silent
+   past the deadline or its process exited — at most once per slot per
+   ``RESPAWN_COOLDOWN``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -49,7 +54,7 @@ from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import FaultPlan
 from repro.obs import Metrics, merge, nest
 from repro.runtime.messages import ServerConfig
-from repro.runtime.shard import PoolBatchResult, ShardFailure, WorkerShard
+from repro.runtime.shard import HeartbeatMiss, PoolBatchResult, ShardFailure, WorkerShard
 from repro.serve.frontend import (
     PoolShutdown,
     ServableModel,
@@ -64,8 +69,12 @@ from repro.serve.frontend import (
 #: the pool's own lifetime counters, top level of its ``/stats`` document
 POOL_COUNTERS = (
     "processes_spawned", "shards_booted", "shards_respawned", "respawn_failures",
-    "jobs_retried", "jobs_recovered", "retries_exhausted",
+    "jobs_retried", "jobs_recovered", "retries_exhausted", "heartbeats_missed",
 )
+
+#: seconds after a slot's eviction during which an idle check leaves the
+#: slot's next shard alone — the brake on a crash-looping slot's respawn storm
+RESPAWN_COOLDOWN = 2.0
 
 #: base-seed distance between shard slots: every boot of slot ``i`` (initial
 #: or respawn) serves the stream of ``seed + SLOT_SEED_STRIDE * i``
@@ -106,9 +115,8 @@ class ShardedServingPool:
             provisioner off, so every job generates its pool cold.
         link_latency: one-way seconds slept before every frame on the
             inter-party link (capacity planning for LAN/WAN-like
-            deployments) — shorthand for
-            ``link_shape=FaultPlan(latency_ms=1e3 * link_latency)``, added
-            to ``link_shape.latency_ms`` when both are given.
+            deployments): both parties of every boot, replacements
+            included, run ``FaultPlan(latency_ms=1e3 * link_latency)``.
         seed: base seed; job seeds derive deterministically from it.
         max_job_retries: transient-fault budget per batch — a job whose
             shard dies mid-flight is replayed (same ticket, same seed) on
@@ -119,10 +127,9 @@ class ShardedServingPool:
             FaultPlan}}`` — applied only to the shard slot's *initial*
             boot; replacements come up clean so a bounded retry budget
             always suffices for a bounded schedule.
-        link_shape: a shaping-only :class:`FaultPlan` (latency/jitter/
-            bandwidth; no scripted faults) applied to both parties of
-            every boot, including replacements — the degraded-network
-            regime of the scaling benchmark.
+        heartbeat_deadline: seconds of beat silence after which a party
+            counts as wedged (0 = off).  Set, it also has every idle
+            worker check its shard each poll interval.
     """
 
     def __init__(
@@ -139,7 +146,6 @@ class ShardedServingPool:
         job_timeout: float = 300.0,
         max_job_retries: int = 2,
         fault_plans: Optional[Dict[int, Dict[int, FaultPlan]]] = None,
-        link_shape: Optional[FaultPlan] = None,
         heartbeat_deadline: float = 0.0,
     ) -> None:
         if num_shards < 1:
@@ -150,16 +156,6 @@ class ShardedServingPool:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         if max_job_retries < 0:
             raise ValueError(f"max_job_retries must be >= 0, got {max_job_retries}")
-        if link_latency > 0.0:
-            shape = link_shape or FaultPlan()
-            link_shape = dataclasses.replace(
-                shape, latency_ms=shape.latency_ms + 1e3 * link_latency
-            )
-        if link_shape is not None and link_shape.drops:
-            raise ValueError(
-                "link_shape must be shaping-only (no drop_at_round); put "
-                "scripted faults in fault_plans instead"
-            )
         self.models = dict(models)
         self.num_shards = num_shards
         self.max_batch = max_batch
@@ -181,7 +177,9 @@ class ShardedServingPool:
         )
         self.max_job_retries = max_job_retries
         self.fault_plans = dict(fault_plans or {})
-        self.link_shape = link_shape
+        #: the latency-only plan both parties of every boot run, unless a
+        #: scripted plan of ``fault_plans`` replaces it on an initial boot
+        self.link_plan = FaultPlan(latency_ms=1e3 * link_latency) if link_latency > 0 else None
         self.heartbeat_deadline = heartbeat_deadline
         self.metrics = Metrics(*POOL_COUNTERS)
         #: the queue's registry, rendered as the ``frontend`` branch of ``/stats``
@@ -193,6 +191,8 @@ class ShardedServingPool:
         self._slots: Dict[int, Metrics] = {}
         #: slots with a respawn in progress
         self._booting: set = set()
+        #: when each slot was last evicted (the idle check's storm brake)
+        self._evicted_at: Dict[int, float] = {}
         #: every thread the pool started (shard workers and boots)
         self._threads: List[threading.Thread] = []
         #: the one queue: client queries and sealed jobs, oldest first
@@ -225,14 +225,14 @@ class ShardedServingPool:
         """The per-party transport plans of one boot of a shard slot.
 
         Scripted chaos plans fire only when ``inject`` is true (the slot's
-        initial boot); permanent link shaping applies to every boot, so a
-        replacement shard serves over the same degraded link — just without
+        initial boot); the link latency applies to every boot, so a
+        replacement shard serves over the same slow link — just without
         the scripted fault that killed its predecessor.
         """
         plans: Dict[int, FaultPlan] = dict(self.fault_plans.get(index, {})) if inject else {}
-        if self.link_shape is not None:
+        if self.link_plan is not None:
             for party in (0, 1):
-                plans.setdefault(party, self.link_shape)
+                plans.setdefault(party, self.link_plan)
         return plans or None
 
     def _boot_shard(self, index: int, inject: bool = True, **inherited) -> WorkerShard:
@@ -263,11 +263,6 @@ class ShardedServingPool:
         with self._lock:
             return len(self._live_locked())
 
-    def shards_view(self) -> List[WorkerShard]:
-        """A consistent snapshot of the currently-registered shards."""
-        with self._lock:
-            return [s for s in self._shards if s is not None]
-
     def booting_shards(self) -> int:
         """Shard slots with a respawn in progress."""
         with self._lock:
@@ -297,15 +292,6 @@ class ShardedServingPool:
         self._threads = [t for t in self._threads if t.is_alive()] + [thread]
         thread.start()
 
-    def _respawn_shard_async(self, dead: WorkerShard) -> None:
-        """Evict a dead or wedged shard: register its replacement boot, wake
-        its idle worker, then kill it — in that order, so the pool never
-        looks dead in between."""
-        with self._wake:
-            self._respawn_locked(dead)
-            self._wake.notify_all()
-        dead.kill()
-
     def _respawn_locked(self, dead: WorkerShard) -> None:
         """Register a replacement boot for a dead shard (lock held).
 
@@ -315,10 +301,11 @@ class ShardedServingPool:
         would have, so the whole serving history stays replayable.
         """
         index = dead.index
-        if self._closed or index in self._booting or self._shards[index] is not dead:
+        if self._closed:
             return
-        self._shards[index] = None  # one respawn per death, whoever saw it
+        self._shards[index] = None
         self._booting.add(index)
+        self._evicted_at[index] = time.monotonic()
         boot = dead.successor_state()
         self._start_locked(lambda: self._boot_replacement(index, boot), f"respawn-shard{index}")
 
@@ -353,8 +340,8 @@ class ShardedServingPool:
     # -- the worker of one shard ------------------------------------------------ #
     def _serve(self, shard: WorkerShard) -> None:
         """Whenever ``shard`` is free, take the next job off the queue and
-        run it; leave once the shard dies or is replaced, or the pool is
-        closed and drained."""
+        run it, and check the idle shard on every wake; leave once the shard
+        dies, or the pool is closed and drained."""
         retry: Optional[_Job] = None
         while True:
             with self._wake:
@@ -362,16 +349,19 @@ class ShardedServingPool:
                 if retry is not None:
                     self._pending.insert(0, retry)  # sealed, first in line
                 job = None
-                while self._shards[shard.index] is shard and shard.alive and not (
-                    self._closed and not self._pending
-                ):
+                while shard.alive and not (self._closed and not self._pending):
                     job, wait = take_batch(
                         self._pending, self.max_batch, self.max_wait,
                         time.perf_counter(), flush=self._closed,
                     )
                     if job is not None:
                         break
-                    self._wake.wait(wait)
+                    if self.heartbeat_deadline > 0:
+                        poll = shard._poll_interval
+                        self._wake.wait(poll if wait is None else min(wait, poll))
+                        self._check_idle_locked(shard)
+                    else:
+                        self._wake.wait(wait)
                 if self._pending:
                     self._wake.notify()  # more work: hand it to a free worker
                 if job is None:
@@ -384,7 +374,31 @@ class ShardedServingPool:
                     break
                 self._running[shard] = job
             retry = self._run(shard, job)
+        if not shard.alive:
+            # evicted (by a job or an idle check): reap it only now, outside
+            # the lock and with its replacement registered — reaping a
+            # stopped party blocks
+            shard.kill()
         self._fail(doomed, _dead_pool)
+
+    def _check_idle_locked(self, shard: WorkerShard) -> None:
+        """Fail an idle shard whose party process exited or went silent past
+        the heartbeat deadline, as a job would (lock held): its worker then
+        evicts it.  Never once :meth:`close` has begun, nor within
+        ``RESPAWN_COOLDOWN`` of the slot's last eviction."""
+        if self._closed or (
+            time.monotonic() - self._evicted_at.get(shard.index, -math.inf) < RESPAWN_COOLDOWN
+        ):
+            return
+        if all(code is None for code in shard.exitcodes):
+            try:
+                for party in (0, 1):
+                    shard._check_heartbeat_deadline(party)
+                return  # running and beating
+            except HeartbeatMiss:
+                self.metrics.inc("heartbeats_missed")
+        shard.alive = False
+        shard.metrics.inc("failures")
 
     def _run(self, shard: WorkerShard, job: _Job) -> Optional[_Job]:
         """Run one job on the worker's shard and settle it.  Returns the job
@@ -394,7 +408,8 @@ class ShardedServingPool:
             result = shard.run_job(job.model, plan, job.inputs, ticket=job.ticket)
         except Exception as exc:
             if isinstance(exc, ShardFailure):
-                shard.kill()  # evicted: this worker leaves after the job
+                # the shard is dead: this worker evicts it after the job
+                self.metrics.inc("heartbeats_missed", int(isinstance(exc, HeartbeatMiss)))
                 job.ticket = exc.ticket or job.ticket
                 job.attempts += 1
                 self.metrics.inc("jobs_retried")

@@ -9,8 +9,8 @@ The control plane's overload contract has three legs:
 2. the jobs that *are* accepted stay bit-identical to the in-process
    engine at their job seed, zoo-wide, no matter how hard the queue is
    being hammered;
-3. killing a party mid-ramp converges — the supervisor evicts and
-   respawns once (no storm), in-flight work replays (``jobs_recovered``),
+3. killing a party mid-ramp converges — the dead shard is evicted and
+   respawned without a storm, in-flight work replays (``jobs_recovered``),
    and no client future fails.
 """
 
@@ -129,9 +129,9 @@ class TestKillMidRamp:
     def test_sigkill_mid_ramp_recovers_and_never_fails_a_client(
         self, tiny_zoo
     ):
-        """SIGKILL one party while clients ramp: the supervisor evicts and
-        respawns exactly once (cooldown brakes a storm), in-flight work
-        replays, and every client future resolves to logits."""
+        """SIGKILL one party while clients ramp: the shard's worker evicts
+        and respawns it without a storm, in-flight work replays, and every
+        client future resolves to logits."""
         name = "vgg-tiny"
         results: list = []
         failures: list = []
@@ -147,8 +147,6 @@ class TestKillMidRamp:
             max_job_retries=3,
             queue_budget=64,  # generous: this test is about recovery, not shed
             heartbeat_deadline=2.0,
-            supervise_interval=0.1,
-            respawn_cooldown=1.0,
         ) as daemon:
 
             def client_loop(worker: int) -> None:
@@ -203,7 +201,5 @@ class TestKillMidRamp:
         assert stats["daemon"]["client_failures"] == 0
         # the killed pair's in-flight work replayed instead of failing
         assert stats["pool"]["jobs_recovered"] > 0
-        # the dead pair was evicted and respawned — by whichever path saw it
-        # first (the dispatcher's reactive eviction races the supervisor
-        # sweep; both end in a respawn) — without a storm
+        # the dead pair was evicted and respawned without a storm
         assert 1 <= stats["pool"]["shards_respawned"] <= 3

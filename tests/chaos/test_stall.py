@@ -70,7 +70,7 @@ def test_jittered_link_serves_identical_logits(
 
     shape = stall_plan(round_index=-1, stall_ms=0.0, seed=21, jitter_ms=2.0)
     record_fault_schedule({0: {0: shape, 1: shape}}, model=name)
-    with make_chaos_pool(name, servable, link_shape=shape) as pool:
+    with make_chaos_pool(name, servable, fault_plans={0: {0: shape, 1: shape}}) as pool:
         shaped = pool.run_batch(name, batch)
         snapshot = pool.stats_snapshot()
 

@@ -299,7 +299,7 @@ class TestPersistentPartyServer:
         def received():
             return {
                 shard.index: [shard.party_stats[p]["plans_received"] for p in (0, 1)]
-                for shard in pool.shards_view()
+                for shard in pool._shards
             }
 
         with ShardedServingPool(
@@ -311,7 +311,7 @@ class TestPersistentPartyServer:
             index = pool.run_batch("vgg", np.zeros((2, 3, 8, 8))).shard
             assert received() == {index: [2, 2], 1 - index: [1, 1]}
 
-            dead = pool.shards_view()[index]
+            dead = pool._shards[index]
             for process in dead.processes:
                 process.terminate()
                 process.join(timeout=10)
@@ -323,7 +323,7 @@ class TestPersistentPartyServer:
             while (pool.live_shards, pool.booting_shards()) != (2, 0):
                 assert time.monotonic() < deadline
                 time.sleep(0.05)
-            replacement = pool.shards_view()[index]
+            replacement = pool._shards[index]
             assert replacement is not dead and not dead.alive
             x = np.zeros((2, 3, 8, 8))
             replacement.run_job("vgg", pool._plan("vgg", 2), x)

@@ -32,7 +32,7 @@ from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
 from repro.runtime import ServerConfig, WorkerShard, run_two_process_inference
 from repro.runtime.party import execute_plan_as_party
-from repro.serve import ServingDaemon, ShardedServingPool, ShardSupervisor
+from repro.serve import ServingDaemon, ShardedServingPool
 
 SRC = Path(repro.crypto.__file__).parents[1]
 REPO = Path(__file__).resolve().parents[2]
@@ -108,8 +108,8 @@ def test_constant_knobs_are_not_parameters_or_fields_anywhere():
 
 
 def test_link_latency_is_spelled_once_and_injected_by_the_fault_plan_only():
-    """One parameter left in ``src/`` — the pool's shorthand for a
-    latency-only ``link_shape`` — and none below it."""
+    """One parameter left in ``src/`` — the pool's, which builds the
+    latency-only ``FaultPlan`` both parties run — and none below it."""
     holders = [
         (path.name, node.name)
         for path in SRC.rglob("*.py")
@@ -151,9 +151,8 @@ def test_each_constructor_keeps_its_reduced_option_count():
         return len(inspect.signature(target).parameters)
 
     assert count(WorkerShard) <= 9 and "config" in inspect.signature(WorkerShard).parameters
-    assert count(ShardedServingPool) <= 14
-    assert count(ServingDaemon) <= 8
-    assert not {"admission", "policy"} & set(inspect.signature(ShardSupervisor).parameters)
+    assert count(ShardedServingPool) <= 13
+    assert count(ServingDaemon) <= 6
     assert len(dataclasses.fields(ServerConfig)) <= 6
 
 
@@ -381,6 +380,9 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.serve", "ShardedServingPool.add_shard"),
         ("repro.serve", "ShardedServingPool.retire_shard"),
         ("repro.serve", "ShardSupervisor._autoscale"),
+        ("repro.serve", "ShardSupervisor"),
+        ("repro.serve", "ShardedServingPool._respawn_shard_async"),
+        ("repro.serve", "ShardedServingPool.shards_view"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -390,7 +392,9 @@ def test_deleted_names_stay_deleted(module, name):
     *parents, leaf = name.split(".")
     for parent in parents:
         # ``Cls()`` names an instance attribute: look on a default instance
-        owner = getattr(owner, parent.removesuffix("()"))
+        owner = getattr(owner, parent.removesuffix("()"), None)
+        if owner is None:
+            return  # the whole class went, and its names with it
         owner = owner() if parent.endswith("()") else owner
     assert not hasattr(owner, leaf)
 
@@ -404,6 +408,8 @@ def test_deleted_module_and_method_stay_deleted():
     assert importlib.util.find_spec("repro.crypto.stats") is None
     # the OT simulator only tests called: the comparison runs its own OT
     assert importlib.util.find_spec("repro.crypto.ot") is None
+    # each shard's worker supervises its own shard
+    assert importlib.util.find_spec("repro.serve.supervisor") is None
     assert not hasattr(repro.crypto.transport.Transport, "send_heartbeat")
     # a channel derives its element width from its ring; run_round is its verb
     assert list(inspect.signature(Channel.__init__).parameters) == ["self", "ring"]

@@ -28,7 +28,7 @@ from repro.crypto.secure_model import SecureInferenceEngine
 from repro.crypto.wire import decode_array, encode_array
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
-from repro.runtime.server import BEAT_PERIOD
+from repro.runtime.server import BEAT_PERIOD, derive_job_seed
 from repro.runtime.shard import HeartbeatMiss
 from repro.serve import (
     BackpressureError,
@@ -37,8 +37,8 @@ from repro.serve import (
     ServableModel,
     ServingDaemon,
     ShardedServingPool,
-    ShardSupervisor,
 )
+from repro.serve import pool as serve_pool
 from repro.serve.daemon import http_get
 
 from tests.serve.test_serving import _hold_run_job, _wait_until
@@ -403,7 +403,7 @@ class TestHeartbeatSupervision:
             assert warm.logits.shape == (1, 10)
             # The deadline only arms once a first beat has been seen
             # (otherwise a slow boot would trip it spuriously): wait for one
-            # from each party, as the production supervisor reads them.
+            # from each party.
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 ages = pool._shards[0].heartbeat_ages()
@@ -430,10 +430,10 @@ class TestHeartbeatSupervision:
             assert elapsed < 30.0  # deadline, not job_timeout, bounded this
 
     def test_an_idle_pool_queues_nothing_on_its_control_pipes(self, servable):
-        """Liveness does not ride on the control pipe: with no supervisor
-        draining anything, a pool that served one job and then idled for
-        several beat periods has nothing to read on either pipe, and both
-        parties' beats are fresh."""
+        """Liveness does not ride on the control pipe: with nothing draining
+        it, a pool that served one job and then idled for several beat
+        periods (its worker checking the shard all along) has nothing to
+        read on either pipe, and both parties' beats are fresh."""
         with ShardedServingPool(
             {"vgg": servable}, num_shards=1, max_batch=1, seed=33, heartbeat_deadline=1.0
         ) as pool:
@@ -444,55 +444,87 @@ class TestHeartbeatSupervision:
             ages = shard.heartbeat_ages()
             assert all(age is not None and age < 10 * BEAT_PERIOD for age in ages.values()), ages
 
-    def test_supervisor_respawns_a_sigkilled_shard(self, servable):
-        """The proactive sweep: a party killed while the pool idles is
-        evicted and respawned before any job hits the corpse."""
+    def test_an_idle_worker_respawns_its_sigkilled_shard(self, servable):
+        """A pair killed while the pool idles is evicted by its own worker
+        and its slot respawned on the continued seed stream, with no job
+        submitted after the kill."""
+        seed = 28
         with ShardedServingPool(
-            {"vgg": servable},
-            num_shards=1,
-            max_batch=1,
-            seed=28,
-            max_job_retries=2,
-            heartbeat_deadline=1.0,
+            {"vgg": servable}, num_shards=1, max_batch=1, seed=seed, heartbeat_deadline=1.0
         ) as pool:
-            supervisor = ShardSupervisor(pool, interval=0.1)
-            with supervisor:
-                for process in pool._shards[0].processes:
-                    os.kill(process.pid, signal.SIGKILL)
-                deadline = time.monotonic() + 60.0
-                while time.monotonic() < deadline:
-                    if (
-                        supervisor.stats_snapshot()["shards_evicted"] >= 1
-                        and pool.live_shards >= 1
-                        and pool.booting_shards() == 0
-                    ):
-                        break
-                    time.sleep(0.1)
-                assert supervisor.stats_snapshot()["shards_evicted"] >= 1
-                assert pool.live_shards == 1
-                # the respawned shard serves (and the seed stream continued)
-                result = pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
-                assert result.logits.shape == (1, 10)
-            assert pool.stats_snapshot()["shards_respawned"] >= 1
+            pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
+            dead = pool._shards[0]
+            for process in dead.processes:
+                os.kill(process.pid, signal.SIGKILL)
+            _wait_until(lambda: pool._shards[0] not in (None, dead), timeout=60.0)
+            _assert_respawned_on_its_stream(pool, dead, seed)
 
-    def test_respawn_cooldown_brakes_storms(self, servable):
-        """Two sweeps inside one cooldown window evict at most once."""
+    def test_an_idle_worker_evicts_its_sigstopped_shard(self, servable):
+        """A party stopped while the pool idles misses its heartbeat: the
+        miss is counted, the shard evicted and its slot respawned on the
+        continued seed stream, with no job submitted after the stop."""
+        seed = 30
+        with ShardedServingPool(
+            {"vgg": servable}, num_shards=1, max_batch=1, seed=seed, heartbeat_deadline=1.0
+        ) as pool:
+            pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
+            dead = pool._shards[0]
+            _wait_until(lambda: None not in dead.heartbeat_ages().values())
+            victim = dead.processes[1].pid  # closed once evicted
+            os.kill(victim, signal.SIGSTOP)
+            try:
+                _wait_until(lambda: pool._shards[0] not in (None, dead), timeout=60.0)
+            finally:
+                try:
+                    os.kill(victim, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass  # eviction's SIGTERM→SIGKILL escalation got it first
+            assert pool.stats_snapshot()["heartbeats_missed"] == 1
+            _assert_respawned_on_its_stream(pool, dead, seed)
+
+    def test_respawn_cooldown_brakes_storms(self, servable, monkeypatch):
+        """A replacement that dies inside ``RESPAWN_COOLDOWN`` of its slot's
+        eviction is left alone by the idle check until the window ends, and
+        evicted after it."""
+        cooldown = 4.0
+        monkeypatch.setattr(serve_pool, "RESPAWN_COOLDOWN", cooldown)
         with ShardedServingPool(
             {"vgg": servable},
             num_shards=1,
             max_batch=1,
             seed=29,
+            provision_pools=0,
             heartbeat_deadline=0.5,
         ) as pool:
-            supervisor = ShardSupervisor(pool, respawn_cooldown=60.0)
-            for process in pool._shards[0].processes:
+            first = pool._shards[0]
+            for process in first.processes:
                 os.kill(process.pid, signal.SIGKILL)
-            for process in pool._shards[0].processes:
-                process.join(timeout=10.0)  # make the death visible to the sweep
-            supervisor.sweep()
-            first = supervisor.stats_snapshot()["shards_evicted"]
-            supervisor.sweep()  # same slot, still inside the cooldown
-            assert supervisor.stats_snapshot()["shards_evicted"] == first == 1
+            _wait_until(lambda: pool._shards[0] not in (None, first), timeout=60.0)
+            window_end = pool._evicted_at[0] + cooldown
+            replacement = pool._shards[0]
+            for process in replacement.processes:
+                os.kill(process.pid, signal.SIGKILL)
+            for process in replacement.processes:
+                process.join(timeout=10.0)  # dead before the window ends
+            assert time.monotonic() < window_end - 1.0, "the boot ate the window"
+            while time.monotonic() < window_end - 0.1:
+                assert pool._shards[0] is replacement  # braked: not evicted
+                time.sleep(0.05)
+            _wait_until(lambda: pool.stats_snapshot()["shards_respawned"] == 2, timeout=60.0)
+            assert pool.stats_snapshot()["shard_failures"] == 2
+
+
+def _assert_respawned_on_its_stream(pool, dead, seed):
+    """Slot 0 was evicted once and its replacement serves the dead shard's
+    next job seed."""
+    _wait_until(lambda: (pool.live_shards, pool.booting_shards()) == (1, 0), timeout=60.0)
+    stats = pool.stats_snapshot()
+    assert (stats["shards_respawned"], stats["shard_failures"]) == (1, 1)
+    assert None not in dead.exitcodes  # reaped
+    replacement = pool._shards[0]
+    assert replacement.successor_state() == dead.successor_state()
+    result = pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
+    assert result.seed == derive_job_seed(seed, "vgg", 1, 1)
 
 
 def _framed(kind: bytes, body: bytes) -> bytes:

@@ -21,7 +21,9 @@ from repro.models.builder import build_model, export_layer_weights
 from repro.models.vgg import vgg_tiny
 from repro.runtime.server import derive_job_seed
 from repro.runtime.shard import ShardFailure
-from repro.serve import ServableModel, ShardedServingPool, ShardSupervisor
+from repro.serve import ServableModel, ShardedServingPool
+
+from tests.serve.test_serving import _wait_until
 
 
 @pytest.fixture(scope="module")
@@ -229,10 +231,11 @@ class TestShardedServing:
         a respawn of slot 1 serves slot 1's stream, and slot 0 keeps its own."""
         seed = 12
         with ShardedServingPool(
-            {"vgg": servable}, num_shards=2, provision_pools=0, seed=seed
+            {"vgg": servable}, num_shards=2, provision_pools=0, seed=seed,
+            heartbeat_deadline=1.0,  # slot 1's idle worker finds its dead pair
         ) as pool:
             dead = _kill_shard(pool, 1)
-            ShardSupervisor(pool).sweep()  # evicts the dead pair, respawns slot 1
+            _wait_until(lambda: pool._shards[1] is not dead)
             _wait_for_fleet(pool, 2)
             assert pool.stats_snapshot()["shards_respawned"] == 1
             assert pool._shards[1] is not dead
