@@ -182,7 +182,9 @@ class WorkerShard:
         #: Enforced only once a party has beaten at least once, so a slow
         #: boot (unpickling the boot plans, provisioning) never trips it.
         self.heartbeat_deadline = heartbeat_deadline
-        self._poll_interval = (
+        #: seconds between two :meth:`check_parties` while a reply is awaited
+        #: (and between an idle serving worker's checks)
+        self.poll_interval = (
             min(0.25, heartbeat_deadline / 4) if heartbeat_deadline > 0 else 0.5
         )
         # one beat block per party, written by its beat thread and read here
@@ -253,22 +255,21 @@ class WorkerShard:
     def _recv(self, party: int, timeout: float):
         """Receive one party's next reply.
 
-        Polls in short slices instead of one long block, and between slices
-        reads the party's beat block: a party whose beats stop for longer
-        than ``heartbeat_deadline`` raises :class:`HeartbeatMiss` carrying
-        the last liveness evidence — surfacing a wedged worker in seconds
-        instead of an opaque ``timeout``-long stall.
+        Polls in short slices instead of one long block, and runs
+        :meth:`check_parties` between slices, so a wedged or dead party —
+        the awaited one or its peer — surfaces in seconds instead of an
+        opaque ``timeout``-long stall.
         """
         deadline = time.monotonic() + timeout
         conn = self._pipes[party]
         try:
-            while not conn.poll(min(max(deadline - time.monotonic(), 0.0), self._poll_interval)):
+            while not conn.poll(min(max(deadline - time.monotonic(), 0.0), self.poll_interval)):
                 if time.monotonic() >= deadline:
                     raise ShardFailure(
                         f"shard {self.index} party {party} did not answer "
                         f"within {timeout:.0f}s"
                     )
-                self._check_heartbeat_deadline(party)
+                self.check_parties()
             message = conn.recv()
         except (EOFError, OSError) as exc:
             raise ShardFailure(
@@ -279,6 +280,40 @@ class WorkerShard:
                 f"shard {self.index} party {party} failed: {message}"
             ) from message
         return message
+
+    def check_parties(self) -> None:
+        """Fail a live shard whose party process exited, or whose party has
+        been silent past ``heartbeat_deadline``: the shard is marked dead
+        and its failure counted, then :class:`ShardFailure` (an exit) or
+        :class:`HeartbeatMiss` (silence, with the last liveness evidence)
+        is raised.
+
+        Both parties are checked, not just the one a caller awaits: a party
+        blocked on the wire behind a stopped peer keeps beating from its
+        own beat thread.  The beat check arms once a party has beaten, so a
+        slow boot never trips it; a shard that is not alive (booting,
+        shutting down, already failed) is not checked.
+        """
+        if not self.alive:
+            return
+        try:
+            for party, code in enumerate(self.exitcodes):
+                if code is not None:
+                    raise ShardFailure(
+                        f"shard {self.index} party {party} failed: its process "
+                        f"exited with code {code}"
+                    )
+            for party in (0, 1):
+                self._check_heartbeat_deadline(party)
+        except ShardFailure:
+            self._mark_dead()
+            raise
+
+    def _mark_dead(self) -> None:
+        """Declare the shard dead, counting its failure once."""
+        if self.alive:
+            self.alive = False
+            self.metrics.inc("failures")
 
     def _check_heartbeat_deadline(self, party: int) -> None:
         if self.heartbeat_deadline <= 0:
@@ -403,8 +438,7 @@ class WorkerShard:
             self._cross_check(reports)
         except ShardFailure as exc:
             exc.ticket = ticket
-            self.alive = False
-            self.metrics.inc("failures")
+            self._mark_dead()
             raise
         ring = self.config.ring
         logits = ring.decode(ring.add(reports[0].logit_share, reports[1].logit_share))
@@ -499,6 +533,7 @@ class WorkerShard:
     def shutdown(self, timeout: float = 30.0) -> None:
         """Graceful stop: wire shutdown handshake, then reap the processes."""
         if self.alive:
+            self.alive = False  # the parties exit from here on: no failure
             try:
                 for party in (0, 1):
                     self._send(party, ShutdownRequest())
@@ -508,7 +543,6 @@ class WorkerShard:
                         self._absorb(party, final)
             except ShardFailure:
                 pass
-        self.alive = False
         self._reap(grace=timeout)
 
     def kill(self) -> None:

@@ -357,7 +357,7 @@ class ShardedServingPool:
                     if job is not None:
                         break
                     if self.heartbeat_deadline > 0:
-                        poll = shard._poll_interval
+                        poll = shard.poll_interval
                         self._wake.wait(poll if wait is None else min(wait, poll))
                         self._check_idle_locked(shard)
                     else:
@@ -382,23 +382,18 @@ class ShardedServingPool:
         self._fail(doomed, _dead_pool)
 
     def _check_idle_locked(self, shard: WorkerShard) -> None:
-        """Fail an idle shard whose party process exited or went silent past
-        the heartbeat deadline, as a job would (lock held): its worker then
-        evicts it.  Never once :meth:`close` has begun, nor within
-        ``RESPAWN_COOLDOWN`` of the slot's last eviction."""
+        """Let an idle shard fail its own liveness check, as a job would
+        (lock held): its worker then evicts it.  Never once :meth:`close`
+        has begun, nor within ``RESPAWN_COOLDOWN`` of the slot's last
+        eviction."""
         if self._closed or (
             time.monotonic() - self._evicted_at.get(shard.index, -math.inf) < RESPAWN_COOLDOWN
         ):
             return
-        if all(code is None for code in shard.exitcodes):
-            try:
-                for party in (0, 1):
-                    shard._check_heartbeat_deadline(party)
-                return  # running and beating
-            except HeartbeatMiss:
-                self.metrics.inc("heartbeats_missed")
-        shard.alive = False
-        shard.metrics.inc("failures")
+        try:
+            shard.check_parties()
+        except ShardFailure as exc:
+            self.metrics.inc("heartbeats_missed", int(isinstance(exc, HeartbeatMiss)))
 
     def _run(self, shard: WorkerShard, job: _Job) -> Optional[_Job]:
         """Run one job on the worker's shard and settle it.  Returns the job
