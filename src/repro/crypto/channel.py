@@ -28,8 +28,7 @@ protocol program correct in both the simulated and the networked setting.
 Protocols yield round groups; the round-coalescing executor hands each whole
 group to :meth:`Channel.run_round` (one framed message per direction per
 round) and the sequential oracle (:func:`repro.crypto.events.run_phases`)
-hands it one event at a time.  Secure argmax, which runs outside a plan,
-opens its index with a round of one event.
+hands it one event at a time.
 """
 
 from __future__ import annotations

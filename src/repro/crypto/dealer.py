@@ -1,11 +1,11 @@
 """Trusted dealer for correlated randomness (offline phase).
 
 The online 2PC protocols consume four kinds of correlated randomness:
-Beaver triples (``triple``, for products), Beaver pairs (``square``, Eq. 3),
-multi-input AND items (``bit``: XOR shares of a comparison-tree combine's
-mask planes, bit-packed) and daBits (``dabit``: a random bit ``r`` both
-XOR- and additively shared, next to shares of a random ``a`` and of ``r·a``,
-for the one-round ReLU/MaxPool multiplexer).
+Beaver triples (``triple``, for the elementwise product of Eq. 2), Beaver
+pairs (``square``, Eq. 3), multi-input AND items (``bit``: XOR shares of a
+comparison-tree combine's mask planes, bit-packed) and daBits (``dabit``: a
+random bit ``r`` both XOR- and additively shared, next to shares of a random
+``a`` and of ``r·a``, for the one-round ReLU/MaxPool multiplexer).
 In deployments this correlated randomness is produced by an OT-based or
 HE-based offline phase; the paper (like CrypTen and Delphi) separates it
 from the online latency it reports, so the reproduction models it as a local
@@ -65,7 +65,7 @@ import numpy as np
 from repro.crypto.andgates import and_table, and_terms, plane_bytes
 from repro.crypto.kernels import dead_lane
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
-from repro.crypto.sharing import SharePair, share_ring_elements
+from repro.crypto.sharing import SharePair
 
 #: domain-separation tag of the stream layout (first SeedSequence word)
 STREAM_DOMAIN = 0x0FF1D0
@@ -75,7 +75,6 @@ _KIND_IDS = {
     "square": 2,
     "bit": 3,
     "dabit": 4,
-    "triple-generic": 5,
 }
 
 #: group fields held by party 0 / party 1 (the rest is the other share-world)
@@ -335,8 +334,7 @@ def _row(ring: FixedPointRing, kind: str, arrays: Dict[str, np.ndarray], row: in
 
 class TrustedDealer:
     """Generates correlated randomness for the online protocols;
-    ``generated[kind]`` counts the elements drawn per kind (a general
-    product's triple counts its output under ``triple-generic``)."""
+    ``generated[kind]`` counts the elements drawn per kind."""
 
     def __init__(self, ring: FixedPointRing = DEFAULT_RING, seed: int = 0) -> None:
         self.ring = ring
@@ -344,17 +342,17 @@ class TrustedDealer:
         self._streams: Dict[Tuple, np.random.Generator] = {}
         self.generated: Dict[str, int] = Counter()
 
-    def _stream(self, kind: str, *shapes: Tuple[int, ...]) -> np.random.Generator:
-        """The (cached) generator of one substream.
+    def _stream(self, kind: str, shape: Tuple[int, ...]) -> np.random.Generator:
+        """The (cached) generator of one (kind, shape) substream.
 
         Substreams persist across :meth:`preprocess` calls on one dealer,
         so successive pools from a shared dealer keep advancing the same
         streams per-item draws would.
         """
-        key = (kind,) + shapes
+        key = (kind, shape)
         rng = self._streams.get(key)
         if rng is None:
-            rng = np.random.default_rng(substream(self.seed, self.ring, kind, *shapes))
+            rng = np.random.default_rng(substream(self.seed, self.ring, kind, shape))
             self._streams[key] = rng
         return rng
 
@@ -365,32 +363,6 @@ class TrustedDealer:
         arrays = draw_group(self.ring, self._stream(kind, shape), kind, shape, 1)
         self.generated[kind] += item_elements(kind, shape)
         return _row(self.ring, kind, arrays, 0)
-
-    def triple(
-        self,
-        shape_a: Tuple[int, ...],
-        shape_b: Tuple[int, ...],
-        product: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> Dict[str, SharePair]:
-        """A Beaver triple for a general bilinear product (never provisioned
-        by a plan: the elementwise one is ``draw("triple", shape)``).
-
-        ``product`` maps ring-element arrays of the given shapes to the ring
-        elements of A ⊗ B (e.g. matmul or convolution), and must consist of
-        ring additions/multiplications only so the wrap semantics are
-        preserved.  It draws from its own substream keyed by both shapes.
-        """
-        shape_a, shape_b = tuple(shape_a), tuple(shape_b)
-        rng = self._stream("triple-generic", shape_a, shape_b)
-        a_plain = self.ring.random(shape_a, rng)
-        b_plain = self.ring.random(shape_b, rng)
-        with np.errstate(over="ignore"):
-            z_plain = self.ring.wrap(product(a_plain, b_plain))
-        self.generated["triple-generic"] += numel(z_plain.shape)
-        return {
-            name: share_ring_elements(plain, self.ring, rng)
-            for name, plain in (("a", a_plain), ("b", b_plain), ("z", z_plain))
-        }
 
     # -- offline phase -------------------------------------------------------- #
     def preprocess(self, plan_or_manifest, party: Optional[int] = None) -> "RandomnessPool":
@@ -590,20 +562,6 @@ class RandomnessPool:
             pools.append(sub)
         self.served += sum(demand.values())
         return pools
-
-    def triple(self, shape_a: Tuple[int, ...], shape_b: Tuple[int, ...], product) -> None:
-        """Refuse a general product's triple: the manifest provisions only
-        elementwise ones (``draw("triple", shape)``), and serving one of
-        those for matmul or convolution would yield wrong shares with no
-        error."""
-        raise PreprocessingExhausted(
-            "the randomness pool only provisions elementwise triples; "
-            f"got operand shapes {tuple(shape_a)} vs {tuple(shape_b)} with "
-            f"product {getattr(product, '__qualname__', product)!r}",
-            kind="triple",
-            shape=tuple(shape_a),
-            manifest_hash=self.manifest_hash,
-        )
 
     @property
     def remaining(self) -> int:

@@ -1,4 +1,4 @@
-"""Online 2PC protocols for every DNN operator the paper evaluates.
+"""Online 2PC protocols for every operator a compiled plan runs.
 
 Importing this package also runs every ``@register_protocol`` decorator, so
 the plan runtime's registry (:mod:`repro.crypto.protocols.registry`) is fully
@@ -6,16 +6,7 @@ populated as a side effect.
 """
 
 from repro.crypto.protocols import structural  # noqa: F401  (registers handlers)
-from repro.crypto.protocols.activation import (
-    secure_relu,
-    secure_square_activation,
-    secure_x2act,
-)
-from repro.crypto.protocols.argmax import secure_argmax, secure_max
-from repro.crypto.protocols.normalization import (
-    secure_batchnorm_public,
-    secure_batchnorm_shared,
-)
+from repro.crypto.protocols.activation import secure_relu, secure_x2act
 from repro.crypto.protocols.arithmetic import (
     add_public,
     multiply,
@@ -32,9 +23,7 @@ from repro.crypto.protocols.linear import (
     fold_batchnorm,
     ring_conv2d,
     ring_matmul,
-    secure_conv2d,
     secure_conv2d_public_weight,
-    secure_linear,
     secure_linear_public_weight,
 )
 from repro.crypto.protocols.pooling import (
@@ -68,10 +57,7 @@ __all__ = [
     "select",
     "secure_relu",
     "secure_x2act",
-    "secure_square_activation",
-    "secure_conv2d",
     "secure_conv2d_public_weight",
-    "secure_linear",
     "secure_linear_public_weight",
     "ring_conv2d",
     "ring_matmul",
@@ -79,8 +65,4 @@ __all__ = [
     "secure_maxpool2d",
     "secure_avgpool2d",
     "secure_global_avgpool",
-    "secure_argmax",
-    "secure_max",
-    "secure_batchnorm_public",
-    "secure_batchnorm_shared",
 ]

@@ -86,11 +86,6 @@ def secure_x2act(
     )
 
 
-def secure_square_activation(ctx: TwoPartyContext, x: SharePair, tag: str = "sq") -> SharePair:
-    """Plain x^2 activation (CryptoNets-style), kept for the baselines."""
-    return run_phases(ctx, square_phases(ctx, x, truncate=True, tag=tag))
-
-
 # --------------------------------------------------------------------------- #
 # Plan-runtime handlers
 # --------------------------------------------------------------------------- #

@@ -18,8 +18,6 @@ protocol's cost exists.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext
@@ -48,27 +46,24 @@ def multiply_phases(
     ctx: TwoPartyContext,
     x: SharePair,
     y: SharePair,
-    product: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     truncate: bool = True,
     tag: str = "mul",
 ):
-    """Secure product [R] = [X] ⊗ [Y] with a Beaver triple (Eq. 2).
+    """Secure elementwise product [R] = [X] ⊙ [Y] with a Beaver triple (Eq. 2).
 
-    ``product`` is the bilinear map on ring elements (defaults to the
-    Hadamard product).  ``truncate`` should be True when both operands carry
-    fixed-point scale (so the result must be rescaled by 2^{-f}) and False
-    when one operand is a plain integer (e.g. a 0/1 selection bit).
+    ``truncate`` should be True when both operands carry fixed-point scale
+    (so the result must be rescaled by 2^{-f}) and False when one operand
+    is a plain integer (e.g. a 0/1 selection bit).  Operands of different
+    shapes raise :class:`ValueError`: there is no broadcasting triple.
 
     Phases: the E = X - A and F = Y - B openings are mutually independent,
     so they ride in one round group (``rec([E])`` / ``rec([F])`` of the
     paper share a round under coalescing).
     """
+    if x.shape != y.shape:
+        raise ValueError(f"multiply needs operands of one shape, got {x.shape} and {y.shape}")
     ring = ctx.ring
-    prod = product or ring.mul
-    if product is None and x.shape == y.shape:
-        triple = ctx.dealer.draw("triple", x.shape)
-    else:
-        triple = ctx.dealer.triple(x.shape, y.shape, prod)
+    triple = ctx.dealer.draw("triple", x.shape)
     a, b, z = triple["a"], triple["b"], triple["z"]
     kc = ctx.kernels
     live = ctx.live_lane
@@ -82,9 +77,9 @@ def multiply_phases(
         open_ring_event(f.share0, f.share1, tag=f"{tag}/open-f"),
     )
 
-    if kc is not None and product is None and ring.ring_bits == 64:
-        # Elementwise case: one fused in-place recombination kernel replaces
-        # the eight ring-call intermediates of the reference chain below.
+    if kc is not None and ring.ring_bits == 64:
+        # One fused in-place recombination kernel replaces the eight
+        # ring-call intermediates of the reference chain below.
         r0, r1 = KERNELS["beaver-recombine"](
             x.share0, x.share1, y.share0, y.share1, e, f,
             z.share0, z.share1, live=live,
@@ -94,12 +89,10 @@ def multiply_phases(
         kc.count()
         return SharePair(r0, r1, ring)
 
-    with np.errstate(over="ignore"):
-        # R_Si = -i * E⊗F + X_Si⊗F + E⊗Y_Si + Z_Si      (Eq. 2)
-        ef = ring.wrap(prod(e, f))
-        r0 = ring.add(ring.add(ring.wrap(prod(x.share0, f)), ring.wrap(prod(e, y.share0))), z.share0)
-        r1 = ring.add(ring.add(ring.wrap(prod(x.share1, f)), ring.wrap(prod(e, y.share1))), z.share1)
-        r1 = ring.sub(r1, ef)
+    # R_Si = -i * E⊙F + X_Si⊙F + E⊙Y_Si + Z_Si      (Eq. 2)
+    r0 = ring.add(ring.add(ring.mul(x.share0, f), ring.mul(e, y.share0)), z.share0)
+    r1 = ring.add(ring.add(ring.mul(x.share1, f), ring.mul(e, y.share1)), z.share1)
+    r1 = ring.sub(r1, ring.mul(e, f))
 
     result = SharePair(r0, r1, ring)
     if truncate:
@@ -115,12 +108,11 @@ def multiply(
     ctx: TwoPartyContext,
     x: SharePair,
     y: SharePair,
-    product: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
     truncate: bool = True,
     tag: str = "mul",
 ) -> SharePair:
     """Sequential entry point of :func:`multiply_phases`."""
-    return run_phases(ctx, multiply_phases(ctx, x, y, product=product, truncate=truncate, tag=tag))
+    return run_phases(ctx, multiply_phases(ctx, x, y, truncate=truncate, tag=tag))
 
 
 def square_phases(

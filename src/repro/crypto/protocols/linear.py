@@ -1,11 +1,12 @@
-"""Secure linear algebra: 2PC convolution and fully-connected layers.
+"""Secure linear layers: 2PC convolution and fully-connected layers.
 
-Both use the generic Beaver-triple multiplication of
-:func:`repro.crypto.protocols.arithmetic.multiply` with the bilinear map set
-to a ring convolution / matrix product, exactly as described for 2PC-Conv in
-Section III-C.6 of the paper.  Batch normalization is folded into the
-convolution weights before secure evaluation (the paper notes BN "can be
-fused into the convolution layer").
+The model vendor's weights are public to the compute servers, so each server
+convolves (or multiplies) its own share with the encoded weight and
+truncates locally: no Beaver triple, no online message.  The paper's
+shared-weight 2PC-Conv (Section III-C.6, one Beaver product per layer) is
+modelled by :mod:`repro.hardware.latency` but not executed.  Batch
+normalization is folded into the convolution weights before secure
+evaluation (the paper notes BN "can be fused into the convolution layer").
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.kernels import KERNELS
-from repro.crypto.protocols.arithmetic import add_public, multiply
+from repro.crypto.protocols.arithmetic import add_public
 from repro.crypto.protocols.registry import register_protocol
 from repro.crypto.ring import FixedPointRing
 from repro.crypto.sharing import SharePair
@@ -24,7 +25,7 @@ from repro.models.specs import LayerKind, LayerSpec
 
 
 # --------------------------------------------------------------------------- #
-# Ring-element linear algebra (used as the Beaver bilinear maps)
+# Ring-element linear algebra
 # --------------------------------------------------------------------------- #
 def ring_matmul(ring: FixedPointRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the ring (wrap-around uint64 arithmetic)."""
@@ -85,26 +86,6 @@ def ring_conv2d(
 # --------------------------------------------------------------------------- #
 # Secure layers
 # --------------------------------------------------------------------------- #
-def secure_conv2d(
-    ctx: TwoPartyContext,
-    x: SharePair,
-    weight: SharePair,
-    bias: Optional[np.ndarray] = None,
-    stride: int = 1,
-    padding: int = 0,
-    tag: str = "conv",
-) -> SharePair:
-    """2PC-Conv: convolution between secret-shared activations and weights."""
-
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ring_conv2d(ctx.ring, a, b, stride=stride, padding=padding)
-
-    out = multiply(ctx, x, weight, product=product, truncate=True, tag=tag)
-    if bias is not None:
-        out = add_public(ctx, out, np.asarray(bias).reshape(1, -1, 1, 1))
-    return out
-
-
 def secure_conv2d_public_weight(
     ctx: TwoPartyContext,
     x: SharePair,
@@ -161,24 +142,6 @@ def secure_conv2d_public_weight(
     )
     if bias is not None:
         out = add_public(ctx, out, np.asarray(bias).reshape(1, -1, 1, 1))
-    return out
-
-
-def secure_linear(
-    ctx: TwoPartyContext,
-    x: SharePair,
-    weight: SharePair,
-    bias: Optional[np.ndarray] = None,
-    tag: str = "linear",
-) -> SharePair:
-    """2PC fully-connected layer: [Y] = [X] @ [W^T] + b."""
-
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return ring_matmul(ctx.ring, a, np.swapaxes(b, -1, -2))
-
-    out = multiply(ctx, x, weight, product=product, truncate=True, tag=tag)
-    if bias is not None:
-        out = add_public(ctx, out, np.asarray(bias).reshape(1, -1))
     return out
 
 

@@ -501,6 +501,14 @@ class ShardedServingPool:
                 f"model {model!r} expects a batch of shape (N, {expected[0]}, "
                 f"{expected[1]}, {expected[2]}) with N >= 1, got {inputs.shape}"
             )
+        # the ring encodes NaN, ±inf and anything past its range as one
+        # garbage word; NaN fails the comparison too
+        bound = self.ring.max_representable
+        if not (np.abs(inputs) < bound).all():
+            raise ValueError(
+                f"model {model!r} takes finite inputs with |x| < {bound:.4g}; "
+                "the batch holds NaN, an infinity or a value out of range"
+            )
         return inputs
 
     def _enqueue(self, items: List[_Pending]) -> None:

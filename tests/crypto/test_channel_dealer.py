@@ -68,14 +68,6 @@ class TestTrustedDealer:
         z = reconstruct_ring(triple["z"])
         np.testing.assert_array_equal(z, DEFAULT_RING.mul(a, b))
 
-    def test_matmul_triple_is_consistent(self):
-        dealer = TrustedDealer(DEFAULT_RING, seed=1)
-        triple = dealer.triple((2, 3), (3, 4), DEFAULT_RING.matmul)
-        np.testing.assert_array_equal(
-            reconstruct_ring(triple["z"]),
-            DEFAULT_RING.matmul(reconstruct_ring(triple["a"]), reconstruct_ring(triple["b"])),
-        )
-
     def test_square_pair_is_consistent(self):
         dealer = TrustedDealer(PAPER_RING, seed=2)
         pair = dealer.draw("square", (8,))
@@ -95,8 +87,7 @@ class TestTrustedDealer:
         dealer = TrustedDealer(seed=6)
         dealer.draw("triple", (3, 3))
         dealer.draw("bit", (2, 1, 5))
-        dealer.triple((2, 3), (3, 4), DEFAULT_RING.matmul)
-        assert dealer.generated == {"triple": 9, "bit": 15, "triple-generic": 8}
+        assert dealer.generated == {"triple": 9, "bit": 15}
 
     def test_dealer_is_deterministic_given_seed(self):
         first = TrustedDealer(seed=9).draw("triple", (2, 2))

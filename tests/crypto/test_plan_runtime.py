@@ -218,17 +218,6 @@ class TestCompiledExecutionEquivalence:
         with pytest.raises(PreprocessingExhausted):
             engine.execute(plan, weights, x, pool=pool)  # pool is spent
 
-    def test_pool_rejects_non_elementwise_products(self):
-        """A matmul/conv triple request must not be served a Hadamard triple."""
-        from repro.crypto.protocols.linear import ring_matmul
-
-        engine = SecureInferenceEngine(make_context(seed=6))
-        plan = engine.compile(vgg_tiny(input_size=8).with_all_polynomial())
-        pool = engine.preprocess(plan)
-        ring = engine.ctx.ring
-        with pytest.raises(PreprocessingExhausted, match="elementwise"):
-            pool.triple((4, 4), (4, 4), lambda a, b: ring_matmul(ring, a, b))
-
     def test_batch_size_mismatch_is_rejected(self):
         spec = vgg_tiny(input_size=8).with_all_polynomial()
         net, weights = _trained_weights(spec)

@@ -196,7 +196,3 @@ class TestExhaustionDiagnostics:
         assert excinfo.value.remaining_by_kind == {}
         assert excinfo.value.manifest_hash == "abc123"
         assert "empty" in str(excinfo.value)
-
-    def test_general_product_triple_rejected_with_context(self, pool):
-        with pytest.raises(PreprocessingExhausted, match="elementwise"):
-            pool.triple((2, 3), (3, 4), DEFAULT_RING.matmul)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import make_context, reconstruct, share
 from repro.crypto.protocols.arithmetic import add_public, multiply, multiply_public, square
-from repro.crypto.protocols.linear import ring_matmul
 
 
 class TestMultiply:
@@ -18,16 +18,16 @@ class TestMultiply:
         result = multiply(ctx, share(x, ctx.ring, rng), share(y, ctx.ring, rng))
         np.testing.assert_allclose(reconstruct(result), x * y, atol=1e-3)
 
-    def test_matrix_product(self, ctx, rng):
-        x = rng.uniform(-2, 2, size=(3, 5))
-        y = rng.uniform(-2, 2, size=(5, 4))
-        result = multiply(
-            ctx,
-            share(x, ctx.ring, rng),
-            share(y, ctx.ring, rng),
-            product=lambda a, b: ring_matmul(ctx.ring, a, b),
-        )
-        np.testing.assert_allclose(reconstruct(result), x @ y, atol=1e-2)
+    def test_operands_of_different_shapes_are_rejected(self, ctx, rng):
+        """There is no broadcasting triple: a mismatch raises before any draw."""
+        x = share(rng.uniform(-2, 2, size=(3, 5)), ctx.ring, rng)
+        y = share(rng.uniform(-2, 2, size=(5, 4)), ctx.ring, rng)
+        with pytest.raises(ValueError, match="one shape"):
+            multiply(ctx, x, y)
+        with pytest.raises(ValueError, match="one shape"):
+            multiply(ctx, x, share(rng.uniform(-2, 2, size=(5,)), ctx.ring, rng))
+        assert ctx.dealer.generated == {}
+        assert ctx.communication_bytes == 0
 
     def test_no_truncation_for_integer_operand(self, ctx, rng):
         x = rng.uniform(-5, 5, size=(10,))

@@ -78,6 +78,29 @@ class TestTruncation:
         recovered = ring.decode(ring.add(t0, t1))
         np.testing.assert_allclose(recovered, values, atol=3.0 / ring.scale)
 
+    @pytest.mark.parametrize("magnitude_bits", [24, 28])
+    def test_local_truncation_fails_at_the_rate_secureml_predicts(self, magnitude_bits):
+        """On a 32-bit ring a split of |x| < 2^l fails when the two signed
+        shares wrap, with probability |x| / 2^k (SecureML bounds it by
+        2^(l+1-k)); a failure is off by ~2^(k-f), every other result by at
+        most one LSB."""
+        ring, trials = PAPER_RING, 1 << 16
+        rng = np.random.default_rng(magnitude_bits)
+        x = rng.integers(-(1 << magnitude_bits) + 1, 1 << magnitude_bits, size=trials)
+        element = ring.wrap(x.astype(np.uint64))
+        share0 = ring.random((trials,), rng)
+        share1 = ring.sub(element, share0)
+        result = ring.add(ring.truncate_local(share0, 0), ring.truncate_local(share1, 1))
+        error = np.abs(ring.to_signed(ring.sub(result, ring.truncate_plain(element))))
+        failed = error > 1
+        wrapped = ring.to_signed(share0) + ring.to_signed(share1) != x
+        np.testing.assert_array_equal(failed, wrapped)
+        assert (error[failed] >= (1 << (ring.ring_bits - ring.frac_bits)) - 1).all()
+        # a binomial count: within 5 standard deviations of the exact mean
+        expected = np.abs(x).sum() / 2.0**ring.ring_bits
+        assert abs(failed.sum() - expected) <= 5 * np.sqrt(expected)
+        assert failed.mean() < 2.0 ** (magnitude_bits + 1 - ring.ring_bits)
+
 
 class TestBitDecomposition:
     def test_msb_of_negative_is_one(self):

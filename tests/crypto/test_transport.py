@@ -24,6 +24,7 @@ from repro.crypto.channel import Channel, PartyChannel
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import TrustedDealer
 from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
+from repro.crypto.kernels import dead_lane
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import SharePair, share
 from repro.crypto.transport import (
@@ -179,6 +180,14 @@ def _masked_world(pair: SharePair, party: int) -> SharePair:
     return SharePair(zeros, pair.share1.copy(), pair.ring)
 
 
+def _dead_peer(pair: SharePair, party: int) -> SharePair:
+    """A party's share of dealer material: the peer's share is the dead lane."""
+    dead = dead_lane(pair.shape, pair.share0.dtype)
+    if party == 0:
+        return SharePair(pair.share0, dead, pair.ring)
+    return SharePair(dead, pair.share1, pair.ring)
+
+
 class TestSimulatedVsPartyChannelParity:
     """The satellite acceptance: simulated-vs-socket byte-count parity."""
 
@@ -247,26 +256,27 @@ class TestSimulatedVsPartyChannelParity:
         def program_with_pool(ctx, party):
             shared_x = share(x, ctx.ring, ctx.rng)
             shared_y = share(y, ctx.ring, ctx.rng)
-            restricted_dealer = TrustedDealer(ring=ctx.ring, seed=seed)
-            original_triple = restricted_dealer.triple
+            dealer = TrustedDealer(ring=ctx.ring, seed=seed)
+            full_draw, served = dealer.draw, []
 
-            def masked_triple(shape_a, shape_b, product):
-                triple = original_triple(shape_a, shape_b, product)
-                for pair in (triple.a, triple.b, triple.z):
-                    setattr(pair, f"share{1 - party}", np.zeros_like(pair.share0))
-                return triple
+            def own_world_draw(kind, shape):
+                # the peer's share of every field is the dead-lane placeholder
+                served.append(kind)
+                item = full_draw(kind, shape)
+                return {name: _dead_peer(pair, party) for name, pair in item.items()}
 
-            restricted_dealer.triple = masked_triple
-            ctx.dealer = restricted_dealer
+            dealer.draw = own_world_draw
+            ctx.dealer = dealer
             out = multiply(
                 ctx, _masked_world(shared_x, party), _masked_world(shared_y, party)
             )
             my_share = out.share0 if party == 0 else out.share1
-            return my_share, ctx.channel.transport.stats
+            return my_share, ctx.channel.transport.stats, served
 
         results = _run_two_party_threads(program_with_pool, seed=seed)
-        (share0, stats0), _ = results[0]
-        (share1, stats1), _ = results[1]
+        (share0, stats0, served0), _ = results[0]
+        (share1, stats1, served1), _ = results[1]
+        assert served0 == served1 == ["triple"]
         np.testing.assert_array_equal(
             DEFAULT_RING.add(share0, share1),
             DEFAULT_RING.add(ref_out.share0, ref_out.share1),

@@ -27,6 +27,7 @@ import repro.serve
 from repro.crypto import make_context
 from repro.crypto.channel import Channel
 from repro.crypto.kernels import KernelContext
+from repro.crypto.protocols.arithmetic import multiply, multiply_phases
 from repro.crypto.protocols.registry import ProtocolHandler, register_protocol
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
@@ -383,6 +384,15 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.serve", "ShardSupervisor"),
         ("repro.serve", "ShardedServingPool._respawn_shard_async"),
         ("repro.serve", "ShardedServingPool.shards_view"),
+        ("repro.crypto.protocols", "secure_argmax"),
+        ("repro.crypto.protocols", "secure_max"),
+        ("repro.crypto.protocols", "secure_batchnorm_public"),
+        ("repro.crypto.protocols", "secure_batchnorm_shared"),
+        ("repro.crypto.protocols", "secure_square_activation"),
+        ("repro.crypto.protocols", "secure_conv2d"),
+        ("repro.crypto.protocols", "secure_linear"),
+        ("repro.crypto.dealer", "TrustedDealer.triple"),
+        ("repro.crypto.dealer", "RandomnessPool.triple"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -418,6 +428,12 @@ def test_deleted_module_and_method_stay_deleted():
     assert "b2a-finish" not in repro.crypto.kernels.KERNELS
     # the multi-input AND table's finish replaced the fan-out AND finish
     assert "and-finish" not in repro.crypto.kernels.KERNELS
+    # a plan runs the public-weight linear layers and no argmax or batch
+    # norm; the only Beaver multiply is elementwise
+    assert importlib.util.find_spec("repro.crypto.protocols.argmax") is None
+    assert importlib.util.find_spec("repro.crypto.protocols.normalization") is None
+    assert "product" not in inspect.signature(multiply).parameters
+    assert "product" not in inspect.signature(multiply_phases).parameters
 
 
 def test_runtime_and_serving_keep_no_sample_window_of_their_own():

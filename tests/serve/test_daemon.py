@@ -227,8 +227,12 @@ class TestInvalidSubmission:
             ("vgg", np.zeros((1, 3, 4, 4))),
             ("vgg", np.zeros((1, 1, 3, 8, 8))),
             ("vgg", np.zeros((65, 3, 8, 8))),
+            ("vgg", np.full((2, 3, 8, 8), np.nan)),
         ],
-        ids=["empty_batch", "unknown_model", "wrong_shape", "wrong_rank", "oversized_stack"],
+        ids=[
+            "empty_batch", "unknown_model", "wrong_shape", "wrong_rank", "oversized_stack",
+            "nan_stack",
+        ],
     )
     def test_is_refused_before_admission(self, shared_daemon, model, stack):
         """A stack the pool would refuse, or one larger than the default
@@ -240,7 +244,8 @@ class TestInvalidSubmission:
             start = time.monotonic()
             with pytest.raises(
                 RuntimeError,
-                match="expects a batch of shape|unknown model|exceeds the queue budget of 64",
+                match="expects a batch of shape|unknown model|exceeds the queue budget of 64"
+                "|takes finite inputs",
             ):
                 client.infer(model, stack)
             assert time.monotonic() - start < 5.0

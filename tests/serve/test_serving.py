@@ -137,6 +137,12 @@ def _wait_until(condition, timeout: float = 10.0) -> None:
         time.sleep(0.01)
 
 
+@pytest.fixture(scope="module")
+def idle_pool(servable):
+    with _pool({"m": servable}, max_batch=2) as pool:
+        yield pool
+
+
 class TestPoolLifecycle:
     def test_unknown_model_or_shape_is_rejected_at_submit(self, servable):
         with _pool({"m": servable}, max_batch=2) as pool:
@@ -147,6 +153,24 @@ class TestPoolLifecycle:
             with pytest.raises(ValueError, match="expects a batch of shape"):
                 pool.submit_many("m", np.zeros((2, 3, 4, 4)))
             assert pool.stats_snapshot()["frontend"]["queries_completed"] == 0
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 1e15], ids=["nan", "inf", "neg_inf", "out_of_range"]
+    )
+    def test_non_finite_or_out_of_range_values_are_rejected_at_submit(self, idle_pool, bad):
+        """The ring would encode each of these as one garbage word and the
+        job would return garbage logits: every entry point refuses the
+        batch, and nothing is queued."""
+        queries = np.zeros((3, 3, 8, 8))
+        queries[1, 2, 4, 4] = bad
+        with pytest.raises(ValueError, match="takes finite inputs"):
+            idle_pool.submit_many("m", queries)
+        with pytest.raises(ValueError, match="takes finite inputs"):
+            idle_pool.submit("m", queries[1])
+        with pytest.raises(ValueError, match="takes finite inputs"):
+            idle_pool.run_batch("m", queries)
+        assert idle_pool.queue_depth("m") == 0
+        assert idle_pool.stats_snapshot()["frontend"]["queries_completed"] == 0
 
     def test_submit_after_close_raises(self, servable):
         pool = _pool({"m": servable}, max_batch=2)
