@@ -92,7 +92,7 @@ def test_plan_offline_online_split():
 
     The offline phase (plan compilation + correlated-randomness generation)
     runs ahead of the query; the online phase is the client-visible latency.
-    The manifest predicts the online bytes exactly.
+    The plan predicts the online bytes exactly.
     """
     from repro.models import build_model, export_layer_weights
     from repro.models.vgg import vgg_tiny
@@ -129,7 +129,7 @@ def test_plan_offline_online_split():
                 {
                     "phase": "offline: preprocess (randomness material)",
                     "time (ms)": round(1e3 * preprocess_s, 2),
-                    "bytes": result.offline_material_bytes,
+                    "bytes": plan.manifest.material_bytes,
                 },
                 {
                     "phase": "online: execute",
@@ -146,4 +146,4 @@ def test_plan_offline_online_split():
     reference_logits, _, _ = run_reference(oracle, plan, weights, x)
     np.testing.assert_array_equal(result.logits, reference_logits)
     assert oracle.communication_rounds == plan.oracle_rounds
-    assert result.offline_material_bytes > 0
+    assert plan.manifest.material_bytes > 0

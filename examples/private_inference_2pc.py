@@ -102,10 +102,10 @@ def demo_model_inference() -> None:
           f"{result.communication_bytes / 1e3:.1f} kB "
           f"in {result.communication_rounds} rounds "
           f"({result.online_bytes_per_query / 1e3:.1f} kB/query)")
-    print(f"manifest prediction exact: "
+    print(f"plan prediction exact: "
           f"{result.communication_bytes == plan.online_bytes}")
     print("per-layer online communication (top 5):")
-    top = sorted(result.per_layer_bytes.items(), key=lambda kv: kv[1], reverse=True)[:5]
+    top = sorted(result.execution.per_op_bytes.items(), key=lambda kv: kv[1], reverse=True)[:5]
     for name, num_bytes in top:
         print(f"  {name:<10s} {num_bytes / 1e3:8.1f} kB")
 

@@ -43,7 +43,6 @@ from repro.crypto.events import (
     OPEN_RING,
     TRANSFER,
     CommEvent,
-    bytes_saved_pct as _bytes_saved_pct,
     group_direction_bytes,
 )
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
@@ -55,14 +54,12 @@ class Message:
     """One direction of one round: sender, receiver and payload size.
 
     ``num_bytes`` is the on-wire payload size (sub-byte payloads packed at
-    their true width); ``unpacked_bytes`` is the frame-format-v1 equivalent
-    (every uint8 element a full byte) kept for the ``bytes_saved`` stats.
+    their true width).
     """
 
     sender: int
     receiver: int
     num_bytes: int
-    unpacked_bytes: int
 
 
 @dataclass
@@ -74,17 +71,6 @@ class CommunicationLog:
     @property
     def total_bytes(self) -> int:
         return sum(m.num_bytes for m in self.messages)
-
-    @property
-    def total_unpacked_bytes(self) -> int:
-        """What the same conversation would cost at frame format v1 (no
-        sub-byte packing) — the denominator of :attr:`bytes_saved_pct`."""
-        return sum(m.unpacked_bytes for m in self.messages)
-
-    @property
-    def bytes_saved_pct(self) -> float:
-        """Percent of payload bytes the packed wire format saves (0-100)."""
-        return _bytes_saved_pct(self.total_bytes, self.total_unpacked_bytes)
 
     @property
     def total_megabytes(self) -> float:
@@ -144,11 +130,10 @@ class Channel:
     def _log_round(self, events: Sequence[CommEvent]) -> None:
         """One log entry per direction with the round's summed payload."""
         from_0, from_1 = group_direction_bytes(events, self.element_bytes)
-        raw_0, raw_1 = group_direction_bytes(events, self.element_bytes, packed=False)
         if from_0:
-            self.log.messages.append(Message(0, 1, from_0, raw_0))
+            self.log.messages.append(Message(0, 1, from_0))
         if from_1:
-            self.log.messages.append(Message(1, 0, from_1, raw_1))
+            self.log.messages.append(Message(1, 0, from_1))
 
     def reset(self) -> None:
         self.log.clear()

@@ -106,21 +106,18 @@ def item_elements(kind: str, shape: Tuple[int, ...]) -> int:
 
 
 def substream(
-    seed: int, ring: FixedPointRing, kind: str, *shapes: Tuple[int, ...]
+    seed: int, ring: FixedPointRing, kind: str, shape: Tuple[int, ...]
 ) -> np.random.SeedSequence:
     """The seeded substream of one (kind, shape) group.
 
     Domain-separated on the base seed, the ring parameters, the kind and
-    the item shape(s), so every group owns an independent deterministic
+    the item shape, so every group owns an independent deterministic
     stream and generation order across groups cannot change the bits.
     """
     if kind not in _KIND_IDS:
         raise ValueError(f"unknown randomness kind {kind!r}")
     entropy = [STREAM_DOMAIN, int(seed), ring.ring_bits, ring.frac_bits, _KIND_IDS[kind]]
-    for shape in shapes:
-        entropy.append(len(shape))
-        entropy.extend(int(dim) for dim in shape)
-    return np.random.SeedSequence(entropy)
+    return np.random.SeedSequence(entropy + [len(shape), *(int(dim) for dim in shape)])
 
 
 def words_per_plane(ring: FixedPointRing, count: int) -> int:

@@ -138,14 +138,6 @@ def packed_num_bytes(num_elements: int, element_bits: int) -> int:
     return (int(num_elements) * int(element_bits) + 7) // 8
 
 
-def bytes_saved_pct(packed_bytes: int, unpacked_bytes: int) -> float:
-    """Percent of payload the packed wire format saves (0-100) — the one
-    formula behind every ``bytes_saved_pct`` stat in the stack."""
-    if not unpacked_bytes:
-        return 0.0
-    return 100.0 * (1.0 - packed_bytes / unpacked_bytes)
-
-
 def payload_num_bytes(array: np.ndarray, element_bytes: int, element_bits: int = 8) -> int:
     """The channel accounting rule: ring elements at the ring width, uint8
     payloads packed at their declared ``element_bits`` (1-bit planes cost a
@@ -158,32 +150,13 @@ def payload_num_bytes(array: np.ndarray, element_bytes: int, element_bits: int =
     return int(array.nbytes)
 
 
-def event_direction_bytes(
-    event: CommEvent, element_bytes: int, packed: bool = True
-) -> Tuple[int, int]:
-    """Payload bytes the event contributes per direction ``(from_0, from_1)``.
-
-    ``packed=False`` gives the frame-format-v1 equivalent (every uint8
-    element a full byte) — the counterfactual the ``bytes_saved`` stats
-    compare against.
-    """
-    element_bits = event.element_bits if packed else 8
+def group_direction_bytes(events: Iterable[CommEvent], element_bytes: int) -> Tuple[int, int]:
+    """Summed payload bytes ``(from_0, from_1)`` of one (coalesced) round."""
     totals = [0, 0]
-    for sender, array in event_payload_arrays(event):
-        totals[sender] += payload_num_bytes(array, element_bytes, element_bits)
-    return totals[0], totals[1]
-
-
-def group_direction_bytes(
-    events: Iterable[CommEvent], element_bytes: int, packed: bool = True
-) -> Tuple[int, int]:
-    """Summed per-direction payload bytes of one (coalesced) round."""
-    total0 = total1 = 0
     for event in events:
-        b0, b1 = event_direction_bytes(event, element_bytes, packed=packed)
-        total0 += b0
-        total1 += b1
-    return total0, total1
+        for sender, array in event_payload_arrays(event):
+            totals[sender] += payload_num_bytes(array, element_bytes, event.element_bits)
+    return totals[0], totals[1]
 
 
 def run_phases(ctx, gen):

@@ -222,7 +222,7 @@ class KernelContext:
     ``live`` is the share lane this process holds — the party of a
     :class:`~repro.crypto.channel.PartyChannel` — or None when it holds both
     (the in-process engine); kernels compute the live lanes only.
-    ``fused_calls`` counts fused-kernel invocations for the profile counters
+    ``fused_calls`` counts fused-kernel invocations for the execution record
     surfaced in engine results and serving stats.
     """
 

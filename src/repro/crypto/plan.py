@@ -22,8 +22,9 @@ online phase):
 - the per-plan :class:`PreprocessingManifest` aggregates those requests into
   the exact Beaver-triple / square-pair / bit-triple counts and byte volumes
   the offline phase must produce (see
-  :meth:`repro.crypto.dealer.TrustedDealer.preprocess`) plus the exact
-  per-round byte trace of the online phase.
+  :meth:`repro.crypto.dealer.TrustedDealer.preprocess`); the plan itself
+  holds the online phase's exact per-round byte trace
+  (:attr:`InferencePlan.round_trace`).
 
 Round accounting has three numbers, all exact:
 
@@ -36,7 +37,7 @@ Round accounting has three numbers, all exact:
 - ``num_rounds`` — the number of round groups: the link traversals on a
   job's critical path (a two-way round is one full-duplex exchange).
 
-The same manifest is the single source of truth consumed by the hardware
+The same per-op traces are the single source of truth consumed by the hardware
 layer (:func:`repro.hardware.comm.communication_report` with ``plan=`` and
 the plan-sourced latency LUT) so the NAS latency penalty and the executable
 engine can no longer drift apart in their per-op communication accounting.
@@ -85,6 +86,8 @@ class PlanOp:
     offline/online trace; ``round_groups`` holds its wire messages grouped
     by round: one group per round its phase generator yields, each group
     holding the ``(sender, num_bytes)`` messages of its independent events.
+    ``unpacked_bytes`` is what those messages would cost with every uint8
+    element a full byte (:attr:`OpTrace.unpacked_bytes`).
     """
 
     name: str
@@ -93,13 +96,20 @@ class PlanOp:
     input_shape: Tuple[int, ...]
     output_shape: Tuple[int, ...]
     requests: Tuple[RandomnessRequest, ...]
-    messages: Tuple[Tuple[int, int], ...]
     round_groups: Tuple[TraceGroup, ...] = ()
+    unpacked_bytes: int = 0
+
+    @property
+    def messages(self) -> List[Tuple[int, int]]:
+        """Flat ``(sender, num_bytes)`` sequence of a sequential execution."""
+        return [message for group in self.round_groups for event in group for message in event]
 
     @property
     def online_bytes(self) -> int:
         """Exact online communication of this op (both directions)."""
-        return sum(num_bytes for _, num_bytes in self.messages)
+        return sum(
+            num_bytes for group in self.round_groups for event in group for _, num_bytes in event
+        )
 
     @property
     def scheduled_messages(self) -> List[Tuple[int, int]]:
@@ -125,38 +135,19 @@ class PlanOp:
         return sum(r.num_elements for r in self.requests if r.kind == kind)
 
 
-#: one scheduled round of a manifest trace: (bytes from S0, bytes from S1)
-RoundTrace = Tuple[int, int]
-
-
-def round_trace_messages(round_trace: Tuple[RoundTrace, ...]) -> List[Tuple[int, int]]:
-    """Expand a per-round byte trace into the canonical message stream."""
-    messages: List[Tuple[int, int]] = []
-    for bytes_from_0, bytes_from_1 in round_trace:
-        if bytes_from_0:
-            messages.append((0, bytes_from_0))
-        if bytes_from_1:
-            messages.append((1, bytes_from_1))
-    return messages
-
-
 @dataclass(frozen=True)
 class PreprocessingManifest:
-    """Exact correlated-randomness and communication demand of one execution.
+    """Exact correlated-randomness demand of one execution: the offline
+    phase.  The online phase's traffic is the plan's (see
+    :attr:`InferencePlan.round_trace`).
 
     ``requests`` preserves global consumption order — the offline phase must
     generate in this order for the dealer's random stream to be identical to
     what a lazy (interpretive) execution would have drawn.
-
-    ``messages`` is the flat sequential wire trace; ``round_trace`` is the
-    exact per-round byte trace ``(bytes_from_0, bytes_from_1)`` of the
-    executed plan, one entry per round group.
     """
 
     requests: Tuple[RandomnessRequest, ...]
     ring: FixedPointRing
-    messages: Tuple[Tuple[int, int], ...] = ()
-    round_trace: Tuple[RoundTrace, ...] = ()
 
     # -- aggregate counts --------------------------------------------------- #
     def elements(self, kind: str) -> int:
@@ -224,21 +215,6 @@ class PreprocessingManifest:
             digest.update(f";{kind}:{','.join(str(d) for d in shape)}x{count}".encode())
         return digest.hexdigest()[:16]
 
-    # -- online communication ----------------------------------------------- #
-    @property
-    def online_bytes(self) -> int:
-        return sum(num_bytes for _, num_bytes in self.messages)
-
-    @property
-    def online_rounds(self) -> int:
-        """Scheduled (post-coalescing) round count of the online phase."""
-        return trace_rounds(round_trace_messages(self.round_trace))
-
-    @property
-    def oracle_rounds(self) -> int:
-        """Sequential trace-derived round count — what the oracle logs."""
-        return trace_rounds(self.messages)
-
     def summary(self) -> Dict[str, int]:
         return {
             "triple_elements": self.triple_elements,
@@ -246,9 +222,6 @@ class PreprocessingManifest:
             "bit_triple_elements": self.bit_triple_elements,
             "dabit_elements": self.dabit_elements,
             "material_bytes": self.material_bytes,
-            "online_bytes": self.online_bytes,
-            "online_rounds": self.online_rounds,
-            "oracle_rounds": self.oracle_rounds,
         }
 
 
@@ -282,25 +255,28 @@ class InferencePlan:
     # -- manifest / predictions -------------------------------------------- #
     @property
     def manifest(self) -> PreprocessingManifest:
-        requests: List[RandomnessRequest] = []
-        messages: List[Tuple[int, int]] = []
-        round_trace: List[RoundTrace] = []
-        for op in self.ops:
-            requests.extend(op.requests)
-            messages.extend(op.messages)
-            for group in op.round_groups:
-                round_trace.append(group_direction_totals(group))
-        return PreprocessingManifest(
-            requests=tuple(requests),
-            ring=self.ring,
-            messages=tuple(messages),
-            round_trace=tuple(round_trace),
+        requests = tuple(request for op in self.ops for request in op.requests)
+        return PreprocessingManifest(requests=requests, ring=self.ring)
+
+    @property
+    def round_trace(self) -> Tuple[Tuple[int, int], ...]:
+        """Exact per-round byte trace ``(bytes_from_0, bytes_from_1)`` of
+        the online phase, one entry per round group."""
+        return tuple(
+            group_direction_totals(group) for op in self.ops for group in op.round_groups
         )
 
     @property
     def online_bytes(self) -> int:
         """Exact predicted online communication (matches the channel log)."""
         return sum(op.online_bytes for op in self.ops)
+
+    @property
+    def unpacked_online_bytes(self) -> int:
+        """:attr:`online_bytes` with every uint8 element a full byte: the
+        counterfactual the packed wire format's ``bytes_saved_pct`` compares
+        against."""
+        return sum(op.unpacked_bytes for op in self.ops)
 
     @property
     def online_rounds(self) -> int:
@@ -366,21 +342,23 @@ def record_phases(
     ``ctx`` is a throwaway context holding share lane ``live`` (None for
     both) and a dealer that records every item drawn.  Each yielded round
     group becomes one trace group, its events' bytes counted by the
-    channel's own rule (:func:`~repro.crypto.events.payload_num_bytes`),
-    and is answered with zero arrays of the results' shapes.  Returns the
-    trace and the generator's return value.
+    channel's own rule (:func:`~repro.crypto.events.payload_num_bytes`) —
+    and once more at a byte per uint8 element, summed into
+    ``unpacked_bytes`` — and is answered with zero arrays of the results'
+    shapes.  Returns the trace and the generator's return value.
     """
     dealer = _RecordingDealer(ring)
     ctx = TwoPartyContext(ring=ring, dealer=dealer, kernels=KernelContext(live=live))
     gen = start(ctx)
     element_bytes = ring.ring_bits // 8
     groups: List[TraceGroup] = []
+    unpacked_bytes = 0
     answers = None
     while True:
         try:
             group = as_group(gen.send(answers))
         except StopIteration as stop:
-            return OpTrace(tuple(dealer.requests), tuple(groups)), stop.value
+            return OpTrace(tuple(dealer.requests), tuple(groups), unpacked_bytes), stop.value
         groups.append(
             tuple(
                 tuple(
@@ -389,6 +367,11 @@ def record_phases(
                 )
                 for event in group
             )
+        )
+        unpacked_bytes += sum(
+            payload_num_bytes(array, element_bytes)
+            for event in group
+            for _, array in event_payload_arrays(event)
         )
         answers = tuple(np.zeros(e.payload0.shape, e.payload0.dtype) for e in group)
 
@@ -469,8 +452,8 @@ def compile_plan(
                 input_shape=shape,
                 output_shape=out_shape,
                 requests=trace.requests,
-                messages=tuple(trace.messages),
                 round_groups=trace.groups,
+                unpacked_bytes=trace.unpacked_bytes,
             )
         )
         shapes[layer.name] = out_shape

@@ -82,10 +82,13 @@ class OpTrace:
     what a *sequential* execution logs; the coalesced view
     (:attr:`scheduled_messages`) emits at most one message per direction per
     group, mirroring what a round-coalescing execution logs.
+    ``unpacked_bytes`` is the messages' total with every uint8 element a
+    full byte — what the packed wire format saves against.
     """
 
     requests: Tuple[RandomnessRequest, ...] = ()
     groups: Tuple[TraceGroup, ...] = ()
+    unpacked_bytes: int = 0
 
     # -- views -------------------------------------------------------------- #
     @property
@@ -125,7 +128,7 @@ class OpTrace:
 def group_direction_totals(group) -> Tuple[int, int]:
     """Summed ``(bytes_from_0, bytes_from_1)`` of one traced round group.
 
-    The single accounting rule shared by the manifest round trace, the
+    The single accounting rule shared by the plan's round trace, the
     scheduled-message view and the round scheduler — they must agree or the
     payload==manifest invariant drifts.
     """

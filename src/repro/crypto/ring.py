@@ -122,13 +122,6 @@ class FixedPointRing:
         with np.errstate(over="ignore"):
             return self._reduce(np.asarray(a, dtype=np.uint64) * np.uint64(scalar % self.modulus))
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix multiplication over the ring (inputs are ring elements)."""
-        with np.errstate(over="ignore"):
-            return self._reduce(
-                np.asarray(a, dtype=np.uint64) @ np.asarray(b, dtype=np.uint64)
-            )
-
     # -- truncation --------------------------------------------------------- #
     def truncate_local(self, share: np.ndarray, party: int) -> np.ndarray:
         """SecureML-style local truncation of a *share* by ``frac_bits``.

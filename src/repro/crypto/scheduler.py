@@ -10,19 +10,21 @@ not the protocol handlers, decides what hits the wire, and every round group
 is one framed message per direction.  Events carry their wire element width
 (``element_bits``), so the per-op byte attribution below and the round
 frames themselves both account sub-byte payloads at packed widths —
-identical to the manifest's round trace.
+identical to the plan's round trace.  A run returns one
+:class:`PlanExecution` record, the only account of it every caller reads.
 
 Bit-identity with the sequential oracle
 ---------------------------------------
 
 Each op must consume exactly the correlated randomness it would have drawn
 in a sequential execution (local truncation makes the reconstructed logits
-sensitive to the dealer stream).  The online phase runs only against a
-:class:`~repro.crypto.dealer.RandomnessPool`, which is first partitioned
-per op **in manifest order** (:meth:`RandomnessPool.partition`): the per-op
-randomness budget, so an op that draws more than its trace declares fails
-instead of eating the next op's material.  Ops run in plan order and
-residual inputs are threaded by name, exactly as in
+sensitive to the dealer stream).  The online phase runs only against the
+:class:`~repro.crypto.dealer.RandomnessPool` handed to the executor, which
+first partitions it per op **in manifest order**
+(:meth:`RandomnessPool.partition`): the per-op randomness budget, so an
+op that draws more than its trace declares fails instead of eating the
+next op's material.  Ops run in plan order and residual inputs are
+threaded by name, exactly as in
 :func:`repro.crypto.events.run_reference`, which makes execution
 bit-identical to the oracle — ``tests/crypto/test_zoo.py`` asserts it
 zoo-wide.
@@ -31,7 +33,10 @@ zoo-wide.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
@@ -51,31 +56,57 @@ def arena_key(plan: InferencePlan) -> Tuple:
     return (plan.model_name, plan.batch_size, ring.ring_bits, ring.frac_bits)
 
 
+
+
+@dataclass(frozen=True)
+class PlanExecution:
+    """What one online-phase run of a plan did, as the executor measured it.
+
+    ``output`` is the final op's share pair; over a
+    :class:`~repro.crypto.channel.PartyChannel` only lane ``party`` of it is
+    live (``party`` is None in process, where both are).  Bytes and rounds
+    are the channel log's; ``per_op_cpu_ns`` is each op's generator time,
+    wire waits excluded.
+    """
+
+    output: SharePair
+    party: Optional[int]
+    communication_bytes: int
+    communication_rounds: int
+    per_op_bytes: Dict[str, int]
+    per_op_cpu_ns: Dict[str, int]
+    fused_kernel_calls: int
+
+    @property
+    def cpu_time_ns(self) -> int:
+        """Local-compute time of the online phase, summed over ops."""
+        return sum(self.per_op_cpu_ns.values())
+
+    @property
+    def logit_share(self) -> np.ndarray:
+        """The live party's share of the output (a party run only)."""
+        return (self.output.share0, self.output.share1)[self.party]
+
+
 def run_scheduled_plan(
     ctx: TwoPartyContext,
     plan: InferencePlan,
     weights: Dict[str, Dict],
     shared: SharePair,
-    profile: Optional[Dict[str, object]] = None,
-) -> Tuple[SharePair, Dict[str, int]]:
+    pool: RandomnessPool,
+) -> PlanExecution:
     """Execute the online phase of a compiled plan.
 
     Args:
         ctx: the party's (or the simulation's) two-party context; its
-            channel must support :meth:`~repro.crypto.channel.Channel.run_round`
-            and its dealer must be the plan's preprocessed randomness pool
-            (:meth:`~repro.crypto.dealer.TrustedDealer.preprocess`).
+            channel's log is cleared first and holds this run's
+            conversation afterwards.
         plan: the compiled plan (see :func:`repro.crypto.plan.compile_plan`).
         weights: mapping layer-name -> parameter dict.
         shared: the share pair of the client query batch.
-        profile: optional dict the executor fills with local-compute
-            counters — ``per_op_cpu_ns`` (generator time per op, wire waits
-            excluded), ``cpu_time_ns`` (their sum) and
-            ``fused_kernel_calls``.
-
-    Returns:
-        ``(output_shares, per_op_bytes)`` — the final op's output and the
-        exact per-op online byte attribution.
+        pool: the plan's preprocessed randomness
+            (:meth:`~repro.crypto.dealer.TrustedDealer.preprocess`); each op
+            draws from its own partition of it.
 
     The executor installs a :class:`~repro.crypto.kernels.KernelContext` on
     ``ctx`` for the duration of the run: the protocol handlers then dispatch
@@ -86,6 +117,12 @@ def run_scheduled_plan(
     :func:`~repro.crypto.kernels.dead_lane`); the in-process channel keeps
     both.
     """
+    if not isinstance(pool, RandomnessPool):
+        raise TypeError(
+            "run_scheduled_plan consumes a preprocessed RandomnessPool, got "
+            f"{type(pool).__name__}; obtain one with TrustedDealer.preprocess(plan)"
+        )
+    op_pools = pool.partition([op.requests for op in plan.ops])
     per_op_cpu: Dict[str, int] = {op.name: 0 for op in plan.ops}
     per_op_bytes: Dict[str, int] = {op.name: 0 for op in plan.ops}
     kernel_ctx = KernelContext(
@@ -95,17 +132,10 @@ def run_scheduled_plan(
     #: op outputs by name (ADD ops read their residual input from it)
     values: Dict[str, SharePair] = {}
 
-    outer_dealer = ctx.dealer
-    if not isinstance(outer_dealer, RandomnessPool):
-        raise TypeError(
-            "run_scheduled_plan consumes a preprocessed RandomnessPool as "
-            f"ctx.dealer, got {type(outer_dealer).__name__}; obtain one with "
-            "TrustedDealer.preprocess(plan)"
-        )
-    op_pools = outer_dealer.partition([op.requests for op in plan.ops])
-
     clock = time.perf_counter_ns
     rounds_executed = 0
+    ctx.reset_communication()
+    outer_dealer = ctx.dealer
     ctx.kernels = kernel_ctx
     try:
         for op, op_pool in zip(plan.ops, op_pools):
@@ -130,10 +160,6 @@ def run_scheduled_plan(
     finally:
         ctx.dealer = outer_dealer
         ctx.kernels = None
-        if profile is not None:
-            profile["per_op_cpu_ns"] = per_op_cpu
-            profile["cpu_time_ns"] = sum(per_op_cpu.values())
-            profile["fused_kernel_calls"] = kernel_ctx.fused_calls
 
     if rounds_executed != plan.num_rounds:
         raise RuntimeError(
@@ -142,4 +168,12 @@ def run_scheduled_plan(
             "handler's phase generator yielded other round groups than the "
             "plan recorded"
         )
-    return shared, per_op_bytes
+    return PlanExecution(
+        output=shared,
+        party=kernel_ctx.live,
+        communication_bytes=ctx.communication_bytes,
+        communication_rounds=ctx.communication_rounds,
+        per_op_bytes=per_op_bytes,
+        per_op_cpu_ns=per_op_cpu,
+        fused_kernel_calls=kernel_ctx.fused_calls,
+    )

@@ -30,61 +30,50 @@ transfers are not part of the online communication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import RandomnessPool
-from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.plan import InferencePlan, compile_plan
-from repro.crypto.scheduler import run_scheduled_plan
+from repro.crypto.scheduler import PlanExecution, run_scheduled_plan
 from repro.crypto.sharing import reconstruct, share
 from repro.models.specs import ModelSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class SecureInferenceResult:
-    """Outputs of a private-inference run.
+    """Reconstructed logits of an in-process run and the executor's record.
 
-    ``communication_bytes`` / ``communication_rounds`` cover the **online**
-    phase only; the offline cost is reported separately as the randomness
-    material volume and the per-kind element counts.
+    The counters cover the **online** phase only; the offline cost is the
+    plan's :attr:`~repro.crypto.plan.InferencePlan.manifest`.
     """
 
     logits: np.ndarray
-    communication_bytes: int
-    communication_rounds: int
-    per_layer_bytes: Dict[str, int] = field(default_factory=dict)
-    batch_size: int = 1
-    offline_material_bytes: int = 0
-    offline_triple_elements: int = 0
-    offline_square_pair_elements: int = 0
-    offline_bit_triple_elements: int = 0
-    offline_dabit_elements: int = 0
-    #: frame-format-v1 equivalent of ``communication_bytes`` (no sub-byte
-    #: packing) — what the same execution would have shipped before the
-    #: packed wire format
-    communication_unpacked_bytes: int = 0
-    #: local-compute time of the online phase (protocol handler time, wire
-    #: waits excluded), summed over ops
-    cpu_time_ns: int = 0
-    #: per-op local-compute attribution of ``cpu_time_ns``
-    per_op_cpu_ns: Dict[str, int] = field(default_factory=dict)
-    #: fused-kernel invocations of the online phase
-    fused_kernel_calls: int = 0
+    execution: PlanExecution
+    batch_size: int
+
+    @property
+    def communication_bytes(self) -> int:
+        return self.execution.communication_bytes
+
+    @property
+    def communication_rounds(self) -> int:
+        return self.execution.communication_rounds
+
+    @property
+    def per_op_cpu_ns(self) -> Dict[str, int]:
+        return self.execution.per_op_cpu_ns
+
+    @property
+    def fused_kernel_calls(self) -> int:
+        return self.execution.fused_kernel_calls
 
     @property
     def online_bytes_per_query(self) -> float:
         return self.communication_bytes / max(self.batch_size, 1)
-
-    @property
-    def bytes_saved_pct(self) -> float:
-        """Percent of online payload the packed wire format saves (0-100)."""
-        return _bytes_saved_pct(
-            self.communication_bytes, self.communication_unpacked_bytes
-        )
 
 
 class SecureInferenceEngine:
@@ -144,36 +133,12 @@ class SecureInferenceEngine:
         if pool is None:
             pool = self.preprocess(plan)
 
-        ctx = self.ctx
-        dealer = ctx.dealer
-        ctx.dealer = pool  # online phase: serve randomness, never generate
-        profile: Dict[str, object] = {}
-        try:
-            ctx.reset_communication()
-            shared = share(inputs, ctx.ring, ctx.rng)
-            shared, per_layer = run_scheduled_plan(
-                ctx, plan, weights, shared, profile=profile
-            )
-            logits = reconstruct(shared)
-        finally:
-            ctx.dealer = dealer
-
-        manifest = plan.manifest
+        shared = share(inputs, self.ctx.ring, self.ctx.rng)
+        execution = run_scheduled_plan(self.ctx, plan, weights, shared, pool)
         return SecureInferenceResult(
-            logits=logits,
-            communication_bytes=ctx.communication_bytes,
-            communication_rounds=ctx.communication_rounds,
-            per_layer_bytes=per_layer,
+            logits=reconstruct(execution.output),
+            execution=execution,
             batch_size=plan.batch_size,
-            offline_material_bytes=manifest.material_bytes,
-            offline_triple_elements=manifest.triple_elements,
-            offline_square_pair_elements=manifest.square_pair_elements,
-            offline_bit_triple_elements=manifest.bit_triple_elements,
-            offline_dabit_elements=manifest.dabit_elements,
-            communication_unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-            cpu_time_ns=profile["cpu_time_ns"],
-            per_op_cpu_ns=profile["per_op_cpu_ns"],
-            fused_kernel_calls=profile["fused_kernel_calls"],
         )
 
     def run(

@@ -5,7 +5,7 @@ Reports the online communication in bytes of a derived architecture — the
 
 - the analytical per-operator volumes the latency equations use
   (``source="model"``, the paper's 32-bit setting), and
-- the compiled-plan manifest of the executable runtime
+- the compiled plan of the executable runtime
   (``source="plan"`` or an explicit ``plan=``), whose per-op byte counts
   match the :class:`repro.crypto.channel.CommunicationLog` of an actual
   2PC execution exactly — the shared source of truth introduced with the
@@ -29,7 +29,7 @@ class CommunicationReport:
     model_name: str
     total_bytes: float
     per_layer_bytes: Dict[str, float]
-    #: accounting source: "model" (analytical) or "plan" (executable manifest)
+    #: accounting source: "model" (analytical) or "plan" (executable plan)
     source: str = "model"
 
     @property
@@ -52,8 +52,8 @@ def communication_report(
 
     With ``source="model"`` (default) the analytical latency-model volumes
     are summed.  With ``source="plan"`` the spec is compiled into an
-    executable plan (or ``plan`` is used directly when given) and the exact
-    manifest byte counts are reported.
+    executable plan (or ``plan`` is used directly when given) and its exact
+    per-op byte counts are reported.
     """
     if plan is not None or source == "plan":
         if plan is None:

@@ -10,7 +10,7 @@ Two communication sources are supported:
 - ``source="model"`` (default): the closed-form per-operator equations of
   :class:`repro.hardware.latency.LatencyModel` — the paper's 32-bit FPGA
   accounting, pinned against the published Fig. 1 constants;
-- ``source="plan"``: the compiled-plan manifest of the executable 2PC
+- ``source="plan"``: the compiled plan of the executable 2PC
   runtime (:func:`repro.crypto.plan.compile_plan`) — byte counts and round
   counts that match the :class:`~repro.crypto.channel.CommunicationLog` of
   an actual execution exactly, so the NAS latency penalty and the engine

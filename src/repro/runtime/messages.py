@@ -98,9 +98,6 @@ class JobReport:
     #: OS pid of the serving process — every job of a shard must report the
     #: same two pids, the falsifiable form of "zero per-request spawns"
     pid: int = 0
-    #: frame-format-v1 equivalent of ``communication_bytes`` — lets the
-    #: serving dashboards compute the packed wire format's bytes_saved_pct
-    unpacked_payload_bytes: int = 0
     #: local-compute time of the job's online phase (wire waits excluded)
     cpu_time_ns: int = 0
     #: fused-kernel invocations of the job

@@ -30,7 +30,7 @@ program as the single-process simulation, with:
 
 Because the randomness streams and openings are identical to the
 single-process engine's, the reconstructed logits are bit-identical to
-it — and the measured on-wire payload bytes equal the manifest prediction,
+it — and the measured on-wire payload bytes equal the plan's prediction,
 which :func:`verify_against_plan` asserts after every run.
 
 Invariants (relied on by the persistent server and the serving pool):
@@ -56,7 +56,6 @@ Invariants (relied on by the persistent server and the serving pool):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
 import numpy as np
@@ -65,47 +64,29 @@ from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
 from repro.crypto.kernels import dead_lane
 from repro.crypto.plan import InferencePlan
-from repro.crypto.scheduler import run_scheduled_plan
+from repro.crypto.scheduler import PlanExecution, run_scheduled_plan
 from repro.crypto.sharing import SharePair
 from repro.crypto.transport import WireStats
 
 
-@dataclass
-class PartyExecution:
-    """Outcome of one plan execution from a single party's perspective."""
-
-    party: int
-    logit_share: np.ndarray
-    communication_bytes: int
-    communication_rounds: int
-    per_layer_bytes: Dict[str, int] = field(default_factory=dict)
-    #: frame-format-v1 equivalent of ``communication_bytes`` (no sub-byte
-    #: packing) — the denominator of the ``bytes_saved`` serving stats
-    unpacked_bytes: int = 0
-    #: local-compute time of the online phase (wire waits excluded)
-    cpu_time_ns: int = 0
-    #: per-op attribution of ``cpu_time_ns``
-    per_op_cpu_ns: Dict[str, int] = field(default_factory=dict)
-    #: fused-kernel invocations of the online phase
-    fused_kernel_calls: int = 0
-
-
 def predicted_direction_bytes(plan: InferencePlan, sender: int) -> int:
-    """Manifest-predicted online payload bytes flowing out of ``sender``."""
+    """Plan-predicted online payload bytes flowing out of ``sender``."""
     return sum(
         num_bytes
         for op in plan.ops
-        for msg_sender, num_bytes in op.messages
-        if msg_sender == sender
+        for group in op.round_groups
+        for event in group
+        for message_sender, num_bytes in event
+        if message_sender == sender
     )
 
 
 def verify_against_plan(
-    plan: InferencePlan, execution: PartyExecution, stats: WireStats
+    plan: InferencePlan, execution: PlanExecution, stats: WireStats
 ) -> None:
     """Assert the measured traffic equals the plan's static prediction.
 
-    Checks three layers of accounting against the manifest: the party's
+    Checks three layers of accounting against the plan: the party's
     communication log (both directions, bytes and scheduled rounds), the
     payload bytes its transport actually serialized onto the wire, and the
     payload bytes it received.
@@ -129,7 +110,7 @@ def verify_against_plan(
         if measured != predicted:
             raise RuntimeError(
                 f"party {party}: {name} = {measured} does not match the "
-                f"manifest prediction {predicted} for plan "
+                f"plan's prediction {predicted} for "
                 f"{plan.model_name!r} (batch {plan.batch_size})"
             )
 
@@ -141,17 +122,17 @@ def execute_plan_as_party(
     weights: Dict[str, Dict[str, np.ndarray]],
     input_share: np.ndarray,
     pool: RandomnessPool,
-) -> PartyExecution:
+) -> PlanExecution:
     """Run the online phase of ``plan`` holding only ``party``'s share-world.
 
     The same executor as the in-process engine
     (:func:`repro.crypto.scheduler.run_scheduled_plan`), here exchanging
-    multi-tensor round frames with the peer.  ``ctx.channel`` must be a
-    :class:`PartyChannel` for the same party (or a simulated channel in
-    tests).  ``input_share`` is this party's additive
-    share of the encoded query batch; the peer holds the complementary one.
-    ``pool`` is this party's restricted randomness pool of the session
-    seed.  One RNG draw of the input shape is burned first to keep ``ctx.rng``
+    multi-tensor round frames with the peer.  ``ctx.channel`` must be the
+    :class:`PartyChannel` of the same party: the returned record's
+    ``logit_share`` is that lane of the output.  ``input_share`` is this
+    party's additive share of the encoded query batch; the peer holds the
+    complementary one.  ``pool`` is this party's restricted randomness pool
+    of the session seed.  One RNG draw of the input shape is burned first to keep ``ctx.rng``
     aligned with the reference stream of the single-process path (which
     draws the sharing mask from the same generator).
     """
@@ -168,27 +149,4 @@ def execute_plan_as_party(
         shared = SharePair(input_share, peer, ring)
     else:
         shared = SharePair(peer, input_share, ring)
-
-    dealer = ctx.dealer
-    ctx.dealer = pool
-    profile: Dict[str, object] = {}
-    try:
-        ctx.reset_communication()
-        shared, per_layer = run_scheduled_plan(
-            ctx, plan, weights, shared, profile=profile
-        )
-        logit_share = shared.share0 if party == 0 else shared.share1
-    finally:
-        ctx.dealer = dealer
-
-    return PartyExecution(
-        party=party,
-        logit_share=logit_share,
-        communication_bytes=ctx.communication_bytes,
-        communication_rounds=ctx.communication_rounds,
-        per_layer_bytes=per_layer,
-        unpacked_bytes=ctx.channel.log.total_unpacked_bytes,
-        cpu_time_ns=profile["cpu_time_ns"],
-        per_op_cpu_ns=profile["per_op_cpu_ns"],
-        fused_kernel_calls=profile["fused_kernel_calls"],
-    )
+    return run_scheduled_plan(ctx, plan, weights, shared, pool)

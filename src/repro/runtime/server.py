@@ -435,7 +435,6 @@ class PartyServer:
             pool_hit=hit,
             seed=seed,
             pid=os.getpid(),
-            unpacked_payload_bytes=execution.unpacked_bytes,
             cpu_time_ns=execution.cpu_time_ns,
             fused_kernel_calls=execution.fused_kernel_calls,
             stats=self.metrics.snapshot(),

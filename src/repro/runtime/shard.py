@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.plan import InferencePlan
 from repro.crypto.sharing import share
 from repro.obs import Metrics
@@ -118,9 +117,6 @@ class PoolBatchResult:
     #: pids of the two party processes that served the job — constant across
     #: a shard's lifetime (the measurable form of "no per-request spawns")
     worker_pids: Tuple[int, int] = (0, 0)
-    #: frame-format-v1 equivalent of ``payload_bytes_on_wire`` (no sub-byte
-    #: packing) — what this job would have shipped before the packed codec
-    unpacked_payload_bytes: int = 0
     #: local-compute time of the job's online phase (max over the two
     #: parties, mirroring ``online_seconds`` — they run concurrently)
     cpu_time_ns: int = 0
@@ -128,11 +124,6 @@ class PoolBatchResult:
     fused_kernel_calls: int = 0
     #: the two parties' own answers (per-direction bytes, rounds, seed)
     reports: Dict[int, JobReport] = field(default_factory=dict)
-
-    @property
-    def bytes_saved_pct(self) -> float:
-        """Percent of payload the packed wire format saved for this job."""
-        return _bytes_saved_pct(self.payload_bytes_on_wire, self.unpacked_payload_bytes)
 
 
 #: one shard's driver-side lifetime counters, the ``per_shard`` rows of ``/stats``
@@ -444,9 +435,6 @@ class WorkerShard:
         logits = ring.decode(ring.add(reports[0].logit_share, reports[1].logit_share))
         wall = time.perf_counter() - start
         payload_bytes = sum(reports[p].payload_bytes_sent for p in (0, 1))
-        # both parties log the same full conversation, so one party's
-        # unpacked total is the job's (equality enforced by _cross_check)
-        unpacked_bytes = reports[0].unpacked_payload_bytes
         # parties compute concurrently, so the job's compute latency is the
         # slower party's; their fused-call counts match by construction
         cpu_ns = max(reports[p].cpu_time_ns for p in (0, 1))
@@ -459,7 +447,7 @@ class WorkerShard:
             ("pool_hits", hits),
             ("pool_misses", 2 - hits),
             ("payload_bytes", payload_bytes),
-            ("unpacked_payload_bytes", unpacked_bytes),
+            ("unpacked_payload_bytes", plan.unpacked_online_bytes),
             ("cpu_time_ns", cpu_ns),
             ("fused_kernel_calls", fused_calls),
         ):
@@ -479,7 +467,6 @@ class WorkerShard:
             pool_hits=hits,
             pool_misses=2 - hits,
             worker_pids=(reports[0].pid, reports[1].pid),
-            unpacked_payload_bytes=unpacked_bytes,
             cpu_time_ns=cpu_ns,
             fused_kernel_calls=fused_calls,
             reports=reports,
@@ -502,11 +489,6 @@ class WorkerShard:
         if r0.communication_bytes != r1.communication_bytes:
             raise ShardFailure(
                 f"shard {self.index}: parties logged different online bytes"
-            )
-        if r0.unpacked_payload_bytes != r1.unpacked_payload_bytes:
-            raise ShardFailure(
-                f"shard {self.index}: parties logged different unpacked byte "
-                "equivalents — the packed accounting diverged"
             )
 
     def successor_state(self) -> Dict[str, object]:

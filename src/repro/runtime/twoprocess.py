@@ -17,7 +17,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.models.specs import ModelSpec
@@ -51,18 +50,6 @@ class TwoProcessResult:
         """Array payload bytes that crossed the socket (both directions)."""
         return (
             self.reports[0].payload_bytes_sent + self.reports[1].payload_bytes_sent
-        )
-
-    @property
-    def unpacked_payload_bytes(self) -> int:
-        """Frame-format-v1 equivalent of the payload (no sub-byte packing)."""
-        return self.reports[0].unpacked_payload_bytes
-
-    @property
-    def bytes_saved_pct(self) -> float:
-        """Percent of payload the packed wire format saved this session."""
-        return _bytes_saved_pct(
-            self.payload_bytes_on_wire, self.unpacked_payload_bytes
         )
 
     @property

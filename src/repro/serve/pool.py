@@ -48,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.crypto.events import bytes_saved_pct as _bytes_saved_pct
 from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
 from repro.crypto.transport import FaultPlan
@@ -639,11 +638,13 @@ class ShardedServingPool:
 
 
 def _rates(counts: Dict[str, float]) -> Dict[str, float]:
-    """The two ratios ``/stats`` derives from a row of shard counters."""
+    """The two ratios ``/stats`` derives from a row of shard counters:
+    the pool hit rate, and the percent of payload the packed wire format
+    saved against every payload at a byte per uint8 element (the plans'
+    ``unpacked_online_bytes``)."""
     draws = counts["pool_hits"] + counts["pool_misses"]
+    unpacked = counts["unpacked_payload_bytes"]
     return {
         "pool_hit_rate": counts["pool_hits"] / draws if draws else 0.0,
-        "bytes_saved_pct": _bytes_saved_pct(
-            counts["payload_bytes"], counts["unpacked_payload_bytes"]
-        ),
+        "bytes_saved_pct": 100.0 * (1.0 - counts["payload_bytes"] / unpacked) if unpacked else 0.0,
     }

@@ -39,7 +39,7 @@ def _exchanged_round_after_a_one_way(plan, party):
     follows a one-way round, in per-direction frame counts."""
     sent = received = 0
     seen_one_way = False
-    for from_me, to_me in plan.manifest.round_trace:
+    for from_me, to_me in plan.round_trace:
         if party == 1:
             from_me, to_me = to_me, from_me
         if from_me and to_me and seen_one_way:

@@ -48,9 +48,9 @@ class TestChannel:
 
     def test_log_totals_sum_every_message(self):
         log = CommunicationLog(
-            messages=[Message(0, 1, 10, 10), Message(1, 0, 5, 40), Message(0, 1, 7, 7)]
+            messages=[Message(0, 1, 10), Message(1, 0, 5), Message(0, 1, 7)]
         )
-        assert (log.total_bytes, log.total_unpacked_bytes, log.rounds) == (22, 57, 3)
+        assert (log.total_bytes, log.rounds) == (22, 3)
 
     def test_payload_returned_unchanged(self):
         channel = Channel()

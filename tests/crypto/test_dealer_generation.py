@@ -138,9 +138,10 @@ class TestSubstreams:
             substream(7, PAPER_RING, "triple", (2, 2)),
             substream(7, DEFAULT_RING, "square", (2, 2)),
             substream(7, DEFAULT_RING, "triple", (4,)),
-            substream(7, DEFAULT_RING, "triple", (2, 2), (3,)),
         ):
             assert not np.array_equal(base, other.generate_state(4))
+        with pytest.raises(TypeError):  # a substream belongs to one shape
+            substream(7, DEFAULT_RING, "triple", (2, 2), (3,))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown randomness kind"):

@@ -38,7 +38,7 @@ class TestSecureInferenceEngine:
         result = engine.run(spec, weights, x)
         np.testing.assert_allclose(result.logits, plaintext, atol=0.05)
         assert result.communication_bytes > 0
-        assert set(result.per_layer_bytes) == {layer.name for layer in spec.layers}
+        assert set(result.execution.per_op_bytes) == {layer.name for layer in spec.layers}
 
     def test_polynomial_model_communicates_less_than_relu_model(self, derived_net, rng):
         spec_poly, net = derived_net

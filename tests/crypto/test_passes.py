@@ -3,7 +3,7 @@
 Key invariants:
 
 - every op's round groups cover exactly its flat message trace;
-- the manifest's round trace has one entry per round group, and its
+- the plan's round trace has one entry per round group, and its
   per-round bytes sum to the plan's online bytes;
 - the executor performs exactly ``plan.num_rounds`` rounds and fails loudly
   when a plan's trace differs from its phase generator (bit-identity with the
@@ -13,14 +13,15 @@ Key invariants:
 from __future__ import annotations
 
 import re
-from dataclasses import replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.crypto import make_context
-from repro.crypto.plan import compile_plan, trace_op
+from repro.crypto.plan import PlanOp, compile_plan, trace_op
+from repro.crypto.protocols.registry import trace_rounds
 from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.sharing import share
 from repro.models.builder import build_model, export_layer_weights
@@ -33,21 +34,24 @@ DOCS = Path(__file__).resolve().parents[2] / "docs"
 
 class TestGraphIR:
     def test_round_groups_cover_all_messages(self):
+        """An op stores its round groups only; the flat sequential message
+        view is derived from them."""
+        assert "messages" not in {field.name for field in fields(PlanOp)}
         plan = compile_plan(vgg_tiny(input_size=8))
         for op in plan.ops:
-            flat = tuple(
+            flat = [
                 message
                 for group in op.round_groups
                 for event in group
                 for message in event
-            )
+            ]
             assert flat == op.messages
 
 
 class TestRoundScheduling:
     def test_schedule_round_bytes_sum_to_plan_bytes(self):
         plan = compile_plan(vgg_tiny(input_size=8))
-        round_trace = plan.manifest.round_trace
+        round_trace = plan.round_trace
         assert len(round_trace) == plan.num_rounds
         assert sum(a + b for a, b in round_trace) == plan.online_bytes
 
@@ -61,13 +65,16 @@ class TestRoundScheduling:
         # third of the pre-tree scheduled baseline of 884 rounds.
         assert plan.online_rounds <= 884 // 3
 
-    def test_manifest_round_trace_matches_schedule(self):
+    def test_round_trace_matches_schedule(self):
         plan = compile_plan(vgg_tiny(input_size=8))
-        manifest = plan.manifest
-        assert len(manifest.round_trace) == plan.num_rounds
-        assert manifest.online_rounds == plan.online_rounds
-        assert manifest.oracle_rounds == plan.oracle_rounds
-        assert manifest.online_bytes == plan.online_bytes
+        assert len(plan.round_trace) == plan.num_rounds
+        scheduled = [
+            (sender, num_bytes)
+            for round_bytes in plan.round_trace
+            for sender, num_bytes in enumerate(round_bytes)
+            if num_bytes
+        ]
+        assert trace_rounds(scheduled) == plan.online_rounds
         # a two-way round is one link traversal but two logged directions
         assert plan.num_rounds <= plan.online_rounds
 
@@ -75,9 +82,8 @@ class TestRoundScheduling:
         ctx = make_context(seed=3)
         empty = dc_replace(compile_plan(vgg_tiny(input_size=8)), ops=())
         shared = share(np.zeros(empty.input_shape), ctx.ring, ctx.rng)
-        ctx.dealer = ctx.dealer.preprocess(empty)
-        out, per_op = run_scheduled_plan(ctx, empty, {}, shared)
-        assert out is shared and per_op == {}
+        execution = run_scheduled_plan(ctx, empty, {}, shared, ctx.dealer.preprocess(empty))
+        assert execution.output is shared and execution.per_op_bytes == {}
         assert ctx.kernels is None
 
     def test_a_trace_that_drifted_from_its_generator_fails_the_run(self):
@@ -91,13 +97,13 @@ class TestRoundScheduling:
         ctx = make_context(seed=3)
         shared = share(np.zeros(plan.input_shape), ctx.ring, ctx.rng)
         weights = export_layer_weights(build_model(spec))
-        ctx.dealer = ctx.dealer.preprocess(drifted)
+        pool = ctx.dealer.preprocess(drifted)
         expected = (
             rf"{re.escape(repr(plan.model_name))} performed {plan.num_rounds} "
             rf"rounds but the plan predicted {drifted.num_rounds}"
         )
         with pytest.raises(RuntimeError, match=expected):
-            run_scheduled_plan(ctx, drifted, weights, shared)
+            run_scheduled_plan(ctx, drifted, weights, shared, pool)
         assert ctx.kernels is None
 
     def test_a_dealer_that_is_not_a_pool_is_rejected(self):
@@ -107,7 +113,7 @@ class TestRoundScheduling:
         ctx = make_context(seed=3)
         shared = share(np.zeros(plan.input_shape), ctx.ring, ctx.rng)
         with pytest.raises(TypeError, match=r"TrustedDealer\.preprocess"):
-            run_scheduled_plan(ctx, plan, {}, shared)
+            run_scheduled_plan(ctx, plan, {}, shared, ctx.dealer)
         assert ctx.communication_rounds == 0 and ctx.kernels is None
 
 

@@ -188,7 +188,7 @@ class TestCompiledExecutionEquivalence:
         np.testing.assert_array_equal(one_shot.logits, result.logits)
         assert one_shot.communication_bytes == result.communication_bytes
         assert one_shot.communication_rounds == result.communication_rounds
-        assert one_shot.per_layer_bytes == result.per_layer_bytes
+        assert one_shot.execution.per_op_bytes == result.execution.per_op_bytes
 
     def test_online_phase_makes_zero_dealer_generation_calls(self):
         spec = vgg_tiny(input_size=8)  # ReLU + MaxPool: heavy randomness use
@@ -205,7 +205,6 @@ class TestCompiledExecutionEquivalence:
         assert dealer.generated == generated_before
         assert pool.remaining == 0  # manifest is exact: nothing over-provisioned
         assert pool.served > 0
-        assert result.offline_bit_triple_elements == plan.manifest.bit_triple_elements
 
     def test_pool_exhaustion_raises_instead_of_generating(self):
         spec = vgg_tiny(input_size=8).with_all_polynomial()
@@ -260,7 +259,7 @@ class TestPlanHardwareRewiring:
         assert report.source == "plan"
         assert report.total_bytes == result.communication_bytes
         assert report.per_layer_bytes == {
-            k: float(v) for k, v in result.per_layer_bytes.items()
+            k: float(v) for k, v in result.execution.per_op_bytes.items()
         }
 
     def test_plan_latency_table_prefers_polynomial_ops(self):

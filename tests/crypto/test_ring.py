@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.protocols.linear import ring_matmul
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING, FixedPointRing
 
 
@@ -56,7 +57,7 @@ class TestArithmetic:
         ring = FixedPointRing(ring_bits=8, frac_bits=0)
         a = np.full((1, 4), 100, dtype=np.uint64)
         b = np.full((4, 1), 100, dtype=np.uint64)
-        assert ring.matmul(a, b)[0, 0] == (4 * 100 * 100) % 256
+        assert ring_matmul(ring, a, b)[0, 0] == (4 * 100 * 100) % 256
 
 
 class TestTruncation:

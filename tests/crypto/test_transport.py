@@ -25,6 +25,7 @@ from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import TrustedDealer
 from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
 from repro.crypto.kernels import dead_lane
+from repro.crypto.plan import record_phases
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import SharePair, share
 from repro.crypto.transport import (
@@ -379,8 +380,9 @@ class TestCommunicationLogEdgeCases:
         np.testing.assert_array_equal(opened, bits0 ^ bits1)
         # 4 bits per direction ride one packed byte each (frame format v2)
         assert ctx.channel.total_bytes == 2
-        assert ctx.channel.log.total_unpacked_bytes == 8
-        assert ctx.channel.log.bytes_saved_pct == 75.0
+        # the recorded trace also counts them at a byte per element
+        trace, _ = record_phases(lambda ctx: (yield open_bits_event(bits0, bits1)))
+        assert trace.online_bytes == 2 and trace.unpacked_bytes == 8
 
 
 class TestSessionFraming:

@@ -134,7 +134,7 @@ def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, bat
     result = engine.execute(plan, weights, x, pool=pool)
     assert result.communication_bytes == plan.online_bytes
     assert result.communication_rounds == plan.online_rounds
-    assert result.per_layer_bytes == plan.per_op_bytes()
+    assert result.execution.per_op_bytes == plan.per_op_bytes()
     assert pool.remaining == 0
     assert result.fused_kernel_calls > 0
 
@@ -154,10 +154,13 @@ def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, bat
     observed = {
         "num_ops": len(plan.ops),
         "schedule_rounds": plan.num_rounds,
-        "unpacked_online_bytes": oracle_ctx.channel.log.total_unpacked_bytes,
+        "unpacked_online_bytes": plan.unpacked_online_bytes,
         "manifest_hash": manifest.content_hash,
         "requests": len(manifest.requests),
         **manifest.summary(),
+        "online_bytes": plan.online_bytes,
+        "online_rounds": plan.online_rounds,
+        "oracle_rounds": plan.oracle_rounds,
     }
     case = request.node.callspec.id
     assert observed == PLAN_TABLE.get(case), f"observed row for {case}: {json.dumps(observed)}"

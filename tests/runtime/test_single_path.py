@@ -29,6 +29,7 @@ from repro.crypto.channel import Channel
 from repro.crypto.kernels import KernelContext
 from repro.crypto.protocols.arithmetic import multiply, multiply_phases
 from repro.crypto.protocols.registry import ProtocolHandler, register_protocol
+from repro.crypto.scheduler import run_scheduled_plan
 from repro.crypto.secure_model import SecureInferenceEngine
 from repro.models.vgg import vgg_tiny
 from repro.runtime import ServerConfig, WorkerShard, run_two_process_inference
@@ -91,6 +92,17 @@ def test_a_party_execution_is_always_handed_its_restricted_pool():
     """No default: a party never falls back to generating both worlds."""
     pool = inspect.signature(execute_plan_as_party).parameters["pool"]
     assert pool.default is inspect.Parameter.empty
+
+
+def test_the_executor_is_handed_its_pool_and_fills_no_out_dict():
+    """The pool is an argument without a default and the run's account is
+    the record it returns: no ``profile=`` out-dict, and neither the engine
+    nor a party swaps ``ctx.dealer`` around the call."""
+    parameters = inspect.signature(run_scheduled_plan).parameters
+    assert list(parameters) == ["ctx", "plan", "weights", "shared", "pool"]
+    assert parameters["pool"].default is inspect.Parameter.empty
+    for module in (repro.crypto.secure_model, repro.runtime.party):
+        assert "ctx.dealer =" not in inspect.getsource(module)
 
 
 def test_constant_knobs_are_not_parameters_or_fields_anywhere():
@@ -393,6 +405,34 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.crypto.protocols", "secure_linear"),
         ("repro.crypto.dealer", "TrustedDealer.triple"),
         ("repro.crypto.dealer", "RandomnessPool.triple"),
+        ("repro.runtime.party", "PartyExecution"),
+        ("repro.crypto.channel", "Message.unpacked_bytes"),
+        ("repro.crypto.channel", "CommunicationLog.total_unpacked_bytes"),
+        ("repro.crypto.channel", "CommunicationLog.bytes_saved_pct"),
+        ("repro.crypto.events", "bytes_saved_pct"),
+        ("repro.crypto.events", "event_direction_bytes"),
+        ("repro.crypto.plan", "RoundTrace"),
+        ("repro.crypto.plan", "round_trace_messages"),
+        ("repro.crypto.plan", "PreprocessingManifest.messages"),
+        ("repro.crypto.plan", "PreprocessingManifest.round_trace"),
+        ("repro.crypto.plan", "PreprocessingManifest.online_bytes"),
+        ("repro.crypto.plan", "PreprocessingManifest.online_rounds"),
+        ("repro.crypto.plan", "PreprocessingManifest.oracle_rounds"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.offline_material_bytes"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.offline_triple_elements"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.offline_square_pair_elements"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.offline_bit_triple_elements"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.offline_dabit_elements"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.communication_unpacked_bytes"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.bytes_saved_pct"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.per_layer_bytes"),
+        ("repro.crypto.secure_model", "SecureInferenceResult.cpu_time_ns"),
+        ("repro.runtime.messages", "JobReport.unpacked_payload_bytes"),
+        ("repro.runtime.shard", "PoolBatchResult.unpacked_payload_bytes"),
+        ("repro.runtime.shard", "PoolBatchResult.bytes_saved_pct"),
+        ("repro.runtime.twoprocess", "TwoProcessResult.unpacked_payload_bytes"),
+        ("repro.runtime.twoprocess", "TwoProcessResult.bytes_saved_pct"),
+        ("repro.crypto.ring", "FixedPointRing.matmul"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
@@ -407,6 +447,9 @@ def test_deleted_names_stay_deleted(module, name):
             return  # the whole class went, and its names with it
         owner = owner() if parent.endswith("()") else owner
     assert not hasattr(owner, leaf)
+    # a dataclass field without a default is no class attribute
+    if dataclasses.is_dataclass(owner):
+        assert leaf not in {field.name for field in dataclasses.fields(owner)}
 
 
 def test_deleted_module_and_method_stay_deleted():
@@ -463,7 +506,9 @@ def test_protocol_handlers_expose_phases_only():
 
 def test_no_crypto_module_defines_a_hand_written_trace():
     """A ``*_trace`` function would be a second description of a protocol
-    that must be kept in step with its phase generator by hand."""
+    that must be kept in step with its phase generator by hand.  A property
+    that derives a view of the recorded trace (``InferencePlan.round_trace``)
+    describes no protocol."""
     for path in CRYPTO:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = [
@@ -471,6 +516,9 @@ def test_no_crypto_module_defines_a_hand_written_trace():
             for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node.name.endswith("_trace")
+            and not any(
+                isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+            )
         ]
         assert defined == [], path.name
 

@@ -255,3 +255,22 @@ class TestShardedServing:
                 future.add_done_callback(lambda f: depths.append(pool.queue_depth("vgg")))
                 future.result(timeout=120)
             assert depths == [0, 0, 0]
+
+
+class TestPackedWireStats:
+    def test_unpacked_payload_bytes_is_the_plans_count(self):
+        """One ReLU job at batch 1: the pool and its shard count the plan's
+        ``unpacked_online_bytes`` (zoo row ``vgg_tiny-relu-1``) and derive
+        ``bytes_saved_pct`` from it and the packed payload on the wire."""
+        spec = vgg_tiny(input_size=8)
+        relu = ServableModel(spec, export_layer_weights(build_model(spec)))
+        with ShardedServingPool(
+            {"vgg": relu}, num_shards=1, max_batch=1, provision_pools=0, seed=14
+        ) as pool:
+            result = pool.run_batch("vgg", np.zeros((1, 3, 8, 8)))
+            stats = pool.stats_snapshot()
+        assert result.payload_bytes_on_wire == 109200
+        for counters in (stats, stats["per_shard"][0]):
+            assert counters["payload_bytes"] == 109200
+            assert counters["unpacked_payload_bytes"] == 489600
+            assert counters["bytes_saved_pct"] == 100 * (1 - 109200 / 489600)
