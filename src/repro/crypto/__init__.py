@@ -13,14 +13,16 @@ from repro.crypto import protocols
 from repro.crypto.channel import Channel, CommunicationLog, PartyChannel
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.transport import (
-    FaultInjected,
-    FaultPlan,
-    FaultyTransport,
     LoopbackTransport,
-    ShapedTransport,
     TcpTransport,
     Transport,
     WireStats,
+)
+from repro.crypto.faults import (
+    FaultInjected,
+    FaultPlan,
+    FaultyTransport,
+    ShapedTransport,
 )
 from repro.crypto.dealer import (
     PreprocessingExhausted,

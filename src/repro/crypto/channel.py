@@ -168,6 +168,13 @@ class PartyChannel(Channel):
     :meth:`Transport.exchange_arrays <repro.crypto.transport.Transport.exchange_arrays>`
     — the two frames cross on the link, so the round costs one link
     traversal — and a one-directional round is a plain send or receive.
+
+    A channel armed with a job's digest (:attr:`digest` set) runs its next
+    round as the job's first: always a full-duplex exchange whose two frames
+    carry the digest, so each party checks the other's job before it
+    decodes a payload.  A party with nothing to send in that round sends the
+    digest alone; its frame crosses the peer's, so the check costs no
+    traversal.
     """
 
     def __init__(
@@ -181,17 +188,21 @@ class PartyChannel(Channel):
         super().__init__(ring=ring)
         self.transport = transport
         self.party = party
+        #: the job digest the next round's frames carry, cleared as that
+        #: round starts (empty: not armed)
+        self.digest = b""
 
     def run_round(self, events: Sequence[CommEvent]) -> List[object]:
         """One coalesced round over the transport: one multi-tensor frame
         per direction instead of one frame per event, the two directions
         exchanged full duplex.
 
-        A direction with nothing to ship sends no frame at all; both parties
-        derive that, and the layout of every frame, from the same
-        (SPMD-identical) event list, so the frame sequence stays
-        deterministic, a round is two-way for one party exactly when it is
-        for the other, and a frame needs no per-array headers.  Logging
+        A direction with nothing to ship sends no frame at all — except in
+        an armed round, which is always two-way; both parties derive that,
+        and the layout of every frame, from the same (SPMD-identical) event
+        list, so the frame sequence stays deterministic, a round is two-way
+        for one party exactly when it is for the other, and a frame needs no
+        per-array headers.  Logging
         matches the simulated channel's: one entry per direction with the
         round's summed payload bytes.
         """
@@ -211,8 +222,9 @@ class PartyChannel(Channel):
                 raise ValueError(f"unknown comm event kind {event.kind!r}")
 
         received: List[np.ndarray] = []
-        if outgoing and expected:
-            received = self.transport.exchange_arrays(outgoing, expected, self.ring)
+        digest, self.digest = self.digest, b""
+        if digest or (outgoing and expected):
+            received = self.transport.exchange_arrays(outgoing, expected, self.ring, digest)
         elif outgoing:
             self.transport.send_arrays(outgoing, self.ring)
         elif expected:

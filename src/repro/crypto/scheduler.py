@@ -8,9 +8,9 @@ drives each op's phase generator to completion and hands every yielded event
 group to :meth:`repro.crypto.channel.Channel.run_round` — so the *executor*,
 not the protocol handlers, decides what hits the wire, and every round group
 is one framed message per direction.  Events carry their wire element width
-(``element_bits``), so the per-op byte attribution below and the round
-frames themselves both account sub-byte payloads at packed widths —
-identical to the plan's round trace.  A run returns one
+(``element_bits``), so the channel log the per-op byte attribution reads
+and the round frames themselves both account sub-byte payloads at packed
+widths — identical to the plan's round trace.  A run returns one
 :class:`PlanExecution` record, the only account of it every caller reads.
 
 Bit-identity with the sequential oracle
@@ -41,7 +41,7 @@ import numpy as np
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool
-from repro.crypto.events import as_group, group_direction_bytes
+from repro.crypto.events import as_group
 from repro.crypto.kernels import KernelContext, arena_for
 from repro.crypto.plan import InferencePlan
 from repro.crypto.protocols.registry import get_handler
@@ -135,6 +135,9 @@ def run_scheduled_plan(
     clock = time.perf_counter_ns
     rounds_executed = 0
     ctx.reset_communication()
+    # the channel logs each round's per-direction bytes; an op's bytes are
+    # the entries its rounds appended (sizes are walked once, by the log)
+    logged = ctx.channel.log.messages
     outer_dealer = ctx.dealer
     ctx.kernels = kernel_ctx
     try:
@@ -153,10 +156,10 @@ def run_scheduled_plan(
                     break
                 finally:
                     per_op_cpu[op.name] += clock() - started
+                before = len(logged)
                 feed = tuple(ctx.channel.run_round(group))
                 rounds_executed += 1
-                from_0, from_1 = group_direction_bytes(group, ctx.channel.element_bytes)
-                per_op_bytes[op.name] += from_0 + from_1
+                per_op_bytes[op.name] += sum(m.num_bytes for m in logged[before:])
     finally:
         ctx.dealer = outer_dealer
         ctx.kernels = None

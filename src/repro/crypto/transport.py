@@ -10,8 +10,9 @@ that concern into a :class:`Transport` abstraction:
 - :class:`TcpTransport` — a real TCP socket transport with length-prefixed
   framing, so the two party programs can live in two OS processes (or on two
   machines) and exchange shares over the network;
-- :class:`ShapedTransport` and :class:`FaultyTransport` — wrappers around
-  either that delay frames and inject scripted faults (see below).
+- :class:`~repro.crypto.faults.ShapedTransport` and
+  :class:`~repro.crypto.faults.FaultyTransport` — wrappers around either
+  that delay frames and inject scripted faults (:mod:`repro.crypto.faults`).
 
 A transport implements one method, :meth:`Transport._transfer` — ship a
 frame, collect the peer's next one, or both at once — and every frame is
@@ -30,10 +31,11 @@ distinguishes two frame classes:
   :meth:`Transport.recv_arrays` / :meth:`Transport.exchange_arrays`),
   payloads only — the receiver names the arrays it expects;
 - **control frames** (:meth:`Transport.send_control` /
-  :meth:`Transport.recv_control`): opaque byte blobs used by the session
-  layer for job headers, synchronization and the graceful-shutdown
-  handshake (:meth:`Transport.send_shutdown`, after which the peer's
-  ``recv_control`` returns ``None``).
+  :meth:`Transport.recv_control`): opaque byte blobs of the session layer;
+  a served session sends one, the graceful-shutdown handshake
+  (:meth:`Transport.send_shutdown`, after which the peer's
+  ``recv_control`` returns ``None``).  A job's header is no control
+  frame: its 8-byte digest rides the job's first round frame.
 
 Invariants the rest of the system relies on:
 
@@ -46,28 +48,10 @@ Invariants the rest of the system relies on:
    of silently misparsing;
 3. both endpoints of a session observe symmetric stats: what one side
    counts as sent, the other counts as received, frame for frame.
-
-Link shaping and fault injection
---------------------------------
-
-Deployed 2PC serving runs over links that jitter, stall and drop — not
-over a clean loopback.  :class:`ShapedTransport` wraps any transport with
-seeded, deterministic link shaping (constant latency, uniform jitter, a
-bandwidth cap) — the one place a link delay is injected — and
-:class:`FaultyTransport` extends it with scripted faults from a
-:class:`FaultPlan`: a stall of ``stall_ms`` at communication
-round ``stall_at_round``, and a connection drop at ``drop_at_round``
-(the wrapper closes the underlying connection and raises
-:class:`FaultInjected`, so the peer observes a genuine mid-frame loss).
-Faults are configurable per direction and per round index, replayable from
-the plan's seed, and counted in :attr:`WireStats.faults_injected` /
-:attr:`WireStats.stalls_injected` — shaping never touches the payload
-counters, so payload == manifest accounting stays exact on a shaped link.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import queue
 import select
 import socket
@@ -99,6 +83,7 @@ from repro.crypto.wire import decode_array, encode_array  # noqa: F401
 #: than by a dropped connection.
 SHUTDOWN_PAYLOAD = b"\x00__2pc_session_shutdown__"
 _ROUND_HEAD = bytes([ROUND_CODE])
+_SHUTDOWN_FRAME = bytes([CONTROL_CODE]) + SHUTDOWN_PAYLOAD
 
 
 class Transport:
@@ -164,61 +149,83 @@ class Transport:
             ) from exc
 
     # -- round layer (multi-tensor coalesced frames) ------------------------- #
-    def send_arrays(self, arrays, ring: FixedPointRing = DEFAULT_RING) -> int:
+    def send_arrays(
+        self, arrays, ring: FixedPointRing = DEFAULT_RING, digest: bytes = b""
+    ) -> int:
         """Ship one coalesced round frame carrying several ndarrays.
 
         ``arrays`` holds plain ndarrays or ``(array, element_bits)`` pairs —
         the pair form declares a packed sub-byte width for a uint8 payload.
-        The frame is ``[ROUND_CODE]`` followed by each array's payload
+        The frame is ``[ROUND_CODE]``, then ``digest`` (a job's digest on
+        its first round frame, empty otherwise), then each array's payload
         (:func:`~repro.crypto.wire.encode_payload`), nothing else: the
         receiver lays it out from the round it expects.  Everything but the
-        code byte and the length prefix counts as payload.  Returns the
-        payload byte count.
+        code byte, the digest and the length prefix counts as payload.
+        Returns the payload byte count.
         """
         payloads = []
         for item in arrays:
             array, element_bits = item if isinstance(item, tuple) else (item, 8)
             payloads.append(encode_payload(array, ring, element_bits))
         # (one join: the payloads are copied into the frame exactly once)
-        frame = b"".join([_ROUND_HEAD, *payloads])
-        payload_bytes = len(frame) - len(_ROUND_HEAD)
+        frame = b"".join([_ROUND_HEAD, digest, *payloads])
+        overhead = len(_ROUND_HEAD) + len(digest)
+        payload_bytes = len(frame) - overhead
         self._put_frame(frame)
         self.stats.frames_sent += 1
         self.stats.round_frames_sent += 1
         self.stats.round_arrays_sent += len(payloads)
         self.stats.payload_bytes_sent += payload_bytes
-        self.stats.overhead_bytes_sent += len(_ROUND_HEAD) + LEN_PREFIX.size
+        self.stats.overhead_bytes_sent += overhead + LEN_PREFIX.size
         return payload_bytes
 
-    def recv_arrays(self, expected, ring: FixedPointRing = DEFAULT_RING) -> List[np.ndarray]:
+    def recv_arrays(
+        self, expected, ring: FixedPointRing = DEFAULT_RING, digest: bytes = b""
+    ) -> List[np.ndarray]:
         """Receive one coalesced round frame laid out as ``expected``.
 
         ``expected`` holds one template per array, in the peer's order and
         in :meth:`send_arrays`' form: a template's shape, dtype and
-        ``element_bits`` fix its payload's length and type.  A frame whose
-        length is not exactly the code byte plus those payloads raises
-        :class:`~repro.crypto.wire.CorruptFrame` before anything is built;
-        otherwise the decoded arrays come back in order.
+        ``element_bits`` fix its payload's length and type.  Expecting a
+        job's first frame (``digest`` given), a shutdown handshake raises
+        :class:`ConnectionError`, and a frame that does not carry ``digest``
+        right after its code byte raises the ``job desync``
+        :class:`RuntimeError` before its length is checked.  A frame whose
+        length is not exactly the code byte, the digest and those payloads
+        raises :class:`~repro.crypto.wire.CorruptFrame` before anything is
+        built; otherwise the decoded arrays come back in order.
         """
         frame = self._recv_frame_expecting(
             f"round frame {self.stats.round_frames_received}"
         )
         if not frame or frame[0] != ROUND_CODE:
+            if digest and frame == _SHUTDOWN_FRAME:
+                # a job's first frame: the peer ended the session between jobs
+                raise ConnectionError("peer shut the session down while a job was pending")
             raise ValueError(
                 "received a non-round frame where a round frame was expected "
                 "— the schedulers of the two endpoints are out of sync"
+            )
+        overhead = len(_ROUND_HEAD) + len(digest)
+        if digest and frame[len(_ROUND_HEAD) : overhead] != digest:
+            raise RuntimeError(
+                f"job desync — the peer's first round frame carries job digest "
+                f"{bytes(frame[len(_ROUND_HEAD) : overhead]).hex()}, this "
+                f"endpoint's job is {digest.hex()}: the parties were handed "
+                "different jobs or different plans for the key"
             )
         element_bytes = ring_element_width(ring)
         layout = [item if isinstance(item, tuple) else (item, 8) for item in expected]
         sizes = [payload_num_bytes(array, element_bytes, bits) for array, bits in layout]
         payload_bytes = sum(sizes)
-        if len(frame) != len(_ROUND_HEAD) + payload_bytes:
+        if len(frame) != overhead + payload_bytes:
             raise CorruptFrame(
                 f"{len(frame)}-byte round frame; its {len(layout)} arrays "
-                f"take {payload_bytes} payload bytes after the code byte"
+                f"take {payload_bytes} payload bytes after {overhead} "
+                "bytes of code and digest"
             )
         view = memoryview(frame)
-        offset = len(_ROUND_HEAD)
+        offset = overhead
         out = []
         for (template, bits), size in zip(layout, sizes):
             out.append(decode_payload(view[offset : offset + size], template, ring, bits))
@@ -227,27 +234,35 @@ class Transport:
         self.stats.round_frames_received += 1
         self.stats.round_arrays_received += len(layout)
         self.stats.payload_bytes_received += payload_bytes
-        self.stats.overhead_bytes_received += len(_ROUND_HEAD) + LEN_PREFIX.size
+        self.stats.overhead_bytes_received += overhead + LEN_PREFIX.size
         return out
 
     def exchange_arrays(
-        self, arrays, expected, ring: FixedPointRing = DEFAULT_RING
+        self, arrays, expected, ring: FixedPointRing = DEFAULT_RING, digest: bytes = b""
     ) -> List[np.ndarray]:
         """One full-duplex round: ship my round frame while receiving the
         peer's; returns what :meth:`recv_arrays` returns for ``expected``.
 
         Framing and accounting are exactly :meth:`send_arrays` followed by
-        :meth:`recv_arrays` — only the frame layer differs: the outgoing
-        frame is parked instead of sent and the receive swaps it against
-        the peer's in one :meth:`_transfer`, so the two frames cross
-        on the link and the round costs one link traversal, not two.  Both
-        parties must call this for the same round (they do: a round is
-        two-way for one party exactly when it is for the other).
+        :meth:`recv_arrays` (``digest`` goes to both) — only the frame
+        layer differs: the outgoing frame is parked instead of sent and the
+        receive swaps it against the peer's in one :meth:`_transfer`, so
+        the two frames cross on the link and the round costs one link
+        traversal, not two.  Both parties must call this for the same round
+        (they do: a round is two-way for one party exactly when it is for
+        the other, and a job's first round is two-way for both).  Either
+        side may be empty: with nothing to send, the frame is the code byte
+        and the digest alone.
         """
         # (plain try/finally: a generator-based context manager costs ~4 us
         # per round on the small-frame hot path)
         self._parked = []
         try:
+            if digest:
+                self.send_arrays(arrays, ring, digest)
+                return self.recv_arrays(expected, ring, digest)
+            # (unarmed: the two-argument form, which a subclass observing
+            # send_arrays may override)
             self.send_arrays(arrays, ring)
             return self.recv_arrays(expected, ring)
         finally:
@@ -255,7 +270,7 @@ class Transport:
 
     # -- session layer (multi-message framing) ------------------------------ #
     def send_control(self, payload: bytes) -> None:
-        """Ship one opaque control message (job header, sync, shutdown).
+        """Ship one opaque control message (the session's shutdown).
 
         Control bytes are accounted separately from array payload so that
         manifest verification stays exact on a connection carrying many jobs.
@@ -285,7 +300,11 @@ class Transport:
         return payload
 
     def send_shutdown(self) -> None:
-        """Announce a graceful end of session to the peer."""
+        """Announce a graceful end of session to the peer.
+
+        Received where a job's first round frame is expected, it ends that
+        job with a :class:`ConnectionError` (see :meth:`recv_arrays`).
+        """
         self.send_control(SHUTDOWN_PAYLOAD)
 
 
@@ -516,182 +535,12 @@ class TcpListener:
         self.close()
 
 
-# --------------------------------------------------------------------------- #
-# Link shaping and fault injection
-# --------------------------------------------------------------------------- #
-
-
-class FaultInjected(ConnectionError):
-    """A scripted fault from a :class:`FaultPlan` fired on this endpoint.
-
-    Subclasses :class:`ConnectionError` so every recovery path (party-server
-    job abort, shard eviction, pool retry) treats an injected drop exactly
-    like a genuine connection loss — chaos tests exercise the real code.
-    """
-
-
-@dataclasses.dataclass
-class FaultPlan:
-    """A seeded, deterministic schedule of link shaping and scripted faults.
-
-    Shaping (applies to every outgoing frame, all session long):
-
-    - ``latency_ms`` — constant one-way delay;
-    - ``jitter_ms`` — extra uniform ``[0, jitter_ms)`` delay drawn from a
-      generator seeded with ``seed`` (replayable: the same plan produces the
-      same delay sequence);
-    - ``bandwidth_bytes_per_s`` — serialization delay of ``len(frame)``
-      bytes through a capped link (0 = uncapped).
-
-    Scripted faults (fire at a *communication round index*, i.e. the n-th
-    coalesced round frame moving in the configured direction):
-
-    - ``stall_at_round`` / ``stall_ms`` / ``stall_direction`` — a one-off
-      read/write stall (the job survives; only latency suffers);
-    - ``drop_at_round`` / ``drop_direction`` / ``max_drops`` — the wrapper
-      closes the underlying connection and raises :class:`FaultInjected`;
-      the peer observes a genuine mid-frame connection loss.  ``max_drops``
-      bounds how often the drop fires (default once), so a respawned
-      session against the same plan instance is not re-dropped forever.
-
-    The plan is plain data (picklable, JSON-serializable via
-    :meth:`to_dict`) so it can ride in a :class:`ServerConfig` to a party
-    process and be uploaded as a CI artifact when a chaos test fails.
-    """
-
-    seed: int = 0
-    latency_ms: float = 0.0
-    jitter_ms: float = 0.0
-    bandwidth_bytes_per_s: float = 0.0
-    stall_at_round: Optional[int] = None
-    stall_ms: float = 0.0
-    stall_direction: str = "send"
-    drop_at_round: Optional[int] = None
-    drop_direction: str = "send"
-    max_drops: int = 1
-
-    _DIRECTIONS = ("send", "recv", "both")
-
-    def __post_init__(self) -> None:
-        for name in ("stall_direction", "drop_direction"):
-            value = getattr(self, name)
-            if value not in self._DIRECTIONS:
-                raise ValueError(
-                    f"{name} must be one of {self._DIRECTIONS}, got {value!r}"
-                )
-
-    @property
-    def drops(self) -> bool:
-        return self.drop_at_round is not None and self.max_drops > 0
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        return cls(**payload)
-
-
-class ShapedTransport(Transport):
-    """A transport wrapper that shapes the link deterministically.
-
-    Wraps any :class:`Transport` and delays each outgoing frame by the
-    plan's constant latency, seeded jitter and bandwidth-cap serialization
-    time.  The wrapper keeps its own :class:`WireStats` (the array/control
-    layers of :class:`Transport` run against it), so payload and manifest
-    accounting are bit-for-bit what an unshaped endpoint would record —
-    shaping only costs time, never bytes.
-    """
-
-    def __init__(self, inner: Transport, plan: FaultPlan) -> None:
-        super().__init__()
-        self.inner = inner
-        self.plan = plan
-        self._jitter_rng = np.random.default_rng(plan.seed)
-
-    def _shaping_delay_s(self, frame_bytes: int) -> float:
-        plan = self.plan
-        delay = plan.latency_ms / 1e3
-        if plan.jitter_ms > 0.0:
-            delay += float(self._jitter_rng.uniform(0.0, plan.jitter_ms)) / 1e3
-        if plan.bandwidth_bytes_per_s > 0.0:
-            delay += frame_bytes / plan.bandwidth_bytes_per_s
-        return delay
-
-    def _shape(self, frame: bytes) -> None:
-        delay = self._shaping_delay_s(len(frame))
-        if delay > 0.0:
-            time.sleep(delay)
-
-    def _transfer(self, frame: Optional[bytes], receive: bool) -> Optional[bytes]:
-        if frame is not None:
-            # full duplex: in an exchange the peer shapes its frame
-            # concurrently, so the round pays the one-way delay once
-            self._shape(frame)
-        return self.inner._transfer(frame, receive)
-
-    def close(self) -> None:
-        self.inner.close()
-
-
-class FaultyTransport(ShapedTransport):
-    """A :class:`ShapedTransport` that also executes scripted faults.
-
-    Round indices are the per-direction counts of coalesced round frames
-    (``WireStats.round_frames_sent`` / ``_received``) — the same counters
-    the round-coalescing scheduler reports — so "drop at round k" means
-    exactly the k-th communication round of the executing plan in that
-    direction.  Control frames never trip a fault.
-
-    Send-side faults fire *before* the frame leaves (the peer never sees
-    it); recv-side faults fire after the bytes arrive but before they are
-    delivered (the frame is lost in flight).  Both close the underlying
-    connection first, so the peer observes a genuine connection loss and
-    both parties abort the job rather than deadlocking.  The hooks sit on
-    :meth:`Transport._put_frame` / :meth:`Transport._take_frame`, so in a
-    full-duplex exchange the send-side fault fires before the exchange and
-    the recv-side fault after it, at the same per-direction indices as on
-    one-way frames.
-    """
-
-    def __init__(self, inner: Transport, plan: FaultPlan) -> None:
-        super().__init__(inner, plan)
-        self._drops_done = 0
-
-    @staticmethod
-    def _applies(configured: str, direction: str) -> bool:
-        return configured in (direction, "both")
-
-    def _run_scripted_faults(self, direction: str, index: int) -> None:
-        plan = self.plan
-        if (
-            plan.stall_ms > 0.0
-            and plan.stall_at_round == index
-            and self._applies(plan.stall_direction, direction)
-        ):
-            self.stats.stalls_injected += 1
-            time.sleep(plan.stall_ms / 1e3)
-        if (
-            plan.drop_at_round == index
-            and self._drops_done < plan.max_drops
-            and self._applies(plan.drop_direction, direction)
-        ):
-            self._drops_done += 1
-            self.stats.faults_injected += 1
-            self.inner.close()
-            raise FaultInjected(
-                f"scripted fault: connection dropped at round {index} "
-                f"({direction} direction, fault {self._drops_done}/"
-                f"{plan.max_drops} of the plan)"
-            )
-
-    def _put_frame(self, frame: bytes) -> None:
-        if frame and frame[0] == ROUND_CODE:
-            self._run_scripted_faults("send", self.stats.round_frames_sent)
-        super()._put_frame(frame)
-
-    def _take_frame(self) -> bytes:
-        frame = super()._take_frame()
-        if frame and frame[0] == ROUND_CODE:
-            self._run_scripted_faults("recv", self.stats.round_frames_received)
-        return frame
+# (re-exported for callers that import the link wrappers from here; they
+# subclass Transport, so they live in repro.crypto.faults, which the
+# package always reaches through this module)
+from repro.crypto.faults import (  # noqa: E402,F401
+    FaultInjected,
+    FaultPlan,
+    FaultyTransport,
+    ShapedTransport,
+)

@@ -272,8 +272,9 @@ class WireStats:
 
     ``payload_bytes_*`` counts array payload bytes only (the quantity the
     manifest predicts); ``overhead_bytes_*`` counts the rest of a round
-    frame, its length prefix and code byte; ``control_bytes_*`` counts
-    session-layer control frames (job headers, shutdown handshake) in full.  The sum of all three is what
+    frame, its length prefix, code byte and (on a job's first frame) job
+    digest; ``control_bytes_*`` counts session-layer control frames (the
+    shutdown handshake) in full.  The sum of all three is what
     actually crossed the wire — and because control traffic is kept out of
     the payload counters, per-job payload deltas on a persistent connection
     still match the manifest exactly.
@@ -296,7 +297,7 @@ class WireStats:
     round_frames_received: int = 0
     round_arrays_sent: int = 0
     round_arrays_received: int = 0
-    #: scripted faults a wrapping :class:`~repro.crypto.transport.FaultyTransport`
+    #: scripted faults a wrapping :class:`~repro.crypto.faults.FaultyTransport`
     #: injected on this endpoint (connection drops / stalls).  Kept in the
     #: wire stats so the accounting that travels with a job also records
     #: what was done to it — payload counters are never touched by

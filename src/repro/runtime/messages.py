@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.crypto.plan import InferencePlan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
-from repro.crypto.transport import FaultPlan
+from repro.crypto.faults import FaultPlan
 
 
 @dataclass

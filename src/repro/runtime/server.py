@@ -33,20 +33,20 @@ rather than once per inference:
   the in-process engine) all agree without communicating — each job stays
   bit-identical to ``SecureInferenceEngine.execute`` at the same seed.
 
-Session framing over the persistent connection: before each job the
-parties swap a control frame carrying ``(job id, model, batch, counter,
-seed)`` and the hash of the plan each holds for the key, and both refuse to
-proceed on a mismatch, so a desynchronized dispatcher or plan fails loudly,
-before any round frame, instead of mixing share-worlds.  Control bytes are
-accounted separately from protocol payload, which keeps the per-job
-payload deltas equal to the plan manifest's prediction — verified after
-every job.
+Session framing over the persistent connection: a job's first round
+frame carries an 8-byte digest of ``(job id, model, batch, counter, seed)``
+and of the identity of the plan each party holds for the key
+(:func:`job_digest`), and that first round is always a full-duplex
+exchange, so both parties refuse to proceed on a mismatch — before either
+decodes a payload — instead of mixing share-worlds.  The digest counts as
+framing overhead, never as payload, which keeps the per-job payload deltas
+equal to the plan manifest's prediction — verified after every job.
 """
 
 from __future__ import annotations
 
 import ctypes
-import json
+import hashlib
 import os
 import threading
 import time
@@ -61,7 +61,8 @@ from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import RandomnessPool, TrustedDealer
 from repro.crypto.plan import InferencePlan
-from repro.crypto.transport import FaultyTransport, TcpListener, TcpTransport
+from repro.crypto.faults import FaultyTransport
+from repro.crypto.transport import TcpListener, TcpTransport
 from repro.obs import Metrics
 from repro.runtime.messages import (
     JobFailed,
@@ -122,13 +123,40 @@ def derive_job_seed(base_seed: int, model: str, batch_size: int, counter: int) -
     return (int(base_seed) * 1_000_003 + digest) % (2**31 - 1)
 
 
+def plan_identity(plan: InferencePlan) -> bytes:
+    """What both parties must agree on to run a plan's rounds together:
+    its ``manifest.content_hash`` (the randomness material), every op's
+    round groups (each message's sender and bytes) and every op's output
+    shape.  Two plans that share a manifest but lay out their rounds
+    differently get different identities."""
+    digest = hashlib.blake2b(plan.manifest.content_hash.encode(), digest_size=16)
+    for op in plan.ops:
+        shape = tuple(int(d) for d in op.output_shape)
+        digest.update(repr((op.round_groups, shape)).encode())
+    return digest.digest()
+
+
+def job_digest(request: JobRequest, identity: bytes) -> bytes:
+    """The 8-byte header of one job that rides its first round frame: the
+    job id, model, batch, counter and pinned seed, and the plan's
+    :func:`plan_identity`."""
+    header = (
+        int(request.job_id),
+        str(request.model),
+        int(request.batch_size),
+        int(request.counter),
+        None if request.seed is None else int(request.seed),
+    )
+    return hashlib.blake2b(repr(header).encode() + identity, digest_size=8).digest()
+
+
 @dataclass
 class _PlanEntry:
     plan: InferencePlan
     #: bytes one buffered (party-restricted) pool of this key pins
     pool_bytes: int
-    #: the plan's ``manifest.content_hash``, checked with the peer every job
-    plan_hash: str
+    #: the plan's :func:`plan_identity`, folded into every job's digest
+    identity: bytes
     #: the server's use clock at this key's last job (or its creation)
     last_used: int
     #: whether a job has drawn from this key (only those are refilled)
@@ -187,7 +215,7 @@ class PartyServer:
                 self._uses += 1
                 manifest = plan.manifest
                 entry = self._entries[key] = _PlanEntry(
-                    plan, manifest.party_pool_bytes, manifest.content_hash, self._uses
+                    plan, manifest.party_pool_bytes, plan_identity(plan), self._uses
                 )
                 self.metrics.inc("plans_received")
         return entry
@@ -337,34 +365,8 @@ class PartyServer:
             self._refill.notify_all()
 
     # -- job execution -------------------------------------------------------- #
-    def _sync_job_header(self, request: JobRequest, plan_hash: str) -> None:
-        """Swap and cross-check the job header over the wire.
-
-        Both parties announce, then both verify: a dispatcher that fed the
-        two pipes different job streams, or parties holding different plans
-        for the key, are caught on both sides before any round frame.
-        """
-        header = {
-            "job": request.job_id,
-            "model": request.model,
-            "batch": request.batch_size,
-            "counter": request.counter,
-            "seed": request.seed,
-            "plan": plan_hash,
-        }
-        self.transport.send_control(json.dumps(header).encode("utf-8"))
-        announced = self.transport.recv_control()
-        if announced is None:
-            raise ConnectionError("peer shut the session down while a job was pending")
-        peer_header = json.loads(announced.decode("utf-8"))
-        if peer_header != header:
-            raise RuntimeError(
-                f"party {self.party}: job desync — peer announced {peer_header}, "
-                f"local pipe delivered {header}"
-            )
-
     def execute_job(self, request: JobRequest) -> JobReport:
-        # Everything up to _sync_job_header is pre-wire validation: it sees
+        # Everything up to arming the channel is pre-wire validation: it sees
         # only deterministic inputs, so a rejection here is job-scoped
         # (JobValidationError) — both parties reject identically, no frame
         # has been sent, and the persistent session stays usable.
@@ -387,13 +389,18 @@ class PartyServer:
                 f"an input share of shape {entry.plan.input_shape}, got "
                 f"{np.asarray(request.input_share).shape}"
             )
-        self._sync_job_header(request, entry.plan_hash)
         pool, hit, seed = self._acquire_pool(entry, request)
         start = time.perf_counter()
         ctx = TwoPartyContext(ring=self.ring, seed=seed, channel=self.channel)
         before = self.transport.stats.snapshot()
         self.current_job_id = request.job_id
+        # the job's header rides its first round: a job desync raises there,
+        # on both parties, before either decodes a payload
+        self.channel.digest = job_digest(request, entry.identity)
         try:
+            if not entry.plan.num_rounds:
+                # a plan with no interactive op still checks the peer's job
+                self.channel.run_round(())
             execution = execute_plan_as_party(
                 ctx,
                 self.party,
@@ -407,9 +414,9 @@ class PartyServer:
         delta = self.transport.stats.since(before)
         online_seconds = time.perf_counter() - start
 
-        # fed with this job's wire delta: the control frames of the session
-        # layer are excluded from the payload counters, so the check stays
-        # exact even on a connection multiplexing many jobs
+        # fed with this job's wire delta: the job digest is framing, not
+        # payload, so the check stays exact even on a connection
+        # multiplexing many jobs
         try:
             verify_against_plan(entry.plan, execution, delta)
         except RuntimeError as exc:
@@ -526,7 +533,7 @@ def run_party_server(
     number over the pipe (``("bound-port", port)``) right after receiving
     the config, *before* accepting — the pool driver reads it and only then
     boots party 1, so no free-then-bind race exists.  A
-    :class:`~repro.crypto.transport.FaultPlan` for this party in the config
+    :class:`~repro.crypto.faults.FaultPlan` for this party in the config
     (link shaping and/or scripted faults) wraps the connection.
     """
     _pin_malloc()

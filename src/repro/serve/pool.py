@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.crypto.plan import InferencePlan, compile_plan
 from repro.crypto.ring import DEFAULT_RING, FixedPointRing
-from repro.crypto.transport import FaultPlan
+from repro.crypto.faults import FaultPlan
 from repro.obs import Metrics, merge, nest
 from repro.runtime.messages import ServerConfig
 from repro.runtime.shard import HeartbeatMiss, PoolBatchResult, ShardFailure, WorkerShard

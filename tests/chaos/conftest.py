@@ -1,7 +1,7 @@
 """Shared fixtures for the chaos suite: fault schedules, tiny zoo, recorder.
 
 Every chaos test drives the real serving stack (two OS processes per shard,
-TCP transport) through a scripted :class:`~repro.crypto.transport.FaultPlan`
+TCP transport) through a scripted :class:`~repro.crypto.faults.FaultPlan`
 and asserts the recovery contract: recovered logits are bit-identical to the
 fault-free run, and no client future fails while retry budget remains.
 
@@ -19,7 +19,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
-from repro.crypto.transport import FaultPlan
+from repro.crypto.faults import FaultPlan
 from repro.models.builder import build_model, export_layer_weights
 from repro.models.mobilenet import mobilenetv2_tiny
 from repro.models.resnet import resnet_tiny

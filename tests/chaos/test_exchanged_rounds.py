@@ -20,14 +20,10 @@ import pytest
 from repro.crypto.channel import PartyChannel
 from repro.crypto.context import TwoPartyContext
 from repro.crypto.dealer import TrustedDealer
+from repro.crypto.faults import FaultInjected, FaultyTransport
 from repro.crypto.plan import compile_plan
 from repro.crypto.sharing import share
-from repro.crypto.transport import (
-    FaultInjected,
-    FaultyTransport,
-    TcpListener,
-    TcpTransport,
-)
+from repro.crypto.transport import TcpListener, TcpTransport
 from repro.runtime.party import execute_plan_as_party
 from tests.chaos.conftest import make_chaos_pool
 

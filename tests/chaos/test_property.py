@@ -16,7 +16,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.transport import FaultPlan
+from repro.crypto.faults import FaultPlan
 from tests.chaos.conftest import make_chaos_pool
 
 

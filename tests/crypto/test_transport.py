@@ -24,17 +24,14 @@ from repro.crypto.channel import Channel, PartyChannel
 from repro.crypto.context import TwoPartyContext, make_context
 from repro.crypto.dealer import TrustedDealer
 from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
+from repro.crypto.faults import FaultInjected, FaultPlan, FaultyTransport, ShapedTransport
 from repro.crypto.kernels import dead_lane
 from repro.crypto.plan import record_phases
 from repro.crypto.ring import DEFAULT_RING, PAPER_RING
 from repro.crypto.sharing import SharePair, share
 from repro.crypto.transport import (
-    FaultInjected,
-    FaultPlan,
-    FaultyTransport,
     FrameTooLarge,
     LoopbackTransport,
-    ShapedTransport,
     TcpListener,
     TcpTransport,
     decode_array,
@@ -782,20 +779,32 @@ class TestInterleavedShutdown:
             b.recv_arrays([np.zeros(1, dtype=np.uint64)])
 
     def test_server_treats_mid_job_shutdown_as_connection_loss(self):
-        """PartyServer's header sync: a shutdown instead of a job header is
-        a connection-scoped failure (the job cannot proceed), not a crash
-        with a confusing decode error."""
+        """A PartyServer job whose first round frame — the one carrying the
+        job's digest — is answered with the shutdown handshake ends in a
+        connection-scoped failure (the job cannot proceed), not a crash
+        with a confusing decode error, and decodes nothing."""
+        from repro.crypto.plan import compile_plan
+        from repro.models.builder import build_model, export_layer_weights
+        from repro.models.vgg import vgg_tiny
         from repro.runtime.server import JobRequest, PartyServer, ServerConfig
 
+        spec = vgg_tiny(input_size=8).with_all_polynomial()
+        plan = compile_plan(spec, batch_size=1)
         a, b = LoopbackTransport.pair()
-        config = ServerConfig(base_seed=0, plans={}, weights={})
+        config = ServerConfig(
+            base_seed=0,
+            plans={("m", 1): plan},
+            weights={"m": export_layer_weights(build_model(spec))},
+        )
         server = PartyServer(1, b, config)
         a.send_shutdown()
         request = JobRequest(
-            job_id=0, model="m", batch_size=1, counter=0, input_share=np.zeros(1)
+            job_id=0, model="m", batch_size=1, counter=0,
+            input_share=np.zeros(plan.input_shape, dtype=np.uint64),
         )
         with pytest.raises(ConnectionError, match="shut the session down"):
-            server._sync_job_header(request, plan_hash="0" * 16)
+            server.execute_job(request)
+        assert b.stats.payload_bytes_received == 0
 
 
 def _tcp_pair(timeout: float = 10.0):

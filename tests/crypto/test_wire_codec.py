@@ -193,6 +193,23 @@ def test_round_and_control_frames_are_byte_identical_to_the_committed_wire():
     assert bytes(b._inbox.get()).hex() == "ff6a6f62"
     assert (a.stats.payload_bytes_sent, a.stats.overhead_bytes_sent) == (52, 5)
     assert a.stats.control_bytes_sent == 8
+    # a job's first round frame: the code byte, its 8-byte digest, the
+    # payloads; the digest is framing, not payload
+    digest = bytes.fromhex("0123456789abcdef")
+    a.send_arrays([ring, (bits1, 1)], DEFAULT_RING, digest)
+    assert bytes(b._inbox.get()).hex() == (
+        "fe"
+        "0123456789abcdef"
+        "0000000000000000efcdab8967452301de9b5713cf8a4602cd69039d36d06903bc37af269e158d04"
+        "ab055bb0055bb005"
+        "e318"
+    )
+    assert (a.stats.payload_bytes_sent, a.stats.overhead_bytes_sent) == (52 + 50, 5 + 13)
+    # a party with nothing to send in a job's first round sends the digest alone
+    a.send_arrays([], DEFAULT_RING, digest)
+    assert bytes(b._inbox.get()).hex() == "fe0123456789abcdef"
+    assert (a.stats.payload_bytes_sent, a.stats.overhead_bytes_sent) == (52 + 50, 5 + 13 + 13)
+    assert a.stats.round_frames_sent == 3 and a.stats.control_frames_sent == 1
 
 
 def _record(code: int, width: int, dims, payload: bytes = b"") -> bytes:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,42 @@ def test_oracle_production_and_loopback_agree_bit_for_bit(build, polynomial, bat
 
     assert np.array_equal(result.logits, oracle_logits)
     assert np.array_equal(_loopback_logits(plan, weights, x), oracle_logits)
+
+
+@pytest.mark.parametrize("build,polynomial,batch", CASES)
+def test_per_op_bytes_sum_to_the_logged_bytes(build, polynomial, batch):
+    """The executor attributes each round's logged bytes to the op that ran
+    it: on every zoo plan, in process and on each of two loopback parties,
+    the per-op bytes sum to the channel log's total and equal the plan's
+    per-op prediction."""
+    spec = build(input_size=8)
+    if polynomial:
+        spec = spec.with_all_polynomial()
+    weights = _trained_weights(spec)
+    x = np.random.default_rng(7).normal(size=(batch, spec.in_channels, 8, 8))
+    plan = compile_plan(spec, batch_size=batch)
+    engine = SecureInferenceEngine(make_context(seed=SEED))
+    executions = [engine.execute(plan, weights, x, pool=engine.preprocess(plan)).execution]
+
+    ring = plan.ring
+    shared = share(x, ring, np.random.default_rng(SEED + 1))
+    transports = LoopbackTransport.pair(timeout=60.0)
+
+    def party_run(party, input_share):
+        channel = PartyChannel(transports[party], party, ring=ring)
+        ctx = TwoPartyContext(ring=ring, seed=SEED, channel=channel)
+        pool = TrustedDealer(ring=ring, seed=SEED).preprocess(plan, party=party)
+        return execute_plan_as_party(ctx, party, plan, weights, input_share, pool=pool)
+
+    with ThreadPoolExecutor(max_workers=2) as workers:
+        runs = [
+            workers.submit(party_run, party, input_share)
+            for party, input_share in ((0, shared.share0), (1, shared.share1))
+        ]
+        executions += [run.result(timeout=120.0) for run in runs]
+    for execution in executions:
+        assert sum(execution.per_op_bytes.values()) == execution.communication_bytes
+        assert execution.per_op_bytes == plan.per_op_bytes()
 
 
 def test_plan_table_has_exactly_one_row_per_case():

@@ -17,7 +17,8 @@ import pytest
 from repro.crypto.channel import PartyChannel
 from repro.crypto.events import open_bits_event, open_ring_event, transfer_event
 from repro.crypto.ring import DEFAULT_RING
-from repro.crypto.transport import FaultPlan, ShapedTransport, TcpListener, TcpTransport
+from repro.crypto.faults import FaultPlan, ShapedTransport
+from repro.crypto.transport import TcpListener, TcpTransport
 
 LINK_LATENCY = 0.02
 ROUNDS = 10

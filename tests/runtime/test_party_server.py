@@ -9,6 +9,8 @@ traffic multiplexed onto the same connection.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import threading
 import time
 
@@ -456,31 +458,128 @@ def test_a_shipped_plan_is_checked_before_the_wire(servable, batch, shipped):
     np.testing.assert_array_equal(logits, _reference_logits(servable, x, seed))
 
 
-@pytest.mark.parametrize("mismatch", ["plan", "counter"])
-def test_desynced_parties_both_stop_before_any_round_frame(servable, mismatch):
-    """Party 1 is shipped the key's plan compiled with one X²act swapped
-    for a ReLU, so its manifest differs from party 0's — or is handed
-    another counter: the job header swap stops both parties with a typed
-    error before any round frame."""
-    spec = servable.spec
-    swapped = next(layer.name for layer in spec.layers if layer.kind == LayerKind.X2ACT)
-    plans = [
-        compile_plan(spec, batch_size=2),
-        compile_plan(spec.replace_kinds({swapped: LayerKind.RELU}), batch_size=2),
-    ]
-    assert plans[0].manifest.content_hash != plans[1].manifest.content_hash
+def _relu_spec(spec):
+    """The servable's spec with every activation a ReLU: its plans' first
+    round group is one-way (party 0's OT table)."""
+    return spec.replace_kinds(
+        {layer.name: LayerKind.RELU for layer in spec.layers if layer.kind == LayerKind.X2ACT}
+    )
+
+
+def _local_spec(spec):
+    """The servable's leading layers up to its first activation: a plan
+    with no interactive op."""
+    first = next(i for i, layer in enumerate(spec.layers) if layer.kind == LayerKind.X2ACT)
+    return dataclasses.replace(spec, layers=spec.layers[:first])
+
+
+def _uncoalesced(plan):
+    """``plan`` with every round group of more than one event split into
+    one group per event: the same randomness material (the same
+    ``content_hash``), other round groups."""
+    ops = tuple(
+        dataclasses.replace(
+            op, round_groups=tuple((event,) for group in op.round_groups for event in group)
+        )
+        for op in plan.ops
+    )
+    return dataclasses.replace(plan, ops=ops)
+
+
+def _desynced_plans(spec, mismatch):
+    """The plans (party 0's, party 1's) of one job for each desync case."""
+    batch2 = functools.partial(compile_plan, batch_size=2)
+    if mismatch == "plan":
+        # one X²act swapped for a ReLU: the manifests differ
+        swapped = next(layer.name for layer in spec.layers if layer.kind == LayerKind.X2ACT)
+        return batch2(spec), batch2(spec.replace_kinds({swapped: LayerKind.RELU}))
+    if mismatch == "round-groups":
+        plan = batch2(_relu_spec(spec))
+        return plan, _uncoalesced(plan)
+    # the same plan on both parties, handed another counter
+    if mismatch == "one-way-first-round":
+        plan = batch2(_relu_spec(spec))
+        from_0, from_1 = plan.round_trace[0]
+        assert from_0 > 0 and from_1 == 0
+    elif mismatch == "no-interactive-op":
+        plan = batch2(_local_spec(spec))
+        assert plan.num_rounds == 0
+    else:
+        plan = batch2(spec)
+    return plan, plan
+
+
+@pytest.mark.parametrize(
+    "mismatch",
+    ["plan", "counter", "round-groups", "one-way-first-round", "no-interactive-op"],
+)
+def test_desynced_parties_both_stop_before_decoding_any_round_frame(servable, mismatch):
+    """Party 1 holds another plan for the key than party 0 — another
+    manifest, or the same manifest with other round groups — or is handed
+    another counter (on a plan whose first round group is one-way, or one
+    with no interactive op): the job digest on the first round frame stops
+    both parties with a typed error before either decodes a payload, and
+    neither sends more than that one frame."""
+    plans = _desynced_plans(servable.spec, mismatch)
+    if mismatch == "round-groups":
+        assert plans[0].manifest.content_hash == plans[1].manifest.content_hash
+        assert plans[0].round_trace != plans[1].round_trace
     servers = _pair(servable)
     x = np.random.default_rng(9).normal(size=(2, 3, 8, 8))
     requests, _ = _pair_job(x, counter=0, plan=plans[0])
-    if mismatch == "plan":
-        requests[1].plan = plans[1]
-    else:
+    requests[1].plan = plans[1]
+    if plans[0] is plans[1]:
         requests[1].counter = 1
     answers = _answers(servers, requests)
     for party, server in enumerate(servers):
         assert isinstance(answers[party], RuntimeError), answers[party]
-        assert "desync" in str(answers[party])
-        assert server.transport.stats.round_frames_sent == 0
+        assert "job desync" in str(answers[party])
+        stats = server.transport.stats
+        assert stats.payload_bytes_received == 0
+        assert stats.round_frames_sent <= 1
+        assert stats.control_frames_sent == 0
+
+
+@pytest.mark.parametrize("build", [_relu_spec, _local_spec], ids=["one-way-first-round", "no-interactive-op"])
+def test_a_jobs_digest_rides_its_first_round_and_costs_no_payload(servable, build):
+    """A job on a plan whose first round group is one-way (the silent party
+    sends its digest alone) or that has no interactive op (one empty armed
+    round) is bit-identical to the engine; each party's framing overhead
+    is ``5 x round frames + 8``, and no control frame is sent."""
+    spec = build(servable.spec)
+    plan = compile_plan(spec, batch_size=2)
+    servers = _pair(servable)
+    x = np.random.default_rng(10).normal(size=(2, 3, 8, 8))
+    requests, seed = _pair_job(x, counter=0, plan=plan)
+    reports = _answers(servers, requests)
+    ring = servers[0].ring
+    logits = ring.decode(ring.add(reports[0].logit_share, reports[1].logit_share))
+    engine = SecureInferenceEngine(make_context(seed=seed))
+    expected = engine.execute(plan, servable.weights, x, pool=engine.preprocess(plan)).logits
+    np.testing.assert_array_equal(logits, expected)
+    for party, server in enumerate(servers):
+        stats = server.transport.stats
+        assert stats.overhead_bytes_sent == 5 * stats.round_frames_sent + 8
+        assert stats.overhead_bytes_received == 5 * stats.round_frames_received + 8
+        # every round the party sends in, plus its digest-only frame if the
+        # first round group leaves it silent
+        sends = sum(1 for trace in plan.round_trace if trace[party])
+        silent_first = not plan.round_trace or not plan.round_trace[0][party]
+        assert stats.round_frames_sent == sends + silent_first
+        assert stats.control_frames_sent == 0
+
+
+def test_served_jobs_send_no_control_frame_only_shutdown_does(servable):
+    """Over a stream of jobs neither party sends or receives a control
+    frame; the shutdown handshake is the session's only one."""
+    servers = _pair(servable)
+    x = np.random.default_rng(11).normal(size=(1, 3, 8, 8))
+    for counter in range(3):
+        _run_pair_job(servable, servers, x, counter)
+    finals = [server.shutdown() for server in servers]
+    assert [final["wire.control_frames_sent"] for final in finals] == [1, 0]
+    assert [final["wire.control_frames_received"] for final in finals] == [0, 1]
+    assert all(final["wire.round_frames_sent"] > 0 for final in finals)
 
 
 def _resident_array_bytes(server):

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro.crypto
+import repro.crypto.faults
 import repro.crypto.secure_model
 import repro.crypto.transport
 import repro.runtime
@@ -135,21 +136,22 @@ def test_link_latency_is_spelled_once_and_injected_by_the_fault_plan_only():
 
 
 def test_a_transport_implements_one_frame_primitive():
-    transport = repro.crypto.transport
-    concrete = [
+    transport, faults = repro.crypto.transport, repro.crypto.faults
+    concrete = {
         cls
-        for cls in vars(transport).values()
+        for module in (transport, faults)
+        for cls in vars(module).values()
         if inspect.isclass(cls)
         and issubclass(cls, transport.Transport)
-        and cls not in (transport.Transport, transport.FaultyTransport)
-    ]
+        and cls not in (transport.Transport, faults.FaultyTransport)
+    }
     assert len(concrete) == 3
     for cls in concrete:
         assert "_transfer" in vars(cls), cls.__name__
     # the fault wrapper only hooks the funnel its round indices hang on
-    assert {"_put_frame", "_take_frame"} <= set(vars(transport.FaultyTransport))
-    assert "_transfer" not in vars(transport.FaultyTransport)
-    for cls in [transport.Transport, transport.FaultyTransport, *concrete]:
+    assert {"_put_frame", "_take_frame"} <= set(vars(faults.FaultyTransport))
+    assert "_transfer" not in vars(faults.FaultyTransport)
+    for cls in [transport.Transport, faults.FaultyTransport, *concrete]:
         for gone in (
             "send_array", "recv_array", "exchange_array",
             "_send_frame", "_recv_frame", "_exchange_frame",
@@ -433,6 +435,9 @@ def test_one_provision_request_and_one_process_spawner():
         ("repro.runtime.twoprocess", "TwoProcessResult.unpacked_payload_bytes"),
         ("repro.runtime.twoprocess", "TwoProcessResult.bytes_saved_pct"),
         ("repro.crypto.ring", "FixedPointRing.matmul"),
+        # a job's header rides its first round frame as a digest
+        ("repro.runtime.server", "PartyServer._sync_job_header"),
+        ("repro.runtime.server", "_PlanEntry.plan_hash"),
     ],
 )
 def test_deleted_names_stay_deleted(module, name):
